@@ -192,6 +192,24 @@ impl Fleet {
         &self.rules
     }
 
+    /// Phase 1a: the shards that could host `tool_id` at
+    /// `memory_hint_mib` — placeable, not in `excluded`, and admitted by
+    /// the destination rules. [`Fleet::place`] scores these; the dynamic
+    /// rule and the placement advisor route to the fleet only while one
+    /// exists, so they never commit a job that placement must reject.
+    pub fn candidates<'a>(
+        &'a self,
+        tool_id: &'a str,
+        memory_hint_mib: u64,
+        excluded: &'a [String],
+    ) -> impl Iterator<Item = &'a NodeShard> {
+        self.shards
+            .iter()
+            .filter(|s| s.is_placeable())
+            .filter(move |s| !excluded.iter().any(|n| n == &s.name))
+            .filter(move |s| self.rules.admits(tool_id, &s.class, memory_hint_mib))
+    }
+
     /// Place a job: filter candidates by rules/arch/memory, score with
     /// the policy (ties → lowest node id), then lease minors on the
     /// chosen shard. `None` when no candidate admits the job or every
@@ -200,11 +218,7 @@ impl Fleet {
         obs::profile_scope!("fleet.place");
         let mut candidates: Vec<(f64, u32)> = {
             let bookings = self.bookings.lock();
-            self.shards
-                .iter()
-                .filter(|s| s.is_placeable())
-                .filter(|s| !req.excluded_nodes.iter().any(|n| n == &s.name))
-                .filter(|s| self.rules.admits(req.tool_id, &s.class, req.memory_hint_mib))
+            self.candidates(req.tool_id, req.memory_hint_mib, req.excluded_nodes)
                 .map(|s| {
                     let mut load = s.load();
                     load.user_active =

@@ -29,26 +29,24 @@
 //! `tool → node-class` constraints with cores/memory right-sizing (see
 //! [`rules::DestinationRules::parse`] for the line syntax).
 //!
-//! [`hook::install_fleet`] wires a fleet into a
-//! [`galaxy::GalaxyApp`]/queue-engine stack the same way
-//! `gyan::setup::install_gyan` wires a single node: a dynamic destination
-//! rule plus a [`galaxy::runners::JobHook`] that places, exports
-//! `CUDA_VISIBLE_DEVICES` *and* `GALAXY_NODE`, and releases on
+//! [`install::install_fleet`] wires a fleet into a
+//! [`galaxy::GalaxyApp`]/queue-engine stack through the same
+//! `gyan::setup::install_hook` that wires a single node: its own dynamic
+//! destination rule, plus the one `gyan::GyanHook` with the [`Fleet`] as
+//! its placement seam (`gyan::Placer`) — so the hook places across nodes,
+//! exports `CUDA_VISIBLE_DEVICES` *and* `GALAXY_NODE`, and releases on
 //! conclusion. [`ops::fleet_ops_server`] serves node-labeled GPU/job
 //! views and per-node Prometheus metrics.
 
 pub mod fleet;
-pub mod hook;
+pub mod install;
 pub mod node;
 pub mod ops;
 pub mod placement;
 pub mod rules;
 
 pub use fleet::{Fleet, FleetBuilder, Placement};
-pub use hook::{
-    install_fleet, install_fleet_with_footprint, FleetConfig, FleetHook,
-    FLEET_INVALID_HINT_COUNTER, FLEET_INVALID_HINT_EVENT,
-};
+pub use install::{install_fleet, FleetConfig};
 pub use node::{NodeClass, NodeLoad, NodeShard, NodeStatus};
 pub use ops::{fleet_gpus_json, fleet_jobs_json, fleet_nodes_json, fleet_ops_server};
 pub use placement::{

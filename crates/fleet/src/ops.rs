@@ -74,9 +74,10 @@ pub fn fleet_jobs_json(fleet: &Fleet, ledger: &JobsLedger) -> String {
     format!("{{\"jobs\":[{}]}}", jobs.join(","))
 }
 
-/// Build the fleet operations server. Like `gyan::ops::ops_server` the
-/// returned server is not yet listening — call `.start("127.0.0.1:0")`.
-/// All routes observe the live fleet through handle clones.
+/// Build the fleet operations server: [`gyan::ops::ops_base`] plus the
+/// fleet's node-labeled views. Like `gyan::ops::ops_server` the returned
+/// server is not yet listening — call `.start("127.0.0.1:0")`. All routes
+/// observe the live fleet through handle clones.
 pub fn fleet_ops_server(
     recorder: &Recorder,
     fleet: &Fleet,
@@ -86,36 +87,19 @@ pub fn fleet_ops_server(
     let gpus_fleet = fleet.clone();
     let nodes_fleet = fleet.clone();
     let jobs = (fleet.clone(), ledger.clone());
-    let alerts_handle = alerts.clone();
-    let flight = recorder.clone();
-    OpsServer::new()
-        .serve_metrics(recorder.metrics())
+    let job = jobs.clone();
+    gyan::ops::ops_base(recorder, alerts)
         .route("/api/gpus", Arc::new(move |_req| Response::json(fleet_gpus_json(&gpus_fleet))))
         .route("/api/nodes", Arc::new(move |_req| Response::json(fleet_nodes_json(&nodes_fleet))))
         .route(
             "/api/jobs",
-            Arc::new(move |req| match req.path.strip_prefix("/api/jobs/") {
-                None => Response::json(fleet_jobs_json(&jobs.0, &jobs.1)),
-                Some(rest) => match rest.parse::<u64>().ok() {
-                    Some(id) => match jobs.1.get(id) {
-                        Some(snap) => {
-                            Response::json(gyan::ops::job_object(&snap, &fleet_leases(&jobs.0)))
-                        }
-                        None => Response::not_found(&format!("job {id}")),
-                    },
-                    None => Response::not_found("job id"),
+            gyan::ops::jobs_route(
+                move || fleet_jobs_json(&jobs.0, &jobs.1),
+                move |id| {
+                    job.1.get(id).map(|snap| gyan::ops::job_object(&snap, &fleet_leases(&job.0)))
                 },
-            }),
+            ),
         )
-        .route("/api/alerts", Arc::new(move |_req| Response::json(alerts_handle.to_json())))
-        .route(
-            "/api/flightrec",
-            Arc::new(move |_req| match flight.flight_snapshot() {
-                Some(snapshot) => Response::ok("application/jsonl", snapshot.to_jsonl()),
-                None => Response::unavailable("flight recorder disabled"),
-            }),
-        )
-        .route("/api/profile", gyan::ops::profile_route())
 }
 
 #[cfg(test)]

@@ -85,50 +85,28 @@ pub struct Allocation {
 /// `requested` is the tool's GPU minor ID list from the wrapper's
 /// `version` tag (empty = no preference). Returns `None` when the node has
 /// no GPUs at all.
+///
+/// This is the paper's lease-blind Pseudocode 2 over a fresh SMI poll;
+/// dispatch goes through
+/// [`crate::reservations::LeaseTable::allocate_and_lease`], which runs the
+/// same decision with active leases folded in, audits it, and holds the
+/// grant.
 pub fn select_gpus(
     cluster: &GpuCluster,
     requested: &[u32],
     policy: AllocationPolicy,
 ) -> Option<Allocation> {
-    select_gpus_traced(cluster, requested, policy, None)
+    decide(cluster, &get_gpu_usage(cluster), requested, policy, None)
 }
 
-/// [`select_gpus`] plus a decision audit: when `recorder` is given, emits
-/// one `gyan.allocation.decision` event recording the inputs the allocator
-/// saw (per-device busy PIDs and allocated memory, the free list, the
-/// request) and the reason for its choice.
-pub fn select_gpus_traced(
-    cluster: &GpuCluster,
-    requested: &[u32],
-    policy: AllocationPolicy,
-    recorder: Option<&Recorder>,
-) -> Option<Allocation> {
-    let usage = get_gpu_usage(cluster);
-    decide_traced(cluster, &usage, requested, policy, None, recorder)
-}
-
-/// [`select_gpus_traced`] with active reservations folded in: devices in
-/// `reservations` count as busy, and the Process Allocated Memory policy
-/// adds each device's pending declared memory to the SMI reading.
-///
-/// This observes leases without acquiring any — callers who also need to
-/// *hold* the grant should go through
-/// [`crate::reservations::LeaseTable::allocate_and_lease`], which runs the
-/// same decision atomically with lease insertion.
-pub fn select_gpus_reserved(
-    cluster: &GpuCluster,
-    requested: &[u32],
-    policy: AllocationPolicy,
-    reservations: &ReservationView,
-    recorder: Option<&Recorder>,
-) -> Option<Allocation> {
-    let usage = get_gpu_usage(cluster);
-    decide_traced(cluster, &usage, requested, policy, Some(reservations), recorder)
-}
-
-/// The decision plus its `gyan.allocation.decision` audit event, computed
-/// from an already-taken SMI snapshot (so the lease table can decide and
-/// reserve under one lock without re-polling).
+/// The decision plus its `gyan.allocation.decision` audit event — the
+/// inputs the allocator saw (per-device busy PIDs and allocated memory,
+/// the free list, the request, what the leases contributed) and the
+/// reason for its choice — computed from an already-taken SMI snapshot
+/// (so the lease table can decide and reserve under one lock without
+/// re-polling). Devices in `reservations` count as busy, and the Process
+/// Allocated Memory policy adds each device's pending declared memory to
+/// the SMI reading.
 pub(crate) fn decide_traced(
     cluster: &GpuCluster,
     usage: &crate::gpu_usage::GpuUsage,
@@ -314,6 +292,18 @@ mod tests {
         cluster.attach_process(minor, GpuProcess::compute(pid, "tool", mib)).unwrap();
     }
 
+    /// The audited decision over a fresh SMI poll, as the lease table
+    /// runs it: `reservations` folded in, `recorder` given the audit.
+    fn select(
+        cluster: &GpuCluster,
+        requested: &[u32],
+        policy: AllocationPolicy,
+        reservations: Option<&ReservationView>,
+        recorder: Option<&Recorder>,
+    ) -> Option<Allocation> {
+        decide_traced(cluster, &get_gpu_usage(cluster), requested, policy, reservations, recorder)
+    }
+
     /// A view with leases held by the given holders on the given devices.
     fn leased_view(cluster: &GpuCluster, grants: &[(u64, u32, u64)]) -> ReservationView {
         let table = LeaseTable::new();
@@ -432,7 +422,7 @@ mod tests {
     fn invalid_request_is_audited_in_the_decision_event() {
         let c = GpuCluster::k80_node();
         let rec = obs::Recorder::new();
-        let a = select_gpus_traced(&c, &[7, 0], AllocationPolicy::ProcessId, Some(&rec)).unwrap();
+        let a = select(&c, &[7, 0], AllocationPolicy::ProcessId, None, Some(&rec)).unwrap();
         // A partially-invalid request is never granted as-is.
         assert!(!a.granted_requested);
         assert_eq!(a.reason, AllocationReason::InvalidRequest);
@@ -468,7 +458,7 @@ mod tests {
         let c = GpuCluster::k80_node();
         let view = leased_view(&c, &[(1, 1, 100)]);
         // SMI sees both devices idle, but device 1 is leased.
-        let a = select_gpus_reserved(&c, &[1], AllocationPolicy::ProcessId, &view, None).unwrap();
+        let a = select(&c, &[1], AllocationPolicy::ProcessId, Some(&view), None).unwrap();
         assert!(!a.granted_requested);
         assert_eq!(a.cuda_visible_devices, "0");
         assert_eq!(a.reason, AllocationReason::FreeFallback);
@@ -479,7 +469,7 @@ mod tests {
         let c = GpuCluster::k80_node();
         let view = leased_view(&c, &[(1, 1, 640)]);
         let rec = obs::Recorder::new();
-        select_gpus_reserved(&c, &[], AllocationPolicy::ProcessId, &view, Some(&rec)).unwrap();
+        select(&c, &[], AllocationPolicy::ProcessId, Some(&view), Some(&rec)).unwrap();
         let e = &rec.events_named("gyan.allocation.decision")[0];
         assert_eq!(e.field("leased_gpus").and_then(|v| v.as_str()), Some("1"));
         assert_eq!(e.field("effective_avail").and_then(|v| v.as_str()), Some("0"));
@@ -498,7 +488,7 @@ mod tests {
         let view = leased_view(&c, &[(9, 0, 2000)]);
         busy(&c, 0, 1, 100);
         busy(&c, 1, 2, 100);
-        let a = select_gpus_reserved(&c, &[], AllocationPolicy::MemoryBased, &view, None).unwrap();
+        let a = select(&c, &[], AllocationPolicy::MemoryBased, Some(&view), None).unwrap();
         assert_eq!(a.reason, AllocationReason::AllBusyLeastMemory);
         assert_eq!(a.devices, vec![1]);
     }
@@ -509,7 +499,7 @@ mod tests {
         busy(&c, 0, 43244, 60);
         busy(&c, 1, 45751, 2700);
         let rec = obs::Recorder::new();
-        let a = select_gpus_traced(&c, &[1], AllocationPolicy::MemoryBased, Some(&rec)).unwrap();
+        let a = select(&c, &[1], AllocationPolicy::MemoryBased, None, Some(&rec)).unwrap();
         assert_eq!(a.cuda_visible_devices, "0");
 
         let events = rec.events_named("gyan.allocation.decision");
@@ -533,7 +523,7 @@ mod tests {
     fn traced_selection_on_gpuless_node_records_why() {
         let c = GpuCluster::cpu_only_node();
         let rec = obs::Recorder::new();
-        assert!(select_gpus_traced(&c, &[], AllocationPolicy::ProcessId, Some(&rec)).is_none());
+        assert!(select(&c, &[], AllocationPolicy::ProcessId, None, Some(&rec)).is_none());
         let events = rec.events_named("gyan.allocation.decision");
         assert_eq!(events[0].field("reason").and_then(|v| v.as_str()), Some("no_gpus_on_node"));
     }

@@ -5,7 +5,7 @@
 //! by orders of magnitude. This module closes the loop: every concluded
 //! GPU attempt feeds its observed peak memory and runtime into a
 //! [`FootprintRegistry`] keyed by `(tool, input-size bucket)`, and the
-//! dispatch hooks consult the learned p95 instead of the static hint once
+//! dispatch hook consults the learned p95 instead of the static hint once
 //! a profile has enough samples ([`MemoryHint::Learned`]).
 //!
 //! Profiles aggregate with [`obs::sketch::QuantileSketch`] — bounded
@@ -18,9 +18,9 @@
 //!
 //! Consumers:
 //!
-//! * [`crate::GyanHook`] / the fleet hook resolve each job's memory hint
-//!   through [`FootprintRegistry::estimate`] (override env > learned >
-//!   destination param > default) and report the decision as a
+//! * [`crate::GyanHook`] resolves each job's memory hint through
+//!   [`FootprintRegistry::estimate`] (override env > learned >
+//!   destination param > default) and reports the decision as a
 //!   [`FOOTPRINT_ESTIMATE_EVENT`] audit once the attempt concludes.
 //! * The queue engine's footprint-revised resubmission ladder asks
 //!   [`FootprintRegistry::revised_budget`] for a bigger budget before
@@ -37,7 +37,7 @@ use obs::{json_escape, Recorder, Value};
 
 /// Environment variable declaring a job's total input size in MiB. Set by
 /// the submitter (Galaxy knows dataset sizes at submission); read by the
-/// dispatch hooks to select the profile bucket. Jobs without it fall into
+/// dispatch hook to select the profile bucket. Jobs without it fall into
 /// bucket 0.
 pub const GALAXY_INPUT_SIZE_MIB_ENV: &str = "GALAXY_INPUT_SIZE_MIB";
 
@@ -53,6 +53,18 @@ pub const GPU_MEMORY_BUDGET_ENV: &str = "GALAXY_GPU_MEMORY_BUDGET_MIB";
 /// deployments feed [`FootprintRegistry::observe_usage`] from the 1 Hz
 /// [`crate::UsageMonitor`] instead.
 pub const GPU_OBSERVED_PEAK_ENV: &str = "GALAXY_GPU_OBSERVED_PEAK_MIB";
+
+/// A MiB quantity exported on the job's environment (`None` when unset
+/// or not a number).
+pub fn env_mib(job: &galaxy::Job, var: &str) -> Option<u64> {
+    job.env_var(var).and_then(|v| v.parse().ok())
+}
+
+/// The job's declared input size for profile bucketing (0 when unset —
+/// those jobs share the smallest bucket).
+pub fn input_mib(job: &galaxy::Job) -> u64 {
+    env_mib(job, GALAXY_INPUT_SIZE_MIB_ENV).unwrap_or(0)
+}
 
 /// Audit event emitted when a learned-or-static estimate is reconciled
 /// against the observed peak at job conclusion.
@@ -89,7 +101,7 @@ impl EstimateSource {
     }
 }
 
-/// Memory-hint resolution mode for the dispatch hooks.
+/// Memory-hint resolution mode for the dispatch hook.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MemoryHint {
     /// Always use the destination parameter / configured default (the

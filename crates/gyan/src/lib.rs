@@ -50,17 +50,15 @@ pub mod rules;
 pub mod setup;
 pub mod telemetry;
 
-pub use allocation::{
-    select_gpus, select_gpus_reserved, select_gpus_traced, AllocationPolicy, AllocationReason,
-};
+pub use allocation::{select_gpus, AllocationPolicy, AllocationReason};
 pub use footprint::{EstimateSource, FootprintRegistry, MemoryHint, ProfileSnapshot};
 pub use gpu_usage::{get_gpu_usage, gpu_memory_usage, try_get_gpu_usage, try_gpu_memory_usage};
 pub use monitor::UsageMonitor;
 pub use ops::{default_alert_rules, ops_server, profiles_route, DEFAULT_FLIGHT_CAPACITY};
-pub use orchestrator::GyanHook;
+pub use orchestrator::{GyanHook, NodePlacer, Placed, Placer};
 pub use reservations::{Lease, LeaseTable, ReservationView};
 pub use rules::GpuDestinationRule;
-pub use setup::{footprint_advisor, install_gyan, install_gyan_with_footprint};
+pub use setup::{footprint_advisor, install_gyan, install_gyan_with_footprint, install_hook};
 pub use telemetry::{export_run, merged_chrome_trace, TelemetryExport};
 
 /// The boolean environment variable GYAN introduces to Galaxy: `"true"`

@@ -38,13 +38,13 @@ use std::sync::Arc;
 /// Flight-recorder ring capacity `install_gyan` enables by default.
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 512;
 
-/// Node label a single-node deployment reports when none is configured.
+/// Node label a single-node deployment reports.
 /// Multi-node fleets name each shard (`k80-000`, `a100-017`, ...) so the
 /// GPU/job views and metrics never collapse into one anonymous list.
 pub const DEFAULT_NODE_NAME: &str = "node-000";
 
 /// Info-style gauge (value always 1) carrying the serving node's label,
-/// exported as `gyan_node_info{node="<name>"}` by [`ops_server_named`].
+/// exported as `gyan_node_info{node="<name>"}` by [`ops_server`].
 pub const NODE_INFO_GAUGE: &str = "gyan_node_info";
 
 /// Render an `f64` for JSON output (`null` when non-finite, which the
@@ -280,61 +280,16 @@ pub fn profiles_route(registry: &FootprintRegistry) -> Handler {
     })
 }
 
-/// Build the operations-plane HTTP server over a running GYAN stack.
-///
-/// The returned [`OpsServer`] is not yet listening — call
-/// `.start("127.0.0.1:0")` to bind (port 0 picks an ephemeral port; the
-/// handle reports the real one). All state is shared by handle clones, so
-/// the server observes the live system, not a snapshot.
-pub fn ops_server(
-    recorder: &Recorder,
-    cluster: &GpuCluster,
-    table: &LeaseTable,
-    ledger: &JobsLedger,
-    alerts: &AlertEngine,
-) -> OpsServer {
-    ops_server_named(recorder, cluster, table, ledger, alerts, DEFAULT_NODE_NAME)
-}
-
-/// [`ops_server`] with an explicit node label: the `/api/gpus` devices
-/// carry `"node":"<name>"` and the metrics registry gains the
-/// `gyan_node_info{node="<name>"}` info gauge, so scrapes from several
-/// nodes stay distinguishable after aggregation.
-pub fn ops_server_named(
-    recorder: &Recorder,
-    cluster: &GpuCluster,
-    table: &LeaseTable,
-    ledger: &JobsLedger,
-    alerts: &AlertEngine,
-    node: &str,
-) -> OpsServer {
-    // Metric keys store label values raw; the registry escapes on render.
-    recorder.metrics().set_gauge(&format!("{NODE_INFO_GAUGE}{{node=\"{node}\"}}"), 1.0);
-    let gpus = (cluster.clone(), table.clone(), node.to_string());
-    let jobs = (ledger.clone(), table.clone());
-    let alerts_handle = alerts.clone();
+/// The routes every operations plane serves, whatever sits under it:
+/// `/metrics`, `/api/alerts`, `/api/flightrec` and `/api/profile`. A
+/// deployment adds its own device and job views on top — [`ops_server`]
+/// for one node, `fleet::fleet_ops_server` for many.
+pub fn ops_base(recorder: &Recorder, alerts: &AlertEngine) -> OpsServer {
+    let alerts = alerts.clone();
     let flight = recorder.clone();
-    let health = recorder.clone();
     OpsServer::new()
         .serve_metrics(recorder.metrics())
-        .route(
-            "/api/gpus",
-            Arc::new(move |_req| Response::json(gpus_json(&gpus.0, &gpus.1, &gpus.2))),
-        )
-        .route(
-            "/api/jobs",
-            Arc::new(move |req| match req.path.strip_prefix("/api/jobs/") {
-                None => Response::json(jobs_json(&jobs.0, &jobs.1)),
-                Some(rest) => match rest.parse::<u64>().ok() {
-                    Some(id) => match job_json(&jobs.0, &jobs.1, id) {
-                        Some(body) => Response::json(body),
-                        None => Response::not_found(&format!("job {id}")),
-                    },
-                    None => Response::not_found("job id"),
-                },
-            }),
-        )
-        .route("/api/alerts", Arc::new(move |_req| Response::json(alerts_handle.to_json())))
+        .route("/api/alerts", Arc::new(move |_req| Response::json(alerts.to_json())))
         .route(
             "/api/flightrec",
             Arc::new(move |_req| match flight.flight_snapshot() {
@@ -343,6 +298,61 @@ pub fn ops_server_named(
             }),
         )
         .route("/api/profile", profile_route())
+}
+
+/// Handler for `/api/jobs` (the `list` document) and `/api/jobs/<id>`
+/// (`one`'s document; 404 when it knows no such job or the id is not a
+/// number).
+pub fn jobs_route(
+    list: impl Fn() -> String + Send + Sync + 'static,
+    one: impl Fn(u64) -> Option<String> + Send + Sync + 'static,
+) -> Handler {
+    Arc::new(move |req| match req.path.strip_prefix("/api/jobs/") {
+        None => Response::json(list()),
+        Some(rest) => match rest.parse::<u64>() {
+            Ok(id) => match one(id) {
+                Some(body) => Response::json(body),
+                None => Response::not_found(&format!("job {id}")),
+            },
+            Err(_) => Response::not_found("job id"),
+        },
+    })
+}
+
+/// Build the operations-plane HTTP server over a running GYAN stack.
+///
+/// The returned [`OpsServer`] is not yet listening — call
+/// `.start("127.0.0.1:0")` to bind (port 0 picks an ephemeral port; the
+/// handle reports the real one). All state is shared by handle clones, so
+/// the server observes the live system, not a snapshot.
+///
+/// The node is labeled [`DEFAULT_NODE_NAME`]: the `/api/gpus` devices
+/// carry `"node":"node-000"` and the metrics registry gains the
+/// `gyan_node_info{node="node-000"}` info gauge, so this node's scrapes
+/// stay distinguishable from a fleet's after aggregation.
+pub fn ops_server(
+    recorder: &Recorder,
+    cluster: &GpuCluster,
+    table: &LeaseTable,
+    ledger: &JobsLedger,
+    alerts: &AlertEngine,
+) -> OpsServer {
+    recorder
+        .metrics()
+        .set_gauge(&format!("{NODE_INFO_GAUGE}{{node=\"{DEFAULT_NODE_NAME}\"}}"), 1.0);
+    let gpus = (cluster.clone(), table.clone());
+    let jobs = (ledger.clone(), table.clone());
+    let job = jobs.clone();
+    let health = recorder.clone();
+    ops_base(recorder, alerts)
+        .route(
+            "/api/gpus",
+            Arc::new(move |_req| Response::json(gpus_json(&gpus.0, &gpus.1, DEFAULT_NODE_NAME))),
+        )
+        .route(
+            "/api/jobs",
+            jobs_route(move || jobs_json(&jobs.0, &jobs.1), move |id| job_json(&job.0, &job.1, id)),
+        )
         .route("/api/bench", bench_route("BENCH_scheduler.json"))
         .healthz_extra(move || {
             let m = health.metrics();

@@ -2,8 +2,10 @@
 
 use crate::allocation::AllocationPolicy;
 use crate::container_gpu::{DockerGpuMutator, SingularityGpuMutator};
-use crate::footprint::{FootprintRegistry, MemoryHint, GALAXY_INPUT_SIZE_MIB_ENV};
-use crate::orchestrator::{GyanHook, DEFAULT_GPU_MEMORY_HINT_MIB};
+use crate::footprint::{
+    env_mib, input_mib, FootprintRegistry, MemoryHint, GPU_MEMORY_BUDGET_ENV, GPU_OBSERVED_PEAK_ENV,
+};
+use crate::orchestrator::{GyanHook, NodePlacer, Placer, DEFAULT_GPU_MEMORY_HINT_MIB};
 use crate::reservations::LeaseTable;
 use crate::rules::GpuDestinationRule;
 use galaxy::app::TimeSource;
@@ -147,7 +149,7 @@ impl GyanConfig {
 }
 
 /// Install GYAN into `app`: registers the dynamic destination rule, the
-/// orchestration hook (routed through a fresh [`LeaseTable`]), both
+/// orchestration hook (placing through a fresh [`LeaseTable`]), both
 /// container GPU mutators, and switches the app's time source to the
 /// cluster's virtual clock.
 ///
@@ -168,44 +170,72 @@ pub fn install_gyan(app: &mut GalaxyApp, cluster: &GpuCluster, config: GyanConfi
 }
 
 /// [`install_gyan`] also returning the [`FootprintRegistry`] the hook
-/// feeds, for ops surfaces (`/api/profiles`) and benches. In
-/// [`MemoryHint::Learned`] mode the registry additionally backs a
-/// [`galaxy::FootprintAdvisor`] on the app, so the queue engine's
-/// footprint-revised resubmission ladder can ask for a bigger budget
-/// before falling back to CPU.
+/// feeds, for ops surfaces (`/api/profiles`) and benches.
 pub fn install_gyan_with_footprint(
     app: &mut GalaxyApp,
     cluster: &GpuCluster,
     config: GyanConfig,
 ) -> (LeaseTable, FootprintRegistry) {
     let recorder = app.recorder().clone();
-    let recorder_clock = cluster.clock().clone();
-    recorder.set_clock(move || recorder_clock.now());
-    recorder.enable_flight(crate::ops::DEFAULT_FLIGHT_CAPACITY);
-
     let reservations = LeaseTable::new();
-    let footprint = FootprintRegistry::new();
     app.register_rule(
-        config.rule_name.clone(),
+        config.rule_name,
         GpuDestinationRule::new(cluster, &config.gpu_destination, &config.cpu_destination)
             .with_recorder(recorder.clone())
             .with_reservations(reservations.clone())
             .into_rule(),
     );
-    app.add_hook(Box::new(
-        GyanHook::new(cluster, config.policy, config.gpu_destinations.clone())
-            .with_recorder(recorder)
-            .with_reservations(reservations.clone())
-            .with_default_memory_hint(config.gpu_memory_hint_mib)
-            .with_footprint(footprint.clone(), config.memory_hint),
-    ));
-    if config.memory_hint != MemoryHint::Static {
+    let footprint = install_hook(
+        app,
+        cluster.clock(),
+        NodePlacer {
+            cluster: cluster.clone(),
+            policy: config.policy,
+            table: reservations.clone(),
+            recorder,
+        },
+        config.gpu_destinations,
+        config.gpu_memory_hint_mib,
+        config.memory_hint,
+    );
+    (reservations, footprint)
+}
+
+/// Everything [`install_gyan`] and `fleet::install_fleet` share — all but
+/// the destination rule: the [`GyanHook`] over `placer`, both container
+/// GPU mutators, and `clock` as the app's time source and the recorder's
+/// clock (with the flight-recorder ring enabled). Returns the
+/// [`FootprintRegistry`] the hook feeds. In [`MemoryHint::Learned`] mode
+/// the registry additionally backs a [`galaxy::FootprintAdvisor`] on the
+/// app, so the queue engine's footprint-revised resubmission ladder can
+/// ask for a bigger budget before falling back to CPU.
+pub fn install_hook(
+    app: &mut GalaxyApp,
+    clock: &VirtualClock,
+    placer: impl Placer + 'static,
+    gpu_destinations: Vec<String>,
+    gpu_memory_hint_mib: u64,
+    memory_hint: MemoryHint,
+) -> FootprintRegistry {
+    let recorder_clock = clock.clone();
+    app.recorder().set_clock(move || recorder_clock.now());
+    app.recorder().enable_flight(crate::ops::DEFAULT_FLIGHT_CAPACITY);
+
+    let footprint = FootprintRegistry::new();
+    if memory_hint != MemoryHint::Static {
         app.set_footprint_advisor(Box::new(footprint_advisor(footprint.clone())));
     }
+    app.add_hook(Box::new(GyanHook::new(
+        placer,
+        gpu_destinations,
+        gpu_memory_hint_mib,
+        footprint.clone(),
+        memory_hint,
+    )));
     app.add_mutator(Box::new(DockerGpuMutator));
     app.add_mutator(Box::new(SingularityGpuMutator));
-    app.set_time_source(Box::new(ClusterTime(cluster.clock().clone())));
-    (reservations, footprint)
+    app.set_time_source(Box::new(ClusterTime(clock.clone())));
+    footprint
 }
 
 /// The revised-budget advisor the queue engine consults before a
@@ -221,20 +251,14 @@ pub fn footprint_advisor(
     registry: FootprintRegistry,
 ) -> impl Fn(&galaxy::Job) -> Option<u64> + Send + Sync + 'static {
     move |job: &galaxy::Job| {
-        let input =
-            job.env_var(GALAXY_INPUT_SIZE_MIB_ENV).and_then(|v| v.parse().ok()).unwrap_or(0);
-        let prev: Option<u64> = job
-            .env_var(galaxy::GALAXY_GPU_BUDGET_OVERRIDE_ENV)
-            .or_else(|| job.env_var(crate::footprint::GPU_MEMORY_BUDGET_ENV))
-            .and_then(|v| v.parse().ok());
-        let peak: Option<u64> =
-            job.env_var(crate::footprint::GPU_OBSERVED_PEAK_ENV).and_then(|v| v.parse().ok());
-        if let (Some(peak), Some(prev)) = (peak, prev) {
+        let prev = env_mib(job, galaxy::GALAXY_GPU_BUDGET_OVERRIDE_ENV)
+            .or_else(|| env_mib(job, GPU_MEMORY_BUDGET_ENV));
+        if let (Some(peak), Some(prev)) = (env_mib(job, GPU_OBSERVED_PEAK_ENV), prev) {
             if peak <= prev {
                 return None;
             }
         }
-        registry.revised_budget(&job.tool_id, input, prev)
+        registry.revised_budget(&job.tool_id, input_mib(job), prev)
     }
 }
 

@@ -2,8 +2,9 @@
 //! every wave barrier.
 //!
 //! Nothing is mocked below the executor: the driver builds a
-//! [`GalaxyApp`] from the shipped `GYAN_JOB_CONF`, installs GYAN (or
-//! the fleet hook, per topology), and pumps a real [`QueueEngine`] in
+//! [`GalaxyApp`] from the shipped `GYAN_JOB_CONF`, installs GYAN over
+//! one node or over the fleet, per topology, and pumps a real
+//! [`QueueEngine`] in
 //! [`DispatchMode::Event`](galaxy::queue::DispatchMode::Event) — so a
 //! hundred thousand in-flight jobs cost a ready-queue entry each, not
 //! an OS thread each. Only the tool *body* is synthetic: a
@@ -31,7 +32,7 @@ use gyan::footprint::{
     GPU_OBSERVED_PEAK_ENV,
 };
 use gyan::ops::default_alert_rules;
-use gyan::setup::{install_gyan_with_footprint, ClusterTime, GyanConfig};
+use gyan::setup::{install_gyan, ClusterTime, GyanConfig};
 use obs::slo::{AlertEngine, AlertExpr, AlertRule, Compare};
 use simtest::invariants;
 use std::collections::BTreeSet;
@@ -310,7 +311,7 @@ pub fn run_scenario(
                 memory_hint: options.memory_hint,
                 ..GyanConfig::default()
             };
-            let (table, _registry) = install_gyan_with_footprint(&mut app, &cluster, config);
+            let table = install_gyan(&mut app, &cluster, config);
             (cluster.clock().clone(), Some(table), None, Some(cluster))
         }
         Topology::Fleet { k80, a100 } => {
@@ -319,7 +320,7 @@ pub fn run_scenario(
                 .nodes(fleet::NodeClass::a100(), a100)
                 .recorder(app.recorder().clone())
                 .build();
-            fleet::install_fleet_with_footprint(
+            fleet::install_fleet(
                 &mut app,
                 &fleet,
                 fleet::FleetConfig {

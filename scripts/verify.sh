@@ -90,6 +90,14 @@ cargo test -q --test simtest -- fleet_node_death_holds_invariants_across_the_swe
 echo "==> ops-server smoke (scrape + health over live HTTP)"
 cargo run -q --release --example ops_server -- --check
 
+# benchmark/ is its own workspace (see BENCHMARK.json), so the builds and
+# tests above cannot see an API break against it. Build it, and let one
+# short run's in-run correctness checks decide the exit code.
+echo "==> benchmark crate builds against the workspace + short trip run"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+  --workload trip --seed 1 --seconds 1 --trace 0 > /dev/null
+
 echo "==> rustdoc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 

@@ -5,8 +5,7 @@
 
 use fleet::{
     fleet_gpus_json, fleet_nodes_json, fleet_ops_server, install_fleet, policy_by_name, BinPack,
-    DestinationRule, DestinationRules, FairShare, Fleet, FleetConfig, FleetHook, NodeClass,
-    PlacementRequest,
+    DestinationRule, DestinationRules, FairShare, Fleet, FleetConfig, NodeClass, PlacementRequest,
 };
 use galaxy::job::conf::{JobConfig, GYAN_JOB_CONF};
 use galaxy::params::ParamDict;
@@ -160,8 +159,8 @@ echo cpu
 </tool>"#;
 
 /// Full dispatch path: QueueEngine fair-share waves → dynamic rule →
-/// FleetHook placement → GALAXY_NODE export → node-labeled ledger
-/// snapshot, with leases released at the wave barrier.
+/// GyanHook placing over the fleet → GALAXY_NODE export → node-labeled
+/// ledger snapshot, with leases released at the wave barrier.
 #[test]
 fn queue_dispatch_stamps_the_node_onto_the_ledger() {
     let mut app = GalaxyApp::new(JobConfig::from_xml(GYAN_JOB_CONF).unwrap());
@@ -389,7 +388,14 @@ fn resubmission_releases_leases_before_the_retry_places() {
 fn release_is_idempotent_across_double_conclude_and_node_death() {
     use galaxy::runners::{JobConclusion, JobHook};
     let fleet = Fleet::builder().nodes(NodeClass::k80(), 2).build();
-    let hook = FleetHook::new(&fleet, ["fleet_gpu"]);
+    // The one hook over the fleet seam, as `install_fleet` builds it.
+    let hook = gyan::GyanHook::new(
+        fleet.clone(),
+        ["fleet_gpu"],
+        gyan::orchestrator::DEFAULT_GPU_MEMORY_HINT_MIB,
+        gyan::FootprintRegistry::new(),
+        gyan::MemoryHint::Static,
+    );
 
     // Double conclude.
     fleet.place(&request(1, "ada", "racon_gpu", 256)).unwrap();
@@ -464,7 +470,7 @@ fn rule_and_hook_agree_on_the_destination_memory_hint() {
 /// decision-audit event naming the typo.
 #[test]
 fn malformed_memory_hint_is_audited_not_silent() {
-    use fleet::{FLEET_INVALID_HINT_COUNTER, FLEET_INVALID_HINT_EVENT};
+    use gyan::orchestrator::{INVALID_HINT_COUNTER, INVALID_HINT_EVENT};
     let recorder = Recorder::new();
     let mut app = GalaxyApp::new(hint_conf("lots"));
     app.install_tool_xml(SMALL_GPU_TOOL, &MacroLibrary::new()).unwrap();
@@ -478,8 +484,8 @@ fn malformed_memory_hint_is_audited_not_silent() {
     assert_eq!(job.destination_id.as_deref(), Some("fleet_gpu"));
     assert_eq!(job.env_var("GALAXY_GPU_ENABLED"), Some("true"));
 
-    assert_eq!(recorder.metrics().counter_value(FLEET_INVALID_HINT_COUNTER), 1);
-    let audits = recorder.events_named(FLEET_INVALID_HINT_EVENT);
+    assert_eq!(recorder.metrics().counter_value(INVALID_HINT_COUNTER), 1);
+    let audits = recorder.events_named(INVALID_HINT_EVENT);
     assert_eq!(audits.len(), 1);
     assert_eq!(audits[0].field("raw").and_then(|v| v.as_str()), Some("lots"));
     assert_eq!(audits[0].field("destination").and_then(|v| v.as_str()), Some("fleet_gpu"));

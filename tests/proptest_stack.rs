@@ -355,3 +355,176 @@ proptest! {
         }
     }
 }
+
+// --- A single-node GYAN is a one-node fleet ----------------------------
+
+/// Wrappers for the differential run: unpinned, and pinned to each
+/// subset of a K80 node's two dies.
+const DIFF_TOOLS: [(&str, &str); 4] = [
+    ("gpu_any", ""),
+    ("gpu_0", " version=\"0\""),
+    ("gpu_1", " version=\"1\""),
+    ("gpu_01", " version=\"0,1\""),
+];
+
+fn diff_app() -> galaxy::GalaxyApp {
+    use galaxy::job::conf::{JobConfig, GYAN_JOB_CONF};
+    let mut app = galaxy::GalaxyApp::new(JobConfig::from_xml(GYAN_JOB_CONF).unwrap());
+    for (id, version) in DIFF_TOOLS {
+        let xml = format!(
+            r#"<tool id="{id}"><requirements>
+                 <requirement type="compute"{version}>gpu</requirement>
+               </requirements><command>{id}</command></tool>"#
+        );
+        app.install_tool_xml(&xml, &galaxy::tool::macros::MacroLibrary::new()).unwrap();
+    }
+    app
+}
+
+proptest! {
+    /// `install_gyan` on a K80 node and `install_fleet` on a fleet of one
+    /// K80 node run the same hook over two placement seams; with the
+    /// same allocation policy the seams must be indistinguishable. For
+    /// any interleaving of GPU submissions (prepared, holding their
+    /// leases), conclusions and lingering processes, every job gets the
+    /// same `GALAXY_GPU_ENABLED` and `CUDA_VISIBLE_DEVICES` from both,
+    /// and both hold the same number of leases after every step.
+    #[test]
+    fn one_node_fleet_places_like_single_node_gyan(
+        steps in prop::collection::vec((0u8..4, 0usize..4, 1u64..400, any::<bool>()), 1..24),
+        memory_policy in any::<bool>(),
+    ) {
+        use galaxy::runners::ExecutionResult;
+        use gyan::setup::{install_gyan, GyanConfig};
+
+        let policy = if memory_policy {
+            AllocationPolicy::MemoryBased
+        } else {
+            AllocationPolicy::ProcessId
+        };
+        let cluster = GpuCluster::k80_node();
+        let mut single = diff_app();
+        let table = install_gyan(&mut single, &cluster, GyanConfig { policy, ..GyanConfig::default() });
+
+        let mut fleeted = diff_app();
+        let the_fleet = fleet::Fleet::builder()
+            .nodes(fleet::NodeClass::k80(), 1)
+            .allocation_policy(policy)
+            .recorder(fleeted.recorder().clone())
+            .build();
+        fleet::install_fleet(
+            &mut fleeted,
+            &the_fleet,
+            fleet::FleetConfig {
+                gpu_destination: "local_gpu".to_string(),
+                gpu_destinations: vec!["local_gpu".to_string()],
+                ..fleet::FleetConfig::default()
+            },
+        );
+        let shard = &the_fleet.shards()[0].cluster;
+
+        let mut open: Vec<u64> = Vec::new();
+        let mut pid = 5000;
+        for (kind, pick, mib, ok) in steps {
+            match kind {
+                // Prepare a submission: mapped, placed and leased, but
+                // not concluded — later steps see its leases.
+                0 | 1 => {
+                    let tool = DIFF_TOOLS[pick].0;
+                    let id = single.create_job(tool, &galaxy::ParamDict::new()).unwrap();
+                    prop_assert_eq!(fleeted.create_job(tool, &galaxy::ParamDict::new()).unwrap(), id);
+                    single.prepare_plan(id, None).unwrap();
+                    fleeted.prepare_plan(id, None).unwrap();
+                    let (a, b) = (single.job(id).unwrap(), fleeted.job(id).unwrap());
+                    for var in [gyan::GALAXY_GPU_ENABLED, gyan::CUDA_VISIBLE_DEVICES] {
+                        prop_assert_eq!(a.env_var(var), b.env_var(var), "{} of job {}", var, id);
+                    }
+                    prop_assert_eq!(a.env_var(gyan::GALAXY_GPU_ENABLED), Some("true"));
+                    open.push(id);
+                }
+                2 if !open.is_empty() => {
+                    let id = open.remove(pick % open.len());
+                    let result =
+                        if ok { ExecutionResult::ok("") } else { ExecutionResult::fail(1, "boom") };
+                    // A failed final attempt reports `ToolFailed`; either
+                    // way the conclusion releases the job's leases.
+                    prop_assert_eq!(single.finish_job(id, &result, true).is_ok(), ok);
+                    prop_assert_eq!(fleeted.finish_job(id, &result, true).is_ok(), ok);
+                }
+                // A process outside any lease appears on a die (the
+                // paper's lingering tools, Figs. 9-11); 24 of them at
+                // under 400 MiB cannot fill a K80 die.
+                _ => {
+                    pid += 1;
+                    let minor = pick as u32 % 2;
+                    cluster.attach_process(minor, GpuProcess::compute(pid, "linger", mib)).unwrap();
+                    shard.attach_process(minor, GpuProcess::compute(pid, "linger", mib)).unwrap();
+                }
+            }
+            prop_assert_eq!(table.lease_count(), the_fleet.total_lease_count());
+        }
+        for id in open {
+            single.finish_job(id, &galaxy::runners::ExecutionResult::ok(""), true).unwrap();
+            fleeted.finish_job(id, &galaxy::runners::ExecutionResult::ok(""), true).unwrap();
+        }
+        prop_assert_eq!((table.lease_count(), the_fleet.total_lease_count()), (0, 0));
+    }
+}
+
+/// The fleet path runs the same hook, so its audit trail satisfies the
+/// single-node invariant too: over a queue run with GPU attempts that
+/// fail and fall back to CPU, the jobs exported `GALAXY_GPU_ENABLED=true`
+/// are exactly the jobs holding an audited reservation.
+#[test]
+fn fleet_queue_run_exports_exactly_what_it_acquired() {
+    use galaxy::job::conf::{JobConfig, GYAN_JOB_CONF};
+    use galaxy::queue::{QueueConfig, QueueEngine, ResubmitPolicy};
+    use std::sync::Arc;
+
+    // GPU attempts of `flaky` die (exit 127), its CPU retry and `steady` run.
+    let tool = |id: &str, gpu_command: &str| {
+        format!(
+            r#"<tool id="{id}"><requirements><requirement type="compute">gpu</requirement>
+               </requirements><command><![CDATA[
+#if $__galaxy_gpu_enabled__ == "true"
+{gpu_command}
+#else
+echo cpu
+#end if
+]]></command><outputs><data name="out" format="txt"/></outputs></tool>"#
+        )
+    };
+    let mut app = galaxy::GalaxyApp::new(JobConfig::from_xml(GYAN_JOB_CONF).unwrap());
+    let lib = galaxy::tool::macros::MacroLibrary::new();
+    app.install_tool_xml(&tool("steady", "echo gpu"), &lib).unwrap();
+    app.install_tool_xml(&tool("flaky", "no_such_binary"), &lib).unwrap();
+    let recorder = app.recorder().clone();
+    let the_fleet = fleet::Fleet::builder()
+        .nodes(fleet::NodeClass::k80(), 2)
+        .recorder(recorder.clone())
+        .build();
+    fleet::install_fleet(
+        &mut app,
+        &the_fleet,
+        fleet::FleetConfig {
+            gpu_destination: "local_gpu".to_string(),
+            gpu_destinations: vec!["local_gpu".to_string()],
+            ..fleet::FleetConfig::default()
+        },
+    );
+    let executor = Arc::new(seqtools::ToolExecutor::new(&GpuCluster::cpu_only_node()));
+    let config =
+        QueueConfig { resubmit: ResubmitPolicy::gpu_to_cpu("local_cpu"), ..QueueConfig::default() };
+    let mut engine = QueueEngine::new(app, executor, config);
+    for i in 0..12 {
+        let tool = if i % 3 == 0 { "flaky" } else { "steady" };
+        engine.submit_async("ada", tool, &galaxy::ParamDict::new()).unwrap();
+    }
+    engine.run_until_idle();
+
+    let events = recorder.events();
+    let exports = events.iter().filter(|e| e.name == "gyan.hook.export").count();
+    assert!(exports > 12, "every attempt, GPU or CPU retry, audits its export: {exports}");
+    simtest::invariants::export_matches_acquire(&events).expect("fleet exports match acquires");
+    assert_eq!(the_fleet.total_lease_count(), 0);
+}

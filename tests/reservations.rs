@@ -120,6 +120,51 @@ fn invalid_device_request_is_audited() {
     assert_eq!(d.field("invalid_requested").and_then(|v| v.as_str()), Some("7"));
 }
 
+/// A `gpu_memory_hint_mib` that is not a number falls back to the
+/// configured default, but not silently: the hook bumps a counter and
+/// audits the typo, once per dispatch (the single-node twin of
+/// `tests/fleet.rs::malformed_memory_hint_is_audited_not_silent` — same
+/// hook, same event).
+#[test]
+fn malformed_memory_hint_is_audited_not_silent() {
+    use gyan::orchestrator::{INVALID_HINT_COUNTER, INVALID_HINT_EVENT};
+    let conf = JobConfig::from_xml(
+        r#"<job_conf>
+          <plugins><plugin id="local" type="runner" load="x"/></plugins>
+          <destinations default="dyn">
+            <destination id="dyn" runner="dynamic">
+              <param id="function">gpu_dynamic_destination</param>
+            </destination>
+            <destination id="local_gpu" runner="local">
+              <param id="gpu_memory_hint_mib">lots</param>
+            </destination>
+            <destination id="local_cpu" runner="local"/>
+          </destinations>
+        </job_conf>"#,
+    )
+    .unwrap();
+    let cluster = GpuCluster::k80_node();
+    let mut app = GalaxyApp::new(conf);
+    app.install_tool_xml(&gpu_tool("racon_dev0", "0"), &MacroLibrary::new()).unwrap();
+    let table = install_gyan(&mut app, &cluster, GyanConfig::default());
+
+    // Prepared but not concluded, so the lease (and the hint it was
+    // sized with) is still on the table.
+    let id = app.create_job("racon_dev0", &ParamDict::new()).unwrap();
+    app.prepare_plan(id, None).unwrap();
+    assert_eq!(app.job(id).unwrap().env_var("GALAXY_GPU_ENABLED"), Some("true"));
+    assert_eq!(table.leases_on(0)[0].memory_hint_mib, 1024, "the default hint applies");
+
+    let recorder = app.recorder();
+    assert_eq!(recorder.metrics().counter_value(INVALID_HINT_COUNTER), 1);
+    let audits = recorder.events_named(INVALID_HINT_EVENT);
+    assert_eq!(audits.len(), 1);
+    assert_eq!(audits[0].field("job_id").and_then(|v| v.as_f64()), Some(id as f64));
+    assert_eq!(audits[0].field("raw").and_then(|v| v.as_str()), Some("lots"));
+    assert_eq!(audits[0].field("destination").and_then(|v| v.as_str()), Some("local_gpu"));
+    assert_eq!(audits[0].field("fallback_mib").and_then(|v| v.as_f64()), Some(1024.0));
+}
+
 /// Fails like a dying device: nonzero exit with a CUDA OOM message on the
 /// GPU destination, success anywhere else.
 struct FailOnGpu;
