@@ -2,16 +2,29 @@
 //! Process Allocated Memory refinement (§IV-C1 and §IV-C2).
 //!
 //! Given a tool's requested GPU minor IDs (from the requirement's
-//! `version` tag) and the live cluster state, compute the value to export
-//! as `CUDA_VISIBLE_DEVICES`.
+//! `version` tag) and one observation of the node, compute the value to
+//! export as `CUDA_VISIBLE_DEVICES`.
+//!
+//! The decision is a **pure function** of `(usage, requested, policy,
+//! lease view)`: `decide` never touches the cluster. Both strategies
+//! read the same [`GpuUsage`] — the PID lists for §IV-C1, its
+//! `fb_memory_usage.used` column for §IV-C2 — so there is one
+//! `nvidia-smi -q -x` round trip per decision, and the decision, the
+//! lease-blind baseline and the `gyan.allocation.decision` audit all
+//! describe that one instant.
 //!
 //! The decision can additionally consult a [`ReservationView`] — a
 //! snapshot of the [`crate::reservations::LeaseTable`] — so that devices
 //! leased by not-yet-executing plans are treated as busy even though SMI
 //! still reports them idle. This is what closes the observe→dispatch
 //! TOCTOU window for same-wave placements.
+//!
+//! When the node could not be observed at all, the audit says so instead
+//! of reporting a GPU-less node: `reason` is `smi_query_failed` or
+//! `smi_output_malformed` (with the error text in `error`) rather than
+//! `no_gpus_on_node`; the job degrades to the CPU branch either way.
 
-use crate::gpu_usage::{get_gpu_usage, gpu_memory_usage};
+use crate::gpu_usage::{get_gpu_usage, GpuUsage, GpuUsageError};
 use crate::reservations::ReservationView;
 use gpusim::GpuCluster;
 use obs::{Recorder, Value};
@@ -96,29 +109,29 @@ pub fn select_gpus(
     requested: &[u32],
     policy: AllocationPolicy,
 ) -> Option<Allocation> {
-    decide(cluster, &get_gpu_usage(cluster), requested, policy, None)
+    decide(&get_gpu_usage(cluster), requested, policy, None)
 }
 
 /// The decision plus its `gyan.allocation.decision` audit event — the
 /// inputs the allocator saw (per-device busy PIDs and allocated memory,
 /// the free list, the request, what the leases contributed) and the
-/// reason for its choice — computed from an already-taken SMI snapshot
-/// (so the lease table can decide and reserve under one lock without
-/// re-polling). Devices in `reservations` count as busy, and the Process
-/// Allocated Memory policy adds each device's pending declared memory to
-/// the SMI reading.
+/// reason for its choice — all read from the one observation the lease
+/// table took under its lock. `observed` is that observation's outcome: on
+/// `Err` nothing is granted and the audit names the failure. Devices in
+/// `reservations` count as busy, and the Process Allocated Memory policy
+/// adds each device's pending declared memory to the SMI reading.
 pub(crate) fn decide_traced(
-    cluster: &GpuCluster,
-    usage: &crate::gpu_usage::GpuUsage,
+    observed: &Result<GpuUsage, GpuUsageError>,
     requested: &[u32],
     policy: AllocationPolicy,
     reservations: Option<&ReservationView>,
     recorder: Option<&Recorder>,
 ) -> Option<Allocation> {
-    let outcome = decide(cluster, usage, requested, policy, reservations);
+    let no_gpus = GpuUsage::default();
+    let usage = observed.as_ref().unwrap_or(&no_gpus);
+    let outcome = decide(usage, requested, policy, reservations);
 
     if let Some(rec) = recorder {
-        let memory = gpu_memory_usage(cluster);
         let mut fields: Vec<(String, Value)> = vec![
             ("policy".into(), policy_name(policy).into()),
             ("requested".into(), join(requested).into()),
@@ -134,7 +147,7 @@ pub(crate) fn decide_traced(
         for (minor, pids) in &usage.proc_gpu_dict {
             fields.push((format!("gpu{minor}_pids"), join(pids).into()));
         }
-        for (minor, used) in &memory {
+        for (minor, used) in &usage.used_mib {
             fields.push((format!("gpu{minor}_mem_mib"), (*used).into()));
         }
         // What the lease table contributed, when one was consulted.
@@ -151,8 +164,8 @@ pub(crate) fn decide_traced(
                 }
             }
         }
-        match &outcome {
-            Some(alloc) => {
+        match (&outcome, observed) {
+            (Some(alloc), _) => {
                 fields.push((
                     "cuda_visible_devices".into(),
                     alloc.cuda_visible_devices.as_str().into(),
@@ -160,7 +173,11 @@ pub(crate) fn decide_traced(
                 fields.push(("granted_requested".into(), alloc.granted_requested.into()));
                 fields.push(("reason".into(), alloc.reason.as_str().into()));
             }
-            None => fields.push(("reason".into(), "no_gpus_on_node".into())),
+            (None, Ok(_)) => fields.push(("reason".into(), "no_gpus_on_node".into())),
+            (None, Err(e)) => {
+                fields.push(("reason".into(), e.reason().into()));
+                fields.push(("error".into(), e.to_string().into()));
+            }
         }
         rec.event("gyan.allocation.decision", fields);
     }
@@ -168,7 +185,7 @@ pub(crate) fn decide_traced(
 }
 
 /// Requested minor IDs that do not exist on the node, in request order.
-fn invalid_requested(usage: &crate::gpu_usage::GpuUsage, requested: &[u32]) -> Vec<u32> {
+fn invalid_requested(usage: &GpuUsage, requested: &[u32]) -> Vec<u32> {
     let mut seen = HashSet::with_capacity(requested.len());
     requested
         .iter()
@@ -178,10 +195,7 @@ fn invalid_requested(usage: &crate::gpu_usage::GpuUsage, requested: &[u32]) -> V
 }
 
 /// SMI-free devices minus leased ones.
-fn effective_avail(
-    usage: &crate::gpu_usage::GpuUsage,
-    reservations: Option<&ReservationView>,
-) -> Vec<u32> {
+fn effective_avail(usage: &GpuUsage, reservations: Option<&ReservationView>) -> Vec<u32> {
     usage
         .avail_gpus
         .iter()
@@ -190,9 +204,10 @@ fn effective_avail(
         .collect()
 }
 
+/// The paper's Case 1–4 table as a pure function of one observation: no
+/// cluster handle, no second poll.
 pub(crate) fn decide(
-    cluster: &GpuCluster,
-    usage: &crate::gpu_usage::GpuUsage,
+    usage: &GpuUsage,
     requested: &[u32],
     policy: AllocationPolicy,
     reservations: Option<&ReservationView>,
@@ -244,17 +259,13 @@ pub(crate) fn decide(
             // Least *total* load: SMI-allocated memory plus the memory
             // pending leases declared they will allocate. Without the
             // pending term, a wave of placements would all pick the same
-            // "least loaded" device.
-            let mem = gpu_memory_usage(cluster);
-            let min = mem
+            // "least loaded" device. `used_mib` has a row per device of
+            // the non-empty `all_gpus` (one constructor builds both).
+            let pending = |minor| reservations.map_or(0, |view| view.pending_mem(minor));
+            let &(min, _) = usage
+                .used_mib
                 .iter()
-                .map(|(minor, used)| {
-                    let pending = reservations.map_or(0, |view| view.pending_mem(*minor));
-                    (*minor, *used + pending)
-                })
-                .min_by_key(|(minor, total)| (*total, *minor))
-                .map(|(minor, _)| minor)
-                .expect("non-empty gpu list");
+                .min_by_key(|&&(minor, used)| (used.saturating_add(pending(minor)), minor))?;
             (vec![min], AllocationReason::AllBusyLeastMemory)
         }
     };
@@ -262,9 +273,8 @@ pub(crate) fn decide(
 }
 
 fn make_allocation(devices: Vec<u32>, reason: AllocationReason) -> Allocation {
-    let cuda_visible_devices = devices.iter().map(u32::to_string).collect::<Vec<_>>().join(",");
     Allocation {
-        cuda_visible_devices,
+        cuda_visible_devices: join(&devices),
         devices,
         granted_requested: reason == AllocationReason::RequestedFree,
         reason,
@@ -278,21 +288,25 @@ fn policy_name(policy: AllocationPolicy) -> &'static str {
     }
 }
 
-fn join<T: ToString>(items: &[T]) -> String {
+/// Comma-joined list — the one rendering of device and PID lists in
+/// exports and audits.
+pub(crate) fn join<T: ToString>(items: &[T]) -> String {
     items.iter().map(T::to_string).collect::<Vec<_>>().join(",")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gpu_usage::{parse_gpu_usage, try_get_gpu_usage};
     use crate::reservations::LeaseTable;
-    use gpusim::GpuProcess;
+    use gpusim::{GpuArch, GpuProcess};
+    use proptest::prelude::*;
 
     fn busy(cluster: &GpuCluster, minor: u32, pid: u32, mib: u64) {
         cluster.attach_process(minor, GpuProcess::compute(pid, "tool", mib)).unwrap();
     }
 
-    /// The audited decision over a fresh SMI poll, as the lease table
+    /// The audited decision over one fresh SMI poll, as the lease table
     /// runs it: `reservations` folded in, `recorder` given the audit.
     fn select(
         cluster: &GpuCluster,
@@ -301,7 +315,7 @@ mod tests {
         reservations: Option<&ReservationView>,
         recorder: Option<&Recorder>,
     ) -> Option<Allocation> {
-        decide_traced(cluster, &get_gpu_usage(cluster), requested, policy, reservations, recorder)
+        decide_traced(&try_get_gpu_usage(cluster), requested, policy, reservations, recorder)
     }
 
     /// A view with leases held by the given holders on the given devices.
@@ -526,5 +540,167 @@ mod tests {
         assert!(select(&c, &[], AllocationPolicy::ProcessId, None, Some(&rec)).is_none());
         let events = rec.events_named("gyan.allocation.decision");
         assert_eq!(events[0].field("reason").and_then(|v| v.as_str()), Some("no_gpus_on_node"));
+    }
+
+    #[test]
+    fn unobservable_node_grants_nothing_and_audits_the_failure_by_name() {
+        let rec = obs::Recorder::new();
+        let c = GpuCluster::k80_node();
+        c.inject_smi_query_failures(1);
+        assert!(select(&c, &[1], AllocationPolicy::ProcessId, None, Some(&rec)).is_none());
+        let garbled = Err(parse_gpu_usage("<nvidia_smi_log><gpu>").unwrap_err());
+        assert!(decide_traced(&garbled, &[1], AllocationPolicy::MemoryBased, None, Some(&rec))
+            .is_none());
+
+        let events = rec.events_named("gyan.allocation.decision");
+        let field = |i: usize, name: &str| {
+            events[i].field(name).and_then(|v| v.as_str()).map(str::to_string).unwrap_or_default()
+        };
+        assert_eq!(field(0, "reason"), "smi_query_failed");
+        assert!(field(0, "error").contains("NVIDIA-SMI has failed"), "{}", field(0, "error"));
+        assert_eq!(field(1, "reason"), "smi_output_malformed");
+        assert!(field(1, "error").contains("malformed nvidia-smi output"), "{}", field(1, "error"));
+        // The fields every decision audit carries are still there.
+        for i in 0..2 {
+            assert_eq!(field(i, "requested"), "1");
+            assert_eq!(field(i, "all_gpus"), "");
+        }
+    }
+
+    // ---- oracle: `decide` against the paper's Case 1–4 table ------------
+
+    /// Synthetic per-device rows the simulator cannot produce: up to 8
+    /// devices with non-contiguous, unordered minors and PID/memory
+    /// columns that need not agree with each other. Memory comes in
+    /// 500 MiB steps (as do the lease hints) so that ties, and pending
+    /// memory that overturns the SMI ordering, are the common case.
+    fn rows_strategy() -> impl Strategy<Value = Vec<(u32, Vec<u32>, u64)>> {
+        prop::collection::vec(
+            (0u32..12, prop::collection::vec(1u32..60_000, 0..3), (0u64..4).prop_map(|k| k * 500)),
+            0..=8,
+        )
+        .prop_map(|mut rows| {
+            let mut seen = HashSet::new();
+            rows.retain(|(minor, _, _)| seen.insert(*minor));
+            rows
+        })
+    }
+
+    /// A lease view holding `hint` MiB on each listed device, taken from a
+    /// real table over an idle 16-GPU node (where every request is free).
+    fn view_of(leases: &[(u32, u64)]) -> ReservationView {
+        let node = GpuCluster::node(GpuArch::tesla_k80(), 16);
+        let table = LeaseTable::new();
+        for (holder, &(device, hint)) in leases.iter().enumerate() {
+            let policy = AllocationPolicy::ProcessId;
+            table.allocate_and_lease(&node, &[device], policy, holder as u64, hint, None);
+        }
+        table.view()
+    }
+
+    /// The paper's table, transcribed row by row with no code shared with
+    /// `decide`.
+    fn paper_table(
+        rows: &[(u32, Vec<u32>, u64)],
+        requested: &[u32],
+        policy: AllocationPolicy,
+        view: &ReservationView,
+    ) -> Option<(Vec<u32>, AllocationReason)> {
+        if rows.is_empty() {
+            return None;
+        }
+        let exists = |id: u32| rows.iter().any(|(minor, _, _)| *minor == id);
+        let mut free = Vec::new();
+        for (minor, pids, _) in rows {
+            if pids.is_empty() && !view.is_leased(*minor) {
+                free.push(*minor);
+            }
+        }
+        let mut wanted: Vec<u32> = Vec::new();
+        for id in requested {
+            if !wanted.contains(id) {
+                wanted.push(*id);
+            }
+        }
+        // Cases 1 and 2, first half: every requested device exists and is free.
+        if !wanted.is_empty() && wanted.iter().all(|id| exists(*id) && free.contains(id)) {
+            return Some((wanted, AllocationReason::RequestedFree));
+        }
+        // Case 2: requested busy (or no/invalid preference) -> the free devices.
+        if !free.is_empty() {
+            let reason = if wanted.iter().all(|id| exists(*id)) {
+                AllocationReason::FreeFallback
+            } else {
+                AllocationReason::InvalidRequest
+            };
+            return Some((free, reason));
+        }
+        match policy {
+            // Case 3: all busy, Process-ID approach -> scatter over every device.
+            AllocationPolicy::ProcessId => Some((
+                rows.iter().map(|(minor, _, _)| *minor).collect(),
+                AllocationReason::AllBusyScatter,
+            )),
+            // Case 4: all busy, Memory approach -> least (used + pending), ties to
+            // the lower minor.
+            AllocationPolicy::MemoryBased => {
+                let mut best: Option<(u64, u32)> = None;
+                for (minor, _, used) in rows {
+                    let key = (*used + view.pending_mem(*minor), *minor);
+                    if best.is_none_or(|b| key < b) {
+                        best = Some(key);
+                    }
+                }
+                best.map(|(_, minor)| (vec![minor], AllocationReason::AllBusyLeastMemory))
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn decide_matches_the_papers_case_table(
+            rows in rows_strategy(),
+            all_busy in any::<bool>(),
+            requested in prop::collection::vec(0u32..14, 0..4),
+            leases in prop::collection::vec((0u32..12, (0u64..4).prop_map(|k| k * 500)), 0..6),
+            memory_policy in any::<bool>(),
+        ) {
+            // Half the cases force Cases 3/4, which random rows rarely reach.
+            let rows: Vec<_> = rows
+                .into_iter()
+                .map(|(minor, pids, used)| {
+                    (minor, if all_busy && pids.is_empty() { vec![minor + 1] } else { pids }, used)
+                })
+                .collect();
+            let policy = if memory_policy {
+                AllocationPolicy::MemoryBased
+            } else {
+                AllocationPolicy::ProcessId
+            };
+            let mut leased = HashSet::new();
+            let leases: Vec<_> = leases.into_iter().filter(|(d, _)| leased.insert(*d)).collect();
+            let view = view_of(&leases);
+            for (device, hint) in &leases {
+                prop_assert!(view.is_leased(*device));
+                prop_assert_eq!(view.pending_mem(*device), *hint);
+            }
+
+            let usage = GpuUsage::from_devices(rows.clone());
+            let got = decide(&usage, &requested, policy, Some(&view));
+            let want = paper_table(&rows, &requested, policy, &view);
+            prop_assert_eq!(got.as_ref().map(|a| (a.devices.clone(), a.reason)), want);
+            if let Some(alloc) = got {
+                prop_assert_eq!(alloc.granted_requested, alloc.reason == AllocationReason::RequestedFree);
+                let mask: Vec<String> = alloc.devices.iter().map(u32::to_string).collect();
+                prop_assert_eq!(alloc.cuda_visible_devices, mask.join(","));
+            }
+            // An empty view and no view are the same lease-blind decision.
+            prop_assert_eq!(
+                decide(&usage, &requested, policy, None),
+                decide(&usage, &requested, policy, Some(&ReservationView::default()))
+            );
+        }
     }
 }

@@ -52,7 +52,7 @@ pub mod telemetry;
 
 pub use allocation::{select_gpus, AllocationPolicy, AllocationReason};
 pub use footprint::{EstimateSource, FootprintRegistry, MemoryHint, ProfileSnapshot};
-pub use gpu_usage::{get_gpu_usage, gpu_memory_usage, try_get_gpu_usage, try_gpu_memory_usage};
+pub use gpu_usage::{get_gpu_usage, parse_gpu_usage, try_get_gpu_usage, GpuUsageError};
 pub use monitor::UsageMonitor;
 pub use ops::{default_alert_rules, ops_server, profiles_route, DEFAULT_FLIGHT_CAPACITY};
 pub use orchestrator::{GyanHook, NodePlacer, Placed, Placer};

@@ -16,6 +16,14 @@
 //! ([`LeaseTable::allocate_and_lease`]), so no interleaving of
 //! preparations can double-book a device.
 //!
+//! Under that lock the node is observed **once** — one `nvidia-smi -q -x`
+//! round trip per decision. The lease-aware decision, the lease-blind
+//! baseline of the conflict audit and the `gyan.allocation.decision`
+//! record all read the same [`crate::gpu_usage::GpuUsage`], so they
+//! describe one instant. A node that could not be observed grants nothing
+//! and is audited as `reason=smi_query_failed` / `smi_output_malformed`
+//! (never as `no_gpus_on_node`); the job runs on the CPU branch.
+//!
 //! Lease lifecycle:
 //!
 //! * **acquired** at plan-preparation time (the GYAN hook's
@@ -41,8 +49,10 @@
 //! *would* have done without leases, and which holders blocked that),
 //! plus active-lease gauge and acquire/release/conflict counters.
 
-use crate::allocation::{decide, decide_traced, Allocation, AllocationPolicy, AllocationReason};
-use crate::gpu_usage::get_gpu_usage;
+use crate::allocation::{
+    decide, decide_traced, join, Allocation, AllocationPolicy, AllocationReason,
+};
+use crate::gpu_usage::try_get_gpu_usage;
 use gpusim::GpuCluster;
 use obs::{Recorder, Value};
 use parking_lot::Mutex;
@@ -143,15 +153,20 @@ impl LeaseTable {
         Self::default()
     }
 
-    /// Atomically: snapshot SMI state, run the allocation policy with the
-    /// current leases folded in, record the decision audit, detect and
-    /// audit conflicts (where the lease-blind decision would have
-    /// differed), and insert leases for the granted devices — all under
-    /// one lock, so concurrent preparations cannot double-book.
+    /// Atomically: observe the node **once** (one `nvidia-smi -q -x` round
+    /// trip), run the allocation policy with the current leases folded in,
+    /// record the decision audit, detect and audit conflicts (where the
+    /// lease-blind decision would have differed), and insert leases for
+    /// the granted devices — all under one lock and all from that one
+    /// `GpuUsage`, so concurrent preparations cannot double-book and the
+    /// decision, the baseline and the audit describe the same instant.
     ///
     /// Any stale leases `holder` already held are superseded first
     /// (re-preparation re-acquires). Returns the allocation, or `None` on
-    /// a GPU-less node.
+    /// a GPU-less node or one whose query failed or returned malformed
+    /// output (audited as `reason=smi_query_failed` /
+    /// `smi_output_malformed`, not as `no_gpus_on_node`); either way the
+    /// job degrades to the CPU branch.
     pub fn allocate_and_lease(
         &self,
         cluster: &GpuCluster,
@@ -167,22 +182,21 @@ impl LeaseTable {
             obs::profile_scope!("alloc.supersede");
             release_locked(&mut inner, holder, "superseded", recorder);
         }
-        let usage = {
+        let observed = {
             obs::profile_scope!("alloc.observe");
-            get_gpu_usage(cluster)
+            try_get_gpu_usage(cluster)
         };
         let view = inner.view();
         let _place = obs::profile::global().scope("alloc.place");
-        let alloc = decide_traced(cluster, &usage, requested, policy, Some(&view), recorder)?;
+        let alloc = decide_traced(&observed, requested, policy, Some(&view), recorder)?;
 
-        // Conflict: the same snapshot without leases would have granted a
-        // different device set — record what blocked the baseline choice.
+        // Conflict: the same observation without leases would have granted
+        // a different device set — record what blocked the baseline choice.
         if !view.is_empty() {
-            let baseline = decide(cluster, &usage, requested, policy, None);
-            if let Some(baseline) = baseline {
-                if baseline.devices != alloc.devices {
-                    self.audit_conflict(&inner, holder, requested, &baseline, &alloc, recorder);
-                }
+            let baseline =
+                observed.as_ref().ok().and_then(|usage| decide(usage, requested, policy, None));
+            if let Some(baseline) = baseline.filter(|b| b.devices != alloc.devices) {
+                self.audit_conflict(&inner, holder, requested, &baseline, &alloc, recorder);
             }
         }
         drop(_place);
@@ -253,22 +267,12 @@ impl LeaseTable {
                     .map(|l| format!("{}:job{}", l.device, l.holder))
             })
             .collect();
-        let join = |ids: &[u32]| ids.iter().map(u32::to_string).collect::<Vec<_>>().join(",");
         rec.event(
             "gyan.reservation.conflict",
             vec![
                 ("job_id", Value::from(holder)),
                 ("requested", Value::from(join(requested))),
-                (
-                    "baseline_devices",
-                    Value::from(baseline.devices.iter().fold(String::new(), |mut acc, d| {
-                        if !acc.is_empty() {
-                            acc.push(',');
-                        }
-                        acc.push_str(&d.to_string());
-                        acc
-                    })),
-                ),
+                ("baseline_devices", Value::from(join(&baseline.devices))),
                 ("granted_devices", Value::from(join(&actual.devices))),
                 ("baseline_reason", Value::from(baseline.reason.as_str())),
                 ("granted_reason", Value::from(actual.reason.as_str())),

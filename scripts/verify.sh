@@ -2,14 +2,17 @@
 # Full verification gate: formatting, lints, release build, and tests.
 # (`just` is not available in the build image, so this is a plain script.)
 #
-# Simulation-smoke knobs (forwarded to tests/simtest.rs):
-#   SIMTEST_CASES=<n>  seeds to sweep in the simtest gate (default 25)
+# Every test binary runs once, in the single `cargo test --workspace`
+# pass (the root facade's integration suites included). The knobs below
+# are read by the tests themselves, so they apply to that pass.
+#
+# Simulation knobs (read by tests/simtest.rs):
+#   SIMTEST_CASES=<n>  seeds to sweep in the simtest suites (default 25)
 #   SIMTEST_SEED=<n>   replay exactly that seed instead of the sweep —
 #                      this is the value a simtest failure report prints.
 #
-# Load-test knobs (forwarded to tests/loadtest.rs):
-#   LOADTEST_SKIP=1     skip the load-harness soak smoke gate
-#   LOADTEST_USERS=<n>  soak-test user population (smoke gate pins 2000)
+# Load-test knobs (read by tests/loadtest.rs):
+#   LOADTEST_USERS=<n>  soak-test user population (default 10000)
 #   LOADTEST_SEED=<n>   replay exactly that seed — the value a loadtest
 #                       failure report prints as LOADTEST_SEED=<n>
 #   LOADTEST_CASES=<n>  seeds swept per scenario shape (default 1)
@@ -52,40 +55,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test (tier-1: root facade crate)"
-cargo test -q
-
-echo "==> cargo test --workspace"
+echo "==> cargo test --workspace (every test binary, once)"
 cargo test -q --workspace
-
-echo "==> queue engine integration tests"
-cargo test -q --test queue_engine --test dag_workflows
-
-echo "==> reservation layer integration tests"
-cargo test -q --test reservations
-
-echo "==> deterministic simulation smoke (${SIMTEST_CASES:-25} seeded scenarios)"
-cargo test -q --test simtest
-
-echo "==> footprint-profile loop tests (learned hints, OOM retry, /api/profiles)"
-cargo test -q --test footprint
-
-echo "==> fleet placement tests (determinism, rules, dispatch, ops plane)"
-cargo test -q --test fleet
-
-echo "==> fleet simulation smoke (seeded sweep + 100-node/10k-user scenario)"
-cargo test -q --test simtest fleet_
-
-if [[ "${LOADTEST_SKIP:-0}" == "1" ]]; then
-  echo "==> load-harness soak smoke: skipped (LOADTEST_SKIP=1)"
-else
-  echo "==> load-harness soak smoke (${LOADTEST_USERS:-2000}-user seeded scenarios)"
-  LOADTEST_USERS="${LOADTEST_USERS:-2000}" cargo test -q --test loadtest
-fi
-
-echo "==> shard-failure smoke (node death mid-wave + stale-wiring catch)"
-cargo test -q --test simtest -- fleet_node_death_holds_invariants_across_the_sweep \
-  fleet_stale_dead_node_placement_is_caught_with_a_reproducing_seed
 
 echo "==> ops-server smoke (scrape + health over live HTTP)"
 cargo run -q --release --example ops_server -- --check

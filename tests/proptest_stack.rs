@@ -3,6 +3,7 @@
 //! consensus sanity under random inputs.
 
 use gpusim::cuda::parse_visible_devices;
+use gpusim::nvml::Nvml;
 use gpusim::{GpuCluster, GpuProcess};
 use gyan::allocation::{select_gpus, AllocationPolicy};
 use gyan::gpu_usage::get_gpu_usage;
@@ -97,10 +98,30 @@ proptest! {
         let alloc = select_gpus(&cluster, &[], AllocationPolicy::MemoryBased).unwrap();
         prop_assert_eq!(alloc.devices.len(), 1);
         let chosen = alloc.devices[0];
-        let mem = gyan::gpu_usage::gpu_memory_usage(&cluster);
-        let min = mem.iter().map(|(_, used)| *used).min().unwrap();
-        let chosen_mem = mem.iter().find(|(m, _)| *m == chosen).unwrap().1;
-        prop_assert_eq!(chosen_mem, min);
+        // The oracle reads NVML, a path that shares no code with the SMI
+        // XML round trip the allocator decided from.
+        let nvml = Nvml::init(&cluster);
+        let used = |minor: u32| nvml.memory_info(minor).unwrap().used >> 20;
+        let min = (0..nvml.device_count()).map(used).min().unwrap();
+        prop_assert_eq!(used(chosen), min);
+    }
+
+    /// The one SMI observation agrees with NVML, device by device, on who
+    /// is running and how much memory is allocated.
+    #[test]
+    fn gpu_usage_agrees_with_nvml(occupancy in occupancy_strategy()) {
+        let cluster = cluster_with(&occupancy);
+        let usage = get_gpu_usage(&cluster);
+        let nvml = Nvml::init(&cluster);
+        prop_assert_eq!(usage.all_gpus.len() as u32, nvml.device_count());
+        for (i, &minor) in usage.all_gpus.iter().enumerate() {
+            let pids: Vec<u32> =
+                nvml.compute_running_processes(minor).unwrap().iter().map(|p| p.pid).collect();
+            prop_assert_eq!(&usage.proc_gpu_dict[i], &(minor, pids.clone()));
+            let used_mib = nvml.memory_info(minor).unwrap().used >> 20;
+            prop_assert_eq!(usage.used_mib[i], (minor, used_mib));
+            prop_assert_eq!(usage.avail_gpus.contains(&minor), pids.is_empty());
+        }
     }
 
     /// CUDA_VISIBLE_DEVICES parsing: never panics, never returns

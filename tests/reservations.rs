@@ -165,6 +165,41 @@ fn malformed_memory_hint_is_audited_not_silent() {
     assert_eq!(audits[0].field("fallback_mib").and_then(|v| v.as_f64()), Some(1024.0));
 }
 
+/// A failed `nvidia-smi` query is not a GPU-less node: the job degrades to
+/// the CPU branch as before, but the decision audit names the failure
+/// (`smi_query_failed` + the error text) instead of claiming
+/// `no_gpus_on_node` on a two-GPU node, and the fault costs exactly the
+/// one decision that met it.
+#[test]
+fn failed_smi_query_is_audited_as_a_failed_query_not_a_gpuless_node() {
+    let cluster = GpuCluster::k80_node();
+    let (mut app, table) =
+        app_with_tools(&cluster, AllocationPolicy::ProcessId, &[("racon_dev1", "1")]);
+
+    cluster.inject_smi_query_failures(1);
+    let blind = app.create_job("racon_dev1", &ParamDict::new()).unwrap();
+    app.prepare_plan(blind, None).unwrap();
+    assert_eq!(app.job(blind).unwrap().env_var("GALAXY_GPU_ENABLED"), Some("false"));
+    assert_eq!(app.job(blind).unwrap().env_var("CUDA_VISIBLE_DEVICES"), None);
+    assert_eq!(table.lease_count(), 0);
+
+    // One decision, one query: the budget of one is spent, so the very
+    // next job sees both devices again.
+    let sighted = app.create_job("racon_dev1", &ParamDict::new()).unwrap();
+    app.prepare_plan(sighted, None).unwrap();
+    assert_eq!(app.job(sighted).unwrap().env_var("CUDA_VISIBLE_DEVICES"), Some("1"));
+
+    let decisions = app.recorder().events_named("gyan.allocation.decision");
+    assert_eq!(decisions.len(), 2);
+    let field = |i: usize, name: &str| decisions[i].field(name).and_then(|v| v.as_str());
+    assert_eq!(field(0, "reason"), Some("smi_query_failed"));
+    assert!(field(0, "error").is_some_and(|e| e.contains("NVIDIA-SMI has failed")));
+    assert_eq!(field(0, "requested"), Some("1"));
+    assert_eq!(field(0, "all_gpus"), Some(""));
+    assert_eq!(field(1, "reason"), Some("requested_free"));
+    assert_eq!(field(1, "error"), None);
+}
+
 /// Fails like a dying device: nonzero exit with a CUDA OOM message on the
 /// GPU destination, success anywhere else.
 struct FailOnGpu;
