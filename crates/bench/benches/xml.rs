@@ -1,10 +1,10 @@
 //! Criterion microbenchmarks of the XML substrate: parsing tool wrappers
-//! and nvidia-smi query documents (the hot path of GYAN's Pseudocode 1,
-//! which re-queries on every allocation decision).
+//! and nvidia-smi query documents (the text path of GYAN's Pseudocode 1),
+//! beside the structured observation allocation decisions are made from.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use gpusim::{smi, GpuCluster, GpuProcess};
-use gyan::gpu_usage::get_gpu_usage;
+use gyan::gpu_usage::{get_gpu_usage, parse_gpu_usage};
 use xmlparse::parse;
 
 const RACON_WRAPPER: &str = r#"<tool id="racon_gpu" name="Racon" version="1.4.3">
@@ -52,9 +52,16 @@ fn bench_smi_query(c: &mut Criterion) {
     group.throughput(Throughput::Bytes(xml.len() as u64));
     group.bench_function("emit_query_xml", |b| b.iter(|| smi::query_xml(&cluster)));
     group.bench_function("parse_query_xml", |b| b.iter(|| parse(&xml).unwrap()));
-    // The whole Pseudocode-1 round trip: emit + parse + build the
-    // proc_gpu_dict — this runs on every GYAN allocation decision.
-    group.bench_function("get_gpu_usage_roundtrip", |b| b.iter(|| get_gpu_usage(&cluster)));
+    // The whole Pseudocode-1 text path: emit + parse + build the
+    // proc_gpu_dict — what a deployment shelling out to nvidia-smi pays.
+    group.bench_function("parse_gpu_usage_of_query_xml", |b| {
+        b.iter(|| parse_gpu_usage(&smi::query_xml(&cluster)).unwrap())
+    });
+    group.finish();
+    // What every GYAN allocation decision pays instead: the same rows,
+    // read structured (no bytes, so no throughput).
+    let mut group = c.benchmark_group("nvidia_smi");
+    group.bench_function("get_gpu_usage_structured", |b| b.iter(|| get_gpu_usage(&cluster)));
     group.finish();
 }
 

@@ -68,22 +68,24 @@ fn git_commit() -> String {
 
 /// Allocation decisions per real second on a single K80 node: one
 /// `allocate_and_lease` + `release` round-trip per decision, the loop the
-/// ops plane's dispatch hook runs per wave member. Each decision runs
-/// under an `alloc.decision` root scope so the profiler can attribute
-/// the stage breakdown.
+/// ops plane's dispatch hook runs per wave member. Each batch of 64
+/// decisions runs under one `alloc.decision` root scope so the profiler
+/// can attribute the stage breakdown: a structured decision costs about
+/// as much as one scope's own bookkeeping, so a root per decision would
+/// report that bookkeeping, not an un-instrumented stage, as unattributed.
 fn bench_decisions() -> f64 {
     let cluster = GpuCluster::k80_node();
     let table = LeaseTable::new();
-    // Warm up allocator + SMI render once outside the measurement.
+    // Warm up the allocator once outside the measurement.
     let _ = table.allocate_and_lease(&cluster, &[], AllocationPolicy::ProcessId, 0, 100, None);
     table.release(0, "ok", None);
 
     let mut decisions = 0u64;
     let start = Instant::now();
     while start.elapsed().as_secs_f64() < MEASURE_SECONDS {
+        let _scope = obs::profile::global().scope("alloc.decision");
         for _ in 0..64 {
             let holder = decisions % 7 + 1;
-            let _scope = obs::profile::global().scope("alloc.decision");
             let alloc = table.allocate_and_lease(
                 &cluster,
                 &[(decisions % 2) as u32],

@@ -142,7 +142,10 @@ impl GpuCluster {
         Ok(f(&mut dev.write()))
     }
 
-    /// Snapshot every device's state (for smi/nvml emitters).
+    /// Clone every device's live state — for a reader that wants to hold
+    /// it without holding device locks (the ops plane's `/api/gpus`). SMI
+    /// emitters walk [`for_each_smi_device`](Self::for_each_smi_device)
+    /// instead.
     pub fn snapshot(&self) -> Vec<DeviceState> {
         self.devices.iter().map(|d| d.read().clone()).collect()
     }
@@ -174,8 +177,9 @@ impl GpuCluster {
     }
 
     /// Arm `n` SMI query failures: the next `n` fallible SMI queries
-    /// ([`crate::smi::try_query_xml`]) return an error instead of output,
-    /// then queries succeed again. Shared across clones.
+    /// ([`crate::smi::try_query_devices`], [`crate::smi::try_query_xml`])
+    /// return an error instead of output, then queries succeed again.
+    /// Shared across clones.
     pub fn inject_smi_query_failures(&self, n: u32) {
         self.smi_faults.fail_queries.fetch_add(n, Ordering::SeqCst);
     }
@@ -185,8 +189,7 @@ impl GpuCluster {
     /// emitter serves this snapshot regardless of later attach/detach —
     /// the stale-observation fault the reservation layer must survive.
     pub fn freeze_smi_snapshot(&self) {
-        let snapshot = self.devices.iter().map(|d| d.read().clone()).collect();
-        *self.smi_faults.frozen.lock() = Some(snapshot);
+        *self.smi_faults.frozen.lock() = Some(self.snapshot());
     }
 
     /// Drop a frozen SMI snapshot so queries see live state again.
@@ -202,13 +205,15 @@ impl GpuCluster {
             .is_ok()
     }
 
-    /// The snapshot SMI emitters should render: the frozen one if a
-    /// stale-view fault is armed, otherwise the live device state.
-    pub(crate) fn effective_smi_snapshot(&self) -> Vec<DeviceState> {
-        if let Some(frozen) = self.smi_faults.frozen.lock().as_ref() {
-            return frozen.clone();
+    /// Visit, by reference and in minor order, every device of the view
+    /// SMI emitters serve: the frozen snapshot if a stale-view fault is
+    /// armed, otherwise the live device state. Nothing is cloned; `f`
+    /// must not freeze or thaw the view.
+    pub fn for_each_smi_device(&self, mut f: impl FnMut(&DeviceState)) {
+        match self.smi_faults.frozen.lock().as_deref() {
+            Some(frozen) => frozen.iter().for_each(f),
+            None => self.devices.iter().for_each(|d| f(&d.read())),
         }
-        self.snapshot()
     }
 }
 
@@ -292,9 +297,13 @@ mod tests {
         let c = GpuCluster::k80_node();
         c.freeze_smi_snapshot();
         c.attach_process(0, GpuProcess::compute(7, "late", 100)).unwrap();
-        let frozen = c.effective_smi_snapshot();
-        assert!(frozen[0].processes().is_empty(), "frozen view predates attach");
+        let processes_per_device = || {
+            let mut counts = Vec::new();
+            c.for_each_smi_device(|d| counts.push(d.processes().len()));
+            counts
+        };
+        assert_eq!(processes_per_device(), [0, 0], "frozen view predates attach");
         c.thaw_smi_snapshot();
-        assert_eq!(c.effective_smi_snapshot()[0].processes().len(), 1);
+        assert_eq!(processes_per_device(), [1, 0]);
     }
 }

@@ -102,6 +102,12 @@ impl Nvml {
                 .collect()
         })
     }
+
+    /// `nvmlDeviceGetComputeRunningProcesses` called with `infoCount = 0`:
+    /// only the number of running compute processes, nothing allocated.
+    pub fn compute_running_process_count(&self, index: u32) -> Result<usize, GpuError> {
+        self.cluster.with_device(index, |d| d.processes().len())
+    }
 }
 
 #[cfg(test)]
@@ -138,6 +144,9 @@ mod tests {
         let procs = nvml.compute_running_processes(1).unwrap();
         assert_eq!(procs, vec![RunningProcess { pid: 42, used_gpu_memory: 2700 << 20 }]);
         assert!(nvml.compute_running_processes(0).unwrap().is_empty());
+        assert_eq!(nvml.compute_running_process_count(1).unwrap(), 1);
+        assert_eq!(nvml.compute_running_process_count(0).unwrap(), 0);
+        assert!(nvml.compute_running_process_count(2).is_err());
     }
 
     #[test]

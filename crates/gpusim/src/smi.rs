@@ -1,14 +1,21 @@
 //! `nvidia-smi` emulator.
 //!
-//! Two output formats:
+//! Every emitter here reads one thing: the *effective* SMI view, walked by
+//! reference through [`GpuCluster::for_each_smi_device`] (the frozen
+//! snapshot while a stale-view fault is armed, live devices otherwise).
 //!
-//! * [`query_xml`] — the `nvidia-smi -q -x` XML document that GYAN's
-//!   `get_gpu_usage` (Pseudocode 1) parses with BeautifulSoup. Tag names
-//!   (`nvidia_smi_log`, `gpu`, `minor_number`, `fb_memory_usage`,
-//!   `processes`, `process_info`, `pid`, `used_memory`) match the real
-//!   tool so the GYAN-side parser is a faithful port.
-//! * [`render_table`] — the human-readable console table reproduced in the
-//!   paper's Figs. 10 and 11.
+//! * [`try_query_devices`] — the structured observation: one
+//!   `(minor_number, pids, fb_used_mib)` row per device. This is what an
+//!   allocation decision is made from — one observation per decision; the
+//!   XML is a rendering of it.
+//! * [`query_xml`] — the same view rendered as the `nvidia-smi -q -x` XML
+//!   document that GYAN's `get_gpu_usage` (Pseudocode 1) parses with
+//!   BeautifulSoup. Tag names (`nvidia_smi_log`, `gpu`, `minor_number`,
+//!   `fb_memory_usage`, `processes`, `process_info`, `pid`,
+//!   `used_memory`) match the real tool so the GYAN-side parser is a
+//!   faithful port, and the text is pinned byte for byte by a golden test.
+//! * [`query_plain`] / [`render_table`] — the human-readable renderings,
+//!   the latter the console table of the paper's Figs. 10 and 11.
 
 use crate::cluster::GpuCluster;
 use crate::device::DeviceState;
@@ -37,9 +44,30 @@ impl std::fmt::Display for SmiError {
 
 impl std::error::Error for SmiError {}
 
+/// One device of a structured SMI observation, in the order
+/// `(minor_number, pids, fb_used_mib)`: what Pseudocode 1 reads out of a
+/// `<gpu>` element — `minor_number`, the `pid` of every `process_info`,
+/// and `fb_memory_usage.used`.
+pub type DeviceRow = (u32, Vec<u32>, u64);
+
+/// The structured SMI query: one [`DeviceRow`] per device of the effective
+/// (possibly frozen) view, in minor order. Consumes one armed query
+/// failure if any is pending, exactly as [`try_query_xml`] does.
+pub fn try_query_devices(cluster: &GpuCluster) -> Result<Vec<DeviceRow>, SmiError> {
+    if cluster.take_smi_query_failure() {
+        return Err(SmiError::query_failed());
+    }
+    let mut rows = Vec::with_capacity(cluster.device_count() as usize);
+    cluster.for_each_smi_device(|dev| {
+        let pids = dev.processes().iter().map(|p| p.pid).collect();
+        rows.push((dev.minor_number, pids, dev.fb_used_mib()));
+    });
+    Ok(rows)
+}
+
 /// Fallible variant of [`query_xml`]: consumes one armed query failure if
 /// any is pending, otherwise renders the effective (possibly frozen)
-/// snapshot.
+/// view.
 pub fn try_query_xml(cluster: &GpuCluster) -> Result<String, SmiError> {
     if cluster.take_smi_query_failure() {
         return Err(SmiError::query_failed());
@@ -47,21 +75,18 @@ pub fn try_query_xml(cluster: &GpuCluster) -> Result<String, SmiError> {
     Ok(query_xml(cluster))
 }
 
-/// Produce the `nvidia-smi -q -x` XML document for the cluster's current
-/// state.
+/// Render the effective SMI view as the `nvidia-smi -q -x` XML document.
 pub fn query_xml(cluster: &GpuCluster) -> String {
     obs::profile_scope!("smi.render_xml");
-    let snapshot = cluster.effective_smi_snapshot();
     let mut log = Element::new("nvidia_smi_log");
     log.push_element(
         Element::new("timestamp").with_text(format!("t={:.3}s", cluster.clock().now())),
     );
     log.push_element(Element::new("driver_version").with_text(cluster.driver_version()));
     log.push_element(Element::new("cuda_version").with_text(cluster.cuda_version()));
-    log.push_element(Element::new("attached_gpus").with_text(snapshot.len().to_string()));
-    for dev in &snapshot {
-        log.push_element(gpu_element(dev));
-    }
+    // The frozen view is a copy of every device, so the count is the node's.
+    log.push_element(Element::new("attached_gpus").with_text(cluster.device_count().to_string()));
+    cluster.for_each_smi_device(|dev| log.push_element(gpu_element(dev)));
     let mut doc = Document::new(log);
     doc.prolog.push("xml version=\"1.0\" encoding=\"UTF-8\"".to_string());
     write_document(&doc, &WriteOptions::pretty())
@@ -124,7 +149,6 @@ fn gpu_element(dev: &DeviceState) -> Element {
 /// Render the verbose per-device report of `nvidia-smi -q` (plain text,
 /// no `-x`): the human-readable sibling of [`query_xml`].
 pub fn query_plain(cluster: &GpuCluster) -> String {
-    let snapshot = cluster.effective_smi_snapshot();
     let mut out = String::new();
     out.push_str(
         "==============NVSMI LOG==============
@@ -150,9 +174,9 @@ pub fn query_plain(cluster: &GpuCluster) -> String {
     out.push_str(&format!(
         "Attached GPUs                             : {}
 ",
-        snapshot.len()
+        cluster.device_count()
     ));
-    for dev in &snapshot {
+    cluster.for_each_smi_device(|dev| {
         out.push_str(&format!(
             "GPU {}
 ",
@@ -234,14 +258,13 @@ pub fn query_plain(cluster: &GpuCluster) -> String {
                 p.used_mib
             ));
         }
-    }
+    });
     out
 }
 
 /// Render the console table shown by plain `nvidia-smi` (the format the
 /// paper's Figs. 10 and 11 screenshot).
 pub fn render_table(cluster: &GpuCluster) -> String {
-    let snapshot = cluster.effective_smi_snapshot();
     let mut out = String::new();
     out.push_str(&format!(
         "+-----------------------------------------------------------------------------+\n\
@@ -254,7 +277,9 @@ pub fn render_table(cluster: &GpuCluster) -> String {
         cluster.driver_version(),
         cluster.cuda_version()
     ));
-    for dev in &snapshot {
+    // One walk fills both blocks, so they describe the same instant.
+    let mut processes = String::new();
+    cluster.for_each_smi_device(|dev| {
         out.push_str(&format!(
             "| {:>3}  {:<12}     Off  | {} Off |                    0 |\n",
             dev.minor_number, dev.arch.name, dev.bus_id
@@ -272,20 +297,8 @@ pub fn render_table(cluster: &GpuCluster) -> String {
         out.push_str(
             "+-------------------------------+----------------------+----------------------+\n",
         );
-    }
-    out.push('\n');
-    out.push_str(
-        "+-----------------------------------------------------------------------------+\n\
-         | Processes:                                                                  |\n\
-         |  GPU   GI   CI        PID   Type   Process name                  GPU Memory |\n\
-         |        ID   ID                                                   Usage      |\n\
-         |=============================================================================|\n",
-    );
-    let mut any = false;
-    for dev in &snapshot {
         for p in dev.processes() {
-            any = true;
-            out.push_str(&format!(
+            processes.push_str(&format!(
                 "| {:>4}   N/A  N/A  {:>9}    {:>3}   {:<29} {:>7}MiB |\n",
                 dev.minor_number,
                 p.pid,
@@ -294,12 +307,21 @@ pub fn render_table(cluster: &GpuCluster) -> String {
                 p.used_mib
             ));
         }
-    }
-    if !any {
-        out.push_str(
+    });
+    out.push('\n');
+    out.push_str(
+        "+-----------------------------------------------------------------------------+\n\
+         | Processes:                                                                  |\n\
+         |  GPU   GI   CI        PID   Type   Process name                  GPU Memory |\n\
+         |        ID   ID                                                   Usage      |\n\
+         |=============================================================================|\n",
+    );
+    if processes.is_empty() {
+        processes.push_str(
             "|  No running processes found                                                 |\n",
         );
     }
+    out.push_str(&processes);
     out.push_str(
         "+-----------------------------------------------------------------------------+\n",
     );
@@ -311,6 +333,148 @@ mod tests {
     use super::*;
     use crate::process::GpuProcess;
     use xmlparse::parse;
+
+    /// `query_xml` of a K80 node at clock 0 with one process on minor 1,
+    /// captured before the renderer moved onto the by-reference walk:
+    /// every byte the paper's parser could see.
+    const GOLDEN_QUERY_XML: &str = r#"<?xml version="1.0" encoding="UTF-8"?>
+<nvidia_smi_log>
+  <timestamp>t=0.000s</timestamp>
+  <driver_version>455.45.01</driver_version>
+  <cuda_version>11.1</cuda_version>
+  <attached_gpus>2</attached_gpus>
+  <gpu id="00000000:05:00.0">
+    <product_name>Tesla K80</product_name>
+    <uuid>GPU-00006b80-sim-0000</uuid>
+    <minor_number>0</minor_number>
+    <performance_state>P8</performance_state>
+    <fb_memory_usage>
+      <total>11441 MiB</total>
+      <used>63 MiB</used>
+      <free>11378 MiB</free>
+    </fb_memory_usage>
+    <utilization>
+      <gpu_util>0 %</gpu_util>
+      <memory_util>0 %</memory_util>
+    </utilization>
+    <temperature>
+      <gpu_temp>36 C</gpu_temp>
+    </temperature>
+    <power_readings>
+      <power_draw>60.00 W</power_draw>
+      <power_limit>149.00 W</power_limit>
+    </power_readings>
+    <pci>
+      <pci_gpu_link_info>
+        <pcie_gen>
+          <current_link_gen>1</current_link_gen>
+          <max_link_gen>3</max_link_gen>
+        </pcie_gen>
+      </pci_gpu_link_info>
+    </pci>
+    <processes/>
+  </gpu>
+  <gpu id="00000000:06:00.0">
+    <product_name>Tesla K80</product_name>
+    <uuid>GPU-00006b81-sim-0001</uuid>
+    <minor_number>1</minor_number>
+    <performance_state>P0</performance_state>
+    <fb_memory_usage>
+      <total>11441 MiB</total>
+      <used>123 MiB</used>
+      <free>11318 MiB</free>
+    </fb_memory_usage>
+    <utilization>
+      <gpu_util>0 %</gpu_util>
+      <memory_util>0 %</memory_util>
+    </utilization>
+    <temperature>
+      <gpu_temp>36 C</gpu_temp>
+    </temperature>
+    <power_readings>
+      <power_draw>60.00 W</power_draw>
+      <power_limit>149.00 W</power_limit>
+    </power_readings>
+    <pci>
+      <pci_gpu_link_info>
+        <pcie_gen>
+          <current_link_gen>3</current_link_gen>
+          <max_link_gen>3</max_link_gen>
+        </pcie_gen>
+      </pci_gpu_link_info>
+    </pci>
+    <processes>
+      <process_info>
+        <pid>40534</pid>
+        <type>C</type>
+        <process_name>/usr/bin/racon_gpu</process_name>
+        <used_memory>60 MiB</used_memory>
+      </process_info>
+    </processes>
+  </gpu>
+</nvidia_smi_log>
+"#;
+
+    /// `render_table` of the paper's Fig. 10 state: Racon on GPU 0, Bonito
+    /// on GPU 1 (123 MiB and 2734 MiB used).
+    const GOLDEN_FIG10_TABLE: &str = r#"+-----------------------------------------------------------------------------+
+| NVIDIA-SMI 455.45.01   Driver Version: 455.45.01   CUDA Version: 11.1        |
+|-------------------------------+----------------------+----------------------+
+| GPU  Name        Persistence-M| Bus-Id        Disp.A | Volatile Uncorr. ECC |
+| Fan  Temp  Perf  Pwr:Usage/Cap|         Memory-Usage | GPU-Util  Compute M. |
+|===============================+======================+======================|
+|   0  Tesla K80        Off  | 00000000:05:00.0 Off |                    0 |
+| N/A   36C  P0    60W / 149W |    123MiB / 11441MiB |      0%      Default |
++-------------------------------+----------------------+----------------------+
+|   1  Tesla K80        Off  | 00000000:06:00.0 Off |                    0 |
+| N/A   36C  P0    60W / 149W |   2734MiB / 11441MiB |      0%      Default |
++-------------------------------+----------------------+----------------------+
+
++-----------------------------------------------------------------------------+
+| Processes:                                                                  |
+|  GPU   GI   CI        PID   Type   Process name                  GPU Memory |
+|        ID   ID                                                   Usage      |
+|=============================================================================|
+|    0   N/A  N/A      43244      C   /usr/bin/racon_gpu                 60MiB |
+|    1   N/A  N/A      45751      C   /usr/bin/bonito                  2671MiB |
++-----------------------------------------------------------------------------+
+"#;
+
+    #[test]
+    fn query_xml_is_byte_identical_to_the_golden_document() {
+        let c = GpuCluster::k80_node();
+        c.attach_process(1, GpuProcess::compute(40534, "/usr/bin/racon_gpu", 60)).unwrap();
+        assert_eq!(query_xml(&c), GOLDEN_QUERY_XML);
+    }
+
+    #[test]
+    fn render_table_is_byte_identical_to_the_fig10_golden() {
+        let c = GpuCluster::k80_node();
+        c.attach_process(0, GpuProcess::compute(43244, "/usr/bin/racon_gpu", 60)).unwrap();
+        c.attach_process(1, GpuProcess::compute(45751, "/usr/bin/bonito", 2671)).unwrap();
+        assert_eq!(render_table(&c), GOLDEN_FIG10_TABLE);
+    }
+
+    #[test]
+    fn structured_query_yields_one_row_per_device_of_the_effective_view() {
+        let c = GpuCluster::k80_node();
+        c.attach_process(1, GpuProcess::compute(40534, "/usr/bin/racon_gpu", 60)).unwrap();
+        assert_eq!(try_query_devices(&c).unwrap(), [(0, vec![], 63), (1, vec![40534], 123)]);
+        c.freeze_smi_snapshot();
+        c.attach_process(0, GpuProcess::compute(99, "late_proc", 500)).unwrap();
+        assert_eq!(try_query_devices(&c).unwrap()[0], (0, vec![], 63), "stale view");
+        c.thaw_smi_snapshot();
+        assert_eq!(try_query_devices(&c).unwrap()[0], (0, vec![99], 563));
+        assert!(try_query_devices(&GpuCluster::cpu_only_node()).unwrap().is_empty());
+    }
+
+    #[test]
+    fn structured_and_xml_queries_draw_on_one_failure_budget() {
+        let c = GpuCluster::k80_node();
+        c.inject_smi_query_failures(2);
+        assert_eq!(try_query_devices(&c).unwrap_err(), try_query_xml(&c).unwrap_err());
+        assert!(try_query_devices(&c).is_ok() && try_query_xml(&c).is_ok(), "budget spent");
+    }
 
     #[test]
     fn xml_parses_and_has_expected_structure() {

@@ -9,9 +9,9 @@
 //! lease view)`: `decide` never touches the cluster. Both strategies
 //! read the same [`GpuUsage`] — the PID lists for §IV-C1, its
 //! `fb_memory_usage.used` column for §IV-C2 — so there is one
-//! `nvidia-smi -q -x` round trip per decision, and the decision, the
-//! lease-blind baseline and the `gyan.allocation.decision` audit all
-//! describe that one instant.
+//! observation per decision (the `nvidia-smi -q -x` XML is a rendering of
+//! it, not a step of it), and the decision, the lease-blind baseline and
+//! the `gyan.allocation.decision` audit all describe that one instant.
 //!
 //! The decision can additionally consult a [`ReservationView`] — a
 //! snapshot of the [`crate::reservations::LeaseTable`] — so that devices
@@ -20,9 +20,12 @@
 //! TOCTOU window for same-wave placements.
 //!
 //! When the node could not be observed at all, the audit says so instead
-//! of reporting a GPU-less node: `reason` is `smi_query_failed` or
-//! `smi_output_malformed` (with the error text in `error`) rather than
-//! `no_gpus_on_node`; the job degrades to the CPU branch either way.
+//! of reporting a GPU-less node: `reason` is `smi_query_failed` (with the
+//! error text in `error`) rather than `no_gpus_on_node`; the job degrades
+//! to the CPU branch either way. `smi_output_malformed` is audited the
+//! same way, but only an observation parsed from external text
+//! ([`crate::gpu_usage::parse_gpu_usage`]) can carry it — the structured
+//! query the lease table uses has no document to garble.
 
 use crate::gpu_usage::{get_gpu_usage, GpuUsage, GpuUsageError};
 use crate::reservations::ReservationView;

@@ -1,22 +1,32 @@
 //! `get_gpu_usage` — the paper's Pseudocode 1, and the **single
 //! observation** every allocation decision is made from.
 //!
-//! Runs the `nvidia-smi -q -x` query (against the simulated cluster) once,
-//! parses the XML with the BeautifulSoup-style DOM API, and walks it once:
-//! each `<gpu>` yields one row — minor ID, the PIDs executing on it
-//! (`proc_gpu_dict`, §IV-C1) and `fb_memory_usage.used` (§IV-C2, "from the
-//! same query"). [`GpuUsage`] is built from those rows by one constructor,
-//! so the available/all lists, the PID dictionary and the memory readings
+//! Pseudocode 1 runs `nvidia-smi -q -x`, parses the XML with BeautifulSoup
+//! and reads three facts out of each `<gpu>`: the minor ID, the PIDs
+//! executing on it (`proc_gpu_dict`, §IV-C1) and `fb_memory_usage.used`
+//! (§IV-C2, "from the same query"). Those per-device rows are the
+//! observation; the XML is only what carries them across a subprocess
+//! boundary. [`GpuUsage`] is built from the rows by one constructor, so the
+//! available/all lists, the PID dictionary and the memory readings
 //! describe the same instant and cannot disagree.
 //!
-//! Invariant: **one `nvidia-smi -q -x` round trip per decision** — the
-//! decision, the lease-blind baseline and the audit record all read the
-//! same [`GpuUsage`]; nothing downstream polls again.
+//! * [`try_get_gpu_usage`] / [`get_gpu_usage`] take the rows straight from
+//!   the simulated driver ([`gpusim::smi::try_query_devices`]) — no text is
+//!   rendered or parsed. This is the path every decision takes.
+//! * [`parse_gpu_usage`] is the port of Pseudocode 1 proper, for
+//!   `nvidia-smi -q -x` text that really did come from a subprocess.
+//!   [`gpusim::smi::query_xml`] renders the same view the structured query
+//!   reads, and a differential property test
+//!   (`tests/proptest_stack.rs`) holds the two to the same [`GpuUsage`].
 //!
-//! The query's output is subprocess text in the paper's deployment, so
-//! nothing here panics on it: a failed query or an unparseable document is
-//! a [`GpuUsageError`], which [`get_gpu_usage`] degrades to the empty view
-//! (CPU fallback) and the lease table audits by name.
+//! Invariant: **one observation per decision; the XML is a rendering of
+//! it** — the decision, the lease-blind baseline and the audit record all
+//! read the same [`GpuUsage`]; nothing downstream polls again.
+//!
+//! Nothing here panics on what it is handed: a failed query is
+//! [`GpuUsageError::QueryFailed`] and an unparseable document
+//! [`GpuUsageError::Malformed`]; [`get_gpu_usage`] degrades the former to
+//! the empty view (CPU fallback) and the lease table audits it by name.
 
 use gpusim::{smi, GpuCluster};
 use std::fmt;
@@ -38,7 +48,7 @@ pub struct GpuUsage {
 impl GpuUsage {
     /// The one constructor: per-device `(minor, pids, used MiB)` rows in
     /// document order.
-    pub(crate) fn from_devices(devices: impl IntoIterator<Item = (u32, Vec<u32>, u64)>) -> Self {
+    pub(crate) fn from_devices(devices: impl IntoIterator<Item = smi::DeviceRow>) -> Self {
         let mut usage = GpuUsage::default();
         // for (x, y) in proc_gpu_dict: all.append(x); if y empty: avail.append(x)
         for (minor, pids, used) in devices {
@@ -83,29 +93,27 @@ impl fmt::Display for GpuUsageError {
 
 impl std::error::Error for GpuUsageError {}
 
-/// Query GPU usage by generating and parsing `nvidia-smi -q -x` output —
-/// a direct port of the paper's Pseudocode 1.
+/// Query GPU usage — the observation of the paper's Pseudocode 1.
 ///
-/// A failed or unparseable query degrades the way the Python original
-/// does when the subprocess dies: every list comes back empty and
-/// downstream mapping falls through to the CPU path.
+/// A failed query degrades the way the Python original does when the
+/// subprocess dies: every list comes back empty and downstream mapping
+/// falls through to the CPU path.
 pub fn get_gpu_usage(cluster: &GpuCluster) -> GpuUsage {
     try_get_gpu_usage(cluster).unwrap_or_default()
 }
 
-/// Fallible [`get_gpu_usage`]: surfaces a failed query or malformed
-/// output instead of degrading to an empty view.
+/// Fallible [`get_gpu_usage`]: surfaces a failed query instead of
+/// degrading to an empty view.
 pub fn try_get_gpu_usage(cluster: &GpuCluster) -> Result<GpuUsage, GpuUsageError> {
     obs::profile_scope!("smi.query");
-    // bash_cmd = "/bin/bash -c 'nvidia-smi -query -x'"
-    let xml = smi::try_query_xml(cluster).map_err(GpuUsageError::QueryFailed)?;
-    parse_gpu_usage(&xml)
+    smi::try_query_devices(cluster).map(GpuUsage::from_devices).map_err(GpuUsageError::QueryFailed)
 }
 
-/// The one walker over one `nvidia-smi -q -x` document. A `<gpu>` without
-/// `<processes>` has no PIDs and one whose `used` is not `<n> MiB` (e.g.
-/// `N/A`) reads 0 MiB; an unparseable document or a `<gpu>` without a
-/// numeric `minor_number` is an error.
+/// Pseudocode 1 over `nvidia-smi -q -x` text: the walker for a document
+/// that came from a subprocess rather than from [`try_get_gpu_usage`]'s
+/// structured query. A `<gpu>` without `<processes>` has no PIDs and one
+/// whose `used` is not `<n> MiB` (e.g. `N/A`) reads 0 MiB; an unparseable
+/// document or a `<gpu>` without a numeric `minor_number` is an error.
 pub fn parse_gpu_usage(xml: &str) -> Result<GpuUsage, GpuUsageError> {
     // soup = bs(out, "lxml")
     let doc = {

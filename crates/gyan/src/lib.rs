@@ -19,11 +19,12 @@
 //!   `--nv` into Singularity launches (stripping the `rw`/`ro` bind flags
 //!   Singularity ≥3.1 rejects).
 //! * **Challenge-IV** (multi-GPU computation mapping): [`gpu_usage`] is
-//!   the paper's Pseudocode 1 (`get_gpu_usage` over `nvidia-smi -q -x`
-//!   XML), and [`allocation`] implements Pseudocode 2 with both device
-//!   allocation strategies — the *Process ID* approach and the *Process
-//!   Allocated Memory* approach — producing the `CUDA_VISIBLE_DEVICES`
-//!   export.
+//!   the paper's Pseudocode 1 (`get_gpu_usage`: one structured
+//!   observation per decision, with `parse_gpu_usage` for real
+//!   `nvidia-smi -q -x` XML), and [`allocation`] implements Pseudocode 2
+//!   with both device allocation strategies — the *Process ID* approach
+//!   and the *Process Allocated Memory* approach — producing the
+//!   `CUDA_VISIBLE_DEVICES` export.
 //!
 //! Beyond the paper: [`reservations`] closes the observe→dispatch TOCTOU
 //! window of the SMI-polling allocator with a lease table — a device

@@ -241,17 +241,17 @@ impl Drop for UsageMonitor {
 }
 
 fn snapshot_devices(cluster: &GpuCluster) -> Vec<DeviceSample> {
-    cluster
-        .snapshot()
-        .iter()
-        .map(|d| DeviceSample {
+    let mut samples = Vec::with_capacity(cluster.device_count() as usize);
+    cluster.for_each_smi_device(|d| {
+        samples.push(DeviceSample {
             minor: d.minor_number,
             sm_util: d.sm_utilization,
             mem_util: d.mem_utilization,
             fb_used_mib: d.fb_used_mib(),
             pcie_gen: d.pcie_link_gen,
         })
-        .collect()
+    });
+    samples
 }
 
 #[cfg(test)]

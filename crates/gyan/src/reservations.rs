@@ -16,13 +16,15 @@
 //! ([`LeaseTable::allocate_and_lease`]), so no interleaving of
 //! preparations can double-book a device.
 //!
-//! Under that lock the node is observed **once** — one `nvidia-smi -q -x`
-//! round trip per decision. The lease-aware decision, the lease-blind
-//! baseline of the conflict audit and the `gyan.allocation.decision`
-//! record all read the same [`crate::gpu_usage::GpuUsage`], so they
-//! describe one instant. A node that could not be observed grants nothing
-//! and is audited as `reason=smi_query_failed` / `smi_output_malformed`
-//! (never as `no_gpus_on_node`); the job runs on the CPU branch.
+//! Under that lock the node is observed **once** — one observation per
+//! decision, taken as structured per-device rows; the `nvidia-smi -q -x`
+//! XML is a rendering of it that no decision renders or parses. The
+//! lease-aware decision, the lease-blind baseline of the conflict audit
+//! and the `gyan.allocation.decision` record all read the same
+//! [`crate::gpu_usage::GpuUsage`], so they describe one instant. A node
+//! that could not be observed grants nothing and is audited as
+//! `reason=smi_query_failed` (never as `no_gpus_on_node`); the job runs
+//! on the CPU branch.
 //!
 //! Lease lifecycle:
 //!
@@ -153,8 +155,8 @@ impl LeaseTable {
         Self::default()
     }
 
-    /// Atomically: observe the node **once** (one `nvidia-smi -q -x` round
-    /// trip), run the allocation policy with the current leases folded in,
+    /// Atomically: observe the node **once** (one structured SMI query),
+    /// run the allocation policy with the current leases folded in,
     /// record the decision audit, detect and audit conflicts (where the
     /// lease-blind decision would have differed), and insert leases for
     /// the granted devices — all under one lock and all from that one
@@ -163,10 +165,9 @@ impl LeaseTable {
     ///
     /// Any stale leases `holder` already held are superseded first
     /// (re-preparation re-acquires). Returns the allocation, or `None` on
-    /// a GPU-less node or one whose query failed or returned malformed
-    /// output (audited as `reason=smi_query_failed` /
-    /// `smi_output_malformed`, not as `no_gpus_on_node`); either way the
-    /// job degrades to the CPU branch.
+    /// a GPU-less node or one whose query failed (audited as
+    /// `reason=smi_query_failed`, not as `no_gpus_on_node`); either way
+    /// the job degrades to the CPU branch.
     pub fn allocate_and_lease(
         &self,
         cluster: &GpuCluster,

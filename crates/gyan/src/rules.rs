@@ -131,7 +131,7 @@ impl GpuDestinationRule {
         let device_count = nvml.device_count();
         let leased = self.reservations.as_ref().map(LeaseTable::view);
         let free_gpus = (0..device_count)
-            .filter(|i| nvml.compute_running_processes(*i).map(|p| p.is_empty()).unwrap_or(false))
+            .filter(|i| nvml.compute_running_process_count(*i).is_ok_and(|n| n == 0))
             .filter(|i| leased.as_ref().is_none_or(|view| !view.is_leased(*i)))
             .collect();
         GpuObservation { device_count, free_gpus }
@@ -265,6 +265,31 @@ mod tests {
             cpu.field("reason").and_then(|v| v.as_str()),
             Some("tool_has_no_gpu_requirement")
         );
+    }
+
+    #[test]
+    fn audit_lists_exactly_the_idle_unleased_devices_as_free() {
+        use crate::allocation::AllocationPolicy;
+        let c = GpuCluster::node(gpusim::GpuArch::tesla_v100(), 4);
+        c.attach_process(0, GpuProcess::compute(1, "a", 1)).unwrap();
+        c.attach_process(2, GpuProcess::compute(2, "b", 1)).unwrap();
+        c.attach_process(2, GpuProcess::compute(3, "c", 1)).unwrap();
+        let rec = obs::Recorder::new();
+        let table = LeaseTable::new();
+        let rule = GpuDestinationRule::new(&c, "local_gpu", "local_cpu")
+            .with_recorder(rec.clone())
+            .with_reservations(table.clone());
+        let free_gpus = || {
+            rule.decide(&gpu_tool(), &job(), &config()).unwrap();
+            let events = rec.events_named("gyan.rule.decision");
+            let last = events.last().unwrap();
+            assert_eq!(last.field("device_count").and_then(|v| v.as_f64()), Some(4.0));
+            last.field("free_gpus").and_then(|v| v.as_str()).unwrap().to_string()
+        };
+        assert_eq!(free_gpus(), "1,3");
+        // A lease on an SMI-idle device takes it off the list too.
+        table.allocate_and_lease(&c, &[3], AllocationPolicy::ProcessId, 1, 100, None);
+        assert_eq!(free_gpus(), "1");
     }
 
     #[test]

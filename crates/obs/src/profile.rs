@@ -175,6 +175,10 @@ impl Profiler {
         if !self.is_enabled() {
             return None;
         }
+        // Read the clock before building the frame (and, on exit, after
+        // finding the registry entry), so a scope's own bookkeeping lands
+        // in its self time instead of inflating its parent's.
+        let start = self.now();
         let path = FRAMES.with(|frames| {
             let mut frames = frames.borrow_mut();
             let path = match frames.last() {
@@ -184,32 +188,37 @@ impl Profiler {
             frames.push((path.clone(), 0.0));
             path
         });
-        Some(ScopeGuard { profiler: self.clone(), path, start: self.now() })
+        Some(ScopeGuard { profiler: self.clone(), path, start })
     }
 
-    fn record(&self, path: &str, elapsed: f64) {
-        // Pop this frame, charge the elapsed time to the parent frame's
-        // child accumulator, and fold the aggregates into the registry.
-        let child_time = FRAMES.with(|frames| {
-            let mut frames = frames.borrow_mut();
-            // Guards drop LIFO (they are scope-bound), so the top frame is
-            // ours; tolerate a mismatched pop rather than panicking inside
-            // a Drop impl.
-            let child_time = match frames.pop() {
-                Some((top, child_time)) if top == path => child_time,
-                _ => 0.0,
-            };
-            if let Some((_, parent_children)) = frames.last_mut() {
+    fn record(&self, path: &str, start: f64) {
+        // Pop this frame, fold the aggregates into the registry, and
+        // charge the elapsed time to the parent frame's child accumulator.
+        // Guards drop LIFO (they are scope-bound), so the top frame is
+        // ours; tolerate a mismatched pop rather than panicking inside a
+        // Drop impl.
+        let child_time = FRAMES.with(|frames| match frames.borrow_mut().pop() {
+            Some((top, child_time)) if top == path => child_time,
+            _ => 0.0,
+        });
+        let elapsed = {
+            let mut scopes = self.inner.scopes.lock().unwrap_or_else(|e| e.into_inner());
+            let stats = scopes.entry(path.to_string()).or_insert(ScopeStats {
+                count: 0,
+                total_s: 0.0,
+                self_s: 0.0,
+                min_s: 0.0,
+                max_s: 0.0,
+            });
+            let elapsed = (self.now() - start).max(0.0);
+            stats.record(elapsed, (elapsed - child_time).max(0.0));
+            elapsed
+        };
+        FRAMES.with(|frames| {
+            if let Some((_, parent_children)) = frames.borrow_mut().last_mut() {
                 *parent_children += elapsed;
             }
-            child_time
         });
-        let self_time = (elapsed - child_time).max(0.0);
-        let mut scopes = self.inner.scopes.lock().unwrap_or_else(|e| e.into_inner());
-        scopes
-            .entry(path.to_string())
-            .or_insert(ScopeStats { count: 0, total_s: 0.0, self_s: 0.0, min_s: 0.0, max_s: 0.0 })
-            .record(elapsed, self_time);
     }
 
     /// Drop all aggregated scopes (the enabled flag and clock are kept).
@@ -288,8 +297,7 @@ pub struct ScopeGuard {
 
 impl Drop for ScopeGuard {
     fn drop(&mut self) {
-        let elapsed = (self.profiler.now() - self.start).max(0.0);
-        self.profiler.record(&self.path, elapsed);
+        self.profiler.record(&self.path, self.start);
     }
 }
 

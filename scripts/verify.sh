@@ -62,12 +62,16 @@ echo "==> ops-server smoke (scrape + health over live HTTP)"
 cargo run -q --release --example ops_server -- --check
 
 # benchmark/ is its own workspace (see BENCHMARK.json), so the builds and
-# tests above cannot see an API break against it. Build it, and let one
-# short run's in-run correctness checks decide the exit code.
-echo "==> benchmark crate builds against the workspace + short trip run"
+# tests above cannot see an API break against it. Build it, and let two
+# short runs' in-run correctness checks decide the exit code: `trip` is
+# the 2-GPU closed loop, `day_single_node` the 32-device open loop (lease
+# drain, SLOs quiet, repeats bit-identical).
+echo "==> benchmark crate builds against the workspace + short trip and day_single_node runs"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
-cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-  --workload trip --seed 1 --seconds 1 --trace 0 > /dev/null
+for workload in trip day_single_node; do
+  cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 1 --trace 0 > /dev/null
+done
 
 echo "==> rustdoc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q

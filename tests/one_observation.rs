@@ -1,4 +1,5 @@
-//! One `nvidia-smi -q -x` round trip per allocation decision, pinned.
+//! One structured SMI observation per allocation decision — and no XML
+//! on the way to it — pinned.
 //!
 //! A single `#[test]`, so this binary's process-global `obs::profile`
 //! registry sees nothing but the decisions made here. It drives
@@ -6,10 +7,11 @@
 //! one-node `Fleet` — into all five `AllocationReason`s under both
 //! policies, with and without leases in the table (the conflict audit's
 //! lease-blind baseline) and with and without a recorder (the decision
-//! audit), then requires that the XML was rendered and parsed exactly once
-//! per decision. Before `GpuUsage` carried the memory readings, the audit,
-//! the Memory-Based tie-break and the baseline each polled again and this
-//! ratio read 2–4×.
+//! audit), then requires exactly one `smi.query` per decision and not one
+//! `nvidia-smi -q -x` document rendered or parsed. Before `GpuUsage`
+//! carried the memory readings, the audit, the Memory-Based tie-break and
+//! the baseline each polled again and the query ratio read 2–4×; until the
+//! observation became structured, each query was an XML render + parse.
 
 use fleet::{Fleet, NodeClass, PlacementRequest};
 use gpusim::{GpuCluster, GpuProcess};
@@ -93,7 +95,7 @@ fn count(name: &str) -> u64 {
 }
 
 #[test]
-fn every_decision_renders_and_parses_the_smi_document_exactly_once() {
+fn every_decision_observes_the_node_exactly_once_and_never_through_xml() {
     use AllocationReason::*;
     let profiler = obs::profile::global();
     profiler.reset();
@@ -147,7 +149,7 @@ fn every_decision_renders_and_parses_the_smi_document_exactly_once() {
             }
         }
     }
-    // A GPU-less node is observed once too (an empty document).
+    // A GPU-less node is observed once too (no rows).
     let table = LeaseTable::new();
     let cpu_only = GpuCluster::cpu_only_node();
     assert!(table
@@ -179,7 +181,7 @@ fn every_decision_renders_and_parses_the_smi_document_exactly_once() {
     }
 
     assert_eq!(count("gyan.allocate"), decisions);
-    assert_eq!(count("smi.render_xml"), decisions, "one render per decision");
-    assert_eq!(count("smi.parse_xml"), decisions, "one parse per decision");
-    assert_eq!(count("smi.query"), decisions);
+    assert_eq!(count("smi.query"), decisions, "one observation per decision");
+    assert_eq!(count("smi.render_xml"), 0, "no decision renders the SMI document");
+    assert_eq!(count("smi.parse_xml"), 0, "no decision parses one");
 }

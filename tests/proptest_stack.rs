@@ -4,9 +4,9 @@
 
 use gpusim::cuda::parse_visible_devices;
 use gpusim::nvml::Nvml;
-use gpusim::{GpuCluster, GpuProcess};
+use gpusim::{smi, GpuArch, GpuCluster, GpuProcess};
 use gyan::allocation::{select_gpus, AllocationPolicy};
-use gyan::gpu_usage::get_gpu_usage;
+use gyan::gpu_usage::{get_gpu_usage, parse_gpu_usage, try_get_gpu_usage, GpuUsage};
 use proptest::prelude::*;
 use seqtools::poa::PoaGraph;
 use seqtools::racon::build_windows;
@@ -30,7 +30,98 @@ fn cluster_with(occupancy: &[Vec<u64>]) -> GpuCluster {
     cluster
 }
 
+/// One step of a node's history: `(kind, selector, MiB)` — kind 0/1
+/// attaches a process of that size to device `selector % count`, kind 2
+/// detaches and kind 3 resizes (by `MiB - 1000`) the live process
+/// `selector % live`.
+type NodeOp = (u8, u32, u64);
+
+/// A node of `count` devices of the `arch`-th architecture after `ops`,
+/// with the SMI view frozen before op number `freeze_at` (so every later
+/// op is invisible to SMI). Refused ops (out of memory, shrinking below
+/// zero) are part of the history: they leave the state as it was.
+fn node_after(arch: u8, count: u32, ops: &[NodeOp], freeze_at: Option<usize>) -> GpuCluster {
+    let arch =
+        [GpuArch::tesla_k80(), GpuArch::tesla_v100(), GpuArch::a100()][arch as usize % 3].clone();
+    let cluster = GpuCluster::node(arch, count);
+    let mut live: Vec<(u32, u32)> = Vec::new();
+    for (step, &(kind, selector, mib)) in ops.iter().enumerate() {
+        if freeze_at == Some(step) {
+            cluster.freeze_smi_snapshot();
+        }
+        if count == 0 {
+            continue;
+        }
+        match kind {
+            0 | 1 => {
+                let (minor, pid) = (selector % count, cluster.spawn_pid());
+                if cluster.attach_process(minor, GpuProcess::compute(pid, "tool", mib)).is_ok() {
+                    live.push((minor, pid));
+                }
+            }
+            _ if live.is_empty() => {}
+            2 => {
+                let (minor, pid) = live.swap_remove(selector as usize % live.len());
+                cluster.detach_process(minor, pid).unwrap();
+            }
+            _ => {
+                let (minor, pid) = live[selector as usize % live.len()];
+                let _ = cluster
+                    .with_device_mut(minor, |d| d.resize_process(pid, mib as i64 - 1000))
+                    .unwrap();
+            }
+        }
+    }
+    cluster
+}
+
 proptest! {
+    /// The differential pin behind "the XML is a rendering of the
+    /// observation": over nodes of 0–32 K80/V100/A100 devices left idle,
+    /// single- and multi-process by random attach/detach/resize histories,
+    /// with the SMI view live or frozen mid-history, Pseudocode 1 over the
+    /// rendered `nvidia-smi -q -x` text and the structured query yield the
+    /// same `GpuUsage`, field by field.
+    #[test]
+    fn xml_rendering_and_structured_observation_agree(
+        arch in 0u8..3,
+        count in 0u32..=32,
+        ops in prop::collection::vec((0u8..4, any::<u32>(), 1u64..2000), 0..48),
+        freeze_at in prop::option::of(0usize..48),
+    ) {
+        let cluster = node_after(arch, count, &ops, freeze_at);
+        let from_text = parse_gpu_usage(&smi::query_xml(&cluster)).unwrap();
+        let structured = try_get_gpu_usage(&cluster).unwrap();
+        prop_assert_eq!(&structured.all_gpus, &(0..count).collect::<Vec<u32>>());
+        prop_assert_eq!(&from_text.all_gpus, &structured.all_gpus);
+        prop_assert_eq!(&from_text.avail_gpus, &structured.avail_gpus);
+        prop_assert_eq!(&from_text.proc_gpu_dict, &structured.proc_gpu_dict);
+        prop_assert_eq!(&from_text.used_mib, &structured.used_mib);
+    }
+
+    /// Fault parity: an injected budget of `n` fails exactly `n`
+    /// structured observations, each as `smi_query_failed`, and the next
+    /// one succeeds with what the rendered document says; a GPU-less node
+    /// observes as the empty view, not as an error.
+    #[test]
+    fn injected_budget_fails_exactly_that_many_structured_observations(
+        n in 0u32..6,
+        count in 0u32..=8,
+        ops in prop::collection::vec((0u8..4, any::<u32>(), 1u64..2000), 0..12),
+    ) {
+        let cluster = node_after(0, count, &ops, None);
+        cluster.inject_smi_query_failures(n);
+        for _ in 0..n {
+            let err = try_get_gpu_usage(&cluster).unwrap_err();
+            prop_assert_eq!(err.reason(), "smi_query_failed");
+        }
+        let observed = try_get_gpu_usage(&cluster).unwrap();
+        prop_assert_eq!(&observed, &parse_gpu_usage(&smi::query_xml(&cluster)).unwrap());
+        if count == 0 {
+            prop_assert_eq!(observed, GpuUsage::default());
+        }
+    }
+
     /// Whatever the cluster state and request, the allocator must return
     /// a non-empty set of *existing* devices, and must grant a requested
     /// free device exactly.
@@ -99,7 +190,7 @@ proptest! {
         prop_assert_eq!(alloc.devices.len(), 1);
         let chosen = alloc.devices[0];
         // The oracle reads NVML, a path that shares no code with the SMI
-        // XML round trip the allocator decided from.
+        // query the allocator decided from.
         let nvml = Nvml::init(&cluster);
         let used = |minor: u32| nvml.memory_info(minor).unwrap().used >> 20;
         let min = (0..nvml.device_count()).map(used).min().unwrap();
@@ -171,7 +262,7 @@ proptest! {
     #[test]
     fn smi_xml_roundtrips_processes(occupancy in occupancy_strategy()) {
         let cluster = cluster_with(&occupancy);
-        let usage = get_gpu_usage(&cluster);
+        let usage = parse_gpu_usage(&smi::query_xml(&cluster)).unwrap();
         for (minor, procs) in occupancy.iter().enumerate() {
             prop_assert_eq!(usage.proc_gpu_dict[minor].1.len(), procs.len());
         }
