@@ -66,7 +66,7 @@ pub use resubmit::ResubmitPolicy;
 use crate::app::GalaxyApp;
 use crate::error::GalaxyError;
 use crate::params::ParamDict;
-use crate::runners::{ExecutionPlan, JobExecutor};
+use crate::runners::{ExecutionPlan, ExecutionResult, JobExecutor};
 use crate::scheduler::HandlerPool;
 use crate::workflow::ValueSource;
 use obs::{Span, Value};
@@ -276,17 +276,27 @@ impl JobCtx {
     }
 }
 
-/// Fields of one `galaxy.queue.resubmit` audit event.
-struct ResubmitAudit<'a> {
+/// A failed attempt whose future [`QueueEngine::complete`] is deciding.
+struct FailedAttempt<'a> {
     job_id: u64,
+    result: &'a ExecutionResult,
+    /// Dispatch attempts completed so far, this one included.
     attempts: u32,
     max_attempts: u32,
-    from: &'a str,
-    to: &'a str,
-    from_node: Option<&'a str>,
-    excluded: &'a [String],
-    exit_code: i32,
-    reason: &'a str,
+    /// Fleet node the attempt ran on, when the hook placed it on one.
+    from_node: Option<String>,
+}
+
+/// What a retry changes about the next attempt besides its destination;
+/// also the `reason` of its `galaxy.queue.resubmit` audit.
+enum Retry {
+    /// Same destination, the failed node added to the exclusion set
+    /// (carried here, already grown).
+    NodeExcluded(Vec<String>),
+    /// Same destination, a revised GPU memory budget (MiB).
+    FootprintRevised(u64),
+    /// The next rung of the fallback ladder.
+    Fallback,
 }
 
 /// One wave member: the dispatched plan's bookkeeping.
@@ -885,46 +895,28 @@ impl QueueEngine {
         // Failure: prefer a placement-aware retry on the same destination
         // with the failed node excluded (policy budgets node retries AND
         // the placement advisor confirms a viable node class remains);
-        // else walk the fallback ladder; else the failure is final. The
-        // retryable conclusion (releasing hook-held resources such as GPU
-        // leases) always precedes the requeue, so the retry's placement
-        // never races the failed attempt's leases.
+        // else walk the fallback ladder; else the failure is final.
         let policy = self.policy_for(job_id);
         let attempts = self.jobs.get(&job_id).map_or(1, |ctx| ctx.attempts);
         let node_retries_used = self.jobs.get(&job_id).map_or(0, |ctx| ctx.node_retries_used);
         let from_node = self.ledger.get(job_id).and_then(|snap| snap.node.clone());
         let budget_left = attempts < policy.max_attempts;
 
+        let failed = FailedAttempt {
+            job_id,
+            result: &result,
+            attempts,
+            max_attempts: policy.max_attempts,
+            from_node,
+        };
+
         let node_retry = if budget_left && node_retries_used < policy.node_retries {
-            self.node_retry_target(job_id, from_node.as_deref())
+            self.node_retry_target(job_id, failed.from_node.as_deref())
         } else {
             None
         };
         if let Some((dest, excluded)) = node_retry {
-            let _ = self.app.finish_job(job_id, &result, false);
-            let (user, priority, from) = {
-                let ctx = self.jobs.get_mut(&job_id).expect("ctx exists");
-                ctx.next_dest = Some(dest.clone());
-                ctx.node_retries_used += 1;
-                ctx.excluded_nodes = excluded.clone();
-                (ctx.user.clone(), ctx.priority, ctx.first_destination.clone().unwrap_or_default())
-            };
-            self.audit_resubmit(ResubmitAudit {
-                job_id,
-                attempts,
-                max_attempts: policy.max_attempts,
-                from: &from,
-                to: &dest,
-                from_node: from_node.as_deref(),
-                excluded: &excluded,
-                exit_code: result.exit_code,
-                reason: "node_excluded",
-            });
-            let now = self.app.recorder().now();
-            self.queue.push_unchecked(&user, priority, now, WorkItem::Job(job_id));
-            self.set_status(job_id, SubmissionState::Queued);
-            self.sync_depth_gauge();
-            return;
+            return self.requeue(&failed, dest, Retry::NodeExcluded(excluded));
         }
 
         // Next preference: a same-destination retry with a revised GPU
@@ -940,39 +932,7 @@ impl QueueEngine {
             None
         };
         if let Some((dest, budget_mib)) = footprint_retry {
-            let _ = self.app.finish_job(job_id, &result, false);
-            self.app.set_job_env(
-                job_id,
-                crate::GALAXY_GPU_BUDGET_OVERRIDE_ENV,
-                &budget_mib.to_string(),
-            );
-            let (user, priority, from, excluded) = {
-                let ctx = self.jobs.get_mut(&job_id).expect("ctx exists");
-                ctx.next_dest = Some(dest.clone());
-                ctx.footprint_retries_used += 1;
-                (
-                    ctx.user.clone(),
-                    ctx.priority,
-                    ctx.first_destination.clone().unwrap_or_default(),
-                    ctx.excluded_nodes.clone(),
-                )
-            };
-            self.audit_resubmit(ResubmitAudit {
-                job_id,
-                attempts,
-                max_attempts: policy.max_attempts,
-                from: &from,
-                to: &dest,
-                from_node: from_node.as_deref(),
-                excluded: &excluded,
-                exit_code: result.exit_code,
-                reason: "footprint_revised",
-            });
-            let now = self.app.recorder().now();
-            self.queue.push_unchecked(&user, priority, now, WorkItem::Job(job_id));
-            self.set_status(job_id, SubmissionState::Queued);
-            self.sync_depth_gauge();
-            return;
+            return self.requeue(&failed, dest, Retry::FootprintRevised(budget_mib));
         }
 
         // Node and footprint retries consumed attempts but must not
@@ -989,34 +949,7 @@ impl QueueEngine {
             None
         };
         match fallback {
-            Some(dest) => {
-                let _ = self.app.finish_job(job_id, &result, false);
-                let (user, priority, from, excluded) = {
-                    let ctx = self.jobs.get_mut(&job_id).expect("ctx exists");
-                    ctx.next_dest = Some(dest.clone());
-                    (
-                        ctx.user.clone(),
-                        ctx.priority,
-                        ctx.first_destination.clone().unwrap_or_default(),
-                        ctx.excluded_nodes.clone(),
-                    )
-                };
-                self.audit_resubmit(ResubmitAudit {
-                    job_id,
-                    attempts,
-                    max_attempts: policy.max_attempts,
-                    from: &from,
-                    to: &dest,
-                    from_node: from_node.as_deref(),
-                    excluded: &excluded,
-                    exit_code: result.exit_code,
-                    reason: "fallback",
-                });
-                let now = self.app.recorder().now();
-                self.queue.push_unchecked(&user, priority, now, WorkItem::Job(job_id));
-                self.set_status(job_id, SubmissionState::Queued);
-                self.sync_depth_gauge();
-            }
+            Some(dest) => self.requeue(&failed, dest, Retry::Fallback),
             None => {
                 let _ = self.app.finish_job(job_id, &result, true);
                 self.set_status(job_id, SubmissionState::Error);
@@ -1025,6 +958,64 @@ impl QueueEngine {
                 }
             }
         }
+    }
+
+    /// The one requeue path: conclude the failed attempt as retryable,
+    /// apply what the retry changes, audit it (the `galaxy.queue.resubmit`
+    /// event, the unlabeled total and the per-reason labeled counter),
+    /// and put the job back on the queue for `dest`. The conclusion
+    /// releases hook-held resources such as GPU leases, and always
+    /// precedes the requeue — so the retry's placement never races the
+    /// failed attempt's leases.
+    fn requeue(&mut self, failed: &FailedAttempt<'_>, dest: String, retry: Retry) {
+        let job_id = failed.job_id;
+        let _ = self.app.finish_job(job_id, failed.result, false);
+        let ctx = self.jobs.get_mut(&job_id).expect("ctx exists");
+        let reason = match retry {
+            Retry::NodeExcluded(excluded) => {
+                ctx.node_retries_used += 1;
+                ctx.excluded_nodes = excluded;
+                "node_excluded"
+            }
+            Retry::FootprintRevised(budget_mib) => {
+                self.app.set_job_env(
+                    job_id,
+                    crate::GALAXY_GPU_BUDGET_OVERRIDE_ENV,
+                    &budget_mib.to_string(),
+                );
+                ctx.footprint_retries_used += 1;
+                "footprint_revised"
+            }
+            Retry::Fallback => "fallback",
+        };
+        let (user, priority) = (ctx.user.clone(), ctx.priority);
+        let from = ctx.first_destination.clone().unwrap_or_default();
+        let excluded = ctx.excluded_nodes.join(",");
+        ctx.next_dest = Some(dest.clone());
+
+        let recorder = self.app.recorder();
+        recorder.metrics().inc_counter(QUEUE_RESUBMITTED_COUNTER, 1);
+        recorder
+            .metrics()
+            .inc_counter(&format!("{QUEUE_RESUBMITTED_COUNTER}{{reason=\"{reason}\"}}"), 1);
+        recorder.event(
+            "galaxy.queue.resubmit",
+            vec![
+                ("job_id", Value::from(job_id)),
+                ("failed_attempt", Value::from(u64::from(failed.attempts))),
+                ("max_attempts", Value::from(u64::from(failed.max_attempts))),
+                ("from_destination", Value::from(from)),
+                ("to_destination", Value::from(dest)),
+                ("from_node", Value::from(failed.from_node.as_deref().unwrap_or(""))),
+                ("excluded_nodes", Value::from(excluded)),
+                ("exit_code", Value::from(i64::from(failed.result.exit_code))),
+                ("reason", Value::from(reason)),
+            ],
+        );
+        let now = recorder.now();
+        self.queue.push_unchecked(&user, priority, now, WorkItem::Job(job_id));
+        self.set_status(job_id, SubmissionState::Queued);
+        self.sync_depth_gauge();
     }
 
     /// Whether a failed attempt can retry on its own destination with the
@@ -1058,30 +1049,6 @@ impl QueueEngine {
         let advisor = self.app.footprint_advisor()?;
         let budget_mib = advisor(self.app.job(job_id)?)?;
         Some((destination, budget_mib))
-    }
-
-    /// Emit the `galaxy.queue.resubmit` audit + counters for one retry
-    /// (the unlabeled total plus a per-reason labeled series).
-    fn audit_resubmit(&self, audit: ResubmitAudit<'_>) {
-        self.app.recorder().metrics().inc_counter(QUEUE_RESUBMITTED_COUNTER, 1);
-        self.app
-            .recorder()
-            .metrics()
-            .inc_counter(&format!("{QUEUE_RESUBMITTED_COUNTER}{{reason=\"{}\"}}", audit.reason), 1);
-        self.app.recorder().event(
-            "galaxy.queue.resubmit",
-            vec![
-                ("job_id", Value::from(audit.job_id)),
-                ("failed_attempt", Value::from(u64::from(audit.attempts))),
-                ("max_attempts", Value::from(u64::from(audit.max_attempts))),
-                ("from_destination", Value::from(audit.from)),
-                ("to_destination", Value::from(audit.to)),
-                ("from_node", Value::from(audit.from_node.unwrap_or(""))),
-                ("excluded_nodes", Value::from(audit.excluded.join(","))),
-                ("exit_code", Value::from(i64::from(audit.exit_code))),
-                ("reason", Value::from(audit.reason)),
-            ],
-        );
     }
 
     /// The resubmit policy for a job: its first destination's

@@ -55,7 +55,9 @@ pub use allocation::{select_gpus, AllocationPolicy, AllocationReason};
 pub use footprint::{EstimateSource, FootprintRegistry, MemoryHint, ProfileSnapshot};
 pub use gpu_usage::{get_gpu_usage, parse_gpu_usage, try_get_gpu_usage, GpuUsageError};
 pub use monitor::UsageMonitor;
-pub use ops::{default_alert_rules, ops_server, profiles_route, DEFAULT_FLIGHT_CAPACITY};
+pub use ops::{
+    default_alert_rules, galaxy_alert_rules, ops_server, profiles_route, DEFAULT_FLIGHT_CAPACITY,
+};
 pub use orchestrator::{GyanHook, NodePlacer, Placed, Placer};
 pub use reservations::{Lease, LeaseTable, ReservationView};
 pub use rules::GpuDestinationRule;

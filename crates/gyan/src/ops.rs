@@ -167,21 +167,15 @@ pub fn job_json(ledger: &JobsLedger, table: &LeaseTable, job_id: u64) -> Option<
     ledger.get(job_id).map(|snap| job_object(&snap, &table.all_leases()))
 }
 
-/// The stock SLO rule set for a GYAN deployment. Thresholds are tuned for
-/// the simulated workloads in this repo; operators tune them per site.
+/// The table-free half of the stock SLO rule set: the three rules that
+/// read only Galaxy-level metrics, so every topology (single node or
+/// fleet) arms them from this one definition.
 ///
 /// * `queue-wait-p99` — tail scheduling latency from the queue-wait
 ///   histogram (p99 > 30 virtual seconds, held 5 s before firing);
-/// * `gpu-conflict-rate` — lease-redirected allocations per second over a
-///   10 s window (sustained conflicts mean the wave size outruns the
-///   cluster);
 /// * `job-failure-burn` / `resubmission-burn` — terminal failures and
-///   retries per second over 30 s;
-/// * `lease-oversubscription` — more than one lease on a single device
-///   (shared placements are legal, but a persistent pile-up is the
-///   paper's Case-4 contention signature), firing immediately.
-pub fn default_alert_rules(table: &LeaseTable) -> Vec<AlertRule> {
-    let t = table.clone();
+///   retries per second over 30 s.
+pub fn galaxy_alert_rules() -> Vec<AlertRule> {
     vec![
         AlertRule::new(
             "queue-wait-p99",
@@ -193,16 +187,6 @@ pub fn default_alert_rules(table: &LeaseTable) -> Vec<AlertRule> {
             30.0,
         )
         .hold_for(5.0),
-        AlertRule::new(
-            "gpu-conflict-rate",
-            AlertExpr::CounterRate {
-                name: crate::reservations::RESERVATION_CONFLICTS_COUNTER.to_string(),
-                window_s: 10.0,
-            },
-            Compare::Gt,
-            0.5,
-        )
-        .hold_for(2.0),
         AlertRule::new(
             "job-failure-burn",
             AlertExpr::CounterRate {
@@ -223,13 +207,45 @@ pub fn default_alert_rules(table: &LeaseTable) -> Vec<AlertRule> {
             0.5,
         )
         .hold_for(5.0),
-        AlertRule::new(
-            "lease-oversubscription",
-            AlertExpr::Custom(Arc::new(move || Some(t.max_leases_per_device() as f64))),
-            Compare::Gt,
-            1.0,
-        ),
     ]
+}
+
+/// The stock SLO rule set for a GYAN deployment: [`galaxy_alert_rules`]
+/// plus the two rules that read the lease table. Thresholds are tuned
+/// for the simulated workloads in this repo; operators tune them per
+/// site.
+///
+/// * `gpu-conflict-rate` — lease-redirected allocations per second over a
+///   10 s window (sustained conflicts mean the wave size outruns the
+///   cluster);
+/// * `lease-oversubscription` — more than one lease on a single device
+///   (shared placements are legal, but a persistent pile-up is the
+///   paper's Case-4 contention signature), firing immediately.
+pub fn default_alert_rules(table: &LeaseTable) -> Vec<AlertRule> {
+    let t = table.clone();
+    let mut rules = galaxy_alert_rules();
+    // Evaluation (and `/api/alerts`) order is part of the surface:
+    // the conflict rate sits right after the queue-wait rule.
+    rules.insert(
+        1,
+        AlertRule::new(
+            "gpu-conflict-rate",
+            AlertExpr::CounterRate {
+                name: crate::reservations::RESERVATION_CONFLICTS_COUNTER.to_string(),
+                window_s: 10.0,
+            },
+            Compare::Gt,
+            0.5,
+        )
+        .hold_for(2.0),
+    );
+    rules.push(AlertRule::new(
+        "lease-oversubscription",
+        AlertExpr::Custom(Arc::new(move || Some(t.max_leases_per_device() as f64))),
+        Compare::Gt,
+        1.0,
+    ));
+    rules
 }
 
 /// Handler for `/api/profile`: the global hot-path profiler's current
@@ -254,13 +270,16 @@ pub fn profile_route() -> Handler {
 
 /// Handler for `/api/bench`: the last recorded perf trajectory, read from
 /// `path` (normally `BENCH_scheduler.json` at the repo root, written by
-/// the `perf_gate` bench). 404 with a hint when no trajectory exists yet.
+/// `gates scheduler` — schema, commit, the metric table with each
+/// metric's kind, and the embedded allocation profile). 404 with a hint
+/// when no trajectory exists yet.
 pub fn bench_route(path: impl Into<PathBuf>) -> Handler {
     let path = path.into();
     Arc::new(move |_req| match std::fs::read_to_string(&path) {
         Ok(body) => Response::json(body),
         Err(_) => Response::not_found(&format!(
-            "perf trajectory {} (run the perf_gate bench to record one)",
+            "perf trajectory {} (record one with \
+             `cargo run --release -p gyan-bench --bin gates scheduler`)",
             path.display()
         )),
     })
@@ -437,25 +456,41 @@ mod tests {
     }
 
     #[test]
-    fn default_rules_cover_the_slo_surface() {
+    fn default_rules_are_pinned_and_contain_the_galaxy_rules_in_order() {
         let (recorder, _cluster, table, _ledger, _alerts) = stack();
+        // Name, expression (with window), comparison, threshold and hold
+        // of every stock rule, in evaluation order: composing the set
+        // from `galaxy_alert_rules` must not move any of them.
+        let pinned: Vec<String> =
+            default_alert_rules(&table).iter().map(|r| format!("{r:?}")).collect();
+        assert_eq!(
+            pinned,
+            [
+                "AlertRule { name: \"queue-wait-p99\", expr: HistogramQuantile(galaxy_queue_wait_seconds, q=0.99), cmp: Gt, threshold: 30.0, for_s: 5.0 }",
+                "AlertRule { name: \"gpu-conflict-rate\", expr: CounterRate(gyan_reservation_conflicts_total, 10s), cmp: Gt, threshold: 0.5, for_s: 2.0 }",
+                "AlertRule { name: \"job-failure-burn\", expr: CounterRate(galaxy_pool_jobs_failed_total, 30s), cmp: Gt, threshold: 0.2, for_s: 5.0 }",
+                "AlertRule { name: \"resubmission-burn\", expr: CounterRate(galaxy_queue_resubmitted_total, 30s), cmp: Gt, threshold: 0.5, for_s: 5.0 }",
+                "AlertRule { name: \"lease-oversubscription\", expr: Custom(..), cmp: Gt, threshold: 1.0, for_s: 0.0 }",
+            ]
+        );
+        let galaxy: Vec<String> = galaxy_alert_rules().iter().map(|r| format!("{r:?}")).collect();
+        assert_eq!(galaxy, [pinned[0].as_str(), &pinned[2], &pinned[3]]);
+
         let alerts = AlertEngine::new(&recorder);
         for rule in default_alert_rules(&table) {
             alerts.add_rule(rule);
         }
         alerts.evaluate();
-        let names: Vec<String> = alerts.statuses().into_iter().map(|s| s.rule.name).collect();
-        assert_eq!(
-            names,
-            vec![
-                "queue-wait-p99",
-                "gpu-conflict-rate",
-                "job-failure-burn",
-                "resubmission-burn",
-                "lease-oversubscription"
-            ]
-        );
         assert!(alerts.firing().is_empty());
+        assert_eq!(
+            alerts.to_json(),
+            "{\"alerts\":[\
+             {\"rule\":\"queue-wait-p99\",\"state\":\"inactive\",\"value\":null,\"threshold\":30.0,\"since\":0.0,\"fired\":0},\
+             {\"rule\":\"gpu-conflict-rate\",\"state\":\"inactive\",\"value\":null,\"threshold\":0.5,\"since\":0.0,\"fired\":0},\
+             {\"rule\":\"job-failure-burn\",\"state\":\"inactive\",\"value\":null,\"threshold\":0.2,\"since\":0.0,\"fired\":0},\
+             {\"rule\":\"resubmission-burn\",\"state\":\"inactive\",\"value\":null,\"threshold\":0.5,\"since\":0.0,\"fired\":0},\
+             {\"rule\":\"lease-oversubscription\",\"state\":\"inactive\",\"value\":0.0,\"threshold\":1.0,\"since\":0.0,\"fired\":0}]}"
+        );
     }
 
     #[test]
@@ -565,12 +600,12 @@ mod tests {
         assert_eq!(status, 404);
         assert!(body.contains("perf trajectory"), "{body}");
 
-        std::fs::write(&path, "{\"schema\":\"gyan.bench.scheduler/v1\"}").unwrap();
+        std::fs::write(&path, "{\"schema\":\"gyan.bench.scheduler/v2\"}").unwrap();
         let (status, body) = http_get(handle.addr(), "/api/bench").unwrap();
         assert_eq!(status, 200);
         assert_eq!(
             obs::json::parse(&body).unwrap().get("schema").and_then(|v| v.as_str()),
-            Some("gyan.bench.scheduler/v1")
+            Some("gyan.bench.scheduler/v2")
         );
 
         handle.shutdown();

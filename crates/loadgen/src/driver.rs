@@ -31,7 +31,7 @@ use gyan::footprint::{
     MemoryHint, FOOTPRINT_ESTIMATE_EVENT, GALAXY_INPUT_SIZE_MIB_ENV, GPU_MEMORY_BUDGET_ENV,
     GPU_OBSERVED_PEAK_ENV,
 };
-use gyan::ops::default_alert_rules;
+use gyan::ops::{default_alert_rules, galaxy_alert_rules};
 use gyan::setup::{install_gyan, ClusterTime, GyanConfig};
 use obs::slo::{AlertEngine, AlertExpr, AlertRule, Compare};
 use simtest::invariants;
@@ -51,18 +51,22 @@ const GPU_ENABLED_ENV: &str = "GALAXY_GPU_ENABLED";
 
 /// Bound on retained obs spans/events during a soak — enough context
 /// for a flight dump, without O(total jobs) recorder growth.
-const LOG_RETENTION: usize = 100_000;
+pub const LOG_RETENTION: usize = 100_000;
 
 /// Virtual runtime charged when a plan carries no [`RUNTIME_ENV`]
 /// (resubmitted attempts keep their job env, so this is rare).
-const DEFAULT_RUNTIME_S: f64 = 0.05;
+pub const DEFAULT_RUNTIME_S: f64 = 0.05;
 
-const CPU_TOOL: &str = r#"<tool id="load_cpu" name="Load CPU">
+/// Tool wrapper of the CPU-only load job ([`crate::CPU_TOOL_ID`]).
+pub const CPU_TOOL: &str = r#"<tool id="load_cpu" name="Load CPU">
   <command>echo tick</command>
   <outputs><data name="out" format="txt"/></outputs>
 </tool>"#;
 
-const GPU_TOOL: &str = r#"<tool id="load_gpu" name="Load GPU">
+/// Tool wrapper of the GPU-capable load job ([`crate::GPU_TOOL_ID`]):
+/// its command branches on `__galaxy_gpu_enabled__` like the paper's
+/// Racon wrapper.
+pub const GPU_TOOL: &str = r#"<tool id="load_gpu" name="Load GPU">
   <requirements><requirement type="compute">gpu</requirement></requirements>
   <command><![CDATA[
 #if $__galaxy_gpu_enabled__ == "true"
@@ -234,41 +238,20 @@ impl std::fmt::Display for LoadFailure {
     }
 }
 
-/// Galaxy-level SLO rules for topologies without a GYAN lease table
-/// (thresholds mirror [`gyan::ops::default_alert_rules`]).
-fn galaxy_slo_rules() -> Vec<AlertRule> {
-    vec![
-        AlertRule::new(
-            "queue-wait-p99",
-            AlertExpr::HistogramQuantile {
-                name: galaxy::queue::QUEUE_WAIT_HISTOGRAM.to_string(),
-                q: 0.99,
-            },
-            Compare::Gt,
-            30.0,
-        )
-        .hold_for(5.0),
-        AlertRule::new(
-            "job-failure-burn",
-            AlertExpr::CounterRate {
-                name: galaxy::scheduler::JOBS_FAILED_COUNTER.to_string(),
-                window_s: 30.0,
-            },
-            Compare::Gt,
-            0.2,
-        )
-        .hold_for(5.0),
-        AlertRule::new(
-            "resubmission-burn",
-            AlertExpr::CounterRate {
-                name: galaxy::queue::QUEUE_RESUBMITTED_COUNTER.to_string(),
-                window_s: 30.0,
-            },
-            Compare::Gt,
-            0.5,
-        )
-        .hold_for(5.0),
-    ]
+/// The SLO rules a fleet topology arms: [`galaxy_alert_rules`] (a
+/// fleet has no single lease table for the other two stock rules) plus
+/// `fleet-lease-leak`, the fleet analogue of lease-oversubscription —
+/// at a wave barrier every placement must have been released.
+pub fn fleet_slo_rules(fleet: &fleet::Fleet) -> Vec<AlertRule> {
+    let f = fleet.clone();
+    let mut rules = galaxy_alert_rules();
+    rules.push(AlertRule::new(
+        "fleet-lease-leak",
+        AlertExpr::Custom(Arc::new(move || Some(f.total_lease_count() as f64))),
+        Compare::Gt,
+        0.0,
+    ));
+    rules
 }
 
 /// Execute `scenario` under `options`: submit the generated schedule as
@@ -339,27 +322,13 @@ pub fn run_scenario(
 
     // The live SLO plane: stock rules, evaluated at every barrier.
     let alerts = AlertEngine::new(&recorder);
-    match (&gyan_table, &the_fleet) {
-        (Some(table), _) => {
-            for rule in default_alert_rules(table) {
-                alerts.add_rule(rule);
-            }
-        }
-        (None, Some(fleet)) => {
-            for rule in galaxy_slo_rules() {
-                alerts.add_rule(rule);
-            }
-            // Fleet analogue of lease-oversubscription/leaked-lease: at a
-            // barrier every placement must have been released.
-            let f = fleet.clone();
-            alerts.add_rule(AlertRule::new(
-                "fleet-lease-leak",
-                AlertExpr::Custom(Arc::new(move || Some(f.total_lease_count() as f64))),
-                Compare::Gt,
-                0.0,
-            ));
-        }
+    let rules = match (&gyan_table, &the_fleet) {
+        (Some(table), _) => default_alert_rules(table),
+        (None, Some(fleet)) => fleet_slo_rules(fleet),
         (None, None) => unreachable!("topology wired above"),
+    };
+    for rule in rules {
+        alerts.add_rule(rule);
     }
     let enrich = |mut failure: LoadFailure| -> LoadFailure {
         failure.fired_alerts = alerts.firing();
@@ -573,6 +542,18 @@ mod tests {
         s.workers = 8;
         s.topology = Topology::SingleNode { gpus: 8 };
         s
+    }
+
+    #[test]
+    fn fleet_slo_rules_are_the_galaxy_rules_plus_the_lease_leak_probe() {
+        let fleet = fleet::Fleet::builder().nodes(fleet::NodeClass::k80(), 2).build();
+        let show = |rules: Vec<AlertRule>| -> Vec<String> {
+            rules.iter().map(|r| format!("{r:?}")).collect()
+        };
+        let (fleet_rules, galaxy) = (show(fleet_slo_rules(&fleet)), show(galaxy_alert_rules()));
+        assert_eq!(fleet_rules[..galaxy.len()], galaxy[..], "thresholds live once, in gyan::ops");
+        assert_eq!(fleet_rules.len(), galaxy.len() + 1);
+        assert!(fleet_rules[galaxy.len()].contains("fleet-lease-leak"), "{fleet_rules:?}");
     }
 
     #[test]

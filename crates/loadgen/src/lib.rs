@@ -34,8 +34,8 @@ pub mod scenario;
 
 pub use arrival::{ArrivalProcess, Burst, LoadProfile};
 pub use driver::{
-    run_scenario, LoadExecutor, LoadFailure, LoadOptions, LoadReport, DEFAULT_SLO_RULES,
-    FAIL_GPU_ENV, RUNTIME_ENV,
+    fleet_slo_rules, run_scenario, LoadExecutor, LoadFailure, LoadOptions, LoadReport, CPU_TOOL,
+    DEFAULT_RUNTIME_S, DEFAULT_SLO_RULES, FAIL_GPU_ENV, GPU_TOOL, LOG_RETENTION, RUNTIME_ENV,
 };
 pub use mix::{BoundedPareto, UserMix};
 pub use scenario::{LoadJob, LoadScenario, MemoryModel, Topology, CPU_TOOL_ID, GPU_TOOL_ID};
