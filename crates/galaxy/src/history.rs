@@ -32,11 +32,11 @@ pub struct Dataset {
     pub content: String,
 }
 
-/// A user's history of datasets.
+/// A user's history of datasets. Ids are dense and datasets are never
+/// removed, so dataset `id` sits at position `id - 1`.
 #[derive(Debug, Clone, Default)]
 pub struct History {
     datasets: Vec<Dataset>,
-    next_id: u64,
 }
 
 impl History {
@@ -52,8 +52,7 @@ impl History {
         format: impl Into<String>,
         job_id: u64,
     ) -> u64 {
-        self.next_id += 1;
-        let id = self.next_id;
+        let id = self.datasets.len() as u64 + 1;
         self.datasets.push(Dataset {
             id,
             name: name.into(),
@@ -90,11 +89,15 @@ impl History {
 
     /// Dataset by id.
     pub fn dataset(&self, id: u64) -> Option<&Dataset> {
-        self.datasets.iter().find(|d| d.id == id)
+        self.datasets.get(Self::position(id)?)
     }
 
     fn dataset_mut(&mut self, id: u64) -> Option<&mut Dataset> {
-        self.datasets.iter_mut().find(|d| d.id == id)
+        self.datasets.get_mut(Self::position(id)?)
+    }
+
+    fn position(id: u64) -> Option<usize> {
+        usize::try_from(id.checked_sub(1)?).ok()
     }
 
     /// All datasets produced by a job.
@@ -142,6 +145,23 @@ mod tests {
         assert!(!h.complete(99, ""));
         assert!(!h.fail(99));
         assert!(h.dataset(99).is_none());
+    }
+
+    #[test]
+    fn lookup_indexes_by_id_and_rejects_ids_out_of_range() {
+        let mut h = History::new();
+        let ids: Vec<u64> =
+            (0..10_000).map(|job| h.declare(format!("d{job}"), "txt", job)).collect();
+        assert!(h.dataset(0).is_none(), "ids start at 1");
+        assert!(h.dataset(h.len() as u64 + 1).is_none());
+        assert!(!h.complete(0, "") && !h.fail(h.len() as u64 + 1));
+        for n in [0usize, 4_999, 9_999] {
+            let ds = h.dataset(ids[n]).expect("declared");
+            assert_eq!((ds.id, ds.job_id, ds.name.as_str()), (ids[n], n as u64, &*format!("d{n}")));
+        }
+        assert!(h.complete(ids[9_999], "x"));
+        assert_eq!(h.dataset(ids[9_999]).unwrap().state, DatasetState::Ok);
+        assert_eq!(h.dataset(ids[9_998]).unwrap().state, DatasetState::Queued);
     }
 
     #[test]

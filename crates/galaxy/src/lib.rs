@@ -27,10 +27,8 @@
 //! the simulated Racon/Bonito tools (crate `seqtools`) get plugged in
 //! without this substrate depending on them.
 
-pub mod api;
 pub mod app;
 pub mod containers;
-pub mod deps;
 pub mod error;
 pub mod history;
 pub mod job;

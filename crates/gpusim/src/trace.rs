@@ -101,31 +101,16 @@ impl Trace {
             out.push_str(&format!(
                 "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\
                  \"pid\":1,\"tid\":\"{}\"}}",
-                escape_json(&e.name),
+                obs::json_escape(&e.name),
                 e.category,
                 e.start_s * 1e6,
                 e.dur_s * 1e6,
-                escape_json(&e.track)
+                obs::json_escape(&e.track)
             ));
         }
         out.push_str("]}");
         out
     }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -1,10 +1,10 @@
 //! Run one [`LoadScenario`] through the real stack, asserting SLOs at
 //! every wave barrier.
 //!
-//! Nothing is mocked below the executor: the driver builds a
-//! [`GalaxyApp`] from the shipped `GYAN_JOB_CONF`, installs GYAN over
-//! one node or over the fleet, per topology, and pumps a real
-//! [`QueueEngine`] in
+//! Nothing is mocked below the executor: [`simtest::driver`] builds a
+//! [`GalaxyApp`](galaxy::GalaxyApp) from the shipped `GYAN_JOB_CONF`,
+//! installs GYAN over one node or over the fleet, per topology, and
+//! pumps a real [`QueueEngine`](galaxy::queue::QueueEngine) in
 //! [`DispatchMode::Event`](galaxy::queue::DispatchMode::Event) — so a
 //! hundred thousand in-flight jobs cost a ready-queue entry each, not
 //! an OS thread each. Only the tool *body* is synthetic: a
@@ -12,29 +12,26 @@
 //! with each job's virtual runtime charged by the wave-time model from
 //! a job environment variable.
 //!
-//! The operations plane runs live alongside: the stock
-//! [`gyan::ops::default_alert_rules`] SLO set is evaluated at every
-//! wave barrier, and a rule named in [`LoadOptions::fail_on`] firing
-//! converts the run into a [`LoadFailure`] that carries the fired-alert
-//! list, a flight-recorder dump, and the reproducing seed.
+//! What is the load harness's own lives here: that executor and model,
+//! the per-job environment a submission exports, and the SLO assertion —
+//! the topology's stock rules ([`Gpus::slo_rules`]) are evaluated at
+//! every wave barrier, and a rule named in [`LoadOptions::fail_on`]
+//! firing converts the run into a [`Failure`] that carries the
+//! fired-alert list, a flight-recorder dump, and the reproducing seed.
 
-use crate::scenario::{LoadScenario, Topology};
-use galaxy::job::conf::{JobConfig, GYAN_JOB_CONF};
+use crate::scenario::LoadScenario;
 use galaxy::params::ParamDict;
-use galaxy::queue::{QueueConfig, QueueEngine, ResubmitPolicy, SubmissionState, WaveTimeCharging};
+use galaxy::queue::{QueueConfig, ResubmitPolicy};
 use galaxy::runners::{ExecutionPlan, ExecutionResult, JobExecutor};
-use galaxy::tool::macros::MacroLibrary;
-use galaxy::{GalaxyApp, GalaxyError};
-use gpusim::{GpuArch, GpuCluster};
 use gyan::allocation::AllocationPolicy;
 use gyan::footprint::{
     MemoryHint, FOOTPRINT_ESTIMATE_EVENT, GALAXY_INPUT_SIZE_MIB_ENV, GPU_MEMORY_BUDGET_ENV,
     GPU_OBSERVED_PEAK_ENV,
 };
-use gyan::ops::{default_alert_rules, galaxy_alert_rules};
-use gyan::setup::{install_gyan, ClusterTime, GyanConfig};
-use obs::slo::{AlertEngine, AlertExpr, AlertRule, Compare};
-use simtest::invariants;
+use gyan::setup::GyanConfig;
+use simtest::driver::{Gpus, Repro, Stack, StackSpec};
+use simtest::invariants::Violation;
+use simtest::Failure;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -48,6 +45,9 @@ pub const FAIL_GPU_ENV: &str = "LOADSIM_FAIL_GPU";
 pub const CPU_RUNTIME_ENV: &str = "LOADSIM_CPU_RUNTIME_S";
 /// Export the GYAN hook sets on plans that won a GPU lease.
 const GPU_ENABLED_ENV: &str = "GALAXY_GPU_ENABLED";
+/// The variable [`crate::env_seed`] replays a seed from, as a failure
+/// report prints it.
+pub(crate) const SEED_ENV: &str = "LOADTEST_SEED";
 
 /// Bound on retained obs spans/events during a soak — enough context
 /// for a flight dump, without O(total jobs) recorder growth.
@@ -122,11 +122,9 @@ impl JobExecutor for LoadExecutor {
 #[derive(Debug, Clone, Default)]
 pub struct LoadOptions {
     /// SLO rule names that must stay quiet: the run fails with a
-    /// [`LoadFailure`] (flight dump + reproducing seed) the moment one
-    /// of them fires. Empty = record firings in the report instead.
+    /// [`Failure`] (flight dump + reproducing seed) the moment one of
+    /// them fires. Empty = record firings in the report instead.
     pub fail_on: Vec<String>,
-    /// Override the livelock bound (default: `4 × jobs + 100` waves).
-    pub max_waves: Option<usize>,
     /// Device allocation strategy for single-node GYAN topologies
     /// (`None` keeps [`GyanConfig::default`]'s Process-Id strategy).
     pub allocation_policy: Option<AllocationPolicy>,
@@ -201,335 +199,152 @@ pub struct LoadReport {
     pub estimate_err_pct_max: f64,
 }
 
-/// A failed soak run, reproducible from the seed alone.
-#[derive(Debug, Clone)]
-pub struct LoadFailure {
-    /// Seed that reproduces the failure (`LOADTEST_SEED=<seed>`).
-    pub seed: u64,
-    /// Wave at which the run failed (None = setup or whole-run check).
-    pub wave: Option<usize>,
-    /// What failed: `"slo"`, an invariant name, `"setup"`, …
-    pub reason: &'static str,
-    /// Failure specifics.
-    pub detail: String,
-    /// Scenario description.
-    pub scenario: String,
-    /// SLO rules firing at failure time.
-    pub fired_alerts: Vec<String>,
-    /// Flight-recorder JSONL dump captured at failure time.
-    pub flight_jsonl: Option<String>,
-}
-
-impl std::fmt::Display for LoadFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "loadtest failure: {}", self.reason)?;
-        match self.wave {
-            Some(w) => writeln!(f, "  at wave {w}: {}", self.detail)?,
-            None => writeln!(f, "  {}", self.detail)?,
-        }
-        writeln!(f, "  scenario: {}", self.scenario)?;
-        if !self.fired_alerts.is_empty() {
-            writeln!(f, "  fired alerts: {}", self.fired_alerts.join(", "))?;
-        }
-        if let Some(dump) = &self.flight_jsonl {
-            writeln!(f, "  flight recorder: {} line(s) captured", dump.lines().count())?;
-        }
-        write!(f, "  reproduce with LOADTEST_SEED={}", self.seed)
-    }
-}
-
-/// The SLO rules a fleet topology arms: [`galaxy_alert_rules`] (a
-/// fleet has no single lease table for the other two stock rules) plus
-/// `fleet-lease-leak`, the fleet analogue of lease-oversubscription —
-/// at a wave barrier every placement must have been released.
-pub fn fleet_slo_rules(fleet: &fleet::Fleet) -> Vec<AlertRule> {
-    let f = fleet.clone();
-    let mut rules = galaxy_alert_rules();
-    rules.push(AlertRule::new(
-        "fleet-lease-leak",
-        AlertExpr::Custom(Arc::new(move || Some(f.total_lease_count() as f64))),
-        Compare::Gt,
-        0.0,
-    ));
-    rules
+/// Virtual seconds the wave-time model charges for `plan`: a
+/// memory-model GPU job pushed off the GPU pays its CPU runtime;
+/// everything else charges its base runtime.
+fn wave_time(plan: &ExecutionPlan) -> f64 {
+    let env = if plan.env_var(GPU_ENABLED_ENV) == Some("true") {
+        RUNTIME_ENV
+    } else {
+        plan.env_var(CPU_RUNTIME_ENV).map(|_| CPU_RUNTIME_ENV).unwrap_or(RUNTIME_ENV)
+    };
+    plan.env_var(env).and_then(|v| v.parse::<f64>().ok()).unwrap_or(DEFAULT_RUNTIME_S)
 }
 
 /// Execute `scenario` under `options`: submit the generated schedule as
 /// its arrivals come due on the virtual clock, pump the queue wave by
 /// wave, and evaluate the SLO plane at every barrier.
-// LoadFailure is large (it carries the flight dump), but the Err path
-// is terminal — a failure report, not a hot return.
+// Failure is large (it carries the flight dump), but the Err path is
+// terminal — a failure report, not a hot return.
 #[allow(clippy::result_large_err)]
-pub fn run_scenario(
-    scenario: &LoadScenario,
-    options: &LoadOptions,
-) -> Result<LoadReport, LoadFailure> {
-    let fail = |wave: Option<usize>, reason: &'static str, detail: String| LoadFailure {
-        seed: scenario.seed,
-        wave,
-        reason,
-        detail,
-        scenario: scenario.describe(),
-        fired_alerts: Vec::new(),
-        flight_jsonl: None,
-    };
-
-    // --- Build the real stack -------------------------------------------
-    let mut app = GalaxyApp::new(JobConfig::from_xml(GYAN_JOB_CONF).expect("shipped job conf"));
-    let lib = MacroLibrary::new();
-    for xml in [CPU_TOOL, GPU_TOOL] {
-        if let Err(e) = app.install_tool_xml(xml, &lib) {
-            return Err(fail(None, "setup", format!("tool install: {e}")));
-        }
-    }
-    app.set_event_log_limit(Some(LOG_RETENTION));
-
-    // Per-topology wiring. The cluster/fleet handles are kept alive for
-    // the whole run; the clock is the shared virtual timeline.
-    let (clock, gyan_table, the_fleet, _cluster) = match scenario.topology {
-        Topology::SingleNode { gpus } => {
-            let cluster = GpuCluster::node(GpuArch::tesla_k80(), gpus);
-            let config = GyanConfig {
-                policy: options.allocation_policy.unwrap_or(GyanConfig::default().policy),
-                memory_hint: options.memory_hint,
-                ..GyanConfig::default()
-            };
-            let table = install_gyan(&mut app, &cluster, config);
-            (cluster.clock().clone(), Some(table), None, Some(cluster))
-        }
-        Topology::Fleet { k80, a100 } => {
-            let fleet = fleet::Fleet::builder()
-                .nodes(fleet::NodeClass::k80(), k80)
-                .nodes(fleet::NodeClass::a100(), a100)
-                .recorder(app.recorder().clone())
-                .build();
-            fleet::install_fleet(
-                &mut app,
-                &fleet,
-                fleet::FleetConfig {
-                    gpu_destination: "local_gpu".to_string(),
-                    gpu_destinations: vec!["local_gpu".to_string()],
-                    memory_hint: options.memory_hint,
-                    ..fleet::FleetConfig::default()
-                },
-            );
-            (fleet.clock().clone(), None, Some(fleet), None)
-        }
-    };
-    app.set_time_source(Box::new(ClusterTime::new(clock.clone())));
-    let recorder = app.recorder().clone();
-    recorder.set_log_retention(Some(LOG_RETENTION));
-
-    // The live SLO plane: stock rules, evaluated at every barrier.
-    let alerts = AlertEngine::new(&recorder);
-    let rules = match (&gyan_table, &the_fleet) {
-        (Some(table), _) => default_alert_rules(table),
-        (None, Some(fleet)) => fleet_slo_rules(fleet),
-        (None, None) => unreachable!("topology wired above"),
-    };
-    for rule in rules {
-        alerts.add_rule(rule);
-    }
-    let enrich = |mut failure: LoadFailure| -> LoadFailure {
-        failure.fired_alerts = alerts.firing();
-        failure.flight_jsonl = recorder.flight_snapshot().map(|s| s.to_jsonl());
-        failure
-    };
-
-    let model_default = DEFAULT_RUNTIME_S;
-    let config = QueueConfig {
-        workers: scenario.workers,
-        capacity: scenario.capacity,
-        per_user_limit: None,
-        resubmit: ResubmitPolicy::gpu_to_cpu("local_cpu")
-            .with_footprint_retries(options.footprint_retries),
-        time_charging: Some(WaveTimeCharging {
-            clock: Box::new(ClusterTime::new(clock.clone())),
-            model: Box::new(move |plan: &ExecutionPlan| {
-                // A memory-model GPU job pushed off the GPU pays its CPU
-                // runtime; everything else charges its base runtime.
-                let env = if plan.env_var(GPU_ENABLED_ENV) == Some("true") {
-                    RUNTIME_ENV
-                } else {
-                    plan.env_var(CPU_RUNTIME_ENV).map(|_| CPU_RUNTIME_ENV).unwrap_or(RUNTIME_ENV)
-                };
-                plan.env_var(env).and_then(|v| v.parse::<f64>().ok()).unwrap_or(model_default)
-            }),
-        }),
-        dispatch: scenario.dispatch,
-    };
-    let executor = Arc::new(LoadExecutor);
-    app.set_executor(Box::new(LoadExecutor));
-    let mut engine = QueueEngine::new(app, executor, config);
-    if let Some(table) = &gyan_table {
-        engine.set_discard_listener(table.discard_listener(Some(recorder.clone())));
-    }
-
-    // --- Pump arrivals through on the virtual clock ---------------------
-    let jobs = scenario.generate();
-    let max_waves = options.max_waves.unwrap_or(jobs.len() * 4 + 100);
-    let mut next = 0usize;
-    let mut submitted = 0usize;
-    let mut rejected = 0usize;
-    let mut waves = 0usize;
-    let mut peak_queue_depth = 0usize;
-    let mut fired: BTreeSet<String> = BTreeSet::new();
-    loop {
-        // Submit every arrival that has come due.
-        let now = clock.now();
-        while next < jobs.len() && jobs[next].at <= now {
-            let job = &jobs[next];
-            next += 1;
-            match engine.submit_with_priority(&job.user, job.tool, &ParamDict::new(), job.priority)
-            {
-                Ok(handle) => {
-                    submitted += 1;
-                    let app = engine.app_mut();
-                    app.set_job_env(handle.0, RUNTIME_ENV, &format!("{:.3}", job.runtime_s));
-                    if job.fail_on_gpu {
-                        app.set_job_env(handle.0, FAIL_GPU_ENV, "1");
-                    }
-                    if job.peak_mib > 0 {
-                        // Memory-model job: declare its input size (what
-                        // the hook buckets on), its true peak (what the
-                        // executor OOM-checks and the profile learns),
-                        // and the slower runtime a CPU fallback pays.
-                        app.set_job_env(
-                            handle.0,
-                            GALAXY_INPUT_SIZE_MIB_ENV,
-                            &job.input_mib.to_string(),
-                        );
-                        app.set_job_env(handle.0, GPU_OBSERVED_PEAK_ENV, &job.peak_mib.to_string());
-                        let slowdown =
-                            scenario.memory.as_ref().map(|m| m.cpu_slowdown).unwrap_or(1.0);
-                        app.set_job_env(
-                            handle.0,
-                            CPU_RUNTIME_ENV,
-                            &format!("{:.3}", job.runtime_s * slowdown),
-                        );
-                    }
-                }
-                Err(GalaxyError::QueueRejected(_)) => rejected += 1,
-                Err(e) => {
-                    return Err(fail(None, "submission", format!("{:?}: {e}", job.tool)));
-                }
-            }
-        }
-        peak_queue_depth = peak_queue_depth.max(engine.queue_depth());
-
-        let dispatched = engine.pump_wave();
-        if dispatched == 0 {
-            if next < jobs.len() {
-                // Queue idle but arrivals remain: jump to the next one.
-                clock.advance_to(jobs[next].at);
-                continue;
-            }
-            break;
-        }
-        waves += 1;
-
-        // The SLO plane and the structural invariants, every barrier.
-        alerts.evaluate();
-        let firing = alerts.firing();
-        for name in &firing {
-            fired.insert(name.clone());
-        }
-        if let Some(bad) = firing.iter().find(|n| options.fail_on.iter().any(|f| f == *n)) {
-            return Err(enrich(fail(
-                Some(waves),
-                "slo",
-                format!("alert {bad:?} fired with {} in queue", engine.queue_depth()),
-            )));
-        }
-        if let Some(table) = &gyan_table {
-            invariants::no_leaked_leases(table, waves)
-                .map_err(|v| enrich(fail(Some(waves), v.invariant, v.detail)))?;
-        }
-        if let Some(fleet) = &the_fleet {
-            let leases = fleet.total_lease_count();
-            if leases > 0 {
-                return Err(enrich(fail(
-                    Some(waves),
-                    "fleet_lease_leak",
-                    format!("{leases} fleet lease(s) survived the wave barrier"),
-                )));
-            }
-        }
-        if waves >= max_waves {
-            return Err(enrich(fail(
-                Some(waves),
-                "wave_bound",
-                format!("still dispatching after {max_waves} waves"),
-            )));
-        }
-    }
-
-    // --- Whole-run checks and the report --------------------------------
-    invariants::conservation(&engine).map_err(|v| enrich(fail(None, v.invariant, v.detail)))?;
-
-    let states = engine.submission_states();
-    let count = |want: SubmissionState| states.iter().filter(|(_, s)| *s == want).count();
-    let metrics = recorder.metrics();
-    let (dropped_spans, dropped_events) = recorder.dropped_log_records();
-    let resubmits = |reason: &str| {
-        metrics.counter_value(&format!(
-            "{}{{reason=\"{reason}\"}}",
-            galaxy::queue::QUEUE_RESUBMITTED_COUNTER
-        ))
-    };
-    // Accuracy of the learned estimates, from the footprint audits.
-    let learned_errs: Vec<f64> = recorder
-        .events()
-        .iter()
-        .filter(|e| {
-            e.name == FOOTPRINT_ESTIMATE_EVENT
-                && e.field("source").and_then(|v| v.as_str()) == Some("learned")
-        })
-        .filter_map(|e| e.field("err_pct").and_then(|v| v.as_f64()))
-        .map(f64::abs)
-        .collect();
-    let report = LoadReport {
-        seed: scenario.seed,
-        users: scenario.users,
-        arrivals: jobs.len(),
-        submitted,
-        rejected,
-        ok: count(SubmissionState::Ok),
-        error: count(SubmissionState::Error),
-        cancelled: count(SubmissionState::Cancelled),
-        waves,
-        fired: fired.into_iter().collect(),
-        queue_wait_p50: metrics
-            .histogram_quantile(galaxy::queue::QUEUE_WAIT_HISTOGRAM, 0.5)
-            .unwrap_or(0.0),
-        queue_wait_p99: metrics
-            .histogram_quantile(galaxy::queue::QUEUE_WAIT_HISTOGRAM, 0.99)
-            .unwrap_or(0.0),
-        makespan_s: clock.now(),
-        peak_queue_depth,
-        dropped_spans,
-        dropped_events,
-        resubmitted_fallback: resubmits("fallback"),
-        resubmitted_node: resubmits("node_excluded"),
-        resubmitted_footprint: resubmits("footprint_revised"),
-        learned_estimates: learned_errs.len() as u64,
-        estimate_err_pct_mean: if learned_errs.is_empty() {
-            0.0
-        } else {
-            learned_errs.iter().sum::<f64>() / learned_errs.len() as f64
+pub fn run_scenario(scenario: &LoadScenario, options: &LoadOptions) -> Result<LoadReport, Failure> {
+    let mut stack = Stack::build(StackSpec {
+        repro: Repro { seed: scenario.seed, seed_env: SEED_ENV, scenario: scenario.describe() },
+        tools: vec![CPU_TOOL.to_string(), GPU_TOOL.to_string()],
+        hardware: scenario.topology.hardware(),
+        policy: options.allocation_policy.unwrap_or(GyanConfig::default().policy),
+        memory_hint: options.memory_hint,
+        executor: Arc::new(LoadExecutor),
+        queue: QueueConfig {
+            workers: scenario.workers,
+            capacity: scenario.capacity,
+            resubmit: ResubmitPolicy::gpu_to_cpu("local_cpu")
+                .with_footprint_retries(options.footprint_retries),
+            dispatch: scenario.dispatch,
+            ..QueueConfig::default()
         },
-        estimate_err_pct_max: learned_errs.iter().cloned().fold(0.0, f64::max),
-    };
+        wave_time: Some(Box::new(wave_time)),
+        alert_rules: Gpus::slo_rules,
+        log_retention: Some(LOG_RETENTION),
+        release_on_discard: true,
+    })?;
 
-    engine.shutdown();
-    invariants::spans_balanced(&recorder).map_err(|v| enrich(fail(None, v.invariant, v.detail)))?;
-    Ok(report)
+    let jobs = scenario.generate();
+    let cpu_slowdown = scenario.memory.as_ref().map(|m| m.cpu_slowdown).unwrap_or(1.0);
+    let mut fired: BTreeSet<String> = BTreeSet::new();
+    let pumped = stack.pump(
+        jobs.iter().map(|job| (job.at, job)),
+        |engine, job| {
+            let handle = engine.submit_with_priority(
+                &job.user,
+                job.tool,
+                &ParamDict::new(),
+                job.priority,
+            )?;
+            let app = engine.app_mut();
+            app.set_job_env(handle.0, RUNTIME_ENV, &format!("{:.3}", job.runtime_s));
+            if job.fail_on_gpu {
+                app.set_job_env(handle.0, FAIL_GPU_ENV, "1");
+            }
+            if job.peak_mib > 0 {
+                // Memory-model job: declare its input size (what the
+                // hook buckets on), its true peak (what the executor
+                // OOM-checks and the profile learns), and the slower
+                // runtime a CPU fallback pays.
+                app.set_job_env(handle.0, GALAXY_INPUT_SIZE_MIB_ENV, &job.input_mib.to_string());
+                app.set_job_env(handle.0, GPU_OBSERVED_PEAK_ENV, &job.peak_mib.to_string());
+                let cpu_runtime = format!("{:.3}", job.runtime_s * cpu_slowdown);
+                app.set_job_env(handle.0, CPU_RUNTIME_ENV, &cpu_runtime);
+            }
+            Ok(())
+        },
+        // The livelock bound; no fault hook before a wave; at the
+        // barrier, the SLO assertion.
+        jobs.len() * 4 + 100,
+        |_, _| {},
+        |stack, _| {
+            let firing = stack.alerts.firing();
+            fired.extend(firing.iter().cloned());
+            match firing.iter().find(|name| options.fail_on.contains(name)) {
+                Some(bad) => {
+                    let depth = stack.engine.queue_depth();
+                    Err(Violation::new("slo", format!("alert {bad:?} fired with {depth} in queue")))
+                }
+                None => Ok(()),
+            }
+        },
+    )?;
+
+    stack.finish(pumped, |stack, run| {
+        let metrics = stack.recorder.metrics();
+        let (dropped_spans, dropped_events) = stack.recorder.dropped_log_records();
+        let resubmits = |reason: &str| {
+            metrics.counter_value(&format!(
+                "{}{{reason=\"{reason}\"}}",
+                galaxy::queue::QUEUE_RESUBMITTED_COUNTER
+            ))
+        };
+        // Accuracy of the learned estimates, from the footprint audits.
+        let learned_errs: Vec<f64> = stack
+            .recorder
+            .events()
+            .iter()
+            .filter(|e| {
+                e.name == FOOTPRINT_ESTIMATE_EVENT
+                    && e.field("source").and_then(|v| v.as_str()) == Some("learned")
+            })
+            .filter_map(|e| e.field("err_pct").and_then(|v| v.as_f64()))
+            .map(f64::abs)
+            .collect();
+        Ok(LoadReport {
+            seed: scenario.seed,
+            users: scenario.users,
+            arrivals: jobs.len(),
+            submitted: run.submitted,
+            rejected: run.rejected,
+            ok: run.ok,
+            error: run.error,
+            cancelled: run.cancelled,
+            waves: run.waves,
+            fired: fired.into_iter().collect(),
+            queue_wait_p50: metrics
+                .histogram_quantile(galaxy::queue::QUEUE_WAIT_HISTOGRAM, 0.5)
+                .unwrap_or(0.0),
+            queue_wait_p99: metrics
+                .histogram_quantile(galaxy::queue::QUEUE_WAIT_HISTOGRAM, 0.99)
+                .unwrap_or(0.0),
+            makespan_s: stack.clock.now(),
+            peak_queue_depth: pumped.peak_queue_depth,
+            dropped_spans,
+            dropped_events,
+            resubmitted_fallback: resubmits("fallback"),
+            resubmitted_node: resubmits("node_excluded"),
+            resubmitted_footprint: resubmits("footprint_revised"),
+            learned_estimates: learned_errs.len() as u64,
+            estimate_err_pct_mean: if learned_errs.is_empty() {
+                0.0
+            } else {
+                learned_errs.iter().sum::<f64>() / learned_errs.len() as f64
+            },
+            estimate_err_pct_max: learned_errs.iter().cloned().fold(0.0, f64::max),
+        })
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::LoadScenario;
+    use crate::scenario::{LoadScenario, Topology};
     use galaxy::queue::DispatchMode;
 
     /// A fast scenario for unit tests: a few hundred arrivals squeezed
@@ -544,16 +359,71 @@ mod tests {
         s
     }
 
+    /// The fleet sibling of [`small`].
+    fn small_fleet() -> LoadScenario {
+        let mut scenario = LoadScenario::fleet(91, 200);
+        scenario.duration_s = 400.0;
+        scenario.profile.base_rate = 0.5;
+        scenario.profile.period_s = 400.0;
+        scenario
+    }
+
+    /// `run_scenario(_, &LoadOptions::default())` of one single-node and
+    /// one fleet scenario, captured at the parent commit 8ba17c1 (before
+    /// `run_scenario` moved onto `simtest::driver::Stack`): every field,
+    /// the virtual-time floats included, must stay bit-identical.
     #[test]
-    fn fleet_slo_rules_are_the_galaxy_rules_plus_the_lease_leak_probe() {
-        let fleet = fleet::Fleet::builder().nodes(fleet::NodeClass::k80(), 2).build();
-        let show = |rules: Vec<AlertRule>| -> Vec<String> {
-            rules.iter().map(|r| format!("{r:?}")).collect()
+    fn small_reports_are_pinned() {
+        let quiet = LoadReport {
+            seed: 0,
+            users: 0,
+            arrivals: 0,
+            submitted: 0,
+            rejected: 0,
+            ok: 0,
+            error: 0,
+            cancelled: 0,
+            waves: 0,
+            fired: Vec::new(),
+            queue_wait_p50: 0.0005,
+            queue_wait_p99: 0.00099,
+            makespan_s: 0.0,
+            peak_queue_depth: 0,
+            dropped_spans: 0,
+            dropped_events: 0,
+            resubmitted_fallback: 0,
+            resubmitted_node: 0,
+            resubmitted_footprint: 0,
+            learned_estimates: 0,
+            estimate_err_pct_mean: 0.0,
+            estimate_err_pct_max: 0.0,
         };
-        let (fleet_rules, galaxy) = (show(fleet_slo_rules(&fleet)), show(galaxy_alert_rules()));
-        assert_eq!(fleet_rules[..galaxy.len()], galaxy[..], "thresholds live once, in gyan::ops");
-        assert_eq!(fleet_rules.len(), galaxy.len() + 1);
-        assert!(fleet_rules[galaxy.len()].contains("fleet-lease-leak"), "{fleet_rules:?}");
+        let node = LoadReport {
+            seed: 21,
+            users: 300,
+            arrivals: 314,
+            submitted: 314,
+            ok: 314,
+            waves: 241,
+            makespan_s: 599.15503806928,
+            peak_queue_depth: 6,
+            ..quiet.clone()
+        };
+        let fleet = LoadReport {
+            seed: 91,
+            users: 200,
+            arrivals: 183,
+            submitted: 183,
+            ok: 183,
+            waves: 143,
+            makespan_s: 398.9204364854202,
+            peak_queue_depth: 7,
+            ..quiet
+        };
+        for (scenario, want) in [(small(21), node), (small_fleet(), fleet)] {
+            let got = run_scenario(&scenario, &LoadOptions::default()).expect("healthy run");
+            assert_eq!(got, want);
+        }
     }
 
     #[test]
@@ -602,11 +472,7 @@ mod tests {
 
     #[test]
     fn fleet_topology_runs_clean() {
-        let mut scenario = LoadScenario::fleet(91, 200);
-        scenario.duration_s = 400.0;
-        scenario.profile.base_rate = 0.5;
-        scenario.profile.period_s = 400.0;
-        let report = run_scenario(&scenario, &LoadOptions::default()).expect("fleet run");
+        let report = run_scenario(&small_fleet(), &LoadOptions::default()).expect("fleet run");
         assert_eq!(report.ok, report.submitted);
         assert!(!report.fired.iter().any(|r| r == "fleet-lease-leak"), "{:?}", report.fired);
     }

@@ -7,15 +7,18 @@
 //! through the *real* `GalaxyApp`/`QueueEngine`/`install_gyan` (or
 //! `install_fleet`) stack on the shared virtual clock — with the stock
 //! SLO alert rules evaluated at every wave barrier and the simtest
-//! structural invariants checked alongside.
+//! structural invariants checked alongside. The stack builder, the pump
+//! loop and the failure report are `simtest::driver`'s — the one copy
+//! this crate shares with the simulation harness; [`driver`] adds what is
+//! the load harness's own.
 //!
 //! Three properties make it a load *harness* rather than a benchmark:
 //!
 //! * **replayable** — every report and failure reproduces from
 //!   `LOADTEST_SEED=<n>` alone;
 //! * **asserting** — a healthy scenario must keep
-//!   [`DEFAULT_SLO_RULES`] quiet, and a failure carries the
-//!   fired-alert list plus a flight-recorder dump;
+//!   [`DEFAULT_SLO_RULES`] quiet, and a failure ([`simtest::Failure`])
+//!   carries the fired-alert list plus a flight-recorder dump;
 //! * **scalable** — the queue's event-driven dispatch backend means
 //!   10^5 in-flight jobs need a ready-queue entry each, not an OS
 //!   thread each, and the recorder's retention cap keeps observability
@@ -34,14 +37,16 @@ pub mod scenario;
 
 pub use arrival::{ArrivalProcess, Burst, LoadProfile};
 pub use driver::{
-    fleet_slo_rules, run_scenario, LoadExecutor, LoadFailure, LoadOptions, LoadReport, CPU_TOOL,
-    DEFAULT_RUNTIME_S, DEFAULT_SLO_RULES, FAIL_GPU_ENV, GPU_TOOL, LOG_RETENTION, RUNTIME_ENV,
+    run_scenario, LoadExecutor, LoadOptions, LoadReport, CPU_TOOL, DEFAULT_RUNTIME_S,
+    DEFAULT_SLO_RULES, FAIL_GPU_ENV, GPU_TOOL, LOG_RETENTION, RUNTIME_ENV,
 };
 pub use mix::{BoundedPareto, UserMix};
 pub use scenario::{LoadJob, LoadScenario, MemoryModel, Topology, CPU_TOOL_ID, GPU_TOOL_ID};
 
 // The knob grammar is shared with simtest (`SIMTEST_*` ↔ `LOADTEST_*`).
 pub use simtest::{parse_cases, parse_seed};
+// The fleet's SLO rule set is defined beside `Gpus::slo_rules`, its caller.
+pub use simtest::driver::fleet_slo_rules;
 
 /// User population from `LOADTEST_USERS`, else `default`.
 pub fn env_users(default: usize) -> usize {
@@ -50,7 +55,7 @@ pub fn env_users(default: usize) -> usize {
 
 /// Pinned seed from `LOADTEST_SEED`, if set.
 pub fn env_seed() -> Option<u64> {
-    parse_seed(std::env::var("LOADTEST_SEED").ok().as_deref())
+    parse_seed(std::env::var(driver::SEED_ENV).ok().as_deref())
 }
 
 /// Seed-sweep width from `LOADTEST_CASES`, else `default`.

@@ -4,9 +4,12 @@
 
 use crate::arrival::{ArrivalProcess, Burst, LoadProfile};
 use crate::mix::{BoundedPareto, UserMix};
+use fleet::{Fleet, NodeClass};
 use galaxy::queue::DispatchMode;
+use gpusim::{GpuArch, GpuCluster};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use simtest::driver::Hardware;
 
 /// Tool id of the CPU-only synthetic tool the driver installs.
 pub const CPU_TOOL_ID: &str = "load_cpu";
@@ -29,6 +32,21 @@ pub enum Topology {
         /// A100 node count.
         a100: u32,
     },
+}
+
+impl Topology {
+    /// The simulated hardware of this shape, ready for
+    /// [`simtest::driver::Gpus::install`].
+    pub fn hardware(&self) -> Hardware {
+        match *self {
+            Topology::SingleNode { gpus } => {
+                Hardware::Node(GpuCluster::node(GpuArch::tesla_k80(), gpus))
+            }
+            Topology::Fleet { k80, a100 } => Hardware::Fleet(
+                Fleet::builder().nodes(NodeClass::k80(), k80).nodes(NodeClass::a100(), a100),
+            ),
+        }
+    }
 }
 
 /// One generated submission: when, who, what, and how long it "runs"

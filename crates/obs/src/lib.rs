@@ -159,6 +159,11 @@ pub fn json_escape(s: &str) -> String {
 
 /// Format a float compactly but losslessly enough for telemetry (JSON has
 /// no Infinity/NaN — those degrade to null).
+// `json_escape` above is the workspace's one string escaper; this is one of
+// three f64 renderers on purpose. `bench::gate::fmt_json` prints `3` where
+// this prints `3.0`, and `gyan::ops::num` prints `1000000000000000.0` where
+// this prints `1000000000000000` — each into pinned artifacts, so they are
+// not duplicates to merge.
 pub(crate) fn format_f64(v: f64) -> String {
     if !v.is_finite() {
         return "null".to_string();

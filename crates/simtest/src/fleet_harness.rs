@@ -1,8 +1,8 @@
 //! Run one [`FleetScenario`] against a real [`fleet::Fleet`], checking
 //! shard-level and fleet-wide invariants at every wave barrier.
 //!
-//! The invariants are the multi-node generalization of the single-node
-//! checks in [`crate::invariants`]:
+//! The invariants (the `fleet_*` functions of [`crate::invariants`]) are
+//! the multi-node generalization of the single-node checks:
 //!
 //! * **per-shard conservation** — every lease on shard S belongs to a
 //!   job the fleet has booked *on S* (a lease whose holder is booked
@@ -15,7 +15,7 @@
 //!   a placement without a lease, or a lease without a placement, means
 //!   the two phases disagreed);
 //! * **no dead-node bookings** — once the scenario's
-//!   [`NodeFault`](crate::fleet_scenario::NodeFault) has killed a node,
+//!   [`NodeFault`] has killed a node,
 //!   no booking or lease may ever point at it again, and every job the
 //!   death orphaned either resubmits onto a surviving node (with the
 //!   dead node in its exclusion set, mirroring the queue engine's
@@ -36,10 +36,12 @@
 //! wave books a job onto the corpse and `fleet_no_dead_node_booking`
 //! trips with a reproducing seed.
 
-use crate::fleet_scenario::{FleetScenario, FLEET_RULES};
-use crate::{SimFailure, SimReport};
-use fleet::{policy_by_name, DestinationRules, Fleet, NodeClass, PlacementRequest};
-use obs::{EventData, Recorder};
+use crate::driver::Repro;
+use crate::fleet_scenario::{FleetScenario, NodeFault, FLEET_RULES};
+use crate::invariants::{self, Violation};
+use crate::{Failure, SimReport, SEED_ENV};
+use fleet::{policy_by_name, DestinationRules, Fleet, NodeClass, Placement, PlacementRequest};
+use obs::Recorder;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Fleet-harness knobs. Defaults model the correct system; tests flip
@@ -70,266 +72,197 @@ pub fn build_fleet(scenario: &FleetScenario, recorder: &Recorder) -> Fleet {
     builder.build()
 }
 
+/// One run's books: the fleet, and which jobs hold leases until when.
+/// This harness steps on its own rather than through
+/// [`crate::driver::Stack::pump`] because its schedules hold leases
+/// *across* waves, which the queue engine's wave barrier cannot express.
+struct FleetRun<'a> {
+    scenario: &'a FleetScenario,
+    fleet: Fleet,
+    /// job id → release wave. Job ids are 1-based schedule indices so
+    /// audits map straight back to the schedule.
+    active: BTreeMap<u64, usize>,
+    /// Nodes the fault plan has killed.
+    dead: BTreeSet<u32>,
+    placed: usize,
+    rejected: usize,
+    /// Jobs a node death orphaned that no surviving node would take.
+    lost_failed: usize,
+}
+
+impl<'a> FleetRun<'a> {
+    fn new(scenario: &'a FleetScenario, recorder: &Recorder) -> Self {
+        FleetRun {
+            scenario,
+            fleet: build_fleet(scenario, recorder),
+            active: BTreeMap::new(),
+            dead: BTreeSet::new(),
+            placed: 0,
+            rejected: 0,
+            lost_failed: 0,
+        }
+    }
+
+    /// Ask the fleet to place schedule entry `job_id`, holding it for the
+    /// job's `hold_waves` from `wave` on success.
+    fn place(&mut self, job_id: u64, wave: usize, excluded_nodes: &[String]) -> Option<Placement> {
+        let job = &self.scenario.jobs[(job_id - 1) as usize];
+        let placement = self.fleet.place(&PlacementRequest {
+            job_id,
+            user: &format!("user-{}", job.user),
+            tool_id: job.tool,
+            requested: &[0],
+            memory_hint_mib: job.memory_hint_mib,
+            excluded_nodes,
+        })?;
+        self.active.insert(job_id, wave + job.hold_waves);
+        Some(placement)
+    }
+
+    /// The placement half of a wave: release the jobs whose hold expired,
+    /// then place the wave's submissions. Under the `double_place`
+    /// known-bad wiring a buggy retry path hands every Nth placed job to
+    /// placement again while it still holds leases.
+    fn step(&mut self, wave: usize, double_place: Option<usize>) {
+        let due: Vec<u64> = self
+            .active
+            .iter()
+            .filter(|(_, release)| **release <= wave)
+            .map(|(id, _)| *id)
+            .collect();
+        for id in due {
+            self.fleet.release(id, "ok");
+            self.active.remove(&id);
+        }
+        let scenario = self.scenario;
+        for (index, _) in scenario.jobs.iter().enumerate().filter(|(_, j)| j.submit_wave == wave) {
+            let job_id = index as u64 + 1;
+            if self.place(job_id, wave, &[]).is_none() {
+                self.rejected += 1;
+                continue;
+            }
+            self.placed += 1;
+            if double_place.is_some_and(|every| every > 0 && self.placed.is_multiple_of(every)) {
+                self.place(job_id, wave, &[]);
+            }
+        }
+    }
+
+    /// Mid-wave shard failure: `fault`'s node dies after this wave's
+    /// placements land, before the barrier check. Every orphaned job was
+    /// concluded failed-retryable: retry it with the dead node excluded
+    /// (the queue engine's placement-aware resubmission), or fail it
+    /// finally.
+    fn kill_node(
+        &mut self,
+        fault: NodeFault,
+        wave: usize,
+        ignore_node_death: bool,
+    ) -> Result<(), Violation> {
+        let name = self
+            .fleet
+            .shard(fault.node)
+            .unwrap_or_else(|| panic!("fault targets unknown node {}", fault.node))
+            .name
+            .clone();
+        let lost: Vec<u64> = if ignore_node_death {
+            // Known-bad wiring: clean up the leases (the lost-job
+            // conclusion path does that much) but never mark the shard
+            // dead — placement keeps scoring the corpse.
+            let placements = self.fleet.active_placements();
+            let lost: Vec<u64> = placements
+                .iter()
+                .filter(|(_, node)| *node == fault.node)
+                .map(|(j, _)| *j)
+                .collect();
+            for id in &lost {
+                self.fleet.release(*id, "node_lost");
+            }
+            lost
+        } else {
+            self.fleet.fail_node(&name).expect("fault targets a known node")
+        };
+        self.dead.insert(fault.node);
+        let excluded = [name];
+        for job_id in lost {
+            self.active.remove(&job_id);
+            match self.place(job_id, wave, &excluded) {
+                Some(placement) if self.dead.contains(&placement.node) => {
+                    return Err(Violation::new(
+                        "fleet_no_dead_node_booking",
+                        format!("lost job {job_id} resubmitted onto dead node {}", placement.node),
+                    ));
+                }
+                Some(_) => {}
+                None => self.lost_failed += 1,
+            }
+        }
+        Ok(())
+    }
+
+    /// The barrier checks, from the fleet's live state.
+    fn check(&self) -> Result<(), Violation> {
+        invariants::fleet_lease_conservation(&self.fleet)?;
+        invariants::fleet_no_dead_node_booking(&self.fleet, &self.dead)
+    }
+
+    /// One full wave: placements, the scenario's node fault if it is due,
+    /// the barrier checks.
+    fn wave(&mut self, wave: usize, options: &FleetSimOptions) -> Result<(), Violation> {
+        self.step(wave, options.double_place);
+        if let Some(fault) = self.scenario.node_fault.filter(|f| f.wave == wave) {
+            self.kill_node(fault, wave, options.ignore_node_death)?;
+        }
+        self.check()
+    }
+
+    /// Release everything still held and re-check: nothing may survive.
+    fn drain(&mut self) -> Result<(), Violation> {
+        for id in std::mem::take(&mut self.active).into_keys() {
+            self.fleet.release(id, "ok");
+        }
+        self.check()?;
+        match (self.fleet.total_lease_count(), self.fleet.active_placements().len()) {
+            (0, 0) => Ok(()),
+            (leases, bookings) => Err(Violation::new(
+                "fleet_drained",
+                format!("{leases} lease(s) and {bookings} booking(s) survive the drain"),
+            )),
+        }
+    }
+}
+
 /// Execute `scenario` under `options`, checking invariants at every wave
 /// barrier and once more after the fleet drains.
 #[allow(clippy::result_large_err)]
 pub fn run_fleet_scenario(
     scenario: &FleetScenario,
     options: &FleetSimOptions,
-) -> Result<SimReport, SimFailure> {
+) -> Result<SimReport, Failure> {
+    let repro = Repro { seed: scenario.seed, seed_env: SEED_ENV, scenario: scenario.describe() };
     let recorder = Recorder::new();
-    let fleet = build_fleet(scenario, &recorder);
-    let fail = |wave: Option<usize>, invariant: &'static str, detail: String| SimFailure {
-        seed: scenario.seed,
-        wave,
-        invariant,
-        detail,
-        scenario: scenario.describe(),
-        fired_alerts: Vec::new(),
-        flight_jsonl: None,
-    };
-
-    // job index → (job id, release wave). Job ids are 1-based indices so
-    // audits map straight back to the schedule.
-    let mut active: BTreeMap<u64, usize> = BTreeMap::new();
-    let mut dead: BTreeSet<u32> = BTreeSet::new();
-    let mut placed = 0usize;
-    let mut rejected = 0usize;
-    let mut lost_failed = 0usize;
+    let mut run = FleetRun::new(scenario, &recorder);
     for wave in 0..scenario.waves {
-        // Release jobs whose hold expired before this wave places.
-        let due: Vec<u64> =
-            active.iter().filter(|(_, release)| **release <= wave).map(|(id, _)| *id).collect();
-        for id in due {
-            fleet.release(id, "ok");
-            active.remove(&id);
-        }
-
-        for (index, job) in scenario.jobs.iter().enumerate().filter(|(_, j)| j.submit_wave == wave)
-        {
-            let job_id = index as u64 + 1;
-            let user = format!("user-{}", job.user);
-            let req = PlacementRequest {
-                job_id,
-                user: &user,
-                tool_id: job.tool,
-                requested: &[0],
-                memory_hint_mib: job.memory_hint_mib,
-                excluded_nodes: &[],
-            };
-            match fleet.place(&req) {
-                Some(_) => {
-                    placed += 1;
-                    active.insert(job_id, wave + job.hold_waves);
-                    // Known-bad wiring: a buggy retry path hands the job
-                    // to placement again while it still holds leases.
-                    if let Some(every) = options.double_place {
-                        if every > 0 && placed.is_multiple_of(every) {
-                            fleet.place(&req);
-                        }
-                    }
-                }
-                None => rejected += 1,
-            }
-        }
-
-        // Mid-wave shard failure: the fault plan kills its node after
-        // this wave's placements land, before the barrier check.
-        if let Some(fault) = scenario.node_fault.filter(|f| f.wave == wave) {
-            let name = fleet
-                .shard(fault.node)
-                .unwrap_or_else(|| panic!("fault targets unknown node {}", fault.node))
-                .name
-                .clone();
-            let lost: Vec<u64> = if options.ignore_node_death {
-                // Known-bad wiring: clean up the leases (the lost-job
-                // conclusion path does that much) but never mark the
-                // shard dead — placement keeps scoring the corpse.
-                let lost: Vec<u64> = fleet
-                    .active_placements()
-                    .into_iter()
-                    .filter(|(_, node)| *node == fault.node)
-                    .map(|(job, _)| job)
-                    .collect();
-                for id in &lost {
-                    fleet.release(*id, "node_lost");
-                }
-                lost
-            } else {
-                fleet.fail_node(&name).expect("fault targets a known node")
-            };
-            dead.insert(fault.node);
-            // Every orphaned job was concluded failed-retryable: retry
-            // it with the dead node excluded (the queue engine's
-            // placement-aware resubmission), or fail it finally.
-            let excluded = [name];
-            for job_id in lost {
-                active.remove(&job_id);
-                let job = &scenario.jobs[(job_id - 1) as usize];
-                let user = format!("user-{}", job.user);
-                let retry = PlacementRequest {
-                    job_id,
-                    user: &user,
-                    tool_id: job.tool,
-                    requested: &[0],
-                    memory_hint_mib: job.memory_hint_mib,
-                    excluded_nodes: &excluded,
-                };
-                match fleet.place(&retry) {
-                    Some(placement) => {
-                        if dead.contains(&placement.node) {
-                            return Err(fail(
-                                Some(wave),
-                                "fleet_no_dead_node_booking",
-                                format!(
-                                    "lost job {job_id} resubmitted onto dead node {}",
-                                    placement.node
-                                ),
-                            ));
-                        }
-                        active.insert(job_id, wave + job.hold_waves);
-                    }
-                    None => lost_failed += 1,
-                }
-            }
-        }
-
-        check_shard_invariants(&fleet).map_err(|(inv, detail)| fail(Some(wave), inv, detail))?;
-        check_no_dead_node_bookings(&fleet, &dead)
-            .map_err(|(inv, detail)| fail(Some(wave), inv, detail))?;
+        run.wave(wave, options).map_err(|v| repro.failure(Some(wave), v))?;
     }
-
-    // Drain and re-check.
-    let remaining: Vec<u64> = active.keys().copied().collect();
-    for id in remaining {
-        fleet.release(id, "ok");
-    }
-    check_shard_invariants(&fleet).map_err(|(inv, detail)| fail(None, inv, detail))?;
-    check_no_dead_node_bookings(&fleet, &dead).map_err(|(inv, detail)| fail(None, inv, detail))?;
-    if fleet.total_lease_count() != 0 || !fleet.active_placements().is_empty() {
-        return Err(fail(
-            None,
-            "fleet_drained",
-            format!(
-                "{} lease(s) and {} booking(s) survive the drain",
-                fleet.total_lease_count(),
-                fleet.active_placements().len()
-            ),
-        ));
-    }
-    fleet_export_matches_acquire(&recorder.events())
-        .map_err(|(inv, detail)| fail(None, inv, detail))?;
+    run.drain()
+        .and_then(|()| invariants::fleet_export_matches_acquire(&recorder.events()))
+        .map_err(|v| repro.failure(None, v))?;
 
     Ok(SimReport {
         seed: scenario.seed,
         waves: scenario.waves,
         submitted: scenario.jobs.len(),
-        rejected,
-        ok: placed,
-        error: lost_failed,
+        rejected: run.rejected,
+        ok: run.placed,
+        error: run.lost_failed,
         cancelled: 0,
     })
 }
 
-/// Per-shard conservation + fleet-wide no-double-booking, from the
-/// fleet's live state.
-fn check_shard_invariants(fleet: &Fleet) -> Result<(), (&'static str, String)> {
-    let mut seen_on: BTreeMap<u64, u32> = BTreeMap::new();
-    for (node, holders) in fleet.holders_by_node() {
-        for holder in holders {
-            // Fleet-wide: one job, one shard.
-            if let Some(previous) = seen_on.insert(holder, node) {
-                return Err((
-                    "fleet_no_double_booking",
-                    format!("job {holder} holds leases on node {previous} and node {node}"),
-                ));
-            }
-            // Per-shard: the lease must be backed by a booking here.
-            match fleet.node_of(holder) {
-                Some(booked) if booked == node => {}
-                Some(booked) => {
-                    return Err((
-                        "fleet_lease_conservation",
-                        format!(
-                            "job {holder} leases on node {node} but is booked on node {booked} \
-                             (leaked by a re-placement?)"
-                        ),
-                    ));
-                }
-                None => {
-                    return Err((
-                        "fleet_lease_conservation",
-                        format!("job {holder} leases on node {node} with no fleet booking"),
-                    ));
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// No booking or lease may point at a node the fault plan has killed.
-/// Correct wiring marks the shard dead (so placement filters it); the
-/// stale wiring leaves it placeable and this check trips on the first
-/// job booked onto the corpse.
-fn check_no_dead_node_bookings(
-    fleet: &Fleet,
-    dead: &BTreeSet<u32>,
-) -> Result<(), (&'static str, String)> {
-    if dead.is_empty() {
-        return Ok(());
-    }
-    for (job, node) in fleet.active_placements() {
-        if dead.contains(&node) {
-            return Err((
-                "fleet_no_dead_node_booking",
-                format!("job {job} is booked on dead node {node}"),
-            ));
-        }
-    }
-    for (node, holders) in fleet.holders_by_node() {
-        if dead.contains(&node) && !holders.is_empty() {
-            return Err((
-                "fleet_no_dead_node_booking",
-                format!("dead node {node} still holds leases for jobs {holders:?}"),
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Fleet-wide export↔acquire equality from the audit trail: jobs with a
-/// successful placement decision must equal jobs with reservation
-/// acquires.
-fn fleet_export_matches_acquire(events: &[EventData]) -> Result<(), (&'static str, String)> {
-    let job_of = |ev: &EventData| ev.field("job_id").and_then(|v| v.as_f64()).map(|j| j as u64);
-    let placed: BTreeSet<u64> = events
-        .iter()
-        .filter(|e| {
-            e.name == fleet::fleet::FLEET_DECISION_EVENT
-                && e.field("placed").and_then(|v| v.as_bool()) == Some(true)
-        })
-        .filter_map(job_of)
-        .collect();
-    let acquired: BTreeSet<u64> =
-        events.iter().filter(|e| e.name == "gyan.reservation.acquire").filter_map(job_of).collect();
-    if placed != acquired {
-        let unbacked: Vec<u64> = placed.difference(&acquired).copied().collect();
-        let silent: Vec<u64> = acquired.difference(&placed).copied().collect();
-        return Err((
-            "fleet_export_matches_acquire",
-            format!(
-                "placements without acquires: {unbacked:?}; acquires without placements: \
-                 {silent:?}"
-            ),
-        ));
-    }
-    Ok(())
-}
-
 /// Run the fleet scenario generated by `seed`.
 #[allow(clippy::result_large_err)]
-pub fn run_fleet_seed(seed: u64, options: &FleetSimOptions) -> Result<SimReport, SimFailure> {
+pub fn run_fleet_seed(seed: u64, options: &FleetSimOptions) -> Result<SimReport, Failure> {
     run_fleet_scenario(&FleetScenario::generate(seed), options)
 }
 
@@ -344,6 +277,39 @@ mod tests {
             let report = run_fleet_seed(seed, &options)
                 .unwrap_or_else(|f| panic!("seed {seed} failed:\n{f}"));
             assert_eq!(report.seed, seed);
+        }
+    }
+
+    /// `run_fleet_seed(s, &FleetSimOptions::default())` for seeds 0..10,
+    /// captured at the parent commit 8ba17c1 (before the wave step and the
+    /// three checks were factored out): bit-identical since.
+    #[test]
+    fn seed_sweep_reports_are_pinned() {
+        let r = |seed, waves, submitted, rejected, ok, error| SimReport {
+            seed,
+            waves,
+            submitted,
+            rejected,
+            ok,
+            error,
+            cancelled: 0,
+        };
+        let pinned = [
+            r(0, 8, 13, 0, 13, 0),
+            r(1, 10, 19, 0, 19, 0),
+            r(2, 6, 33, 7, 26, 0),
+            r(3, 5, 19, 0, 19, 0),
+            r(4, 8, 40, 0, 40, 0),
+            r(5, 10, 40, 26, 14, 0),
+            r(6, 6, 23, 0, 23, 0),
+            r(7, 9, 21, 6, 15, 0),
+            r(8, 10, 22, 1, 21, 0),
+            r(9, 8, 40, 0, 40, 0),
+        ];
+        for want in pinned {
+            let got = run_fleet_seed(want.seed, &FleetSimOptions::default())
+                .unwrap_or_else(|f| panic!("{f}"));
+            assert_eq!(got, want);
         }
     }
 
@@ -362,14 +328,14 @@ mod tests {
             .find_map(|seed| run_fleet_seed(seed, &options).err())
             .expect("some seed must trip the checker");
         assert!(
-            failure.invariant == "fleet_lease_conservation"
-                || failure.invariant == "fleet_no_double_booking",
+            failure.reason == "fleet_lease_conservation"
+                || failure.reason == "fleet_no_double_booking",
             "unexpected invariant: {}",
-            failure.invariant
+            failure.reason
         );
         // The report reproduces from the seed alone.
         let again = run_fleet_seed(failure.seed, &options).expect_err("same seed re-fails");
-        assert_eq!(again.invariant, failure.invariant);
+        assert_eq!(again.reason, failure.reason);
         assert!(failure.to_string().contains(&format!("SIMTEST_SEED={}", failure.seed)));
     }
 
@@ -389,39 +355,12 @@ mod tests {
 
     /// Does the scenario's fault catch at least one job in flight?
     fn fault_loses_jobs(scenario: &FleetScenario) -> bool {
-        let fault = match scenario.node_fault {
-            Some(f) => f,
-            None => return false,
-        };
-        let recorder = obs::Recorder::new();
-        let fleet = build_fleet(scenario, &recorder);
-        let mut active: std::collections::BTreeMap<u64, usize> = Default::default();
+        let Some(fault) = scenario.node_fault else { return false };
+        let mut run = FleetRun::new(scenario, &Recorder::new());
         for wave in 0..=fault.wave {
-            let due: Vec<u64> =
-                active.iter().filter(|(_, r)| **r <= wave).map(|(id, _)| *id).collect();
-            for id in due {
-                fleet.release(id, "ok");
-                active.remove(&id);
-            }
-            for (index, job) in
-                scenario.jobs.iter().enumerate().filter(|(_, j)| j.submit_wave == wave)
-            {
-                let job_id = index as u64 + 1;
-                let user = format!("user-{}", job.user);
-                let req = PlacementRequest {
-                    job_id,
-                    user: &user,
-                    tool_id: job.tool,
-                    requested: &[0],
-                    memory_hint_mib: job.memory_hint_mib,
-                    excluded_nodes: &[],
-                };
-                if fleet.place(&req).is_some() {
-                    active.insert(job_id, wave + job.hold_waves);
-                }
-            }
+            run.step(wave, None);
         }
-        fleet.active_placements().iter().any(|(_, node)| *node == fault.node)
+        run.fleet.active_placements().iter().any(|(_, node)| *node == fault.node)
     }
 
     #[test]
@@ -430,10 +369,10 @@ mod tests {
         let failure = (0..50)
             .find_map(|seed| run_fleet_seed(seed, &options).err())
             .expect("some seed must book onto the corpse");
-        assert_eq!(failure.invariant, "fleet_no_dead_node_booking", "{failure}");
+        assert_eq!(failure.reason, "fleet_no_dead_node_booking", "{failure}");
         // The report reproduces from the seed alone.
         let again = run_fleet_seed(failure.seed, &options).expect_err("same seed re-fails");
-        assert_eq!(again.invariant, failure.invariant);
+        assert_eq!(again.reason, failure.reason);
         assert!(failure.to_string().contains(&format!("SIMTEST_SEED={}", failure.seed)));
         assert!(failure.scenario.contains("fault=node"), "{}", failure.scenario);
     }

@@ -1,25 +1,24 @@
 //! Run one [`Scenario`] through the real stack.
 //!
-//! Nothing here is mocked: the harness builds a [`GalaxyApp`] from the
-//! shipped `GYAN_JOB_CONF`, installs GYAN (dynamic rule + hook + lease
-//! table) against a simulated [`GpuCluster`], wraps the `seqtools`
-//! executor in a [`FaultInjectingExecutor`], and pumps a real
+//! Nothing here is mocked: the harness hands [`Stack::build`] a simulated
+//! [`GpuCluster`] and the `seqtools` executor wrapped in a
+//! [`FaultInjectingExecutor`], and [`Stack::pump`] drives a real
 //! [`QueueEngine`] wave by wave — checking invariants at every barrier.
+//! What is simtest's own lives here: the `sim_*` tools and datasets, the
+//! DAG shapes, and the fault plan (runner faults at submission, the SMI
+//! freeze and the mid-wave discard as the pump's wave hooks).
 
+use crate::driver::{Gpus, Hardware, Repro, Stack, StackSpec};
 use crate::invariants;
 use crate::scenario::{DagShape, JobSpec, RunnerFault, Scenario, ToolKind, USERS};
-use crate::{SimFailure, SimOptions, SimReport};
-use galaxy::job::conf::{JobConfig, GYAN_JOB_CONF};
+use crate::{Failure, SimOptions, SimReport, SEED_ENV};
 use galaxy::params::ParamDict;
-use galaxy::queue::{
-    DagStep, DagWorkflow, QueueConfig, QueueEngine, ResubmitPolicy, SubmissionState,
-};
+use galaxy::queue::{DagStep, DagWorkflow, QueueConfig, QueueEngine, ResubmitPolicy};
 use galaxy::runners::faults::{FaultInjectingExecutor, FaultPlan, InjectedFault};
-use galaxy::tool::macros::MacroLibrary;
-use galaxy::{GalaxyApp, GalaxyError};
+use galaxy::GalaxyError;
 use gpusim::{GpuArch, GpuCluster};
-use gyan::setup::{install_gyan, GyanConfig};
-use obs::slo::{AlertEngine, AlertExpr, AlertRule, Compare};
+use gyan::setup::GyanConfig;
+use obs::slo::{AlertExpr, AlertRule, Compare};
 use seqtools::{DatasetSpec, ToolExecutor};
 use std::sync::Arc;
 
@@ -94,17 +93,18 @@ bonito basecaller --device=cpu dna_r9.4.1 sim_fast5 > calls.fa
     )
 }
 
-fn install_tools(app: &mut GalaxyApp, gpu_count: u32) -> Result<(), GalaxyError> {
-    let lib = MacroLibrary::new();
-    app.install_tool_xml(ECHO_TOOL, &lib)?;
-    app.install_tool_xml(RACON_CPU_TOOL, &lib)?;
-    app.install_tool_xml(&racon_gpu_tool("sim_racon_gpu", None), &lib)?;
-    app.install_tool_xml(&bonito_tool("sim_bonito", None), &lib)?;
+fn tool_xmls(gpu_count: u32) -> Vec<String> {
+    let mut xmls = vec![
+        ECHO_TOOL.to_string(),
+        RACON_CPU_TOOL.to_string(),
+        racon_gpu_tool("sim_racon_gpu", None),
+        bonito_tool("sim_bonito", None),
+    ];
     for m in 0..gpu_count {
-        app.install_tool_xml(&racon_gpu_tool(&format!("sim_racon_gpu_p{m}"), Some(m)), &lib)?;
-        app.install_tool_xml(&bonito_tool(&format!("sim_bonito_p{m}"), Some(m)), &lib)?;
+        xmls.push(racon_gpu_tool(&format!("sim_racon_gpu_p{m}"), Some(m)));
+        xmls.push(bonito_tool(&format!("sim_bonito_p{m}"), Some(m)));
     }
-    Ok(())
+    xmls
 }
 
 fn dag_for(shape: DagShape, index: usize) -> DagWorkflow {
@@ -143,176 +143,104 @@ fn injected(fault: RunnerFault) -> InjectedFault {
     }
 }
 
+/// The live operations plane runs alongside the postmortem invariant
+/// checker: a leaked-lease SLO rule, evaluated at every wave barrier,
+/// must page on the same condition `no_leaked_leases` trips on — proving
+/// an operator watching `/api/alerts` would have seen the bug.
+fn leaked_lease_rule(gpus: &Gpus) -> Vec<AlertRule> {
+    let gpus = gpus.clone();
+    let leases = AlertExpr::Custom(Arc::new(move || Some(gpus.lease_count() as f64)));
+    vec![AlertRule::new("leaked-lease", leases, Compare::Gt, 0.0)]
+}
+
+/// One entry of the schedule: everything arrives at time zero.
+enum Arrival<'a> {
+    Job(usize, &'a JobSpec),
+    Dag(usize, DagShape),
+}
+
 /// Execute `scenario` under `options`, checking invariants at every wave
 /// barrier and once more after shutdown.
-// SimFailure is large (it carries the fired-alert list and flight dump),
+// Failure is large (it carries the fired-alert list and flight dump),
 // but the Err path is terminal — a failure report, not a hot return.
 #[allow(clippy::result_large_err)]
-pub fn run_scenario(scenario: &Scenario, options: &SimOptions) -> Result<SimReport, SimFailure> {
-    let fail = |wave: Option<usize>, v: invariants::Violation| SimFailure {
-        seed: scenario.seed,
-        wave,
-        invariant: v.invariant,
-        detail: v.detail,
-        scenario: scenario.describe(),
-        fired_alerts: Vec::new(),
-        flight_jsonl: None,
-    };
-
-    // --- Build the real stack -------------------------------------------
+pub fn run_scenario(scenario: &Scenario, options: &SimOptions) -> Result<SimReport, Failure> {
     let cluster = GpuCluster::node(GpuArch::tesla_k80(), scenario.gpu_count);
-    let mut app = GalaxyApp::new(JobConfig::from_xml(GYAN_JOB_CONF).expect("shipped job conf"));
     let executor = Arc::new(ToolExecutor::new(&cluster));
     executor.register_dataset(racon_dataset());
     executor.register_dataset(fast5_dataset());
     let fault_plan = FaultPlan::new();
-    let faulty: Arc<FaultInjectingExecutor<Arc<ToolExecutor>>> =
-        Arc::new(FaultInjectingExecutor::new(executor, fault_plan.clone()));
-    app.set_executor(Box::new(faulty.clone()));
-    let table = install_gyan(&mut app, &cluster, GyanConfig::default());
-    if let Err(e) = install_tools(&mut app, scenario.gpu_count) {
-        return Err(fail(
-            None,
-            invariants::Violation { invariant: "setup", detail: format!("tool install: {e}") },
-        ));
-    }
-    let recorder = app.recorder().clone();
-
-    // The live operations plane runs alongside the postmortem invariant
-    // checker: a leaked-lease SLO rule, evaluated at every wave barrier,
-    // must page on the same condition `no_leaked_leases` trips on —
-    // proving an operator watching `/api/alerts` would have seen the bug.
-    let alerts = AlertEngine::new(&recorder);
-    let alert_table = table.clone();
-    alerts.add_rule(AlertRule::new(
-        "leaked-lease",
-        AlertExpr::Custom(Arc::new(move || Some(alert_table.lease_count() as f64))),
-        Compare::Gt,
-        0.0,
-    ));
-    // Failures carry the alert + flight-recorder context of the moment
-    // they tripped, so a repro seed comes with its own black box.
-    let enrich = |mut failure: SimFailure| -> SimFailure {
-        failure.fired_alerts = alerts.firing();
-        failure.flight_jsonl = recorder.flight_snapshot().map(|s| s.to_jsonl());
-        failure
-    };
-
     let resubmit = if scenario.resubmit_to_cpu {
         ResubmitPolicy::gpu_to_cpu("local_cpu")
     } else {
         ResubmitPolicy::none()
     };
-    let config = QueueConfig {
-        capacity: scenario.queue_capacity,
-        workers: scenario.workers,
-        per_user_limit: scenario.per_user_limit,
-        resubmit,
-        time_charging: None,
-        dispatch: Default::default(),
-    };
-    let mut engine = QueueEngine::new(app, faulty, config);
-    if options.release_on_discard {
-        engine.set_discard_listener(table.discard_listener(Some(recorder.clone())));
-    }
+    let gyan = GyanConfig::default();
+    let mut stack = Stack::build(StackSpec {
+        repro: Repro { seed: scenario.seed, seed_env: SEED_ENV, scenario: scenario.describe() },
+        tools: tool_xmls(scenario.gpu_count),
+        hardware: Hardware::Node(cluster.clone()),
+        policy: gyan.policy,
+        memory_hint: gyan.memory_hint,
+        executor: Arc::new(FaultInjectingExecutor::new(executor, fault_plan.clone())),
+        queue: QueueConfig {
+            capacity: scenario.queue_capacity,
+            workers: scenario.workers,
+            per_user_limit: scenario.per_user_limit,
+            resubmit,
+            ..QueueConfig::default()
+        },
+        wave_time: None,
+        alert_rules: leaked_lease_rule,
+        log_retention: None,
+        release_on_discard: options.release_on_discard,
+    })?;
 
-    // --- Submit the schedule --------------------------------------------
-    let mut submitted = 0usize;
-    let mut rejected = 0usize;
-    for (index, job) in scenario.jobs.iter().enumerate() {
-        match submit_job(&mut engine, job, index) {
-            Ok(handle) => {
-                submitted += 1;
-                if let Some(f) = job.fault {
-                    fault_plan.inject(handle, injected(f));
-                }
-            }
-            Err(GalaxyError::QueueRejected(_)) => rejected += 1,
-            Err(e) => {
-                return Err(fail(
-                    None,
-                    invariants::Violation {
-                        invariant: "submission",
-                        detail: format!("job {index} ({:?}): {e}", job.kind),
-                    },
-                ));
-            }
-        }
-    }
-    for (index, shape) in scenario.dags.iter().enumerate() {
-        let user = USERS[index % USERS.len()];
-        match engine.submit_dag(user, dag_for(*shape, index)) {
-            Ok(_) => submitted += 1,
-            Err(GalaxyError::QueueRejected(_)) => rejected += 1,
-            Err(e) => {
-                return Err(fail(
-                    None,
-                    invariants::Violation {
-                        invariant: "submission",
-                        detail: format!("dag {index} ({shape:?}): {e}"),
-                    },
-                ));
-            }
-        }
-    }
-
-    // --- Arm cluster-level faults ---------------------------------------
+    // Cluster-level faults: failing SMI queries from the start, a stale
+    // SMI view for exactly one wave, one discarded wave.
     cluster.inject_smi_query_failures(scenario.faults.smi_query_failures);
     let discard_wave = options.force_wave_discard.or(scenario.faults.discard_at_wave);
 
-    // --- Pump to idle, checking at every barrier ------------------------
-    let mut waves = 0usize;
-    let mut frozen_at: Option<usize> = None;
-    loop {
-        if scenario.faults.freeze_smi_at_wave == Some(waves) {
-            cluster.freeze_smi_snapshot();
-            frozen_at = Some(waves);
-        }
-        if discard_wave == Some(waves) {
-            engine.discard_next_wave();
-        }
-        let dispatched = engine.pump_wave();
-        if frozen_at == Some(waves) {
+    let jobs = scenario.jobs.iter().enumerate().map(|(i, job)| Arrival::Job(i, job));
+    let dags = scenario.dags.iter().enumerate().map(|(i, shape)| Arrival::Dag(i, *shape));
+    let pumped = stack.pump(
+        jobs.chain(dags).map(|arrival| (0.0, arrival)),
+        |engine, arrival| {
+            match arrival {
+                Arrival::Job(index, job) => {
+                    let handle = submit_job(engine, job, index)?;
+                    if let Some(f) = job.fault {
+                        fault_plan.inject(handle, injected(f));
+                    }
+                }
+                Arrival::Dag(index, shape) => {
+                    engine.submit_dag(USERS[index % USERS.len()], dag_for(shape, index))?;
+                }
+            }
+            Ok(())
+        },
+        MAX_WAVES,
+        // Before a wave, its faults; at its barrier the stale view ends.
+        |stack, wave| {
+            if scenario.faults.freeze_smi_at_wave == Some(wave) {
+                cluster.freeze_smi_snapshot();
+            }
+            if discard_wave == Some(wave) {
+                stack.engine.discard_next_wave();
+            }
+        },
+        |_, _| {
             cluster.thaw_smi_snapshot();
-        }
-        alerts.evaluate();
-        invariants::no_leaked_leases(&table, waves).map_err(|v| enrich(fail(Some(waves), v)))?;
-        if dispatched == 0 {
-            break;
-        }
-        waves += 1;
-        if waves >= MAX_WAVES {
-            return Err(enrich(fail(
-                Some(waves),
-                invariants::Violation {
-                    invariant: "wave_bound",
-                    detail: format!("still dispatching after {MAX_WAVES} waves"),
-                },
-            )));
-        }
-    }
+            Ok(())
+        },
+    )?;
 
-    // --- Whole-run invariants -------------------------------------------
-    invariants::conservation(&engine).map_err(|v| enrich(fail(None, v)))?;
-    let events = recorder.events();
-    invariants::exclusive_isolation(&events).map_err(|v| enrich(fail(None, v)))?;
-    invariants::export_matches_acquire(&events).map_err(|v| enrich(fail(None, v)))?;
-
-    let states = engine.submission_states();
-    let count = |want: SubmissionState| states.iter().filter(|(_, s)| *s == want).count();
-    let report = SimReport {
-        seed: scenario.seed,
-        waves,
-        submitted,
-        rejected,
-        ok: count(SubmissionState::Ok),
-        error: count(SubmissionState::Error),
-        cancelled: count(SubmissionState::Cancelled),
-    };
-
-    engine.shutdown();
-    invariants::spans_balanced(&recorder).map_err(|v| enrich(fail(None, v)))?;
-    Ok(report)
+    stack.finish(pumped, |stack, report| {
+        let events = stack.recorder.events();
+        invariants::exclusive_isolation(&events)?;
+        invariants::export_matches_acquire(&events)?;
+        Ok(report)
+    })
 }
 
 fn submit_job(engine: &mut QueueEngine, job: &JobSpec, index: usize) -> Result<u64, GalaxyError> {

@@ -3,8 +3,14 @@
 //!
 //! Each check returns a [`Violation`] naming the broken invariant plus
 //! enough detail to debug without re-running. The harness turns a
-//! violation into a [`crate::SimFailure`] carrying the reproducing seed.
+//! violation into a [`crate::Failure`] carrying the reproducing seed.
+//!
+//! The `fleet_*` checks are the multi-node generalization of the
+//! single-node ones: a lease must be backed by a booking on *its* shard,
+//! no job may hold leases on two shards, and nothing may point at a node
+//! the fault plan has killed.
 
+use fleet::Fleet;
 use galaxy::queue::{QueueEngine, SubmissionState};
 use galaxy::JobState;
 use gyan::LeaseTable;
@@ -21,7 +27,8 @@ pub struct Violation {
 }
 
 impl Violation {
-    fn new(invariant: &'static str, detail: impl Into<String>) -> Self {
+    /// `invariant` broken, with `detail`.
+    pub fn new(invariant: &'static str, detail: impl Into<String>) -> Self {
         Violation { invariant, detail: detail.into() }
     }
 }
@@ -89,32 +96,127 @@ pub fn exclusive_isolation(events: &[EventData]) -> Result<(), Violation> {
     Ok(())
 }
 
+/// Jobs whose `audit` event carries a true `flag` must be exactly the
+/// jobs with `gyan.reservation.acquire` audits.
+fn audit_matches_acquire(
+    events: &[EventData],
+    invariant: &'static str,
+    audit: &str,
+    flag: &str,
+    what: &str,
+) -> Result<(), Violation> {
+    let job_of = |ev: &EventData| ev.field("job_id").and_then(|v| v.as_f64()).map(|j| j as u64);
+    let audited: BTreeSet<u64> = events
+        .iter()
+        .filter(|e| e.name == audit && e.field(flag).and_then(|v| v.as_bool()) == Some(true))
+        .filter_map(job_of)
+        .collect();
+    let acquired: BTreeSet<u64> =
+        events.iter().filter(|e| e.name == "gyan.reservation.acquire").filter_map(job_of).collect();
+    if audited != acquired {
+        let unbacked: Vec<u64> = audited.difference(&acquired).copied().collect();
+        let silent: Vec<u64> = acquired.difference(&audited).copied().collect();
+        return Err(Violation::new(
+            invariant,
+            format!(
+                "{what} without reservations: {unbacked:?}; reservations without {what}: \
+                 {silent:?}"
+            ),
+        ));
+    }
+    Ok(())
+}
+
 /// Every job exported with `GALAXY_GPU_ENABLED=true` must hold an audited
 /// reservation, and every audited reservation must belong to a job that
 /// was exported GPU-enabled — the observe→dispatch pipeline may not skip
 /// either half.
 pub fn export_matches_acquire(events: &[EventData]) -> Result<(), Violation> {
-    let job_of = |ev: &EventData| ev.field("job_id").and_then(|v| v.as_f64()).map(|j| j as u64);
-    let exported: BTreeSet<u64> = events
-        .iter()
-        .filter(|e| {
-            e.name == "gyan.hook.export"
-                && e.field("gpu_enabled").and_then(|v| v.as_bool()) == Some(true)
-        })
-        .filter_map(job_of)
-        .collect();
-    let acquired: BTreeSet<u64> =
-        events.iter().filter(|e| e.name == "gyan.reservation.acquire").filter_map(job_of).collect();
-    if exported != acquired {
-        let unbacked: Vec<u64> = exported.difference(&acquired).copied().collect();
-        let silent: Vec<u64> = acquired.difference(&exported).copied().collect();
-        return Err(Violation::new(
-            "export_matches_acquire",
-            format!(
-                "GPU-enabled exports without reservations: {unbacked:?}; reservations without \
-                 GPU-enabled export: {silent:?}"
-            ),
-        ));
+    audit_matches_acquire(
+        events,
+        "export_matches_acquire",
+        "gyan.hook.export",
+        "gpu_enabled",
+        "GPU-enabled exports",
+    )
+}
+
+/// The fleet form of [`export_matches_acquire`]: jobs with a successful
+/// `fleet.placement.decision` audit must equal jobs with reservation
+/// acquires — a placement without a lease, or a lease without a
+/// placement, means the two phases disagreed.
+pub fn fleet_export_matches_acquire(events: &[EventData]) -> Result<(), Violation> {
+    audit_matches_acquire(
+        events,
+        "fleet_export_matches_acquire",
+        fleet::fleet::FLEET_DECISION_EVENT,
+        "placed",
+        "placements",
+    )
+}
+
+/// The fleet form of [`no_leaked_leases`]: at a wave barrier every
+/// placement must have been released.
+pub fn fleet_lease_leak(fleet: &Fleet, wave: usize) -> Result<(), Violation> {
+    match fleet.total_lease_count() {
+        0 => Ok(()),
+        leases => Err(Violation::new(
+            "fleet_lease_leak",
+            format!("{leases} fleet lease(s) survived the wave {wave} barrier"),
+        )),
+    }
+}
+
+/// Per-shard conservation (every lease on a shard belongs to a job the
+/// fleet has booked *on that shard*) and fleet-wide no-double-booking (no
+/// job holds leases on two shards), from the fleet's live state.
+pub fn fleet_lease_conservation(fleet: &Fleet) -> Result<(), Violation> {
+    let mut seen_on: BTreeMap<u64, u32> = BTreeMap::new();
+    for (node, holders) in fleet.holders_by_node() {
+        for holder in holders {
+            if let Some(previous) = seen_on.insert(holder, node) {
+                return Err(Violation::new(
+                    "fleet_no_double_booking",
+                    format!("job {holder} holds leases on node {previous} and node {node}"),
+                ));
+            }
+            let detail = match fleet.node_of(holder) {
+                Some(booked) if booked == node => continue,
+                Some(booked) => format!(
+                    "job {holder} leases on node {node} but is booked on node {booked} (leaked by \
+                     a re-placement?)"
+                ),
+                None => format!("job {holder} leases on node {node} with no fleet booking"),
+            };
+            return Err(Violation::new("fleet_lease_conservation", detail));
+        }
+    }
+    Ok(())
+}
+
+/// No booking or lease may point at a node the fault plan has killed.
+/// Correct wiring marks the shard dead (so placement filters it); the
+/// stale wiring leaves it placeable and this check trips on the first
+/// job booked onto the corpse.
+pub fn fleet_no_dead_node_booking(fleet: &Fleet, dead: &BTreeSet<u32>) -> Result<(), Violation> {
+    if dead.is_empty() {
+        return Ok(());
+    }
+    for (job, node) in fleet.active_placements() {
+        if dead.contains(&node) {
+            return Err(Violation::new(
+                "fleet_no_dead_node_booking",
+                format!("job {job} is booked on dead node {node}"),
+            ));
+        }
+    }
+    for (node, holders) in fleet.holders_by_node() {
+        if dead.contains(&node) && !holders.is_empty() {
+            return Err(Violation::new(
+                "fleet_no_dead_node_booking",
+                format!("dead node {node} still holds leases for jobs {holders:?}"),
+            ));
+        }
     }
     Ok(())
 }

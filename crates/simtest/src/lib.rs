@@ -26,7 +26,12 @@
 //! nodes and 10k users, with per-shard lease conservation, fleet-wide
 //! no-double-booking, and placement↔acquire equality checked at every
 //! wave barrier.
+//!
+//! The stack builder, the pump loop and the failure report are not
+//! simtest's own: [`driver`] holds the one copy that [`harness`] and
+//! `loadgen::driver` are both thin scenario adapters over.
 
+pub mod driver;
 pub mod fleet_harness;
 pub mod fleet_scenario;
 pub mod harness;
@@ -79,32 +84,41 @@ pub struct SimReport {
     pub cancelled: usize,
 }
 
-/// An invariant violation, reproducible from the seed alone.
+/// Name of the variable [`seed_from_env`] replays a seed from, as
+/// simtest failures print it.
+pub(crate) const SEED_ENV: &str = "SIMTEST_SEED";
+
+/// A failed scenario run — simtest's or the load harness's —
+/// reproducible from the seed alone.
 #[derive(Debug, Clone)]
-pub struct SimFailure {
-    /// Seed that reproduces the failure (`SIMTEST_SEED=<seed>`).
+pub struct Failure {
+    /// Seed that reproduces the failure (`<seed_env>=<seed>`).
     pub seed: u64,
-    /// Wave at which the invariant tripped (None = whole-run check).
+    /// Environment variable the owning suite reads the seed back from
+    /// (`SIMTEST_SEED`, `LOADTEST_SEED`).
+    pub seed_env: &'static str,
+    /// Waves dispatched when the run failed (None = setup or a
+    /// whole-run check).
     pub wave: Option<usize>,
-    /// Name of the violated invariant.
-    pub invariant: &'static str,
-    /// Violation specifics.
+    /// What failed: the violated invariant's name, `"slo"`, `"setup"`, …
+    pub reason: &'static str,
+    /// Failure specifics.
     pub detail: String,
     /// Description of the (possibly shrunk) failing scenario.
     pub scenario: String,
-    /// SLO alert rules firing when the invariant tripped — the live
-    /// operations plane should page *before* a postmortem invariant
-    /// checker does, so a violation without a fired alert is itself an
-    /// observability gap worth investigating.
+    /// SLO alert rules firing when the run failed — the live operations
+    /// plane should page *before* a postmortem invariant checker does,
+    /// so a violation without a fired alert is itself an observability
+    /// gap worth investigating.
     pub fired_alerts: Vec<String>,
     /// Flight-recorder JSONL dump captured at failure time (None when
     /// the recorder had no ring enabled).
     pub flight_jsonl: Option<String>,
 }
 
-impl std::fmt::Display for SimFailure {
+impl std::fmt::Display for Failure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "simtest invariant violation: {}", self.invariant)?;
+        writeln!(f, "scenario run failed: {}", self.reason)?;
         match self.wave {
             Some(w) => writeln!(f, "  at wave {w}: {}", self.detail)?,
             None => writeln!(f, "  {}", self.detail)?,
@@ -116,15 +130,15 @@ impl std::fmt::Display for SimFailure {
         if let Some(dump) = &self.flight_jsonl {
             writeln!(f, "  flight recorder: {} line(s) captured", dump.lines().count())?;
         }
-        write!(f, "  reproduce with SIMTEST_SEED={}", self.seed)
+        write!(f, "  reproduce with {}={}", self.seed_env, self.seed)
     }
 }
 
-impl std::error::Error for SimFailure {}
+impl std::error::Error for Failure {}
 
 /// Run the scenario generated by `seed`.
 #[allow(clippy::result_large_err)]
-pub fn run_seed(seed: u64, options: &SimOptions) -> Result<SimReport, SimFailure> {
+pub fn run_seed(seed: u64, options: &SimOptions) -> Result<SimReport, Failure> {
     run_scenario(&Scenario::generate(seed), options)
 }
 
@@ -132,13 +146,13 @@ pub fn run_seed(seed: u64, options: &SimOptions) -> Result<SimReport, SimFailure
 /// still-failing form and report that, keeping the original seed as the
 /// reproduction handle.
 #[allow(clippy::result_large_err)]
-pub fn check_seed(seed: u64, options: &SimOptions) -> Result<SimReport, SimFailure> {
+pub fn check_seed(seed: u64, options: &SimOptions) -> Result<SimReport, Failure> {
     match run_seed(seed, options) {
         Ok(report) => Ok(report),
         Err(original) => {
             let minimized = shrink::shrink(&Scenario::generate(seed), options);
             let failure = run_scenario(&minimized, options).err().unwrap_or(original);
-            Err(SimFailure {
+            Err(Failure {
                 seed,
                 scenario: format!("{} (shrunk from seed {seed})", minimized.describe()),
                 ..failure
@@ -154,7 +168,7 @@ pub fn cases_from_env(default: usize) -> usize {
 
 /// `SIMTEST_SEED` override: when set, run exactly that seed.
 pub fn seed_from_env() -> Option<u64> {
-    parse_seed(std::env::var("SIMTEST_SEED").ok().as_deref())
+    parse_seed(std::env::var(SEED_ENV).ok().as_deref())
 }
 
 /// Parse a `SIMTEST_CASES`-style value (testable without touching the
@@ -186,21 +200,71 @@ mod tests {
 
     #[test]
     fn failure_display_carries_the_seed() {
-        let failure = SimFailure {
-            seed: 1234,
-            wave: Some(2),
-            invariant: "no_leaked_leases",
-            detail: "1 lease(s) active".to_string(),
-            scenario: "gpus=2 jobs=3".to_string(),
-            fired_alerts: vec!["leaked-lease".to_string()],
-            flight_jsonl: Some("{\"type\":\"flightrec\"}\n{\"t\":0}".to_string()),
+        for seed_env in [SEED_ENV, "LOADTEST_SEED"] {
+            let failure = Failure {
+                seed: 1234,
+                seed_env,
+                wave: Some(2),
+                reason: "no_leaked_leases",
+                detail: "1 lease(s) active".to_string(),
+                scenario: "gpus=2 jobs=3".to_string(),
+                fired_alerts: vec!["leaked-lease".to_string()],
+                flight_jsonl: Some("{\"type\":\"flightrec\"}\n{\"t\":0}".to_string()),
+            };
+            let text = failure.to_string();
+            assert!(text.ends_with(&format!("reproduce with {seed_env}=1234")), "{text}");
+            assert!(text.contains("no_leaked_leases"), "{text}");
+            assert!(text.contains("wave 2"), "{text}");
+            assert!(text.contains("fired alerts: leaked-lease"), "{text}");
+            assert!(text.contains("flight recorder: 2 line(s)"), "{text}");
+        }
+    }
+
+    /// `run_seed(s, &SimOptions::default())` for seeds 0..25, captured at
+    /// the parent commit 8ba17c1 (before `harness::run_scenario` moved
+    /// onto `driver::Stack`): the seed sweep must stay bit-identical.
+    #[test]
+    fn seed_sweep_reports_are_pinned() {
+        let r = |seed, waves, submitted, rejected, ok, error, cancelled| SimReport {
+            seed,
+            waves,
+            submitted,
+            rejected,
+            ok,
+            error,
+            cancelled,
         };
-        let text = failure.to_string();
-        assert!(text.contains("SIMTEST_SEED=1234"), "{text}");
-        assert!(text.contains("no_leaked_leases"), "{text}");
-        assert!(text.contains("wave 2"), "{text}");
-        assert!(text.contains("fired alerts: leaked-lease"), "{text}");
-        assert!(text.contains("flight recorder: 2 line(s)"), "{text}");
+        let pinned = [
+            r(0, 1, 3, 9, 1, 2, 0),
+            r(1, 6, 11, 0, 13, 0, 3),
+            r(2, 2, 3, 1, 3, 0, 0),
+            r(3, 2, 3, 6, 3, 0, 0),
+            r(4, 9, 7, 0, 7, 0, 0),
+            r(5, 15, 10, 0, 13, 0, 0),
+            r(6, 1, 2, 0, 0, 0, 2),
+            r(7, 2, 4, 0, 1, 2, 1),
+            r(8, 6, 7, 0, 12, 0, 0),
+            r(9, 1, 2, 9, 2, 0, 0),
+            r(10, 2, 4, 0, 7, 0, 0),
+            r(11, 2, 2, 1, 2, 0, 0),
+            r(12, 6, 8, 0, 7, 0, 2),
+            r(13, 3, 8, 3, 8, 0, 0),
+            r(14, 11, 8, 0, 8, 0, 0),
+            r(15, 5, 8, 2, 11, 0, 0),
+            r(16, 3, 6, 3, 4, 2, 0),
+            r(17, 9, 11, 0, 14, 3, 0),
+            r(18, 15, 10, 0, 10, 0, 0),
+            r(19, 1, 2, 0, 0, 0, 2),
+            r(20, 2, 4, 0, 3, 0, 1),
+            r(21, 2, 3, 0, 4, 0, 0),
+            r(22, 6, 4, 0, 7, 0, 3),
+            r(23, 2, 4, 0, 4, 2, 0),
+            r(24, 6, 5, 0, 11, 0, 0),
+        ];
+        for want in pinned {
+            let got = run_seed(want.seed, &SimOptions::default()).unwrap_or_else(|f| panic!("{f}"));
+            assert_eq!(got, want);
+        }
     }
 
     #[test]

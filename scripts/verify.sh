@@ -46,10 +46,13 @@ cargo run -q --release --example ops_server -- --check
 # the 2-GPU closed loop, `day_single_node` the 32-device open loop (lease
 # drain, SLOs quiet, repeats bit-identical), `day_fleet` fleet placement,
 # `retry_storm` the resubmission ladder.
+# --locked: cargo silently rewrites benchmark/Cargo.lock when a crate in its
+# closure changes a dependency list; fail here instead of dirtying a
+# directory that only `benchmark` PRs may touch.
 echo "==> benchmark crate builds against the workspace + short trip, day_single_node, day_fleet and retry_storm runs"
-cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 for workload in trip day_single_node day_fleet retry_storm; do
-  cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+  cargo run --release --offline --locked --quiet --manifest-path benchmark/Cargo.toml -- \
     --workload "$workload" --seed 1 --seconds 1 --trace 0 > /dev/null
 done
 

@@ -49,7 +49,7 @@ fn unreleased_discard_leases_are_caught_with_a_reproducing_seed() {
     let failure = (0..200)
         .find_map(|seed| check_seed(seed, &bad).err())
         .expect("a discarded GPU wave with no release listener must trip an invariant");
-    assert_eq!(failure.invariant, "no_leaked_leases", "{failure}");
+    assert_eq!(failure.reason, "no_leaked_leases", "{failure}");
     let text = failure.to_string();
     assert!(text.contains(&format!("SIMTEST_SEED={}", failure.seed)), "{text}");
     assert!(text.contains("shrunk"), "shrinker did not run: {text}");
@@ -69,7 +69,7 @@ fn unreleased_discard_leases_are_caught_with_a_reproducing_seed() {
     // Reproduction contract: the printed seed alone re-creates the
     // failure, same invariant, no scenario serialization needed.
     let again = run_seed(failure.seed, &bad).expect_err("seed must reproduce the failure");
-    assert_eq!(again.invariant, failure.invariant);
+    assert_eq!(again.reason, failure.reason);
     assert!(again.fired_alerts.iter().any(|a| a == "leaked-lease"), "{again}");
 }
 
@@ -128,8 +128,7 @@ fn fleet_double_placement_is_caught_with_a_reproducing_seed() {
         .find_map(|seed| run_fleet_seed(seed, &bad).err())
         .expect("a double-placed job must trip a fleet invariant");
     assert!(
-        failure.invariant == "fleet_lease_conservation"
-            || failure.invariant == "fleet_no_double_booking",
+        failure.reason == "fleet_lease_conservation" || failure.reason == "fleet_no_double_booking",
         "{failure}"
     );
     let text = failure.to_string();
@@ -138,7 +137,7 @@ fn fleet_double_placement_is_caught_with_a_reproducing_seed() {
     // Reproduction contract: the printed seed alone re-creates the
     // failure with the same invariant.
     let again = run_fleet_seed(failure.seed, &bad).expect_err("seed must reproduce");
-    assert_eq!(again.invariant, failure.invariant);
+    assert_eq!(again.reason, failure.reason);
 }
 
 /// Shard-failure sweep: scenarios whose fault plan kills a node mid-wave
@@ -173,11 +172,11 @@ fn fleet_stale_dead_node_placement_is_caught_with_a_reproducing_seed() {
     let failure = (0..100)
         .find_map(|seed| run_fleet_seed(seed, &bad).err())
         .expect("a job booked onto a dead node must trip a fleet invariant");
-    assert_eq!(failure.invariant, "fleet_no_dead_node_booking", "{failure}");
+    assert_eq!(failure.reason, "fleet_no_dead_node_booking", "{failure}");
     let text = failure.to_string();
     assert!(text.contains(&format!("SIMTEST_SEED={}", failure.seed)), "{text}");
     assert!(failure.scenario.contains("fault=node"), "{}", failure.scenario);
 
     let again = run_fleet_seed(failure.seed, &bad).expect_err("seed must reproduce");
-    assert_eq!(again.invariant, failure.invariant);
+    assert_eq!(again.reason, failure.reason);
 }
