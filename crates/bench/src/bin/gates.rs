@@ -28,9 +28,52 @@ use gyan_bench::gate::{measure, run_gate, Gate, Metric, Run, WallBench, REMEASUR
 use gyan_bench::table::banner;
 use loadgen::{run_scenario, LoadOptions, LoadScenario, DEFAULT_SLO_RULES};
 use seqtools::ToolExecutor;
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Calls to `alloc`, `alloc_zeroed` and `realloc` since process start:
+/// what the loadtest gate reports per job. Heap traffic decided the
+/// per-job cost once (ISSUE 19), and unlike wall time the count repeats
+/// exactly, so the history can show a trend in it.
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter is a statistic
+// that publishes no other data.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's `layout` is passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's `layout` is passed through as is.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`,
+        // with `layout`; all three are passed through as is.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`,
+        // with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
 
 const GATES: [Gate; 5] = [
     Gate { name: "workflow", file: "target/BENCH_workflow.json", run: workflow },
@@ -472,17 +515,21 @@ fn loadtest() -> Result<Run, String> {
         fail_on: DEFAULT_SLO_RULES.iter().map(|s| s.to_string()).collect(),
         ..Default::default()
     };
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed);
     let start = Instant::now();
     let report = run_scenario(&scenario, &options)
         .map_err(|failure| format!("the gate scenario breached an SLO\n{failure}"))?;
     let wall = start.elapsed().as_secs_f64();
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - allocations;
     if report.ok != report.submitted {
         return Err(format!("{} of {} admitted jobs finished ok", report.ok, report.submitted));
     }
     let submissions_per_sec = report.submitted as f64 / wall;
+    let allocs_per_job = allocations as f64 / report.arrivals as f64;
 
     println!("\nmeasured ({} users, {} arrivals):", report.users, report.arrivals);
     println!("  submissions/sec (wall):      {submissions_per_sec:>12.0}");
+    println!("  heap allocations per job:    {allocs_per_job:>12.1}");
     println!("  queue-wait p50 (virtual s):  {:>12.3}", report.queue_wait_p50);
     println!("  queue-wait p99 (virtual s):  {:>12.3}", report.queue_wait_p99);
     println!(
@@ -499,6 +546,10 @@ fn loadtest() -> Result<Run, String> {
             // number is the canonical benchmark's `day_single_node`
             // `jobs_per_s`, repeated to a budget.
             Metric::context("submissions_per_sec", submissions_per_sec),
+            // Exact and repeatable, but reported rather than gated: a PR
+            // that adds an audit field is allowed to cost an allocation,
+            // and `tests/alloc_budget.rs` holds the ceiling.
+            Metric::context("allocs_per_job", allocs_per_job),
             // Bucket-interpolated `histogram_quantile` (first-bucket
             // artifacts here): context until ROADMAP 1(a) backs them
             // with `obs::sketch`.

@@ -218,11 +218,14 @@ impl Fleet {
         obs::profile_scope!("fleet.place");
         let mut candidates: Vec<(f64, u32)> = {
             let bookings = self.bookings.lock();
+            // Where the user's active placements are, gathered in one pass
+            // over the bookings instead of one pass per candidate shard.
+            let user_nodes: Vec<u32> =
+                bookings.values().filter(|b| b.user == req.user).map(|b| b.node).collect();
             self.candidates(req.tool_id, req.memory_hint_mib, req.excluded_nodes)
                 .map(|s| {
                     let mut load = s.load();
-                    load.user_active =
-                        bookings.values().filter(|b| b.node == s.id && b.user == req.user).count();
+                    load.user_active = user_nodes.iter().filter(|node| **node == s.id).count();
                     (self.policy.score(&load, req), s.id)
                 })
                 .collect()
@@ -236,7 +239,7 @@ impl Fleet {
                 rec.metrics().inc_counter(FLEET_REJECTED_COUNTER, 1);
                 rec.event(
                     FLEET_DECISION_EVENT,
-                    vec![
+                    [
                         ("job_id", Value::from(req.job_id)),
                         ("tool", Value::from(req.tool_id)),
                         ("user", Value::from(req.user)),
@@ -266,14 +269,11 @@ impl Fleet {
             let (cores, mem_mib) = self.rules.right_size(req.tool_id, &shard.class);
             if let Some(rec) = &self.recorder {
                 let m = rec.metrics();
-                m.inc_counter(&format!("{FLEET_PLACEMENTS_COUNTER}{{node=\"{}\"}}", shard.name), 1);
-                m.set_gauge(
-                    &format!("{FLEET_LEASES_GAUGE}{{node=\"{}\"}}", shard.name),
-                    shard.table.lease_count() as f64,
-                );
+                m.inc_counter(&shard.placements_key, 1);
+                m.set_gauge(&shard.leases_key, shard.table.lease_count() as f64);
                 rec.event(
                     FLEET_DECISION_EVENT,
-                    vec![
+                    [
                         ("job_id", Value::from(req.job_id)),
                         ("tool", Value::from(req.tool_id)),
                         ("user", Value::from(req.user)),
@@ -314,13 +314,10 @@ impl Fleet {
         let shard = &self.shards[booking.node as usize];
         let released = shard.table.release(job_id, why, self.recorder.as_ref());
         if let Some(rec) = &self.recorder {
-            rec.metrics().set_gauge(
-                &format!("{FLEET_LEASES_GAUGE}{{node=\"{}\"}}", shard.name),
-                shard.table.lease_count() as f64,
-            );
+            rec.metrics().set_gauge(&shard.leases_key, shard.table.lease_count() as f64);
             rec.event(
                 FLEET_RELEASE_EVENT,
-                vec![
+                [
                     ("job_id", Value::from(job_id)),
                     ("node", Value::from(shard.name.as_str())),
                     ("why", Value::from(why)),
@@ -366,11 +363,10 @@ impl Fleet {
     fn audit_node_status(&self, shard: &NodeShard, action: &str, leases: usize) {
         if let Some(rec) = &self.recorder {
             let cordoned = if shard.is_placeable() { 0.0 } else { 1.0 };
-            rec.metrics()
-                .set_gauge(&format!("{FLEET_CORDONED_GAUGE}{{node=\"{}\"}}", shard.name), cordoned);
+            rec.metrics().set_gauge(&shard.cordoned_key, cordoned);
             rec.event(
                 FLEET_NODE_EVENT,
-                vec![
+                [
                     ("node", Value::from(shard.name.as_str())),
                     ("action", Value::from(action)),
                     ("status", Value::from(shard.status().as_str())),

@@ -7,6 +7,7 @@
 //! layer reads their state, picks one, and only that shard's table
 //! serializes the minor-level grant.
 
+use crate::fleet::{FLEET_CORDONED_GAUGE, FLEET_LEASES_GAUGE, FLEET_PLACEMENTS_COUNTER};
 use gpusim::{GpuArch, GpuCluster, VirtualClock};
 use gyan::reservations::LeaseTable;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -132,15 +133,25 @@ pub struct NodeShard {
     /// Operational status (shards are `Arc`-shared without a lock of
     /// their own, so the status is a lone atomic).
     status: AtomicU8,
+    /// This node's series of the fleet's three per-node metric families
+    /// (`<family>{node="<name>"}`), built once instead of per placement.
+    pub(crate) placements_key: String,
+    pub(crate) leases_key: String,
+    pub(crate) cordoned_key: String,
 }
 
 impl NodeShard {
     /// Build shard `id` of `class` on the fleet's shared clock.
     pub fn new(id: u32, class: NodeClass, clock: &VirtualClock) -> Self {
         let cluster = GpuCluster::node_on_clock(class.arch.clone(), class.gpus, clock);
+        let name = format!("{}-{:03}", class.name, id);
+        let key = |family: &str| format!("{family}{{node=\"{name}\"}}");
         NodeShard {
             id,
-            name: format!("{}-{:03}", class.name, id),
+            placements_key: key(FLEET_PLACEMENTS_COUNTER),
+            leases_key: key(FLEET_LEASES_GAUGE),
+            cordoned_key: key(FLEET_CORDONED_GAUGE),
+            name,
             class,
             cluster,
             table: LeaseTable::new(),

@@ -31,6 +31,7 @@ use crate::tool::wrapper::parse_tool;
 use crate::tool::Tool;
 use obs::{Recorder, Span};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Counter: jobs entering [`GalaxyApp::submit`].
 pub const JOBS_SUBMITTED_COUNTER: &str = "galaxy_jobs_submitted_total";
@@ -90,7 +91,9 @@ pub struct Event {
 
 /// The Galaxy application.
 pub struct GalaxyApp {
-    tools: HashMap<String, Tool>,
+    /// Shared, so preparing an attempt takes a handle to the tool, not a
+    /// copy of its inputs, outputs and command template.
+    tools: HashMap<String, Arc<Tool>>,
     config: JobConfig,
     rules: HashMap<String, DynamicRule>,
     hooks: Vec<Box<dyn JobHook>>,
@@ -145,7 +148,7 @@ impl GalaxyApp {
 
     /// Install a parsed tool into the tool box.
     pub fn install_tool(&mut self, tool: Tool) {
-        self.tools.insert(tool.id.clone(), tool);
+        self.tools.insert(tool.id.clone(), Arc::new(tool));
     }
 
     /// Parse a wrapper (with macro library) and install it.
@@ -162,12 +165,12 @@ impl GalaxyApp {
 
     /// Tool by id.
     pub fn tool(&self, id: &str) -> Option<&Tool> {
-        self.tools.get(id)
+        self.tools.get(id).map(Arc::as_ref)
     }
 
     /// Iterator over every installed tool (unordered).
     pub fn tools(&self) -> impl Iterator<Item = &Tool> {
-        self.tools.values()
+        self.tools.values().map(Arc::as_ref)
     }
 
     /// Register a dynamic destination rule under `name`.
@@ -409,7 +412,7 @@ impl GalaxyApp {
 
     /// Open a child span under a live job's `galaxy.job` span (used by the
     /// queue engine to trace dispatch phases it drives itself).
-    pub fn job_span_child(&self, job_id: u64, name: &str) -> Option<Span> {
+    pub fn job_span_child(&self, job_id: u64, name: &'static str) -> Option<Span> {
         self.open_spans.get(&job_id).map(|s| s.child(name))
     }
 
@@ -434,8 +437,7 @@ impl GalaxyApp {
         job.stderr = result.stderr.clone();
         job.exit_code = Some(result.exit_code);
         job.pid = result.pid;
-        let tool_outputs =
-            self.tools.get(&job.tool_id).map(|t| t.outputs.clone()).unwrap_or_default();
+        let tool_outputs = self.tools.get(&job.tool_id).map_or(&[][..], |t| &t.outputs);
 
         if result.exit_code == 0 {
             job.transition(JobState::Ok)?;
@@ -455,7 +457,7 @@ impl GalaxyApp {
             job.transition(JobState::Error)?;
             let err = GalaxyError::ToolFailed(result.stderr.clone());
             if final_attempt {
-                for output in &tool_outputs {
+                for output in tool_outputs {
                     let ds =
                         self.history.declare(output.name.clone(), output.format.clone(), job_id);
                     self.history.fail(ds);

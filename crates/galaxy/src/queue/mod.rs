@@ -452,7 +452,7 @@ impl QueueEngine {
         self.statuses.insert(job_id, SubmissionState::Queued);
         self.app.recorder().event(
             "galaxy.queue.enqueue",
-            vec![
+            [
                 ("user", Value::from(user)),
                 ("tool", Value::from(tool_id)),
                 ("job_id", Value::from(job_id)),
@@ -477,7 +477,7 @@ impl QueueEngine {
         let roots = dag.roots();
         self.app.recorder().event(
             "galaxy.queue.enqueue",
-            vec![
+            [
                 ("user", Value::from(user)),
                 ("workflow", Value::from(dag.name.as_str())),
                 ("steps", Value::from(n)),
@@ -606,7 +606,7 @@ impl QueueEngine {
             self.app.recorder().metrics().inc_counter(QUEUE_REJECTED_COUNTER, 1);
             self.app.recorder().event(
                 "galaxy.queue.reject",
-                vec![
+                [
                     ("user", Value::from(user)),
                     ("what", Value::from(what)),
                     ("reason", Value::from(rejection.reason.as_str())),
@@ -634,7 +634,7 @@ impl QueueEngine {
         self.queue.push_unchecked(&user, priority, now, WorkItem::Step { wf, step });
         self.app.recorder().event(
             "galaxy.queue.step_ready",
-            vec![
+            [
                 ("workflow", Value::from(workflow)),
                 ("step", Value::from(step)),
                 ("tool", Value::from(tool)),
@@ -658,7 +658,7 @@ impl QueueEngine {
             self.sync_depth_gauge();
             self.app.recorder().event(
                 "galaxy.queue.fair_share.pick",
-                vec![
+                [
                     ("user", Value::from(popped.user.as_str())),
                     ("usage", Value::from(popped.usage)),
                     ("priority", Value::from(u64::from(popped.priority))),
@@ -726,7 +726,7 @@ impl QueueEngine {
                     self.app.recorder().metrics().inc_counter(QUEUE_DISPATCHED_COUNTER, 1);
                     self.app.recorder().event(
                         "galaxy.queue.dispatch",
-                        vec![
+                        [
                             ("job_id", Value::from(job_id)),
                             ("tool", Value::from(plan.tool_id.as_str())),
                             ("destination", Value::from(destination)),
@@ -844,7 +844,7 @@ impl QueueEngine {
             self.set_status(job_id, SubmissionState::Cancelled);
             self.app.recorder().event(
                 "galaxy.queue.discard",
-                vec![("job_id", Value::from(job_id)), ("reason", Value::from("wave_discarded"))],
+                [("job_id", Value::from(job_id)), ("reason", Value::from("wave_discarded"))],
             );
             if let Some((wf, step)) = self.jobs.get(&job_id).and_then(|ctx| ctx.origin) {
                 self.fail_step(wf, step);
@@ -971,11 +971,13 @@ impl QueueEngine {
         let job_id = failed.job_id;
         let _ = self.app.finish_job(job_id, failed.result, false);
         let ctx = self.jobs.get_mut(&job_id).expect("ctx exists");
-        let reason = match retry {
+        // The reason and its `QUEUE_RESUBMITTED_COUNTER{reason="…"}` key:
+        // three constants, spelled out rather than formatted per requeue.
+        let (reason, reason_counter) = match retry {
             Retry::NodeExcluded(excluded) => {
                 ctx.node_retries_used += 1;
                 ctx.excluded_nodes = excluded;
-                "node_excluded"
+                ("node_excluded", "galaxy_queue_resubmitted_total{reason=\"node_excluded\"}")
             }
             Retry::FootprintRevised(budget_mib) => {
                 self.app.set_job_env(
@@ -984,10 +986,17 @@ impl QueueEngine {
                     &budget_mib.to_string(),
                 );
                 ctx.footprint_retries_used += 1;
-                "footprint_revised"
+                (
+                    "footprint_revised",
+                    "galaxy_queue_resubmitted_total{reason=\"footprint_revised\"}",
+                )
             }
-            Retry::Fallback => "fallback",
+            Retry::Fallback => ("fallback", "galaxy_queue_resubmitted_total{reason=\"fallback\"}"),
         };
+        debug_assert_eq!(
+            reason_counter,
+            format!("{QUEUE_RESUBMITTED_COUNTER}{{reason=\"{reason}\"}}")
+        );
         let (user, priority) = (ctx.user.clone(), ctx.priority);
         let from = ctx.first_destination.clone().unwrap_or_default();
         let excluded = ctx.excluded_nodes.join(",");
@@ -995,12 +1004,10 @@ impl QueueEngine {
 
         let recorder = self.app.recorder();
         recorder.metrics().inc_counter(QUEUE_RESUBMITTED_COUNTER, 1);
-        recorder
-            .metrics()
-            .inc_counter(&format!("{QUEUE_RESUBMITTED_COUNTER}{{reason=\"{reason}\"}}"), 1);
+        recorder.metrics().inc_counter(reason_counter, 1);
         recorder.event(
             "galaxy.queue.resubmit",
-            vec![
+            [
                 ("job_id", Value::from(job_id)),
                 ("failed_attempt", Value::from(u64::from(failed.attempts))),
                 ("max_attempts", Value::from(u64::from(failed.max_attempts))),
@@ -1089,7 +1096,7 @@ impl QueueEngine {
         for j in cancelled {
             self.app.recorder().event(
                 "galaxy.queue.cancel",
-                vec![
+                [
                     ("workflow", Value::from(workflow.as_str())),
                     ("step", Value::from(j)),
                     ("reason", Value::from("upstream_failed")),

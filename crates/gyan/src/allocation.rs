@@ -135,7 +135,7 @@ pub(crate) fn decide_traced(
     let outcome = decide(usage, requested, policy, reservations);
 
     if let Some(rec) = recorder {
-        let mut fields: Vec<(String, Value)> = vec![
+        let mut fields: Vec<(obs::Key, Value)> = vec![
             ("policy".into(), policy_name(policy).into()),
             ("requested".into(), join(requested).into()),
             ("all_gpus".into(), join(&usage.all_gpus).into()),
@@ -148,10 +148,10 @@ pub(crate) fn decide_traced(
         // The per-device state the decision was based on: busy PIDs and
         // allocated framebuffer memory.
         for (minor, pids) in &usage.proc_gpu_dict {
-            fields.push((format!("gpu{minor}_pids"), join(pids).into()));
+            fields.push((format!("gpu{minor}_pids").into(), join(pids).into()));
         }
         for (minor, used) in &usage.used_mib {
-            fields.push((format!("gpu{minor}_mem_mib"), (*used).into()));
+            fields.push((format!("gpu{minor}_mem_mib").into(), (*used).into()));
         }
         // What the lease table contributed, when one was consulted.
         if let Some(view) = reservations {
@@ -162,8 +162,10 @@ pub(crate) fn decide_traced(
                     join(&effective_avail(usage, reservations)).into(),
                 ));
                 for minor in view.leased_devices() {
-                    fields
-                        .push((format!("gpu{minor}_pending_mib"), view.pending_mem(minor).into()));
+                    fields.push((
+                        format!("gpu{minor}_pending_mib").into(),
+                        view.pending_mem(minor).into(),
+                    ));
                 }
             }
         }

@@ -190,7 +190,7 @@ impl GyanHook {
             rec.metrics().inc_counter(INVALID_HINT_COUNTER, 1);
             rec.event(
                 INVALID_HINT_EVENT,
-                vec![
+                [
                     ("job_id", Value::from(job.id)),
                     ("destination", Value::from(destination.id.as_str())),
                     ("raw", Value::from(raw)),

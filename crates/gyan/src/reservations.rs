@@ -225,7 +225,7 @@ impl LeaseTable {
             if let Some(rec) = recorder {
                 rec.event(
                     "gyan.reservation.acquire",
-                    vec![
+                    [
                         ("job_id", Value::from(holder)),
                         ("device", Value::from(u64::from(device))),
                         ("exclusive", Value::from(exclusive)),
@@ -270,7 +270,7 @@ impl LeaseTable {
             .collect();
         rec.event(
             "gyan.reservation.conflict",
-            vec![
+            [
                 ("job_id", Value::from(holder)),
                 ("requested", Value::from(join(requested))),
                 ("baseline_devices", Value::from(join(&baseline.devices))),
@@ -351,7 +351,7 @@ fn release_locked(inner: &mut Inner, holder: u64, why: &str, recorder: Option<&R
             if let Some(rec) = recorder {
                 rec.event(
                     "gyan.reservation.release",
-                    vec![
+                    [
                         ("job_id", Value::from(holder)),
                         ("device", Value::from(u64::from(lease.device))),
                         ("reason", Value::from(why)),

@@ -100,7 +100,7 @@ pub fn merged_chrome_trace(
     // Kernel/DMA intervals on their engine tracks, tagged with the job.
     for (job_id, trace) in gpu_traces {
         for ev in trace.events() {
-            let args: Vec<(String, Value)> = vec![("job_id".to_string(), (*job_id).into())];
+            let args = vec![("job_id".into(), Value::from(*job_id))];
             builder.add_complete(
                 ev.name.clone(),
                 ev.category,
@@ -183,7 +183,7 @@ mod tests {
             .complete_events()
             .iter()
             .filter(|e| e.track == "galaxy/job 1")
-            .map(|e| e.name.as_str())
+            .map(|e| &*e.name)
             .collect();
         assert_eq!(on_job_track, vec!["galaxy.job", "galaxy.dispatch"]);
 

@@ -5,13 +5,13 @@
 //! to thread ids in first-appearance order, with metadata ("M") events
 //! naming them, so a merged job/kernel/monitor timeline reads coherently.
 
-use crate::{json_escape, Value};
+use crate::{json_escape, Key, Value};
 
 /// One duration event (Chrome phase `"X"`).
 #[derive(Debug, Clone)]
 pub struct CompleteEvent {
     /// Event label.
-    pub name: String,
+    pub name: Key,
     /// Comma-separated categories.
     pub category: String,
     /// Track (rendered as a named thread).
@@ -21,7 +21,7 @@ pub struct CompleteEvent {
     /// Duration in seconds.
     pub dur_s: f64,
     /// Extra `args` entries.
-    pub args: Vec<(String, Value)>,
+    pub args: Vec<(Key, Value)>,
 }
 
 /// One counter sample (Chrome phase `"C"`).
@@ -50,15 +50,16 @@ impl TraceBuilder {
         TraceBuilder::default()
     }
 
-    /// Add a duration event.
+    /// Add a duration event. `name` and `args` are a span's or event's
+    /// own name and fields, moved in as they are.
     pub fn add_complete(
         &mut self,
-        name: impl Into<String>,
+        name: impl Into<Key>,
         category: impl Into<String>,
         track: impl Into<String>,
         start_s: f64,
         dur_s: f64,
-        args: Vec<(String, Value)>,
+        args: Vec<(Key, Value)>,
     ) {
         self.complete.push(CompleteEvent {
             name: name.into(),

@@ -3,17 +3,21 @@
 //! JSONL dump or a Chrome trace.
 //!
 //! The ring lives inside [`crate::Recorder`] (see
-//! [`crate::Recorder::enable_flight`]) and costs one clone per closed
-//! span/event while enabled; the full span/event log is untouched. The
-//! point is post-mortems without full-run tracing: the ops server dumps
-//! it on `GET /api/flightrec`, the SLO engine captures one on every
-//! alert firing, and simtest attaches one to invariant violations.
+//! [`crate::Recorder::enable_flight`]) and holds a shared handle to the
+//! very record the span/event log stores, so while enabled it costs one
+//! reference count per closed span/event, not a copy; a record evicted
+//! from the log lives on for as long as the ring still holds it, and
+//! only a snapshot deep-copies. The point is post-mortems without
+//! full-run tracing: the ops server dumps it on `GET /api/flightrec`,
+//! the SLO engine captures one on every alert firing, and simtest
+//! attaches one to invariant violations.
 
 use crate::{event_json_line, span_json_line, EventData, SpanData};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
-/// One entry in the flight ring: a closed span or an event.
-#[derive(Debug, Clone)]
+/// One entry of a [`FlightSnapshot`]: a closed span or an event.
+#[derive(Debug, Clone, PartialEq)]
 pub enum FlightRecord {
     /// A span that has ended (open spans are appended at snapshot time).
     Span(SpanData),
@@ -39,12 +43,19 @@ impl FlightRecord {
     }
 }
 
+/// One entry of the ring: the log's own record, shared.
+#[derive(Debug)]
+pub(crate) enum Shared {
+    Span(Arc<SpanData>),
+    Event(Arc<EventData>),
+}
+
 /// The bounded ring itself; owned by the recorder, mutated on every
 /// close/emit while flight recording is enabled.
 #[derive(Debug)]
 pub(crate) struct FlightRing {
     capacity: usize,
-    records: VecDeque<FlightRecord>,
+    records: VecDeque<Shared>,
     dropped: u64,
 }
 
@@ -53,7 +64,7 @@ impl FlightRing {
         FlightRing { capacity, records: VecDeque::with_capacity(capacity.min(1024)), dropped: 0 }
     }
 
-    pub(crate) fn push(&mut self, record: FlightRecord) {
+    pub(crate) fn push(&mut self, record: Shared) {
         if self.capacity == 0 {
             self.dropped += 1;
             return;
@@ -69,7 +80,14 @@ impl FlightRing {
         FlightSnapshot {
             captured_at,
             dropped: self.dropped,
-            records: self.records.iter().cloned().collect(),
+            records: self
+                .records
+                .iter()
+                .map(|record| match record {
+                    Shared::Span(s) => FlightRecord::Span(SpanData::clone(s)),
+                    Shared::Event(e) => FlightRecord::Event(EventData::clone(e)),
+                })
+                .collect(),
         }
     }
 }

@@ -18,6 +18,14 @@
 //! Chrome-trace assembly lives in [`chrome`]; a minimal JSON reader for
 //! asserting on exported artifacts lives in [`json`]. The crate is
 //! dependency-free so every layer of the workspace can use it.
+//!
+//! Recording is the hot side and reading the cold one (end of run, on
+//! failure, on a scrape), so a record is laid out for the writer: names
+//! and field keys are [`Key`]s (a literal costs nothing), an ended span
+//! or an event is stored **once** behind an `Arc` that the log and the
+//! flight ring both hold, and every reader — [`Recorder::spans`],
+//! [`Recorder::events`], a [`flight::FlightSnapshot`] — deep-copies on
+//! demand.
 
 pub mod chrome;
 pub mod flight;
@@ -28,8 +36,15 @@ pub mod serve;
 pub mod sketch;
 pub mod slo;
 
+use std::borrow::Cow;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
+
+/// A span/event name or a field key. Nearly all are literals or
+/// `pub const …: &str`s and cost nothing to record (`Borrowed`); the few
+/// built at run time (`format!(…)`, parsed input) ride along as `Owned`.
+pub type Key = Cow<'static, str>;
 
 /// A telemetry field value.
 #[derive(Debug, Clone, PartialEq)]
@@ -176,20 +191,20 @@ pub(crate) fn format_f64(v: f64) -> String {
 }
 
 /// One completed-or-open span in the log.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpanData {
     /// Unique id within this recorder.
     pub id: u64,
     /// Parent span id, if any.
     pub parent: Option<u64>,
     /// Span name (e.g. `"galaxy.map_destination"`).
-    pub name: String,
+    pub name: Key,
     /// Start timestamp (seconds, recorder clock).
     pub start: f64,
     /// End timestamp; `None` while the span is open.
     pub end: Option<f64>,
     /// Attached key/value fields.
-    pub fields: Vec<(String, Value)>,
+    pub fields: Vec<(Key, Value)>,
 }
 
 impl SpanData {
@@ -200,16 +215,16 @@ impl SpanData {
 }
 
 /// One point-in-time event in the log.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EventData {
     /// Event name (e.g. `"gyan.rule.decision"`).
-    pub name: String,
+    pub name: Key,
     /// Timestamp (seconds, recorder clock).
     pub t: f64,
     /// Enclosing span id, if the event was emitted within a span.
     pub span: Option<u64>,
     /// Attached key/value fields.
-    pub fields: Vec<(String, Value)>,
+    pub fields: Vec<(Key, Value)>,
 }
 
 impl EventData {
@@ -221,64 +236,68 @@ impl EventData {
 
 #[derive(Default)]
 struct LogState {
-    /// Sorted by id: ids are allocated under this lock, so push order is
-    /// id order, and eviction (which preserves relative order) keeps it
-    /// that way — span lookup is a binary search, not a scan.
-    spans: Vec<SpanData>,
-    events: Vec<EventData>,
+    /// Spans not yet ended, by id: attaching a field or ending a span is
+    /// one lookup here, however long the retained log behind it is.
+    open: HashMap<u64, SpanData>,
+    /// Ended spans, oldest *end* first — the end eviction takes from.
+    closed: VecDeque<Arc<SpanData>>,
+    /// Events in emit order.
+    events: VecDeque<Arc<EventData>>,
     /// Optional retention cap (per log, spans and events separately).
     /// `None` (the default) retains everything.
     retain: Option<usize>,
     dropped_spans: u64,
     dropped_events: u64,
+    /// The flight ring, while enabled; it shares the log's records.
+    flight: Option<flight::FlightRing>,
 }
 
 impl LogState {
-    /// Position of span `id`, exploiting the sorted-by-id invariant.
-    fn span_index(&self, id: u64) -> Option<usize> {
-        self.spans.binary_search_by_key(&id, |s| s.id).ok()
-    }
-
     /// Enforce the retention cap with ~25% slack so eviction is a rare
-    /// batch pass (amortized O(1) per record), not an O(n) scan on every
-    /// push. Only *closed* spans are evicted — open spans must survive so
-    /// open/close balance checks stay meaningful; events evict FIFO.
+    /// batch (amortized O(1) per record) that never looks at a record it
+    /// keeps. Only *ended* spans are evicted, oldest end first — open
+    /// spans must survive so open/close balance checks stay meaningful,
+    /// and a job that queued for long is not the first to go the moment
+    /// it finishes; events evict FIFO.
     fn evict(&mut self) {
         let Some(limit) = self.retain else { return };
         let slack = limit / 4 + 1;
-        if self.spans.len() > limit + slack {
-            let mut to_drop = self.spans.len() - limit;
-            let mut dropped = 0u64;
-            self.spans.retain(|s| {
-                if to_drop > 0 && s.end.is_some() {
-                    to_drop -= 1;
-                    dropped += 1;
-                    false
-                } else {
-                    true
-                }
-            });
-            self.dropped_spans += dropped;
+        let spans = self.open.len() + self.closed.len();
+        if spans > limit + slack {
+            let drop_n = (spans - limit).min(self.closed.len());
+            self.closed.drain(..drop_n);
+            self.dropped_spans += drop_n as u64;
         }
         if self.events.len() > limit + slack {
             let drop_n = self.events.len() - limit;
-            self.events.drain(0..drop_n);
+            self.events.drain(..drop_n);
             self.dropped_events += drop_n as u64;
         }
+    }
+
+    /// The given spans in open (= id) order, which is what every export
+    /// promises; the log itself is kept in the order eviction wants.
+    fn by_id<'a>(spans: impl Iterator<Item = &'a SpanData>) -> Vec<&'a SpanData> {
+        let mut spans: Vec<&SpanData> = spans.collect();
+        spans.sort_unstable_by_key(|s| s.id);
+        spans
+    }
+
+    /// Every retained span, ended or not.
+    fn spans(&self) -> impl Iterator<Item = &SpanData> {
+        self.closed.iter().map(|s| &**s).chain(self.open.values())
     }
 }
 
 type ClockFn = dyn Fn() -> f64 + Send + Sync;
 
 struct RecorderInner {
+    // Lock-order discipline: the clock is read before the log lock is
+    // taken, never under it.
     log: Mutex<LogState>,
     metrics: metrics::Registry,
-    clock: Mutex<Arc<ClockFn>>,
+    clock: Mutex<Box<ClockFn>>,
     next_id: AtomicU64,
-    // Lock-order discipline: the flight lock is a leaf — it is never
-    // held while taking the log or clock lock (and vice versa callers
-    // drop the log lock before pushing here).
-    flight: Mutex<Option<flight::FlightRing>>,
 }
 
 /// Thread-safe telemetry handle; clone freely — all clones share one log,
@@ -301,9 +320,8 @@ impl Recorder {
             inner: Arc::new(RecorderInner {
                 log: Mutex::new(LogState::default()),
                 metrics: metrics::Registry::new(),
-                clock: Mutex::new(Arc::new(|| 0.0)),
+                clock: Mutex::new(Box::new(|| 0.0)),
                 next_id: AtomicU64::new(1),
-                flight: Mutex::new(None),
             }),
         }
     }
@@ -315,15 +333,20 @@ impl Recorder {
         r
     }
 
-    /// Replace the timestamp source (e.g. with a virtual clock).
+    /// Replace the timestamp source (e.g. with a virtual clock). The
+    /// clock is called with the recorder's clock lock held (one call per
+    /// event, two per span), so it must not call back into the recorder.
     pub fn set_clock(&self, clock: impl Fn() -> f64 + Send + Sync + 'static) {
-        *self.inner.clock.lock().unwrap_or_else(|e| e.into_inner()) = Arc::new(clock);
+        *self.inner.clock.lock().unwrap_or_else(|e| e.into_inner()) = Box::new(clock);
     }
 
     /// Current time per the injected clock.
     pub fn now(&self) -> f64 {
-        let clock = self.inner.clock.lock().unwrap_or_else(|e| e.into_inner()).clone();
-        clock()
+        (self.inner.clock.lock().unwrap_or_else(|e| e.into_inner()))()
+    }
+
+    fn log(&self) -> MutexGuard<'_, LogState> {
+        self.inner.log.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// The shared metrics registry.
@@ -334,13 +357,12 @@ impl Recorder {
     /// Turn on the flight recorder with a ring of `capacity` records.
     /// Re-enabling resets the ring (and its drop counter).
     pub fn enable_flight(&self, capacity: usize) {
-        *self.inner.flight.lock().unwrap_or_else(|e| e.into_inner()) =
-            Some(flight::FlightRing::new(capacity));
+        self.log().flight = Some(flight::FlightRing::new(capacity));
     }
 
     /// Whether flight recording is enabled.
     pub fn flight_enabled(&self) -> bool {
-        self.inner.flight.lock().unwrap_or_else(|e| e.into_inner()).is_some()
+        self.log().flight.is_some()
     }
 
     /// Snapshot the flight ring (`None` while disabled). Still-open
@@ -348,147 +370,129 @@ impl Recorder {
     /// in-progress work too.
     pub fn flight_snapshot(&self) -> Option<flight::FlightSnapshot> {
         let captured_at = self.now();
-        let mut snap = {
-            let flight = self.inner.flight.lock().unwrap_or_else(|e| e.into_inner());
-            flight.as_ref()?.snapshot(captured_at)
-        };
-        for span in self.open_spans() {
-            snap.records.push(flight::FlightRecord::Span(span));
-        }
+        let log = self.log();
+        let mut snap = log.flight.as_ref()?.snapshot(captured_at);
+        let open = LogState::by_id(log.open.values());
+        snap.records.extend(open.into_iter().cloned().map(flight::FlightRecord::Span));
         Some(snap)
     }
 
-    fn flight_push(&self, make: impl FnOnce() -> flight::FlightRecord) {
-        let mut flight = self.inner.flight.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(ring) = flight.as_mut() {
-            ring.push(make());
-        }
-    }
-
     /// Open a root span.
-    pub fn span(&self, name: impl Into<String>) -> Span {
+    pub fn span(&self, name: impl Into<Key>) -> Span {
         self.open_span(name.into(), None)
     }
 
-    fn open_span(&self, name: String, parent: Option<u64>) -> Span {
+    fn open_span(&self, name: Key, parent: Option<u64>) -> Span {
         let start = self.now();
-        let mut log = self.inner.log.lock().unwrap_or_else(|e| e.into_inner());
-        // Allocate the id while holding the log lock so push order is id
-        // order — the invariant `LogState::span_index` binary-searches on.
+        let mut log = self.log();
+        // Allocate the id while holding the log lock so id order is open
+        // order — the order every export sorts back into.
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-        log.spans.push(SpanData { id, parent, name, start, end: None, fields: Vec::new() });
+        log.open.insert(id, SpanData { id, parent, name, start, end: None, fields: Vec::new() });
         log.evict();
         Span { recorder: self.clone(), id, ended: false }
     }
 
     fn close_span(&self, id: u64) {
         let end = self.now();
-        let closed = {
-            let mut log = self.inner.log.lock().unwrap_or_else(|e| e.into_inner());
-            match log.span_index(id).map(|i| &mut log.spans[i]) {
-                Some(span) if span.end.is_none() => {
-                    span.end = Some(end);
-                    Some(span.clone())
-                }
-                _ => None,
-            }
-        };
-        if let Some(span) = closed {
-            self.flight_push(|| flight::FlightRecord::Span(span));
+        let mut log = self.log();
+        let Some(mut span) = log.open.remove(&id) else { return };
+        span.end = Some(end);
+        let span = Arc::new(span);
+        if let Some(ring) = log.flight.as_mut() {
+            ring.push(flight::Shared::Span(span.clone()));
         }
+        log.closed.push_back(span);
     }
 
-    fn add_span_field(&self, id: u64, key: String, value: Value) {
-        let mut log = self.inner.log.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(i) = log.span_index(id) {
-            log.spans[i].fields.push((key, value));
+    fn add_span_field(&self, id: u64, key: Key, value: Value) {
+        if let Some(span) = self.log().open.get_mut(&id) {
+            span.fields.push((key, value));
         }
     }
 
     /// Cap the span/event log at roughly `limit` records each, evicting
-    /// the oldest **closed** spans and oldest events once the cap (plus
+    /// the oldest-**ended** spans and oldest events once the cap (plus
     /// ~25% batching slack) is exceeded; open spans are never evicted, so
     /// open/close-balance checks keep working. `None` (the default)
     /// retains everything. Long soak runs set this so telemetry stays
     /// O(limit) instead of O(jobs); [`Recorder::dropped_log_records`]
     /// reports how much history eviction cost.
     pub fn set_log_retention(&self, limit: Option<usize>) {
-        let mut log = self.inner.log.lock().unwrap_or_else(|e| e.into_inner());
+        let mut log = self.log();
         log.retain = limit;
         log.evict();
     }
 
     /// `(spans, events)` evicted by the retention cap so far.
     pub fn dropped_log_records(&self) -> (u64, u64) {
-        let log = self.inner.log.lock().unwrap_or_else(|e| e.into_inner());
+        let log = self.log();
         (log.dropped_spans, log.dropped_events)
     }
 
     /// Emit a standalone event.
-    pub fn event<K: Into<String>, V: Into<Value>>(
+    pub fn event<K: Into<Key>, V: Into<Value>>(
         &self,
-        name: impl Into<String>,
+        name: impl Into<Key>,
         fields: impl IntoIterator<Item = (K, V)>,
     ) {
         self.emit_event(name.into(), None, fields);
     }
 
-    fn emit_event<K: Into<String>, V: Into<Value>>(
+    fn emit_event<K: Into<Key>, V: Into<Value>>(
         &self,
-        name: String,
+        name: Key,
         span: Option<u64>,
         fields: impl IntoIterator<Item = (K, V)>,
     ) {
         let t = self.now();
         let fields = fields.into_iter().map(|(k, v)| (k.into(), v.into())).collect();
-        let ev = EventData { name, t, span, fields };
-        self.flight_push(|| flight::FlightRecord::Event(ev.clone()));
-        let mut log = self.inner.log.lock().unwrap_or_else(|e| e.into_inner());
-        log.events.push(ev);
+        let event = Arc::new(EventData { name, t, span, fields });
+        let mut log = self.log();
+        if let Some(ring) = log.flight.as_mut() {
+            ring.push(flight::Shared::Event(event.clone()));
+        }
+        log.events.push_back(event);
         log.evict();
     }
 
-    /// Snapshot of all spans recorded so far.
+    /// Snapshot of all spans recorded so far, in open order.
     pub fn spans(&self) -> Vec<SpanData> {
-        self.inner.log.lock().unwrap_or_else(|e| e.into_inner()).spans.clone()
+        let log = self.log();
+        LogState::by_id(log.spans()).into_iter().cloned().collect()
     }
 
     /// Spans recorded but not yet ended — a quiesced system should have
     /// none, which makes this the open/close-balance probe for invariant
     /// checkers.
     pub fn open_spans(&self) -> Vec<SpanData> {
-        self.inner
-            .log
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .spans
-            .iter()
-            .filter(|s| s.end.is_none())
-            .cloned()
-            .collect()
+        let log = self.log();
+        LogState::by_id(log.open.values()).into_iter().cloned().collect()
     }
 
-    /// Snapshot of all events recorded so far.
+    /// Snapshot of all events recorded so far, in emit order.
     pub fn events(&self) -> Vec<EventData> {
-        self.inner.log.lock().unwrap_or_else(|e| e.into_inner()).events.clone()
+        self.log().events.iter().map(|e| EventData::clone(e)).collect()
     }
 
     /// Events with the given name.
     pub fn events_named(&self, name: &str) -> Vec<EventData> {
-        self.events().into_iter().filter(|e| e.name == name).collect()
+        let log = self.log();
+        log.events.iter().filter(|e| e.name == name).map(|e| EventData::clone(e)).collect()
     }
 
     /// Spans with the given name.
     pub fn spans_named(&self, name: &str) -> Vec<SpanData> {
-        self.spans().into_iter().filter(|s| s.name == name).collect()
+        let log = self.log();
+        LogState::by_id(log.spans().filter(|s| s.name == name)).into_iter().cloned().collect()
     }
 
     /// Export the span/event log as JSON Lines: one object per line,
     /// spans first (in open order), then events (in emit order).
     pub fn to_jsonl(&self) -> String {
-        let log = self.inner.log.lock().unwrap_or_else(|e| e.into_inner());
+        let log = self.log();
         let mut out = String::new();
-        for s in &log.spans {
+        for s in LogState::by_id(log.spans()) {
             out.push_str(&span_json_line(s));
         }
         for e in &log.events {
@@ -522,7 +526,7 @@ pub(crate) fn event_json_line(e: &EventData) -> String {
     )
 }
 
-fn render_fields(fields: &[(String, Value)]) -> String {
+fn render_fields(fields: &[(Key, Value)]) -> String {
     if fields.is_empty() {
         return String::new();
     }
@@ -546,19 +550,19 @@ impl Span {
     }
 
     /// Open a child span.
-    pub fn child(&self, name: impl Into<String>) -> Span {
+    pub fn child(&self, name: impl Into<Key>) -> Span {
         self.recorder.open_span(name.into(), Some(self.id))
     }
 
     /// Attach a key/value field.
-    pub fn field(&self, key: impl Into<String>, value: impl Into<Value>) {
+    pub fn field(&self, key: impl Into<Key>, value: impl Into<Value>) {
         self.recorder.add_span_field(self.id, key.into(), value.into());
     }
 
     /// Emit an event attached to this span.
-    pub fn event<K: Into<String>, V: Into<Value>>(
+    pub fn event<K: Into<Key>, V: Into<Value>>(
         &self,
-        name: impl Into<String>,
+        name: impl Into<Key>,
         fields: impl IntoIterator<Item = (K, V)>,
     ) {
         self.recorder.emit_event(name.into(), Some(self.id), fields);
@@ -582,9 +586,9 @@ impl Drop for Span {
 /// Convenience for callers that may or may not have telemetry wired up:
 /// an `Option<&Recorder>`-like free function set. Emitting through `None`
 /// is a no-op, so call sites stay unconditional.
-pub fn event_opt<K: Into<String>, V: Into<Value>>(
+pub fn event_opt<K: Into<Key>, V: Into<Value>>(
     recorder: Option<&Recorder>,
-    name: impl Into<String>,
+    name: impl Into<Key>,
     fields: impl IntoIterator<Item = (K, V)>,
 ) {
     if let Some(r) = recorder {
@@ -723,15 +727,47 @@ mod tests {
         assert!(rec.events().len() <= 8 + 8 / 4 + 1);
         let (dropped_spans, dropped_events) = rec.dropped_log_records();
         assert!(dropped_spans > 0 && dropped_events > 0);
-        // Eviction preserves the sorted-by-id invariant, so closing a
-        // surviving span (binary search) still works.
+        // An open span is found by id whatever was evicted around it.
         held.end();
         assert!(rec.open_spans().is_empty());
-        // Newest records are the ones retained.
+        // The log is kept in end order (the long-held span ended last);
+        // readers still get open order.
         let ids: Vec<u64> = rec.spans().iter().map(|s| s.id).collect();
         let mut sorted = ids.clone();
         sorted.sort_unstable();
-        assert_eq!(ids, sorted, "span log stays id-sorted after eviction");
+        assert_eq!(ids, sorted, "spans() stays id-sorted after eviction");
+        assert_eq!(ids[0], 1, "the span that ended last survived, oldest id or not");
+    }
+
+    /// Open spans alone over the cap: the eviction quota can never be
+    /// met. The old `Vec::retain` pass then re-scanned the whole log on
+    /// every later `open_span`; the batch now costs what it drops.
+    #[test]
+    fn open_spans_beyond_the_cap_survive_and_eviction_keeps_counting() {
+        const CAP: usize = 8;
+        let rec = Recorder::new();
+        rec.set_log_retention(Some(CAP));
+        let held: Vec<Span> = (0..64).map(|_| rec.span("held-open")).collect();
+        // The batch rule, on counts alone: checked at every open, `limit +
+        // limit / 4 + 1` → `limit`, ended spans only.
+        let (mut ended, mut dropped) = (0usize, 0u64);
+        for _ in 0..10_000 {
+            let open = held.len() + 1;
+            if open + ended > CAP + CAP / 4 + 1 {
+                let drop_n = (open + ended - CAP).min(ended);
+                ended -= drop_n;
+                dropped += drop_n as u64;
+            }
+            rec.span("churn").end();
+            ended += 1;
+        }
+        assert_eq!(rec.dropped_log_records(), (dropped, 0));
+        assert_eq!(rec.open_spans().len(), held.len(), "open spans are never evicted");
+        let spans = rec.spans();
+        assert_eq!(spans.len(), held.len() + ended);
+        assert!(ended <= CAP + CAP / 4 + 1, "{ended} ended spans retained");
+        drop(held);
+        assert!(rec.open_spans().is_empty());
     }
 
     #[test]

@@ -71,9 +71,17 @@ impl Registry {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    // The update methods below look `name` up as the `&str` it is and
+    // copy it into an owned key only the first time a series is seen.
+
     /// Add `by` to a monotonically increasing counter.
     pub fn inc_counter(&self, name: &str, by: u64) {
-        *self.lock().counters.entry(name.to_string()).or_insert(0) += by;
+        let mut state = self.lock();
+        if let Some(value) = state.counters.get_mut(name) {
+            *value += by;
+        } else {
+            state.counters.insert(name.to_string(), by);
+        }
     }
 
     /// Register help text for a metric family. Keyed by base name
@@ -91,12 +99,22 @@ impl Registry {
 
     /// Set a gauge to an absolute value.
     pub fn set_gauge(&self, name: &str, value: f64) {
-        self.lock().gauges.insert(name.to_string(), value);
+        let mut state = self.lock();
+        if let Some(gauge) = state.gauges.get_mut(name) {
+            *gauge = value;
+        } else {
+            state.gauges.insert(name.to_string(), value);
+        }
     }
 
     /// Adjust a gauge by a (possibly negative) delta.
     pub fn add_gauge(&self, name: &str, delta: f64) {
-        *self.lock().gauges.entry(name.to_string()).or_insert(0.0) += delta;
+        let mut state = self.lock();
+        if let Some(gauge) = state.gauges.get_mut(name) {
+            *gauge += delta;
+        } else {
+            state.gauges.insert(name.to_string(), delta);
+        }
     }
 
     /// Record an observation into a histogram with [`DEFAULT_BUCKETS`].
@@ -115,8 +133,10 @@ impl Registry {
     pub fn observe_with_buckets(&self, name: &str, value: f64, bounds: &[f64]) {
         let mismatch = {
             let mut state = self.lock();
-            let hist =
-                state.histograms.entry(name.to_string()).or_insert_with(|| Histogram::new(bounds));
+            let hist = match state.histograms.get_mut(name) {
+                Some(hist) => hist,
+                None => state.histograms.entry(name.to_string()).or_insert(Histogram::new(bounds)),
+            };
             let mismatch = hist.bounds != bounds;
             hist.observe(value);
             mismatch

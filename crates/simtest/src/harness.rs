@@ -19,6 +19,7 @@ use galaxy::GalaxyError;
 use gpusim::{GpuArch, GpuCluster};
 use gyan::setup::GyanConfig;
 use obs::slo::{AlertExpr, AlertRule, Compare};
+use obs::Recorder;
 use seqtools::{DatasetSpec, ToolExecutor};
 use std::sync::Arc;
 
@@ -165,6 +166,16 @@ enum Arrival<'a> {
 // but the Err path is terminal — a failure report, not a hot return.
 #[allow(clippy::result_large_err)]
 pub fn run_scenario(scenario: &Scenario, options: &SimOptions) -> Result<SimReport, Failure> {
+    run_scenario_recorded(scenario, options).map(|(report, _)| report)
+}
+
+/// [`run_scenario`], also handing back the run's recorder (flight ring
+/// on, retention off) — the telemetry the export-parity suite pins.
+#[allow(clippy::result_large_err)]
+pub fn run_scenario_recorded(
+    scenario: &Scenario,
+    options: &SimOptions,
+) -> Result<(SimReport, Recorder), Failure> {
     let cluster = GpuCluster::node(GpuArch::tesla_k80(), scenario.gpu_count);
     let executor = Arc::new(ToolExecutor::new(&cluster));
     executor.register_dataset(racon_dataset());
@@ -239,7 +250,7 @@ pub fn run_scenario(scenario: &Scenario, options: &SimOptions) -> Result<SimRepo
         let events = stack.recorder.events();
         invariants::exclusive_isolation(&events)?;
         invariants::export_matches_acquire(&events)?;
-        Ok(report)
+        Ok((report, stack.recorder.clone()))
     })
 }
 

@@ -67,7 +67,7 @@ pub fn exclusive_isolation(events: &[EventData]) -> Result<(), Violation> {
         let device = ev.field("device").and_then(|v| v.as_f64()).map(|d| d as u64);
         let holder = ev.field("job_id").and_then(|v| v.as_f64()).map(|j| j as u64);
         let (Some(device), Some(holder)) = (device, holder) else { continue };
-        match ev.name.as_str() {
+        match &*ev.name {
             "gyan.reservation.acquire" => {
                 let exclusive = ev.field("exclusive").and_then(|v| v.as_bool()).unwrap_or(false);
                 let slot = active.entry(device).or_default();
@@ -267,7 +267,7 @@ pub fn spans_balanced(recorder: &Recorder) -> Result<(), Violation> {
     if open.is_empty() {
         return Ok(());
     }
-    let names: Vec<&str> = open.iter().map(|s| s.name.as_str()).collect();
+    let names: Vec<&str> = open.iter().map(|s| &*s.name).collect();
     Err(Violation::new("spans_balanced", format!("{} span(s) never closed: {names:?}", open.len())))
 }
 
@@ -276,7 +276,7 @@ mod tests {
     use super::*;
     use obs::Value;
 
-    fn event(name: &str, fields: Vec<(&'static str, Value)>) -> EventData {
+    fn event(name: &'static str, fields: Vec<(&'static str, Value)>) -> EventData {
         let rec = Recorder::new();
         rec.event(name, fields);
         rec.events().pop().unwrap()

@@ -1,0 +1,116 @@
+//! Heap-allocation budget of the telemetry recorder and of one job's
+//! trip through the stack — the guard that keeps the next audit event
+//! from silently costing fifteen allocations again.
+//!
+//! One `#[test]` in its own binary: the counting `#[global_allocator]`
+//! is process-wide, so nothing else may allocate while a budget is
+//! being counted.
+
+use loadgen::{run_scenario, LoadOptions, LoadScenario, Topology};
+use obs::Recorder;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Calls to `alloc`, `alloc_zeroed` and `realloc` since process start.
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter is a statistic
+// that publishes no other data.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's `layout` is passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's `layout` is passed through as is.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`,
+        // with `layout`; all three are passed through as is.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`,
+        // with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocations_during(work: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    work();
+    ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
+const RECORDS: u64 = 10_000;
+
+/// Allocations per call of `record`, averaged over [`RECORDS`] calls on
+/// a production-shaped recorder: flight ring on, retention capped, and
+/// both already at steady state (the ring wrapping, the log evicting).
+fn per_record(record: impl Fn(&Recorder, u64)) -> f64 {
+    let rec = Recorder::new();
+    rec.enable_flight(1_024);
+    rec.set_log_retention(Some(1_000));
+    for i in 0..RECORDS {
+        record(&rec, i);
+    }
+    let counted = allocations_during(|| (0..RECORDS).for_each(|i| record(&rec, i)));
+    counted as f64 / RECORDS as f64
+}
+
+/// Allocations per job of the 2 000-job day below: 349.7 at the parent
+/// commit 8faed09 (where the event above cost 16 and the span 8), 144.7
+/// now; the ceiling is the measured value plus 10 %.
+const ALLOCS_PER_JOB_CEILING: f64 = 159.0;
+
+#[test]
+fn telemetry_records_and_jobs_stay_inside_their_allocation_budget() {
+    // The shape of a lease audit (Case 1 emits 32 of them per job): six
+    // numeric fields under literal keys. One `Vec` of fields, one record
+    // shared by the log and the ring.
+    let event = per_record(|rec, i| {
+        rec.event(
+            "gyan.reservation.acquire",
+            [("job_id", i), ("gpu", 1), ("mem_mib", 512), ("leases", 2), ("wave", 7), ("pid", i)],
+        );
+    });
+    assert!(event <= 2.0, "{event} allocations per six-field event");
+
+    let span = per_record(|rec, i| {
+        let span = rec.span("galaxy.dispatch");
+        span.field("job_id", i);
+        span.field("exit_code", 0i64);
+        span.end();
+    });
+    assert!(span <= 3.0, "{span} allocations per span open + two fields + close");
+
+    // A 2 000-job day through the real `QueueEngine` over `install_gyan`
+    // on the paper's K80 node (two devices, as `GpuCluster::k80_node()`).
+    let scenario = LoadScenario {
+        topology: Topology::SingleNode { gpus: 2 },
+        ..LoadScenario::diurnal(1, 2_000)
+    };
+    let mut jobs = 0;
+    let counted = allocations_during(|| {
+        let report =
+            run_scenario(&scenario, &LoadOptions::default()).unwrap_or_else(|f| panic!("{f}"));
+        assert_eq!(report.ok, report.submitted);
+        jobs = report.arrivals;
+    });
+    let per_job = counted as f64 / jobs as f64;
+    println!("allocations: event {event:.2}  span {span:.2}  job {per_job:.1}");
+    assert!(per_job <= ALLOCS_PER_JOB_CEILING, "{per_job:.1} allocations per job of {jobs}");
+}

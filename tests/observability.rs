@@ -74,7 +74,7 @@ fn every_pipeline_phase_nests_under_the_job_span() {
         let job_end = job.end.expect("job span closed");
         let children: Vec<obs::SpanData> =
             app.recorder().spans().into_iter().filter(|s| s.parent == Some(job.id)).collect();
-        let names: Vec<&str> = children.iter().map(|s| s.name.as_str()).collect();
+        let names: Vec<&str> = children.iter().map(|s| &*s.name).collect();
         assert_eq!(names, PHASES.to_vec(), "job {id} phase spans in pipeline order");
         for phase in &children {
             let end = phase.end.expect("phase span closed");

@@ -411,7 +411,7 @@ proptest! {
         for event in rec.events() {
             let device = || event.field("device").and_then(|v| v.as_f64()).unwrap() as u32;
             let holder = || event.field("job_id").and_then(|v| v.as_f64()).unwrap() as u64;
-            match event.name.as_str() {
+            match &*event.name {
                 "gyan.reservation.acquire" => {
                     let exclusive = event.field("exclusive").and_then(|v| v.as_bool()).unwrap();
                     let slot = active.entry(device()).or_default();
