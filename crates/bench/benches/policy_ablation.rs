@@ -2,9 +2,8 @@
 //! (DESIGN.md ablation #1, the paper's Case 3 vs Case 4 argument).
 //!
 //! Benchmarks the decision cost of each policy across cluster load
-//! states, and reports (once, at startup) the placement each policy
-//! produces for the paper's Case-4 scenario — the memory policy avoids
-//! scattering single-GPU tools across both devices.
+//! states. (The placements themselves — the memory policy not scattering
+//! Case 4's second Bonito — are `gates paper`'s `case4_*` rows.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gpusim::{GpuCluster, GpuProcess};
@@ -22,20 +21,7 @@ fn cluster_with_load(per_device: &[u64]) -> GpuCluster {
     cluster
 }
 
-fn report_case4_outcomes() {
-    // Racon (60 MiB) on GPU 0, Bonito (2.7 GB) on GPU 1; who takes the
-    // next job?
-    let cluster = cluster_with_load(&[60, 2700]);
-    let pid = select_gpus(&cluster, &[1], AllocationPolicy::ProcessId).unwrap();
-    let mem = select_gpus(&cluster, &[1], AllocationPolicy::MemoryBased).unwrap();
-    eprintln!("policy_ablation: case-4 placement — PID policy exposes {:?} (scatter), memory policy exposes {:?} (least loaded)",
-        pid.devices, mem.devices);
-    assert_eq!(pid.devices, vec![0, 1]);
-    assert_eq!(mem.devices, vec![0]);
-}
-
 fn bench_policies(c: &mut Criterion) {
-    report_case4_outcomes();
     let scenarios: [(&str, Vec<u64>); 3] =
         [("idle", vec![0, 0]), ("half", vec![60, 0]), ("full", vec![60, 2700])];
     let mut group = c.benchmark_group("allocation_policy");

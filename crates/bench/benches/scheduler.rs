@@ -1,7 +1,10 @@
 //! Criterion microbenchmarks of GYAN's orchestration overhead: the
 //! dynamic destination rule vs a static mapping (DESIGN.md ablation #5).
 //! The paper claims GYAN "does not introduce any extra overhead"; this
-//! bench quantifies the rule's actual cost.
+//! bench quantifies the rule's actual cost. (The allocation decision and
+//! the SMI observation under it are the canonical benchmark's
+//! `gyan.decision_us` / `gyan.gpu_usage_us` and `gates scheduler`'s
+//! `decisions_per_sec`.)
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use galaxy::job::conf::{JobConfig, GYAN_JOB_CONF};
@@ -11,7 +14,6 @@ use galaxy::tool::wrapper::parse_tool;
 use galaxy::GalaxyApp;
 use gpusim::{GpuCluster, GpuProcess};
 use gyan::rules::GpuDestinationRule;
-use gyan::{get_gpu_usage, select_gpus, AllocationPolicy};
 
 const GPU_TOOL: &str = r#"<tool id="racon_gpu"><requirements>
   <requirement type="compute">gpu</requirement>
@@ -32,13 +34,6 @@ fn bench_dynamic_rule(c: &mut Criterion) {
     group.bench_function("static_lookup_baseline", |b| {
         b.iter(|| config.destination_for_tool("racon_gpu").unwrap())
     });
-    group.bench_function("allocation_pid_policy", |b| {
-        b.iter(|| select_gpus(&cluster, &[0], AllocationPolicy::ProcessId))
-    });
-    group.bench_function("allocation_memory_policy", |b| {
-        b.iter(|| select_gpus(&cluster, &[0], AllocationPolicy::MemoryBased))
-    });
-    group.bench_function("get_gpu_usage", |b| b.iter(|| get_gpu_usage(&cluster)));
     group.finish();
 }
 

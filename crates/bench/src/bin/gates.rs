@@ -1,14 +1,16 @@
-//! The `verify.sh` bench gates: five measurement bodies over the one
+//! The `verify.sh` bench gates: six measurement bodies over the one
 //! mechanism in [`gyan_bench::gate`].
 //!
-//! `gates` runs all five; `gates <name>` one of `workflow`, `scheduler`,
-//! `placement`, `loadtest`, `ablation`. Each records a trajectory
-//! (`BENCH_<name>.json` at the repo root; the workflow gate's lives
-//! under `target/`) and a `BENCH_history.jsonl` line on a pass, and
+//! `gates` runs all six; `gates <name>` one of `workflow`, `scheduler`,
+//! `placement`, `loadtest`, `ablation`, `paper`. Each records a
+//! trajectory (`BENCH_<name>.json` at the repo root; the workflow gate's
+//! lives under `target/`) and a `BENCH_history.jsonl` line on a pass, and
 //! exits 1 on a failed comparison leaving both untouched. `--accept`
 //! records the run despite the comparison (an intended move); the
 //! absolute checks — SLOs quiet, cross-arm acceptance, profile
-//! attribution — are not overridable. Run from the repo root.
+//! attribution, the paper claims' bands and EXPERIMENTS.md's scorecard
+//! rows — are not overridable. Run from the repo root. The `paper`
+//! gate's body is [`gyan_bench::paper::run`].
 
 use fleet::{policy_by_name, DestinationRules, Fleet, NodeClass, PlacementRequest};
 use galaxy::job::conf::{JobConfig, GYAN_JOB_CONF};
@@ -25,7 +27,6 @@ use gyan::footprint::MemoryHint;
 use gyan::reservations::LeaseTable;
 use gyan::setup::ClusterTime;
 use gyan_bench::gate::{measure, run_gate, Gate, Metric, Run, WallBench, REMEASURES};
-use gyan_bench::table::banner;
 use loadgen::{run_scenario, LoadOptions, LoadScenario, DEFAULT_SLO_RULES};
 use seqtools::ToolExecutor;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -75,12 +76,13 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-const GATES: [Gate; 5] = [
+const GATES: [Gate; 6] = [
     Gate { name: "workflow", file: "target/BENCH_workflow.json", run: workflow },
     Gate { name: "scheduler", file: "BENCH_scheduler.json", run: scheduler },
     Gate { name: "placement", file: "BENCH_placement.json", run: placement },
     Gate { name: "loadtest", file: "BENCH_loadtest.json", run: loadtest },
     Gate { name: "ablation", file: "BENCH_ablation.json", run: ablation },
+    Gate { name: "paper", file: "BENCH_paper.json", run: gyan_bench::paper::run },
 ];
 
 /// Wall-clock budget of one gate's interleaved measurement. At the
@@ -730,7 +732,7 @@ fn main() {
     }
     let mut failed = false;
     for gate in GATES.iter().filter(|g| only.as_deref().is_none_or(|n| n == g.name)) {
-        banner(&format!("Gate: {}", gate.name), gate.file);
+        println!("\n==== gate {} -> {} ====", gate.name, gate.file);
         if let Err(err) = run_gate(gate, accept) {
             eprintln!("{err}");
             failed = true;

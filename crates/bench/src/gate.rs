@@ -523,6 +523,18 @@ fn keep_best(metrics: &mut [Metric], again: Vec<Metric>) {
     }
 }
 
+/// A NaN or ∞ is rendered as `null`, which [`Trajectory::parse`] rejects:
+/// once recorded, the line would drop out of every later baseline without
+/// a word. So a run carrying one fails before it is compared or written.
+fn all_finite(name: &str, metrics: &[Metric]) -> Result<(), String> {
+    match metrics.iter().find(|m| !m.value.is_finite()) {
+        Some(m) => {
+            Err(format!("{name}: FAIL — metric {:?} is {}; nothing recorded", m.name, m.value))
+        }
+        None => Ok(()),
+    }
+}
+
 /// Measure `gate`, compare against its baseline, and — on a pass, or
 /// unconditionally with `accept` — rewrite its file and append the
 /// history line. A wall metric that reads below its bound is re-measured
@@ -535,6 +547,7 @@ pub fn run_gate(gate: &Gate, accept: bool) -> Result<(), String> {
     let name = gate.name;
     let body = || (gate.run)().map_err(|e| format!("{name}: FAIL — {e}"));
     let run = body()?;
+    all_finite(name, &run.metrics)?;
     let mut new = Trajectory {
         schema: schema(name),
         commit: git_commit(),
@@ -792,6 +805,26 @@ mod tests {
         assert_eq!(*get("rate"), faster, "higher is better: the second run's reading wins whole");
         assert_eq!(get("latency_us").value, 25.0, "lower is better: the first run's reading stays");
         assert_eq!(get("users").value, 100_000.0, "context is not re-taken");
+    }
+
+    #[test]
+    fn a_non_finite_metric_fails_the_gate_before_anything_is_written() {
+        fn poisoned() -> Result<Run, String> {
+            let metrics = vec![Metric::exact("fine", 1.0), Metric::exact("runtime_s", f64::NAN)];
+            Ok(Run { metrics, profile: None })
+        }
+        // What recording it would have done: `null`, which no run parses back.
+        let t = Trajectory { metrics: poisoned().unwrap().metrics, ..trajectory() };
+        assert!(Trajectory::parse(&t.render_json(), SCHEMA).unwrap_err().contains("runtime_s"));
+
+        let gate = Gate { name: "demo", file: "target/BENCH_poisoned.json", run: poisoned };
+        let history = std::fs::read(HISTORY_FILE).ok();
+        for accept in [false, true] {
+            let err = run_gate(&gate, accept).unwrap_err();
+            assert!(err.contains("\"runtime_s\" is NaN"), "{err}");
+        }
+        assert!(!std::path::Path::new(gate.file).exists(), "the trajectory file was written");
+        assert_eq!(std::fs::read(HISTORY_FILE).ok(), history, "the history was touched");
     }
 
     #[test]

@@ -1,17 +1,15 @@
-//! Shared harness for the figure-regeneration binaries, the benches and
-//! the `verify.sh` gates.
+//! The `verify.sh` gates and the Criterion benches.
 //!
-//! Every `fig*`/ablation binary in `src/bin/` regenerates one table or
-//! figure of the paper's evaluation (see `DESIGN.md` for the experiment
-//! index); this library provides the common pieces: a fully wired GYAN
-//! testbed ([`testbed`]), ASCII table rendering ([`table`]), and the
-//! paper's reference numbers ([`paper`]) so each binary can print
-//! paper-vs-measured rows. The `gates` binary's trajectory format,
-//! measuring protocol and comparator are [`gate`].
+//! [`gate`] is the one gate mechanism — trajectory format, measuring
+//! protocol, comparator — behind every `BENCH_*.json`; the `gates`
+//! binary holds five of its six measurement bodies. The sixth is
+//! [`paper`]: the paper's evaluation (Figs. 3–11, §VI-A, §III and two
+//! extensions) as one claims table, each distinct simulation run once
+//! and every number pinned. [`testbed`] is the fully wired GYAN
+//! deployment the gates submit Galaxy jobs to, and [`table`] renders
+//! their ASCII tables. See `DESIGN.md` for the experiment index.
 
 pub mod gate;
 pub mod paper;
 pub mod table;
 pub mod testbed;
-
-pub use testbed::Testbed;

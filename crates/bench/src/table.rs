@@ -1,4 +1,4 @@
-//! Minimal ASCII table rendering for harness output.
+//! Minimal ASCII table rendering for gate output.
 
 /// A simple left-padded column table.
 pub struct Table {
@@ -16,12 +16,6 @@ impl Table {
     pub fn row(&mut self, cells: &[String]) {
         assert_eq!(cells.len(), self.headers.len(), "column count mismatch");
         self.rows.push(cells.to_vec());
-    }
-
-    /// Append a row of displayable values.
-    pub fn row_display(&mut self, cells: &[&dyn std::fmt::Display]) {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells);
     }
 
     /// Render with column alignment.
@@ -54,32 +48,6 @@ impl Table {
         out.push('\n');
         out
     }
-
-    /// Print to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
-}
-
-/// Format seconds with adaptive units.
-pub fn fmt_secs(s: f64) -> String {
-    if s >= 3600.0 {
-        format!("{:.1} h", s / 3600.0)
-    } else if s >= 60.0 {
-        format!("{:.1} min", s / 60.0)
-    } else if s >= 1.0 {
-        format!("{s:.2} s")
-    } else {
-        format!("{:.1} ms", s * 1e3)
-    }
-}
-
-/// Standard banner for a figure binary.
-pub fn banner(fig: &str, what: &str) {
-    println!("==============================================================");
-    println!("GYAN reproduction — {fig}");
-    println!("{what}");
-    println!("==============================================================");
 }
 
 #[cfg(test)]
@@ -102,13 +70,5 @@ mod tests {
     fn row_length_checked() {
         let mut t = Table::new(&["a", "b"]);
         t.row(&["only-one".into()]);
-    }
-
-    #[test]
-    fn fmt_units() {
-        assert_eq!(fmt_secs(7500.0), "2.1 h");
-        assert_eq!(fmt_secs(90.0), "1.5 min");
-        assert_eq!(fmt_secs(3.216), "3.22 s");
-        assert_eq!(fmt_secs(0.0123), "12.3 ms");
     }
 }

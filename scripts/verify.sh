@@ -19,8 +19,8 @@
 #
 # Bench-gate knob (the only one; `gates` itself reads no environment):
 #   BENCH_SKIP=1  skip the `gates` step (workflow, scheduler, placement,
-#                 loadtest, ablation). An intended perf or virtual-time
-#                 move is accepted by hand, per gate, with
+#                 loadtest, ablation, paper). An intended perf or
+#                 virtual-time move is accepted by hand, per gate, with
 #                 `cargo run --release -p gyan-bench --bin gates <name> --accept`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -62,12 +62,15 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 if [[ "${BENCH_SKIP:-0}" == "1" ]]; then
   echo "==> bench gates: skipped (BENCH_SKIP=1)"
 else
-  # One binary, five gates. Each compares against the median of its last
+  # One binary, six gates. Each compares against the median of its last
   # five BENCH_history.jsonl entries — wall metrics by their own committed
   # bound, virtual-time metrics exactly — prints the one-line delta
   # summary, and on a pass rewrites BENCH_<gate>.json and appends the
   # history line itself; on a failure it exits non-zero and writes nothing.
-  echo "==> bench gates (BENCH_{scheduler,placement,loadtest,ablation}.json + workflow)"
+  # The sixth, `paper` (~90 s of the ~2.5 min), re-runs the paper's
+  # evaluation and also fails when a claim leaves its band of the paper's
+  # value or EXPERIMENTS.md's scorecard tables differ from what it rendered.
+  echo "==> bench gates (BENCH_{scheduler,placement,loadtest,ablation,paper}.json + workflow)"
   cargo run -q --release -p gyan-bench --bin gates
 fi
 

@@ -1,7 +1,8 @@
 //! Calibration regression: the cost model must keep reproducing the
 //! paper's headline numbers (within tolerance). Uses a shape-preserving
 //! shrink of the benchmark instances so the suite stays fast in debug
-//! builds; the `calibrate` harness binary checks the full instances.
+//! builds; `gates paper` (`crates/bench/src/paper.rs`) checks the full
+//! instances against tighter bands and pins every value exactly.
 
 use gpusim::{CudaContext, GpuCluster, HostSpec, VirtualClock};
 use seqtools::bonito::{basecall_cpu, basecall_gpu, BonitoInput, BonitoModel, BonitoOpts};

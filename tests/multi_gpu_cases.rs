@@ -62,6 +62,19 @@ fn case3_pid_allocation_scatters_when_all_busy() {
         .copied()
         .collect();
     assert_eq!(on_both.len(), 2);
+
+    // ... and its process table lists three 60 MiB `racon_gpu` rows per
+    // device (63 MiB driver + 3 × 60 MiB = 243 MiB in use on each).
+    let table = smi::render_table(&cluster);
+    for gpu in ["0", "1"] {
+        let rows = table
+            .lines()
+            .filter(|line| line.contains("/usr/bin/racon_gpu") && line.ends_with("60MiB |"))
+            .filter(|line| line.split_whitespace().nth(1) == Some(gpu))
+            .count();
+        assert_eq!(rows, 3, "fig-11 process rows of GPU {gpu}:\n{table}");
+    }
+    assert_eq!(table.matches("243MiB /").count(), 2, "fig-11 memory in use:\n{table}");
 }
 
 #[test]
