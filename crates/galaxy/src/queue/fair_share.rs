@@ -145,12 +145,22 @@ impl<T> FairShareQueue<T> {
     /// would strand an accepted workflow.
     pub fn push_unchecked(&mut self, user: &str, priority: u8, enqueued_at: f64, item: T) {
         self.seq += 1;
-        let bucket = self.buckets.entry(user.to_string()).or_default();
-        let was_empty = bucket.is_empty();
-        bucket.insert((Reverse(priority), self.seq), Entry { item, enqueued_at });
-        let usage = *self.usage.entry(user.to_string()).or_insert(0);
+        let entry = ((Reverse(priority), self.seq), Entry { item, enqueued_at });
+        // Looked up by `&str`: the name is copied only where a key is
+        // inserted — a user's first push ever, and their filing as ready.
+        let was_empty = match self.buckets.get_mut(user) {
+            Some(bucket) => {
+                let was_empty = bucket.is_empty();
+                bucket.insert(entry.0, entry.1);
+                was_empty
+            }
+            None => {
+                self.buckets.insert(user.to_string(), BTreeMap::from([entry]));
+                true
+            }
+        };
         if was_empty {
-            self.ready.insert((usage, user.to_string()));
+            self.ready.insert((self.user_usage(user), user.to_string()));
         }
         self.len += 1;
     }

@@ -86,14 +86,16 @@ impl Profiler {
         sorted(&self.gpu_activities)
     }
 
-    /// Total time across API calls.
+    /// Total time across API calls, added up in [`Self::api_report`]'s
+    /// order — so it is bit-stable, whatever order the entries arrived or
+    /// the map iterates in.
     pub fn total_api_seconds(&self) -> f64 {
-        self.api_calls.values().map(|e| e.seconds).sum()
+        report_order(&self.api_calls).iter().map(|(_, e)| e.seconds).sum()
     }
 
-    /// Total device busy time.
+    /// Total device busy time, added up in [`Self::gpu_report`]'s order.
     pub fn total_gpu_seconds(&self) -> f64 {
-        self.gpu_activities.values().map(|e| e.seconds).sum()
+        report_order(&self.gpu_activities).iter().map(|(_, e)| e.seconds).sum()
     }
 
     /// Look up one API entry by name.
@@ -143,10 +145,16 @@ impl Profiler {
     }
 }
 
-fn sorted(map: &HashMap<String, Entry>) -> Vec<(String, Entry)> {
-    let mut v: Vec<(String, Entry)> = map.iter().map(|(k, e)| (k.clone(), *e)).collect();
-    v.sort_by(|a, b| b.1.seconds.total_cmp(&a.1.seconds).then_with(|| a.0.cmp(&b.0)));
+/// A section's entries by descending time, then name: the one
+/// deterministic order reports list and totals add up in.
+fn report_order(map: &HashMap<String, Entry>) -> Vec<(&String, &Entry)> {
+    let mut v: Vec<(&String, &Entry)> = map.iter().collect();
+    v.sort_by(|a, b| b.1.seconds.total_cmp(&a.1.seconds).then_with(|| a.0.cmp(b.0)));
     v
+}
+
+fn sorted(map: &HashMap<String, Entry>) -> Vec<(String, Entry)> {
+    report_order(map).into_iter().map(|(name, e)| (name.clone(), *e)).collect()
 }
 
 #[cfg(test)]
@@ -173,6 +181,28 @@ mod tests {
         p.record(ApiKind::ApiCall, "c", 0.5);
         let names: Vec<String> = p.api_report().into_iter().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["b", "c", "a"]);
+    }
+
+    #[test]
+    fn totals_are_bit_identical_whatever_order_the_entries_arrived_in() {
+        // Forty terms whose sum depends on the order of addition, and two
+        // maps that hash (so iterate) differently.
+        let entries: Vec<(String, f64)> =
+            (1..=40u32).map(|i| (format!("kernel_{i}"), 0.1 * f64::from(i) + 1e-9)).collect();
+        let fed = |order: &mut dyn Iterator<Item = &(String, f64)>| {
+            let mut p = Profiler::new();
+            for (name, seconds) in order {
+                p.record(ApiKind::ApiCall, name, *seconds);
+                p.record(ApiKind::GpuActivity, name, *seconds / 3.0);
+            }
+            p
+        };
+        let (a, b) = (fed(&mut entries.iter()), fed(&mut entries.iter().rev()));
+        assert_eq!(a.total_api_seconds().to_bits(), b.total_api_seconds().to_bits());
+        assert_eq!(a.total_gpu_seconds().to_bits(), b.total_gpu_seconds().to_bits());
+        // The order is the report's: summing it by hand gives the same bits.
+        let by_hand: f64 = a.gpu_report().iter().map(|(_, e)| e.seconds).sum();
+        assert_eq!(a.total_gpu_seconds().to_bits(), by_hand.to_bits());
     }
 
     #[test]

@@ -30,7 +30,7 @@
 use crate::gpu_usage::{get_gpu_usage, GpuUsage, GpuUsageError};
 use crate::reservations::ReservationView;
 use gpusim::GpuCluster;
-use obs::{Recorder, Value};
+use obs::{Key, Recorder, Value};
 use std::collections::HashSet;
 
 /// Which of GYAN's two device allocation strategies to use.
@@ -135,12 +135,17 @@ pub(crate) fn decide_traced(
     let outcome = decide(usage, requested, policy, reservations);
 
     if let Some(rec) = recorder {
-        let mut fields: Vec<(obs::Key, Value)> = vec![
+        // Room for every field below (4 fixed, `invalid_requested`, up to
+        // 3 of the outcome), so the list is allocated once.
+        let leased = reservations.filter(|view| !view.is_empty());
+        let capacity = 8 + 2 * usage.all_gpus.len() + leased.map_or(0, |view| 2 + view.len());
+        let mut fields: Vec<(Key, Value)> = Vec::with_capacity(capacity);
+        fields.extend([
             ("policy".into(), policy_name(policy).into()),
             ("requested".into(), join(requested).into()),
             ("all_gpus".into(), join(&usage.all_gpus).into()),
             ("avail_gpus".into(), join(&usage.avail_gpus).into()),
-        ];
+        ]);
         let invalid = invalid_requested(usage, requested);
         if !invalid.is_empty() {
             fields.push(("invalid_requested".into(), join(&invalid).into()));
@@ -148,25 +153,20 @@ pub(crate) fn decide_traced(
         // The per-device state the decision was based on: busy PIDs and
         // allocated framebuffer memory.
         for (minor, pids) in &usage.proc_gpu_dict {
-            fields.push((format!("gpu{minor}_pids").into(), join(pids).into()));
+            fields.push((device_key(*minor, "_pids"), join(pids).into()));
         }
         for (minor, used) in &usage.used_mib {
-            fields.push((format!("gpu{minor}_mem_mib").into(), (*used).into()));
+            fields.push((device_key(*minor, "_mem_mib"), (*used).into()));
         }
         // What the lease table contributed, when one was consulted.
-        if let Some(view) = reservations {
-            if !view.is_empty() {
-                fields.push(("leased_gpus".into(), join(&view.leased_devices()).into()));
-                fields.push((
-                    "effective_avail".into(),
-                    join(&effective_avail(usage, reservations)).into(),
-                ));
-                for minor in view.leased_devices() {
-                    fields.push((
-                        format!("gpu{minor}_pending_mib").into(),
-                        view.pending_mem(minor).into(),
-                    ));
-                }
+        if let Some(view) = leased {
+            fields.push(("leased_gpus".into(), join(&view.leased_devices()).into()));
+            fields.push((
+                "effective_avail".into(),
+                join(&effective_avail(usage, reservations)).into(),
+            ));
+            for (minor, pending) in view.pending() {
+                fields.push((device_key(minor, "_pending_mib"), pending.into()));
             }
         }
         match (&outcome, observed) {
@@ -293,10 +293,41 @@ fn policy_name(policy: AllocationPolicy) -> &'static str {
     }
 }
 
-/// Comma-joined list — the one rendering of device and PID lists in
-/// exports and audits.
-pub(crate) fn join<T: ToString>(items: &[T]) -> String {
-    items.iter().map(T::to_string).collect::<Vec<_>>().join(",")
+/// Comma-joined id list — the one rendering of device and PID lists in
+/// exports and audits — written into one exactly-sized buffer (an
+/// `obs::Value` takes over a long list's allocation as it is).
+pub(crate) fn join(ids: &[u32]) -> String {
+    let width = |id: u32| id.checked_ilog10().map_or(1, |log| log as usize + 1);
+    let len: usize = ids.iter().map(|&id| width(id) + 1).sum();
+    let mut out = String::with_capacity(len.saturating_sub(1));
+    let mut digits = [0; 10];
+    for (i, &id) in ids.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(decimal(id, &mut digits));
+    }
+    out
+}
+
+/// `gpu{minor}{suffix}`, the key of one device's column in the decision
+/// audit, built in place (every one of them fits an `obs::Key`).
+fn device_key(minor: u32, suffix: &str) -> Key {
+    Key::concat(&["gpu", decimal(minor, &mut [0; 10]), suffix])
+}
+
+/// `n` in decimal, written into the tail of `digits`.
+fn decimal(mut n: u32, digits: &mut [u8; 10]) -> &str {
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    std::str::from_utf8(&digits[at..]).expect("ASCII digits")
 }
 
 #[cfg(test)]

@@ -49,7 +49,16 @@ impl GpuUsage {
     /// The one constructor: per-device `(minor, pids, used MiB)` rows in
     /// document order.
     pub(crate) fn from_devices(devices: impl IntoIterator<Item = smi::DeviceRow>) -> Self {
-        let mut usage = GpuUsage::default();
+        let devices = devices.into_iter();
+        // Every caller hands in an exactly-sized iterator (a `Vec` of
+        // rows): each list is allocated once.
+        let count = devices.size_hint().0;
+        let mut usage = GpuUsage {
+            avail_gpus: Vec::with_capacity(count),
+            all_gpus: Vec::with_capacity(count),
+            proc_gpu_dict: Vec::with_capacity(count),
+            used_mib: Vec::with_capacity(count),
+        };
         // for (x, y) in proc_gpu_dict: all.append(x); if y empty: avail.append(x)
         for (minor, pids, used) in devices {
             usage.all_gpus.push(minor);

@@ -56,7 +56,7 @@ use crate::allocation::{
 };
 use crate::gpu_usage::try_get_gpu_usage;
 use gpusim::GpuCluster;
-use obs::{Recorder, Value};
+use obs::{Key, Recorder, Value};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -89,27 +89,43 @@ pub struct Lease {
 }
 
 /// Immutable snapshot of the lease state, consumed by the allocator: the
-/// leased device set and the pending declared memory per device.
+/// leased devices and the pending declared memory on each.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReservationView {
-    leased: BTreeSet<u32>,
-    pending_mem: BTreeMap<u32, u64>,
+    /// `(minor, sum of memory hints in MiB)` of every device with at
+    /// least one lease, by ascending minor.
+    leased: Vec<(u32, u64)>,
 }
 
 impl ReservationView {
+    fn find(&self, minor: u32) -> Option<u64> {
+        let at = self.leased.binary_search_by_key(&minor, |&(device, _)| device).ok()?;
+        Some(self.leased[at].1)
+    }
+
     /// Whether any lease covers `minor`.
     pub fn is_leased(&self, minor: u32) -> bool {
-        self.leased.contains(&minor)
+        self.find(minor).is_some()
     }
 
     /// Sum of memory hints of leases on `minor` (MiB).
     pub fn pending_mem(&self, minor: u32) -> u64 {
-        self.pending_mem.get(&minor).copied().unwrap_or(0)
+        self.find(minor).unwrap_or(0)
     }
 
     /// Sorted minor IDs with at least one lease.
     pub fn leased_devices(&self) -> Vec<u32> {
-        self.leased.iter().copied().collect()
+        self.leased.iter().map(|&(minor, _)| minor).collect()
+    }
+
+    /// `(minor, pending MiB)` of every leased device, by ascending minor.
+    pub(crate) fn pending(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
+        self.leased.iter().copied()
+    }
+
+    /// Number of leased devices.
+    pub(crate) fn len(&self) -> usize {
+        self.leased.len()
     }
 
     /// True when no lease is active.
@@ -120,20 +136,24 @@ impl ReservationView {
 
 #[derive(Default)]
 struct Inner {
+    /// Leases per device, in acquisition order. A device's list stays
+    /// here once it empties (the map is bounded by the node's device
+    /// count), so its next grant pushes into the capacity it kept instead
+    /// of allocating a list and a map node; every reader skips empty
+    /// lists.
     leases: BTreeMap<u32, Vec<Lease>>,
 }
 
 impl Inner {
     fn view(&self) -> ReservationView {
-        let mut view = ReservationView::default();
+        let leased_devices = self.leases.values().filter(|leases| !leases.is_empty()).count();
+        let mut leased = Vec::with_capacity(leased_devices);
         for (minor, leases) in &self.leases {
-            if leases.is_empty() {
-                continue;
+            if !leases.is_empty() {
+                leased.push((*minor, leases.iter().map(|l| l.memory_hint_mib).sum()));
             }
-            view.leased.insert(*minor);
-            view.pending_mem.insert(*minor, leases.iter().map(|l| l.memory_hint_mib).sum());
         }
-        view
+        ReservationView { leased }
     }
 
     fn count(&self) -> usize {
@@ -222,20 +242,21 @@ impl LeaseTable {
                 memory_hint_mib,
                 exclusive,
             });
-            if let Some(rec) = recorder {
-                rec.event(
-                    "gyan.reservation.acquire",
+        }
+        if let Some(rec) = recorder {
+            let reason = Key::from(alloc.reason.as_str());
+            rec.event_rows(
+                "gyan.reservation.acquire",
+                alloc.devices.iter().map(|&device| {
                     [
                         ("job_id", Value::from(holder)),
                         ("device", Value::from(u64::from(device))),
                         ("exclusive", Value::from(exclusive)),
                         ("memory_hint_mib", Value::from(memory_hint_mib)),
-                        ("reason", Value::from(alloc.reason.as_str())),
-                    ],
-                );
-            }
-        }
-        if let Some(rec) = recorder {
+                        ("reason", Value::from(reason.clone())),
+                    ]
+                }),
+            );
             let m = rec.metrics();
             m.inc_counter(RESERVATIONS_ACQUIRED_COUNTER, alloc.devices.len() as u64);
             m.set_gauge(RESERVATIONS_ACTIVE_GAUGE, inner.count() as f64);
@@ -340,29 +361,32 @@ impl LeaseTable {
 }
 
 fn release_locked(inner: &mut Inner, holder: u64, why: &str, recorder: Option<&Recorder>) -> usize {
-    let now = recorder.map_or(0.0, Recorder::now);
+    // The audits first, as one batch in device order; then the leases go.
+    // Most releases find nothing held (every CPU job's, every first
+    // preparation's supersede) and read no clock.
+    let mut held =
+        inner.leases.values().flatten().filter(|lease| lease.holder == holder).peekable();
+    if let (Some(rec), Some(_)) = (recorder, held.peek()) {
+        let now = rec.now();
+        let why = Key::concat(&[why]);
+        rec.event_rows(
+            "gyan.reservation.release",
+            held.map(|lease| {
+                [
+                    ("job_id", Value::from(holder)),
+                    ("device", Value::from(u64::from(lease.device))),
+                    ("reason", Value::from(why.clone())),
+                    ("held_seconds", Value::from((now - lease.acquired_at).max(0.0))),
+                ]
+            }),
+        );
+    }
     let mut released = 0usize;
-    inner.leases.retain(|_, leases| {
-        leases.retain(|lease| {
-            if lease.holder != holder {
-                return true;
-            }
-            released += 1;
-            if let Some(rec) = recorder {
-                rec.event(
-                    "gyan.reservation.release",
-                    [
-                        ("job_id", Value::from(holder)),
-                        ("device", Value::from(u64::from(lease.device))),
-                        ("reason", Value::from(why)),
-                        ("held_seconds", Value::from((now - lease.acquired_at).max(0.0))),
-                    ],
-                );
-            }
-            false
-        });
-        !leases.is_empty()
-    });
+    for leases in inner.leases.values_mut() {
+        let held = leases.len();
+        leases.retain(|lease| lease.holder != holder);
+        released += held - leases.len();
+    }
     if released > 0 {
         if let Some(rec) = recorder {
             let m = rec.metrics();

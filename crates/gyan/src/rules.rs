@@ -7,6 +7,7 @@
 //! 'local GPU'" — otherwise the job is switched to a CPU destination in a
 //! user-agnostic fashion.
 
+use crate::allocation::join;
 use crate::reservations::LeaseTable;
 use galaxy::app::DynamicRule;
 use galaxy::job::conf::JobConfig;
@@ -15,7 +16,7 @@ use galaxy::tool::Tool;
 use galaxy::GalaxyError;
 use gpusim::nvml::Nvml;
 use gpusim::GpuCluster;
-use obs::{Recorder, Value};
+use obs::{Key, Recorder, Value};
 
 /// Factory for the `gpu_dynamic_destination` rule.
 #[derive(Clone)]
@@ -106,16 +107,16 @@ impl GpuDestinationRule {
         };
 
         if let Some(rec) = &self.recorder {
-            let free: Vec<String> = seen.free_gpus.iter().map(u32::to_string).collect();
-            let fields: Vec<(&str, Value)> = vec![
+            let fields: [(&str, Value); 8] = [
                 ("tool", tool.id.as_str().into()),
                 ("job_id", job.id.into()),
                 ("requires_gpu", requires_gpu.into()),
                 ("device_count", seen.device_count.into()),
-                ("free_gpus", free.join(",").into()),
+                ("free_gpus", join(&seen.free_gpus).into()),
                 ("require_free_gpu", self.require_free_gpu.into()),
                 ("destination", chosen.as_str().into()),
-                ("reason", reason.into()),
+                // A literal, longer than an in-place value: by reference.
+                ("reason", Key::from(reason).into()),
             ];
             rec.event("gyan.rule.decision", fields);
         }
@@ -130,10 +131,12 @@ impl GpuDestinationRule {
         let nvml = Nvml::init(&self.cluster);
         let device_count = nvml.device_count();
         let leased = self.reservations.as_ref().map(LeaseTable::view);
-        let free_gpus = (0..device_count)
-            .filter(|i| nvml.compute_running_process_count(*i).is_ok_and(|n| n == 0))
-            .filter(|i| leased.as_ref().is_none_or(|view| !view.is_leased(*i)))
-            .collect();
+        let mut free_gpus = Vec::with_capacity(device_count as usize);
+        free_gpus.extend(
+            (0..device_count)
+                .filter(|i| nvml.compute_running_process_count(*i).is_ok_and(|n| n == 0))
+                .filter(|i| leased.as_ref().is_none_or(|view| !view.is_leased(*i))),
+        );
         GpuObservation { device_count, free_gpus }
     }
 

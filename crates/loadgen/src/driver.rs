@@ -29,6 +29,7 @@ use gyan::footprint::{
     GPU_OBSERVED_PEAK_ENV,
 };
 use gyan::setup::GyanConfig;
+use obs::Recorder;
 use simtest::driver::{Gpus, Repro, Stack, StackSpec};
 use simtest::invariants::Violation;
 use simtest::Failure;
@@ -218,6 +219,17 @@ fn wave_time(plan: &ExecutionPlan) -> f64 {
 // terminal — a failure report, not a hot return.
 #[allow(clippy::result_large_err)]
 pub fn run_scenario(scenario: &LoadScenario, options: &LoadOptions) -> Result<LoadReport, Failure> {
+    run_scenario_recorded(scenario, options).map(|(report, _)| report)
+}
+
+/// [`run_scenario`], also handing back the run's recorder (flight ring
+/// on, the last [`LOG_RETENTION`] records) — the telemetry the
+/// export-parity suite pins.
+#[allow(clippy::result_large_err)]
+pub fn run_scenario_recorded(
+    scenario: &LoadScenario,
+    options: &LoadOptions,
+) -> Result<(LoadReport, Recorder), Failure> {
     let mut stack = Stack::build(StackSpec {
         repro: Repro { seed: scenario.seed, seed_env: SEED_ENV, scenario: scenario.describe() },
         tools: vec![CPU_TOOL.to_string(), GPU_TOOL.to_string()],
@@ -306,7 +318,7 @@ pub fn run_scenario(scenario: &LoadScenario, options: &LoadOptions) -> Result<Lo
             .filter_map(|e| e.field("err_pct").and_then(|v| v.as_f64()))
             .map(f64::abs)
             .collect();
-        Ok(LoadReport {
+        let report = LoadReport {
             seed: scenario.seed,
             users: scenario.users,
             arrivals: jobs.len(),
@@ -337,7 +349,8 @@ pub fn run_scenario(scenario: &LoadScenario, options: &LoadOptions) -> Result<Lo
                 learned_errs.iter().sum::<f64>() / learned_errs.len() as f64
             },
             estimate_err_pct_max: learned_errs.iter().cloned().fold(0.0, f64::max),
-        })
+        };
+        Ok((report, stack.recorder.clone()))
     })
 }
 

@@ -37,8 +37,8 @@ pub mod scenario;
 
 pub use arrival::{ArrivalProcess, Burst, LoadProfile};
 pub use driver::{
-    run_scenario, LoadExecutor, LoadOptions, LoadReport, CPU_TOOL, DEFAULT_RUNTIME_S,
-    DEFAULT_SLO_RULES, FAIL_GPU_ENV, GPU_TOOL, LOG_RETENTION, RUNTIME_ENV,
+    run_scenario, run_scenario_recorded, LoadExecutor, LoadOptions, LoadReport, CPU_TOOL,
+    DEFAULT_RUNTIME_S, DEFAULT_SLO_RULES, FAIL_GPU_ENV, GPU_TOOL, LOG_RETENTION, RUNTIME_ENV,
 };
 pub use mix::{BoundedPareto, UserMix};
 pub use scenario::{LoadJob, LoadScenario, MemoryModel, Topology, CPU_TOOL_ID, GPU_TOOL_ID};

@@ -20,10 +20,13 @@
 //! dependency-free so every layer of the workspace can use it.
 //!
 //! Recording is the hot side and reading the cold one (end of run, on
-//! failure, on a scrape), so a record is laid out for the writer: names
-//! and field keys are [`Key`]s (a literal costs nothing), an ended span
-//! or an event is stored **once** behind an `Arc` that the log and the
-//! flight ring both hold, and every reader — [`Recorder::spans`],
+//! failure, on a scrape), so a record is laid out for the writer: names,
+//! field keys and string values are [`Text`]s (a literal, or a run-time
+//! string of at most [`Text::INLINE`] bytes, costs no allocation), the
+//! per-device audits of one decision go out as rows of one
+//! [`Recorder::event_rows`] call (one clock read, one lock), an ended
+//! span or an event is stored **once** behind an `Arc` that the log and
+//! the flight ring both hold, and every reader — [`Recorder::spans`],
 //! [`Recorder::events`], a [`flight::FlightSnapshot`] — deep-copies on
 //! demand.
 
@@ -35,22 +38,23 @@ pub mod profile;
 pub mod serve;
 pub mod sketch;
 pub mod slo;
+mod text;
 
-use std::borrow::Cow;
+pub use text::Text;
+
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// A span/event name or a field key. Nearly all are literals or
-/// `pub const …: &str`s and cost nothing to record (`Borrowed`); the few
-/// built at run time (`format!(…)`, parsed input) ride along as `Owned`.
-pub type Key = Cow<'static, str>;
+/// A span/event name or a field key: a [`Text`], in the role that is
+/// nearly always a literal or a `pub const …: &str`.
+pub type Key = Text;
 
 /// A telemetry field value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// UTF-8 text.
-    Str(String),
+    Str(Text),
     /// Signed integer.
     Int(i64),
     /// Unsigned integer.
@@ -101,14 +105,23 @@ impl Value {
     }
 }
 
+/// A borrowed string is copied — in place when it is at most
+/// [`Text::INLINE`] bytes. A longer *literal* is recorded by reference
+/// through `Value::from(Text::from(literal))`.
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Str(v.to_string())
+        Value::Str(Text::concat(&[v]))
     }
 }
 
 impl From<String> for Value {
     fn from(v: String) -> Self {
+        Value::Str(v.into())
+    }
+}
+
+impl From<Text> for Value {
+    fn from(v: Text) -> Self {
         Value::Str(v)
     }
 }
@@ -335,7 +348,8 @@ impl Recorder {
 
     /// Replace the timestamp source (e.g. with a virtual clock). The
     /// clock is called with the recorder's clock lock held (one call per
-    /// event, two per span), so it must not call back into the recorder.
+    /// event or batch of events, two per span), so it must not call back
+    /// into the recorder.
     pub fn set_clock(&self, clock: impl Fn() -> f64 + Send + Sync + 'static) {
         *self.inner.clock.lock().unwrap_or_else(|e| e.into_inner()) = Box::new(clock);
     }
@@ -436,24 +450,41 @@ impl Recorder {
         name: impl Into<Key>,
         fields: impl IntoIterator<Item = (K, V)>,
     ) {
-        self.emit_event(name.into(), None, fields);
+        self.emit_events(name.into(), None, [fields]);
     }
 
-    fn emit_event<K: Into<Key>, V: Into<Value>>(
-        &self,
-        name: Key,
-        span: Option<u64>,
-        fields: impl IntoIterator<Item = (K, V)>,
-    ) {
+    /// Emit one standalone `name` event per row of `rows` — the
+    /// per-device audits of one grant, say — with one clock read and one
+    /// hold of the log lock. The log, the flight ring and the eviction
+    /// counts end up exactly as after one [`Recorder::event`] per row at
+    /// an unchanged clock. `rows` is walked with the log lock held, so it
+    /// must not call back into the recorder.
+    pub fn event_rows<R, K, V>(&self, name: impl Into<Key>, rows: impl IntoIterator<Item = R>)
+    where
+        R: IntoIterator<Item = (K, V)>,
+        K: Into<Key>,
+        V: Into<Value>,
+    {
+        self.emit_events(name.into(), None, rows);
+    }
+
+    fn emit_events<R, K, V>(&self, name: Key, span: Option<u64>, rows: impl IntoIterator<Item = R>)
+    where
+        R: IntoIterator<Item = (K, V)>,
+        K: Into<Key>,
+        V: Into<Value>,
+    {
         let t = self.now();
-        let fields = fields.into_iter().map(|(k, v)| (k.into(), v.into())).collect();
-        let event = Arc::new(EventData { name, t, span, fields });
         let mut log = self.log();
-        if let Some(ring) = log.flight.as_mut() {
-            ring.push(flight::Shared::Event(event.clone()));
+        for fields in rows {
+            let fields = fields.into_iter().map(|(k, v)| (k.into(), v.into())).collect();
+            let event = Arc::new(EventData { name: name.clone(), t, span, fields });
+            if let Some(ring) = log.flight.as_mut() {
+                ring.push(flight::Shared::Event(event.clone()));
+            }
+            log.events.push_back(event);
+            log.evict();
         }
-        log.events.push_back(event);
-        log.evict();
     }
 
     /// Snapshot of all spans recorded so far, in open order.
@@ -565,7 +596,7 @@ impl Span {
         name: impl Into<Key>,
         fields: impl IntoIterator<Item = (K, V)>,
     ) {
-        self.recorder.emit_event(name.into(), Some(self.id), fields);
+        self.recorder.emit_events(name.into(), Some(self.id), [fields]);
     }
 
     /// Close the span now.

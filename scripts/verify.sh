@@ -37,6 +37,13 @@ cargo build --release
 echo "==> cargo test --workspace (every test binary, once)"
 cargo test -q --workspace
 
+# The per-job allocation count was the decisive number of PRs 19 and 21;
+# read it from every run (release, as the ceilings were measured) instead
+# of from a counting allocator patched into a scratch copy.
+echo "==> allocation budget (tests/alloc_budget.rs, release)"
+budget=$(cargo test --release -q --test alloc_budget -- --nocapture) || { echo "$budget"; exit 1; }
+grep '^allocations:' <<<"$budget"
+
 echo "==> ops-server smoke (scrape + health over live HTTP)"
 cargo run -q --release --example ops_server -- --check
 

@@ -3,11 +3,15 @@
 //! (a) Golden exports: one seeded `simtest` scenario, retention off,
 //! flight ring on; the JSONL log, the flight dump (JSONL and Chrome
 //! trace) and `gyan::telemetry`'s merged trace are pinned by length and
-//! checksum. (b) A retention/flight model: random recorder sequences
-//! against a naive `Vec` reference.
+//! checksum — and the same four of a short day on 32 devices, where id
+//! lists and per-device keys outgrow what a record holds in place.
+//! (b) A retention/flight model: random recorder sequences, batched
+//! emits among them, against a naive `Vec` reference. (c) `obs::Text`
+//! against the `String` it was built from.
 
+use loadgen::{LoadOptions, LoadScenario, Topology};
 use obs::flight::FlightRecord;
-use obs::{EventData, Key, Recorder, Span, SpanData, Value};
+use obs::{EventData, Key, Recorder, Span, SpanData, Text, Value};
 use proptest::prelude::*;
 use simtest::harness::run_scenario_recorded;
 use simtest::{Scenario, SimOptions};
@@ -31,21 +35,56 @@ const GOLDEN: [(&str, usize, u64); 4] = [
     ("telemetry.merged_chrome_trace", 34_598, 9_628_678_937_678_224_703),
 ];
 
-#[test]
-fn exports_are_byte_identical_to_the_parent_commit() {
-    let (report, recorder) = run_scenario_recorded(&Scenario::generate(17), &SimOptions::default())
-        .unwrap_or_else(|f| panic!("{f}"));
-    assert_eq!((report.waves, report.submitted, report.error), (9, 11, 3));
+/// The four pinned exports of `recorder` as `(export, bytes, fnv1a)`,
+/// named as `golden` names them.
+fn pinned(
+    recorder: &Recorder,
+    golden: &[(&'static str, usize, u64); 4],
+) -> Vec<(&'static str, usize, u64)> {
     let flight = recorder.flight_snapshot().expect("install_gyan enables the flight ring");
     let exports = [
         recorder.to_jsonl(),
         flight.to_jsonl(),
         flight.to_chrome_trace(),
-        gyan::telemetry::merged_chrome_trace(&recorder, &[], &[]).to_json(),
+        gyan::telemetry::merged_chrome_trace(recorder, &[], &[]).to_json(),
     ];
-    let got: Vec<(&str, usize, u64)> =
-        GOLDEN.iter().zip(&exports).map(|(g, text)| (g.0, text.len(), fnv1a(text))).collect();
-    assert_eq!(got, GOLDEN);
+    golden.iter().zip(&exports).map(|(g, text)| (g.0, text.len(), fnv1a(text))).collect()
+}
+
+#[test]
+fn exports_are_byte_identical_to_the_parent_commit() {
+    let (report, recorder) = run_scenario_recorded(&Scenario::generate(17), &SimOptions::default())
+        .unwrap_or_else(|f| panic!("{f}"));
+    assert_eq!((report.waves, report.submitted, report.error), (9, 11, 3));
+    assert_eq!(pinned(&recorder, &GOLDEN), GOLDEN);
+}
+
+/// The same four exports of a five-minute day on 32 devices (half the
+/// jobs GPU jobs, a fifth of those failing their GPU try), captured at
+/// the parent commit b774b45 — before names, keys and string values
+/// became `obs::Text` and a grant's lease audits one batched emit. The
+/// simtest host above has at most 2 devices; this one sees minors ≥ 10,
+/// id lists of 85 bytes and 32 leases per grant, i.e. every spill path.
+const GOLDEN_32_DEVICES: [(&str, usize, u64); 4] = [
+    ("recorder.to_jsonl", 1_180_246, 5_286_176_719_949_914_585),
+    ("flight.to_jsonl", 100_103, 2_024_066_187_712_682_076),
+    ("flight.to_chrome_trace", 104_661, 17_145_932_976_094_436_197),
+    ("telemetry.merged_chrome_trace", 1_225_953, 12_127_110_619_425_173_836),
+];
+
+#[test]
+fn exports_of_a_32_device_day_are_byte_identical_to_the_parent_commit() {
+    let mut scenario = LoadScenario::diurnal(17, 150);
+    assert_eq!(scenario.topology, Topology::SingleNode { gpus: 32 });
+    scenario.duration_s = 300.0;
+    scenario.profile.base_rate = 0.5;
+    scenario.profile.period_s = 300.0;
+    scenario.gpu_fraction = 0.5;
+    scenario.gpu_fail_fraction = 0.2;
+    let (report, recorder) = loadgen::run_scenario_recorded(&scenario, &LoadOptions::default())
+        .unwrap_or_else(|f| panic!("{f}"));
+    assert_eq!((report.arrivals, report.ok, report.dropped_events), (146, 146, 0));
+    assert_eq!(pinned(&recorder, &GOLDEN_32_DEVICES), GOLDEN_32_DEVICES);
 }
 
 /// The naive reference: every record in one `Vec`, found by scanning,
@@ -124,14 +163,15 @@ impl Model {
     }
 }
 
-/// A name or key: mostly literals (`Borrowed`), sometimes built at run
-/// time (`Owned`) — readers must not be able to tell.
+/// A name or key: mostly literals, sometimes built at run time (short
+/// enough to sit in place, or not) — readers must not be able to tell.
 fn key(pick: u32) -> Key {
-    match pick % 5 {
+    match pick % 6 {
         0 => "galaxy.job".into(),
         1 => "gyan.reservation.acquire".into(),
         2 => "device".into(),
         3 => format!("gpu{}_pids", pick % 7).into(),
+        4 => format!("galaxy.queue.fair_share.pick.{}", pick % 3).into(),
         _ => String::from("galaxy.job").into(),
     }
 }
@@ -181,9 +221,11 @@ fn assert_same(rec: &Recorder, model: &Model, live: &[(Span, u64)], now: f64) {
                     prop_assert_eq!(logged, s);
                 }
             }
-            // The clock ticks once per operation, so `t` names an event.
+            // The clock ticks once per operation, so `t` names an event —
+            // or the rows of one batch, which their first field tells apart.
             FlightRecord::Event(e) => {
-                if let Some(logged) = events.iter().find(|l| l.t == e.t) {
+                let same = |l: &&EventData| l.t == e.t && l.fields.first() == e.fields.first();
+                if let Some(logged) = events.iter().find(same) {
                     prop_assert_eq!(logged, e);
                 }
             }
@@ -192,12 +234,13 @@ fn assert_same(rec: &Recorder, model: &Model, live: &[(Span, u64)], now: f64) {
 }
 
 proptest! {
-    /// Random `span / child / field / event / end / set_log_retention /
-    /// enable_flight` sequences: after every operation each reader of the
-    /// recorder agrees with the naive model.
+    /// Random `span / child / field / event / event_rows / end /
+    /// set_log_retention / enable_flight` sequences: after every operation
+    /// each reader of the recorder agrees with the naive model — for which
+    /// a batch of N rows is N single events at one clock reading.
     #[test]
     fn recorder_matches_the_naive_vec_model(
-        ops in prop::collection::vec((0u8..16, any::<u32>(), any::<u32>()), 0..160),
+        ops in prop::collection::vec((0u8..18, any::<u32>(), any::<u32>()), 0..160),
     ) {
         let tick = Arc::new(AtomicU64::new(0));
         let clock = tick.clone();
@@ -248,6 +291,20 @@ proptest! {
                         None => rec.event(key(a), fields),
                     }
                 }
+                16 | 17 => {
+                    // 0 to 5 rows, each led by its row number.
+                    let rows: Vec<Vec<(Key, Value)>> = (0..b % 6)
+                        .map(|row| {
+                            let rest = (0..a % 3).map(|i| (key(b ^ i), value(a ^ row)));
+                            std::iter::once(("row".into(), Value::from(row))).chain(rest).collect()
+                        })
+                        .collect();
+                    for fields in &rows {
+                        let fields = fields.clone();
+                        model.event(EventData { name: key(a), t: now, span: None, fields });
+                    }
+                    rec.event_rows(key(a), rows);
+                }
                 14 => {
                     let limit = (b % 4 != 0).then_some(a as usize % 12);
                     model.retain = limit;
@@ -263,5 +320,60 @@ proptest! {
             }
             assert_same(&rec, &model, &live, now);
         }
+    }
+}
+
+/// One char of each UTF-8 width in turn, so that a multi-byte character
+/// straddling byte 22 — the in-place bound — is the common case.
+fn utf8_char((width, pick): (u8, u32)) -> char {
+    let (low, span) = match width {
+        0 => (0x20, 0x5f),
+        1 => (0x80, 0x780),
+        2 => (0x800, 0xd000),
+        _ => (0x1_0000, 0x10_0000),
+    };
+    char::from_u32(low + pick % span).expect("below the surrogates, or above them")
+}
+
+proptest! {
+    /// A `Text` is the `String` it was built from, through both run-time
+    /// constructors (taking a `String` over, copying `&str` pieces), on
+    /// either side of the in-place bound: as text, against `&str`, as a
+    /// record's key and value, and in the export.
+    #[test]
+    fn text_reads_as_the_string_it_was_built_from(
+        chars in prop::collection::vec((0u8..4, any::<u32>()), 0..30),
+        cut in 0usize..30,
+    ) {
+        let chars: Vec<char> = chars.into_iter().map(utf8_char).collect();
+        let text: String = chars.iter().collect();
+        let (head, tail) = chars.split_at(cut.min(chars.len()));
+        let (head, tail): (String, String) = (head.iter().collect(), tail.iter().collect());
+        let owned = Text::from(text.clone());
+        let copied = Text::concat(&[&head, &tail]);
+        prop_assert_eq!(&owned, &copied);
+        let other = format!("{text}x");
+        for built in [&owned, &copied] {
+            prop_assert_eq!(built.as_str(), text.as_str());
+            prop_assert_eq!(&**built, text.as_str());
+            prop_assert!(*built == text && *built == text.as_str() && *built == *text.as_str());
+            prop_assert!(*built != other && *built != other.as_str());
+            prop_assert_eq!(format!("{built} {built:?}"), format!("{text} {text:?}"));
+        }
+
+        let rec = Recorder::new();
+        rec.event(copied.clone(), [(owned.clone(), Value::from(text.as_str()))]);
+        rec.event(text.clone(), [(text.clone(), Value::from(text.clone()))]);
+        let events = rec.events();
+        prop_assert_eq!(&events[0].fields, &events[1].fields);
+        for event in &events {
+            prop_assert!(event.name == text.as_str());
+            prop_assert_eq!(event.field(&text).and_then(Value::as_str), Some(text.as_str()));
+            prop_assert!(event.field(&other).is_none());
+        }
+        prop_assert_eq!(rec.events_named(&text).len(), 2);
+        let jsonl = rec.to_jsonl();
+        let (first, second) = jsonl.split_at(jsonl.len() / 2);
+        prop_assert_eq!(first, second);
     }
 }
