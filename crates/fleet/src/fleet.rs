@@ -8,7 +8,9 @@
 //! [`gyan::reservations::LeaseTable::allocate_and_lease`] pick the minor atomically (phase
 //! 2). The fleet's own bookkeeping — the job→node map — is the state the
 //! simtest invariants audit: every lease on shard S must belong to a job
-//! the fleet booked on S, and no job may hold leases on two shards.
+//! the fleet booked on S, and no job may hold leases on two shards —
+//! which is why placing a job that is already booked first releases that
+//! booking as `superseded`.
 
 use crate::node::{NodeClass, NodeShard, NodeStatus};
 use crate::placement::{LeastLoaded, PlacementPolicy, PlacementRequest};
@@ -213,26 +215,43 @@ impl Fleet {
     /// Place a job: filter candidates by rules/arch/memory, score with
     /// the policy (ties → lowest node id), then lease minors on the
     /// chosen shard. `None` when no candidate admits the job or every
-    /// candidate's shard refused (GPU-less fleet).
+    /// candidate's shard refused (GPU-less fleet). A job that is already
+    /// booked is released first (`why=superseded`), wherever it lands —
+    /// also when it then lands nowhere.
     pub fn place(&self, req: &PlacementRequest<'_>) -> Option<Placement> {
         obs::profile_scope!("fleet.place");
-        let mut candidates: Vec<(f64, u32)> = {
+        let (booked, user_nodes) = {
             let bookings = self.bookings.lock();
-            // Where the user's active placements are, gathered in one pass
-            // over the bookings instead of one pass per candidate shard.
-            let user_nodes: Vec<u32> =
-                bookings.values().filter(|b| b.user == req.user).map(|b| b.node).collect();
-            self.candidates(req.tool_id, req.memory_hint_mib, req.excluded_nodes)
-                .map(|s| {
-                    let mut load = s.load();
-                    load.user_active = user_nodes.iter().filter(|node| **node == s.id).count();
-                    (self.policy.score(&load, req), s.id)
-                })
-                .collect()
+            // Where the user's other active placements are, gathered in
+            // one pass over the bookings instead of one per candidate.
+            let user_nodes: Vec<u32> = bookings
+                .iter()
+                .filter(|(job, b)| **job != req.job_id && b.user == req.user)
+                .map(|(_, b)| b.node)
+                .collect();
+            (bookings.contains_key(&req.job_id), user_nodes)
         };
-        // Deterministic total order: score, then lowest node id. f64
-        // scores come from pure policy functions, so total_cmp is stable.
-        candidates.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        // A job placed again gives up its first placement before any node
+        // is scored: the shard's table supersedes a holder's leases only
+        // on itself, so landing elsewhere would strand the old ones.
+        if booked {
+            self.release(req.job_id, "superseded");
+        }
+        // Sized once — and not at all for a request no node admits, which
+        // is rejected without allocating.
+        let mut admitted =
+            self.candidates(req.tool_id, req.memory_hint_mib, req.excluded_nodes).peekable();
+        let room = if admitted.peek().is_some() { self.shards.len() } else { 0 };
+        let mut candidates: Vec<(f64, u32)> = Vec::with_capacity(room);
+        candidates.extend(admitted.map(|s| {
+            let mut load = s.load();
+            load.user_active = user_nodes.iter().filter(|node| **node == s.id).count();
+            (self.policy.score(&load, req), s.id)
+        }));
+        // Deterministic total order: score, then lowest node id. Node ids
+        // are unique, so no two entries compare equal and an unstable sort
+        // yields the one order there is.
+        candidates.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
 
         if candidates.is_empty() {
             if let Some(rec) = &self.recorder {

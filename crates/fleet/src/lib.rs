@@ -13,9 +13,9 @@
 //!  job ──►   │ 1. filter: destination rules    │   two-phase placement
 //!            │    (tool → node class, memory)  │
 //!            │ 2. score: PlacementPolicy       │   phase 1: pick the node
-//!            │    (least-loaded / bin-pack /   │     (fleet-level, lock-free
-//!            │     fair-share), ties → lowest  │      reads of shard state)
-//!            │     node id                     │
+//!            │    (least-loaded / bin-pack /   │     (per candidate one hold
+//!            │     fair-share), ties → lowest  │      of its table lock, no
+//!            │     node id                     │      device lock)
 //!            └────────────┬────────────────────┘
 //!                         ▼
 //!            ┌─ NodeShard k80-000 ─┐ ┌─ NodeShard a100-001 ─┐ …

@@ -6,6 +6,12 @@
 //! [`LeaseTable`]. Shards never share a lock — the fleet's placement
 //! layer reads their state, picks one, and only that shard's table
 //! serializes the minor-level grant.
+//!
+//! Reading a shard's state ([`NodeShard::load`]) is one short hold of
+//! that shard's table lock and one atomic read per device: no device
+//! lock, no allocation, and the lease count, the pending memory and the
+//! free-device count describe one instant of the table. Placement reads
+//! every candidate this way before it writes to one.
 
 use crate::fleet::{FLEET_CORDONED_GAUGE, FLEET_LEASES_GAUGE, FLEET_PLACEMENTS_COUNTER};
 use gpusim::{GpuArch, GpuCluster, VirtualClock};
@@ -180,21 +186,13 @@ impl NodeShard {
     /// `user_active` is filled in by the fleet (the shard does not track
     /// who holds its leases).
     pub fn load(&self) -> NodeLoad {
-        let view = self.table.view();
-        let device_count = self.cluster.device_count();
-        let free_devices = self
-            .cluster
-            .available_devices()
-            .into_iter()
-            .filter(|minor| !view.is_leased(*minor))
-            .count();
-        let pending_mem_mib = (0..device_count).map(|m| view.pending_mem(m)).sum();
+        let summary = self.table.summary(&self.cluster);
         NodeLoad {
             node: self.id,
-            device_count,
-            active_leases: self.table.lease_count(),
-            free_devices,
-            pending_mem_mib,
+            device_count: self.cluster.device_count(),
+            active_leases: summary.active_leases,
+            free_devices: summary.free_devices,
+            pending_mem_mib: summary.pending_mem_mib,
             user_active: 0,
         }
     }

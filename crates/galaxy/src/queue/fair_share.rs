@@ -13,14 +13,17 @@
 //! bucket is ordered by `(priority desc, seq)` so its best entry is the
 //! first key. That keeps `pop` at O(log n) with 10^5–10^6 users in
 //! queue, where the previous all-bucket scan was O(users) *per pop* —
-//! quadratic over a load-test run.
+//! quadratic over a load-test run. Everything else kept per user — the
+//! bucket and the usage charged so far — is one hashed entry, found once
+//! per push and once per pop; only `ready` orders users, so nothing ever
+//! walks that map.
 //!
 //! Admission control is part of the queue: a push beyond the global
 //! capacity, or beyond a per-user in-queue limit, is rejected with a
 //! human-readable reason instead of blocking.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// One queued entry (its priority and sequence number live in the bucket
 /// key, which orders the bucket).
@@ -32,6 +35,15 @@ struct Entry<T> {
 
 /// Bucket ordering: highest priority first, then FIFO by sequence.
 type BucketKey = (Reverse<u8>, u64);
+
+/// What the queue keeps per user, from their first push on.
+#[derive(Debug)]
+struct UserState<T> {
+    /// Accumulated usage: entries dispatched so far.
+    usage: u64,
+    /// Queued entries, best first.
+    bucket: BTreeMap<BucketKey, Entry<T>>,
+}
 
 /// Why the queue refused a push.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,8 +73,7 @@ pub struct Popped<T> {
 pub struct FairShareQueue<T> {
     capacity: usize,
     per_user_limit: Option<usize>,
-    buckets: BTreeMap<String, BTreeMap<BucketKey, Entry<T>>>,
-    usage: BTreeMap<String, u64>,
+    users: HashMap<String, UserState<T>>,
     /// Users with at least one queued entry, ordered by
     /// `(accumulated usage, name)` — the first element is exactly the
     /// user the old full scan's `min_by_key` would have chosen.
@@ -78,8 +89,7 @@ impl<T> FairShareQueue<T> {
         FairShareQueue {
             capacity,
             per_user_limit,
-            buckets: BTreeMap::new(),
-            usage: BTreeMap::new(),
+            users: HashMap::new(),
             ready: BTreeSet::new(),
             seq: 0,
             len: 0,
@@ -98,12 +108,12 @@ impl<T> FairShareQueue<T> {
 
     /// Entries currently queued for `user`.
     pub fn user_depth(&self, user: &str) -> usize {
-        self.buckets.get(user).map_or(0, BTreeMap::len)
+        self.users.get(user).map_or(0, |state| state.bucket.len())
     }
 
     /// Accumulated usage (dispatched entries) charged to `user`.
     pub fn user_usage(&self, user: &str) -> u64 {
-        self.usage.get(user).copied().unwrap_or(0)
+        self.users.get(user).map_or(0, |state| state.usage)
     }
 
     /// Admission control alone: would a push for `user` be accepted right
@@ -148,19 +158,20 @@ impl<T> FairShareQueue<T> {
         let entry = ((Reverse(priority), self.seq), Entry { item, enqueued_at });
         // Looked up by `&str`: the name is copied only where a key is
         // inserted — a user's first push ever, and their filing as ready.
-        let was_empty = match self.buckets.get_mut(user) {
-            Some(bucket) => {
-                let was_empty = bucket.is_empty();
-                bucket.insert(entry.0, entry.1);
-                was_empty
+        let newly_ready_at = match self.users.get_mut(user) {
+            Some(state) => {
+                let was_empty = state.bucket.is_empty();
+                state.bucket.insert(entry.0, entry.1);
+                was_empty.then_some(state.usage)
             }
             None => {
-                self.buckets.insert(user.to_string(), BTreeMap::from([entry]));
-                true
+                let state = UserState { usage: 0, bucket: BTreeMap::from([entry]) };
+                self.users.insert(user.to_string(), state);
+                Some(0)
             }
         };
-        if was_empty {
-            self.ready.insert((self.user_usage(user), user.to_string()));
+        if let Some(usage) = newly_ready_at {
+            self.ready.insert((usage, user.to_string()));
         }
         self.len += 1;
     }
@@ -172,16 +183,14 @@ impl<T> FairShareQueue<T> {
         // Least accumulated usage wins, ties alphabetical: the ready
         // set's first element, by construction of its key.
         let (ready_usage, user) = self.ready.pop_first()?;
-        let bucket = self.buckets.get_mut(&user).expect("ready user has a bucket");
+        let state = self.users.get_mut(&user).expect("ready user has a bucket");
         let ((Reverse(priority), _seq), entry) =
-            bucket.pop_first().expect("ready bucket is non-empty");
-        let still_queued = !bucket.is_empty();
+            state.bucket.pop_first().expect("ready bucket is non-empty");
         self.len -= 1;
-        let usage = self.usage.entry(user.clone()).or_insert(0);
-        debug_assert_eq!(*usage, ready_usage, "ready-set usage key in sync");
-        *usage += 1;
-        let usage = *usage;
-        if still_queued {
+        debug_assert_eq!(state.usage, ready_usage, "ready-set usage key in sync");
+        state.usage += 1;
+        let usage = state.usage;
+        if !state.bucket.is_empty() {
             // Re-file the user under the charged usage so the next pop
             // sees the updated fair-share position.
             self.ready.insert((usage, user.clone()));

@@ -1,4 +1,15 @@
 //! Shared state for a node's GPUs.
+//!
+//! Each device sits behind its own `RwLock`, and beside it an atomic copy
+//! of [`DeviceState::is_available`]. [`GpuCluster::with_device_mut`] is the
+//! only path that writes a device and it republishes the copy before it
+//! lets the lock go — also when its closure unwinds — so
+//! [`GpuCluster::is_device_available`] and
+//! [`GpuCluster::available_devices`] answer "which GPUs are free" without
+//! touching a device lock, and `DeviceState::is_available` stays the one
+//! definition of the answer. A second write path would have to republish
+//! too; `simtest`'s `fleet_availability_flags_honest` barrier check and
+//! `tests/proptest_stack.rs` hold the copy to a locked recomputation.
 
 use crate::arch::GpuArch;
 use crate::clock::VirtualClock;
@@ -6,8 +17,8 @@ use crate::device::DeviceState;
 use crate::error::GpuError;
 use crate::host::HostSpec;
 use crate::process::GpuProcess;
-use parking_lot::{Mutex, RwLock};
-use std::sync::atomic::{AtomicU32, Ordering};
+use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
 /// Injectable `nvidia-smi` failure modes, shared by every clone of a
@@ -24,6 +35,29 @@ struct SmiFaults {
     frozen: Mutex<Option<Vec<DeviceState>>>,
 }
 
+/// One device: its state behind its lock, and the lock-free copy of the
+/// state's availability.
+struct Device {
+    state: RwLock<DeviceState>,
+    /// `state.is_available()` as of the last write. Stored with `Release`
+    /// while the write lock is still held, loaded with `Acquire`: whoever
+    /// reads the flag after a write returned reads that write's answer.
+    available: AtomicBool,
+}
+
+/// Exclusive access to one device that republishes its availability when
+/// dropped — on return and on unwind alike, before the lock is released.
+struct DeviceWrite<'a> {
+    state: RwLockWriteGuard<'a, DeviceState>,
+    available: &'a AtomicBool,
+}
+
+impl Drop for DeviceWrite<'_> {
+    fn drop(&mut self) {
+        self.available.store(self.state.is_available(), Ordering::Release);
+    }
+}
+
 /// All GPUs of one compute node plus the shared virtual clock and host
 /// model. Clones share state, so a cluster handle can be given to the
 /// Galaxy runner, the GYAN allocator, and the monitoring script at once —
@@ -31,7 +65,7 @@ struct SmiFaults {
 /// real node.
 #[derive(Clone)]
 pub struct GpuCluster {
-    devices: Arc<Vec<RwLock<DeviceState>>>,
+    devices: Arc<Vec<Device>>,
     clock: VirtualClock,
     host: HostSpec,
     driver_version: &'static str,
@@ -43,7 +77,15 @@ pub struct GpuCluster {
 impl GpuCluster {
     /// Build a node with `count` devices of the given architecture.
     pub fn node(arch: GpuArch, count: u32) -> Self {
-        let devices = (0..count).map(|i| RwLock::new(DeviceState::new(arch.clone(), i))).collect();
+        let devices = (0..count)
+            .map(|i| {
+                let state = DeviceState::new(arch.clone(), i);
+                Device {
+                    available: AtomicBool::new(state.is_available()),
+                    state: RwLock::new(state),
+                }
+            })
+            .collect();
         GpuCluster {
             devices: Arc::new(devices),
             clock: VirtualClock::new(),
@@ -89,7 +131,7 @@ impl GpuCluster {
     /// Nodes are homogeneous — heterogeneity lives between fleet shards,
     /// not within one node — so device 0 speaks for all.
     pub fn arch(&self) -> Option<GpuArch> {
-        self.devices.first().map(|d| d.read().arch.clone())
+        self.devices.first().map(|d| d.state.read().arch.clone())
     }
 
     /// Number of devices on the node.
@@ -129,17 +171,38 @@ impl GpuCluster {
         f: impl FnOnce(&DeviceState) -> T,
     ) -> Result<T, GpuError> {
         let dev = self.devices.get(minor as usize).ok_or(GpuError::InvalidDevice(minor))?;
-        Ok(f(&dev.read()))
+        Ok(f(&dev.state.read()))
     }
 
-    /// Run `f` with exclusive access to device `minor`.
+    /// Run `f` with exclusive access to device `minor` — the one write
+    /// path to a device. The device's lock-free availability is
+    /// republished from the state `f` leaves, whether `f` returns or
+    /// unwinds.
     pub fn with_device_mut<T>(
         &self,
         minor: u32,
         f: impl FnOnce(&mut DeviceState) -> T,
     ) -> Result<T, GpuError> {
         let dev = self.devices.get(minor as usize).ok_or(GpuError::InvalidDevice(minor))?;
-        Ok(f(&mut dev.write()))
+        let mut write = DeviceWrite { state: dev.state.write(), available: &dev.available };
+        Ok(f(&mut write.state))
+    }
+
+    /// Known-bad twin of [`with_device_mut`](Self::with_device_mut) for
+    /// checker tests: the write lands but the lock-free availability is
+    /// put back to what it was — what a second write path that forgot to
+    /// republish would leave. `simtest`'s `fleet_availability_flags_honest`
+    /// must catch it; nothing else may call it.
+    #[doc(hidden)]
+    pub fn with_device_mut_unpublished<T>(
+        &self,
+        minor: u32,
+        f: impl FnOnce(&mut DeviceState) -> T,
+    ) -> Result<T, GpuError> {
+        let stale = self.is_device_available(minor);
+        let out = self.with_device_mut(minor, f)?;
+        self.devices[minor as usize].available.store(stale, Ordering::Release);
+        Ok(out)
     }
 
     /// Clone every device's live state — for a reader that wants to hold
@@ -147,7 +210,7 @@ impl GpuCluster {
     /// emitters walk [`for_each_smi_device`](Self::for_each_smi_device)
     /// instead.
     pub fn snapshot(&self) -> Vec<DeviceState> {
-        self.devices.iter().map(|d| d.read().clone()).collect()
+        self.devices.iter().map(|d| d.state.read().clone()).collect()
     }
 
     /// Attach a process to a device.
@@ -160,15 +223,18 @@ impl GpuCluster {
         self.with_device_mut(minor, |d| d.detach_process(pid))?
     }
 
+    /// Whether device `minor` has no resident process
+    /// ([`DeviceState::is_available`]), read without its lock; `false`
+    /// for a minor the node does not have.
+    pub fn is_device_available(&self, minor: u32) -> bool {
+        self.devices.get(minor as usize).is_some_and(|d| d.available.load(Ordering::Acquire))
+    }
+
     /// Minor numbers of devices with no resident processes, ascending —
-    /// the "available GPUs" list of the paper's Pseudocode 1.
+    /// the "available GPUs" list of the paper's Pseudocode 1. Takes no
+    /// device lock.
     pub fn available_devices(&self) -> Vec<u32> {
-        self.devices
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.read().is_available())
-            .map(|(i, _)| i as u32)
-            .collect()
+        (0..self.device_count()).filter(|minor| self.is_device_available(*minor)).collect()
     }
 
     /// All minor numbers, ascending.
@@ -212,7 +278,7 @@ impl GpuCluster {
     pub fn for_each_smi_device(&self, mut f: impl FnMut(&DeviceState)) {
         match self.smi_faults.frozen.lock().as_deref() {
             Some(frozen) => frozen.iter().for_each(f),
-            None => self.devices.iter().for_each(|d| f(&d.read())),
+            None => self.devices.iter().for_each(|d| f(&d.state.read())),
         }
     }
 }
@@ -245,6 +311,39 @@ mod tests {
         assert_eq!(c.available_devices(), vec![0]);
         c.detach_process(1, 10).unwrap();
         assert_eq!(c.available_devices(), vec![0, 1]);
+    }
+
+    #[test]
+    fn lock_free_availability_follows_every_write_even_one_that_unwinds() {
+        let c = GpuCluster::k80_node();
+        assert!(c.is_device_available(0) && c.is_device_available(1));
+        assert!(!c.is_device_available(2), "a minor the node does not have");
+        // A refused write republishes what it left: still available.
+        let hog = GpuProcess::compute(1, "hog", 1 << 30);
+        assert!(c.attach_process(0, hog).is_err());
+        assert!(c.is_device_available(0));
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            c.with_device_mut(1, |d| {
+                d.attach_process(GpuProcess::compute(2, "x", 1)).unwrap();
+                panic!("after the attach landed");
+            })
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(c.available_devices(), vec![0]);
+        assert_eq!(c.with_device(1, |d| d.is_available()), Ok(false));
+    }
+
+    #[test]
+    fn the_unpublished_twin_leaves_the_flag_stale() {
+        let c = GpuCluster::k80_node();
+        let _ = c.with_device_mut_unpublished(0, |d| {
+            d.attach_process(GpuProcess::compute(1, "x", 1)).unwrap();
+        });
+        assert_eq!(c.with_device(0, |d| d.is_available()), Ok(false));
+        assert!(c.is_device_available(0), "the bug the fleet barrier check exists to catch");
+        // The next honest write heals it.
+        c.with_device_mut(0, |d| d.set_utilization(10.0, 0.0)).unwrap();
+        assert!(!c.is_device_available(0));
     }
 
     #[test]

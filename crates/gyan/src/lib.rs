@@ -59,7 +59,7 @@ pub use ops::{
     default_alert_rules, galaxy_alert_rules, ops_server, profiles_route, DEFAULT_FLIGHT_CAPACITY,
 };
 pub use orchestrator::{GyanHook, NodePlacer, Placed, Placer};
-pub use reservations::{Lease, LeaseTable, ReservationView};
+pub use reservations::{Lease, LeaseSummary, LeaseTable, ReservationView};
 pub use rules::GpuDestinationRule;
 pub use setup::{footprint_advisor, install_gyan, install_gyan_with_footprint, install_hook};
 pub use telemetry::{export_run, merged_chrome_trace, TelemetryExport};

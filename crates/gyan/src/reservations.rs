@@ -134,6 +134,20 @@ impl ReservationView {
     }
 }
 
+/// What a node-level scheduler scores a node by, taken under one hold of
+/// the table's lock ([`LeaseTable::summary`]): the three numbers describe
+/// one instant of the table.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LeaseSummary {
+    /// Active leases across all devices.
+    pub active_leases: usize,
+    /// Sum of the active leases' declared memory hints (MiB).
+    pub pending_mem_mib: u64,
+    /// Devices that are effectively free — no resident process and no
+    /// lease — which is the allocator's own notion of free.
+    pub free_devices: usize,
+}
+
 #[derive(Default)]
 struct Inner {
     /// Leases per device, in acquisition order. A device's list stays
@@ -317,6 +331,27 @@ impl LeaseTable {
     /// outside the table (e.g. the destination rule's observation).
     pub fn view(&self) -> ReservationView {
         self.inner.lock().view()
+    }
+
+    /// Summarize the load on `cluster` — the node this table leases —
+    /// under one hold of the lock, without allocating and without a
+    /// device lock (availability is [`GpuCluster::is_device_available`]).
+    pub fn summary(&self, cluster: &GpuCluster) -> LeaseSummary {
+        let inner = self.inner.lock();
+        let mut summary = LeaseSummary::default();
+        for lease in inner.leases.values().flatten() {
+            summary.active_leases += 1;
+            summary.pending_mem_mib += lease.memory_hint_mib;
+        }
+        // Each device's flag is read once, so a concurrent device write
+        // moves the count by at most that device.
+        summary.free_devices = (0..cluster.device_count())
+            .filter(|minor| {
+                cluster.is_device_available(*minor)
+                    && inner.leases.get(minor).is_none_or(|leases| leases.is_empty())
+            })
+            .count();
+        summary
     }
 
     /// Total active leases.

@@ -20,14 +20,22 @@
 //!   death orphaned either resubmits onto a surviving node (with the
 //!   dead node in its exclusion set, mirroring the queue engine's
 //!   placement-aware resubmission) or fails finally;
+//! * **honest availability flags** — every shard's lock-free device
+//!   availability (what placement scores nodes by) equals a recomputation
+//!   under the device locks. Each placed job runs a process on the
+//!   devices it was granted for as long as it holds them, so the flags
+//!   move with every wave;
 //! * **drained** — after the last wave every shard's lease table and the
 //!   fleet's booking map are empty.
 //!
 //! [`FleetSimOptions::double_place`] is the canonical known-bad wiring:
-//! it re-runs placement for a job that already holds leases (as a buggy
-//! dispatch layer would after a spurious retry). The fleet's booking map
-//! forgets the first node, the first shard's leases leak, and the
-//! per-shard conservation check trips — reproducibly, from the seed.
+//! a job that already holds leases is granted a second node's devices
+//! behind the fleet's back, straight from that shard's lease table (as a
+//! dispatch layer that kept its own idea of where a retry goes would).
+//! The booking map knows one node, the other shard's leases belong to
+//! nobody, and the per-shard conservation check trips — reproducibly,
+//! from the seed. (Re-placing *through* [`Fleet::place`] is not a bug: the
+//! fleet supersedes the first booking itself.)
 //!
 //! [`FleetSimOptions::ignore_node_death`] is the shard-failure sibling:
 //! the harness releases the dead node's leases (as the lost-job cleanup
@@ -35,12 +43,20 @@
 //! seeing a freshly emptied — and therefore attractive — node. The next
 //! wave books a job onto the corpse and `fleet_no_dead_node_booking`
 //! trips with a reproducing seed.
+//!
+//! [`FleetSimOptions::unpublished_device_writes`] is the known-bad wiring
+//! of the availability flags: the jobs' processes attach through a write
+//! path that skips the republish, placement keeps scoring busy devices as
+//! free, and `fleet_availability_flags_honest` trips at the first barrier
+//! a job is held across.
 
 use crate::driver::Repro;
 use crate::fleet_scenario::{FleetScenario, NodeFault, FLEET_RULES};
 use crate::invariants::{self, Violation};
 use crate::{Failure, SimReport, SEED_ENV};
 use fleet::{policy_by_name, DestinationRules, Fleet, NodeClass, Placement, PlacementRequest};
+use gpusim::{DeviceState, GpuProcess};
+use gyan::allocation::AllocationPolicy;
 use obs::Recorder;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -48,15 +64,20 @@ use std::collections::{BTreeMap, BTreeSet};
 /// options to prove the checker catches known-bad wirings.
 #[derive(Debug, Clone, Default)]
 pub struct FleetSimOptions {
-    /// Re-place every Nth placed job in its submit wave *without*
-    /// releasing it first — the double-placement bug. `None` is the
-    /// correct wiring.
+    /// Grant every Nth placed job a second node's devices in its submit
+    /// wave, from that shard's table and not through the fleet — the
+    /// double-placement bug. `None` is the correct wiring.
     pub double_place: Option<usize>,
     /// On the scenario's node fault, release the dying node's leases but
     /// skip `Fleet::fail_node` — the stale-wiring bug where placement
     /// keeps treating a dead node as a candidate. `false` is the correct
     /// wiring.
     pub ignore_node_death: bool,
+    /// Attach the jobs' processes through
+    /// `GpuCluster::with_device_mut_unpublished` — a device write path
+    /// that forgets to republish the lock-free availability. `false` is
+    /// the correct wiring.
+    pub unpublished_device_writes: bool,
 }
 
 /// Build the scenario's fleet (shared so tests can inspect the same
@@ -72,6 +93,13 @@ pub fn build_fleet(scenario: &FleetScenario, recorder: &Recorder) -> Fleet {
     builder.build()
 }
 
+/// A placed job's hold: when it ends, and where its process runs.
+struct Held {
+    release_wave: usize,
+    node: u32,
+    devices: Vec<u32>,
+}
+
 /// One run's books: the fleet, and which jobs hold leases until when.
 /// This harness steps on its own rather than through
 /// [`crate::driver::Stack::pump`] because its schedules hold leases
@@ -79,9 +107,10 @@ pub fn build_fleet(scenario: &FleetScenario, recorder: &Recorder) -> Fleet {
 struct FleetRun<'a> {
     scenario: &'a FleetScenario,
     fleet: Fleet,
-    /// job id → release wave. Job ids are 1-based schedule indices so
-    /// audits map straight back to the schedule.
-    active: BTreeMap<u64, usize>,
+    /// job id → its hold. Job ids are 1-based schedule indices so audits
+    /// map straight back to the schedule.
+    active: BTreeMap<u64, Held>,
+    unpublished_device_writes: bool,
     /// Nodes the fault plan has killed.
     dead: BTreeSet<u32>,
     placed: usize,
@@ -91,11 +120,12 @@ struct FleetRun<'a> {
 }
 
 impl<'a> FleetRun<'a> {
-    fn new(scenario: &'a FleetScenario, recorder: &Recorder) -> Self {
+    fn new(scenario: &'a FleetScenario, recorder: &Recorder, options: &FleetSimOptions) -> Self {
         FleetRun {
             scenario,
             fleet: build_fleet(scenario, recorder),
             active: BTreeMap::new(),
+            unpublished_device_writes: options.unpublished_device_writes,
             dead: BTreeSet::new(),
             placed: 0,
             rejected: 0,
@@ -104,7 +134,10 @@ impl<'a> FleetRun<'a> {
     }
 
     /// Ask the fleet to place schedule entry `job_id`, holding it for the
-    /// job's `hold_waves` from `wave` on success.
+    /// job's `hold_waves` from `wave` on success. While it is held, a
+    /// process of the job's declared size runs on every device it was
+    /// granted (pid = job id); a device too full to take it refuses, as a
+    /// real one would, and the job holds that device's lease alone.
     fn place(&mut self, job_id: u64, wave: usize, excluded_nodes: &[String]) -> Option<Placement> {
         let job = &self.scenario.jobs[(job_id - 1) as usize];
         let placement = self.fleet.place(&PlacementRequest {
@@ -115,24 +148,62 @@ impl<'a> FleetRun<'a> {
             memory_hint_mib: job.memory_hint_mib,
             excluded_nodes,
         })?;
-        self.active.insert(job_id, wave + job.hold_waves);
+        let cluster = &self.fleet.shards()[placement.node as usize].cluster;
+        for &minor in &placement.allocation.devices {
+            let process = GpuProcess::compute(job_id as u32, job.tool, job.memory_hint_mib);
+            let attach = |device: &mut DeviceState| device.attach_process(process);
+            let _refused = if self.unpublished_device_writes {
+                cluster.with_device_mut_unpublished(minor, attach)
+            } else {
+                cluster.with_device_mut(minor, attach)
+            };
+        }
+        let held = Held {
+            release_wave: wave + job.hold_waves,
+            node: placement.node,
+            devices: placement.allocation.devices.clone(),
+        };
+        self.active.insert(job_id, held);
         Some(placement)
+    }
+
+    /// A hold is over — released, or lost with its node: the job's
+    /// process exits wherever it was running.
+    fn forget(&mut self, job_id: u64) {
+        let Some(held) = self.active.remove(&job_id) else { return };
+        let cluster = &self.fleet.shards()[held.node as usize].cluster;
+        for minor in held.devices {
+            let _never_attached = cluster.detach_process(minor, job_id as u32);
+        }
+    }
+
+    /// The double-placement bug: grant `job_id` the devices of the first
+    /// placeable node it is *not* booked on, from that shard's own table.
+    fn grant_behind_the_fleets_back(&self, job_id: u64) {
+        let booked = self.fleet.node_of(job_id);
+        let other = self.fleet.shards().iter().find(|s| s.is_placeable() && Some(s.id) != booked);
+        if let Some(shard) = other {
+            let hint = self.scenario.jobs[(job_id - 1) as usize].memory_hint_mib;
+            let policy = AllocationPolicy::ProcessId;
+            let recorder = self.fleet.recorder();
+            shard.table.allocate_and_lease(&shard.cluster, &[0], policy, job_id, hint, recorder);
+        }
     }
 
     /// The placement half of a wave: release the jobs whose hold expired,
     /// then place the wave's submissions. Under the `double_place`
-    /// known-bad wiring a buggy retry path hands every Nth placed job to
-    /// placement again while it still holds leases.
+    /// known-bad wiring every Nth placed job is also granted a second
+    /// node's devices while it still holds the first's.
     fn step(&mut self, wave: usize, double_place: Option<usize>) {
         let due: Vec<u64> = self
             .active
             .iter()
-            .filter(|(_, release)| **release <= wave)
+            .filter(|(_, held)| held.release_wave <= wave)
             .map(|(id, _)| *id)
             .collect();
         for id in due {
             self.fleet.release(id, "ok");
-            self.active.remove(&id);
+            self.forget(id);
         }
         let scenario = self.scenario;
         for (index, _) in scenario.jobs.iter().enumerate().filter(|(_, j)| j.submit_wave == wave) {
@@ -143,7 +214,7 @@ impl<'a> FleetRun<'a> {
             }
             self.placed += 1;
             if double_place.is_some_and(|every| every > 0 && self.placed.is_multiple_of(every)) {
-                self.place(job_id, wave, &[]);
+                self.grant_behind_the_fleets_back(job_id);
             }
         }
     }
@@ -185,7 +256,7 @@ impl<'a> FleetRun<'a> {
         self.dead.insert(fault.node);
         let excluded = [name];
         for job_id in lost {
-            self.active.remove(&job_id);
+            self.forget(job_id);
             match self.place(job_id, wave, &excluded) {
                 Some(placement) if self.dead.contains(&placement.node) => {
                     return Err(Violation::new(
@@ -203,7 +274,8 @@ impl<'a> FleetRun<'a> {
     /// The barrier checks, from the fleet's live state.
     fn check(&self) -> Result<(), Violation> {
         invariants::fleet_lease_conservation(&self.fleet)?;
-        invariants::fleet_no_dead_node_booking(&self.fleet, &self.dead)
+        invariants::fleet_no_dead_node_booking(&self.fleet, &self.dead)?;
+        invariants::fleet_availability_flags_honest(&self.fleet)
     }
 
     /// One full wave: placements, the scenario's node fault if it is due,
@@ -218,8 +290,9 @@ impl<'a> FleetRun<'a> {
 
     /// Release everything still held and re-check: nothing may survive.
     fn drain(&mut self) -> Result<(), Violation> {
-        for id in std::mem::take(&mut self.active).into_keys() {
+        while let Some(id) = self.active.keys().next().copied() {
             self.fleet.release(id, "ok");
+            self.forget(id);
         }
         self.check()?;
         match (self.fleet.total_lease_count(), self.fleet.active_placements().len()) {
@@ -241,7 +314,7 @@ pub fn run_fleet_scenario(
 ) -> Result<SimReport, Failure> {
     let repro = Repro { seed: scenario.seed, seed_env: SEED_ENV, scenario: scenario.describe() };
     let recorder = Recorder::new();
-    let mut run = FleetRun::new(scenario, &recorder);
+    let mut run = FleetRun::new(scenario, &recorder, options);
     for wave in 0..scenario.waves {
         run.wave(wave, options).map_err(|v| repro.failure(Some(wave), v))?;
     }
@@ -340,6 +413,19 @@ mod tests {
     }
 
     #[test]
+    fn unpublished_device_writes_are_caught_with_a_reproducing_seed() {
+        let options = FleetSimOptions { unpublished_device_writes: true, ..Default::default() };
+        let failure = (0..20)
+            .find_map(|seed| run_fleet_seed(seed, &options).err())
+            .expect("some seed must hold a job across a barrier");
+        assert_eq!(failure.reason, "fleet_availability_flags_honest", "{failure}");
+        // The report reproduces from the seed alone.
+        let again = run_fleet_seed(failure.seed, &options).expect_err("same seed re-fails");
+        assert_eq!(again.reason, failure.reason);
+        assert!(failure.to_string().contains(&format!("SIMTEST_SEED={}", failure.seed)));
+    }
+
+    #[test]
     fn node_death_survives_under_correct_wiring() {
         // Some swept seed must actually lose in-flight work to its fault
         // (a fault on an idle node proves nothing) and still pass every
@@ -356,7 +442,7 @@ mod tests {
     /// Does the scenario's fault catch at least one job in flight?
     fn fault_loses_jobs(scenario: &FleetScenario) -> bool {
         let Some(fault) = scenario.node_fault else { return false };
-        let mut run = FleetRun::new(scenario, &Recorder::new());
+        let mut run = FleetRun::new(scenario, &Recorder::new(), &FleetSimOptions::default());
         for wave in 0..=fault.wave {
             run.step(wave, None);
         }

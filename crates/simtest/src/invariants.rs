@@ -13,6 +13,7 @@
 use fleet::Fleet;
 use galaxy::queue::{QueueEngine, SubmissionState};
 use galaxy::JobState;
+use gpusim::DeviceState;
 use gyan::LeaseTable;
 use obs::{EventData, Recorder};
 use std::collections::{BTreeMap, BTreeSet};
@@ -215,6 +216,33 @@ pub fn fleet_no_dead_node_booking(fleet: &Fleet, dead: &BTreeSet<u32>) -> Result
             return Err(Violation::new(
                 "fleet_no_dead_node_booking",
                 format!("dead node {node} still holds leases for jobs {holders:?}"),
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Every shard's lock-free device availability — what placement scores
+/// nodes by — must equal a recomputation under the device locks. Only a
+/// write path to a device that does not republish can break it; there is
+/// one path today, and this is what catches a second.
+pub fn fleet_availability_flags_honest(fleet: &Fleet) -> Result<(), Violation> {
+    for shard in fleet.shards() {
+        let cluster = &shard.cluster;
+        let locked: Vec<u32> = cluster
+            .all_devices()
+            .into_iter()
+            .filter(|minor| cluster.with_device(*minor, DeviceState::is_available) == Ok(true))
+            .collect();
+        let lock_free = cluster.available_devices();
+        if lock_free != locked {
+            return Err(Violation::new(
+                "fleet_availability_flags_honest",
+                format!(
+                    "node {} ({}) publishes devices {lock_free:?} as available; under the device \
+                     locks {locked:?} are",
+                    shard.id, shard.name
+                ),
             ));
         }
     }

@@ -6,6 +6,7 @@
 //! is process-wide, so nothing else may allocate while a budget is
 //! being counted.
 
+use fleet::{Fleet, NodeClass, PlacementRequest};
 use gyan::allocation::AllocationPolicy;
 use gyan::LeaseTable;
 use loadgen::{run_scenario, LoadOptions, LoadScenario, Topology};
@@ -60,30 +61,73 @@ fn allocations_during(work: impl FnOnce()) -> u64 {
 
 const RECORDS: u64 = 10_000;
 
-/// Allocations per call of `record`, averaged over [`RECORDS`] calls on
-/// a production-shaped recorder: flight ring on, retention capped, and
-/// both already at steady state (the ring wrapping, the log evicting).
-fn per_record(record: impl Fn(&Recorder, u64)) -> f64 {
+/// A production-shaped recorder: flight ring on, retention capped.
+fn production_recorder() -> Recorder {
     let rec = Recorder::new();
     rec.enable_flight(1_024);
     rec.set_log_retention(Some(1_000));
+    rec
+}
+
+/// Allocations per call of `record`, averaged over [`RECORDS`] calls on
+/// `rec` once it is at steady state (the ring wrapping, the log
+/// evicting).
+fn per_record_on(rec: &Recorder, record: impl Fn(&Recorder, u64)) -> f64 {
     for i in 0..RECORDS {
-        record(&rec, i);
+        record(rec, i);
     }
-    let counted = allocations_during(|| (0..RECORDS).for_each(|i| record(&rec, i)));
+    let counted = allocations_during(|| (0..RECORDS).for_each(|i| record(rec, i)));
     counted as f64 / RECORDS as f64
+}
+
+/// [`per_record_on`] a [`production_recorder`] of its own.
+fn per_record(record: impl Fn(&Recorder, u64)) -> f64 {
+    per_record_on(&production_recorder(), record)
+}
+
+/// Allocations per `Fleet::place` + `Fleet::release` of a one-die job on
+/// an otherwise idle audited fleet of `k80` K80 and `a100` A100 nodes:
+/// every node is a candidate and is scored.
+fn per_placement(k80: u32, a100: u32) -> f64 {
+    let rec = production_recorder();
+    let fleet = Fleet::builder()
+        .nodes(NodeClass::k80(), k80)
+        .nodes(NodeClass::a100(), a100)
+        .recorder(rec.clone())
+        .build();
+    per_record_on(&rec, |_, job| {
+        let placed = fleet.place(&PlacementRequest {
+            job_id: job,
+            user: "u000042",
+            tool_id: "racon_gpu",
+            requested: &[0],
+            memory_hint_mib: 512,
+            excluded_nodes: &[],
+        });
+        assert_eq!(placed.map(|p| p.node), Some(0));
+        assert_eq!(fleet.release(job, "ok"), 1);
+    })
 }
 
 /// Allocations per job of the 2 000-job day below: 349.7 at 8faed09
 /// (where the event above cost 16 and the span 8), 144.7 at b774b45,
-/// 105.5 now; the ceiling is the measured value plus 10 %.
-const ALLOCS_PER_JOB_CEILING: f64 = 116.0;
+/// 105.5 at 0f6d93c, 104.4 now (the fair-share queue keeps one entry per
+/// user); the ceiling is the measured value plus 10 %.
+const ALLOCS_PER_JOB_CEILING: f64 = 114.8;
 
 /// Allocations per GPU job's audit trail on 32 devices — one decision,
 /// 32 lease acquires, 32 releases: 425.0 at b774b45 (this same probe run
 /// there), 143.0 now, of which 128 are the 64 lease records; the ceiling
 /// is the measured value plus 10 %.
 const ALLOCS_PER_32_DEVICE_GRANT_CEILING: f64 = 157.0;
+
+/// Allocations per placement + release on the benchmark's `day_fleet`
+/// shape (60 K80 + 20 A100 nodes): 132.0 at 0f6d93c (this same probe run
+/// there; 38.0 on 8 nodes), where scoring a node cost one to two (a
+/// lease view, an availability list) and the candidate list grew by
+/// doubling; 27.0 now on 80 nodes and on 8, none of them per node; the
+/// ceiling is the measured value plus 10 %.
+const ALLOCS_PER_PLACEMENT_CEILING: f64 = 29.7;
 
 #[test]
 fn telemetry_records_and_jobs_stay_inside_their_allocation_budget() {
@@ -141,6 +185,19 @@ fn telemetry_records_and_jobs_stay_inside_their_allocation_budget() {
         "{grant:.1} allocations per 32-device grant"
     );
 
+    // One placement and its release on the benchmark's 80-node fleet, and
+    // on a tenth of it: scoring a node allocates nothing, so the two may
+    // differ by the candidate list's one allocation at most.
+    let (placement, small_fleet) = (per_placement(60, 20), per_placement(6, 2));
+    assert!(
+        placement <= ALLOCS_PER_PLACEMENT_CEILING,
+        "{placement:.1} allocations per placement + release on 80 nodes"
+    );
+    assert!(
+        (placement - small_fleet).abs() <= 1.0,
+        "{placement:.1} allocations per placement on 80 nodes, {small_fleet:.1} on 8"
+    );
+
     // A 2 000-job day through the real `QueueEngine` over `install_gyan`
     // on the paper's K80 node (two devices, as `GpuCluster::k80_node()`).
     let scenario = LoadScenario {
@@ -156,7 +213,8 @@ fn telemetry_records_and_jobs_stay_inside_their_allocation_budget() {
     });
     let per_job = counted as f64 / jobs as f64;
     println!(
-        "allocations: event {event:.2}  span {span:.2}  32-device grant {grant:.1}  job {per_job:.1}"
+        "allocations: event {event:.2}  span {span:.2}  32-device grant {grant:.1}  \
+         placement {placement:.1}  job {per_job:.1}"
     );
     assert!(per_job <= ALLOCS_PER_JOB_CEILING, "{per_job:.1} allocations per job of {jobs}");
 }

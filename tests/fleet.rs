@@ -12,7 +12,7 @@ use galaxy::params::ParamDict;
 use galaxy::queue::{QueueConfig, QueueEngine, SubmissionState};
 use galaxy::tool::macros::MacroLibrary;
 use galaxy::GalaxyApp;
-use gpusim::GpuCluster;
+use gpusim::{GpuCluster, GpuProcess};
 use obs::serve::http_get;
 use obs::slo::AlertEngine;
 use obs::Recorder;
@@ -33,10 +33,15 @@ fn request<'a>(job_id: u64, user: &'a str, tool: &'a str, hint: u64) -> Placemen
 }
 
 fn heterogeneous_fleet() -> Fleet {
+    heterogeneous_fleet_under("least_loaded")
+}
+
+fn heterogeneous_fleet_under(policy: &str) -> Fleet {
     Fleet::builder()
         .nodes(NodeClass::k80(), 3)
         .nodes(NodeClass::v100(), 2)
         .nodes(NodeClass::a100(), 1)
+        .policy(policy_by_name(policy).unwrap())
         .build()
 }
 
@@ -74,6 +79,97 @@ fn ties_resolve_to_the_lowest_node_id_in_order() {
         .map(|job| fleet.place(&request(job, "ada", "racon_gpu", 256)).unwrap().node)
         .collect();
     assert_eq!(nodes, vec![0, 1, 2]);
+}
+
+/// FNV-1a over 2 000 seeded place / release / detach steps on
+/// `heterogeneous_fleet()`: of every placement the job, the node and the
+/// mask (a rejection hashes as node `u32::MAX`). A third of the placed
+/// jobs leave a process behind on their first device, which outlives the
+/// lease until a later step detaches it, so nodes are scored with
+/// devices that are busy but unleased, leased but idle, and shared.
+/// No job id is placed twice.
+fn placement_sequence_digest(policy: &str) -> u64 {
+    let fleet = heterogeneous_fleet_under(policy);
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut fold = |bytes: &[u8]| {
+        for byte in bytes {
+            digest = (digest ^ u64::from(*byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let mut live: Vec<u64> = Vec::new();
+    let mut lingering: Vec<(u32, u32, u32)> = Vec::new();
+    for job in 0..2_000u64 {
+        let r = next();
+        // 200 steps of filling (5 in 8 place, 2 in 8 release) alternate
+        // with 200 of draining (2 and 5), so the fleet is scored idle,
+        // part-full and oversubscribed.
+        let placing = if (job / 200) % 2 == 0 { 5 } else { 2 };
+        match r % 8 {
+            step if step < placing => {
+                let user = ["ada", "bob", "cyd", "dee"][(r >> 8) as usize % 4];
+                let pinned = [(r >> 16) as u32 % 8];
+                let requested: &[u32] = if (r >> 24) % 4 == 0 { &[] } else { &pinned };
+                let hint = [256, 1_024, 12_000, 20_000, 50_000][(r >> 32) as usize % 5];
+                let placed = fleet.place(&PlacementRequest {
+                    job_id: job,
+                    user,
+                    tool_id: "racon_gpu",
+                    requested,
+                    memory_hint_mib: hint,
+                    excluded_nodes: &[],
+                });
+                fold(&job.to_le_bytes());
+                let Some(p) = placed else {
+                    fold(&u32::MAX.to_le_bytes());
+                    continue;
+                };
+                fold(&p.node.to_le_bytes());
+                fold(p.allocation.cuda_visible_devices.as_bytes());
+                live.push(job);
+                if (r >> 40) % 3 == 0 {
+                    let (minor, pid) = (p.allocation.devices[0], 50_000 + job as u32);
+                    let cluster = &fleet.shard(p.node).unwrap().cluster;
+                    if cluster.attach_process(minor, GpuProcess::compute(pid, "linger", 64)).is_ok()
+                    {
+                        lingering.push((p.node, minor, pid));
+                    }
+                }
+            }
+            7 if !lingering.is_empty() => {
+                let (node, minor, pid) = lingering.swap_remove((r >> 8) as usize % lingering.len());
+                fleet.shard(node).unwrap().cluster.detach_process(minor, pid).unwrap();
+            }
+            _ if !live.is_empty() => {
+                let job = live.swap_remove((r >> 8) as usize % live.len());
+                assert!(fleet.release(job, "ok") > 0);
+            }
+            _ => {}
+        }
+    }
+    digest
+}
+
+/// The sequence above, per stock policy, as captured at 0f6d93c — the
+/// commit before `NodeShard::load` stopped taking device locks — by this
+/// same function: the cheaper reads score every node as the locked ones
+/// did, so every placement lands where it landed.
+#[test]
+fn placement_sequence_matches_the_golden_captured_before_the_lock_free_load() {
+    for (policy, golden) in [
+        ("least_loaded", 0x14c4_cd1c_e21d_f29cu64),
+        ("bin_pack", 0x725e_04b6_608d_e4c2),
+        ("fair_share", 0x8a09_ec87_e28b_5479),
+    ] {
+        let digest = placement_sequence_digest(policy);
+        assert_eq!(digest, golden, "policy {policy}: digest {digest:#018x}");
+    }
 }
 
 // --- Policies over heterogeneous hardware ------------------------------
@@ -417,6 +513,41 @@ fn release_is_idempotent_across_double_conclude_and_node_death() {
     assert_ne!(p.node_name, node_name);
     hook.after_conclude(3, JobConclusion::Ok);
     assert_eq!(fleet.total_lease_count(), 0);
+}
+
+/// Bugfix regression: a shard's table supersedes a holder's stale leases
+/// only on itself, so a fleet that placed a booked job again — scoring the
+/// old node with the job's own lease against it, landing elsewhere,
+/// overwriting the booking — orphaned the first lease for good. `place`
+/// now releases the job's booking as `superseded` before it scores.
+#[test]
+fn re_placing_a_booked_job_supersedes_its_first_placement() {
+    let recorder = Recorder::new();
+    let fleet = Fleet::builder().nodes(NodeClass::k80(), 2).recorder(recorder.clone()).build();
+    let first = fleet.place(&request(1, "ada", "racon_gpu", 256)).unwrap();
+    let second = fleet.place(&request(1, "ada", "racon_gpu", 256)).unwrap();
+    // Node 0 is idle again by the time it is scored, and wins the tie.
+    assert_eq!((first.node, second.node), (0, 0));
+    assert_eq!(fleet.total_lease_count(), 1, "one lease");
+    assert_eq!(fleet.holders_by_node(), vec![(0, vec![1]), (1, vec![])], "one holder");
+    assert_eq!(fleet.active_placements(), vec![(1, 0)]);
+
+    // Landing elsewhere leaves nothing behind either.
+    assert!(fleet.cordon("k80-000"));
+    assert_eq!(fleet.place(&request(1, "ada", "racon_gpu", 256)).unwrap().node, 1);
+    assert_eq!(fleet.holders_by_node(), vec![(0, vec![]), (1, vec![1])]);
+
+    let superseded: Vec<String> = recorder
+        .events_named(fleet::fleet::FLEET_RELEASE_EVENT)
+        .iter()
+        .filter(|e| e.field("why").and_then(|v| v.as_str()) == Some("superseded"))
+        .map(|e| e.field("node").and_then(|v| v.as_str()).unwrap().to_string())
+        .collect();
+    assert_eq!(superseded, ["k80-000", "k80-000"]);
+
+    assert!(fleet.release(1, "ok") > 0);
+    assert_eq!(fleet.total_lease_count(), 0, "zero after release");
+    assert!(fleet.active_placements().is_empty());
 }
 
 // --- Destination memory hints: rule/hook agreement + validation --------

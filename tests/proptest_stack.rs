@@ -41,6 +41,17 @@ type NodeOp = (u8, u32, u64);
 /// op is invisible to SMI). Refused ops (out of memory, shrinking below
 /// zero) are part of the history: they leave the state as it was.
 fn node_after(arch: u8, count: u32, ops: &[NodeOp], freeze_at: Option<usize>) -> GpuCluster {
+    node_after_each(arch, count, ops, freeze_at, |_| {})
+}
+
+/// [`node_after`], calling `after_step` on the node after every op.
+fn node_after_each(
+    arch: u8,
+    count: u32,
+    ops: &[NodeOp],
+    freeze_at: Option<usize>,
+    mut after_step: impl FnMut(&GpuCluster),
+) -> GpuCluster {
     let arch =
         [GpuArch::tesla_k80(), GpuArch::tesla_v100(), GpuArch::a100()][arch as usize % 3].clone();
     let cluster = GpuCluster::node(arch, count);
@@ -71,8 +82,18 @@ fn node_after(arch: u8, count: u32, ops: &[NodeOp], freeze_at: Option<usize>) ->
                     .unwrap();
             }
         }
+        after_step(&cluster);
     }
     cluster
+}
+
+/// "Which devices are available", recomputed under each device's lock.
+fn available_under_the_locks(cluster: &GpuCluster) -> Vec<u32> {
+    cluster
+        .all_devices()
+        .into_iter()
+        .filter(|minor| cluster.with_device(*minor, |d| d.is_available()) == Ok(true))
+        .collect()
 }
 
 proptest! {
@@ -97,6 +118,48 @@ proptest! {
         prop_assert_eq!(&from_text.avail_gpus, &structured.avail_gpus);
         prop_assert_eq!(&from_text.proc_gpu_dict, &structured.proc_gpu_dict);
         prop_assert_eq!(&from_text.used_mib, &structured.used_mib);
+    }
+
+    /// The lock-free availability is the locked one: over the same
+    /// histories (refused ops included), `available_devices()` — served
+    /// from the per-device flags `with_device_mut` republishes — equals a
+    /// recomputation through `with_device(.., is_available)` after every
+    /// step, and after a write whose closure panics once its attach or
+    /// detach has landed.
+    #[test]
+    fn lock_free_availability_equals_the_locked_recomputation(
+        arch in 0u8..3,
+        count in 0u32..=32,
+        ops in prop::collection::vec((0u8..4, any::<u32>(), 1u64..2000), 0..48),
+        unwind_on in any::<u32>(),
+    ) {
+        let mut steps = 0;
+        let cluster = node_after_each(arch, count, &ops, None, |cluster| {
+            steps += 1;
+            let locked = available_under_the_locks(cluster);
+            assert_eq!(cluster.available_devices(), locked, "step {steps}");
+        });
+        prop_assert_eq!(steps, if count == 0 { 0 } else { ops.len() });
+        if count > 0 {
+            let minor = unwind_on % count;
+            let before = cluster.is_device_available(minor);
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                cluster.with_device_mut(minor, |d| {
+                    // Flip the device's availability, then unwind.
+                    let resident: Vec<u32> = d.processes().iter().map(|p| p.pid).collect();
+                    if resident.is_empty() {
+                        d.attach_process(GpuProcess::compute(7, "tool", 1)).unwrap();
+                    }
+                    for pid in resident {
+                        d.detach_process(pid).unwrap();
+                    }
+                    panic!("unwinding out of a device write");
+                })
+            }));
+            prop_assert!(unwound.is_err());
+            prop_assert_eq!(cluster.is_device_available(minor), !before);
+            prop_assert_eq!(cluster.available_devices(), available_under_the_locks(&cluster));
+        }
     }
 
     /// Fault parity: an injected budget of `n` fails exactly `n`

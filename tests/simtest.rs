@@ -117,9 +117,10 @@ fn fleet_100_node_10k_user_scenario_holds_invariants() {
     }
 }
 
-/// The fleet's canonical known-bad wiring: re-placing a job that still
-/// holds leases strands them on the first shard. The checker must catch
-/// it and print a single reproducing seed.
+/// The fleet's canonical known-bad wiring: a job that still holds leases
+/// is granted a second shard's devices behind the fleet's back, which
+/// strands them there. The checker must catch it and print a single
+/// reproducing seed.
 #[test]
 fn fleet_double_placement_is_caught_with_a_reproducing_seed() {
     use simtest::{run_fleet_seed, FleetSimOptions};
@@ -176,6 +177,25 @@ fn fleet_stale_dead_node_placement_is_caught_with_a_reproducing_seed() {
     let text = failure.to_string();
     assert!(text.contains(&format!("SIMTEST_SEED={}", failure.seed)), "{text}");
     assert!(failure.scenario.contains("fault=node"), "{}", failure.scenario);
+
+    let again = run_fleet_seed(failure.seed, &bad).expect_err("seed must reproduce");
+    assert_eq!(again.reason, failure.reason);
+}
+
+/// The availability flags' known-bad wiring: a device write path that
+/// does not republish the lock-free availability placement scores nodes
+/// by. `fleet_availability_flags_honest` — checked at every barrier of
+/// the sweeps above — must catch it with a single reproducing seed.
+#[test]
+fn fleet_unpublished_device_write_is_caught_with_a_reproducing_seed() {
+    use simtest::{run_fleet_seed, FleetSimOptions};
+    let bad = FleetSimOptions { unpublished_device_writes: true, ..Default::default() };
+    let failure = (0..100)
+        .find_map(|seed| run_fleet_seed(seed, &bad).err())
+        .expect("a busy device published as available must trip a fleet invariant");
+    assert_eq!(failure.reason, "fleet_availability_flags_honest", "{failure}");
+    let text = failure.to_string();
+    assert!(text.contains(&format!("SIMTEST_SEED={}", failure.seed)), "{text}");
 
     let again = run_fleet_seed(failure.seed, &bad).expect_err("seed must reproduce");
     assert_eq!(again.reason, failure.reason);
