@@ -1,4 +1,4 @@
-//! The `verify.sh` gates and the Criterion benches.
+//! The `verify.sh` gates.
 //!
 //! [`gate`] is the one gate mechanism — trajectory format, measuring
 //! protocol, comparator — behind every `BENCH_*.json`; the `gates`

@@ -29,8 +29,8 @@ pub enum GalaxyError {
     Container(String),
     /// The executor reported a tool failure.
     ToolFailed(String),
-    /// A workflow step's `StepOutput` reference points at itself, a later
-    /// step, or an index outside the workflow.
+    /// A workflow step's dependency (a `StepOutput` binding or an `after`
+    /// edge) points at itself or at an index outside the workflow.
     InvalidStepReference {
         /// Workflow display name.
         workflow: String,
@@ -39,7 +39,7 @@ pub enum GalaxyError {
         /// The referenced step index.
         reference: usize,
         /// Why the reference is invalid (`self_reference`,
-        /// `forward_reference`, `out_of_range`).
+        /// `out_of_range`).
         reason: &'static str,
     },
     /// A DAG workflow's dependency edges form a cycle.

@@ -38,7 +38,6 @@ pub mod runners;
 pub mod scheduler;
 pub mod template;
 pub mod tool;
-pub mod workflow;
 
 /// Environment variable naming the fleet node a job was placed on. Set by
 /// a placement-aware pre-dispatch hook; the queue engine mirrors it into
@@ -73,4 +72,3 @@ pub use queue::{
     QueueEngine, ResubmitPolicy, SubmissionState, WorkflowHandle,
 };
 pub use tool::{Requirement, RequirementType, Tool};
-pub use workflow::{Workflow, WorkflowStep};

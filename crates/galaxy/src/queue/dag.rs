@@ -1,10 +1,11 @@
 //! DAG workflows: explicit step dependencies with fan-out/fan-in.
 //!
-//! The sequential [`crate::workflow::Workflow`] runs steps strictly in
-//! order. A [`DagWorkflow`] instead declares *dependencies*: a step may
-//! run as soon as every step it depends on has completed, so independent
-//! branches dispatch concurrently through the handler pool. Dependencies
-//! come from two sources:
+//! The paper's background: "A single job can be a single tool instance or
+//! a workflow consisting of a sequence of multiple tools." A
+//! [`DagWorkflow`] declares *dependencies*: a step may run as soon as
+//! every step it depends on has completed, so independent branches
+//! dispatch concurrently through the handler pool. Dependencies come from
+//! two sources:
 //!
 //! - **data edges** — a parameter bound with
 //!   [`DagStep::with_input_from`] (the upstream step's first output
@@ -12,16 +13,27 @@
 //! - **ordering edges** — [`DagStep::after`], which sequences steps
 //!   without passing data.
 //!
+//! A sequential pipeline is the chain whose step *i* is `.after(i - 1)`:
+//! a failed step cancels every later one before it is materialized.
+//!
 //! Validation rejects self/out-of-range references with
 //! [`GalaxyError::InvalidStepReference`] and cycles with
-//! [`GalaxyError::WorkflowCycle`]. Unlike the sequential workflow,
-//! *forward* references are legal here — the topology, not the list
-//! order, decides execution order.
+//! [`GalaxyError::WorkflowCycle`]. *Forward* references are legal — the
+//! topology, not the list order, decides execution order.
 
 use crate::app::GalaxyApp;
 use crate::error::GalaxyError;
-use crate::workflow::{ValueSource, Workflow};
 use std::collections::BTreeSet;
+
+/// Where a step's parameter value comes from.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ValueSource {
+    /// A literal value.
+    Literal(String),
+    /// The content of the first output dataset of another step
+    /// (0-based step index).
+    StepOutput(usize),
+}
 
 /// One step of a DAG workflow.
 #[derive(Debug, Clone)]
@@ -78,24 +90,6 @@ impl DagWorkflow {
     pub fn step(mut self, step: DagStep) -> Self {
         self.steps.push(step);
         self
-    }
-
-    /// Convert a sequential [`Workflow`], keeping only its *data* edges as
-    /// dependencies — steps that merely sat earlier in the list but share
-    /// no data become independent and may run concurrently.
-    pub fn from_workflow(wf: &Workflow) -> Self {
-        DagWorkflow {
-            name: wf.name.clone(),
-            steps: wf
-                .steps
-                .iter()
-                .map(|s| DagStep {
-                    tool_id: s.tool_id.clone(),
-                    params: s.params.clone(),
-                    after: Vec::new(),
-                })
-                .collect(),
-        }
     }
 
     /// All dependencies of step `i` (data + ordering edges, deduplicated).
@@ -235,16 +229,34 @@ mod tests {
         assert_eq!(order, vec![1, 0]);
     }
 
+    fn app() -> GalaxyApp {
+        use crate::job::conf::{JobConfig, GYAN_JOB_CONF};
+        let mut app = GalaxyApp::new(JobConfig::from_xml(GYAN_JOB_CONF).unwrap());
+        let upper = r#"<tool id="upper"><command>echo $text</command></tool>"#;
+        app.install_tool_xml(upper, &crate::tool::macros::MacroLibrary::new()).unwrap();
+        app
+    }
+
+    fn rejection(dag: &DagWorkflow) -> (usize, usize, &'static str, String) {
+        match dag.validate(&app()) {
+            Err(GalaxyError::InvalidStepReference { step, reference, reason, workflow }) => {
+                (step, reference, reason, workflow)
+            }
+            other => panic!("expected InvalidStepReference, got {other:?}"),
+        }
+    }
+
     #[test]
-    fn from_workflow_drops_ordering_keeps_data() {
-        use crate::workflow::WorkflowStep;
-        let wf = Workflow::new("seq")
-            .step(WorkflowStep::new("a"))
-            .step(WorkflowStep::new("b"))
-            .step(WorkflowStep::new("c").with_input_from("x", 0));
-        let dag = DagWorkflow::from_workflow(&wf);
-        // b no longer waits for a; c still depends on a's output.
-        assert_eq!(dag.roots(), vec![0, 1]);
-        assert_eq!(dag.deps_of(2), BTreeSet::from([0]));
+    fn self_reference_rejected() {
+        let dag = DagWorkflow::new("bad").step(DagStep::new("upper").with_input_from("text", 0));
+        assert_eq!(rejection(&dag), (0, 0, "self_reference", "bad".to_string()));
+    }
+
+    #[test]
+    fn out_of_range_reference_rejected() {
+        let dag = DagWorkflow::new("bad")
+            .step(DagStep::new("upper"))
+            .step(DagStep::new("upper").with_input_from("text", 9));
+        assert_eq!(rejection(&dag), (1, 9, "out_of_range", "bad".to_string()));
     }
 }

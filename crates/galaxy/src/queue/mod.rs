@@ -68,7 +68,7 @@ use crate::error::GalaxyError;
 use crate::params::ParamDict;
 use crate::runners::{ExecutionPlan, ExecutionResult, JobExecutor};
 use crate::scheduler::HandlerPool;
-use crate::workflow::ValueSource;
+use dag::ValueSource;
 use obs::{Span, Value};
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -502,9 +502,8 @@ mod trace_tests {
                 );
             }
         }
-        // The Chrome export is non-trivial.
-        let json = ctx.trace.to_chrome_trace();
-        assert!(json.contains("gpu0/compute"));
+        // The kernels landed on the compute track.
+        assert_eq!(ctx.trace.track("gpu0/compute").len(), 3);
         ctx.destroy();
     }
 

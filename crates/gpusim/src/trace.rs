@@ -1,11 +1,12 @@
-//! Event-level execution traces in Chrome tracing format.
+//! Event-level execution traces.
 //!
 //! While the [`crate::profiler::Profiler`] aggregates per-API totals
 //! (NVProf's summary view), the trace records every kernel, DMA transfer,
 //! and host call as a timestamped interval on its engine's track — the
-//! timeline view. `to_chrome_trace` emits the JSON that
-//! `chrome://tracing` / Perfetto load directly, which is how the batch
-//! pipelining (H2D copies overlapping kernels) can be inspected visually.
+//! timeline view. `gyan::merged_chrome_trace` renders it (through
+//! `obs::chrome`) as the JSON that `chrome://tracing` / Perfetto load,
+//! which is how the batch pipelining (H2D copies overlapping kernels) can
+//! be inspected visually.
 
 /// One traced interval.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,28 +90,6 @@ impl Trace {
     pub fn merge(&mut self, other: &Trace) {
         self.events.extend(other.events.iter().cloned());
     }
-
-    /// Emit Chrome tracing JSON (`chrome://tracing`, Perfetto).
-    /// Timestamps are microseconds as the format requires.
-    pub fn to_chrome_trace(&self) -> String {
-        let mut out = String::from("{\"traceEvents\":[");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\
-                 \"pid\":1,\"tid\":\"{}\"}}",
-                obs::json_escape(&e.name),
-                e.category,
-                e.start_s * 1e6,
-                e.dur_s * 1e6,
-                obs::json_escape(&e.track)
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -153,22 +132,6 @@ mod tests {
         t.record("c", "h2d", "gpu0/h2d", 2.0, 2.0);
         assert!(t.has_cross_track_overlap("gpu0/compute", "gpu0/h2d"));
         assert!(!t.has_cross_track_overlap("gpu0/compute", "gpu1/h2d"));
-    }
-
-    #[test]
-    fn chrome_json_shape() {
-        let mut t = Trace::new();
-        t.record("generatePOAKernel", "kernel", "gpu0/compute", 0.001, 0.010);
-        t.record("weird\"name\n", "host", "host", 0.0, 0.5);
-        let json = t.to_chrome_trace();
-        assert!(json.starts_with("{\"traceEvents\":["));
-        assert!(json.ends_with("]}"));
-        assert!(json.contains("\"name\":\"generatePOAKernel\""));
-        assert!(json.contains("\"ts\":1000.000"));
-        assert!(json.contains("\"dur\":10000.000"));
-        assert!(json.contains("weird\\\"name\\n"));
-        // Balanced braces (cheap well-formedness check).
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]

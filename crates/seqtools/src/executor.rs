@@ -111,7 +111,8 @@ impl ToolExecutor {
         self.profilers.lock().iter().find(|(id, _)| *id == job_id).map(|(_, p)| p.clone())
     }
 
-    /// Chrome-format execution timeline for a finished GPU job.
+    /// Execution timeline of a finished GPU job (rendered as a Chrome
+    /// trace by `gyan::merged_chrome_trace`).
     pub fn trace_for_job(&self, job_id: u64) -> Option<Trace> {
         self.traces.lock().iter().find(|(id, _)| *id == job_id).map(|(_, t)| t.clone())
     }

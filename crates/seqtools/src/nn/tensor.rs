@@ -107,7 +107,7 @@ impl Matrix {
         Matrix { rows: m, cols: n, data: out }
     }
 
-    /// Naive reference GEMM (for correctness tests and ablation benches).
+    /// Naive reference GEMM (what the blocked one is tested against).
     pub fn matmul_naive(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows);
         let (m, k, n) = (self.rows, self.cols, other.cols);

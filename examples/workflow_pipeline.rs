@@ -1,12 +1,14 @@
 //! Workflows: run a multi-step analysis pipeline through GYAN — a
 //! basecalling step (GPU-mapped Bonito) followed by two rounds of
-//! polishing (GPU-mapped Racon), the way Galaxy users chain tools.
+//! polishing (GPU-mapped Racon), the way Galaxy users chain tools. The
+//! chain is a DAG whose steps each wait on the previous one, run by the
+//! asynchronous queue engine.
 //!
 //! Run with: `cargo run --release --example workflow_pipeline`
 
 use galaxy::job::conf::{JobConfig, GYAN_JOB_CONF};
+use galaxy::queue::{DagStep, DagWorkflow, QueueConfig, QueueEngine};
 use galaxy::tool::macros::MacroLibrary;
-use galaxy::workflow::{Workflow, WorkflowStep};
 use galaxy::GalaxyApp;
 use gpusim::GpuCluster;
 use gyan::setup::{install_gyan, GyanConfig};
@@ -31,7 +33,7 @@ fn main() {
         read_len: 2_000,
         ..DatasetSpec::alzheimers_nfl()
     });
-    app.set_executor(Box::new(executor));
+    app.set_executor(Box::new(executor.clone()));
     install_gyan(&mut app, &cluster, GyanConfig::default());
 
     let lib = MacroLibrary::new();
@@ -56,17 +58,22 @@ fn main() {
     )
     .unwrap();
 
-    // A three-step pipeline. (Polishing rounds both reference the named
-    // dataset; in a full deployment the dataset references would be
-    // history items, which our steps model with ValueSource bindings.)
-    let wf = Workflow::new("basecall-then-polish")
-        .step(WorkflowStep::new("bonito"))
-        .step(WorkflowStep::new("racon_round"))
-        .step(WorkflowStep::new("racon_round"));
+    // A three-step pipeline: each step waits on the one before it.
+    // (Polishing rounds both reference the named dataset; in a full
+    // deployment the dataset references would be history items, which
+    // steps model with `with_input_from` bindings.)
+    let wf = DagWorkflow::new("basecall-then-polish")
+        .step(DagStep::new("bonito"))
+        .step(DagStep::new("racon_round").after(0))
+        .step(DagStep::new("racon_round").after(1));
 
-    let run = app.submit_workflow(&wf).unwrap();
+    let mut engine = QueueEngine::new(app, executor, QueueConfig::default());
+    let handle = engine.submit_dag("alice", wf.clone()).unwrap();
+    engine.run_until_idle();
+    let run = engine.workflow_report(handle).unwrap();
+    let app = engine.app();
     println!("workflow '{}' -> {}", wf.name, if run.ok() { "ok" } else { "FAILED" });
-    for (i, id) in run.job_ids.iter().enumerate() {
+    for (i, id) in run.job_ids.iter().flatten().enumerate() {
         let job = app.job(*id).unwrap();
         println!(
             "  step {i}: tool {:<12} dest {:<10} gpu={} mask={} runtime {:.0}s",

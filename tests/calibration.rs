@@ -3,6 +3,21 @@
 //! shrink of the benchmark instances so the suite stays fast in debug
 //! builds; `gates paper` (`crates/bench/src/paper.rs`) checks the full
 //! instances against tighter bands and pins every value exactly.
+//!
+//! Why each test exists beside the gate (the gate is release-only and
+//! ~90 s; these keep a debug tier-1 run fast, so their bands are looser):
+//! - `racon_phase_times_track_the_paper`: §VI-A / Fig. 3 anchors on a
+//!   5 kb genome at ±15–30 % (gate: `vi_a_*`, `fig3_{cpu,gpu}_4t_s`,
+//!   `fig3_speedup_4t` at ±2–10 %).
+//! - `racon_profiler_hotspots_match_fig4_ordering`: Fig. 4's leading
+//!   entries on the same shrunk run (gate: `fig4_*_top_is_*`).
+//! - `bonito_speedup_exceeds_fifty`: Fig. 5's >50× floor on three
+//!   400-base reads (gate: `fig5_*_speedup` ≥ 50 on the full datasets).
+//! - `klebsiella_cpu_time_is_roughly_four_times_acinetobacter`: the
+//!   dataset ratio as 2.8–4.2× on shrunk reads (gate:
+//!   `fig5_kleb_over_aci_cpu` at ±15 %).
+//! - `container_overhead_matches_paper`: the registry's cold start alone at
+//!   ±10 %, no Racon run (gate: `fig7_container_overhead_s` at ±2 %).
 
 use gpusim::{CudaContext, GpuCluster, HostSpec, VirtualClock};
 use seqtools::bonito::{basecall_cpu, basecall_gpu, BonitoInput, BonitoModel, BonitoOpts};

@@ -5,8 +5,8 @@
 mod common;
 
 use galaxy::params::ParamDict;
+use galaxy::queue::{DagStep, DagWorkflow, QueueConfig, QueueEngine};
 use galaxy::tool::macros::MacroLibrary;
-use galaxy::workflow::{Workflow, WorkflowStep};
 use galaxy::{GalaxyApp, GalaxyError, JobState};
 use gpusim::{GpuCluster, GpuProcess};
 use gyan::setup::GyanConfig;
@@ -88,19 +88,23 @@ fn workflow_aborts_after_failed_gpu_step() {
     cluster.attach_process(0, GpuProcess::compute(1, "hog0", total - 200)).unwrap();
     cluster.attach_process(1, GpuProcess::compute(2, "hog1", total - 200)).unwrap();
 
-    let (mut app, _exec) = build(&cluster, GyanConfig::default());
+    let (mut app, exec) = build(&cluster, GyanConfig::default());
     app.install_tool_xml(BONITO_DEV1, &MacroLibrary::new()).unwrap();
     let echo = r#"<tool id="report"><command>echo $msg</command>
       <inputs><param name="msg" type="text" value="done"/></inputs></tool>"#;
     app.install_tool_xml(echo, &MacroLibrary::new()).unwrap();
 
-    let wf = Workflow::new("doomed")
-        .step(WorkflowStep::new("bonito_dev1"))
-        .step(WorkflowStep::new("report").with_param("msg", "never"));
-    let run = app.submit_workflow(&wf).unwrap();
+    // A sequential workflow: the report step waits on the GPU step.
+    let wf = DagWorkflow::new("doomed")
+        .step(DagStep::new("bonito_dev1"))
+        .step(DagStep::new("report").with_param("msg", "never").after(0));
+    let mut engine = QueueEngine::new(app, exec, QueueConfig::default());
+    let handle = engine.submit_dag("alice", wf).unwrap();
+    engine.run_until_idle();
+    let run = engine.workflow_report(handle).unwrap();
     assert_eq!(run.failed_step, Some(0));
-    assert!(run.job_ids.is_empty());
-    assert_eq!(app.jobs().len(), 1, "second step never submitted");
+    assert!(run.job_ids[1].is_none(), "dependent never materialized");
+    assert_eq!(engine.app().jobs().len(), 1, "second step never submitted");
 }
 
 #[test]

@@ -420,17 +420,22 @@ fn dag_makespan_beats_sequential_on_the_virtual_clock() {
 
 #[test]
 fn dag_data_edges_carry_upstream_outputs() {
-    let mut engine = QueueEngine::new(echo_app(), echo_executor(), QueueConfig::default());
-    let dag = DagWorkflow::new("pipe")
+    let pipe = DagWorkflow::new("pipe")
         .step(DagStep::new("echo").with_param("text", "payload"))
         .step(DagStep::new("echo").with_input_from("text", 0));
-    let wf = engine.submit_dag("alice", dag).unwrap();
-    engine.run_until_idle();
-    let report = engine.workflow_report(wf).unwrap();
-    assert!(report.ok());
-    let downstream = report.job_ids[1].unwrap();
-    // Step 1 echoed step 0's output dataset.
-    assert_eq!(engine.app().job(downstream).unwrap().stdout, "payload");
+    // Two hops: step 2 echoes step 1's echo of step 0.
+    let chain = pipe.clone().step(DagStep::new("echo").with_input_from("text", 1));
+    for dag in [pipe, chain] {
+        let mut engine = QueueEngine::new(echo_app(), echo_executor(), QueueConfig::default());
+        let wf = engine.submit_dag("alice", dag).unwrap();
+        engine.run_until_idle();
+        let report = engine.workflow_report(wf).unwrap();
+        assert!(report.ok());
+        // Every downstream step echoed its upstream output dataset.
+        for id in report.job_ids {
+            assert_eq!(engine.app().job(id.unwrap()).unwrap().stdout, "payload");
+        }
+    }
 }
 
 #[test]

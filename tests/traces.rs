@@ -9,6 +9,7 @@ use galaxy::tool::macros::MacroLibrary;
 use galaxy::GalaxyApp;
 use gpusim::GpuCluster;
 use gyan::setup::{install_gyan, GyanConfig};
+use obs::Recorder;
 use seqtools::{DatasetSpec, ToolExecutor};
 use std::sync::Arc;
 
@@ -52,8 +53,8 @@ fn batched_job_trace_shows_copy_compute_overlap() {
     // Pipelining: a later batch's H2D overlaps an earlier batch's kernel.
     assert!(
         trace.has_cross_track_overlap("gpu0/h2d", "gpu0/compute"),
-        "expected copy/compute overlap in\n{}",
-        trace.to_chrome_trace()
+        "expected copy/compute overlap in\n{:?}",
+        trace.events()
     );
     // Within each engine, intervals are serial.
     for track in ["gpu0/h2d", "gpu0/compute", "gpu0/d2h"] {
@@ -63,7 +64,7 @@ fn batched_job_trace_shows_copy_compute_overlap() {
         }
     }
     // The Chrome export loads as one JSON object.
-    let json = trace.to_chrome_trace();
+    let json = gyan::merged_chrome_trace(&Recorder::new(), &[(id, trace)], &[]).to_json();
     assert!(json.starts_with("{\"traceEvents\":["));
     assert!(json.contains("generatePOAKernel"));
 }
