@@ -1,24 +1,18 @@
-//! The `verify.sh` bench gates: six measurement bodies over the one
+//! The `verify.sh` bench gates: four measurement bodies over the one
 //! mechanism in [`gyan_bench::gate`].
 //!
-//! `gates` runs all six; `gates <name>` one of `workflow`, `scheduler`,
-//! `placement`, `loadtest`, `ablation`, `paper`. Each records a
-//! trajectory (`BENCH_<name>.json` at the repo root; the workflow gate's
-//! lives under `target/`) and a `BENCH_history.jsonl` line on a pass, and
-//! exits 1 on a failed comparison leaving both untouched. `--accept`
-//! records the run despite the comparison (an intended move); the
-//! absolute checks — SLOs quiet, cross-arm acceptance, profile
-//! attribution, the paper claims' bands and EXPERIMENTS.md's scorecard
-//! rows — are not overridable. Run from the repo root. The `paper`
-//! gate's body is [`gyan_bench::paper::run`].
+//! `gates` runs all four; `gates <name>` one of `scheduler`, `loadtest`,
+//! `ablation`, `paper`. Each records a trajectory (`BENCH_<name>.json` at
+//! the repo root) on a pass, and exits 1 on a failed comparison leaving
+//! it untouched. `--accept` records the run despite the comparison (an
+//! intended move); the absolute checks — SLOs quiet, cross-arm
+//! acceptance, profile attribution, the paper claims' bands and
+//! EXPERIMENTS.md's scorecard rows — are not overridable. Run from the
+//! repo root. The `paper` gate's body is [`gyan_bench::paper::run`].
 
-use fleet::{policy_by_name, DestinationRules, Fleet, NodeClass, PlacementRequest};
 use galaxy::job::conf::{JobConfig, GYAN_JOB_CONF};
 use galaxy::params::ParamDict;
-use galaxy::queue::{
-    DagStep, DagWorkflow, JobSnapshot, JobsLedger, QueueConfig, QueueEngine, SubmissionState,
-    WaveTimeCharging,
-};
+use galaxy::queue::{DagStep, DagWorkflow, QueueConfig, QueueEngine, WaveTimeCharging};
 use galaxy::tool::macros::MacroLibrary;
 use galaxy::GalaxyApp;
 use gpusim::{GpuCluster, VirtualClock};
@@ -26,19 +20,18 @@ use gyan::allocation::AllocationPolicy;
 use gyan::footprint::MemoryHint;
 use gyan::reservations::LeaseTable;
 use gyan::setup::ClusterTime;
-use gyan_bench::gate::{measure, run_gate, Gate, Metric, Run, WallBench, REMEASURES};
+use gyan_bench::gate::{run_gate, Gate, Metric, Run};
 use loadgen::{run_scenario, LoadOptions, LoadScenario, DEFAULT_SLO_RULES};
 use seqtools::ToolExecutor;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Calls to `alloc`, `alloc_zeroed` and `realloc` since process start:
 /// what the loadtest gate reports per job. Heap traffic decided the
 /// per-job cost once (ISSUE 19), and unlike wall time the count repeats
-/// exactly, so the history can show a trend in it.
+/// exactly, so the committed file shows it to the allocation.
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 struct Counting;
@@ -76,27 +69,16 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-const GATES: [Gate; 6] = [
-    Gate { name: "workflow", file: "target/BENCH_workflow.json", run: workflow },
+const GATES: [Gate; 4] = [
     Gate { name: "scheduler", file: "BENCH_scheduler.json", run: scheduler },
-    Gate { name: "placement", file: "BENCH_placement.json", run: placement },
     Gate { name: "loadtest", file: "BENCH_loadtest.json", run: loadtest },
     Gate { name: "ablation", file: "BENCH_ablation.json", run: ablation },
     Gate { name: "paper", file: "BENCH_paper.json", run: gyan_bench::paper::run },
 ];
 
-/// Wall-clock budget of one gate's interleaved measurement. At the
-/// segment sizes below (4–15 ms each) it buys ~400 rounds of the
-/// scheduler pair and ~120 of the placement quartet — enough short
-/// segments that some land in a fast phase even right after a test pass.
-///
-/// Every `bound_pct` below is max(15, 1.5 × (max − min) / median) of the
-/// fastest-segment values over the 12-run noise study in EXPERIMENTS.md,
-/// rounded up.
-const MEASURE_BUDGET: Duration = Duration::from_secs(6);
-
 // ---------------------------------------------------------------------
-// Shared queue engine (workflow + scheduler gates)
+// scheduler: queue drains and DAG makespans on one engine, plus the
+// allocation profile
 // ---------------------------------------------------------------------
 
 /// Virtual cost charged per tool by the wave-time model.
@@ -152,10 +134,6 @@ fn drain(clock: VirtualClock, jobs: usize, users: usize, workers: u32) -> QueueE
     eng
 }
 
-// ---------------------------------------------------------------------
-// workflow: DAG fan-out vs chain makespan, drain time per worker count
-// ---------------------------------------------------------------------
-
 fn diamond() -> DagWorkflow {
     DagWorkflow::new("diamond")
         .step(DagStep::new("prep"))
@@ -181,7 +159,8 @@ fn run_dag(dag: DagWorkflow) -> f64 {
     report.makespan
 }
 
-fn workflow() -> Result<Run, String> {
+/// DAG fan-out vs chain makespan, and drain time per worker count.
+fn workflow_rows() -> Result<Vec<Metric>, String> {
     let parallel = run_dag(diamond());
     let sequential = run_dag(chain());
     println!("\nDAG makespan (virtual seconds, 4 workers):");
@@ -206,12 +185,8 @@ fn workflow() -> Result<Run, String> {
         println!("  {workers} worker(s): {t:>6.1}s virtual, {:>5.2} jobs/s", JOBS as f64 / t);
         metrics.push(Metric::exact(&format!("drain_{workers}w_virtual_s"), t));
     }
-    Ok(Run { metrics, profile: None })
+    Ok(metrics)
 }
-
-// ---------------------------------------------------------------------
-// scheduler: allocation decisions/s, ledger snapshots/s, drain quantiles
-// ---------------------------------------------------------------------
 
 /// Queue-drain shape: enough jobs that the waits have a real tail,
 /// spread across users so fair share does real work.
@@ -222,6 +197,10 @@ const DRAIN_WORKERS: u32 = 4;
 /// Minimum share of allocation wall time that must land in named child
 /// scopes for the profile to count as attributing the hot path.
 const MIN_ATTRIBUTED_PCT: f64 = 90.0;
+
+/// `alloc.decision` batches of 64 decisions the attribution check
+/// profiles: ~1.4 s on a 2-vCPU Xeon VM.
+const DECISION_BATCHES: usize = 8192;
 
 /// Exact p50/p99 (nearest rank) of the canonical drain's per-job queue
 /// waits, read off the `galaxy.queue.dispatch` audits — the very values
@@ -243,21 +222,31 @@ fn drain_wait_quantiles() -> (f64, f64) {
 }
 
 fn scheduler() -> Result<Run, String> {
+    let workflow = workflow_rows()?;
     let profiler = obs::profile::global();
     profiler.enable_real_clock();
     profiler.enable();
 
-    // Single-node `allocate_and_lease` + `release` round-trips, the loop
-    // the dispatch hook runs per wave member. Each batch of 64 runs under
-    // one `alloc.decision` root scope: a structured decision costs about
-    // as much as one scope's own bookkeeping, so a root per decision
-    // would report that bookkeeping, not an un-instrumented stage, as
-    // unattributed.
     let cluster = GpuCluster::k80_node();
     let table = LeaseTable::new();
     let mut decisions = 0u64;
-    let mut decide = || {
-        for _ in 0..64 {
+
+    // A stage nobody instrumented costs tens of points of attribution
+    // and persists; one long deschedule landing in the root scope's own
+    // code costs a point or two once (one unchanged-tree run in 24 read
+    // 89.4 against a 91.3–92.4 cluster). So a low reading is measured
+    // again, up to `RETRIES` times, before it fails the gate.
+    const RETRIES: usize = 3;
+    let mut attempt = 0;
+    let attributed = loop {
+        profiler.reset();
+        // Single-node `allocate_and_lease` + `release` round-trips, the
+        // loop the dispatch hook runs per wave member. Each batch of 64
+        // runs under one `alloc.decision` root scope: a structured
+        // decision costs about as much as one scope's own bookkeeping, so
+        // a root per decision would report that bookkeeping, not an
+        // un-instrumented stage, as unattributed.
+        for _ in 0..DECISION_BATCHES {
             let _scope = profiler.scope("alloc.decision");
             for _ in 0..64 {
                 let holder = decisions % 7 + 1;
@@ -274,75 +263,20 @@ fn scheduler() -> Result<Run, String> {
                 decisions += 1;
             }
         }
-        64 * 64
-    };
-
-    // `JobsLedger::all()` at a canonical job count — the number the
-    // Arc-backed snapshot change moves.
-    const LEDGER_JOBS: u64 = 512;
-    let ledger = JobsLedger::new();
-    for job_id in 0..LEDGER_JOBS {
-        ledger.upsert(JobSnapshot {
-            job_id,
-            user: format!("user{}", job_id % 16),
-            tool: "racon_gpu".to_string(),
-            state: SubmissionState::Queued,
-            attempts: 1,
-            destination: Some("remote_cluster_gpu".to_string()),
-            node: None,
-            priority: 0,
-            submitted_at: job_id as f64,
-            finished_at: None,
-        });
-    }
-    let mut snapshot = || {
-        for _ in 0..1024 {
-            let all = ledger.all();
-            assert_eq!(all.len(), LEDGER_JOBS as usize);
-            std::hint::black_box(&all);
-        }
-        1024
-    };
-
-    // A stage nobody instrumented costs tens of points of attribution
-    // and persists; one long deschedule landing in the root scope's own
-    // code costs a point or two once (one unchanged-tree run in 24 read
-    // 89.4 against a 91.3–92.4 cluster). So, like a wall metric below
-    // its bound, a low reading is re-measured before it fails the gate.
-    let mut attempt = 0;
-    let (mut metrics, attributed) = loop {
-        profiler.reset();
-        let metrics = measure(
-            MEASURE_BUDGET,
-            &mut [
-                WallBench {
-                    name: "decisions_per_sec",
-                    bound_pct: 18.0,
-                    segment: Box::new(&mut decide),
-                },
-                WallBench {
-                    name: "ledger_snapshots_per_sec",
-                    bound_pct: 16.0,
-                    segment: Box::new(&mut snapshot),
-                },
-            ],
-        );
         let attributed = profiler.attributed_pct("alloc.decision").unwrap_or(0.0);
-        if attributed >= MIN_ATTRIBUTED_PCT || attempt == REMEASURES {
-            break (metrics, attributed);
+        if attributed >= MIN_ATTRIBUTED_PCT || attempt == RETRIES {
+            break attributed;
         }
         attempt += 1;
         println!(
             "scheduler: attribution {attributed:.1}% < {MIN_ATTRIBUTED_PCT}% — \
-             re-measuring ({attempt}/{REMEASURES})"
+             measuring again ({attempt}/{RETRIES})"
         );
     };
     let (p50, p99) = drain_wait_quantiles();
     profiler.disable();
 
-    println!("\nmeasured (fastest segment):");
-    println!("  decisions/sec (1 node):        {:>12.0}", metrics[0].value);
-    println!("  ledger snapshots/sec:          {:>12.0}", metrics[1].value);
+    println!("\nmeasured:");
     println!("  queue wait p50 (virtual s):    {p50:>12.2}");
     println!("  queue wait p99 (virtual s):    {p99:>12.2}");
     println!("  alloc profile attribution:     {attributed:>11.1}%");
@@ -356,149 +290,11 @@ fn scheduler() -> Result<Run, String> {
              (need >= {MIN_ATTRIBUTED_PCT}%)"
         ));
     }
-    metrics.push(Metric::exact("queue_wait_p50_s", p50));
-    metrics.push(Metric::exact("queue_wait_p99_s", p99));
+    let mut metrics =
+        vec![Metric::exact("queue_wait_p50_s", p50), Metric::exact("queue_wait_p99_s", p99)];
+    metrics.extend(workflow);
     metrics.push(Metric::context("profile_attributed_pct", attributed));
     Ok(Run { metrics, profile: Some(profiler.summary_json()) })
-}
-
-// ---------------------------------------------------------------------
-// placement: Fleet::place/release per policy + the rejection scan
-// ---------------------------------------------------------------------
-
-/// The verify-gate topology (matches `simtest::FleetScenario::large`).
-const TOPOLOGY: &[(&str, u32)] = &[("k80", 60), ("v100", 30), ("a100", 10)];
-
-/// The stock rule set: class lists, memory floors, globs, right-sizing —
-/// so every placement pays the real filter cost.
-const RULES: &str = "\
-tool=bonito* classes=v100,a100 min_gpu_mem_mib=12000 cores=8 mem_mib=65536
-tool=medaka min_gpu_mem_mib=8000 cores=4
-tool=*
-";
-
-/// Rotating job mix: an unconstrained tool, a class-constrained
-/// basecaller, and a memory-floored polisher.
-const JOB_MIX: &[(&str, u64)] = &[("racon_gpu", 256), ("bonito", 12_000), ("medaka", 8_000)];
-
-/// Live placements kept in flight so the policies score a loaded fleet,
-/// not an idle one (the 100-node fleet has 320 dies).
-const LIVE_WINDOW: usize = 96;
-
-fn gate_fleet(policy: &str) -> Fleet {
-    let mut builder = Fleet::builder()
-        .rules(DestinationRules::parse(RULES).expect("stock rules parse"))
-        .policy(policy_by_name(policy).expect("stock policy"));
-    for (class, count) in TOPOLOGY {
-        builder = builder.nodes(NodeClass::by_name(class).expect("stock class"), *count);
-    }
-    builder.build()
-}
-
-/// One policy's `place` + eventual `release` loop, with a rolling window
-/// of live placements loading the fleet across segments.
-struct PolicyLoop {
-    fleet: Fleet,
-    live: VecDeque<u64>,
-    job: u64,
-}
-
-impl PolicyLoop {
-    fn new(policy: &str) -> Self {
-        PolicyLoop { fleet: gate_fleet(policy), live: VecDeque::new(), job: 0 }
-    }
-
-    fn segment(&mut self) -> u64 {
-        const USERS: [&str; 8] = ["ada", "bob", "cyd", "dee", "eve", "fay", "gus", "hal"];
-        let mut placed = 0;
-        for _ in 0..512 {
-            self.job += 1;
-            let (tool, hint) = JOB_MIX[(self.job % JOB_MIX.len() as u64) as usize];
-            let req = PlacementRequest {
-                job_id: self.job,
-                user: USERS[(self.job % USERS.len() as u64) as usize],
-                tool_id: tool,
-                requested: &[0], // one die per placement
-                memory_hint_mib: hint,
-                excluded_nodes: &[],
-            };
-            if self.fleet.place(&req).is_some() {
-                placed += 1;
-                self.live.push_back(self.job);
-            }
-            if self.live.len() > LIVE_WINDOW {
-                self.fleet.release(self.live.pop_front().expect("window non-empty"), "ok");
-            }
-        }
-        assert!(placed > 0, "the gate fleet must place");
-        placed
-    }
-
-    fn drain(self) {
-        for id in self.live {
-            self.fleet.release(id, "ok");
-        }
-        assert_eq!(self.fleet.total_lease_count(), 0, "benchmark must drain cleanly");
-    }
-}
-
-fn placement() -> Result<Run, String> {
-    let mut least_loaded = PolicyLoop::new("least_loaded");
-    let mut bin_pack = PolicyLoop::new("bin_pack");
-    let mut fair_share = PolicyLoop::new("fair_share");
-    // Full-fleet rejection scans: a 100 GB hint fits no die, so every
-    // request walks the whole candidate filter and returns `None`.
-    let rejecting = gate_fleet("least_loaded");
-    let mut scans = 0u64;
-    let reject = || {
-        for _ in 0..16_384 {
-            scans += 1;
-            let req = PlacementRequest {
-                job_id: scans,
-                user: "ada",
-                tool_id: "racon_gpu",
-                requested: &[0],
-                memory_hint_mib: 100_000,
-                excluded_nodes: &[],
-            };
-            assert!(rejecting.place(&req).is_none(), "no die holds 100 GB");
-        }
-        16_384
-    };
-
-    let mut metrics = measure(
-        MEASURE_BUDGET,
-        &mut [
-            WallBench {
-                name: "least_loaded_per_sec",
-                bound_pct: 28.0,
-                segment: Box::new(|| least_loaded.segment()),
-            },
-            WallBench {
-                name: "bin_pack_per_sec",
-                bound_pct: 30.0,
-                segment: Box::new(|| bin_pack.segment()),
-            },
-            WallBench {
-                name: "fair_share_per_sec",
-                bound_pct: 23.0,
-                segment: Box::new(|| fair_share.segment()),
-            },
-            WallBench { name: "rejections_per_sec", bound_pct: 18.0, segment: Box::new(reject) },
-        ],
-    );
-    for policy in [least_loaded, bin_pack, fair_share] {
-        policy.drain();
-    }
-
-    let nodes: u32 = TOPOLOGY.iter().map(|(_, n)| n).sum();
-    println!("\nmeasured ({nodes}-node fleet, fastest segment):");
-    println!("  least-loaded placements/sec: {:>12.0}", metrics[0].value);
-    println!("  bin-pack placements/sec:     {:>12.0}", metrics[1].value);
-    println!("  fair-share placements/sec:   {:>12.0}", metrics[2].value);
-    println!("  rejection scans/sec:         {:>12.0}", metrics[3].value);
-    metrics.insert(0, Metric::context("nodes", f64::from(nodes)));
-    Ok(Run { metrics, profile: None })
 }
 
 // ---------------------------------------------------------------------
@@ -623,9 +419,9 @@ fn arms() -> [(&'static str, &'static str, LoadOptions); 3] {
 /// The cross-arm acceptance enforced on every fresh run: the learned
 /// arm must match-or-beat both static arms on queue-wait p99 and
 /// makespan (within `match_pct` slack) and strictly reduce fallbacks, on
-/// both scenarios; converged estimates must sit within `err_bound_pct`.
+/// both scenarios; converged estimates must sit within `max_err_pct`.
 /// Returns the violated clauses (empty = accepted).
-fn acceptance_violations(metrics: &[Metric], match_pct: f64, err_bound_pct: f64) -> Vec<String> {
+fn acceptance_violations(metrics: &[Metric], match_pct: f64, max_err_pct: f64) -> Vec<String> {
     let get = |name: String| {
         metrics.iter().find(|m| m.name == name).expect("the ablation table is complete").value
     };
@@ -661,8 +457,8 @@ fn acceptance_violations(metrics: &[Metric], match_pct: f64, err_bound_pct: f64)
         bad.push("no footprint profile converged to a learned estimate".to_string());
     }
     let err = get("estimate_err_pct_max".to_string());
-    if err > err_bound_pct {
-        bad.push(format!("worst learned p95 estimate off by {err:.1}% (bound {err_bound_pct}%)"));
+    if err > max_err_pct {
+        bad.push(format!("worst learned p95 estimate off by {err:.1}% (bound {max_err_pct}%)"));
     }
     bad
 }
