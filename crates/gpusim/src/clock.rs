@@ -1,6 +1,14 @@
 //! Virtual time: deterministic simulated seconds shared across a cluster.
+//!
+//! The time is the bits of an `f64` in an `AtomicU64`, so reading it —
+//! the recorder stamps every span and event with it, under the
+//! recorder's log lock — is one load and takes no lock. Advancing it is a
+//! compare-exchange that writes exactly what a lock-protected `f64` would
+//! have held: `advance` adds, `advance_to` takes the max and never
+//! rewinds.
 
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Callback invoked with the new time after every clock advance. Used by
@@ -19,9 +27,13 @@ pub struct ObserverId(u64);
 /// decisions are ordered on a single time base.
 #[derive(Clone, Default)]
 pub struct VirtualClock {
-    now: Arc<Mutex<f64>>,
+    /// The current time, as `f64::to_bits` (0 is `0.0`). Written by
+    /// `AcqRel` compare-exchange and read with `Acquire`, so a thread that
+    /// reads a time also sees what the advancing thread wrote before it —
+    /// the pairing the mutex it replaced gave.
+    now: Arc<AtomicU64>,
     observers: Arc<Mutex<Vec<(ObserverId, ClockObserver)>>>,
-    next_observer_id: Arc<Mutex<u64>>,
+    next_observer_id: Arc<AtomicU64>,
 }
 
 impl VirtualClock {
@@ -30,20 +42,16 @@ impl VirtualClock {
         Self::default()
     }
 
-    /// Current virtual time in seconds.
+    /// Current virtual time in seconds: one atomic load.
     pub fn now(&self) -> f64 {
-        *self.now.lock()
+        f64::from_bits(self.now.load(Ordering::Acquire))
     }
 
     /// Advance the clock by `seconds` (must be non-negative) and return the
     /// new time.
     pub fn advance(&self, seconds: f64) -> f64 {
         assert!(seconds >= 0.0, "virtual time cannot go backwards ({seconds})");
-        let new_now = {
-            let mut now = self.now.lock();
-            *now += seconds;
-            *now
-        };
+        let new_now = self.update(|now| now + seconds);
         self.notify(new_now);
         new_now
     }
@@ -51,26 +59,34 @@ impl VirtualClock {
     /// Move the clock to `t` if `t` is later than the current time
     /// (rendezvous semantics for independent streams).
     pub fn advance_to(&self, t: f64) -> f64 {
-        let new_now = {
-            let mut now = self.now.lock();
-            if t > *now {
-                *now = t;
-            }
-            *now
-        };
+        let new_now = self.update(|now| if t > now { t } else { now });
         self.notify(new_now);
         new_now
+    }
+
+    /// Replace the time with `step(time)` by compare-exchange, retrying
+    /// on a concurrent advance, and return the time written.
+    fn update(&self, step: impl Fn(f64) -> f64) -> f64 {
+        let mut bits = self.now.load(Ordering::Acquire);
+        loop {
+            let next = step(f64::from_bits(bits));
+            match self.now.compare_exchange_weak(
+                bits,
+                next.to_bits(),
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            ) {
+                Ok(_) => return next,
+                Err(current) => bits = current,
+            }
+        }
     }
 
     /// Register an observer called with the new time after every advance.
     /// Returns an id accepted by [`VirtualClock::remove_observer`], so
     /// transient listeners (e.g. a usage monitor) don't leak.
     pub fn on_advance(&self, observer: ClockObserver) -> ObserverId {
-        let id = {
-            let mut next = self.next_observer_id.lock();
-            *next += 1;
-            ObserverId(*next)
-        };
+        let id = ObserverId(self.next_observer_id.fetch_add(1, Ordering::Relaxed) + 1);
         self.observers.lock().push((id, observer));
         id
     }
@@ -203,5 +219,139 @@ mod observer_tests {
         c.advance(1.0);
         assert_eq!(hits_a.load(Ordering::Relaxed), 0);
         assert_eq!(hits_b.load(Ordering::Relaxed), 1);
+    }
+}
+
+#[cfg(test)]
+mod concurrent_tests {
+    use super::*;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::thread;
+
+    const THREADS: usize = 4;
+    const STEPS: usize = 2_000;
+
+    /// Run `body(thread index)` on [`THREADS`] threads at once.
+    fn on_threads(body: impl Fn(usize) + Send + Sync + 'static) {
+        let body = Arc::new(body);
+        let handles: Vec<_> = (0..THREADS)
+            .map(|i| {
+                let body = body.clone();
+                thread::spawn(move || body(i))
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn concurrent_advances_lose_no_step() {
+        let c = VirtualClock::new();
+        let clock = c.clone();
+        on_threads(move |_| {
+            for _ in 0..STEPS {
+                clock.advance(0.25);
+            }
+        });
+        // Quarter seconds add exactly, so the sum is exact too.
+        assert_eq!(c.now(), (THREADS * STEPS) as f64 * 0.25);
+    }
+
+    #[test]
+    fn concurrent_advance_to_ends_at_the_max_and_never_reads_lower() {
+        let c = VirtualClock::new();
+        let done = Arc::new(AtomicBool::new(false));
+        let reader = {
+            let (c, done) = (c.clone(), done.clone());
+            thread::spawn(move || {
+                let mut last = 0.0;
+                while !done.load(Ordering::SeqCst) {
+                    let now = c.now();
+                    assert!(now >= last, "read {now} after {last}");
+                    last = now;
+                }
+            })
+        };
+        let clock = c.clone();
+        on_threads(move |i| {
+            // Interleaved targets, each thread's rising, some behind the
+            // others' and so no-ops.
+            for k in 0..STEPS {
+                let t = (k * THREADS + i) as f64;
+                assert!(clock.advance_to(t) >= t);
+            }
+        });
+        done.store(true, Ordering::SeqCst);
+        reader.join().unwrap();
+        assert_eq!(c.now(), (STEPS * THREADS - 1) as f64);
+    }
+
+    #[test]
+    fn an_observer_sees_every_concurrent_advance_once() {
+        let c = VirtualClock::new();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let s = seen.clone();
+        c.on_advance(Box::new(move |t| s.lock().push(t)));
+        let clock = c.clone();
+        on_threads(move |_| {
+            for _ in 0..STEPS {
+                clock.advance(0.25);
+            }
+        });
+        // Every advance writes a distinct time, so "each once" is "each
+        // of the N·M quarter steps, once".
+        let mut seen = seen.lock().clone();
+        seen.sort_by(f64::total_cmp);
+        let expected: Vec<f64> = (1..=THREADS * STEPS).map(|k| k as f64 * 0.25).collect();
+        assert_eq!(seen.len(), expected.len(), "observer calls");
+        assert!(seen == expected, "an advance was observed twice or not at all");
+    }
+
+    /// Deregistering mid-run, from a thread other than the advancing
+    /// ones: once `remove_observer` has returned, the observer is never
+    /// called again.
+    #[test]
+    fn an_observer_removed_mid_run_is_not_called_after_removal_returns() {
+        let c = VirtualClock::new();
+        let removed = Arc::new(AtomicBool::new(false));
+        let (calls, late) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+        let id = {
+            let (removed, calls, late) = (removed.clone(), calls.clone(), late.clone());
+            c.on_advance(Box::new(move |_| {
+                calls.fetch_add(1, Ordering::SeqCst);
+                if removed.load(Ordering::SeqCst) {
+                    late.fetch_add(1, Ordering::SeqCst);
+                }
+            }))
+        };
+        let remover = {
+            let (c, removed, calls) = (c.clone(), removed.clone(), calls.clone());
+            thread::spawn(move || {
+                while calls.load(Ordering::SeqCst) < STEPS {
+                    thread::yield_now();
+                }
+                assert!(c.remove_observer(id));
+                removed.store(true, Ordering::SeqCst);
+            })
+        };
+        let (clock, gone) = (c.clone(), removed.clone());
+        on_threads(move |_| {
+            // Advancing before, during and after the removal.
+            for _ in 0..STEPS {
+                clock.advance(0.25);
+            }
+            while !gone.load(Ordering::SeqCst) {
+                clock.advance(0.25);
+            }
+            for _ in 0..STEPS {
+                clock.advance(0.25);
+            }
+        });
+        remover.join().unwrap();
+        assert_eq!(late.load(Ordering::SeqCst), 0, "called after remove_observer returned");
+        let advances = (c.now() / 0.25) as usize;
+        assert!(calls.load(Ordering::SeqCst) <= advances - THREADS * STEPS);
+        assert_eq!(c.observer_count(), 0);
     }
 }

@@ -14,7 +14,6 @@ use galaxy::job::conf::JobConfig;
 use galaxy::job::Job;
 use galaxy::tool::Tool;
 use galaxy::GalaxyError;
-use gpusim::nvml::Nvml;
 use gpusim::GpuCluster;
 use obs::{Key, Recorder, Value};
 
@@ -38,7 +37,8 @@ pub struct GpuDestinationRule {
     reservations: Option<LeaseTable>,
 }
 
-/// What the rule saw when it queried the cluster through pynvml.
+/// What the rule saw of the cluster: pynvml's device count and the
+/// devices free to a new job.
 struct GpuObservation {
     device_count: u32,
     free_gpus: Vec<u32>,
@@ -127,14 +127,18 @@ impl GpuDestinationRule {
         Ok(chosen.clone())
     }
 
+    /// A device is free when no compute process runs on it (NVML's
+    /// running-process count is 0 — [`gpusim::DeviceState::is_available`])
+    /// and no lease holds it. The first half is read from the flag every
+    /// device write republishes ([`GpuCluster::is_device_available`]), so
+    /// observing takes no device lock.
     fn observe(&self) -> GpuObservation {
-        let nvml = Nvml::init(&self.cluster);
-        let device_count = nvml.device_count();
+        let device_count = self.cluster.device_count();
         let leased = self.reservations.as_ref().map(LeaseTable::view);
         let mut free_gpus = Vec::with_capacity(device_count as usize);
         free_gpus.extend(
             (0..device_count)
-                .filter(|i| nvml.compute_running_process_count(*i).is_ok_and(|n| n == 0))
+                .filter(|i| self.cluster.is_device_available(*i))
                 .filter(|i| leased.as_ref().is_none_or(|view| !view.is_leased(*i))),
         );
         GpuObservation { device_count, free_gpus }

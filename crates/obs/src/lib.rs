@@ -24,11 +24,13 @@
 //! field keys and string values are [`Text`]s (a literal, or a run-time
 //! string of at most [`Text::INLINE`] bytes, costs no allocation), the
 //! per-device audits of one decision go out as rows of one
-//! [`Recorder::event_rows`] call (one clock read, one lock), an ended
-//! span or an event is stored **once** behind an `Arc` that the log and
-//! the flight ring both hold, and every reader — [`Recorder::spans`],
-//! [`Recorder::events`], a [`flight::FlightSnapshot`] — deep-copies on
-//! demand.
+//! [`Recorder::event_rows`] call (one lock hold, one clock read under
+//! it), an ended span or an event is stored **once** behind an `Arc` that
+//! the log and the flight ring both hold, and every reader —
+//! [`Recorder::spans`], [`Recorder::events`], a
+//! [`flight::FlightSnapshot`] — deep-copies on demand. A timestamp takes
+//! no lock of its own: the clock is read under the log lock the record
+//! takes anyway, which also makes log order time order.
 
 pub mod chrome;
 pub mod flight;
@@ -43,6 +45,7 @@ mod text;
 pub use text::Text;
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -249,9 +252,12 @@ impl EventData {
 
 #[derive(Default)]
 struct LogState {
+    /// The timestamp source, read only through [`LogState::now`] with the
+    /// log lock held.
+    clock: Clock,
     /// Spans not yet ended, by id: attaching a field or ending a span is
     /// one lookup here, however long the retained log behind it is.
-    open: HashMap<u64, SpanData>,
+    open: HashMap<u64, SpanData, BuildHasherDefault<IdHasher>>,
     /// Ended spans, oldest *end* first — the end eviction takes from.
     closed: VecDeque<Arc<SpanData>>,
     /// Events in emit order.
@@ -266,6 +272,11 @@ struct LogState {
 }
 
 impl LogState {
+    /// Current time per the injected clock.
+    fn now(&self) -> f64 {
+        (self.clock.0)()
+    }
+
     /// Enforce the retention cap with ~25% slack so eviction is a rare
     /// batch (amortized O(1) per record) that never looks at a record it
     /// keeps. Only *ended* spans are evicted, oldest end first — open
@@ -304,12 +315,46 @@ impl LogState {
 
 type ClockFn = dyn Fn() -> f64 + Send + Sync;
 
+/// The injected timestamp source; reads 0 until one is set.
+struct Clock(Box<ClockFn>);
+
+impl Default for Clock {
+    fn default() -> Self {
+        Clock(Box::new(|| 0.0))
+    }
+}
+
+/// Hashes the open-span map's keys — ids this recorder hands out in
+/// sequence, never input — with one multiply (Fibonacci hashing): the low
+/// bits of consecutive ids land in distinct buckets and the high bits the
+/// table's tag bytes read are mixed, without SipHash's rounds.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
 struct RecorderInner {
-    // Lock-order discipline: the clock is read before the log lock is
-    // taken, never under it.
+    // The clock lives in the log state and is read with the log lock
+    // held, so a record's timestamp and its place in the log are taken in
+    // one step: log order is time order. The clock must therefore not
+    // call back into the recorder or take a lock a recording thread can
+    // hold; the workspace's clocks are an atomic load.
     log: Mutex<LogState>,
     metrics: metrics::Registry,
-    clock: Mutex<Box<ClockFn>>,
     next_id: AtomicU64,
 }
 
@@ -333,7 +378,6 @@ impl Recorder {
             inner: Arc::new(RecorderInner {
                 log: Mutex::new(LogState::default()),
                 metrics: metrics::Registry::new(),
-                clock: Mutex::new(Box::new(|| 0.0)),
                 next_id: AtomicU64::new(1),
             }),
         }
@@ -347,16 +391,18 @@ impl Recorder {
     }
 
     /// Replace the timestamp source (e.g. with a virtual clock). The
-    /// clock is called with the recorder's clock lock held (one call per
-    /// event or batch of events, two per span), so it must not call back
-    /// into the recorder.
+    /// clock is called with the recorder's log lock held (one call per
+    /// event or batch of events, two per span, one per
+    /// [`Recorder::now`]), so every record is stamped and appended in one
+    /// step and the log is in time order. It must not call back into the
+    /// recorder, nor take a lock that a thread recording can hold.
     pub fn set_clock(&self, clock: impl Fn() -> f64 + Send + Sync + 'static) {
-        *self.inner.clock.lock().unwrap_or_else(|e| e.into_inner()) = Box::new(clock);
+        self.log().clock = Clock(Box::new(clock));
     }
 
     /// Current time per the injected clock.
     pub fn now(&self) -> f64 {
-        (self.inner.clock.lock().unwrap_or_else(|e| e.into_inner()))()
+        self.log().now()
     }
 
     fn log(&self) -> MutexGuard<'_, LogState> {
@@ -383,9 +429,8 @@ impl Recorder {
     /// spans are appended after the ring's records so the snapshot shows
     /// in-progress work too.
     pub fn flight_snapshot(&self) -> Option<flight::FlightSnapshot> {
-        let captured_at = self.now();
         let log = self.log();
-        let mut snap = log.flight.as_ref()?.snapshot(captured_at);
+        let mut snap = log.flight.as_ref()?.snapshot(log.now());
         let open = LogState::by_id(log.open.values());
         snap.records.extend(open.into_iter().cloned().map(flight::FlightRecord::Span));
         Some(snap)
@@ -397,8 +442,8 @@ impl Recorder {
     }
 
     fn open_span(&self, name: Key, parent: Option<u64>) -> Span {
-        let start = self.now();
         let mut log = self.log();
+        let start = log.now();
         // Allocate the id while holding the log lock so id order is open
         // order — the order every export sorts back into.
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
@@ -408,10 +453,9 @@ impl Recorder {
     }
 
     fn close_span(&self, id: u64) {
-        let end = self.now();
         let mut log = self.log();
         let Some(mut span) = log.open.remove(&id) else { return };
-        span.end = Some(end);
+        span.end = Some(log.now());
         let span = Arc::new(span);
         if let Some(ring) = log.flight.as_mut() {
             ring.push(flight::Shared::Span(span.clone()));
@@ -474,8 +518,8 @@ impl Recorder {
         K: Into<Key>,
         V: Into<Value>,
     {
-        let t = self.now();
         let mut log = self.log();
+        let t = log.now();
         for fields in rows {
             let fields = fields.into_iter().map(|(k, v)| (k.into(), v.into())).collect();
             let event = Arc::new(EventData { name: name.clone(), t, span, fields });
@@ -843,6 +887,78 @@ mod tests {
         assert_eq!(ids, sorted);
         assert_eq!(ids.len(), 1600);
         assert!(rec.open_spans().is_empty());
+    }
+
+    /// The clock is read under the log lock, so no writer can append
+    /// between another's reading and its append: with a clock that moves
+    /// on every read, the event log is in time order, spans in open order
+    /// are in start order, and a flight snapshot holds nothing stamped
+    /// after its own capture time.
+    #[test]
+    fn concurrent_writers_log_in_time_order() {
+        let ticks = Arc::new(ClockCell::new(0));
+        let t = ticks.clone();
+        let rec = Recorder::with_clock(move || t.fetch_add(1, ClockOrdering::SeqCst) as f64);
+        rec.enable_flight(64);
+        // Three writers and the snapshot taker start together.
+        let start = Arc::new(std::sync::Barrier::new(4));
+        let writers: Vec<_> = (0..3u64)
+            .map(|w| {
+                let (rec, start) = (rec.clone(), start.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    for i in 0..5_000u64 {
+                        let s = rec.span("w");
+                        s.field("i", i);
+                        s.event("tick", [("writer", w)]);
+                        s.end();
+                    }
+                })
+            })
+            .collect();
+        // Snapshots are taken (at least one) until the writers are done,
+        // and checked as they come: how many hold a record stamped after
+        // their capture.
+        let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let snapshots = {
+            let (rec, done) = (rec.clone(), done.clone());
+            std::thread::spawn(move || {
+                start.wait();
+                let (mut taken, mut bad) = (0usize, 0usize);
+                while taken == 0 || !done.load(ClockOrdering::SeqCst) {
+                    let snap = rec.flight_snapshot().unwrap();
+                    let newer = snap.records.iter().any(|r| {
+                        let end = match r {
+                            flight::FlightRecord::Span(s) => s.end,
+                            flight::FlightRecord::Event(_) => None,
+                        };
+                        r.t() > snap.captured_at || end.is_some_and(|e| e > snap.captured_at)
+                    });
+                    taken += 1;
+                    bad += usize::from(newer);
+                }
+                bad
+            })
+        };
+        for w in writers {
+            w.join().unwrap();
+        }
+        done.store(true, ClockOrdering::SeqCst);
+        let bad = snapshots.join().unwrap();
+
+        let events = rec.events();
+        let spans = rec.spans();
+        assert_eq!((events.len(), spans.len()), (15_000, 15_000));
+        let found = (
+            events.windows(2).filter(|p| p[1].t < p[0].t).count(),
+            spans.windows(2).filter(|p| p[1].start < p[0].start).count(),
+            bad,
+        );
+        assert_eq!(
+            found,
+            (0, 0, 0),
+            "(event inversions, span-start inversions, snapshots newer than their capture)"
+        );
     }
 
     #[test]

@@ -7,6 +7,7 @@ use gpusim::nvml::Nvml;
 use gpusim::{smi, GpuArch, GpuCluster, GpuProcess};
 use gyan::allocation::{select_gpus, AllocationPolicy};
 use gyan::gpu_usage::{get_gpu_usage, parse_gpu_usage, try_get_gpu_usage, GpuUsage};
+use gyan::{GpuDestinationRule, LeaseTable};
 use proptest::prelude::*;
 use seqtools::poa::PoaGraph;
 use seqtools::racon::build_windows;
@@ -125,7 +126,10 @@ proptest! {
     /// from the per-device flags `with_device_mut` republishes — equals a
     /// recomputation through `with_device(.., is_available)` after every
     /// step, and after a write whose closure panics once its attach or
-    /// detach has landed.
+    /// detach has landed. The destination rule reads the same flags: after
+    /// every step, the `free_gpus` its audit records for a GPU tool are
+    /// the devices NVML counts no running process on, minus the one device
+    /// a lease holds.
     #[test]
     fn lock_free_availability_equals_the_locked_recomputation(
         arch in 0u8..3,
@@ -133,11 +137,48 @@ proptest! {
         ops in prop::collection::vec((0u8..4, any::<u32>(), 1u64..2000), 0..48),
         unwind_on in any::<u32>(),
     ) {
+        // A table is not tied to a node: leasing on an idle twin grants
+        // exactly the requested device, whatever the history does.
+        let (table, leased) = (LeaseTable::new(), unwind_on % count.max(1));
+        if count > 0 {
+            let twin = GpuCluster::node(GpuArch::tesla_k80(), count);
+            let granted =
+                table.allocate_and_lease(&twin, &[leased], AllocationPolicy::ProcessId, 1, 0, None);
+            prop_assert_eq!(granted.map(|a| a.devices), Some(vec![leased]));
+        }
+        let recorder = obs::Recorder::new();
+        let tool = galaxy::tool::wrapper::parse_tool(
+            r#"<tool id="racon_gpu"><requirements>
+                 <requirement type="compute">gpu</requirement>
+               </requirements><command>racon_gpu</command></tool>"#,
+            &galaxy::tool::macros::MacroLibrary::new(),
+        )
+        .unwrap();
+        let config = galaxy::job::conf::JobConfig::from_xml(galaxy::job::conf::GYAN_JOB_CONF).unwrap();
+        let job = galaxy::Job::new(1, "t", galaxy::ParamDict::new());
         let mut steps = 0;
         let cluster = node_after_each(arch, count, &ops, None, |cluster| {
             steps += 1;
             let locked = available_under_the_locks(cluster);
             assert_eq!(cluster.available_devices(), locked, "step {steps}");
+
+            GpuDestinationRule::new(cluster, "local_gpu", "local_cpu")
+                .with_recorder(recorder.clone())
+                .with_reservations(table.clone())
+                .decide(&tool, &job, &config)
+                .unwrap();
+            let audit = recorder.events_named("gyan.rule.decision").pop().unwrap();
+            let nvml = Nvml::init(cluster);
+            let free: Vec<String> = (0..count)
+                .filter(|minor| nvml.compute_running_process_count(*minor) == Ok(0))
+                .filter(|minor| *minor != leased)
+                .map(|minor| minor.to_string())
+                .collect();
+            assert_eq!(
+                audit.field("free_gpus").and_then(|v| v.as_str()),
+                Some(free.join(",").as_str()),
+                "step {steps}"
+            );
         });
         prop_assert_eq!(steps, if count == 0 { 0 } else { ops.len() });
         if count > 0 {
