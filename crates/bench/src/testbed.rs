@@ -169,6 +169,24 @@ impl Testbed {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use galaxy::runners::{ExecutionPlan, ExecutionResult, JobExecutor};
+    use std::sync::Mutex;
+
+    /// The argv of every plan the app handed its executor, joined by spaces.
+    type Launches = Arc<Mutex<Vec<String>>>;
+
+    /// Records each plan's argv, then runs it on `inner`.
+    struct Recording<E> {
+        inner: E,
+        launches: Launches,
+    }
+
+    impl<E: JobExecutor> JobExecutor for Recording<E> {
+        fn execute(&self, plan: &ExecutionPlan) -> ExecutionResult {
+            self.launches.lock().unwrap().push(plan.rendered_command());
+            self.inner.execute(plan)
+        }
+    }
 
     #[test]
     fn testbed_runs_gpu_racon_end_to_end() {
@@ -186,18 +204,22 @@ mod tests {
     fn docker_testbed_wraps_with_gpus_flag() {
         let mut tb = Testbed::k80_docker();
         tb.executor.register_dataset(tiny_racon());
+        let launches = Launches::default();
+        tb.app.set_executor(Box::new(Recording {
+            inner: tb.executor.clone(),
+            launches: launches.clone(),
+        }));
         let id = tb.submit_racon(2, 4, true, "bench_tiny_racon").unwrap();
         let job = tb.app.job(id).unwrap();
         assert_eq!(job.destination_id.as_deref(), Some("docker_gpu"));
-        // The events log captured the mutated docker command.
-        let launched = tb
-            .app
-            .events()
+        // The executor was handed the mutated docker command.
+        let launched = launches.lock().unwrap();
+        let launched = launched
             .iter()
-            .find(|e| e.message.contains("docker run"))
-            .expect("docker launch logged");
-        assert!(launched.message.contains("--gpus all"), "{}", launched.message);
-        assert!(launched.message.contains("--cudapoa-banded"));
+            .find(|argv| argv.contains("docker run"))
+            .expect("docker launch recorded");
+        assert!(launched.contains("--gpus all"), "{launched}");
+        assert!(launched.contains("--cudapoa-banded"));
     }
 
     #[test]

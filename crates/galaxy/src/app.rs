@@ -80,15 +80,6 @@ impl TimeSource for ZeroTime {
     }
 }
 
-/// One timestamped event in the application log.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Event {
-    /// Virtual time of the event.
-    pub t: f64,
-    /// Human-readable description.
-    pub message: String,
-}
-
 /// The Galaxy application.
 pub struct GalaxyApp {
     /// Shared, so preparing an attempt takes a handle to the tool, not a
@@ -105,12 +96,6 @@ pub struct GalaxyApp {
     executor: Box<dyn JobExecutor>,
     time: Box<dyn TimeSource>,
     volumes: Vec<VolumeBind>,
-    events: Vec<Event>,
-    /// Optional cap on the app event log; `None` retains everything.
-    /// Soak harnesses set this — per-job lifecycle strings would
-    /// otherwise grow O(jobs) over a 10^5-user run.
-    event_log_limit: Option<usize>,
-    dropped_events: u64,
     recorder: Recorder,
     /// `galaxy.job` spans of jobs whose lifecycle is still open (created
     /// or prepared but not yet finished) — kept so the asynchronous queue
@@ -136,9 +121,6 @@ impl GalaxyApp {
             executor: Box::new(NullExecutor),
             time: Box::new(ZeroTime),
             volumes: Vec::new(),
-            events: Vec::new(),
-            event_log_limit: None,
-            dropped_events: 0,
             recorder: Recorder::new(),
             open_spans: HashMap::new(),
             placement_advisor: None,
@@ -220,13 +202,6 @@ impl GalaxyApp {
         self.time = time;
     }
 
-    /// Replace the telemetry recorder (share one with the scheduler or
-    /// GYAN components). Clones of the handle see everything this app
-    /// records.
-    pub fn set_recorder(&mut self, recorder: Recorder) {
-        self.recorder = recorder;
-    }
-
     /// The telemetry recorder for this app.
     pub fn recorder(&self) -> &Recorder {
         &self.recorder
@@ -302,7 +277,6 @@ impl GalaxyApp {
         job.submit_time = Some(self.time.now());
         self.jobs.insert(job_id, job);
         self.open_spans.insert(job_id, job_span);
-        self.log(format!("job {job_id} submitted for tool {tool_id}"));
         Ok(job_id)
     }
 
@@ -366,7 +340,6 @@ impl GalaxyApp {
         map_span.end();
         job.destination_id = Some(destination.id.clone());
         job.transition(JobState::Queued)?;
-        self.log(format!("job {} mapped to destination {}", job.id, destination.id));
 
         // GYAN's extension point: hooks adjust env + params before the
         // command is rendered.
@@ -379,19 +352,18 @@ impl GalaxyApp {
 
         // Step 3: command assembly (the template-render and
         // container-assembly phases span themselves under `job_span`).
-        let plan = LocalRunner.build_plan_traced(
+        let plan = LocalRunner.build_plan(
             tool,
             job,
             &destination,
             &self.registry,
             &self.mutators,
             &self.volumes,
-            job_span,
+            Some(job_span),
         )?;
         job.command_line = Some(plan.command_line.clone());
         job.transition(JobState::Running)?;
         job.start_time = Some(self.time.now());
-        self.log(format!("job {} running: {}", job.id, plan.rendered_command()));
         Ok(plan)
     }
 
@@ -450,7 +422,6 @@ impl GalaxyApp {
             if let Some(span) = self.open_spans.remove(&job_id) {
                 span.end();
             }
-            self.log(format!("job {job_id} ok"));
             self.conclude(job_id, JobConclusion::Ok);
             Ok(())
         } else {
@@ -467,13 +438,8 @@ impl GalaxyApp {
                     span.field("error", err.to_string());
                     span.end();
                 }
-                self.log(format!("job {job_id} error (exit {})", result.exit_code));
                 self.conclude(job_id, JobConclusion::FailedFinal);
             } else {
-                self.log(format!(
-                    "job {job_id} attempt failed (exit {}), eligible for resubmission",
-                    result.exit_code
-                ));
                 // Release attempt-scoped hook resources (GYAN's GPU lease)
                 // *before* the resubmitted attempt re-prepares — the
                 // fallback attempt must not inherit the failed one's
@@ -494,7 +460,6 @@ impl GalaxyApp {
     /// Notify hooks that a prepared-but-never-executed plan was dropped
     /// (discard shutdown) so attempt-scoped resources are released.
     pub fn discard_job(&mut self, job_id: u64) {
-        self.log(format!("job {job_id} discarded before execution"));
         self.close_job_span_discarded(job_id);
         self.conclude(job_id, JobConclusion::Discarded);
     }
@@ -519,7 +484,6 @@ impl GalaxyApp {
             span.field("error", e.to_string());
             span.end();
         }
-        self.log(format!("job {job_id} failed: {e}"));
         if let Some(job) = self.jobs.get_mut(&job_id) {
             let _ = job.transition(JobState::Error);
             job.stderr = e.to_string();
@@ -600,37 +564,12 @@ impl GalaxyApp {
         &self.history
     }
 
-    /// The application event log.
-    pub fn events(&self) -> &[Event] {
-        &self.events
-    }
-
-    /// Cap the app event log at roughly `limit` entries, evicting the
-    /// oldest in amortized batches (~25% slack) once exceeded. `None`
-    /// (the default) retains everything.
+    /// The recorder's log retention ([`Recorder::set_log_retention`])
+    /// under its old name, from when the app kept a second event log.
+    /// Kept only for the `benchmark/` crate, which calls it, until
+    /// ROADMAP 1(a) drops those calls.
     pub fn set_event_log_limit(&mut self, limit: Option<usize>) {
-        self.event_log_limit = limit;
-        self.evict_events();
-    }
-
-    /// App events evicted by the log cap so far.
-    pub fn dropped_events(&self) -> u64 {
-        self.dropped_events
-    }
-
-    fn log(&mut self, message: String) {
-        self.events.push(Event { t: self.time.now(), message });
-        self.evict_events();
-    }
-
-    fn evict_events(&mut self) {
-        let Some(limit) = self.event_log_limit else { return };
-        let slack = limit / 4 + 1;
-        if self.events.len() > limit + slack {
-            let drop_n = self.events.len() - limit;
-            self.events.drain(0..drop_n);
-            self.dropped_events += drop_n as u64;
-        }
+        self.recorder.set_log_retention(limit);
     }
 }
 
@@ -818,12 +757,13 @@ mod tests {
     }
 
     #[test]
-    fn events_logged_through_lifecycle() {
+    fn event_log_limit_caps_the_recorder_log() {
         let mut app = app_with_echo();
-        let id = app.submit("echo", &ParamDict::new()).unwrap();
-        let messages: Vec<&str> = app.events().iter().map(|e| e.message.as_str()).collect();
-        assert!(messages.iter().any(|m| m.contains("submitted")));
-        assert!(messages.iter().any(|m| m.contains("mapped to destination local_cpu")));
-        assert!(messages.iter().any(|m| m.contains(&format!("job {id} ok"))));
+        app.set_event_log_limit(Some(8));
+        for _ in 0..10 {
+            app.submit("echo", &ParamDict::new()).unwrap();
+        }
+        let (dropped_spans, _) = app.recorder().dropped_log_records();
+        assert!(dropped_spans > 0, "ten jobs' spans must overflow a retention of 8");
     }
 }

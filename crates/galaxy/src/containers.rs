@@ -97,11 +97,6 @@ impl ImageRegistry {
         }
         Ok(overhead)
     }
-
-    /// Drop the local cache (for tests).
-    pub fn clear_cache(&self) {
-        self.cache.lock().clear();
-    }
 }
 
 #[cfg(test)]

@@ -240,6 +240,8 @@ struct DagRun {
 }
 
 struct JobCtx {
+    /// Engine view of the submission's lifecycle; starts `Queued`.
+    state: SubmissionState,
     user: String,
     priority: u8,
     /// Completed dispatch attempts.
@@ -263,6 +265,7 @@ struct JobCtx {
 impl JobCtx {
     fn new(user: String, priority: u8, origin: Option<(usize, usize)>) -> Self {
         JobCtx {
+            state: SubmissionState::Queued,
             user,
             priority,
             attempts: 0,
@@ -316,8 +319,7 @@ pub struct QueueEngine {
     time_charging: Option<WaveTimeCharging>,
     wave_size: usize,
     jobs: HashMap<u64, JobCtx>,
-    statuses: HashMap<u64, SubmissionState>,
-    /// Ops-plane mirror of `statuses` plus per-job dispatch detail,
+    /// Copy of each job's [`JobCtx`] state plus per-job dispatch detail,
     /// shareable with reader threads (see [`ledger::JobsLedger`]).
     ledger: JobsLedger,
     workflows: Vec<DagRun>,
@@ -325,15 +327,6 @@ pub struct QueueEngine {
     /// the pool instead of executing them (see
     /// [`QueueEngine::discard_next_wave`]).
     discard_next_wave: bool,
-}
-
-impl GalaxyApp {
-    /// Wrap this app in an asynchronous [`QueueEngine`] — the async submit
-    /// path. `executor` is what the handler pool runs plans on (typically
-    /// the same executor the app holds).
-    pub fn into_queue(self, executor: Arc<dyn JobExecutor>, config: QueueConfig) -> QueueEngine {
-        QueueEngine::new(self, executor, config)
-    }
 }
 
 impl QueueEngine {
@@ -353,7 +346,6 @@ impl QueueEngine {
             time_charging: config.time_charging,
             wave_size: config.workers.max(1) as usize,
             jobs: HashMap::new(),
-            statuses: HashMap::new(),
             ledger: JobsLedger::new(),
             workflows: Vec::new(),
             discard_next_wave: false,
@@ -362,7 +354,7 @@ impl QueueEngine {
         }
     }
 
-    /// The wrapped app (jobs, history, recorder, events).
+    /// The wrapped app (jobs, history, recorder).
     pub fn app(&self) -> &GalaxyApp {
         &self.app
     }
@@ -374,7 +366,7 @@ impl QueueEngine {
 
     /// Engine view of a submission's lifecycle.
     pub fn state(&self, handle: JobHandle) -> Option<SubmissionState> {
-        self.statuses.get(&handle.0).copied()
+        self.jobs.get(&handle.0).map(|ctx| ctx.state)
     }
 
     /// Every tracked submission's lifecycle state, sorted by job id — the
@@ -382,7 +374,7 @@ impl QueueEngine {
     /// job table.
     pub fn submission_states(&self) -> Vec<(u64, SubmissionState)> {
         let mut out: Vec<(u64, SubmissionState)> =
-            self.statuses.iter().map(|(id, s)| (*id, *s)).collect();
+            self.jobs.iter().map(|(id, ctx)| (*id, ctx.state)).collect();
         out.sort_by_key(|(id, _)| *id);
         out
     }
@@ -398,10 +390,12 @@ impl QueueEngine {
         self.ledger.clone()
     }
 
-    /// Record a lifecycle change in both the engine's own status map and
-    /// the shared ops ledger (which also timestamps terminal states).
+    /// Record a lifecycle change in both the job's [`JobCtx`] and the
+    /// shared ops ledger (which also timestamps terminal states).
     fn set_status(&mut self, job_id: u64, state: SubmissionState) {
-        self.statuses.insert(job_id, state);
+        if let Some(ctx) = self.jobs.get_mut(&job_id) {
+            ctx.state = state;
+        }
         let finished_at = match state {
             SubmissionState::Queued => None,
             _ => Some(self.app.recorder().now()),
@@ -449,7 +443,6 @@ impl QueueEngine {
             submitted_at: now,
             finished_at: None,
         });
-        self.statuses.insert(job_id, SubmissionState::Queued);
         self.app.recorder().event(
             "galaxy.queue.enqueue",
             [
@@ -805,7 +798,6 @@ impl QueueEngine {
                     finished_at: None,
                 });
                 self.jobs.insert(job_id, JobCtx::new(user, priority, Some((wf, step))));
-                self.statuses.insert(job_id, SubmissionState::Queued);
                 Some(job_id)
             }
             Err(_) => {

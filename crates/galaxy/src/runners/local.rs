@@ -36,37 +36,11 @@ impl LocalRunner {
     ///
     /// `mutators` are applied to the assembled command parts, and — for
     /// container destinations — the image is pulled through `registry` to
-    /// account for pull + cold-start overhead.
+    /// account for pull + cold-start overhead. With a `parent` span, the
+    /// template-render and container-assembly phases each get a child
+    /// span under it.
+    #[allow(clippy::too_many_arguments)]
     pub fn build_plan(
-        &self,
-        tool: &Tool,
-        job: &Job,
-        destination: &Destination,
-        registry: &ImageRegistry,
-        mutators: &[Box<dyn CommandMutator>],
-        volumes: &[VolumeBind],
-    ) -> Result<ExecutionPlan, GalaxyError> {
-        self.build_plan_inner(tool, job, destination, registry, mutators, volumes, None)
-    }
-
-    /// [`LocalRunner::build_plan`] with telemetry: the template-render and
-    /// container-assembly phases each get a child span under `parent`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_plan_traced(
-        &self,
-        tool: &Tool,
-        job: &Job,
-        destination: &Destination,
-        registry: &ImageRegistry,
-        mutators: &[Box<dyn CommandMutator>],
-        volumes: &[VolumeBind],
-        parent: &Span,
-    ) -> Result<ExecutionPlan, GalaxyError> {
-        self.build_plan_inner(tool, job, destination, registry, mutators, volumes, Some(parent))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn build_plan_inner(
         &self,
         tool: &Tool,
         job: &Job,
@@ -237,6 +211,7 @@ mod tests {
                 &registry(),
                 &[],
                 &[],
+                None,
             )
             .unwrap();
         assert!(plan.container.is_none());
@@ -255,6 +230,7 @@ mod tests {
                 &reg,
                 &[],
                 &[VolumeBind::rw("/data")],
+                None,
             )
             .unwrap();
         let c = plan.container.as_ref().unwrap();
@@ -270,6 +246,7 @@ mod tests {
                 &reg,
                 &[],
                 &[],
+                None,
             )
             .unwrap();
         assert!(plan2.container.unwrap().overhead_s < 1.0);
@@ -285,6 +262,7 @@ mod tests {
                 &registry(),
                 &[],
                 &[],
+                None,
             )
             .unwrap();
         let c = plan.container.unwrap();
@@ -310,6 +288,7 @@ mod tests {
             &registry(),
             &[],
             &[],
+            None,
         );
         assert!(matches!(result, Err(GalaxyError::Container(_))));
     }
@@ -336,6 +315,7 @@ mod tests {
                 &registry(),
                 &mutators,
                 &[],
+                None,
             )
             .unwrap();
         assert_eq!(plan.command_parts[2], "--gpus all");

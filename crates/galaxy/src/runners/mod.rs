@@ -69,7 +69,7 @@ impl ExecutionPlan {
         self.env.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
     }
 
-    /// The final command as one shell-ish string (for logs and tests).
+    /// The final command as one shell-ish string (for tests).
     pub fn rendered_command(&self) -> String {
         self.command_parts.join(" ")
     }

@@ -179,9 +179,6 @@ enum Backend {
 pub struct HandlerPool {
     backend: Backend,
     shared: Arc<Shared>,
-    /// Nominal worker count (thread count, or modeled width in event
-    /// mode) — what [`WORKERS_TOTAL_GAUGE`] reports.
-    workers: usize,
     mode: ShutdownMode,
 }
 
@@ -247,7 +244,7 @@ impl HandlerPool {
                 Backend::Threads { sender: Some(sender), handles }
             }
         };
-        HandlerPool { backend, shared, workers, mode: ShutdownMode::Drain }
+        HandlerPool { backend, shared, mode: ShutdownMode::Drain }
     }
 
     /// Register a callback invoked with each skipped plan's job id when a
@@ -277,11 +274,6 @@ impl HandlerPool {
     /// The recorder receiving this pool's queue metrics.
     pub fn recorder(&self) -> &Recorder {
         &self.shared.recorder
-    }
-
-    /// Number of workers the pool runs (nominal width in event mode).
-    pub fn worker_count(&self) -> usize {
-        self.workers
     }
 
     /// The pool's dispatch backend.

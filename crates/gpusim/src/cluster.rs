@@ -112,16 +112,6 @@ impl GpuCluster {
         Self::node(GpuArch::tesla_k80(), 2)
     }
 
-    /// A Volta node: four V100 dies (a DGX-1-style half-board).
-    pub fn v100_node() -> Self {
-        Self::node(GpuArch::tesla_v100(), 4)
-    }
-
-    /// An Ampere node: eight A100 dies (a DGX-A100-style board).
-    pub fn a100_node() -> Self {
-        Self::node(GpuArch::a100(), 8)
-    }
-
     /// A node with no GPUs — the CPU-only fallback scenario.
     pub fn cpu_only_node() -> Self {
         Self::node(GpuArch::tesla_k80(), 0)

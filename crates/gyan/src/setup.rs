@@ -94,12 +94,6 @@ impl GyanConfig {
         }
     }
 
-    /// Use the Process Allocated Memory strategy.
-    pub fn with_memory_policy(mut self) -> Self {
-        self.policy = AllocationPolicy::MemoryBased;
-        self
-    }
-
     /// Resolve memory hints from learned footprint profiles (default
     /// sample threshold) instead of the static destination hint.
     pub fn with_learned_hints(mut self) -> Self {

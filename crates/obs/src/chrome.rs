@@ -87,11 +87,6 @@ impl TraceBuilder {
         &self.complete
     }
 
-    /// All counter samples added so far.
-    pub fn counter_events(&self) -> &[CounterEvent] {
-        &self.counters
-    }
-
     /// Track names in first-appearance order (the tid assignment).
     pub fn tracks(&self) -> Vec<String> {
         let mut tracks: Vec<String> = Vec::new();

@@ -658,19 +658,6 @@ impl Drop for Span {
     }
 }
 
-/// Convenience for callers that may or may not have telemetry wired up:
-/// an `Option<&Recorder>`-like free function set. Emitting through `None`
-/// is a no-op, so call sites stay unconditional.
-pub fn event_opt<K: Into<Key>, V: Into<Value>>(
-    recorder: Option<&Recorder>,
-    name: impl Into<Key>,
-    fields: impl IntoIterator<Item = (K, V)>,
-) {
-    if let Some(r) = recorder {
-        r.event(name, fields);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -247,7 +247,6 @@ impl Stack {
                     .failure(None, Violation::new("setup", format!("tool install: {e}"))));
             }
         }
-        app.set_event_log_limit(spec.log_retention);
         let gpus = Gpus::install(spec.hardware, &mut app, spec.policy, spec.memory_hint);
         let clock = gpus.clock().clone();
         let recorder = app.recorder().clone();

@@ -249,16 +249,22 @@ pub fn fleet_availability_flags_honest(fleet: &Fleet) -> Result<(), Violation> {
     Ok(())
 }
 
-/// Job-count conservation: the engine's submission ledger and the app's
-/// job table must agree entry for entry, and terminal states must be
-/// consistent between the two layers.
+/// Job-count conservation: the engine's submission states, its shared
+/// [`galaxy::queue::JobsLedger`] and the app's job table must agree entry
+/// for entry, and terminal states must be consistent between the layers.
 pub fn conservation(engine: &QueueEngine) -> Result<(), Violation> {
     let states = engine.submission_states();
     let jobs = engine.app().jobs();
-    if states.len() != jobs.len() {
+    let ledger = engine.ledger();
+    if states.len() != jobs.len() || ledger.len() != jobs.len() {
         return Err(Violation::new(
             "conservation",
-            format!("engine tracks {} submissions but app has {} jobs", states.len(), jobs.len()),
+            format!(
+                "engine tracks {} submissions, its ledger {}, but app has {} jobs",
+                states.len(),
+                ledger.len(),
+                jobs.len()
+            ),
         ));
     }
     for (job_id, state) in states {
@@ -268,6 +274,13 @@ pub fn conservation(engine: &QueueEngine) -> Result<(), Violation> {
                 format!("engine tracks job {job_id} missing from the app"),
             ));
         };
+        let held = ledger.get(job_id).map(|snap| snap.state);
+        if held != Some(state) {
+            return Err(Violation::new(
+                "conservation",
+                format!("job {job_id}: engine state {state:?} but ledger state {held:?}"),
+            ));
+        }
         let consistent = match state {
             SubmissionState::Ok => job.state() == JobState::Ok,
             SubmissionState::Error => job.state() == JobState::Error,
@@ -302,7 +315,14 @@ pub fn spans_balanced(recorder: &Recorder) -> Result<(), Violation> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use galaxy::job::conf::{JobConfig, GYAN_JOB_CONF};
+    use galaxy::params::ParamDict;
+    use galaxy::queue::QueueConfig;
+    use galaxy::runners::NullExecutor;
+    use galaxy::tool::macros::MacroLibrary;
+    use galaxy::GalaxyApp;
     use obs::Value;
+    use std::sync::Arc;
 
     fn event(name: &'static str, fields: Vec<(&'static str, Value)>) -> EventData {
         let rec = Recorder::new();
@@ -369,5 +389,28 @@ mod tests {
             vec![("job_id", Value::from(9u64)), ("gpu_enabled", Value::from(false))],
         );
         assert!(export_matches_acquire(&[export]).is_ok());
+    }
+
+    #[test]
+    fn ledger_state_drift_breaks_conservation() {
+        let mut app = GalaxyApp::new(JobConfig::from_xml(GYAN_JOB_CONF).unwrap());
+        app.install_tool_xml(
+            r#"<tool id="echo"><command>echo hi</command></tool>"#,
+            &MacroLibrary::new(),
+        )
+        .unwrap();
+        app.register_rule("gpu_dynamic_destination", Box::new(|_, _, _| Ok("local_cpu".into())));
+        let mut engine = QueueEngine::new(app, Arc::new(NullExecutor), QueueConfig::default());
+        let ids: Vec<u64> = (0..3)
+            .map(|_| engine.submit_async("alice", "echo", &ParamDict::new()).unwrap().0)
+            .collect();
+        engine.run_until_idle();
+        conservation(&engine).unwrap();
+
+        engine.ledger().update(ids[1], |snap| snap.state = SubmissionState::Cancelled);
+        let violation = conservation(&engine).unwrap_err();
+        assert_eq!(violation.invariant, "conservation");
+        assert!(violation.detail.contains(&format!("job {}", ids[1])), "{}", violation.detail);
+        engine.shutdown();
     }
 }

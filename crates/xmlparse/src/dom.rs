@@ -22,16 +22,6 @@ impl Document {
         &self.root
     }
 
-    /// Mutable access to the root element.
-    pub fn root_mut(&mut self) -> &mut Element {
-        &mut self.root
-    }
-
-    /// Consume the document, returning the root element.
-    pub fn into_root(self) -> Element {
-        self.root
-    }
-
     /// Find the first descendant element (including the root itself) with
     /// the given tag name, depth-first.
     pub fn find(&self, name: &str) -> Option<&Element> {
@@ -61,14 +51,6 @@ impl Node {
     pub fn as_element(&self) -> Option<&Element> {
         match self {
             Node::Element(e) => Some(e),
-            _ => None,
-        }
-    }
-
-    /// The textual content of a `Text` or `CData` node.
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            Node::Text(t) | Node::CData(t) => Some(t),
             _ => None,
         }
     }
@@ -112,11 +94,6 @@ impl Element {
     /// Tag name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Rename the element.
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
     }
 
     /// Attribute value by key.

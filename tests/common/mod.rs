@@ -7,13 +7,14 @@
 
 use galaxy::containers::ImageRegistry;
 use galaxy::job::conf::{JobConfig, GYAN_JOB_CONF};
+use galaxy::runners::{ExecutionPlan, ExecutionResult, JobExecutor};
 use galaxy::tool::macros::MacroLibrary;
 use galaxy::GalaxyApp;
 use gpusim::GpuCluster;
 use gyan::allocation::AllocationPolicy;
 use gyan::setup::{install_gyan, GyanConfig};
 use seqtools::{DatasetSpec, ToolExecutor};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Laptop-scale PacBio-style dataset (racon input). The name is
 /// per-suite so dataset lookups never collide across binaries.
@@ -56,6 +57,28 @@ pub fn build(
     app.set_executor(Box::new(executor.clone()));
     install_gyan(&mut app, cluster, config);
     (app, executor)
+}
+
+/// The argv of every plan an app handed its executor, each joined by
+/// spaces, in launch order.
+pub type Launched = Arc<Mutex<Vec<String>>>;
+
+/// Install `executor` on `app` behind a wrapper that records each plan's
+/// argv before running it: what the app launched, for a test to read.
+pub fn record_launches(app: &mut GalaxyApp, executor: impl JobExecutor + 'static) -> Launched {
+    struct Recording<E> {
+        inner: E,
+        launched: Launched,
+    }
+    impl<E: JobExecutor> JobExecutor for Recording<E> {
+        fn execute(&self, plan: &ExecutionPlan) -> ExecutionResult {
+            self.launched.lock().unwrap().push(plan.rendered_command());
+            self.inner.execute(plan)
+        }
+    }
+    let launched = Launched::default();
+    app.set_executor(Box::new(Recording { inner: executor, launched: launched.clone() }));
+    launched
 }
 
 /// Wrapper XML for a GPU tool pinned to `gpu_ids` via the

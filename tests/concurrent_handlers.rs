@@ -29,7 +29,7 @@ fn racon_plan(cluster: &GpuCluster, job_id: u64, mask: &str) -> galaxy::runners:
     let dest =
         Destination { id: "local_gpu".into(), runner: "local".into(), params: ParamDict::new() };
     let _ = cluster; // plans carry no cluster; the executor holds it
-    LocalRunner.build_plan(&tool, &job, &dest, &ImageRegistry::new(), &[], &[]).unwrap()
+    LocalRunner.build_plan(&tool, &job, &dest, &ImageRegistry::new(), &[], &[], None).unwrap()
 }
 
 #[test]

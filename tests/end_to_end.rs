@@ -108,19 +108,18 @@ fn same_tool_falls_back_to_cpu_without_gpus() {
 #[test]
 fn containerized_gpu_job_gets_gpus_flag_and_overhead() {
     let cluster = GpuCluster::k80_node();
-    let (mut app, _executor) = build_app(&cluster, GyanConfig::containerized());
+    let (mut app, executor) = build_app(&cluster, GyanConfig::containerized());
+    let launched = common::record_launches(&mut app, executor);
     let id = app.submit("racon_gpu", &ParamDict::new()).unwrap();
     let job = app.job(id).unwrap();
     assert_eq!(job.destination_id.as_deref(), Some("docker_gpu"));
-    // The launch event captured the mutated docker command line.
-    let launch = app
-        .events()
-        .iter()
-        .find(|e| e.message.contains("docker run"))
-        .expect("docker launch logged");
-    assert!(launch.message.contains("--gpus all"));
-    assert!(launch.message.contains("CUDA_VISIBLE_DEVICES=0,1"));
-    assert!(launch.message.contains("gulsumgudukbay/racon_dockerfile"));
+    // The executor was handed the mutated docker command line.
+    let launched = launched.lock().unwrap();
+    let launch =
+        launched.iter().find(|argv| argv.contains("docker run")).expect("docker launch recorded");
+    assert!(launch.contains("--gpus all"));
+    assert!(launch.contains("CUDA_VISIBLE_DEVICES=0,1"));
+    assert!(launch.contains("gulsumgudukbay/racon_dockerfile"));
 }
 
 #[test]

@@ -11,6 +11,8 @@ use gyan::setup::{install_gyan, GyanConfig};
 use seqtools::{DatasetSpec, ToolExecutor};
 use std::sync::Arc;
 
+mod common;
+
 const TOOL: &str = r#"<tool id="racon_gpu">
   <requirements>
     <requirement type="compute">gpu</requirement>
@@ -26,7 +28,7 @@ racon -t 2 sing_racon > out.fa
   <outputs><data name="consensus" format="fasta"/></outputs>
 </tool>"#;
 
-fn build() -> (GpuCluster, GalaxyApp) {
+fn build() -> (GpuCluster, GalaxyApp, common::Launched) {
     let cluster = GpuCluster::k80_node();
     let mut app = GalaxyApp::new(JobConfig::from_xml(GYAN_JOB_CONF).unwrap());
     let registry = galaxy::containers::ImageRegistry::with_paper_images();
@@ -45,29 +47,28 @@ fn build() -> (GpuCluster, GalaxyApp) {
         read_len: 1_200,
         ..DatasetSpec::alzheimers_nfl()
     });
-    app.set_executor(Box::new(executor));
+    let launched = common::record_launches(&mut app, executor);
     // Route GPU jobs to the singularity destination.
     let config =
         GyanConfig { gpu_destination: "singularity_gpu".to_string(), ..GyanConfig::default() };
     install_gyan(&mut app, &cluster, config);
     app.install_tool_xml(TOOL, &MacroLibrary::new()).unwrap();
-    (cluster, app)
+    (cluster, app, launched)
 }
 
 #[test]
 fn singularity_launch_gets_nv_and_loses_bind_modes() {
-    let (_cluster, mut app) = build();
+    let (_cluster, mut app, launched) = build();
     let id = app.submit("racon_gpu", &ParamDict::new()).unwrap();
     let job = app.job(id).unwrap();
     assert_eq!(job.state(), JobState::Ok);
     assert_eq!(job.destination_id.as_deref(), Some("singularity_gpu"));
 
-    let launch = app
-        .events()
+    let launched = launched.lock().unwrap();
+    let cmd = launched
         .iter()
-        .find(|e| e.message.contains("singularity exec"))
-        .expect("singularity launch logged");
-    let cmd = &launch.message;
+        .find(|argv| argv.contains("singularity exec"))
+        .expect("singularity launch recorded");
     assert!(cmd.contains("--nv"), "{cmd}");
     assert!(cmd.contains("SINGULARITYENV_GALAXY_GPU_ENABLED=true"), "{cmd}");
     assert!(cmd.contains("SINGULARITYENV_CUDA_VISIBLE_DEVICES=0,1"), "{cmd}");
