@@ -123,7 +123,7 @@ fn engine(clock: VirtualClock, workers: u32) -> QueueEngine {
 }
 
 /// Submit `jobs` one-second jobs round-robin from `users` users and
-/// drain them with `workers` pool workers.
+/// drain them in waves `workers` wide.
 fn drain(clock: VirtualClock, jobs: usize, users: usize, workers: u32) -> QueueEngine {
     let mut eng = engine(clock, workers);
     for i in 0..jobs {

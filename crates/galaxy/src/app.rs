@@ -467,8 +467,8 @@ impl GalaxyApp {
     /// Close a job's open `galaxy.job` span with a `discarded` marker
     /// WITHOUT notifying hooks. The queue engine uses this for plans
     /// skipped by a mid-wave discard, where lease release is owned by the
-    /// pool's discard listener (same path as a discard shutdown) and a
-    /// second conclusion would double-notify.
+    /// engine's discard listener and a second conclusion would
+    /// double-notify.
     pub fn close_job_span_discarded(&mut self, job_id: u64) {
         if let Some(span) = self.open_spans.remove(&job_id) {
             span.field("discarded", true);

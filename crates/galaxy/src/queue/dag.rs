@@ -4,7 +4,7 @@
 //! a workflow consisting of a sequence of multiple tools." A
 //! [`DagWorkflow`] declares *dependencies*: a step may run as soon as
 //! every step it depends on has completed, so independent branches
-//! dispatch concurrently through the handler pool. Dependencies come from
+//! dispatch in the same wave. Dependencies come from
 //! two sources:
 //!
 //! - **data edges** — a parameter bound with

@@ -11,9 +11,8 @@
 //!   control ([`fair_share`]) — a full queue rejects with a reason rather
 //!   than growing without bound;
 //! - [`QueueEngine::submit_dag`] runs [`DagWorkflow`]s with explicit step
-//!   dependencies ([`dag`]): independent steps dispatch concurrently
-//!   through the [`HandlerPool`], so fan-out branches overlap on the
-//!   virtual clock;
+//!   dependencies ([`dag`]): independent steps dispatch in the same wave,
+//!   so fan-out branches overlap on the virtual clock;
 //! - failures follow a [`ResubmitPolicy`] ([`resubmit`]) — Galaxy's
 //!   `<resubmit>` semantics, e.g. GPU → CPU after an injected device
 //!   failure.
@@ -23,9 +22,9 @@
 //! [`QueueEngine::run_until_idle`] dispatches in deterministic *waves*:
 //! it pops up to `workers` items by fair share, prepares **all** their
 //! plans (so hooks observe the pre-wave cluster state and every wave
-//! member shares one virtual start time), hands the wave to the pool,
-//! waits, then processes completions — possibly enqueuing newly-ready DAG
-//! steps or resubmitted attempts for the next wave.
+//! member shares one virtual start time), executes the members in order
+//! on the calling thread, then processes completions — possibly enqueuing
+//! newly-ready DAG steps or resubmitted attempts for the next wave.
 //!
 //! Preparing a whole wave against the pre-wave state is a deliberate
 //! time-of-check/time-of-use window: two wave members can observe the
@@ -34,18 +33,18 @@
 //! GYAN's GPU lease table does exactly that (see the `gyan` crate's
 //! `reservations` module), using [`crate::runners::JobHook::after_conclude`]
 //! for release and [`QueueEngine::set_discard_listener`] to cover plans a
-//! discard shutdown skips.
+//! discarded wave skips.
 //!
 //! ## Virtual-clock time charging
 //!
 //! Executors that advance the shared `gpusim`-style virtual clock do so
-//! additively from worker threads, so concurrent execution cannot shrink
-//! the clock reading by itself. When a [`WaveTimeCharging`] is configured
-//! the engine instead charges time at the wave barrier: each wave advances
-//! the clock to `wave_start + max(step duration)`, so parallel branches
-//! cost their *maximum* while sequential chains cost their *sum* — making
-//! DAG makespan measurably (and deterministically) smaller than the
-//! sequential baseline.
+//! additively, one wave member after another, so execution alone cannot
+//! overlap wave members on the clock. When a [`WaveTimeCharging`] is
+//! configured the engine instead charges time at the wave barrier: each
+//! wave advances the clock to `wave_start + max(step duration)`, so
+//! parallel branches cost their *maximum* while sequential chains cost
+//! their *sum* — making DAG makespan measurably (and deterministically)
+//! smaller than the sequential baseline.
 //!
 //! Every scheduling decision is audited through the app's [`obs`]
 //! recorder as `galaxy.queue.*` events (enqueue, fair-share pick,
@@ -67,9 +66,10 @@ use crate::app::GalaxyApp;
 use crate::error::GalaxyError;
 use crate::params::ParamDict;
 use crate::runners::{ExecutionPlan, ExecutionResult, JobExecutor};
-use crate::scheduler::HandlerPool;
+use crate::scheduler::{self as pool, DiscardListener};
 use dag::ValueSource;
 use obs::{Span, Value};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -79,7 +79,7 @@ pub const QUEUE_DEPTH_GAUGE: &str = "galaxy_queue_depth";
 pub const QUEUE_WAIT_HISTOGRAM: &str = "galaxy_queue_wait_seconds";
 /// Counter: submissions refused by admission control.
 pub const QUEUE_REJECTED_COUNTER: &str = "galaxy_queue_rejected_total";
-/// Counter: plans handed to the handler pool.
+/// Counter: plans dispatched for execution.
 pub const QUEUE_DISPATCHED_COUNTER: &str = "galaxy_queue_dispatched_total";
 /// Counter: failed attempts resubmitted to a fallback destination.
 pub const QUEUE_RESUBMITTED_COUNTER: &str = "galaxy_queue_resubmitted_total";
@@ -121,7 +121,7 @@ pub struct WaveTimeCharging {
 pub struct QueueConfig {
     /// Bounded queue capacity (admission control rejects beyond it).
     pub capacity: usize,
-    /// Handler pool worker threads; also the wave width.
+    /// Modeled handler workers: the wave width.
     pub workers: u32,
     /// Optional cap on one user's simultaneously queued entries.
     pub per_user_limit: Option<usize>,
@@ -130,10 +130,8 @@ pub struct QueueConfig {
     pub resubmit: ResubmitPolicy,
     /// Optional wave-barrier virtual-clock charging.
     pub time_charging: Option<WaveTimeCharging>,
-    /// Pool backend: OS worker threads (default) or the event-driven
-    /// ready queue — see [`crate::scheduler::DispatchMode`]. Load
-    /// harnesses holding 10^5 in-flight jobs use [`DispatchMode::Event`]
-    /// so a wave never needs one OS thread per worker.
+    /// The dispatch backend; [`DispatchMode::Event`] is the only one
+    /// (see [`crate::scheduler::DispatchMode`] for why the field stays).
     pub dispatch: DispatchMode,
 }
 
@@ -145,7 +143,7 @@ impl Default for QueueConfig {
             per_user_limit: None,
             resubmit: ResubmitPolicy::none(),
             time_charging: None,
-            dispatch: DispatchMode::Threads,
+            dispatch: DispatchMode::Event,
         }
     }
 }
@@ -302,18 +300,23 @@ enum Retry {
     Fallback,
 }
 
-/// One wave member: the dispatched plan's bookkeeping.
+/// One wave member: the dispatched plan, its execution and bookkeeping.
 struct Dispatched {
-    job_id: u64,
+    plan: ExecutionPlan,
+    /// Recorder time the plan was handed over for execution.
+    handed_at: f64,
     duration: f64,
     wave_start: f64,
     span: Option<Span>,
+    /// The executor's result; `None` when a discarded wave skipped it.
+    result: Option<ExecutionResult>,
 }
 
 /// The asynchronous queue + DAG engine wrapping a [`GalaxyApp`].
 pub struct QueueEngine {
     app: GalaxyApp,
-    pool: HandlerPool,
+    executor: Arc<dyn JobExecutor>,
+    discard_listener: Mutex<Option<DiscardListener>>,
     queue: FairShareQueue<WorkItem>,
     default_resubmit: ResubmitPolicy,
     time_charging: Option<WaveTimeCharging>,
@@ -323,34 +326,36 @@ pub struct QueueEngine {
     /// shareable with reader threads (see [`ledger::JobsLedger`]).
     ledger: JobsLedger,
     workflows: Vec<DagRun>,
-    /// One-shot fault flag: discard the next dispatched wave's plans at
-    /// the pool instead of executing them (see
-    /// [`QueueEngine::discard_next_wave`]).
+    /// One-shot fault flag: skip the next dispatched wave's plans instead
+    /// of executing them (see [`QueueEngine::discard_next_wave`]).
     discard_next_wave: bool,
 }
 
 impl QueueEngine {
-    /// Build an engine over `app`, dispatching plans on `executor` through
-    /// a handler pool that shares the app's recorder.
+    /// Build an engine over `app`, executing plans on `executor` and
+    /// reporting the handler-pool metrics ([`crate::scheduler`]) into the
+    /// app's recorder.
     pub fn new(app: GalaxyApp, executor: Arc<dyn JobExecutor>, config: QueueConfig) -> Self {
-        let pool = HandlerPool::with_mode(
-            executor,
-            config.workers,
-            app.recorder().clone(),
-            config.dispatch,
-        );
-        app.recorder().metrics().set_gauge(QUEUE_DEPTH_GAUGE, 0.0);
+        let wave_size = config.workers.max(1) as usize;
+        // Publish the gauges at 0 up front so the exposition carries them
+        // even before the first job arrives.
+        let metrics = app.recorder().metrics();
+        metrics.set_gauge(pool::QUEUE_DEPTH_GAUGE, 0.0);
+        metrics.set_gauge(pool::WORKERS_BUSY_GAUGE, 0.0);
+        metrics.set_gauge(pool::WORKERS_TOTAL_GAUGE, wave_size as f64);
+        metrics.set_gauge(QUEUE_DEPTH_GAUGE, 0.0);
         QueueEngine {
             queue: FairShareQueue::new(config.capacity, config.per_user_limit),
             default_resubmit: config.resubmit,
             time_charging: config.time_charging,
-            wave_size: config.workers.max(1) as usize,
+            wave_size,
             jobs: HashMap::new(),
             ledger: JobsLedger::new(),
             workflows: Vec::new(),
             discard_next_wave: false,
             app,
-            pool,
+            executor,
+            discard_listener: Mutex::new(None),
         }
     }
 
@@ -514,26 +519,25 @@ impl QueueEngine {
     }
 
     /// Pump the queue until nothing is left to do: dispatch fair-share
-    /// waves through the handler pool, wait, apply completions, repeat.
+    /// waves, execute them, apply completions, repeat.
     pub fn run_until_idle(&mut self) {
         while self.pump_wave() > 0 {}
     }
 
     /// Run exactly one wave to completion: dispatch up to `workers` items,
-    /// wait for the pool, charge wave time, and apply completions.
+    /// execute them in order, charge wave time, and apply completions.
     /// Returns the number of wave members dispatched (0 when the queue is
     /// idle). Stepping wave by wave is how the simulation harness
     /// interleaves invariant checks with the engine's own barrier.
     pub fn pump_wave(&mut self) -> usize {
-        let wave = self.dispatch_wave();
+        let mut wave = self.dispatch_wave();
         if wave.is_empty() {
             return 0;
         }
         {
             obs::profile_scope!("queue.wave.await");
-            self.pool.barrier();
+            self.run_wave(&mut wave);
         }
-        self.pool.clear_discard();
         self.charge_wave_time(&wave);
         let n = wave.len();
         {
@@ -546,29 +550,24 @@ impl QueueEngine {
     }
 
     /// Arm a one-shot mid-wave discard fault: the next non-empty wave's
-    /// plans are prepared and dispatched as usual, but the pool skips
-    /// every one of them (notifying the discard listener) instead of
-    /// executing — the simulated analogue of a handler restart dropping
-    /// its queue between dispatch and pickup.
+    /// plans are prepared and dispatched as usual, but every one of them
+    /// is skipped (notifying the discard listener) instead of executed —
+    /// the simulated analogue of a handler restart dropping its queue
+    /// between dispatch and pickup.
     pub fn discard_next_wave(&mut self) {
         self.discard_next_wave = true;
     }
 
-    /// Drain outstanding work, stop the pool workers, and hand back the
-    /// wrapped app.
+    /// Drain outstanding work and hand back the wrapped app.
     pub fn shutdown(mut self) -> GalaxyApp {
         self.run_until_idle();
-        let QueueEngine { app, pool, .. } = self;
-        pool.shutdown();
-        app
+        self.app
     }
 
-    /// Stop without draining: still-queued items are dropped unprepared,
-    /// and plans already handed to the pool that no worker picked up are
-    /// skipped — each skip notifies the discard listener (see
-    /// [`QueueEngine::set_discard_listener`]) so preparation-time
-    /// resources (GYAN's GPU leases) are not leaked. Hands back the
-    /// wrapped app.
+    /// Stop without draining: still-queued items are dropped unprepared
+    /// and hand back the wrapped app. Every wave runs to completion inside
+    /// [`QueueEngine::pump_wave`], so no prepared plan is outstanding here
+    /// and no preparation-time resource (a GYAN GPU lease) can leak.
     pub fn shutdown_now(mut self) -> GalaxyApp {
         // Still-queued jobs never prepared, so they hold no attempt
         // resources — but their `galaxy.job` spans are open and must
@@ -580,18 +579,16 @@ impl QueueEngine {
             }
         }
         self.sync_depth_gauge();
-        let QueueEngine { app, pool, .. } = self;
-        pool.shutdown_now();
-        app
+        self.app
     }
 
-    /// Forward a discard listener to the handler pool: it is invoked once
-    /// per plan skipped by a discard shutdown, with the plan's job id.
-    /// Hooks that acquire per-job resources at preparation time register
-    /// their release here, since a skipped plan never reaches
-    /// [`GalaxyApp::finish_job`] and would otherwise leak them.
-    pub fn set_discard_listener(&self, listener: crate::scheduler::DiscardListener) {
-        self.pool.set_discard_listener(listener);
+    /// Register a discard listener: it is invoked once per plan a
+    /// discarded wave ([`QueueEngine::discard_next_wave`]) skips, with the
+    /// plan's job id. Hooks that acquire per-job resources at preparation
+    /// time register their release here, since a skipped plan never
+    /// reaches [`GalaxyApp::finish_job`] and would otherwise leak them.
+    pub fn set_discard_listener(&self, listener: DiscardListener) {
+        *self.discard_listener.lock() = Some(listener);
     }
 
     fn admit(&mut self, user: &str, what: &str) -> Result<(), GalaxyError> {
@@ -637,14 +634,13 @@ impl QueueEngine {
         self.sync_depth_gauge();
     }
 
-    /// Pop up to one wave of items, prepare every plan, then enqueue them
-    /// all on the pool. Preparing before dispatching keeps wave starts on
-    /// one deterministic virtual timestamp and lets hooks observe the
+    /// Pop up to one wave of items, prepare every plan, then hand them all
+    /// over for execution. Preparing before dispatching keeps wave starts
+    /// on one deterministic virtual timestamp and lets hooks observe the
     /// pre-wave cluster state.
     fn dispatch_wave(&mut self) -> Vec<Dispatched> {
         obs::profile_scope!("queue.dispatch_wave");
         let mut wave: Vec<Dispatched> = Vec::new();
-        let mut plans: Vec<ExecutionPlan> = Vec::new();
         let wave_start = self.app.recorder().now();
         while wave.len() < self.wave_size {
             let Some(popped) = self.queue.pop() else { break };
@@ -732,8 +728,14 @@ impl QueueEngine {
                         .time_charging
                         .as_ref()
                         .map_or(0.0, |tc| tc.model.duration(&plan).max(0.0));
-                    wave.push(Dispatched { job_id, duration, wave_start, span });
-                    plans.push(plan);
+                    wave.push(Dispatched {
+                        plan,
+                        handed_at: 0.0,
+                        duration,
+                        wave_start,
+                        span,
+                        result: None,
+                    });
                 }
                 Err(_) => {
                     // prepare_plan already marked the job failed.
@@ -744,17 +746,47 @@ impl QueueEngine {
                 }
             }
         }
-        if self.discard_next_wave && !plans.is_empty() {
-            // Armed fault: flip the pool into discard mode *before* the
-            // plans land, so every member of this wave is skipped. The
-            // pump clears the mode once the wave barrier passes.
-            self.discard_next_wave = false;
-            self.pool.discard_pending();
-        }
-        for plan in plans {
-            self.pool.enqueue(plan);
+        // Hand-over: every member waits from here until its turn.
+        let recorder = self.app.recorder();
+        for member in &mut wave {
+            member.handed_at = recorder.now();
+            recorder.metrics().add_gauge(pool::QUEUE_DEPTH_GAUGE, 1.0);
+            recorder.metrics().inc_counter(pool::JOBS_SUBMITTED_COUNTER, 1);
         }
         wave
+    }
+
+    /// Execute a dispatched wave in order on the calling thread, or skip
+    /// every member (notifying the discard listener) when a
+    /// [`QueueEngine::discard_next_wave`] fault is armed.
+    fn run_wave(&mut self, wave: &mut [Dispatched]) {
+        let discard = std::mem::take(&mut self.discard_next_wave);
+        let listener = if discard { self.discard_listener.lock().clone() } else { None };
+        let recorder = self.app.recorder();
+        let metrics = recorder.metrics();
+        for member in wave {
+            metrics.add_gauge(pool::QUEUE_DEPTH_GAUGE, -1.0);
+            if discard {
+                // Skipped plan: tell the listener so attempt-scoped
+                // resources (GYAN leases) held by never-executed plans
+                // are freed.
+                metrics.inc_counter(pool::JOBS_SKIPPED_COUNTER, 1);
+                if let Some(listener) = &listener {
+                    listener(member.plan.job_id);
+                }
+                continue;
+            }
+            let wait = (recorder.now() - member.handed_at).max(0.0);
+            metrics.add_gauge(pool::WORKERS_BUSY_GAUGE, 1.0);
+            metrics.observe(pool::QUEUE_WAIT_HISTOGRAM, wait);
+            let result = self.executor.execute(&member.plan);
+            if result.exit_code != 0 {
+                metrics.inc_counter(pool::JOBS_FAILED_COUNTER, 1);
+            }
+            member.result = Some(result);
+            metrics.add_gauge(pool::WORKERS_BUSY_GAUGE, -1.0);
+            metrics.inc_counter(pool::JOBS_EXECUTED_COUNTER, 1);
+        }
     }
 
     /// Resolve a ready DAG step's parameters (upstream outputs + literals)
@@ -821,13 +853,12 @@ impl QueueEngine {
     /// Apply one wave member's result: success feeds the history and may
     /// unblock DAG dependents; failure consults the resubmit policy.
     fn complete(&mut self, dispatched: Dispatched) {
-        let Dispatched { job_id, duration, wave_start, span } = dispatched;
-        // A wave member without a pool result was skipped by a mid-wave
-        // discard: the worker never ran it, and the pool's discard
-        // listener (not this path) owns releasing its attempt resources.
-        // Taking (not reading) the result keeps the pool's map bounded
-        // by the wave width across an arbitrarily long run.
-        let Some(result) = self.pool.take_result(job_id) else {
+        let Dispatched { plan, duration, wave_start, span, result, .. } = dispatched;
+        let job_id = plan.job_id;
+        // A wave member without a result was skipped by a mid-wave
+        // discard: it never ran, and the discard listener (not this path)
+        // owns releasing its attempt resources.
+        let Some(result) = result else {
             if let Some(s) = span {
                 s.field("discarded", true);
                 s.end();

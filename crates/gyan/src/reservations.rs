@@ -33,7 +33,7 @@
 //!   and a declared memory hint;
 //! * **released** on job finish, terminal failure, preparation failure,
 //!   retryable failure (*before* the resubmitted attempt re-prepares),
-//!   and discard shutdown (via [`LeaseTable::discard_listener`]);
+//!   and a discarded wave (via [`LeaseTable::discard_listener`]);
 //! * re-preparation re-acquires: a holder's stale leases are superseded
 //!   when it allocates again.
 //!
@@ -176,8 +176,8 @@ impl Inner {
 }
 
 /// The shared lease table. Clones share state; the table is thread-safe
-/// (the queue engine prepares plans on one thread, but the discard
-/// listener runs on pool worker threads).
+/// (the queue engine prepares and concludes plans on one thread, but ops
+/// readers and concurrent tests reach it from others).
 #[derive(Clone, Default)]
 pub struct LeaseTable {
     inner: Arc<Mutex<Inner>>,
@@ -384,9 +384,9 @@ impl LeaseTable {
         set.into_iter().collect()
     }
 
-    /// A [`galaxy::scheduler::HandlerPool`] discard listener releasing
-    /// the leases of plans skipped by a discard shutdown. Runs on pool
-    /// worker threads, hence the owned recorder clone.
+    /// A `QueueEngine` discard listener releasing the leases of plans a
+    /// discarded wave skips. It outlives this borrow, hence the owned
+    /// recorder clone.
     pub fn discard_listener(&self, recorder: Option<Recorder>) -> Arc<dyn Fn(u64) + Send + Sync> {
         let table = self.clone();
         Arc::new(move |job_id| {

@@ -156,9 +156,8 @@ impl GyanConfig {
 /// operations plane can dump recent history on demand or on alert.
 ///
 /// Returns the lease table so callers can inspect reservations, or hand
-/// [`LeaseTable::discard_listener`] to a
-/// [`galaxy::scheduler::HandlerPool`] / `QueueEngine` so leases of plans
-/// skipped by a discard shutdown are released too.
+/// [`LeaseTable::discard_listener`] to a `QueueEngine` so leases of plans
+/// a discarded wave skips are released too.
 pub fn install_gyan(app: &mut GalaxyApp, cluster: &GpuCluster, config: GyanConfig) -> LeaseTable {
     install_gyan_with_footprint(app, cluster, config).0
 }

@@ -4,13 +4,12 @@
 //! Nothing is mocked below the executor: [`simtest::driver`] builds a
 //! [`GalaxyApp`](galaxy::GalaxyApp) from the shipped `GYAN_JOB_CONF`,
 //! installs GYAN over one node or over the fleet, per topology, and
-//! pumps a real [`QueueEngine`](galaxy::queue::QueueEngine) in
-//! [`DispatchMode::Event`](galaxy::queue::DispatchMode::Event) — so a
-//! hundred thousand in-flight jobs cost a ready-queue entry each, not
-//! an OS thread each. Only the tool *body* is synthetic: a
-//! [`LoadExecutor`] that succeeds (or injects a failure) instantly,
-//! with each job's virtual runtime charged by the wave-time model from
-//! a job environment variable.
+//! pumps a real [`QueueEngine`](galaxy::queue::QueueEngine), which runs
+//! each wave inline on the calling thread — so a hundred thousand
+//! in-flight jobs cost a queue entry each, not an OS thread each. Only
+//! the tool *body* is synthetic: a [`LoadExecutor`] that succeeds (or
+//! injects a failure) instantly, with each job's virtual runtime charged
+//! by the wave-time model from a job environment variable.
 //!
 //! What is the load harness's own lives here: that executor and model,
 //! the per-job environment a submission exports, and the SLO assertion —
@@ -150,7 +149,7 @@ pub const DEFAULT_SLO_RULES: &[&str] = &[
 ];
 
 /// Outcome of one passing soak run. Deterministic per scenario: two
-/// runs of the same seed (even across dispatch backends) compare equal.
+/// runs of the same seed compare equal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoadReport {
     /// Generating seed.
@@ -358,7 +357,6 @@ pub fn run_scenario_recorded(
 mod tests {
     use super::*;
     use crate::scenario::{LoadScenario, Topology};
-    use galaxy::queue::DispatchMode;
 
     /// A fast scenario for unit tests: a few hundred arrivals squeezed
     /// into a short horizon.
@@ -453,15 +451,6 @@ mod tests {
         assert!(report.fired.is_empty(), "fired: {:?}", report.fired);
         assert!(report.submitted > 100, "only {} submitted", report.submitted);
         assert!(report.makespan_s >= 600.0 - 15.0, "makespan {}", report.makespan_s);
-    }
-
-    #[test]
-    fn event_and_thread_backends_produce_identical_reports() {
-        let event = run_scenario(&small(33), &LoadOptions::default()).expect("event run");
-        let mut threaded_scenario = small(33);
-        threaded_scenario.dispatch = DispatchMode::Threads;
-        let threads = run_scenario(&threaded_scenario, &LoadOptions::default()).expect("threads");
-        assert_eq!(event, threads);
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //! * **asserting** — a healthy scenario must keep
 //!   [`DEFAULT_SLO_RULES`] quiet, and a failure ([`simtest::Failure`])
 //!   carries the fired-alert list plus a flight-recorder dump;
-//! * **scalable** — the queue's event-driven dispatch backend means
-//!   10^5 in-flight jobs need a ready-queue entry each, not an OS
-//!   thread each, and the recorder's retention cap keeps observability
+//! * **scalable** — the queue engine runs each wave inline, so 10^5
+//!   in-flight jobs need a queue entry each, not an OS thread each,
+//!   and the recorder's retention cap keeps observability
 //!   memory bounded.
 //!
 //! Environment knobs (all optional):

@@ -154,8 +154,9 @@ pub struct LoadScenario {
     pub topology: Topology,
     /// Queue admission capacity.
     pub capacity: usize,
-    /// Handler-pool dispatch backend. [`DispatchMode::Event`] is the
-    /// load-test default: 10^5 in-flight jobs without 10^5 OS threads.
+    /// Dispatch backend; [`DispatchMode::Event`] is the only one. The
+    /// field stays only because `benchmark/src/queue_day.rs` names it
+    /// (ROADMAP 1(b) deletes it with `QueueConfig::dispatch`).
     pub dispatch: DispatchMode,
     /// GPU memory model for synthetic GPU jobs. `None` (the default for
     /// every named shape) disables the OOM rule and keeps schedules

@@ -2,8 +2,7 @@
 //!
 //! Wraps `std::sync` primitives behind `parking_lot`'s non-poisoning API:
 //! `lock()`/`read()`/`write()` return guards directly (a poisoned lock is
-//! recovered rather than propagated), and `Condvar::wait` takes the guard
-//! by `&mut` as parking_lot does.
+//! recovered rather than propagated).
 
 use std::ops::{Deref, DerefMut};
 
@@ -26,16 +25,14 @@ impl<T> Mutex<T> {
 impl<T: ?Sized> Mutex<T> {
     /// Acquire the lock, blocking until available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard { inner: Some(self.0.lock().unwrap_or_else(|e| e.into_inner())) }
+        MutexGuard(self.0.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
     /// Try to acquire the lock without blocking.
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         match self.0.try_lock() {
-            Ok(g) => Some(MutexGuard { inner: Some(g) }),
-            Err(std::sync::TryLockError::Poisoned(e)) => {
-                Some(MutexGuard { inner: Some(e.into_inner()) })
-            }
+            Ok(g) => Some(MutexGuard(g)),
+            Err(std::sync::TryLockError::Poisoned(e)) => Some(MutexGuard(e.into_inner())),
             Err(std::sync::TryLockError::WouldBlock) => None,
         }
     }
@@ -46,23 +43,19 @@ impl<T: ?Sized> Mutex<T> {
     }
 }
 
-/// RAII guard for [`Mutex`]. Holds an `Option` internally so
-/// [`Condvar::wait`] can temporarily take ownership, as parking_lot's
-/// `&mut`-guard wait API requires.
-pub struct MutexGuard<'a, T: ?Sized> {
-    inner: Option<std::sync::MutexGuard<'a, T>>,
-}
+/// RAII guard for [`Mutex`].
+pub struct MutexGuard<'a, T: ?Sized>(std::sync::MutexGuard<'a, T>);
 
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard present")
+        &self.0
     }
 }
 
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard present")
+        &mut self.0
     }
 }
 
@@ -125,48 +118,9 @@ impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
     }
 }
 
-/// A condition variable with parking_lot's `&mut`-guard wait API.
-#[derive(Default, Debug)]
-pub struct Condvar(std::sync::Condvar);
-
-impl Condvar {
-    /// Create a new condition variable.
-    pub const fn new() -> Self {
-        Condvar(std::sync::Condvar::new())
-    }
-
-    /// Block until notified, atomically releasing and reacquiring the lock.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let inner = guard.inner.take().expect("guard present");
-        guard.inner = Some(self.0.wait(inner).unwrap_or_else(|e| e.into_inner()));
-    }
-
-    /// Block until `condition` returns false (parking_lot's `wait_while`).
-    pub fn wait_while<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        mut condition: impl FnMut(&mut T) -> bool,
-    ) {
-        while condition(&mut *guard) {
-            self.wait(guard);
-        }
-    }
-
-    /// Wake one waiting thread.
-    pub fn notify_one(&self) {
-        self.0.notify_one();
-    }
-
-    /// Wake every waiting thread.
-    pub fn notify_all(&self) {
-        self.0.notify_all();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn mutex_roundtrip() {
@@ -182,25 +136,6 @@ mod tests {
         assert_eq!(l.read().len(), 2);
         l.write().push(3);
         assert_eq!(*l.read(), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn condvar_signals_across_threads() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let pair2 = pair.clone();
-        let handle = std::thread::spawn(move || {
-            let (lock, cvar) = &*pair2;
-            *lock.lock() = true;
-            cvar.notify_all();
-        });
-        let (lock, cvar) = &*pair;
-        let mut done = lock.lock();
-        while !*done {
-            cvar.wait(&mut done);
-        }
-        assert!(*done);
-        drop(done);
-        handle.join().unwrap();
     }
 
     #[test]

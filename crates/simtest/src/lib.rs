@@ -6,7 +6,7 @@
 //! schedules, and a fault plan (SMI query errors, stale SMI snapshots,
 //! container launch failures, OOM kills, crashes, mid-wave discards).
 //! It runs the scenario through the *real*
-//! `QueueEngine`/`HandlerPool`/`install_gyan` stack and checks global
+//! `QueueEngine`/`install_gyan` stack and checks global
 //! invariants at every wave barrier:
 //!
 //! * no two exclusive leases on one GPU minor (an exclusive grant only

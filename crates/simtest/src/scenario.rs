@@ -105,7 +105,8 @@ pub struct FaultSpec {
     /// Freeze the SMI snapshot for the duration of this wave (stale
     /// observations), thawing before the next.
     pub freeze_smi_at_wave: Option<usize>,
-    /// Discard the plans of this wave at the pool (mid-wave discard).
+    /// Skip the plans of this wave instead of executing them (mid-wave
+    /// discard).
     pub discard_at_wave: Option<usize>,
 }
 
@@ -126,7 +127,7 @@ pub struct Scenario {
     pub seed: u64,
     /// GPUs on the node (0 = CPU-only host).
     pub gpu_count: u32,
-    /// Handler pool workers = wave width.
+    /// Modeled handler workers = wave width.
     pub workers: u32,
     /// Queue admission capacity.
     pub queue_capacity: usize,

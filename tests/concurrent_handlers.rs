@@ -1,20 +1,23 @@
-//! Concurrency integration: the handler pool runs several GPU tools
+//! Concurrency integration: handler worker threads run several GPU tools
 //! *simultaneously* on the simulated cluster; the monitor and nvidia-smi
-//! queries observe genuinely overlapping occupancy.
+//! queries observe genuinely overlapping occupancy. (The queue engine
+//! runs a wave inline; these tests drive the executor from real threads
+//! because they are about interleavings.)
 
 use galaxy::containers::ImageRegistry;
 use galaxy::job::conf::Destination;
 use galaxy::job::Job;
 use galaxy::params::ParamDict;
 use galaxy::runners::local::LocalRunner;
-use galaxy::scheduler::HandlerPool;
+use galaxy::runners::{ExecutionPlan, ExecutionResult, JobExecutor};
 use galaxy::tool::macros::MacroLibrary;
 use galaxy::tool::wrapper::parse_tool;
 use gpusim::GpuCluster;
 use seqtools::{DatasetSpec, ToolExecutor};
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::Mutex;
 
-fn racon_plan(cluster: &GpuCluster, job_id: u64, mask: &str) -> galaxy::runners::ExecutionPlan {
+fn racon_plan(cluster: &GpuCluster, job_id: u64, mask: &str) -> ExecutionPlan {
     let tool = parse_tool(
         r#"<tool id="racon_gpu">
           <requirements><requirement type="compute">gpu</requirement></requirements>
@@ -32,10 +35,31 @@ fn racon_plan(cluster: &GpuCluster, job_id: u64, mask: &str) -> galaxy::runners:
     LocalRunner.build_plan(&tool, &job, &dest, &ImageRegistry::new(), &[], &[], None).unwrap()
 }
 
+/// Execute `plans` on `workers` scoped threads pulling from one shared
+/// queue, the way Galaxy handler workers do; results keyed by job id.
+fn run_on_workers(
+    executor: &ToolExecutor,
+    plans: Vec<ExecutionPlan>,
+    workers: usize,
+) -> HashMap<u64, ExecutionResult> {
+    let queue = Mutex::new(plans.into_iter());
+    let results = Mutex::new(HashMap::new());
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let Some(plan) = queue.lock().unwrap().next() else { break };
+                let result = executor.execute(&plan);
+                results.lock().unwrap().insert(plan.job_id, result);
+            });
+        }
+    });
+    results.into_inner().unwrap()
+}
+
 #[test]
 fn pool_runs_gpu_jobs_concurrently_and_releases_devices() {
     let cluster = GpuCluster::k80_node();
-    let executor = Arc::new(ToolExecutor::new(&cluster));
+    let executor = ToolExecutor::new(&cluster);
     executor.register_dataset(DatasetSpec {
         name: "conc_racon",
         genome_len: 2_000,
@@ -48,13 +72,13 @@ fn pool_runs_gpu_jobs_concurrently_and_releases_devices() {
     // hosting a process proves concurrency.
     let monitor = gyan::UsageMonitor::start_with_interval(&cluster, 0.5);
 
-    let pool = HandlerPool::new(executor.clone(), 4);
-    pool.enqueue(racon_plan(&cluster, 1, "0"));
-    pool.enqueue(racon_plan(&cluster, 2, "1"));
-    pool.enqueue(racon_plan(&cluster, 3, "0"));
-    pool.enqueue(racon_plan(&cluster, 4, "1"));
-    let results = pool.wait_all();
-    pool.shutdown();
+    let plans = vec![
+        racon_plan(&cluster, 1, "0"),
+        racon_plan(&cluster, 2, "1"),
+        racon_plan(&cluster, 3, "0"),
+        racon_plan(&cluster, 4, "1"),
+    ];
+    let results = run_on_workers(&executor, plans, 4);
 
     assert_eq!(results.len(), 4);
     for (id, result) in &results {
@@ -81,12 +105,12 @@ fn pool_runs_gpu_jobs_concurrently_and_releases_devices() {
 
 #[test]
 fn deterministic_results_under_concurrency() {
-    // The same plan executed serially and through the pool must yield the
-    // identical consensus: virtual-time interleaving never leaks into the
-    // computation itself.
-    let run = |workers: u32| -> String {
+    // The same plan executed serially and on concurrent workers must yield
+    // the identical consensus: virtual-time interleaving never leaks into
+    // the computation itself.
+    let run = |workers: usize| -> String {
         let cluster = GpuCluster::k80_node();
-        let executor = Arc::new(ToolExecutor::new(&cluster));
+        let executor = ToolExecutor::new(&cluster);
         executor.register_dataset(DatasetSpec {
             name: "conc_racon",
             genome_len: 2_000,
@@ -94,11 +118,8 @@ fn deterministic_results_under_concurrency() {
             read_len: 1_500,
             ..DatasetSpec::alzheimers_nfl()
         });
-        let pool = HandlerPool::new(executor, workers);
-        pool.enqueue(racon_plan(&cluster, 1, "0"));
-        pool.enqueue(racon_plan(&cluster, 2, "1"));
-        let results = pool.wait_all();
-        pool.shutdown();
+        let plans = vec![racon_plan(&cluster, 1, "0"), racon_plan(&cluster, 2, "1")];
+        let results = run_on_workers(&executor, plans, workers);
         let mut outs: Vec<String> = results.values().map(|r| r.stdout.clone()).collect();
         outs.sort();
         outs.join("\n")

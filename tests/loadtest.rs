@@ -8,7 +8,7 @@
 
 use galaxy::job::conf::{JobConfig, GYAN_JOB_CONF};
 use galaxy::params::ParamDict;
-use galaxy::queue::{DispatchMode, QueueConfig, QueueEngine};
+use galaxy::queue::{QueueConfig, QueueEngine};
 use galaxy::tool::macros::MacroLibrary;
 use galaxy::GalaxyApp;
 use gpusim::{GpuArch, GpuCluster};
@@ -137,8 +137,8 @@ fn scrape(body: &str, name: &str) -> f64 {
 /// Regression for the event-loop gauge wiring: an operator scraping
 /// `/metrics` mid-burst must see a coherent pool — at every wave
 /// barrier `queued + busy + executed + skipped == submitted`, and
-/// `workers_total` reports the nominal width even though the event
-/// backend spawns no OS threads.
+/// `workers_total` reports the nominal width even though the engine
+/// runs each wave inline, on no OS thread of its own.
 #[test]
 fn metrics_scrape_mid_burst_conserves_pool_gauges() {
     let cluster = GpuCluster::node(GpuArch::tesla_k80(), 4);
@@ -147,12 +147,7 @@ fn metrics_scrape_mid_burst_conserves_pool_gauges() {
     let table = install_gyan(&mut app, &cluster, GyanConfig::default());
     let recorder = app.recorder().clone();
     app.set_executor(Box::new(loadgen::LoadExecutor));
-    let config = QueueConfig {
-        workers: 4,
-        capacity: 4_096,
-        dispatch: DispatchMode::Event,
-        ..QueueConfig::default()
-    };
+    let config = QueueConfig { workers: 4, capacity: 4_096, ..QueueConfig::default() };
     let mut engine = QueueEngine::new(app, Arc::new(loadgen::LoadExecutor), config);
     let alerts = AlertEngine::new(&recorder);
     let handle = ops_server(&recorder, &cluster, &table, &engine.ledger(), &alerts)
@@ -180,8 +175,8 @@ fn metrics_scrape_mid_burst_conserves_pool_gauges() {
             "pool gauges incoherent at wave {waves}: {queued} + {busy} + {executed} + {skipped} != {submitted}"
         );
         assert_eq!(scrape(&body, "galaxy_pool_workers_total"), 4.0);
-        // At a barrier the pool's ready lane is drained (queued = busy
-        // = 0); "mid-burst" means the *engine* still holds a fair-share
+        // At a barrier every handed-over plan has run (queued = busy =
+        // 0); "mid-burst" means the *engine* still holds a fair-share
         // backlog while we scrape.
         if scrape(&body, "galaxy_queue_depth") > 0.0 {
             scraped_with_backlog += 1;

@@ -7,10 +7,8 @@
 use galaxy::app::{JOBS_OK_COUNTER, JOBS_SUBMITTED_COUNTER};
 use galaxy::job::conf::{JobConfig, GYAN_JOB_CONF};
 use galaxy::params::ParamDict;
-use galaxy::runners::{ExecutionPlan, JobExecutor};
-use galaxy::scheduler::{
-    HandlerPool, JOBS_EXECUTED_COUNTER, QUEUE_DEPTH_GAUGE, WORKERS_BUSY_GAUGE,
-};
+use galaxy::queue::{QueueConfig, QueueEngine};
+use galaxy::scheduler::{JOBS_EXECUTED_COUNTER, QUEUE_DEPTH_GAUGE, WORKERS_BUSY_GAUGE};
 use galaxy::tool::macros::MacroLibrary;
 use galaxy::GalaxyApp;
 use gpusim::GpuCluster;
@@ -189,24 +187,16 @@ fn prometheus_exposition_parses_and_pool_gauges_drain_to_zero() {
     app.submit("racon_dev0", &ParamDict::new()).unwrap();
     app.submit("count_reads", &ParamDict::new()).unwrap();
 
-    // Run extra plans through a handler pool sharing the app's recorder.
-    let pool =
-        HandlerPool::with_recorder(exec.clone() as Arc<dyn JobExecutor>, 2, app.recorder().clone());
-    for job_id in [101u64, 102, 103] {
-        pool.enqueue(ExecutionPlan {
-            job_id,
-            tool_id: "count_reads".to_string(),
-            destination_id: "local_cpu".to_string(),
-            command_line: "echo queued".to_string(),
-            env: Vec::new(),
-            container: None,
-            command_parts: vec!["echo".to_string(), "queued".to_string()],
-        });
+    // Run three more jobs through a queue engine sharing the app's
+    // recorder: they are app jobs too, so the app counters read 5.
+    let config = QueueConfig { workers: 2, ..QueueConfig::default() };
+    let mut engine = QueueEngine::new(app, exec, config);
+    for _ in 0..3 {
+        engine.submit_async("alice", "count_reads", &ParamDict::new()).unwrap();
     }
-    pool.wait_all();
-    pool.shutdown();
+    engine.run_until_idle();
 
-    let text = app.recorder().metrics().render_prometheus();
+    let text = engine.app().recorder().metrics().render_prometheus();
     let samples = parse_prometheus(&text).expect("exposition parses");
     let value = |name: &str| {
         samples
@@ -215,8 +205,8 @@ fn prometheus_exposition_parses_and_pool_gauges_drain_to_zero() {
             .unwrap_or_else(|| panic!("{name} missing from exposition:\n{text}"))
             .value
     };
-    assert_eq!(value(JOBS_SUBMITTED_COUNTER), 2.0);
-    assert_eq!(value(JOBS_OK_COUNTER), 2.0);
+    assert_eq!(value(JOBS_SUBMITTED_COUNTER), 5.0);
+    assert_eq!(value(JOBS_OK_COUNTER), 5.0);
     assert_eq!(value(JOBS_EXECUTED_COUNTER), 3.0);
     // Once drained, the queue gauges read zero again.
     assert_eq!(value(QUEUE_DEPTH_GAUGE), 0.0);

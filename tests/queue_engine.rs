@@ -9,12 +9,14 @@ use galaxy::queue::{
     DagStep, DagWorkflow, QueueConfig, QueueEngine, ResubmitPolicy, SubmissionState,
     WaveTimeCharging, QUEUE_REJECTED_COUNTER, QUEUE_RESUBMITTED_COUNTER,
 };
+use galaxy::runners::{ExecutionPlan, ExecutionResult, JobExecutor};
+use galaxy::scheduler::{JOBS_EXECUTED_COUNTER, JOBS_FAILED_COUNTER, JOBS_SKIPPED_COUNTER};
 use galaxy::tool::macros::MacroLibrary;
 use galaxy::{GalaxyApp, GalaxyError, JobState};
 use gpusim::{GpuCluster, GpuProcess};
 use gyan::setup::{install_gyan, ClusterTime, GyanConfig};
 use seqtools::{DatasetSpec, ToolExecutor};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 const ECHO_TOOL: &str = r#"<tool id="echo" name="Echo">
   <command>echo $text</command>
@@ -467,4 +469,108 @@ fn failed_step_cancels_dependents_but_not_siblings() {
     let cancels = engine.app().recorder().events_named("galaxy.queue.cancel");
     assert_eq!(cancels.len(), 1);
     assert_eq!(cancels[0].field("step").and_then(|v| v.as_f64()), Some(1.0));
+}
+
+/// The job ids of the `galaxy.queue.dispatch` audit trail, in order.
+fn dispatched_ids(engine: &QueueEngine) -> Vec<u64> {
+    engine
+        .app()
+        .recorder()
+        .events_named("galaxy.queue.dispatch")
+        .iter()
+        .map(|e| e.field("job_id").and_then(|v| v.as_f64()).unwrap() as u64)
+        .collect()
+}
+
+/// Echoes like [`echo_executor`] and remembers the order it saw plans in.
+struct OrderRecording {
+    inner: Arc<ToolExecutor>,
+    seen: Mutex<Vec<u64>>,
+}
+
+impl JobExecutor for OrderRecording {
+    fn execute(&self, plan: &ExecutionPlan) -> ExecutionResult {
+        self.seen.lock().unwrap().push(plan.job_id);
+        self.inner.execute(plan)
+    }
+}
+
+#[test]
+fn failed_counter_counts_every_failed_attempt_retries_included() {
+    // `typo` exits 127 on all three attempts its policy allows; `echo`
+    // succeeds once. Every failed attempt counts, not every failed job.
+    let mut app = echo_app();
+    let typo = r#"<tool id="typo"><command>racoon --help</command></tool>"#;
+    app.install_tool_xml(typo, &MacroLibrary::new()).unwrap();
+    let policy = ResubmitPolicy {
+        max_attempts: 3,
+        fallbacks: vec!["local_gpu".into(), "local_cpu".into()],
+        node_retries: 0,
+        footprint_retries: 0,
+    };
+    let config = QueueConfig { resubmit: policy, ..QueueConfig::default() };
+    let mut engine = QueueEngine::new(app, echo_executor(), config);
+    let doomed = engine.submit_async("alice", "typo", &ParamDict::new()).unwrap();
+    let fine = engine.submit_async("bob", "echo", &ParamDict::new()).unwrap();
+    engine.run_until_idle();
+
+    assert_eq!(engine.state(doomed), Some(SubmissionState::Error));
+    assert_eq!(engine.state(fine), Some(SubmissionState::Ok));
+    let metrics = engine.app().recorder().metrics();
+    assert_eq!(metrics.counter_value(JOBS_FAILED_COUNTER), 3);
+    assert_eq!(metrics.counter_value(JOBS_EXECUTED_COUNTER), 4);
+    assert!(metrics.render_prometheus().contains(JOBS_FAILED_COUNTER));
+}
+
+#[test]
+fn executor_sees_each_wave_in_dispatch_audit_order() {
+    // Three users and a priority bump: fair share reorders the queue, and
+    // the executor must run each wave exactly as the dispatch audit says.
+    let executor =
+        Arc::new(OrderRecording { inner: echo_executor(), seen: Mutex::new(Vec::new()) });
+    let config = QueueConfig { workers: 4, ..QueueConfig::default() };
+    let mut engine = QueueEngine::new(echo_app(), executor.clone(), config);
+    for i in 0..9u8 {
+        let user = ["alice", "bob", "carol"][usize::from(i % 3)];
+        engine.submit_with_priority(user, "echo", &ParamDict::new(), i % 4).unwrap();
+    }
+    engine.run_until_idle();
+
+    let seen = executor.seen.lock().unwrap().clone();
+    assert_eq!(seen.len(), 9);
+    assert_eq!(seen, dispatched_ids(&engine));
+}
+
+#[test]
+fn discarded_wave_notifies_the_listener_once_per_member_then_the_next_wave_runs() {
+    let config = QueueConfig { workers: 3, ..QueueConfig::default() };
+    let mut engine = QueueEngine::new(echo_app(), echo_executor(), config);
+    let skipped = Arc::new(Mutex::new(Vec::<u64>::new()));
+    let sink = skipped.clone();
+    engine.set_discard_listener(Arc::new(move |job_id| sink.lock().unwrap().push(job_id)));
+
+    // Armed before an empty wave, the fault stays armed.
+    engine.discard_next_wave();
+    assert_eq!(engine.pump_wave(), 0);
+    let handles: Vec<_> =
+        (0..5).map(|_| engine.submit_async("alice", "echo", &ParamDict::new()).unwrap()).collect();
+
+    assert_eq!(engine.pump_wave(), 3);
+    let first_wave = dispatched_ids(&engine);
+    assert_eq!(*skipped.lock().unwrap(), first_wave, "one call per member, in wave order");
+    let metrics = engine.app().recorder().metrics();
+    assert_eq!(metrics.counter_value(JOBS_SKIPPED_COUNTER), 3);
+    assert_eq!(metrics.counter_value(JOBS_EXECUTED_COUNTER), 0);
+    for id in &first_wave {
+        assert_eq!(engine.state(galaxy::queue::JobHandle(*id)), Some(SubmissionState::Cancelled));
+    }
+
+    // One-shot: the next wave executes normally.
+    assert_eq!(engine.pump_wave(), 2);
+    assert_eq!(skipped.lock().unwrap().len(), 3, "listener not called again");
+    let metrics = engine.app().recorder().metrics();
+    assert_eq!(metrics.counter_value(JOBS_SKIPPED_COUNTER), 3);
+    assert_eq!(metrics.counter_value(JOBS_EXECUTED_COUNTER), 2);
+    let ran = handles.iter().filter(|h| engine.state(**h) == Some(SubmissionState::Ok)).count();
+    assert_eq!(ran, 2);
 }

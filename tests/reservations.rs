@@ -1,14 +1,14 @@
 //! The reservation layer under the queue engine: same-wave contention
 //! cannot double-book a device, invalid requests are audited, leases
-//! survive neither failure, resubmission, nor discard shutdown, and a
+//! survive neither failure, resubmission, nor a discarded wave, and a
 //! property test holds the no-oversubscription invariant across random
 //! schedules.
 
 use galaxy::job::conf::{JobConfig, GYAN_JOB_CONF};
 use galaxy::params::ParamDict;
-use galaxy::queue::{QueueConfig, QueueEngine, ResubmitPolicy, SubmissionState};
+use galaxy::queue::{JobHandle, QueueConfig, QueueEngine, ResubmitPolicy, SubmissionState};
 use galaxy::runners::{ExecutionPlan, ExecutionResult, JobExecutor, NullExecutor};
-use galaxy::scheduler::{HandlerPool, JOBS_EXECUTED_COUNTER};
+use galaxy::scheduler::JOBS_EXECUTED_COUNTER;
 use galaxy::tool::macros::MacroLibrary;
 use galaxy::GalaxyApp;
 use gpusim::GpuCluster;
@@ -260,56 +260,53 @@ fn gpu_failure_releases_lease_before_cpu_retry() {
     );
 }
 
-/// Executes slowly enough that a discard shutdown catches queued plans,
-/// and remembers which job ids actually ran.
-struct SlowOk {
+/// Remembers which job ids actually ran.
+struct RecordingOk {
     ran: std::sync::Mutex<Vec<u64>>,
 }
 
-impl JobExecutor for SlowOk {
+impl JobExecutor for RecordingOk {
     fn execute(&self, plan: &ExecutionPlan) -> ExecutionResult {
-        std::thread::sleep(std::time::Duration::from_millis(25));
         self.ran.lock().unwrap().push(plan.job_id);
         ExecutionResult::ok("")
     }
 }
 
-/// Plans skipped by a discard shutdown never execute and never conclude —
-/// the pool's discard listener must be the one to release their leases.
+/// Plans a discarded wave skips never execute and never conclude — the
+/// engine's discard listener must be the one to release their leases.
 #[test]
 fn discard_shutdown_releases_leases_of_never_executed_plans() {
     let cluster = GpuCluster::k80_node();
-    let (mut app, table) =
+    let (app, table) =
         app_with_tools(&cluster, AllocationPolicy::ProcessId, &[("pin0", "0"), ("pin1", "1")]);
     let rec = app.recorder().clone();
+    let executor = Arc::new(RecordingOk { ran: std::sync::Mutex::new(Vec::new()) });
+    let config = QueueConfig { workers: 4, ..QueueConfig::default() };
+    let mut engine = QueueEngine::new(app, executor.clone(), config);
+    engine.set_discard_listener(table.discard_listener(Some(rec.clone())));
 
-    // Prepare a backlog of plans — each preparation leases devices.
     let mut ids = Vec::new();
-    let mut plans = Vec::new();
     for i in 0..8 {
         let tool = if i % 2 == 0 { "pin0" } else { "pin1" };
-        let id = app.create_job(tool, &ParamDict::new()).unwrap();
-        plans.push(app.prepare_plan(id, None).unwrap());
-        ids.push(id);
+        ids.push(engine.submit_async("alice", tool, &ParamDict::new()).unwrap().0);
     }
+    // The first wave is prepared — each preparation leases devices — and
+    // then dropped unexecuted; the second wave runs normally.
+    engine.discard_next_wave();
+    engine.run_until_idle();
     let acquired = rec.metrics().counter_value(RESERVATIONS_ACQUIRED_COUNTER);
     assert!(acquired > 0);
 
-    let executor = Arc::new(SlowOk { ran: std::sync::Mutex::new(Vec::new()) });
-    let pool = HandlerPool::with_recorder(executor.clone(), 1, rec.clone());
-    pool.set_discard_listener(table.discard_listener(Some(rec.clone())));
-    for plan in plans {
-        pool.enqueue(plan);
-    }
-    pool.shutdown_now();
-
     let executed = rec.metrics().counter_value(JOBS_EXECUTED_COUNTER);
     assert!(executed < 8, "discard must skip queued plans, ran {executed}");
+    for id in &ids[..4] {
+        assert_eq!(engine.state(JobHandle(*id)), Some(SubmissionState::Cancelled));
+    }
 
     // Every never-executed plan's leases were released by the listener;
-    // executed plans were never concluded in this harness, so exactly
-    // their leases remain.
+    // executed plans concluded, which released theirs.
     let ran = executor.ran.lock().unwrap().clone();
+    assert_eq!(ran, ids[4..], "the wave after the discarded one ran");
     let holders = table.holders();
     for id in &ids {
         if !ran.contains(id) {
