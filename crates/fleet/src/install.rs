@@ -112,11 +112,10 @@ fn parse_excluded_nodes(raw: &str) -> Vec<String> {
 /// hook, container GPU mutators, the fleet's shared clock as time source
 /// — through [`gyan::setup::install_hook`], exactly like a single node.
 ///
-/// The app's recorder is clocked on the fleet timeline with the
-/// flight-recorder ring enabled. Note the fleet must have been built
-/// with [`crate::FleetBuilder::recorder`] for placement and hook
-/// audits/metrics — `install_fleet` cannot retrofit a recorder into an
-/// already-built fleet's shards.
+/// The app's recorder is clocked on the fleet timeline. Note the fleet
+/// must have been built with [`crate::FleetBuilder::recorder`] for
+/// placement and hook audits/metrics — `install_fleet` cannot retrofit a
+/// recorder into an already-built fleet's shards.
 ///
 /// In [`MemoryHint::Learned`] mode the learned tool-wide p95 replaces the
 /// static hint in the dynamic rule's and the placement advisor's

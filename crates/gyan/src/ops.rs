@@ -12,7 +12,7 @@
 //! | `/api/jobs`        | job lifecycle snapshots from the queue ledger    |
 //! | `/api/jobs/<id>`   | one job, with the leases it currently holds      |
 //! | `/api/alerts`      | SLO alert-rule states from the [`AlertEngine`]   |
-//! | `/api/flightrec`   | flight-recorder JSONL dump (503 when disabled)   |
+//! | `/api/flightrec`   | flight-recorder JSONL dump (the log's tail)      |
 //! | `/api/profile`     | hot-path profiler aggregation (`?format=collapsed` for flamegraph text, `?reset=1` to clear) |
 //! | `/api/bench`       | last recorded perf trajectory (`BENCH_scheduler.json`) |
 //! | `/api/profiles`    | learned per-tool footprint profiles (`?format=prometheus` for a standalone exposition) |
@@ -34,9 +34,6 @@ use obs::slo::{AlertEngine, AlertExpr, AlertRule, Compare};
 use obs::Recorder;
 use std::path::PathBuf;
 use std::sync::Arc;
-
-/// Flight-recorder ring capacity `install_gyan` enables by default.
-pub const DEFAULT_FLIGHT_CAPACITY: usize = 512;
 
 /// Node label a single-node deployment reports.
 /// Multi-node fleets name each shard (`k80-000`, `a100-017`, ...) so the
@@ -311,9 +308,8 @@ pub fn ops_base(recorder: &Recorder, alerts: &AlertEngine) -> OpsServer {
         .route("/api/alerts", Arc::new(move |_req| Response::json(alerts.to_json())))
         .route(
             "/api/flightrec",
-            Arc::new(move |_req| match flight.flight_snapshot() {
-                Some(snapshot) => Response::ok("application/jsonl", snapshot.to_jsonl()),
-                None => Response::unavailable("flight recorder disabled"),
+            Arc::new(move |_req| {
+                Response::ok("application/jsonl", flight.flight_snapshot().to_jsonl())
             }),
         )
         .route("/api/profile", profile_route())
@@ -496,7 +492,6 @@ mod tests {
     #[test]
     fn ops_server_serves_every_endpoint() {
         let (recorder, cluster, table, ledger, alerts) = stack();
-        recorder.enable_flight(DEFAULT_FLIGHT_CAPACITY);
         recorder.metrics().inc_counter("demo_total", 3);
         alerts.add_rule(AlertRule::new(
             "demo",
@@ -610,16 +605,5 @@ mod tests {
 
         handle.shutdown();
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn flightrec_is_503_when_the_recorder_has_no_ring() {
-        let (recorder, cluster, table, ledger, alerts) = stack();
-        let handle = ops_server(&recorder, &cluster, &table, &ledger, &alerts)
-            .start("127.0.0.1:0")
-            .expect("bind");
-        let (status, _) = http_get(handle.addr(), "/api/flightrec").unwrap();
-        assert_eq!(status, 503);
-        handle.shutdown();
     }
 }

@@ -151,9 +151,8 @@ impl GyanConfig {
 /// with the rule, the hook, and the lease table (so their decision and
 /// reservation audit events land in the same log as the job spans), and
 /// its clock is driven by the cluster's virtual clock, making every
-/// exported timestamp deterministic. The recorder's flight-recorder ring
-/// is enabled (capacity [`crate::ops::DEFAULT_FLIGHT_CAPACITY`]) so the
-/// operations plane can dump recent history on demand or on alert.
+/// exported timestamp deterministic. The operations plane dumps the
+/// recorder's recent history (its flight window) on demand or on alert.
 ///
 /// Returns the lease table so callers can inspect reservations, or hand
 /// [`LeaseTable::discard_listener`] to a `QueueEngine` so leases of plans
@@ -197,11 +196,11 @@ pub fn install_gyan_with_footprint(
 /// Everything [`install_gyan`] and `fleet::install_fleet` share — all but
 /// the destination rule: the [`GyanHook`] over `placer`, both container
 /// GPU mutators, and `clock` as the app's time source and the recorder's
-/// clock (with the flight-recorder ring enabled). Returns the
-/// [`FootprintRegistry`] the hook feeds. In [`MemoryHint::Learned`] mode
-/// the registry additionally backs a [`galaxy::FootprintAdvisor`] on the
-/// app, so the queue engine's footprint-revised resubmission ladder can
-/// ask for a bigger budget before falling back to CPU.
+/// clock. Returns the [`FootprintRegistry`] the hook feeds. In
+/// [`MemoryHint::Learned`] mode the registry additionally backs a
+/// [`galaxy::FootprintAdvisor`] on the app, so the queue engine's
+/// footprint-revised resubmission ladder can ask for a bigger budget
+/// before falling back to CPU.
 pub fn install_hook(
     app: &mut GalaxyApp,
     clock: &VirtualClock,
@@ -212,7 +211,6 @@ pub fn install_hook(
 ) -> FootprintRegistry {
     let recorder_clock = clock.clone();
     app.recorder().set_clock(move || recorder_clock.now());
-    app.recorder().enable_flight(crate::ops::DEFAULT_FLIGHT_CAPACITY);
 
     let footprint = FootprintRegistry::new();
     if memory_hint != MemoryHint::Static {

@@ -221,9 +221,9 @@ pub fn run_scenario(scenario: &LoadScenario, options: &LoadOptions) -> Result<Lo
     run_scenario_recorded(scenario, options).map(|(report, _)| report)
 }
 
-/// [`run_scenario`], also handing back the run's recorder (flight ring
-/// on, the last [`LOG_RETENTION`] records) — the telemetry the
-/// export-parity suite pins.
+/// [`run_scenario`], also handing back the run's recorder (the last
+/// [`LOG_RETENTION`] records) — the telemetry the export-parity suite
+/// pins.
 #[allow(clippy::result_large_err)]
 pub fn run_scenario_recorded(
     scenario: &LoadScenario,

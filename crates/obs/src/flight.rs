@@ -1,20 +1,18 @@
-//! Flight recorder: a fixed-capacity ring of the most recent closed
-//! spans and events, snapshottable at any moment into a self-contained
-//! JSONL dump or a Chrome trace.
+//! Flight recorder: the last [`CAPACITY`] ended spans and events of a
+//! [`crate::Recorder`]'s log, snapshottable at any moment into a
+//! self-contained JSONL dump or a Chrome trace.
 //!
-//! The ring lives inside [`crate::Recorder`] (see
-//! [`crate::Recorder::enable_flight`]) and holds a shared handle to the
-//! very record the span/event log stores, so while enabled it costs one
-//! reference count per closed span/event, not a copy; a record evicted
-//! from the log lives on for as long as the ring still holds it, and
-//! only a snapshot deep-copies. The point is post-mortems without
-//! full-run tracing: the ops server dumps it on `GET /api/flightrec`,
-//! the SLO engine captures one on every alert firing, and simtest
-//! attaches one to invariant violations.
+//! The window is a read over the log's tail, not a second store
+//! ([`crate::Recorder::flight_snapshot`]): recording costs nothing extra,
+//! so it is always on, and it holds only what the log still retains.
+//! The point is post-mortems without full-run tracing: the ops server
+//! dumps it on `GET /api/flightrec`, the SLO engine captures one on every
+//! alert firing, and simtest attaches one to invariant violations.
 
 use crate::{event_json_line, span_json_line, EventData, SpanData};
-use std::collections::VecDeque;
-use std::sync::Arc;
+
+/// Ended spans and events a [`FlightSnapshot`] holds at most.
+pub const CAPACITY: usize = 512;
 
 /// One entry of a [`FlightSnapshot`]: a closed span or an event.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,65 +41,16 @@ impl FlightRecord {
     }
 }
 
-/// One entry of the ring: the log's own record, shared.
-#[derive(Debug)]
-pub(crate) enum Shared {
-    Span(Arc<SpanData>),
-    Event(Arc<EventData>),
-}
-
-/// The bounded ring itself; owned by the recorder, mutated on every
-/// close/emit while flight recording is enabled.
-#[derive(Debug)]
-pub(crate) struct FlightRing {
-    capacity: usize,
-    records: VecDeque<Shared>,
-    dropped: u64,
-}
-
-impl FlightRing {
-    pub(crate) fn new(capacity: usize) -> Self {
-        FlightRing { capacity, records: VecDeque::with_capacity(capacity.min(1024)), dropped: 0 }
-    }
-
-    pub(crate) fn push(&mut self, record: Shared) {
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.records.len() == self.capacity {
-            self.records.pop_front();
-            self.dropped += 1;
-        }
-        self.records.push_back(record);
-    }
-
-    pub(crate) fn snapshot(&self, captured_at: f64) -> FlightSnapshot {
-        FlightSnapshot {
-            captured_at,
-            dropped: self.dropped,
-            records: self
-                .records
-                .iter()
-                .map(|record| match record {
-                    Shared::Span(s) => FlightRecord::Span(SpanData::clone(s)),
-                    Shared::Event(e) => FlightRecord::Event(EventData::clone(e)),
-                })
-                .collect(),
-        }
-    }
-}
-
-/// A self-contained copy of the flight ring at one instant.
+/// A self-contained copy of the flight window at one instant.
 #[derive(Debug, Clone)]
 pub struct FlightSnapshot {
     /// Recorder-clock time of the capture.
     pub captured_at: f64,
-    /// Records evicted (or refused, at capacity 0) since enablement —
-    /// how much history the ring has already forgotten.
+    /// Ended spans and events recorded but not in the window — how much
+    /// history the snapshot has already forgotten.
     pub dropped: u64,
-    /// Retained records, oldest first; still-open spans are appended
-    /// last with `end: null`.
+    /// The window's ended spans and events in record order, oldest
+    /// first; still-open spans are appended last with `end: null`.
     pub records: Vec<FlightRecord>,
 }
 
@@ -172,6 +121,7 @@ impl FlightSnapshot {
 
 #[cfg(test)]
 mod tests {
+    use super::CAPACITY;
     use crate::{json, Recorder};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
@@ -183,34 +133,81 @@ mod tests {
         (rec, cell)
     }
 
-    #[test]
-    fn disabled_recorder_has_no_flight_state() {
-        let rec = Recorder::new();
-        rec.event("loose", [("n", 1u64)]);
-        assert!(!rec.flight_enabled());
-        assert!(rec.flight_snapshot().is_none());
+    fn names(rec: &Recorder) -> Vec<String> {
+        rec.flight_snapshot().records.iter().map(|r| r.name().to_string()).collect()
     }
 
     #[test]
-    fn ring_retains_the_most_recent_records() {
+    fn window_wraps_exactly_at_capacity() {
         let (rec, clock) = stepped();
-        rec.enable_flight(3);
-        for i in 0..5u64 {
+        // Fill to exactly capacity: nothing dropped yet.
+        for i in 0..CAPACITY as u64 {
             clock.store(i * 1000, Ordering::SeqCst);
-            rec.event(format!("tick_{i}"), [("i", i)]);
+            rec.event(format!("fill_{i}"), [("i", i)]);
         }
-        let snap = rec.flight_snapshot().expect("flight enabled");
-        assert_eq!(snap.len(), 3);
-        assert_eq!(snap.dropped, 2);
-        let names: Vec<&str> = snap.records.iter().map(|r| r.name()).collect();
-        assert_eq!(names, ["tick_2", "tick_3", "tick_4"]);
-        assert_eq!(snap.records[0].t(), 2.0);
+        let full = rec.flight_snapshot();
+        assert_eq!((full.len(), full.dropped), (CAPACITY, 0));
+        assert_eq!(full.records[0].name(), "fill_0");
+
+        // The very next record wraps the window: length stays at capacity,
+        // the oldest record is the one that leaves.
+        rec.span("fill_last").end();
+        let wrapped = rec.flight_snapshot();
+        assert_eq!((wrapped.len(), wrapped.dropped), (CAPACITY, 1));
+        assert_eq!(wrapped.records[0].name(), "fill_1");
+        assert_eq!(wrapped.records[CAPACITY - 1].name(), "fill_last");
+        // The log itself still holds everything: only the window moved.
+        assert_eq!(rec.events().len(), CAPACITY);
+    }
+
+    /// Spans and events stamped at one clock reading come back in the
+    /// order they were recorded — the record number decides, the
+    /// timestamp cannot — and a span sits where it *ended*.
+    #[test]
+    fn records_at_one_timestamp_come_back_in_record_order() {
+        let rec = Recorder::new();
+        let outer = rec.span("outer");
+        rec.event("first", [("n", 1u64)]);
+        rec.span("inner").end();
+        rec.event_rows("row", [[("n", 2u64)], [("n", 3u64)]]);
+        outer.end();
+        rec.event("last", [("n", 4u64)]);
+        assert_eq!(names(&rec), ["first", "inner", "row", "row", "outer", "last"]);
+    }
+
+    /// Under a retention cap below the window's capacity the window holds
+    /// exactly what the log retains, and `dropped` counts every ended span
+    /// and event the log has let go.
+    #[test]
+    fn under_a_retention_cap_the_window_is_what_the_log_retains() {
+        let (rec, clock) = stepped();
+        rec.set_log_retention(Some(8));
+        let _held = rec.span("held_open");
+        for i in 0..100u64 {
+            clock.store(i * 1000, Ordering::SeqCst);
+            rec.span(format!("s{i}")).end();
+            rec.event(format!("e{i}"), [("i", i)]);
+        }
+        let snap = rec.flight_snapshot();
+        let ended = rec.spans().into_iter().filter(|s| s.end.is_some()).map(|s| s.name);
+        let retained: Vec<String> =
+            ended.chain(rec.events().into_iter().map(|e| e.name)).map(|n| n.to_string()).collect();
+        assert!(retained.len() < CAPACITY);
+        // Retained spans and events in record order, the open span last.
+        let want: Vec<String> = (0..100)
+            .flat_map(|i| [format!("s{i}"), format!("e{i}")])
+            .filter(|name| retained.contains(name))
+            .chain(["held_open".to_string()])
+            .collect();
+        assert_eq!(names(&rec), want);
+        assert_eq!(snap.dropped, 200 - retained.len() as u64);
+        let (dropped_spans, dropped_events) = rec.dropped_log_records();
+        assert_eq!(snap.dropped, dropped_spans + dropped_events);
     }
 
     #[test]
     fn snapshot_includes_open_spans_and_round_trips_as_jsonl() {
         let (rec, clock) = stepped();
-        rec.enable_flight(16);
         let closed = rec.span("closed");
         clock.store(100, Ordering::SeqCst);
         closed.end();
@@ -218,10 +215,9 @@ mod tests {
         rec.event("note", [("msg", "with \"quotes\"")]);
         clock.store(250, Ordering::SeqCst);
 
-        let snap = rec.flight_snapshot().unwrap();
+        let snap = rec.flight_snapshot();
         assert_eq!(snap.captured_at, 0.25);
-        let names: Vec<&str> = snap.records.iter().map(|r| r.name()).collect();
-        assert_eq!(names, ["closed", "note", "still_open"]);
+        assert_eq!(names(&rec), ["closed", "note", "still_open"]);
 
         let jsonl = snap.to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
@@ -239,13 +235,12 @@ mod tests {
     #[test]
     fn chrome_trace_export_is_valid_json_with_both_tracks() {
         let (rec, clock) = stepped();
-        rec.enable_flight(16);
         let s = rec.span("work");
         clock.store(2000, Ordering::SeqCst);
         s.end();
         rec.event("decision", [("gpu", 0u64)]);
 
-        let trace = rec.flight_snapshot().unwrap().to_chrome_trace();
+        let trace = rec.flight_snapshot().to_chrome_trace();
         let parsed = json::parse(&trace).expect("chrome trace parses");
         let events = parsed.get("traceEvents").and_then(|v| v.as_array()).unwrap();
         assert!(!events.is_empty());
@@ -256,53 +251,28 @@ mod tests {
     }
 
     #[test]
-    fn ring_wraps_exactly_at_capacity() {
-        let (rec, clock) = stepped();
-        rec.enable_flight(4);
-        // Fill to exactly capacity: nothing dropped yet.
-        for i in 0..4u64 {
-            clock.store(i * 1000, Ordering::SeqCst);
-            rec.event(format!("fill_{i}"), [("i", i)]);
-        }
-        let full = rec.flight_snapshot().unwrap();
-        assert_eq!(full.len(), 4);
-        assert_eq!(full.dropped, 0);
-
-        // The very next record triggers the wrap: length stays at
-        // capacity, the oldest record is the one evicted.
-        clock.store(4000, Ordering::SeqCst);
-        rec.event("fill_4", [("i", 4u64)]);
-        let wrapped = rec.flight_snapshot().unwrap();
-        assert_eq!(wrapped.len(), 4);
-        assert_eq!(wrapped.dropped, 1);
-        let names: Vec<&str> = wrapped.records.iter().map(|r| r.name()).collect();
-        assert_eq!(names, ["fill_1", "fill_2", "fill_3", "fill_4"]);
-    }
-
-    #[test]
     fn snapshot_ordering_is_stable_across_wraps_and_repeat_captures() {
         let (rec, clock) = stepped();
-        rec.enable_flight(5);
-        // Push far more records than the ring holds so it wraps several
-        // times over; retained records must still come back oldest-first
-        // with strictly non-decreasing timestamps.
-        for i in 0..23u64 {
+        // Record far more than the window holds; the window must still
+        // come back oldest-first with non-decreasing timestamps.
+        let total = 2 * CAPACITY as u64 + 23;
+        for i in 0..total {
             clock.store(i * 1000, Ordering::SeqCst);
-            rec.event(format!("seq_{i:02}"), [("i", i)]);
+            rec.event(format!("seq_{i:04}"), [("i", i)]);
         }
-        let snap = rec.flight_snapshot().unwrap();
-        assert_eq!(snap.len(), 5);
-        assert_eq!(snap.dropped, 18);
+        let snap = rec.flight_snapshot();
+        assert_eq!((snap.len(), snap.dropped), (CAPACITY, total - CAPACITY as u64));
         let names: Vec<&str> = snap.records.iter().map(|r| r.name()).collect();
-        assert_eq!(names, ["seq_18", "seq_19", "seq_20", "seq_21", "seq_22"]);
+        assert_eq!(names[0], format!("seq_{:04}", total - CAPACITY as u64));
+        assert_eq!(names[CAPACITY - 1], format!("seq_{:04}", total - 1));
         assert!(
             snap.records.windows(2).all(|w| w[0].t() <= w[1].t()),
-            "retained records must stay in chronological order"
+            "windowed records must stay in chronological order"
         );
 
         // A second capture with no intervening records sees the same
         // view: snapshots are pure reads, not drains.
-        let again = rec.flight_snapshot().unwrap();
+        let again = rec.flight_snapshot();
         let names_again: Vec<&str> = again.records.iter().map(|r| r.name()).collect();
         assert_eq!(names_again, names);
         assert_eq!(again.dropped, snap.dropped);
@@ -311,10 +281,10 @@ mod tests {
     #[test]
     fn mid_wrap_dump_replays_into_a_valid_chrome_trace() {
         let (rec, clock) = stepped();
-        rec.enable_flight(6);
         // Interleave spans and events well past capacity so the capture
         // lands mid-wrap, with one span still open at capture time.
-        for i in 0..9u64 {
+        let waves = CAPACITY as u64 / 2 + 9;
+        for i in 0..waves {
             clock.store(i * 1000, Ordering::SeqCst);
             let s = rec.span(format!("wave_{i}"));
             clock.store(i * 1000 + 500, Ordering::SeqCst);
@@ -322,16 +292,16 @@ mod tests {
             rec.event(format!("mark_{i}"), [("i", i)]);
         }
         let _open = rec.span("in_flight");
-        clock.store(9500, Ordering::SeqCst);
+        clock.store(waves * 1000 + 500, Ordering::SeqCst);
 
-        let snap = rec.flight_snapshot().unwrap();
-        assert_eq!(snap.len(), 6 + 1, "ring contents plus the open span");
-        assert!(snap.dropped > 0, "capture must land mid-wrap");
+        let snap = rec.flight_snapshot();
+        assert_eq!(snap.len(), CAPACITY + 1, "the window plus the open span");
+        assert_eq!(snap.dropped, 18, "capture must land mid-wrap");
 
         let trace = snap.to_chrome_trace();
         let parsed = json::parse(&trace).expect("mid-wrap dump parses as a Chrome trace");
         let events = parsed.get("traceEvents").and_then(|v| v.as_array()).unwrap();
-        // Every retained record becomes a complete event with a
+        // Every windowed record becomes a complete event with a
         // non-negative duration; the open span is clipped to capture
         // time rather than emitted with a null end.
         let complete: Vec<_> =
@@ -344,17 +314,7 @@ mod tests {
             .iter()
             .find(|e| e.get("name").and_then(|v| v.as_str()) == Some("in_flight"))
             .expect("open span present in the trace");
-        // Clipped: started at t=8.5s, captured at t=9.5s → 1s = 1000000µs.
+        // Clipped: started at the last wave's end, captured 1s later.
         assert_eq!(open.get("dur").and_then(|v| v.as_f64()), Some(1_000_000.0));
-    }
-
-    #[test]
-    fn capacity_zero_drops_everything() {
-        let rec = Recorder::new();
-        rec.enable_flight(0);
-        rec.event("gone", [("n", 1u64)]);
-        let snap = rec.flight_snapshot().unwrap();
-        assert!(snap.is_empty());
-        assert_eq!(snap.dropped, 1);
     }
 }

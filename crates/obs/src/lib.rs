@@ -25,10 +25,10 @@
 //! string of at most [`Text::INLINE`] bytes, costs no allocation), the
 //! per-device audits of one decision go out as rows of one
 //! [`Recorder::event_rows`] call (one lock hold, one clock read under
-//! it), an ended span or an event is stored **once** behind an `Arc` that
-//! the log and the flight ring both hold, and every reader —
-//! [`Recorder::spans`], [`Recorder::events`], a
-//! [`flight::FlightSnapshot`] — deep-copies on demand. A timestamp takes
+//! it), an ended span or an event is stored **once**, by value, in the
+//! log with a record number, and every reader — [`Recorder::spans`],
+//! [`Recorder::events`], a [`flight::FlightSnapshot`] (the log's last
+//! [`flight::CAPACITY`] records) — copies on demand. A timestamp takes
 //! no lock of its own: the clock is read under the log lock the record
 //! takes anyway, which also makes log order time order.
 
@@ -258,23 +258,31 @@ struct LogState {
     /// Spans not yet ended, by id: attaching a field or ending a span is
     /// one lookup here, however long the retained log behind it is.
     open: HashMap<u64, SpanData, BuildHasherDefault<IdHasher>>,
-    /// Ended spans, oldest *end* first — the end eviction takes from.
-    closed: VecDeque<Arc<SpanData>>,
-    /// Events in emit order.
-    events: VecDeque<Arc<EventData>>,
+    /// Ended spans, oldest *end* first — the end eviction takes from —
+    /// each with its record number.
+    closed: VecDeque<(u64, SpanData)>,
+    /// Events in emit order, each with its record number.
+    events: VecDeque<(u64, EventData)>,
+    /// Ended spans and events recorded so far; the last one's number.
+    recorded: u64,
     /// Optional retention cap (per log, spans and events separately).
     /// `None` (the default) retains everything.
     retain: Option<usize>,
     dropped_spans: u64,
     dropped_events: u64,
-    /// The flight ring, while enabled; it shares the log's records.
-    flight: Option<flight::FlightRing>,
 }
 
 impl LogState {
     /// Current time per the injected clock.
     fn now(&self) -> f64 {
         (self.clock.0)()
+    }
+
+    /// Number the next ended span or event: record order across both
+    /// deques, which a flight snapshot merges by.
+    fn next_record(&mut self) -> u64 {
+        self.recorded += 1;
+        self.recorded
     }
 
     /// Enforce the retention cap with ~25% slack so eviction is a rare
@@ -309,7 +317,7 @@ impl LogState {
 
     /// Every retained span, ended or not.
     fn spans(&self) -> impl Iterator<Item = &SpanData> {
-        self.closed.iter().map(|s| &**s).chain(self.open.values())
+        self.closed.iter().map(|(_, s)| s).chain(self.open.values())
     }
 }
 
@@ -414,26 +422,34 @@ impl Recorder {
         &self.inner.metrics
     }
 
-    /// Turn on the flight recorder with a ring of `capacity` records.
-    /// Re-enabling resets the ring (and its drop counter).
-    pub fn enable_flight(&self, capacity: usize) {
-        self.log().flight = Some(flight::FlightRing::new(capacity));
-    }
-
-    /// Whether flight recording is enabled.
-    pub fn flight_enabled(&self) -> bool {
-        self.log().flight.is_some()
-    }
-
-    /// Snapshot the flight ring (`None` while disabled). Still-open
-    /// spans are appended after the ring's records so the snapshot shows
-    /// in-progress work too.
-    pub fn flight_snapshot(&self) -> Option<flight::FlightSnapshot> {
+    /// Snapshot the last [`flight::CAPACITY`] ended spans and events the
+    /// log retains, in record order, followed by the still-open spans so
+    /// the snapshot shows in-progress work too.
+    pub fn flight_snapshot(&self) -> flight::FlightSnapshot {
+        use flight::FlightRecord;
         let log = self.log();
-        let mut snap = log.flight.as_ref()?.snapshot(log.now());
-        let open = LogState::by_id(log.open.values());
-        snap.records.extend(open.into_iter().cloned().map(flight::FlightRecord::Span));
-        Some(snap)
+        let mut spans = log.closed.iter().rev().peekable();
+        let mut events = log.events.iter().rev().peekable();
+        let windowed = (log.closed.len() + log.events.len()).min(flight::CAPACITY);
+        let mut records = Vec::with_capacity(windowed + log.open.len());
+        // Both deques are in record order: merge them from the back.
+        for _ in 0..windowed {
+            let span_is_newer = match (spans.peek(), events.peek()) {
+                (Some((s, _)), Some((e, _))) => s > e,
+                (span, _) => span.is_some(),
+            };
+            records.extend(if span_is_newer {
+                spans.next().map(|(_, s)| FlightRecord::Span(s.clone()))
+            } else {
+                events.next().map(|(_, e)| FlightRecord::Event(e.clone()))
+            });
+        }
+        records.reverse();
+        let dropped = log.recorded - records.len() as u64;
+        records.extend(
+            LogState::by_id(log.open.values()).into_iter().cloned().map(FlightRecord::Span),
+        );
+        flight::FlightSnapshot { captured_at: log.now(), dropped, records }
     }
 
     /// Open a root span.
@@ -456,11 +472,8 @@ impl Recorder {
         let mut log = self.log();
         let Some(mut span) = log.open.remove(&id) else { return };
         span.end = Some(log.now());
-        let span = Arc::new(span);
-        if let Some(ring) = log.flight.as_mut() {
-            ring.push(flight::Shared::Span(span.clone()));
-        }
-        log.closed.push_back(span);
+        let seq = log.next_record();
+        log.closed.push_back((seq, span));
     }
 
     fn add_span_field(&self, id: u64, key: Key, value: Value) {
@@ -499,7 +512,7 @@ impl Recorder {
 
     /// Emit one standalone `name` event per row of `rows` — the
     /// per-device audits of one grant, say — with one clock read and one
-    /// hold of the log lock. The log, the flight ring and the eviction
+    /// hold of the log lock. The log, its record numbers and the eviction
     /// counts end up exactly as after one [`Recorder::event`] per row at
     /// an unchanged clock. `rows` is walked with the log lock held, so it
     /// must not call back into the recorder.
@@ -522,11 +535,8 @@ impl Recorder {
         let t = log.now();
         for fields in rows {
             let fields = fields.into_iter().map(|(k, v)| (k.into(), v.into())).collect();
-            let event = Arc::new(EventData { name: name.clone(), t, span, fields });
-            if let Some(ring) = log.flight.as_mut() {
-                ring.push(flight::Shared::Event(event.clone()));
-            }
-            log.events.push_back(event);
+            let seq = log.next_record();
+            log.events.push_back((seq, EventData { name: name.clone(), t, span, fields }));
             log.evict();
         }
     }
@@ -547,13 +557,13 @@ impl Recorder {
 
     /// Snapshot of all events recorded so far, in emit order.
     pub fn events(&self) -> Vec<EventData> {
-        self.log().events.iter().map(|e| EventData::clone(e)).collect()
+        self.log().events.iter().map(|(_, e)| e.clone()).collect()
     }
 
     /// Events with the given name.
     pub fn events_named(&self, name: &str) -> Vec<EventData> {
         let log = self.log();
-        log.events.iter().filter(|e| e.name == name).map(|e| EventData::clone(e)).collect()
+        log.events.iter().filter(|(_, e)| e.name == name).map(|(_, e)| e.clone()).collect()
     }
 
     /// Spans with the given name.
@@ -570,7 +580,7 @@ impl Recorder {
         for s in LogState::by_id(log.spans()) {
             out.push_str(&span_json_line(s));
         }
-        for e in &log.events {
+        for (_, e) in &log.events {
             out.push_str(&event_json_line(e));
         }
         out
@@ -886,7 +896,6 @@ mod tests {
         let ticks = Arc::new(ClockCell::new(0));
         let t = ticks.clone();
         let rec = Recorder::with_clock(move || t.fetch_add(1, ClockOrdering::SeqCst) as f64);
-        rec.enable_flight(64);
         // Three writers and the snapshot taker start together.
         let start = Arc::new(std::sync::Barrier::new(4));
         let writers: Vec<_> = (0..3u64)
@@ -913,7 +922,7 @@ mod tests {
                 start.wait();
                 let (mut taken, mut bad) = (0usize, 0usize);
                 while taken == 0 || !done.load(ClockOrdering::SeqCst) {
-                    let snap = rec.flight_snapshot().unwrap();
+                    let snap = rec.flight_snapshot();
                     let newer = snap.records.iter().any(|r| {
                         let end = match r {
                             flight::FlightRecord::Span(s) => s.end,

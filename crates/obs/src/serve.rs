@@ -15,7 +15,7 @@
 
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
@@ -28,6 +28,15 @@ use std::time::Duration;
 const IO_TIMEOUT: Duration = Duration::from_secs(5);
 /// Queued-connection backlog per worker.
 const BACKLOG_PER_WORKER: usize = 4;
+/// Most bytes of a request head (request line plus headers) the server
+/// reads: an ops request is one short `GET`.
+const MAX_HEAD_BYTES: u64 = 8 * 1024;
+/// Most header lines a request head may carry.
+const MAX_HEADER_LINES: usize = 100;
+/// Most bytes read and discarded after refusing an oversized head, so
+/// that closing does not reset the connection before the client has read
+/// the refusal.
+const MAX_DISCARD_BYTES: u64 = 64 * 1024;
 
 /// A parsed (minimal) HTTP request.
 #[derive(Debug, Clone)]
@@ -127,6 +136,7 @@ impl Response {
             200 => "OK",
             404 => "Not Found",
             405 => "Method Not Allowed",
+            431 => "Request Header Fields Too Large",
             500 => "Internal Server Error",
             503 => "Service Unavailable",
             _ => "Error",
@@ -290,16 +300,13 @@ fn handle_connection(
 ) -> io::Result<()> {
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
-    // Drain headers to the blank line; bodies are ignored (GET only).
-    loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 || header.trim().is_empty() {
-            break;
-        }
-    }
+    let Some(request_line) = read_head(stream)? else {
+        let too_large = Response::error(431, "request header fields too large\n".to_string());
+        write_response(stream, &too_large)?;
+        stream.shutdown(Shutdown::Write)?;
+        io::copy(&mut Read::take(&*stream, MAX_DISCARD_BYTES), &mut io::sink())?;
+        return Ok(());
+    };
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("").to_string();
     let target = parts.next().unwrap_or("/");
@@ -310,6 +317,30 @@ fn handle_connection(
     let request = Request { method, path, query };
     let response = dispatch(&request, routes, healthz_extra, stats);
     write_response(stream, &response)
+}
+
+/// Read a request head through its blank line (or to the end of the
+/// stream) and return its request line; `None` when the head exceeds
+/// [`MAX_HEAD_BYTES`] or [`MAX_HEADER_LINES`].
+fn read_head(stream: &TcpStream) -> io::Result<Option<String>> {
+    let mut reader = BufReader::new(Read::take(stream, MAX_HEAD_BYTES));
+    let mut request_line = String::new();
+    let mut read = reader.read_line(&mut request_line)?;
+    // Headers up to the blank line; bodies are ignored (GET only).
+    let mut header = String::new();
+    for _ in 0..=MAX_HEADER_LINES {
+        header.clear();
+        let n = reader.read_line(&mut header)?;
+        read += n;
+        if n == 0 {
+            // The stream ended: the client's end, or the cap's.
+            return Ok((read < MAX_HEAD_BYTES as usize).then_some(request_line));
+        }
+        if header.ends_with('\n') && header.trim().is_empty() {
+            return Ok(Some(request_line));
+        }
+    }
+    Ok(None)
 }
 
 fn dispatch(
@@ -615,6 +646,32 @@ mod tests {
             doc.get("extra").and_then(|e| e.get("answer")).and_then(|v| v.as_f64()),
             Some(42.0)
         );
+        server.shutdown();
+    }
+
+    /// An oversized head is refused with `431` after reading at most
+    /// [`MAX_HEAD_BYTES`] of it, and the worker is free for the next
+    /// request at once.
+    #[test]
+    fn oversized_request_heads_get_431_and_the_server_keeps_serving() {
+        let server = test_server();
+        let refused = |head: String| {
+            let mut stream = TcpStream::connect(server.addr()).unwrap();
+            stream.write_all(head.as_bytes()).unwrap();
+            let mut raw = String::new();
+            stream.read_to_string(&mut raw).unwrap();
+            raw
+        };
+        let long_line = format!("GET /{} HTTP/1.1\r\nHost: ops\r\n\r\n", "a".repeat(64 * 1024));
+        let many_headers = format!("GET /metrics HTTP/1.1\r\n{}\r\n", "X-A: b\r\n".repeat(101));
+        for head in [long_line, many_headers] {
+            let raw = refused(head);
+            assert!(raw.starts_with("HTTP/1.1 431 Request Header Fields Too Large\r\n"), "{raw}");
+            assert_eq!(http_get(server.addr(), "/healthz").unwrap().0, 200);
+        }
+        // A head at the line limit is still served.
+        let at_limit = format!("GET /metrics HTTP/1.1\r\n{}\r\n", "X-A: b\r\n".repeat(100));
+        assert!(refused(at_limit).starts_with("HTTP/1.1 200 OK\r\n"));
         server.shutdown();
     }
 

@@ -5,10 +5,9 @@
 //! Every transition is emitted as an [`ALERT_EVENT`] audit event (routed
 //! to the `obs/alerts` Chrome-trace track by `gyan::telemetry`) and
 //! counted under [`ALERT_TRANSITIONS_COUNTER`] in the same registry the
-//! rules read — the alert plane monitors itself. When a rule fires and
-//! the flight recorder is enabled, the engine captures a
-//! [`crate::flight::FlightSnapshot`] so the moments leading up to the
-//! alert are preserved for post-mortem.
+//! rules read — the alert plane monitors itself. When a rule fires, the
+//! engine captures a [`crate::flight::FlightSnapshot`] so the moments
+//! leading up to the alert are preserved for post-mortem.
 //!
 //! Evaluation is explicitly driven ([`AlertEngine::evaluate`]): under a
 //! virtual clock there is no background time to poll on, so the harness
@@ -198,7 +197,7 @@ pub struct AlertEngine {
 }
 
 impl AlertEngine {
-    /// An engine reading metrics, clock, and flight state from
+    /// An engine reading metrics, clock, and flight window from
     /// `recorder`.
     pub fn new(recorder: &Recorder) -> Self {
         AlertEngine {
@@ -306,7 +305,7 @@ impl AlertEngine {
                 }
             }
         }
-        // Locks released: the recorder's metrics/log/flight locks are
+        // Locks released: the recorder's metrics/log locks are
         // only taken with the engine lock dropped.
         metrics.set_gauge(ALERTS_FIRING_GAUGE, firing as f64);
         for tr in &transitions {
@@ -329,13 +328,12 @@ impl AlertEngine {
             }
             self.recorder.event(ALERT_EVENT, fields);
             if tr.to == AlertState::Firing {
-                if let Some(snapshot) = self.recorder.flight_snapshot() {
-                    let mut inner = self.lock();
-                    if inner.dumps.len() == MAX_FLIGHT_DUMPS {
-                        inner.dumps.remove(0);
-                    }
-                    inner.dumps.push(FlightDump { rule: tr.rule.clone(), at: tr.at, snapshot });
+                let snapshot = self.recorder.flight_snapshot();
+                let mut inner = self.lock();
+                if inner.dumps.len() == MAX_FLIGHT_DUMPS {
+                    inner.dumps.remove(0);
                 }
+                inner.dumps.push(FlightDump { rule: tr.rule.clone(), at: tr.at, snapshot });
             }
         }
         transitions
@@ -511,9 +509,8 @@ mod tests {
     }
 
     #[test]
-    fn firing_captures_a_flight_dump_when_enabled() {
+    fn firing_captures_a_flight_dump() {
         let (rec, clock) = stepped();
-        rec.enable_flight(32);
         rec.event("before_the_fire", [("n", 1u64)]);
         let engine = AlertEngine::new(&rec);
         engine.add_rule(AlertRule::new("hot", AlertExpr::Gauge("t".into()), Compare::Gt, 0.0));

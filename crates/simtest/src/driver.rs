@@ -65,7 +65,7 @@ impl Failure {
     /// moment attached, so a repro seed comes with its own black box.
     fn observed(mut self, alerts: &AlertEngine, recorder: &Recorder) -> Failure {
         self.fired_alerts = alerts.firing();
-        self.flight_jsonl = recorder.flight_snapshot().map(|s| s.to_jsonl());
+        self.flight_jsonl = Some(recorder.flight_snapshot().to_jsonl());
         self
     }
 }

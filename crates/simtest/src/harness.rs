@@ -169,8 +169,8 @@ pub fn run_scenario(scenario: &Scenario, options: &SimOptions) -> Result<SimRepo
     run_scenario_recorded(scenario, options).map(|(report, _)| report)
 }
 
-/// [`run_scenario`], also handing back the run's recorder (flight ring
-/// on, retention off) — the telemetry the export-parity suite pins.
+/// [`run_scenario`], also handing back the run's recorder (retention
+/// off) — the telemetry the export-parity suite pins.
 #[allow(clippy::result_large_err)]
 pub fn run_scenario_recorded(
     scenario: &Scenario,

@@ -48,17 +48,18 @@ echo "==> ops-server smoke (scrape + health over live HTTP)"
 cargo run -q --release --example ops_server -- --check
 
 # benchmark/ is its own workspace (see BENCHMARK.json), so the builds and
-# tests above cannot see an API break against it. Build it, and let four
+# tests above cannot see an API break against it. Build it, and let five
 # short runs' in-run correctness checks decide the exit code: `trip` is
 # the 2-GPU closed loop, `day_single_node` the 32-device open loop (lease
 # drain, SLOs quiet, repeats bit-identical), `day_fleet` fleet placement,
-# `retry_storm` the resubmission ladder.
+# `retry_storm` the resubmission ladder, `paper_cases` the paper's Cases
+# 1-4 through `install_gyan` with the real tools.
 # --locked: cargo silently rewrites benchmark/Cargo.lock when a crate in its
 # closure changes a dependency list; fail here instead of dirtying a
 # directory that only `benchmark` PRs may touch.
-echo "==> benchmark crate builds against the workspace + short trip, day_single_node, day_fleet and retry_storm runs"
+echo "==> benchmark crate builds against the workspace + short trip, day_single_node, day_fleet, retry_storm and paper_cases runs"
 cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
-for workload in trip day_single_node day_fleet retry_storm; do
+for workload in trip day_single_node day_fleet retry_storm paper_cases; do
   cargo run --release --offline --locked --quiet --manifest-path benchmark/Cargo.toml -- \
     --workload "$workload" --seed 1 --seconds 1 --trace 0 > /dev/null
 done

@@ -1,16 +1,16 @@
 //! The recorder's exports do not depend on how it stores its records.
 //!
-//! (a) Golden exports: one seeded `simtest` scenario, retention off,
-//! flight ring on; the JSONL log, the flight dump (JSONL and Chrome
-//! trace) and `gyan::telemetry`'s merged trace are pinned by length and
-//! checksum — and the same four of a short day on 32 devices, where id
-//! lists and per-device keys outgrow what a record holds in place.
+//! (a) Golden exports: one seeded `simtest` scenario, retention off; the
+//! JSONL log, the flight dump (JSONL and Chrome trace) and
+//! `gyan::telemetry`'s merged trace are pinned by length and checksum —
+//! and the same four of a short day on 32 devices, where id lists and
+//! per-device keys outgrow what a record holds in place.
 //! (b) A retention/flight model: random recorder sequences, batched
 //! emits among them, against a naive `Vec` reference. (c) `obs::Text`
 //! against the `String` it was built from.
 
 use loadgen::{LoadOptions, LoadScenario, Topology};
-use obs::flight::FlightRecord;
+use obs::flight::{FlightRecord, CAPACITY};
 use obs::{EventData, Key, Recorder, Span, SpanData, Text, Value};
 use proptest::prelude::*;
 use simtest::harness::run_scenario_recorded;
@@ -41,7 +41,7 @@ fn pinned(
     recorder: &Recorder,
     golden: &[(&'static str, usize, u64); 4],
 ) -> Vec<(&'static str, usize, u64)> {
-    let flight = recorder.flight_snapshot().expect("install_gyan enables the flight ring");
+    let flight = recorder.flight_snapshot();
     let exports = [
         recorder.to_jsonl(),
         flight.to_jsonl(),
@@ -94,13 +94,14 @@ fn exports_of_a_32_device_day_are_byte_identical_to_the_parent_commit() {
 struct Model {
     /// Retained spans, in open (= id) order.
     spans: Vec<SpanData>,
-    /// Ids of the retained ended spans, oldest end first.
-    ended: Vec<u64>,
-    events: Vec<EventData>,
+    /// `(record number, id)` of the retained ended spans, oldest end first.
+    ended: Vec<(u64, u64)>,
+    /// Retained events with their record numbers, in emit order.
+    events: Vec<(u64, EventData)>,
     retain: Option<usize>,
     dropped: (u64, u64),
-    /// `(capacity, ring contents oldest first, dropped)` while enabled.
-    flight: Option<(usize, Vec<FlightRecord>, u64)>,
+    /// Ended spans and events recorded so far: the last record number.
+    recorded: u64,
     next_id: u64,
 }
 
@@ -118,26 +119,15 @@ impl Model {
     }
 
     fn end(&mut self, id: u64, now: f64) {
-        let span = self.span_mut(id);
-        span.end = Some(now);
-        let record = FlightRecord::Span(span.clone());
-        self.ended.push(id);
-        self.fly(record);
+        self.span_mut(id).end = Some(now);
+        self.recorded += 1;
+        self.ended.push((self.recorded, id));
     }
 
     fn event(&mut self, event: EventData) {
-        self.fly(FlightRecord::Event(event.clone()));
-        self.events.push(event);
+        self.recorded += 1;
+        self.events.push((self.recorded, event));
         self.evict();
-    }
-
-    fn fly(&mut self, record: FlightRecord) {
-        let Some((capacity, ring, dropped)) = &mut self.flight else { return };
-        ring.push(record);
-        if ring.len() > *capacity {
-            ring.remove(0);
-            *dropped += 1;
-        }
     }
 
     /// `limit + limit / 4 + 1` → `limit`; ended spans only, oldest end
@@ -147,7 +137,7 @@ impl Model {
         let slack = limit / 4 + 1;
         if self.spans.len() > limit + slack {
             let drop_n = (self.spans.len() - limit).min(self.ended.len());
-            let gone: Vec<u64> = self.ended.drain(..drop_n).collect();
+            let gone: Vec<u64> = self.ended.drain(..drop_n).map(|(_, id)| id).collect();
             self.spans.retain(|s| !gone.contains(&s.id));
             self.dropped.0 += drop_n as u64;
         }
@@ -160,6 +150,22 @@ impl Model {
         // then no ended span is kept beside them.
         assert!(self.spans.len() <= limit + slack || self.ended.is_empty());
         assert!(self.events.len() <= limit + slack);
+    }
+
+    /// The flight window: the last [`CAPACITY`] retained ended spans and
+    /// events by record number, and how many recorded ones it leaves out.
+    fn window(&self) -> (Vec<FlightRecord>, u64) {
+        let span = |id: u64| self.spans.iter().find(|s| s.id == id).cloned();
+        let mut all: Vec<(u64, FlightRecord)> = self
+            .ended
+            .iter()
+            .map(|&(seq, id)| (seq, FlightRecord::Span(span(id).expect("retained"))))
+            .chain(self.events.iter().map(|(seq, e)| (*seq, FlightRecord::Event(e.clone()))))
+            .collect();
+        all.sort_by_key(|(seq, _)| *seq);
+        let window = all.split_off(all.len().saturating_sub(CAPACITY));
+        let dropped = self.recorded - window.len() as u64;
+        (window.into_iter().map(|(_, record)| record).collect(), dropped)
     }
 }
 
@@ -194,50 +200,34 @@ fn assert_same(rec: &Recorder, model: &Model, live: &[(Span, u64)], now: f64) {
     prop_assert_eq!(open.len(), live.len(), "open spans are never evicted");
     prop_assert_eq!(rec.open_spans(), open);
     let events = rec.events();
-    prop_assert_eq!(&events, &model.events);
+    let model_events: Vec<EventData> = model.events.iter().map(|(_, e)| e.clone()).collect();
+    prop_assert_eq!(&events, &model_events);
     prop_assert_eq!(rec.dropped_log_records(), model.dropped);
     for name in ["galaxy.job", "gpu3_pids"] {
         let named: Vec<SpanData> = spans.iter().filter(|s| s.name == name).cloned().collect();
         prop_assert_eq!(rec.spans_named(name), named);
         let named: Vec<EventData> =
-            model.events.iter().filter(|e| e.name == name).cloned().collect();
+            model_events.iter().filter(|e| e.name == name).cloned().collect();
         prop_assert_eq!(rec.events_named(name), named);
     }
 
+    // The window in record order, then the open spans.
     let snap = rec.flight_snapshot();
-    prop_assert_eq!(snap.is_some(), model.flight.is_some());
-    let (Some(snap), Some((_, ring, dropped))) = (snap, &model.flight) else { return };
-    // The last N ended/emitted records in order, then the open spans.
+    let (window, dropped) = model.window();
     let want: Vec<FlightRecord> =
-        ring.iter().cloned().chain(open.into_iter().map(FlightRecord::Span)).collect();
-    prop_assert_eq!((snap.captured_at, snap.dropped), (now, *dropped));
+        window.into_iter().chain(open.into_iter().map(FlightRecord::Span)).collect();
+    prop_assert_eq!((snap.captured_at, snap.dropped), (now, dropped));
     prop_assert_eq!(&snap.records, &want);
-    // One record, two holders: what the ring shows is what the log shows,
-    // for as long as the log still has it.
-    for record in &snap.records {
-        match record {
-            FlightRecord::Span(s) => {
-                if let Some(logged) = spans.iter().find(|l| l.id == s.id) {
-                    prop_assert_eq!(logged, s);
-                }
-            }
-            // The clock ticks once per operation, so `t` names an event —
-            // or the rows of one batch, which their first field tells apart.
-            FlightRecord::Event(e) => {
-                let same = |l: &&EventData| l.t == e.t && l.fields.first() == e.fields.first();
-                if let Some(logged) = events.iter().find(same) {
-                    prop_assert_eq!(logged, e);
-                }
-            }
-        }
-    }
 }
 
 proptest! {
     /// Random `span / child / field / event / event_rows / end /
-    /// set_log_retention / enable_flight` sequences: after every operation
-    /// each reader of the recorder agrees with the naive model — for which
-    /// a batch of N rows is N single events at one clock reading.
+    /// set_log_retention` sequences: after every operation each reader of
+    /// the recorder agrees with the naive model — for which a batch of N
+    /// rows is N single events at one clock reading. The clock ticks on
+    /// a quarter of the operations, so spans and events often share a
+    /// timestamp and only the record number can order the window; batches
+    /// of up to 300 rows carry it past [`CAPACITY`].
     #[test]
     fn recorder_matches_the_naive_vec_model(
         ops in prop::collection::vec((0u8..18, any::<u32>(), any::<u32>()), 0..160),
@@ -249,7 +239,10 @@ proptest! {
         // Open spans: the recorder's handle and the model's id.
         let mut live: Vec<(Span, u64)> = Vec::new();
         for (op, a, b) in ops {
-            let now = (tick.fetch_add(1, Ordering::SeqCst) + 1) as f64;
+            if (a >> 16) % 4 == 0 {
+                tick.fetch_add(1, Ordering::SeqCst);
+            }
+            let now = tick.load(Ordering::SeqCst) as f64;
             let at = a as usize % live.len().max(1);
             match op {
                 0..=2 => {
@@ -291,9 +284,11 @@ proptest! {
                         None => rec.event(key(a), fields),
                     }
                 }
-                16 | 17 => {
-                    // 0 to 5 rows, each led by its row number.
-                    let rows: Vec<Vec<(Key, Value)>> = (0..b % 6)
+                15..=17 => {
+                    // 0 to 5 rows — or, for op 15, up to 300 — each led
+                    // by its row number.
+                    let n = if op == 15 { b % 301 } else { b % 6 };
+                    let rows: Vec<Vec<(Key, Value)>> = (0..n)
                         .map(|row| {
                             let rest = (0..a % 3).map(|i| (key(b ^ i), value(a ^ row)));
                             std::iter::once(("row".into(), Value::from(row))).chain(rest).collect()
@@ -310,11 +305,6 @@ proptest! {
                     model.retain = limit;
                     model.evict();
                     rec.set_log_retention(limit);
-                }
-                15 if a % 2 == 0 => {
-                    let capacity = b as usize % 10;
-                    model.flight = Some((capacity, Vec::new(), 0));
-                    rec.enable_flight(capacity);
                 }
                 _ => {}
             }
