@@ -347,6 +347,17 @@ impl Fleet {
         released
     }
 
+    /// A `QueueEngine` discard listener releasing the placements of plans
+    /// a discarded wave skips, with reason `"discarded"` — the fleet
+    /// analogue of `LeaseTable::discard_listener`. The release is audited
+    /// through the fleet's own recorder, like every other.
+    pub fn discard_listener(&self) -> Arc<dyn Fn(u64) + Send + Sync> {
+        let fleet = self.clone();
+        Arc::new(move |job_id| {
+            fleet.release(job_id, "discarded");
+        })
+    }
+
     /// The node a job is currently booked on.
     pub fn node_of(&self, job_id: u64) -> Option<u32> {
         self.bookings.lock().get(&job_id).map(|b| b.node)

@@ -1,11 +1,12 @@
 //! Shareable job-lifecycle ledger for the operations plane.
 //!
-//! The [`QueueEngine`](crate::queue::QueueEngine) owns its submission
-//! map behind `&mut self`, which an HTTP handler thread cannot touch.
-//! The [`JobsLedger`] is the read side: a cheaply cloneable, lock-guarded
-//! mirror the engine updates at every lifecycle step (submit, dispatch,
-//! resubmit, conclude, discard), so `GET /api/jobs` can serve a
-//! consistent view while waves are in flight.
+//! The [`JobsLedger`] is the [`QueueEngine`](crate::queue::QueueEngine)'s
+//! one record of each job's lifecycle — state, user, priority, attempts,
+//! destination, node — written at every lifecycle step (submit,
+//! dispatch, resubmit, conclude, discard). It is cheaply cloneable and
+//! lock-guarded, so an HTTP handler thread serving `GET /api/jobs` reads
+//! the same book the engine writes, consistently, while waves are in
+//! flight.
 
 use super::SubmissionState;
 use parking_lot::Mutex;
@@ -63,11 +64,10 @@ impl JobsLedger {
         self.inner.lock().insert(snapshot.job_id, Arc::new(snapshot));
     }
 
-    /// Mutate a job's snapshot in place; no-op for unknown ids.
-    pub fn update(&self, job_id: u64, f: impl FnOnce(&mut JobSnapshot)) {
-        if let Some(snapshot) = self.inner.lock().get_mut(&job_id) {
-            f(Arc::make_mut(snapshot));
-        }
+    /// Mutate a job's snapshot in place and return what `f` returns;
+    /// `None` (and no call) for unknown ids.
+    pub fn update<R>(&self, job_id: u64, f: impl FnOnce(&mut JobSnapshot) -> R) -> Option<R> {
+        self.inner.lock().get_mut(&job_id).map(|snapshot| f(Arc::make_mut(snapshot)))
     }
 
     /// One job's snapshot (shared, not deep-copied).
@@ -126,8 +126,10 @@ mod tests {
         assert_eq!(got.state, SubmissionState::Ok);
         assert_eq!(got.attempts, 2);
         assert_eq!(got.finished_at, Some(3.5));
+        // The closure's result comes back.
+        assert_eq!(ledger.update(7, |s| s.attempts), Some(2));
         // Unknown ids are ignored, not created.
-        view.update(99, |s| s.attempts = 1);
+        assert_eq!(view.update(99, |s| s.attempts = 1), None);
         assert!(ledger.get(99).is_none());
     }
 

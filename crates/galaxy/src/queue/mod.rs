@@ -66,7 +66,7 @@ use crate::app::GalaxyApp;
 use crate::error::GalaxyError;
 use crate::params::ParamDict;
 use crate::runners::{ExecutionPlan, ExecutionResult, JobExecutor};
-use crate::scheduler::{self as pool, DiscardListener};
+use crate::scheduler::{DiscardListener, JOBS_FAILED_COUNTER};
 use dag::ValueSource;
 use obs::{Span, Value};
 use parking_lot::Mutex;
@@ -228,22 +228,21 @@ enum StepState {
     Cancelled,
 }
 
+/// Priority of every DAG step: [`QueueEngine::submit_dag`] takes none.
+const DAG_STEP_PRIORITY: u8 = 0;
+
 struct DagRun {
     dag: DagWorkflow,
     user: String,
-    priority: u8,
     job_ids: Vec<Option<u64>>,
     states: Vec<StepState>,
     outcomes: Vec<Option<StepOutcome>>,
 }
 
+/// Engine-private retry context of one job. Its lifecycle — state,
+/// user, priority, attempts — lives only in the [`JobsLedger`].
+#[derive(Default)]
 struct JobCtx {
-    /// Engine view of the submission's lifecycle; starts `Queued`.
-    state: SubmissionState,
-    user: String,
-    priority: u8,
-    /// Completed dispatch attempts.
-    attempts: u32,
     /// Destination override for the next attempt (resubmission).
     next_dest: Option<String>,
     /// Destination of the first attempt (selects the resubmit policy).
@@ -258,23 +257,6 @@ struct JobCtx {
     node_retries_used: u32,
     /// Footprint-revised same-destination retries already consumed.
     footprint_retries_used: u32,
-}
-
-impl JobCtx {
-    fn new(user: String, priority: u8, origin: Option<(usize, usize)>) -> Self {
-        JobCtx {
-            state: SubmissionState::Queued,
-            user,
-            priority,
-            attempts: 0,
-            next_dest: None,
-            first_destination: None,
-            origin,
-            excluded_nodes: Vec::new(),
-            node_retries_used: 0,
-            footprint_retries_used: 0,
-        }
-    }
 }
 
 /// A failed attempt whose future [`QueueEngine::complete`] is deciding.
@@ -303,8 +285,6 @@ enum Retry {
 /// One wave member: the dispatched plan, its execution and bookkeeping.
 struct Dispatched {
     plan: ExecutionPlan,
-    /// Recorder time the plan was handed over for execution.
-    handed_at: f64,
     duration: f64,
     wave_start: f64,
     span: Option<Span>,
@@ -322,8 +302,8 @@ pub struct QueueEngine {
     time_charging: Option<WaveTimeCharging>,
     wave_size: usize,
     jobs: HashMap<u64, JobCtx>,
-    /// Copy of each job's [`JobCtx`] state plus per-job dispatch detail,
-    /// shareable with reader threads (see [`ledger::JobsLedger`]).
+    /// The one record of each job's lifecycle, shareable with reader
+    /// threads (see [`ledger::JobsLedger`]).
     ledger: JobsLedger,
     workflows: Vec<DagRun>,
     /// One-shot fault flag: skip the next dispatched wave's plans instead
@@ -333,22 +313,16 @@ pub struct QueueEngine {
 
 impl QueueEngine {
     /// Build an engine over `app`, executing plans on `executor` and
-    /// reporting the handler-pool metrics ([`crate::scheduler`]) into the
-    /// app's recorder.
+    /// reporting the queue's metrics into the app's recorder.
     pub fn new(app: GalaxyApp, executor: Arc<dyn JobExecutor>, config: QueueConfig) -> Self {
-        let wave_size = config.workers.max(1) as usize;
-        // Publish the gauges at 0 up front so the exposition carries them
-        // even before the first job arrives.
-        let metrics = app.recorder().metrics();
-        metrics.set_gauge(pool::QUEUE_DEPTH_GAUGE, 0.0);
-        metrics.set_gauge(pool::WORKERS_BUSY_GAUGE, 0.0);
-        metrics.set_gauge(pool::WORKERS_TOTAL_GAUGE, wave_size as f64);
-        metrics.set_gauge(QUEUE_DEPTH_GAUGE, 0.0);
+        // Publish the depth gauge at 0 up front so the exposition carries
+        // it even before the first job arrives.
+        app.recorder().metrics().set_gauge(QUEUE_DEPTH_GAUGE, 0.0);
         QueueEngine {
             queue: FairShareQueue::new(config.capacity, config.per_user_limit),
             default_resubmit: config.resubmit,
             time_charging: config.time_charging,
-            wave_size,
+            wave_size: config.workers.max(1) as usize,
             jobs: HashMap::new(),
             ledger: JobsLedger::new(),
             workflows: Vec::new(),
@@ -369,19 +343,15 @@ impl QueueEngine {
         &mut self.app
     }
 
-    /// Engine view of a submission's lifecycle.
+    /// A submission's lifecycle state, as the ledger records it.
     pub fn state(&self, handle: JobHandle) -> Option<SubmissionState> {
-        self.jobs.get(&handle.0).map(|ctx| ctx.state)
+        self.ledger.get(handle.0).map(|snap| snap.state)
     }
 
-    /// Every tracked submission's lifecycle state, sorted by job id — the
-    /// conservation ledger invariant checkers compare against the app's
-    /// job table.
+    /// Every tracked submission's lifecycle state, sorted by job id — what
+    /// invariant checkers compare against the app's job table.
     pub fn submission_states(&self) -> Vec<(u64, SubmissionState)> {
-        let mut out: Vec<(u64, SubmissionState)> =
-            self.jobs.iter().map(|(id, ctx)| (*id, ctx.state)).collect();
-        out.sort_by_key(|(id, _)| *id);
-        out
+        self.ledger.all().iter().map(|snap| (snap.job_id, snap.state)).collect()
     }
 
     /// Entries currently waiting in the queue.
@@ -395,12 +365,9 @@ impl QueueEngine {
         self.ledger.clone()
     }
 
-    /// Record a lifecycle change in both the job's [`JobCtx`] and the
-    /// shared ops ledger (which also timestamps terminal states).
-    fn set_status(&mut self, job_id: u64, state: SubmissionState) {
-        if let Some(ctx) = self.jobs.get_mut(&job_id) {
-            ctx.state = state;
-        }
+    /// Record a lifecycle change in the ledger, which also timestamps
+    /// terminal states.
+    fn set_status(&self, job_id: u64, state: SubmissionState) {
         let finished_at = match state {
             SubmissionState::Queued => None,
             _ => Some(self.app.recorder().now()),
@@ -435,7 +402,7 @@ impl QueueEngine {
         let job_id = self.app.create_job(tool_id, params)?;
         let now = self.app.recorder().now();
         self.queue.push_unchecked(user, priority, now, WorkItem::Job(job_id));
-        self.jobs.insert(job_id, JobCtx::new(user.to_string(), priority, None));
+        self.jobs.insert(job_id, JobCtx::default());
         self.ledger.upsert(JobSnapshot {
             job_id,
             user: user.to_string(),
@@ -486,7 +453,6 @@ impl QueueEngine {
         self.workflows.push(DagRun {
             dag,
             user: user.to_string(),
-            priority: 0,
             job_ids: vec![None; n],
             states: vec![StepState::Waiting; n],
             outcomes: vec![None; n],
@@ -615,13 +581,12 @@ impl QueueEngine {
         let run = &mut self.workflows[wf];
         run.states[step] = StepState::Enqueued;
         let user = run.user.clone();
-        let priority = run.priority;
         let workflow = run.dag.name.clone();
         let tool = run.dag.steps[step].tool_id.clone();
         let now = self.app.recorder().now();
         // Internal continuation: the workflow was admitted as a whole, so
         // its steps bypass admission control.
-        self.queue.push_unchecked(&user, priority, now, WorkItem::Step { wf, step });
+        self.queue.push_unchecked(&user, DAG_STEP_PRIORITY, now, WorkItem::Step { wf, step });
         self.app.recorder().event(
             "galaxy.queue.step_ready",
             [
@@ -666,9 +631,7 @@ impl QueueEngine {
             // Export the fair-share user onto the job record so
             // placement-aware hooks (e.g. a fleet's fair-share policy)
             // can see who is dispatching without a Job.user field.
-            if let Some(user) = self.jobs.get(&job_id).map(|ctx| ctx.user.clone()) {
-                self.app.set_job_env(job_id, crate::GALAXY_USER_ENV, &user);
-            }
+            self.app.set_job_env(job_id, crate::GALAXY_USER_ENV, &popped.user);
             // Export (or clear) the attempt's node exclusion set so the
             // placement hook filters out nodes previous attempts died on.
             match self.jobs.get(&job_id).map(|ctx| ctx.excluded_nodes.join(",")) {
@@ -686,27 +649,27 @@ impl QueueEngine {
             match prepared {
                 Ok(plan) => {
                     let destination = plan.destination_id.clone();
-                    let (attempt, user) = {
-                        let ctx = self.jobs.get_mut(&job_id).expect("ctx exists");
-                        ctx.attempts += 1;
-                        if ctx.first_destination.is_none() {
-                            ctx.first_destination = Some(destination.clone());
-                        }
-                        (ctx.attempts, ctx.user.clone())
-                    };
+                    let ctx = self.jobs.get_mut(&job_id).expect("ctx exists");
+                    if ctx.first_destination.is_none() {
+                        ctx.first_destination = Some(destination.clone());
+                    }
                     // Hooks that place jobs onto fleet nodes export the
-                    // chosen node; mirror it into the ledger (cleared on
-                    // a node-less dispatch, e.g. a CPU resubmission).
+                    // chosen node; record it in the ledger (cleared on a
+                    // node-less dispatch, e.g. a CPU resubmission).
                     let node = self
                         .app
                         .job(job_id)
                         .and_then(|j| j.env_var(crate::GALAXY_NODE_ENV))
                         .map(str::to_string);
-                    self.ledger.update(job_id, |snap| {
-                        snap.attempts = attempt;
-                        snap.destination = Some(destination.clone());
-                        snap.node = node.clone();
-                    });
+                    let attempt = self
+                        .ledger
+                        .update(job_id, |snap| {
+                            snap.attempts += 1;
+                            snap.destination = Some(destination.clone());
+                            snap.node = node;
+                            snap.attempts
+                        })
+                        .expect("the ledger tracks every queued job");
                     let span = self.app.job_span_child(job_id, "galaxy.dispatch");
                     if let Some(s) = &span {
                         s.field("destination", destination.as_str());
@@ -719,7 +682,7 @@ impl QueueEngine {
                             ("job_id", Value::from(job_id)),
                             ("tool", Value::from(plan.tool_id.as_str())),
                             ("destination", Value::from(destination)),
-                            ("user", Value::from(user)),
+                            ("user", Value::from(popped.user.as_str())),
                             ("attempt", Value::from(u64::from(attempt))),
                             ("wait_seconds", Value::from(wait)),
                         ],
@@ -728,14 +691,7 @@ impl QueueEngine {
                         .time_charging
                         .as_ref()
                         .map_or(0.0, |tc| tc.model.duration(&plan).max(0.0));
-                    wave.push(Dispatched {
-                        plan,
-                        handed_at: 0.0,
-                        duration,
-                        wave_start,
-                        span,
-                        result: None,
-                    });
+                    wave.push(Dispatched { plan, duration, wave_start, span, result: None });
                 }
                 Err(_) => {
                     // prepare_plan already marked the job failed.
@@ -746,13 +702,6 @@ impl QueueEngine {
                 }
             }
         }
-        // Hand-over: every member waits from here until its turn.
-        let recorder = self.app.recorder();
-        for member in &mut wave {
-            member.handed_at = recorder.now();
-            recorder.metrics().add_gauge(pool::QUEUE_DEPTH_GAUGE, 1.0);
-            recorder.metrics().inc_counter(pool::JOBS_SUBMITTED_COUNTER, 1);
-        }
         wave
     }
 
@@ -760,32 +709,23 @@ impl QueueEngine {
     /// every member (notifying the discard listener) when a
     /// [`QueueEngine::discard_next_wave`] fault is armed.
     fn run_wave(&mut self, wave: &mut [Dispatched]) {
-        let discard = std::mem::take(&mut self.discard_next_wave);
-        let listener = if discard { self.discard_listener.lock().clone() } else { None };
-        let recorder = self.app.recorder();
-        let metrics = recorder.metrics();
-        for member in wave {
-            metrics.add_gauge(pool::QUEUE_DEPTH_GAUGE, -1.0);
-            if discard {
-                // Skipped plan: tell the listener so attempt-scoped
-                // resources (GYAN leases) held by never-executed plans
-                // are freed.
-                metrics.inc_counter(pool::JOBS_SKIPPED_COUNTER, 1);
-                if let Some(listener) = &listener {
+        if std::mem::take(&mut self.discard_next_wave) {
+            // Skipped plans: tell the listener so attempt-scoped resources
+            // (GYAN leases) held by never-executed plans are freed.
+            if let Some(listener) = self.discard_listener.lock().clone() {
+                for member in wave {
                     listener(member.plan.job_id);
                 }
-                continue;
             }
-            let wait = (recorder.now() - member.handed_at).max(0.0);
-            metrics.add_gauge(pool::WORKERS_BUSY_GAUGE, 1.0);
-            metrics.observe(pool::QUEUE_WAIT_HISTOGRAM, wait);
+            return;
+        }
+        let metrics = self.app.recorder().metrics();
+        for member in wave {
             let result = self.executor.execute(&member.plan);
             if result.exit_code != 0 {
-                metrics.inc_counter(pool::JOBS_FAILED_COUNTER, 1);
+                metrics.inc_counter(JOBS_FAILED_COUNTER, 1);
             }
             member.result = Some(result);
-            metrics.add_gauge(pool::WORKERS_BUSY_GAUGE, -1.0);
-            metrics.inc_counter(pool::JOBS_EXECUTED_COUNTER, 1);
         }
     }
 
@@ -793,10 +733,10 @@ impl QueueEngine {
     /// and create its job record. Returns `None` — failing the step — when
     /// an upstream output is missing or job creation fails.
     fn materialize_step(&mut self, wf: usize, step: usize) -> Option<u64> {
-        let (tool_id, user, priority, bindings) = {
+        let (tool_id, user, bindings) = {
             let run = &self.workflows[wf];
             let dstep = &run.dag.steps[step];
-            (dstep.tool_id.clone(), run.user.clone(), run.priority, dstep.params.clone())
+            (dstep.tool_id.clone(), run.user.clone(), dstep.params.clone())
         };
         let mut params = ParamDict::new();
         for (name, source) in bindings {
@@ -819,17 +759,17 @@ impl QueueEngine {
                 self.workflows[wf].job_ids[step] = Some(job_id);
                 self.ledger.upsert(JobSnapshot {
                     job_id,
-                    user: user.clone(),
-                    tool: tool_id.clone(),
+                    user,
+                    tool: tool_id,
                     state: SubmissionState::Queued,
                     attempts: 0,
                     destination: None,
                     node: None,
-                    priority,
+                    priority: DAG_STEP_PRIORITY,
                     submitted_at: self.app.recorder().now(),
                     finished_at: None,
                 });
-                self.jobs.insert(job_id, JobCtx::new(user, priority, Some((wf, step))));
+                self.jobs.insert(job_id, JobCtx { origin: Some((wf, step)), ..JobCtx::default() });
                 Some(job_id)
             }
             Err(_) => {
@@ -920,9 +860,9 @@ impl QueueEngine {
         // the placement advisor confirms a viable node class remains);
         // else walk the fallback ladder; else the failure is final.
         let policy = self.policy_for(job_id);
-        let attempts = self.jobs.get(&job_id).map_or(1, |ctx| ctx.attempts);
+        let (attempts, from_node) =
+            self.ledger.get(job_id).map_or((1, None), |snap| (snap.attempts, snap.node.clone()));
         let node_retries_used = self.jobs.get(&job_id).map_or(0, |ctx| ctx.node_retries_used);
-        let from_node = self.ledger.get(job_id).and_then(|snap| snap.node.clone());
         let budget_left = attempts < policy.max_attempts;
 
         let failed = FailedAttempt {
@@ -1020,7 +960,6 @@ impl QueueEngine {
             reason_counter,
             format!("{QUEUE_RESUBMITTED_COUNTER}{{reason=\"{reason}\"}}")
         );
-        let (user, priority) = (ctx.user.clone(), ctx.priority);
         let from = ctx.first_destination.clone().unwrap_or_default();
         let excluded = ctx.excluded_nodes.join(",");
         ctx.next_dest = Some(dest.clone());
@@ -1043,7 +982,10 @@ impl QueueEngine {
             ],
         );
         let now = recorder.now();
-        self.queue.push_unchecked(&user, priority, now, WorkItem::Job(job_id));
+        let snap = self.ledger.get(job_id).expect("the ledger tracks every queued job");
+        self.queue.push_unchecked(&snap.user, snap.priority, now, WorkItem::Job(job_id));
+        // Let go of the snapshot first, or the status write copies it.
+        drop(snap);
         self.set_status(job_id, SubmissionState::Queued);
         self.sync_depth_gauge();
     }

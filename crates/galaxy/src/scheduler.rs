@@ -1,4 +1,4 @@
-//! Handler-pool metric names and the dispatch types of the queue engine.
+//! The dispatch types of the queue engine and its failed-attempt counter.
 //!
 //! Real Galaxy dispatches jobs through handler processes with worker
 //! threads (the `workers` attribute of the `<plugin>` element in
@@ -10,33 +10,14 @@
 //! OS thread per worker, and every run is deterministic. Tests that are
 //! about real interleavings drive an executor from their own threads.
 //!
-//! The engine publishes the handler pool's gauges and counters under the
-//! names below, so `queued + busy + executed + skipped == submitted` is
-//! scrape-checkable at every barrier.
+//! [`JOBS_FAILED_COUNTER`] keeps the `galaxy_pool_` name it had when a
+//! handler pool ran the plans: the `job-failure-burn` SLO rule reads it.
 
 use std::sync::Arc;
 
-/// Metric: plans handed over for execution but not yet run.
-pub const QUEUE_DEPTH_GAUGE: &str = "galaxy_pool_queue_depth";
-/// Metric: plans currently executing.
-pub const WORKERS_BUSY_GAUGE: &str = "galaxy_pool_workers_busy";
-/// Metric: the modeled worker count, i.e. the wave width (the ops
-/// `/healthz` saturation check divides busy by this). No OS threads back
-/// it.
-pub const WORKERS_TOTAL_GAUGE: &str = "galaxy_pool_workers_total";
-/// Metric: seconds each plan waited between hand-over and execution.
-pub const QUEUE_WAIT_HISTOGRAM: &str = "galaxy_pool_queue_wait_seconds";
-/// Metric: total plans handed over for execution. With
-/// [`JOBS_EXECUTED_COUNTER`] and [`JOBS_SKIPPED_COUNTER`] this makes
-/// gauge conservation scrape-checkable:
-/// `queued + busy + executed + skipped == submitted` at every barrier.
-pub const JOBS_SUBMITTED_COUNTER: &str = "galaxy_pool_jobs_submitted_total";
-/// Metric: total plans executed.
-pub const JOBS_EXECUTED_COUNTER: &str = "galaxy_pool_jobs_executed_total";
-/// Metric: executed plans that reported a non-zero exit code.
+/// Metric: executed plans that reported a non-zero exit code — every
+/// failed attempt, retried or final.
 pub const JOBS_FAILED_COUNTER: &str = "galaxy_pool_jobs_failed_total";
-/// Metric: plans skipped by a discarded wave instead of executed.
-pub const JOBS_SKIPPED_COUNTER: &str = "galaxy_pool_jobs_skipped_total";
 
 /// The queue engine's dispatch backend. [`DispatchMode::Event`] is the
 /// only one. The type stays only because `benchmark/src/queue_day.rs`

@@ -7,7 +7,7 @@
 //! | endpoint           | content                                          |
 //! |--------------------|--------------------------------------------------|
 //! | `/metrics`         | Prometheus scrape of the recorder's registry     |
-//! | `/healthz`         | liveness + HTTP pool + handler pool saturation   |
+//! | `/healthz`         | liveness + HTTP pool saturation                  |
 //! | `/api/gpus`        | merged SMI device state + active leases          |
 //! | `/api/jobs`        | job lifecycle snapshots from the queue ledger    |
 //! | `/api/jobs/<id>`   | one job, with the leases it currently holds      |
@@ -26,7 +26,6 @@
 use crate::footprint::FootprintRegistry;
 use crate::reservations::{Lease, LeaseTable};
 use galaxy::queue::{JobSnapshot, JobsLedger};
-use galaxy::scheduler::{WORKERS_BUSY_GAUGE, WORKERS_TOTAL_GAUGE};
 use gpusim::GpuCluster;
 use obs::json_escape;
 use obs::serve::{Handler, OpsServer, Response};
@@ -358,7 +357,6 @@ pub fn ops_server(
     let gpus = (cluster.clone(), table.clone());
     let jobs = (ledger.clone(), table.clone());
     let job = jobs.clone();
-    let health = recorder.clone();
     ops_base(recorder, alerts)
         .route(
             "/api/gpus",
@@ -369,17 +367,6 @@ pub fn ops_server(
             jobs_route(move || jobs_json(&jobs.0, &jobs.1), move |id| job_json(&job.0, &job.1, id)),
         )
         .route("/api/bench", bench_route("BENCH_scheduler.json"))
-        .healthz_extra(move || {
-            let m = health.metrics();
-            let busy = m.gauge_value(WORKERS_BUSY_GAUGE).unwrap_or(0.0);
-            let total = m.gauge_value(WORKERS_TOTAL_GAUGE).unwrap_or(0.0);
-            format!(
-                "\"galaxy_pool\":{{\"workers\":{},\"busy\":{},\"saturated\":{}}}",
-                num(total),
-                num(busy),
-                total > 0.0 && busy >= total
-            )
-        })
 }
 
 #[cfg(test)]
@@ -534,7 +521,7 @@ mod tests {
 
         let (status, body) = http_get(addr, "/healthz").unwrap();
         assert_eq!(status, 200);
-        assert!(body.contains("\"galaxy_pool\""));
+        assert!(body.contains("\"http_pool\""), "{body}");
 
         handle.shutdown();
     }

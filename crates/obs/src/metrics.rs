@@ -8,31 +8,24 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-/// Histogram bucket upper bounds used when none are supplied: roughly
-/// log-spaced from 1 ms to 100 s, suiting queue waits and phase times.
+/// Bucket upper bounds of every histogram: roughly log-spaced from 1 ms
+/// to 100 s, suiting queue waits and phase times.
 pub const DEFAULT_BUCKETS: [f64; 10] = [0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 100.0];
 
-/// Counter bumped when [`Registry::observe_with_buckets`] is called with
-/// bounds that disagree with the histogram's existing buckets.
-pub const HISTOGRAM_BUCKET_CONFLICTS: &str = "obs_histogram_bucket_conflicts_total";
-
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Histogram {
-    bounds: Vec<f64>,
-    counts: Vec<u64>,
+    /// `counts[i]` counts the observations `<= DEFAULT_BUCKETS[i]`, i.e.
+    /// buckets are stored cumulatively as Prometheus expects.
+    counts: [u64; DEFAULT_BUCKETS.len()],
     sum: f64,
     count: u64,
 }
 
 impl Histogram {
-    fn new(bounds: &[f64]) -> Self {
-        Histogram { bounds: bounds.to_vec(), counts: vec![0; bounds.len()], sum: 0.0, count: 0 }
-    }
-
     fn observe(&mut self, v: f64) {
-        for (i, bound) in self.bounds.iter().enumerate() {
+        for (bound, count) in DEFAULT_BUCKETS.iter().zip(&mut self.counts) {
             if v <= *bound {
-                self.counts[i] += 1;
+                *count += 1;
             }
         }
         self.sum += v;
@@ -119,32 +112,12 @@ impl Registry {
 
     /// Record an observation into a histogram with [`DEFAULT_BUCKETS`].
     pub fn observe(&self, name: &str, value: f64) {
-        self.observe_with_buckets(name, value, &DEFAULT_BUCKETS);
-    }
-
-    /// Record an observation into a histogram with explicit bucket
-    /// bounds (bounds are fixed by the first observation).
-    ///
-    /// Calling again under the same name with *different* bounds is a
-    /// wiring bug: the observation still lands (in the original buckets,
-    /// so `_count`/`_sum` stay truthful) but the conflict is surfaced via
-    /// [`HISTOGRAM_BUCKET_CONFLICTS`] and a debug assertion instead of
-    /// silently corrupting the bucket layout.
-    pub fn observe_with_buckets(&self, name: &str, value: f64, bounds: &[f64]) {
-        let mismatch = {
-            let mut state = self.lock();
-            let hist = match state.histograms.get_mut(name) {
-                Some(hist) => hist,
-                None => state.histograms.entry(name.to_string()).or_insert(Histogram::new(bounds)),
-            };
-            let mismatch = hist.bounds != bounds;
-            hist.observe(value);
-            mismatch
+        let mut state = self.lock();
+        let hist = match state.histograms.get_mut(name) {
+            Some(hist) => hist,
+            None => state.histograms.entry(name.to_string()).or_default(),
         };
-        if mismatch {
-            self.inc_counter(HISTOGRAM_BUCKET_CONFLICTS, 1);
-            debug_assert!(!mismatch, "histogram '{name}' observed with conflicting bucket bounds");
-        }
+        hist.observe(value);
     }
 
     /// Current value of a counter (0 when never incremented).
@@ -181,7 +154,7 @@ impl Registry {
         let rank = q.clamp(0.0, 1.0) * h.count as f64;
         let mut lower = 0.0f64;
         let mut prev = 0u64;
-        for (bound, cum) in h.bounds.iter().zip(&h.counts) {
+        for (bound, cum) in DEFAULT_BUCKETS.iter().zip(&h.counts) {
             if *cum as f64 >= rank && *cum > prev {
                 let fraction = (rank - prev as f64) / (*cum - prev) as f64;
                 return Some(lower + (bound - lower) * fraction);
@@ -189,7 +162,7 @@ impl Registry {
             lower = *bound;
             prev = *cum;
         }
-        h.bounds.last().copied()
+        DEFAULT_BUCKETS.last().copied()
     }
 
     /// Render the whole registry in Prometheus text exposition format.
@@ -224,9 +197,7 @@ impl Registry {
             type_header(&mut out, name, "histogram");
             let (base, raw_labels) = split_labels(name);
             let labels = render_label_body(&split_label_pairs(&raw_labels));
-            // `counts[i]` already counts observations <= bounds[i], i.e.
-            // buckets are stored cumulatively as Prometheus expects.
-            for (bound, count) in hist.bounds.iter().zip(&hist.counts) {
+            for (bound, count) in DEFAULT_BUCKETS.iter().zip(&hist.counts) {
                 out.push_str(&format!(
                     "{base}_bucket{{{}le=\"{}\"}} {count}\n",
                     labels_prefix(&labels),
@@ -474,8 +445,8 @@ mod tests {
         reg.inc_counter("jobs_total{state=\"ok\"}", 5);
         reg.inc_counter("jobs_total{state=\"error\"}", 1);
         reg.set_gauge("queue_depth", 0.0);
-        reg.observe_with_buckets("wait_seconds", 0.05, &[0.01, 0.1, 1.0]);
-        reg.observe_with_buckets("wait_seconds", 0.5, &[0.01, 0.1, 1.0]);
+        reg.observe("wait_seconds", 0.05);
+        reg.observe("wait_seconds", 0.5);
 
         let text = reg.render_prometheus();
         assert!(text.contains("# TYPE jobs_total counter"));
@@ -510,7 +481,7 @@ mod tests {
         // A value with every special character: quote, backslash, newline.
         reg.inc_counter("paths_total{path=\"a\\b\"c\nd\"}", 3);
         reg.set_gauge("last_error{msg=\"said \"no\"\"}", 1.0);
-        reg.observe_with_buckets("tool_seconds{tool=\"racon \\ gpu\"}", 0.5, &[1.0]);
+        reg.observe("tool_seconds{tool=\"racon \\ gpu\"}", 0.5);
 
         let text = reg.render_prometheus();
         for line in text.lines().filter(|l| !l.starts_with('#')) {
@@ -538,7 +509,7 @@ mod tests {
         reg.inc_counter("jobs_total{state=\"ok\"}", 1);
         reg.inc_counter("jobs_total{state=\"error\"}", 2);
         reg.inc_counter("unhelped_total", 1);
-        reg.observe_with_buckets("wait_seconds", 0.5, &[1.0]);
+        reg.observe("wait_seconds", 0.5);
 
         let text = reg.render_prometheus();
         let lines: Vec<&str> = text.lines().collect();
@@ -562,7 +533,7 @@ mod tests {
         let reg = Registry::new();
         reg.set_help("conf_seconds", "Conformance histogram.");
         for v in [0.05, 0.5, 5.0] {
-            reg.observe_with_buckets("conf_seconds{tool=\"racon\"}", v, &[0.1, 1.0]);
+            reg.observe("conf_seconds{tool=\"racon\"}", v);
         }
         let text = reg.render_prometheus();
         let samples = parse_prometheus(&text).expect("exposition parses");
@@ -571,16 +542,9 @@ mod tests {
         // Exactly the conformant series set: every finite bucket, a
         // terminal +Inf bucket, then _sum and _count.
         let names: Vec<&str> = series.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(
-            names,
-            vec![
-                "conf_seconds_bucket",
-                "conf_seconds_bucket",
-                "conf_seconds_bucket",
-                "conf_seconds_sum",
-                "conf_seconds_count"
-            ]
-        );
+        let mut want = vec!["conf_seconds_bucket"; DEFAULT_BUCKETS.len() + 1];
+        want.extend(["conf_seconds_sum", "conf_seconds_count"]);
+        assert_eq!(names, want);
         let buckets: Vec<&&PromSample> =
             series.iter().filter(|s| s.name == "conf_seconds_bucket").collect();
         assert_eq!(buckets.last().unwrap().label("le"), Some("+Inf"));
@@ -597,35 +561,14 @@ mod tests {
     }
 
     #[test]
-    fn conflicting_bucket_bounds_are_surfaced() {
-        let reg = Registry::new();
-        reg.observe_with_buckets("mixed_seconds", 0.5, &[1.0, 2.0]);
-        let conflict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            reg.observe_with_buckets("mixed_seconds", 0.5, &[3.0]);
-        }));
-        // Debug builds assert; release builds keep going. Either way the
-        // conflict counter ticks, the observation lands, and the original
-        // bucket layout survives.
-        assert_eq!(conflict.is_err(), cfg!(debug_assertions));
-        assert_eq!(reg.counter_value(HISTOGRAM_BUCKET_CONFLICTS), 1);
-        assert_eq!(reg.histogram_count("mixed_seconds"), 2);
-        let text = reg.render_prometheus();
-        assert!(text.contains("mixed_seconds_bucket{le=\"2\"}"), "{text}");
-        assert!(!text.contains("mixed_seconds_bucket{le=\"3\"}"), "{text}");
-        // Matching bounds never trip it.
-        reg.observe_with_buckets("mixed_seconds", 0.1, &[1.0, 2.0]);
-        assert_eq!(reg.counter_value(HISTOGRAM_BUCKET_CONFLICTS), 1);
-    }
-
-    #[test]
     fn quantile_interpolates_within_buckets() {
         let reg = Registry::new();
-        for v in [0.5, 1.5, 3.0, 3.5] {
-            reg.observe_with_buckets("lat", v, &[1.0, 2.0, 4.0]);
+        for v in [0.0005, 0.7, 2.0, 3.0] {
+            reg.observe("lat", v);
         }
-        // rank 2 lands exactly on the le=2 cumulative boundary.
-        assert_eq!(reg.histogram_quantile("lat", 0.5), Some(2.0));
-        // rank 3 is halfway through the (2, 4] bucket's two observations.
+        // rank 2 lands exactly on the le=1 cumulative boundary.
+        assert_eq!(reg.histogram_quantile("lat", 0.5), Some(1.0));
+        // rank 3 is halfway through the (1, 5] bucket's two observations.
         assert_eq!(reg.histogram_quantile("lat", 0.75), Some(3.0));
         // rank 0 interpolates to the first bucket's lower edge.
         assert_eq!(reg.histogram_quantile("lat", 0.0), Some(0.0));
@@ -634,22 +577,22 @@ mod tests {
     #[test]
     fn quantile_exact_boundary_hits_the_bound() {
         let reg = Registry::new();
-        reg.observe_with_buckets("exact", 1.0, &[1.0, 2.0]);
-        // Every rank falls in the first bucket; its upper bound is the
-        // only information the histogram retains.
+        reg.observe("exact", 1.0);
+        // Every rank falls in the (0.5, 1] bucket; its edges are the only
+        // information the histogram retains.
         assert_eq!(reg.histogram_quantile("exact", 1.0), Some(1.0));
-        assert_eq!(reg.histogram_quantile("exact", 0.5), Some(0.5));
+        assert_eq!(reg.histogram_quantile("exact", 0.5), Some(0.75));
     }
 
     #[test]
     fn quantile_inf_bucket_clamps_to_highest_finite_bound() {
         let reg = Registry::new();
-        reg.observe_with_buckets("spill", 100.0, &[1.0, 2.0]);
-        reg.observe_with_buckets("spill", 0.5, &[1.0, 2.0]);
-        // p99 lives in the +Inf region: clamp to le=2 like Prometheus.
-        assert_eq!(reg.histogram_quantile("spill", 0.99), Some(2.0));
+        reg.observe("spill", 1000.0);
+        reg.observe("spill", 0.5);
+        // p99 lives in the +Inf region: clamp to le=100 like Prometheus.
+        assert_eq!(reg.histogram_quantile("spill", 0.99), Some(100.0));
         // Out-of-range q is clamped, not an error.
-        assert_eq!(reg.histogram_quantile("spill", 7.0), Some(2.0));
+        assert_eq!(reg.histogram_quantile("spill", 7.0), Some(100.0));
     }
 
     #[test]
@@ -660,8 +603,8 @@ mod tests {
         // need an explicit zero-observation path; the registry only
         // creates histograms on observe, so absence covers it — but an
         // all-below-zero rank must not divide by zero either.
-        reg.observe_with_buckets("one", 5.0, &[1.0]);
-        assert_eq!(reg.histogram_quantile("one", 0.5), Some(1.0));
+        reg.observe("one", 500.0);
+        assert_eq!(reg.histogram_quantile("one", 0.5), Some(100.0));
     }
 
     #[test]

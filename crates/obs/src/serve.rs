@@ -158,7 +158,6 @@ struct PoolStats {
 /// Builder for the ops server: register routes, then [`OpsServer::start`].
 pub struct OpsServer {
     routes: BTreeMap<String, Handler>,
-    healthz_extra: Option<Arc<dyn Fn() -> String + Send + Sync>>,
     workers: usize,
 }
 
@@ -171,7 +170,7 @@ impl Default for OpsServer {
 impl OpsServer {
     /// A server with no routes and 2 workers.
     pub fn new() -> Self {
-        OpsServer { routes: BTreeMap::new(), healthz_extra: None, workers: 2 }
+        OpsServer { routes: BTreeMap::new(), workers: 2 }
     }
 
     /// Set the worker-thread count (min 1).
@@ -199,13 +198,6 @@ impl OpsServer {
         )
     }
 
-    /// Attach an extra JSON object fragment (`"key":value,...` rendered
-    /// into the `/healthz` document) supplied per request.
-    pub fn healthz_extra(mut self, provider: impl Fn() -> String + Send + Sync + 'static) -> Self {
-        self.healthz_extra = Some(Arc::new(provider));
-        self
-    }
-
     /// Bind `addr` (use port 0 for an ephemeral port) and serve until
     /// [`OpsHandle::shutdown`].
     pub fn start(self, addr: impl ToSocketAddrs) -> io::Result<OpsHandle> {
@@ -219,7 +211,6 @@ impl OpsServer {
             refused: AtomicU64::new(0),
         });
         let routes = Arc::new(self.routes);
-        let healthz_extra = self.healthz_extra;
         let shutdown = Arc::new(AtomicBool::new(false));
 
         let (tx, rx) = sync_channel::<TcpStream>(self.workers * BACKLOG_PER_WORKER);
@@ -229,10 +220,9 @@ impl OpsServer {
                 let rx = Arc::clone(&rx);
                 let routes = Arc::clone(&routes);
                 let stats = Arc::clone(&stats);
-                let healthz_extra = healthz_extra.clone();
                 std::thread::Builder::new()
                     .name(format!("obs-ops-{i}"))
-                    .spawn(move || worker_loop(&rx, &routes, healthz_extra.as_deref(), &stats))
+                    .spawn(move || worker_loop(&rx, &routes, &stats))
                     .expect("spawn ops worker")
             })
             .collect();
@@ -274,12 +264,7 @@ impl OpsServer {
 
 type ReceiverSlot = Arc<Mutex<Receiver<TcpStream>>>;
 
-fn worker_loop(
-    rx: &ReceiverSlot,
-    routes: &BTreeMap<String, Handler>,
-    healthz_extra: Option<&(dyn Fn() -> String + Send + Sync)>,
-    stats: &PoolStats,
-) {
+fn worker_loop(rx: &ReceiverSlot, routes: &BTreeMap<String, Handler>, stats: &PoolStats) {
     loop {
         // The mutex only serializes the dequeue, not request handling.
         let next = rx.lock().unwrap_or_else(|e| e.into_inner()).recv();
@@ -287,7 +272,7 @@ fn worker_loop(
         stats.queued.fetch_sub(1, Ordering::SeqCst);
         stats.busy.fetch_add(1, Ordering::SeqCst);
         stats.requests.fetch_add(1, Ordering::SeqCst);
-        let _ = handle_connection(&mut stream, routes, healthz_extra, stats);
+        let _ = handle_connection(&mut stream, routes, stats);
         stats.busy.fetch_sub(1, Ordering::SeqCst);
     }
 }
@@ -295,7 +280,6 @@ fn worker_loop(
 fn handle_connection(
     stream: &mut TcpStream,
     routes: &BTreeMap<String, Handler>,
-    healthz_extra: Option<&(dyn Fn() -> String + Send + Sync)>,
     stats: &PoolStats,
 ) -> io::Result<()> {
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
@@ -315,7 +299,7 @@ fn handle_connection(
         None => (target.to_string(), String::new()),
     };
     let request = Request { method, path, query };
-    let response = dispatch(&request, routes, healthz_extra, stats);
+    let response = dispatch(&request, routes, stats);
     write_response(stream, &response)
 }
 
@@ -343,17 +327,12 @@ fn read_head(stream: &TcpStream) -> io::Result<Option<String>> {
     Ok(None)
 }
 
-fn dispatch(
-    request: &Request,
-    routes: &BTreeMap<String, Handler>,
-    healthz_extra: Option<&(dyn Fn() -> String + Send + Sync)>,
-    stats: &PoolStats,
-) -> Response {
+fn dispatch(request: &Request, routes: &BTreeMap<String, Handler>, stats: &PoolStats) -> Response {
     if request.method != "GET" {
         return Response::method_not_allowed();
     }
     if request.path == "/healthz" {
-        return healthz(healthz_extra, stats);
+        return healthz(stats);
     }
     // Longest matching route wins: exact path, or a registered prefix
     // followed by `/` (so `/api/jobs` also serves `/api/jobs/17`).
@@ -375,18 +354,13 @@ fn dispatch(
     }
 }
 
-fn healthz(
-    healthz_extra: Option<&(dyn Fn() -> String + Send + Sync)>,
-    stats: &PoolStats,
-) -> Response {
+fn healthz(stats: &PoolStats) -> Response {
     let busy = stats.busy.load(Ordering::SeqCst);
     let queued = stats.queued.load(Ordering::SeqCst);
     let saturated = busy >= stats.workers && queued > 0;
-    let extra = healthz_extra.map(|f| f()).filter(|s| !s.is_empty());
-    let extra = extra.map_or(String::new(), |s| format!(",{s}"));
     Response::json(format!(
         "{{\"status\":\"ok\",\"http_pool\":{{\"workers\":{},\"busy\":{busy},\"queued\":{queued},\
-         \"saturated\":{saturated},\"requests\":{},\"refused\":{}}}{extra}}}",
+         \"saturated\":{saturated},\"requests\":{},\"refused\":{}}}}}",
         stats.workers,
         stats.requests.load(Ordering::SeqCst),
         stats.refused.load(Ordering::SeqCst),
@@ -512,7 +486,6 @@ mod tests {
                     Response::json(format!("{{\"path\":\"{}\"}}", crate::json_escape(&req.path)))
                 }),
             )
-            .healthz_extra(|| "\"extra\":{\"answer\":42}".to_string())
             .start("127.0.0.1:0")
             .expect("bind ephemeral port")
     }
@@ -633,7 +606,7 @@ mod tests {
     }
 
     #[test]
-    fn healthz_reports_pool_state_and_extra() {
+    fn healthz_reports_http_pool_state() {
         let server = test_server();
         let (status, body) = http_get(server.addr(), "/healthz").unwrap();
         assert_eq!(status, 200);
@@ -642,10 +615,7 @@ mod tests {
         let pool = doc.get("http_pool").unwrap();
         assert_eq!(pool.get("workers").and_then(|v| v.as_f64()), Some(2.0));
         assert_eq!(pool.get("saturated").and_then(|v| v.as_bool()), Some(false));
-        assert_eq!(
-            doc.get("extra").and_then(|e| e.get("answer")).and_then(|v| v.as_f64()),
-            Some(42.0)
-        );
+        assert!(body.ends_with("}}"), "the HTTP pool is the document's last member: {body}");
         server.shutdown();
     }
 

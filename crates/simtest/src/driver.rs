@@ -16,6 +16,7 @@ use fleet::{Fleet, FleetBuilder, FleetConfig};
 use galaxy::job::conf::{JobConfig, GYAN_JOB_CONF};
 use galaxy::queue::{DurationModel, QueueConfig, QueueEngine, SubmissionState, WaveTimeCharging};
 use galaxy::runners::JobExecutor;
+use galaxy::scheduler::DiscardListener;
 use galaxy::tool::macros::MacroLibrary;
 use galaxy::{GalaxyApp, GalaxyError};
 use gpusim::{GpuCluster, VirtualClock};
@@ -148,6 +149,15 @@ impl Gpus {
         }
     }
 
+    /// The queue engine's discard listener: releases what a plan a
+    /// discarded wave skips holds — its leases, or its fleet placement.
+    pub fn discard_listener(&self, recorder: &Recorder) -> DiscardListener {
+        match self {
+            Gpus::Node { table, .. } => table.discard_listener(Some(recorder.clone())),
+            Gpus::Fleet(fleet) => fleet.discard_listener(),
+        }
+    }
+
     /// The stock SLO rules of the topology.
     pub fn slo_rules(&self) -> Vec<AlertRule> {
         match self {
@@ -197,8 +207,8 @@ pub struct StackSpec {
     pub alert_rules: fn(&Gpus) -> Vec<AlertRule>,
     /// Cap on retained app events and recorder spans/events.
     pub log_retention: Option<usize>,
-    /// Register the lease table's discard listener (the production
-    /// wiring; `false` is simtest's known-bad one).
+    /// Register [`Gpus::discard_listener`] (the production wiring;
+    /// `false` is simtest's known-bad one).
     pub release_on_discard: bool,
 }
 
@@ -264,8 +274,8 @@ impl Stack {
         }
         app.set_executor(Box::new(spec.executor.clone()));
         let engine = QueueEngine::new(app, spec.executor, config);
-        if let (true, Gpus::Node { table, .. }) = (spec.release_on_discard, &gpus) {
-            engine.set_discard_listener(table.discard_listener(Some(recorder.clone())));
+        if spec.release_on_discard {
+            engine.set_discard_listener(gpus.discard_listener(&recorder));
         }
         Ok(Stack { engine, clock, gpus, alerts, recorder, repro: spec.repro })
     }

@@ -314,13 +314,18 @@ pub fn run_fleet_scenario(
 ) -> Result<SimReport, Failure> {
     let repro = Repro { seed: scenario.seed, seed_env: SEED_ENV, scenario: scenario.describe() };
     let recorder = Recorder::new();
+    // A failure carries the flight-recorder dump of its moment.
+    let fail = |wave: Option<usize>, v: Violation| Failure {
+        flight_jsonl: Some(recorder.flight_snapshot().to_jsonl()),
+        ..repro.failure(wave, v)
+    };
     let mut run = FleetRun::new(scenario, &recorder, options);
     for wave in 0..scenario.waves {
-        run.wave(wave, options).map_err(|v| repro.failure(Some(wave), v))?;
+        run.wave(wave, options).map_err(|v| fail(Some(wave), v))?;
     }
     run.drain()
         .and_then(|()| invariants::fleet_export_matches_acquire(&recorder.events()))
-        .map_err(|v| repro.failure(None, v))?;
+        .map_err(|v| fail(None, v))?;
 
     Ok(SimReport {
         seed: scenario.seed,
@@ -410,6 +415,12 @@ mod tests {
         let again = run_fleet_seed(failure.seed, &options).expect_err("same seed re-fails");
         assert_eq!(again.reason, failure.reason);
         assert!(failure.to_string().contains(&format!("SIMTEST_SEED={}", failure.seed)));
+        // ... and carries its black box: the placements leading up to it.
+        let dump = failure.flight_jsonl.as_deref().expect("a fleet failure carries a flight dump");
+        assert!(
+            dump.lines().any(|line| line.contains(fleet::fleet::FLEET_DECISION_EVENT)),
+            "no placement decision in the flight dump:\n{dump}"
+        );
     }
 
     #[test]

@@ -111,8 +111,9 @@ pub struct Failure {
     /// so a violation without a fired alert is itself an observability
     /// gap worth investigating.
     pub fired_alerts: Vec<String>,
-    /// Flight-recorder JSONL dump captured at failure time (None when
-    /// the recorder had no ring enabled).
+    /// Flight-recorder JSONL dump captured at failure time: the last
+    /// records of the run's recorder (None only for a setup failure,
+    /// before the stack had one).
     pub flight_jsonl: Option<String>,
 }
 

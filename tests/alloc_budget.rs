@@ -112,10 +112,11 @@ fn per_placement(k80: u32, a100: u32) -> f64 {
 /// 105.5 at 0f6d93c, 104.4 at c22b3c8 (the fair-share queue keeps one
 /// entry per user), 98.3 at e151b45 (the app keeps no second, string
 /// event log), 96.3 at 83e239d (a wave runs inline in the queue engine:
-/// no boxed plan, no results map), 83.1 now (a record is kept by value in
-/// the log, with no `Arc` and no second handle in a flight ring); the
-/// ceiling is the measured value plus 10 %.
-const ALLOCS_PER_JOB_CEILING: f64 = 91.4;
+/// no boxed plan, no results map), 83.1 at fedd730 (a record is kept by
+/// value in the log, with no `Arc` and no second handle in a flight
+/// ring), 80.1 now (the queue engine keeps a job's user and state only in
+/// its ledger); the ceiling is the measured value plus 10 %.
+const ALLOCS_PER_JOB_CEILING: f64 = 88.1;
 
 /// Allocations per GPU job's audit trail on 32 devices — one decision,
 /// 32 lease acquires, 32 releases: 425.0 at b774b45 (this same probe run

@@ -13,10 +13,13 @@ use galaxy::queue::{QueueConfig, QueueEngine, SubmissionState};
 use galaxy::tool::macros::MacroLibrary;
 use galaxy::GalaxyApp;
 use gpusim::{GpuCluster, GpuProcess};
+use gyan::allocation::AllocationPolicy;
+use gyan::footprint::MemoryHint;
 use obs::serve::http_get;
 use obs::slo::AlertEngine;
 use obs::Recorder;
 use seqtools::ToolExecutor;
+use simtest::driver::{Gpus, Hardware, Repro, Stack, StackSpec};
 use std::sync::Arc;
 
 // &[0] pins one minor so each placement takes exactly one die (an empty
@@ -294,6 +297,49 @@ fn queue_dispatch_stamps_the_node_onto_the_ledger() {
     // Wave barrier concluded everything: no leases or bookings survive.
     assert_eq!(fleet.total_lease_count(), 0);
     assert!(fleet.active_placements().is_empty());
+}
+
+/// A discarded wave's plans were placed when they were prepared and never
+/// run: the production stack's discard listener must release their
+/// bookings and leases, on a fleet as on one node.
+#[test]
+fn discarded_wave_releases_its_fleet_placements() {
+    let mut stack = Stack::build(StackSpec {
+        repro: Repro { seed: 0, seed_env: "SIMTEST_SEED", scenario: "fleet discard".into() },
+        tools: vec![FLEET_GPU_TOOL.to_string()],
+        hardware: Hardware::Fleet(Fleet::builder().nodes(NodeClass::k80(), 2)),
+        policy: AllocationPolicy::ProcessId,
+        memory_hint: MemoryHint::Static,
+        executor: Arc::new(ToolExecutor::new(&GpuCluster::cpu_only_node())),
+        queue: QueueConfig::default(),
+        wave_time: None,
+        alert_rules: Gpus::slo_rules,
+        log_retention: None,
+        release_on_discard: true,
+    })
+    .expect("stack builds");
+    let Gpus::Fleet(fleet) = stack.gpus.clone() else { panic!("a fleet installs as Gpus::Fleet") };
+
+    let ids: Vec<u64> = (0..2)
+        .map(|_| stack.engine.submit_async("ada", "racon_gpu", &ParamDict::new()).unwrap().0)
+        .collect();
+    stack.engine.discard_next_wave();
+    stack.engine.run_until_idle();
+
+    for id in &ids {
+        let state = stack.engine.state(galaxy::queue::JobHandle(*id));
+        assert_eq!(state, Some(SubmissionState::Cancelled));
+    }
+    assert_eq!(fleet.active_placements(), [], "bookings outlive the discarded wave");
+    assert_eq!(fleet.total_lease_count(), 0, "leases outlive the discarded wave");
+    let discarded: Vec<u64> = stack
+        .recorder
+        .events_named(fleet::fleet::FLEET_RELEASE_EVENT)
+        .iter()
+        .filter(|e| e.field("why").and_then(|v| v.as_str()) == Some("discarded"))
+        .filter_map(|e| e.field("job_id").and_then(|v| v.as_f64()).map(|id| id as u64))
+        .collect();
+    assert_eq!(discarded, ids, "one `discarded` release per skipped plan, in wave order");
 }
 
 // --- Fleet operations plane --------------------------------------------

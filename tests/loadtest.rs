@@ -119,7 +119,7 @@ fn fleet_topology_soak_runs_clean() {
     assert!(!report.fired.iter().any(|r| r == "fleet-lease-leak"), "{:?}", report.fired);
 }
 
-// --- Pool-gauge coherence under the event-driven dispatch loop ---------
+// --- Job conservation on the wire under the event-driven dispatch loop -
 
 const LOAD_ECHO: &str = r#"<tool id="load_echo" name="Echo">
   <command>echo tick</command>
@@ -134,13 +134,12 @@ fn scrape(body: &str, name: &str) -> f64 {
         .unwrap_or(0.0)
 }
 
-/// Regression for the event-loop gauge wiring: an operator scraping
-/// `/metrics` mid-burst must see a coherent pool — at every wave
-/// barrier `queued + busy + executed + skipped == submitted`, and
-/// `workers_total` reports the nominal width even though the engine
-/// runs each wave inline, on no OS thread of its own.
+/// An operator scraping `/metrics` mid-burst must see every job
+/// accounted for: at every wave barrier `submitted == queued + ok +
+/// error` (a wave runs inline in the engine, so no job is in flight
+/// between pumps).
 #[test]
-fn metrics_scrape_mid_burst_conserves_pool_gauges() {
+fn metrics_scrape_mid_burst_conserves_jobs() {
     let cluster = GpuCluster::node(GpuArch::tesla_k80(), 4);
     let mut app = GalaxyApp::new(JobConfig::from_xml(GYAN_JOB_CONF).unwrap());
     app.install_tool_xml(LOAD_ECHO, &MacroLibrary::new()).unwrap();
@@ -164,21 +163,18 @@ fn metrics_scrape_mid_burst_conserves_pool_gauges() {
         let dispatched = engine.pump_wave();
         let (status, body) = http_get(handle.addr(), "/metrics").unwrap();
         assert_eq!(status, 200);
-        let queued = scrape(&body, "galaxy_pool_queue_depth");
-        let busy = scrape(&body, "galaxy_pool_workers_busy");
-        let executed = scrape(&body, "galaxy_pool_jobs_executed_total");
-        let skipped = scrape(&body, "galaxy_pool_jobs_skipped_total");
-        let submitted = scrape(&body, "galaxy_pool_jobs_submitted_total");
+        let submitted = scrape(&body, "galaxy_jobs_submitted_total");
+        let queued = scrape(&body, "galaxy_queue_depth");
+        let ok = scrape(&body, "galaxy_jobs_ok_total");
+        let error = scrape(&body, "galaxy_jobs_error_total");
         assert_eq!(
-            queued + busy + executed + skipped,
+            queued + ok + error,
             submitted,
-            "pool gauges incoherent at wave {waves}: {queued} + {busy} + {executed} + {skipped} != {submitted}"
+            "jobs unaccounted for at wave {waves}: {queued} + {ok} + {error} != {submitted}"
         );
-        assert_eq!(scrape(&body, "galaxy_pool_workers_total"), 4.0);
-        // At a barrier every handed-over plan has run (queued = busy =
-        // 0); "mid-burst" means the *engine* still holds a fair-share
-        // backlog while we scrape.
-        if scrape(&body, "galaxy_queue_depth") > 0.0 {
+        // "Mid-burst": the engine still holds a fair-share backlog while
+        // we scrape.
+        if queued > 0.0 {
             scraped_with_backlog += 1;
         }
         if dispatched == 0 {

@@ -117,7 +117,7 @@ fn metrics_scrape_round_trips_and_jobs_api_matches_ledger() {
     assert_eq!(status, 200);
     let health = obs::json::parse(&body).unwrap();
     assert_eq!(health.get("status").and_then(|v| v.as_str()), Some("ok"));
-    assert!(health.get("galaxy_pool").is_some());
+    assert!(health.get("http_pool").is_some(), "{body}");
     handle.shutdown();
 }
 

@@ -7,10 +7,10 @@ use galaxy::job::conf::{JobConfig, GYAN_JOB_CONF};
 use galaxy::params::ParamDict;
 use galaxy::queue::{
     DagStep, DagWorkflow, QueueConfig, QueueEngine, ResubmitPolicy, SubmissionState,
-    WaveTimeCharging, QUEUE_REJECTED_COUNTER, QUEUE_RESUBMITTED_COUNTER,
+    WaveTimeCharging, QUEUE_DISPATCHED_COUNTER, QUEUE_REJECTED_COUNTER, QUEUE_RESUBMITTED_COUNTER,
 };
 use galaxy::runners::{ExecutionPlan, ExecutionResult, JobExecutor};
-use galaxy::scheduler::{JOBS_EXECUTED_COUNTER, JOBS_FAILED_COUNTER, JOBS_SKIPPED_COUNTER};
+use galaxy::scheduler::JOBS_FAILED_COUNTER;
 use galaxy::tool::macros::MacroLibrary;
 use galaxy::{GalaxyApp, GalaxyError, JobState};
 use gpusim::{GpuCluster, GpuProcess};
@@ -440,6 +440,46 @@ fn dag_data_edges_carry_upstream_outputs() {
     }
 }
 
+/// A DAG step's lifecycle is recorded once, in the ledger: every step of
+/// bob's workflow is bob's, at the DAG priority 0 (beside a prioritised
+/// job of another user), with one attempt per `galaxy.queue.dispatch`
+/// audit — retries included.
+#[test]
+fn dag_steps_are_recorded_once_in_the_ledger() {
+    let mut app = echo_app();
+    let typo = r#"<tool id="typo"><command>racoon --help</command></tool>"#;
+    app.install_tool_xml(typo, &MacroLibrary::new()).unwrap();
+    let policy = ResubmitPolicy {
+        max_attempts: 3,
+        fallbacks: vec!["local_gpu".into(), "local_cpu".into()],
+        node_retries: 0,
+        footprint_retries: 0,
+    };
+    let config = QueueConfig { resubmit: policy, ..QueueConfig::default() };
+    let mut engine = QueueEngine::new(app, echo_executor(), config);
+    engine.submit_with_priority("alice", "echo", &ParamDict::new(), 9).unwrap();
+    let dag = DagWorkflow::new("mixed")
+        .step(DagStep::new("echo").with_param("text", "a"))
+        .step(DagStep::new("typo"))
+        .step(DagStep::new("echo").with_input_from("text", 0));
+    let wf = engine.submit_dag("bob", dag).unwrap();
+    engine.run_until_idle();
+
+    let report = engine.workflow_report(wf).unwrap();
+    assert_eq!(report.failed_step, Some(1));
+    let dispatched = dispatched_ids(&engine);
+    let ledger = engine.ledger();
+    let mut attempts = Vec::new();
+    for id in report.job_ids.iter().map(|id| id.expect("every step materialized")) {
+        let snap = ledger.get(id).unwrap();
+        assert_eq!((snap.user.as_str(), snap.priority), ("bob", 0), "job {id}");
+        let audits = dispatched.iter().filter(|d| **d == id).count();
+        assert_eq!(snap.attempts as usize, audits, "job {id}");
+        attempts.push(snap.attempts);
+    }
+    assert_eq!(attempts, [1, 3, 1], "the failing step used its whole budget");
+}
+
 #[test]
 fn failed_step_cancels_dependents_but_not_siblings() {
     let mut engine = QueueEngine::new(echo_app(), echo_executor(), QueueConfig::default());
@@ -473,10 +513,15 @@ fn failed_step_cancels_dependents_but_not_siblings() {
 
 /// The job ids of the `galaxy.queue.dispatch` audit trail, in order.
 fn dispatched_ids(engine: &QueueEngine) -> Vec<u64> {
+    audited_ids(engine, "galaxy.queue.dispatch")
+}
+
+/// The job ids of the audit trail named `event`, in order.
+fn audited_ids(engine: &QueueEngine, event: &str) -> Vec<u64> {
     engine
         .app()
         .recorder()
-        .events_named("galaxy.queue.dispatch")
+        .events_named(event)
         .iter()
         .map(|e| e.field("job_id").and_then(|v| v.as_f64()).unwrap() as u64)
         .collect()
@@ -518,7 +563,8 @@ fn failed_counter_counts_every_failed_attempt_retries_included() {
     assert_eq!(engine.state(fine), Some(SubmissionState::Ok));
     let metrics = engine.app().recorder().metrics();
     assert_eq!(metrics.counter_value(JOBS_FAILED_COUNTER), 3);
-    assert_eq!(metrics.counter_value(JOBS_EXECUTED_COUNTER), 4);
+    // Four attempts ran: the three failed ones and `echo`.
+    assert_eq!(metrics.counter_value(QUEUE_DISPATCHED_COUNTER), 4);
     assert!(metrics.render_prometheus().contains(JOBS_FAILED_COUNTER));
 }
 
@@ -558,9 +604,9 @@ fn discarded_wave_notifies_the_listener_once_per_member_then_the_next_wave_runs(
     assert_eq!(engine.pump_wave(), 3);
     let first_wave = dispatched_ids(&engine);
     assert_eq!(*skipped.lock().unwrap(), first_wave, "one call per member, in wave order");
-    let metrics = engine.app().recorder().metrics();
-    assert_eq!(metrics.counter_value(JOBS_SKIPPED_COUNTER), 3);
-    assert_eq!(metrics.counter_value(JOBS_EXECUTED_COUNTER), 0);
+    // Every dispatched plan was discarded, none ran.
+    assert_eq!(audited_ids(&engine, "galaxy.queue.discard"), first_wave);
+    assert_eq!(engine.app().jobs().iter().filter(|j| j.state() == JobState::Ok).count(), 0);
     for id in &first_wave {
         assert_eq!(engine.state(galaxy::queue::JobHandle(*id)), Some(SubmissionState::Cancelled));
     }
@@ -568,9 +614,9 @@ fn discarded_wave_notifies_the_listener_once_per_member_then_the_next_wave_runs(
     // One-shot: the next wave executes normally.
     assert_eq!(engine.pump_wave(), 2);
     assert_eq!(skipped.lock().unwrap().len(), 3, "listener not called again");
-    let metrics = engine.app().recorder().metrics();
-    assert_eq!(metrics.counter_value(JOBS_SKIPPED_COUNTER), 3);
-    assert_eq!(metrics.counter_value(JOBS_EXECUTED_COUNTER), 2);
+    assert_eq!(audited_ids(&engine, "galaxy.queue.discard"), first_wave);
+    let dispatched = engine.app().recorder().metrics().counter_value(QUEUE_DISPATCHED_COUNTER);
+    assert_eq!(dispatched, 5, "three discarded, then two run");
     let ran = handles.iter().filter(|h| engine.state(**h) == Some(SubmissionState::Ok)).count();
     assert_eq!(ran, 2);
 }
