@@ -58,12 +58,6 @@ impl DestinationRule {
         self
     }
 
-    /// Require at least this much per-die GPU memory (MiB).
-    pub fn min_gpu_mem(mut self, mib: u64) -> Self {
-        self.min_gpu_mem_mib = mib;
-        self
-    }
-
     /// Right-size to `cores` host cores.
     pub fn with_cores(mut self, cores: u32) -> Self {
         self.cores = Some(cores);
@@ -268,7 +262,8 @@ tool=*
 
     #[test]
     fn min_gpu_mem_floor_without_class_list() {
-        let rules = DestinationRules::new().with(DestinationRule::any("deep*").min_gpu_mem(30_000));
+        let rule = DestinationRule { min_gpu_mem_mib: 30_000, ..DestinationRule::any("deep*") };
+        let rules = DestinationRules::new().with(rule);
         assert!(!rules.admits("deepvariant", &NodeClass::v100(), 100));
         assert!(rules.admits("deepvariant", &NodeClass::a100(), 100));
     }

@@ -457,18 +457,10 @@ impl GalaxyApp {
         }
     }
 
-    /// Notify hooks that a prepared-but-never-executed plan was dropped
-    /// (discard shutdown) so attempt-scoped resources are released.
-    pub fn discard_job(&mut self, job_id: u64) {
-        self.close_job_span_discarded(job_id);
-        self.conclude(job_id, JobConclusion::Discarded);
-    }
-
-    /// Close a job's open `galaxy.job` span with a `discarded` marker
-    /// WITHOUT notifying hooks. The queue engine uses this for plans
-    /// skipped by a mid-wave discard, where lease release is owned by the
-    /// engine's discard listener and a second conclusion would
-    /// double-notify.
+    /// Close a job's open `galaxy.job` span with a `discarded` marker,
+    /// notifying no hook. The queue engine uses this for plans skipped by
+    /// a mid-wave discard, whose lease release the engine's discard
+    /// listener owns.
     pub fn close_job_span_discarded(&mut self, job_id: u64) {
         if let Some(span) = self.open_spans.remove(&job_id) {
             span.field("discarded", true);

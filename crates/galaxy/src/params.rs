@@ -35,11 +35,6 @@ impl ParamDict {
         self.values.get(key).map(String::as_str)
     }
 
-    /// Look up with a default.
-    pub fn get_or<'a>(&'a self, key: &str, default: &'a str) -> &'a str {
-        self.get(key).unwrap_or(default)
-    }
-
     /// Whether a key is present.
     pub fn contains(&self, key: &str) -> bool {
         self.values.contains_key(key)
@@ -131,11 +126,5 @@ mod tests {
         assert_eq!(a.get("y"), Some("9"));
         assert_eq!(a.get("z"), Some("3"));
         assert_eq!(a.len(), 3);
-    }
-
-    #[test]
-    fn get_or_default() {
-        let p = ParamDict::new();
-        assert_eq!(p.get_or("missing", "fallback"), "fallback");
     }
 }

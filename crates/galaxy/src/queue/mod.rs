@@ -530,24 +530,6 @@ impl QueueEngine {
         self.app
     }
 
-    /// Stop without draining: still-queued items are dropped unprepared
-    /// and hand back the wrapped app. Every wave runs to completion inside
-    /// [`QueueEngine::pump_wave`], so no prepared plan is outstanding here
-    /// and no preparation-time resource (a GYAN GPU lease) can leak.
-    pub fn shutdown_now(mut self) -> GalaxyApp {
-        // Still-queued jobs never prepared, so they hold no attempt
-        // resources — but their `galaxy.job` spans are open and must
-        // close for the span balance to hold.
-        while let Some(popped) = self.queue.pop() {
-            if let WorkItem::Job(job_id) = popped.item {
-                self.app.discard_job(job_id);
-                self.set_status(job_id, SubmissionState::Cancelled);
-            }
-        }
-        self.sync_depth_gauge();
-        self.app
-    }
-
     /// Register a discard listener: it is invoked once per plan a
     /// discarded wave ([`QueueEngine::discard_next_wave`]) skips, with the
     /// plan's job id. Hooks that acquire per-job resources at preparation

@@ -157,9 +157,6 @@ pub enum JobConclusion {
     FailedRetryable,
     /// Preparation itself failed (mapping, hooks, template, container).
     PrepareFailed,
-    /// The prepared plan was discarded without executing (engine
-    /// shutdown before dispatch).
-    Discarded,
 }
 
 impl JobConclusion {
@@ -170,7 +167,6 @@ impl JobConclusion {
             JobConclusion::FailedFinal => "failed_final",
             JobConclusion::FailedRetryable => "failed_retryable",
             JobConclusion::PrepareFailed => "prepare_failed",
-            JobConclusion::Discarded => "discarded",
         }
     }
 }

@@ -61,47 +61,6 @@ impl Template {
         render_nodes(&self.nodes, params, &mut out)?;
         Ok(out)
     }
-
-    /// Names of every variable the template references.
-    pub fn referenced_vars(&self) -> Vec<String> {
-        let mut vars = Vec::new();
-        collect_vars(&self.nodes, &mut vars);
-        vars.sort();
-        vars.dedup();
-        vars
-    }
-}
-
-fn collect_vars(nodes: &[Node], out: &mut Vec<String>) {
-    for node in nodes {
-        match node {
-            Node::Text(_) => {}
-            Node::Var(v) => out.push(v.clone()),
-            Node::If { cond, then, otherwise } => {
-                collect_cond_vars(cond, out);
-                collect_vars(then, out);
-                collect_vars(otherwise, out);
-            }
-            Node::For { list, body, .. } => {
-                out.push(list.clone());
-                collect_vars(body, out);
-            }
-        }
-    }
-}
-
-fn collect_cond_vars(cond: &Cond, out: &mut Vec<String>) {
-    match cond {
-        Cond::Truthy(v) => out.push(v.clone()),
-        Cond::Not(inner) => collect_cond_vars(inner, out),
-        Cond::Eq(a, b) | Cond::Ne(a, b) => {
-            for e in [a, b] {
-                if let Expr::Var(v) = e {
-                    out.push(v.clone());
-                }
-            }
-        }
-    }
 }
 
 /// Parse until `end` directive (or EOF when `end` is `None`).
@@ -466,12 +425,6 @@ mod tests {
         let t = Template::parse("#if $a == $b\nsame\n#else\ndiff\n#end if\n").unwrap();
         assert_eq!(t.render(&params(&[("a", "x"), ("b", "x")])).unwrap().trim(), "same");
         assert_eq!(t.render(&params(&[("a", "x"), ("b", "y")])).unwrap().trim(), "diff");
-    }
-
-    #[test]
-    fn referenced_vars_reported() {
-        let t = Template::parse("#if $flag\n$a ${b}\n#end if\n").unwrap();
-        assert_eq!(t.referenced_vars(), vec!["a", "b", "flag"]);
     }
 
     #[test]

@@ -232,9 +232,9 @@ impl GpuCluster {
         (0..self.device_count()).collect()
     }
 
-    /// Arm `n` SMI query failures: the next `n` fallible SMI queries
-    /// ([`crate::smi::try_query_devices`], [`crate::smi::try_query_xml`])
-    /// return an error instead of output, then queries succeed again.
+    /// Arm `n` SMI query failures: the next `n` structured SMI queries
+    /// ([`crate::smi::try_query_devices`]) return an error instead of
+    /// output, then queries succeed again.
     /// Shared across clones.
     pub fn inject_smi_query_failures(&self, n: u32) {
         self.smi_faults.fail_queries.fetch_add(n, Ordering::SeqCst);

@@ -19,15 +19,6 @@ pub struct MemoryInfo {
     pub free: u64,
 }
 
-/// Utilization rates in percent, mirroring `nvmlDeviceGetUtilizationRates`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct UtilizationRates {
-    /// SM utilization percentage.
-    pub gpu: f64,
-    /// Memory controller utilization percentage.
-    pub memory: f64,
-}
-
 /// A running compute process, mirroring
 /// `nvmlDeviceGetComputeRunningProcesses`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,11 +46,6 @@ impl Nvml {
         self.cluster.device_count()
     }
 
-    /// `nvmlDeviceGetName` for device `index`.
-    pub fn device_name(&self, index: u32) -> Result<String, GpuError> {
-        self.cluster.with_device(index, |d| d.arch.name.to_string())
-    }
-
     /// `nvmlDeviceGetMemoryInfo` for device `index`.
     pub fn memory_info(&self, index: u32) -> Result<MemoryInfo, GpuError> {
         self.cluster.with_device(index, |d| MemoryInfo {
@@ -67,30 +53,6 @@ impl Nvml {
             used: d.fb_used_mib() << 20,
             free: d.fb_free_mib() << 20,
         })
-    }
-
-    /// `nvmlDeviceGetUtilizationRates` for device `index`.
-    pub fn utilization_rates(&self, index: u32) -> Result<UtilizationRates, GpuError> {
-        self.cluster.with_device(index, |d| UtilizationRates {
-            gpu: d.sm_utilization,
-            memory: d.mem_utilization,
-        })
-    }
-
-    /// `nvmlDeviceGetTemperature` (GPU sensor) for device `index`, °C.
-    pub fn temperature(&self, index: u32) -> Result<f64, GpuError> {
-        self.cluster.with_device(index, |d| d.temperature_c)
-    }
-
-    /// `nvmlDeviceGetPowerUsage` for device `index`, milliwatts (NVML's
-    /// unit).
-    pub fn power_usage_mw(&self, index: u32) -> Result<u64, GpuError> {
-        self.cluster.with_device(index, |d| (d.power_draw_w() * 1000.0) as u64)
-    }
-
-    /// `nvmlDeviceGetEnforcedPowerLimit` for device `index`, milliwatts.
-    pub fn power_limit_mw(&self, index: u32) -> Result<u64, GpuError> {
-        self.cluster.with_device(index, |d| (d.arch.power_limit_w * 1000.0) as u64)
     }
 
     /// `nvmlDeviceGetComputeRunningProcesses` for device `index`.
@@ -116,12 +78,9 @@ mod tests {
     use crate::process::GpuProcess;
 
     #[test]
-    fn counts_and_names() {
+    fn counts_devices() {
         let c = GpuCluster::k80_node();
-        let nvml = Nvml::init(&c);
-        assert_eq!(nvml.device_count(), 2);
-        assert_eq!(nvml.device_name(0).unwrap(), "Tesla K80");
-        assert!(nvml.device_name(3).is_err());
+        assert_eq!(Nvml::init(&c).device_count(), 2);
     }
 
     #[test]
@@ -147,26 +106,5 @@ mod tests {
         assert_eq!(nvml.compute_running_process_count(1).unwrap(), 1);
         assert_eq!(nvml.compute_running_process_count(0).unwrap(), 0);
         assert!(nvml.compute_running_process_count(2).is_err());
-    }
-
-    #[test]
-    fn temperature_and_power_reported() {
-        let c = GpuCluster::k80_node();
-        c.with_device_mut(0, |d| d.set_utilization(100.0, 50.0)).unwrap();
-        let nvml = Nvml::init(&c);
-        assert!(nvml.temperature(0).unwrap() > nvml.temperature(1).unwrap());
-        assert_eq!(nvml.power_usage_mw(0).unwrap(), 149_000); // at limit
-        assert_eq!(nvml.power_limit_mw(0).unwrap(), 149_000);
-        assert_eq!(nvml.power_usage_mw(1).unwrap(), 60_000); // idle
-        assert!(nvml.temperature(9).is_err());
-    }
-
-    #[test]
-    fn utilization_defaults_to_idle() {
-        let c = GpuCluster::k80_node();
-        let nvml = Nvml::init(&c);
-        let u = nvml.utilization_rates(0).unwrap();
-        assert_eq!(u.gpu, 0.0);
-        assert_eq!(u.memory, 0.0);
     }
 }

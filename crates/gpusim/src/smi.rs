@@ -14,8 +14,8 @@
 //!   `fb_memory_usage`, `processes`, `process_info`, `pid`,
 //!   `used_memory`) match the real tool so the GYAN-side parser is a
 //!   faithful port, and the text is pinned byte for byte by a golden test.
-//! * [`query_plain`] / [`render_table`] — the human-readable renderings,
-//!   the latter the console table of the paper's Figs. 10 and 11.
+//! * [`render_table`] — the human-readable rendering, the console table
+//!   of the paper's Figs. 10 and 11.
 
 use crate::cluster::GpuCluster;
 use crate::device::DeviceState;
@@ -52,7 +52,7 @@ pub type DeviceRow = (u32, Vec<u32>, u64);
 
 /// The structured SMI query: one [`DeviceRow`] per device of the effective
 /// (possibly frozen) view, in minor order. Consumes one armed query
-/// failure if any is pending, exactly as [`try_query_xml`] does.
+/// failure if any is pending.
 pub fn try_query_devices(cluster: &GpuCluster) -> Result<Vec<DeviceRow>, SmiError> {
     if cluster.take_smi_query_failure() {
         return Err(SmiError::query_failed());
@@ -63,16 +63,6 @@ pub fn try_query_devices(cluster: &GpuCluster) -> Result<Vec<DeviceRow>, SmiErro
         rows.push((dev.minor_number, pids, dev.fb_used_mib()));
     });
     Ok(rows)
-}
-
-/// Fallible variant of [`query_xml`]: consumes one armed query failure if
-/// any is pending, otherwise renders the effective (possibly frozen)
-/// view.
-pub fn try_query_xml(cluster: &GpuCluster) -> Result<String, SmiError> {
-    if cluster.take_smi_query_failure() {
-        return Err(SmiError::query_failed());
-    }
-    Ok(query_xml(cluster))
 }
 
 /// Render the effective SMI view as the `nvidia-smi -q -x` XML document.
@@ -144,122 +134,6 @@ fn gpu_element(dev: &DeviceState) -> Element {
     }
     gpu.push_element(processes);
     gpu
-}
-
-/// Render the verbose per-device report of `nvidia-smi -q` (plain text,
-/// no `-x`): the human-readable sibling of [`query_xml`].
-pub fn query_plain(cluster: &GpuCluster) -> String {
-    let mut out = String::new();
-    out.push_str(
-        "==============NVSMI LOG==============
-
-",
-    );
-    out.push_str(&format!(
-        "Timestamp                                 : t={:.3}s
-",
-        cluster.clock().now()
-    ));
-    out.push_str(&format!(
-        "Driver Version                            : {}
-",
-        cluster.driver_version()
-    ));
-    out.push_str(&format!(
-        "CUDA Version                              : {}
-
-",
-        cluster.cuda_version()
-    ));
-    out.push_str(&format!(
-        "Attached GPUs                             : {}
-",
-        cluster.device_count()
-    ));
-    cluster.for_each_smi_device(|dev| {
-        out.push_str(&format!(
-            "GPU {}
-",
-            dev.bus_id
-        ));
-        out.push_str(&format!(
-            "    Product Name                          : {}
-",
-            dev.arch.name
-        ));
-        out.push_str(&format!(
-            "    Minor Number                          : {}
-",
-            dev.minor_number
-        ));
-        out.push_str(&format!(
-            "    GPU UUID                              : {}
-",
-            dev.uuid
-        ));
-        out.push_str(&format!(
-            "    Performance State                     : {}
-",
-            dev.perf_state()
-        ));
-        out.push_str(
-            "    FB Memory Usage
-",
-        );
-        out.push_str(&format!(
-            "        Total                             : {} MiB
-",
-            dev.fb_total_mib()
-        ));
-        out.push_str(&format!(
-            "        Used                              : {} MiB
-",
-            dev.fb_used_mib()
-        ));
-        out.push_str(&format!(
-            "        Free                              : {} MiB
-",
-            dev.fb_free_mib()
-        ));
-        out.push_str(
-            "    Utilization
-",
-        );
-        out.push_str(&format!(
-            "        Gpu                               : {:.0} %
-",
-            dev.sm_utilization
-        ));
-        out.push_str(&format!(
-            "        Memory                            : {:.0} %
-",
-            dev.mem_utilization
-        ));
-        out.push_str(
-            "    Processes
-",
-        );
-        if dev.processes().is_empty() {
-            out.push_str(
-                "        None
-",
-            );
-        }
-        for p in dev.processes() {
-            out.push_str(&format!(
-                "        Process ID                        : {}
-            Type                          : {}
-            Name                          : {}
-            Used GPU Memory               : {} MiB
-",
-                p.pid,
-                p.ptype.code(),
-                p.name,
-                p.used_mib
-            ));
-        }
-    });
-    out
 }
 
 /// Render the console table shown by plain `nvidia-smi` (the format the
@@ -469,14 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn structured_and_xml_queries_draw_on_one_failure_budget() {
-        let c = GpuCluster::k80_node();
-        c.inject_smi_query_failures(2);
-        assert_eq!(try_query_devices(&c).unwrap_err(), try_query_xml(&c).unwrap_err());
-        assert!(try_query_devices(&c).is_ok() && try_query_xml(&c).is_ok(), "budget spent");
-    }
-
-    #[test]
     fn xml_parses_and_has_expected_structure() {
         let c = GpuCluster::k80_node();
         c.attach_process(0, GpuProcess::compute(39953, "/usr/bin/racon_gpu", 60)).unwrap();
@@ -547,11 +413,10 @@ mod tests {
     fn injected_failure_errors_once_then_recovers() {
         let c = GpuCluster::k80_node();
         c.inject_smi_query_failures(1);
-        let err = try_query_xml(&c).unwrap_err();
+        let err = try_query_devices(&c).unwrap_err();
         assert!(err.to_string().contains("NVIDIA-SMI has failed"), "{err}");
-        // The budget is spent: the next query succeeds and parses.
-        let xml = try_query_xml(&c).unwrap();
-        assert!(parse(&xml).is_ok());
+        // The budget is spent: the next query succeeds.
+        assert_eq!(try_query_devices(&c).unwrap().len(), 2);
     }
 
     #[test]
@@ -565,20 +430,5 @@ mod tests {
         c.thaw_smi_snapshot();
         let doc = parse(&query_xml(&c)).unwrap();
         assert_eq!(doc.root().find_all("gpu")[0].find_all("process_info").len(), 1);
-    }
-
-    #[test]
-    fn plain_query_lists_devices_and_processes() {
-        let c = GpuCluster::k80_node();
-        c.attach_process(1, GpuProcess::compute(40534, "/usr/bin/racon_gpu", 60)).unwrap();
-        let q = query_plain(&c);
-        assert!(q.contains("NVSMI LOG"));
-        assert!(q.contains("Attached GPUs                             : 2"));
-        assert!(q.contains("Minor Number                          : 0"));
-        assert!(q.contains("Minor Number                          : 1"));
-        assert!(q.contains("Process ID                        : 40534"));
-        assert!(q.contains("Used GPU Memory               : 60 MiB"));
-        // Idle device 0 shows no processes.
-        assert!(q.contains("None"));
     }
 }

@@ -31,7 +31,6 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::monitor::UsageStats;
 use obs::sketch::{bucket_label, size_bucket, QuantileSketch};
 use obs::{json_escape, Recorder, Value};
 
@@ -49,9 +48,9 @@ pub const GPU_MEMORY_BUDGET_ENV: &str = "GALAXY_GPU_MEMORY_BUDGET_MIB";
 
 /// Environment variable declaring the peak GPU memory (MiB) a simulated
 /// job will touch. The harness sets it per job; the hook snapshots it at
-/// dispatch so the registry can learn from it at conclusion. Real
-/// deployments feed [`FootprintRegistry::observe_usage`] from the 1 Hz
-/// [`crate::UsageMonitor`] instead.
+/// dispatch so the registry can learn from it at conclusion. A real
+/// deployment would read the peak from the 1 Hz [`crate::UsageMonitor`]
+/// (`UsageStats::mem_max`) instead.
 pub const GPU_OBSERVED_PEAK_ENV: &str = "GALAXY_GPU_OBSERVED_PEAK_MIB";
 
 /// A MiB quantity exported on the job's environment (`None` when unset
@@ -214,20 +213,6 @@ impl FootprintRegistry {
         profile.peak_mib.observe(peak_mib);
         profile.runtime_s.observe(runtime_s.max(0.0));
         profile.last_updated = now;
-    }
-
-    /// Fold a [`crate::UsageMonitor`] sample summary into the profile —
-    /// the production feed, where peak memory comes from 1 Hz SMI
-    /// sampling rather than a harness declaration.
-    pub fn observe_usage(
-        &self,
-        tool: &str,
-        input_mib: u64,
-        stats: &UsageStats,
-        runtime_s: f64,
-        now: f64,
-    ) {
-        self.observe(tool, input_mib, stats.mem_max as f64, runtime_s, now);
     }
 
     /// Record the dispatch-time decision for `job_id` so the matching
@@ -566,26 +551,6 @@ mod tests {
         }
         let revised = reg.revised_budget("t", 1000, Some(1024)).unwrap();
         assert!(revised >= 7000, "25% headroom over observed max: {revised}");
-    }
-
-    #[test]
-    fn observe_usage_feeds_mem_max() {
-        let reg = FootprintRegistry::new();
-        let stats = UsageStats {
-            minor: 0,
-            sm_min: 0.0,
-            sm_max: 90.0,
-            sm_avg: 50.0,
-            mem_min: 100,
-            mem_max: 2200,
-            mem_avg: 1500.0,
-            samples: 30,
-        };
-        for i in 0..8 {
-            reg.observe_usage("bonito_gpu", 4000, &stats, 30.0, i as f64);
-        }
-        let est = reg.estimate("bonito_gpu", 4000, 8).unwrap();
-        assert!((2150..=2280).contains(&est), "estimate {est}");
     }
 
     #[test]

@@ -118,13 +118,6 @@ impl UsageMonitor {
         }
     }
 
-    /// Take an immediate sample regardless of the interval.
-    pub fn sample_now(&self) {
-        let t = self.cluster.clock().now();
-        let devices = snapshot_devices(&self.cluster);
-        self.state.lock().samples.push(Sample { t, devices });
-    }
-
     /// Stop sampling (the job ended). Deregisters the clock observer, so
     /// a stopped monitor costs the clock nothing. Returns the collected
     /// samples.
@@ -184,33 +177,6 @@ impl UsageMonitor {
             }
         }
         out.sort_by_key(|s| s.minor);
-        out
-    }
-
-    /// Render the aggregated statistics report (the "other log and
-    /// statistic files" of §V-C) as plain text.
-    pub fn render_report(&self) -> String {
-        let mut out = String::from(
-            "GPU hardware usage report
-=========================
-",
-        );
-        let samples = self.state.lock().samples.len();
-        out.push_str(&format!(
-            "samples: {samples} (interval {:.1}s)
-
-",
-            self.interval
-        ));
-        for s in self.stats() {
-            out.push_str(&format!(
-                "GPU {}:
-  SM utilization   min {:>5.1}%  max {:>5.1}%  avg {:>5.1}%
-  FB memory (MiB)  min {:>6}  max {:>6}  avg {:>8.1}
-",
-                s.minor, s.sm_min, s.sm_max, s.sm_avg, s.mem_min, s.mem_max, s.mem_avg
-            ));
-        }
         out
     }
 
@@ -320,28 +286,6 @@ mod tests {
         let mon = UsageMonitor::start_with_interval(&c, 0.5);
         c.clock().advance(2.0);
         assert_eq!(mon.samples().len(), 4);
-    }
-
-    #[test]
-    fn report_renders_stats() {
-        let c = GpuCluster::k80_node();
-        let mon = UsageMonitor::start(&c);
-        c.with_device_mut(0, |d| d.set_utilization(80.0, 30.0)).unwrap();
-        c.clock().advance(2.0);
-        let report = mon.render_report();
-        assert!(report.contains("samples: 2"));
-        assert!(report.contains("GPU 0:"));
-        assert!(report.contains("GPU 1:"));
-        assert!(report.contains("max  80.0%"));
-    }
-
-    #[test]
-    fn sample_now_is_immediate() {
-        let c = GpuCluster::k80_node();
-        let mon = UsageMonitor::start(&c);
-        mon.sample_now();
-        assert_eq!(mon.samples().len(), 1);
-        assert_eq!(mon.samples()[0].t, 0.0);
     }
 
     #[test]

@@ -100,46 +100,6 @@ impl GyanConfig {
         self.memory_hint = MemoryHint::learned();
         self
     }
-
-    /// Derive the configuration from `job_conf.xml` itself, the way a
-    /// Galaxy administrator configures GYAN: the *dynamic* destination's
-    /// `<param>`s may name the rule function (`function`), the GPU/CPU
-    /// destinations (`gpu_destination`, `cpu_destination`), and the
-    /// allocation policy (`allocation_policy` = `pid` | `memory`).
-    /// Unspecified entries keep their defaults.
-    pub fn from_job_conf(config: &galaxy::job::conf::JobConfig) -> Self {
-        let mut out = Self::default();
-        let dynamic = config.destinations.iter().find(|d| d.is_dynamic());
-        let Some(dest) = dynamic else { return out };
-        if let Some(f) = dest.rule_function() {
-            out.rule_name = f.to_string();
-        }
-        if let Some(gpu) = dest.params.get("gpu_destination") {
-            out.gpu_destination = gpu.to_string();
-            if !out.gpu_destinations.contains(&out.gpu_destination) {
-                out.gpu_destinations.push(out.gpu_destination.clone());
-            }
-        }
-        if let Some(cpu) = dest.params.get("cpu_destination") {
-            out.cpu_destination = cpu.to_string();
-        }
-        match dest.params.get("allocation_policy") {
-            Some("memory") => out.policy = AllocationPolicy::MemoryBased,
-            Some("pid") | None => {}
-            Some(other) => {
-                // Unknown value: keep the default (PID), as Galaxy does
-                // for unrecognized destination params.
-                let _ = other;
-            }
-        }
-        if let Some(hint) = dest.params.get("gpu_memory_hint_mib").and_then(|v| v.parse().ok()) {
-            out.gpu_memory_hint_mib = hint;
-        }
-        if dest.params.get("memory_hint_mode") == Some("learned") {
-            out.memory_hint = MemoryHint::learned();
-        }
-        out
-    }
 }
 
 /// Install GYAN into `app`: registers the dynamic destination rule, the
@@ -311,76 +271,6 @@ racon $input
         install_gyan(&mut app, &cluster, GyanConfig::default());
         let id = app.submit("racon_gpu", &ParamDict::new()).unwrap();
         assert_eq!(app.job(id).unwrap().submit_time, Some(42.0));
-    }
-}
-
-#[cfg(test)]
-mod from_conf_tests {
-    use super::*;
-    use galaxy::job::conf::JobConfig;
-
-    #[test]
-    fn config_read_from_job_conf_params() {
-        let conf = JobConfig::from_xml(
-            r#"<job_conf>
-              <plugins><plugin id="local" type="runner" load="x"/></plugins>
-              <destinations default="dyn">
-                <destination id="dyn" runner="dynamic">
-                  <param id="function">my_gpu_rule</param>
-                  <param id="gpu_destination">cluster_gpu</param>
-                  <param id="cpu_destination">cluster_cpu</param>
-                  <param id="allocation_policy">memory</param>
-                </destination>
-                <destination id="cluster_gpu" runner="local"/>
-                <destination id="cluster_cpu" runner="local"/>
-              </destinations>
-            </job_conf>"#,
-        )
-        .unwrap();
-        let config = GyanConfig::from_job_conf(&conf);
-        assert_eq!(config.rule_name, "my_gpu_rule");
-        assert_eq!(config.gpu_destination, "cluster_gpu");
-        assert_eq!(config.cpu_destination, "cluster_cpu");
-        assert_eq!(config.policy, AllocationPolicy::MemoryBased);
-        assert!(config.gpu_destinations.contains(&"cluster_gpu".to_string()));
-    }
-
-    #[test]
-    fn missing_params_keep_defaults() {
-        let conf = JobConfig::from_xml(galaxy::job::conf::GYAN_JOB_CONF).unwrap();
-        let config = GyanConfig::from_job_conf(&conf);
-        assert_eq!(config.rule_name, "gpu_dynamic_destination");
-        assert_eq!(config.gpu_destination, "local_gpu");
-        assert_eq!(config.policy, AllocationPolicy::ProcessId);
-    }
-
-    #[test]
-    fn no_dynamic_destination_is_fine() {
-        let conf = JobConfig::from_xml(
-            r#"<job_conf>
-              <plugins><plugin id="local" type="runner" load="x"/></plugins>
-              <destinations default="a"><destination id="a" runner="local"/></destinations>
-            </job_conf>"#,
-        )
-        .unwrap();
-        let config = GyanConfig::from_job_conf(&conf);
-        assert_eq!(config.gpu_destination, "local_gpu");
-    }
-
-    #[test]
-    fn bogus_policy_value_keeps_default() {
-        let conf = JobConfig::from_xml(
-            r#"<job_conf>
-              <plugins><plugin id="local" type="runner" load="x"/></plugins>
-              <destinations default="dyn">
-                <destination id="dyn" runner="dynamic">
-                  <param id="allocation_policy">round_robin</param>
-                </destination>
-              </destinations>
-            </job_conf>"#,
-        )
-        .unwrap();
-        assert_eq!(GyanConfig::from_job_conf(&conf).policy, AllocationPolicy::ProcessId);
     }
 
     #[test]

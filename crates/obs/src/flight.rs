@@ -6,8 +6,9 @@
 //! ([`crate::Recorder::flight_snapshot`]): recording costs nothing extra,
 //! so it is always on, and it holds only what the log still retains.
 //! The point is post-mortems without full-run tracing: the ops server
-//! dumps it on `GET /api/flightrec`, the SLO engine captures one on every
-//! alert firing, and simtest attaches one to invariant violations.
+//! dumps it on `GET /api/flightrec`, and simtest attaches one to invariant
+//! violations. An alert firing is an event in the log, so a snapshot taken
+//! after it holds the firing and what led up to it.
 
 use crate::{event_json_line, span_json_line, EventData, SpanData};
 

@@ -85,11 +85,6 @@ impl Registry {
         self.lock().help.insert(base_name(name).to_string(), help.to_string());
     }
 
-    /// Registered help text for a metric family, if any.
-    pub fn help_text(&self, name: &str) -> Option<String> {
-        self.lock().help.get(base_name(name)).cloned()
-    }
-
     /// Set a gauge to an absolute value.
     pub fn set_gauge(&self, name: &str, value: f64) {
         let mut state = self.lock();
@@ -97,16 +92,6 @@ impl Registry {
             *gauge = value;
         } else {
             state.gauges.insert(name.to_string(), value);
-        }
-    }
-
-    /// Adjust a gauge by a (possibly negative) delta.
-    pub fn add_gauge(&self, name: &str, delta: f64) {
-        let mut state = self.lock();
-        if let Some(gauge) = state.gauges.get_mut(name) {
-            *gauge += delta;
-        } else {
-            state.gauges.insert(name.to_string(), delta);
         }
     }
 
@@ -428,13 +413,12 @@ mod tests {
         reg.inc_counter("jobs_total", 2);
         reg.inc_counter("jobs_total", 1);
         reg.set_gauge("queue_depth", 4.0);
-        reg.add_gauge("queue_depth", -4.0);
         reg.observe("wait_seconds", 0.004);
         reg.observe("wait_seconds", 0.2);
         reg.observe("wait_seconds", 50.0);
 
         assert_eq!(reg.counter_value("jobs_total"), 3);
-        assert_eq!(reg.gauge_value("queue_depth"), Some(0.0));
+        assert_eq!(reg.gauge_value("queue_depth"), Some(4.0));
         assert_eq!(reg.histogram_count("wait_seconds"), 3);
         assert!((reg.histogram_sum("wait_seconds") - 50.204).abs() < 1e-9);
     }
@@ -522,10 +506,11 @@ mod tests {
         assert_eq!(lines.iter().filter(|l| l.starts_with("# HELP jobs_total")).count(), 1);
         assert!(lines.contains(&"# HELP wait_seconds Queue wait.\\nSecond \\\\ line."), "{text}");
         assert!(!text.contains("# HELP unhelped_total"));
+        parse_prometheus(&text).expect("help lines do not break the parser");
         // Help keyed by base name works when set with a labeled key too.
         reg.set_help("other_total{a=\"b\"}", "By base.");
-        assert_eq!(reg.help_text("other_total"), Some("By base.".to_string()));
-        parse_prometheus(&text).expect("help lines do not break the parser");
+        reg.inc_counter("other_total{a=\"b\"}", 1);
+        assert!(reg.render_prometheus().contains("# HELP other_total By base.\n"));
     }
 
     #[test]

@@ -28,8 +28,7 @@
 //! Clock: by default the profiler reads the **real** monotonic clock
 //! ([`std::time::Instant`]) because its job is measuring actual CPU cost;
 //! [`Profiler::set_clock`] injects a virtual clock for deterministic
-//! tests, and [`Profiler::sync_clock`] borrows a [`crate::Recorder`]'s
-//! clock so profile timings line up with recorded telemetry.
+//! tests.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -153,13 +152,6 @@ impl Profiler {
     /// Back to the real monotonic clock (the default).
     pub fn enable_real_clock(&self) {
         *self.inner.clock.lock().unwrap_or_else(|e| e.into_inner()) = real_clock();
-    }
-
-    /// Read timestamps from `recorder`'s clock, so profile timings share
-    /// the recorded telemetry's (possibly virtual) timeline.
-    pub fn sync_clock(&self, recorder: &crate::Recorder) {
-        let recorder = recorder.clone();
-        self.set_clock(move || recorder.now());
     }
 
     fn now(&self) -> f64 {

@@ -5,15 +5,14 @@
 //! Every transition is emitted as an [`ALERT_EVENT`] audit event (routed
 //! to the `obs/alerts` Chrome-trace track by `gyan::telemetry`) and
 //! counted under [`ALERT_TRANSITIONS_COUNTER`] in the same registry the
-//! rules read — the alert plane monitors itself. When a rule fires, the
-//! engine captures a [`crate::flight::FlightSnapshot`] so the moments
-//! leading up to the alert are preserved for post-mortem.
+//! rules read — the alert plane monitors itself. A firing is one such
+//! event in the log, so [`Recorder::flight_snapshot`] taken after it holds
+//! both the firing and the moments leading up to it.
 //!
 //! Evaluation is explicitly driven ([`AlertEngine::evaluate`]): under a
 //! virtual clock there is no background time to poll on, so the harness
 //! (wave barrier, ops loop, example driver) decides the cadence.
 
-use crate::flight::FlightSnapshot;
 use crate::{json_escape, Recorder, Value};
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -25,8 +24,6 @@ pub const ALERT_TRANSITIONS_COUNTER: &str = "obs_alert_transitions_total";
 pub const ALERTS_FIRING_GAUGE: &str = "obs_alerts_firing";
 /// Audit event emitted on every state transition.
 pub const ALERT_EVENT: &str = "obs.alert.transition";
-/// Most recent per-rule flight dumps retained by the engine.
-const MAX_FLIGHT_DUMPS: usize = 8;
 
 /// What a rule measures each evaluation.
 #[derive(Clone)]
@@ -162,17 +159,6 @@ pub struct AlertStatus {
     pub fired: u64,
 }
 
-/// A flight-recorder dump captured when a rule fired.
-#[derive(Debug, Clone)]
-pub struct FlightDump {
-    /// Rule that fired.
-    pub rule: String,
-    /// Firing time.
-    pub at: f64,
-    /// The captured snapshot.
-    pub snapshot: FlightSnapshot,
-}
-
 struct RuleState {
     rule: AlertRule,
     state: AlertState,
@@ -184,32 +170,23 @@ struct RuleState {
     samples: Vec<(f64, u64)>,
 }
 
-struct EngineInner {
-    rules: Vec<RuleState>,
-    dumps: Vec<FlightDump>,
-}
-
 /// The alert engine; clone freely — clones share rule state.
 #[derive(Clone)]
 pub struct AlertEngine {
     recorder: Recorder,
-    inner: Arc<Mutex<EngineInner>>,
+    rules: Arc<Mutex<Vec<RuleState>>>,
 }
 
 impl AlertEngine {
-    /// An engine reading metrics, clock, and flight window from
-    /// `recorder`.
+    /// An engine reading metrics and clock from `recorder`.
     pub fn new(recorder: &Recorder) -> Self {
-        AlertEngine {
-            recorder: recorder.clone(),
-            inner: Arc::new(Mutex::new(EngineInner { rules: Vec::new(), dumps: Vec::new() })),
-        }
+        AlertEngine { recorder: recorder.clone(), rules: Arc::new(Mutex::new(Vec::new())) }
     }
 
     /// Register a rule (evaluated in registration order).
     pub fn add_rule(&self, rule: AlertRule) {
         let since = self.recorder.now();
-        self.lock().rules.push(RuleState {
+        self.lock().push(RuleState {
             rule,
             state: AlertState::Inactive,
             since,
@@ -220,22 +197,21 @@ impl AlertEngine {
         });
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, EngineInner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<RuleState>> {
+        self.rules.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Evaluate every rule at the recorder's current clock time,
-    /// returning the transitions that occurred. Emits audit events and
-    /// registry metrics for each transition and captures a flight dump
-    /// for each newly-firing rule.
+    /// returning the transitions that occurred. Emits an audit event and
+    /// registry metrics for each transition.
     pub fn evaluate(&self) -> Vec<AlertTransition> {
         let now = self.recorder.now();
         let metrics = self.recorder.metrics();
         let mut transitions = Vec::new();
         let mut firing = 0usize;
         {
-            let mut inner = self.lock();
-            for rs in &mut inner.rules {
+            let mut rules = self.lock();
+            for rs in rules.iter_mut() {
                 let value = match &rs.rule.expr {
                     AlertExpr::Gauge(name) => metrics.gauge_value(name),
                     AlertExpr::HistogramQuantile { name, q } => {
@@ -327,14 +303,6 @@ impl AlertEngine {
                 fields.push(("value", Value::from(v)));
             }
             self.recorder.event(ALERT_EVENT, fields);
-            if tr.to == AlertState::Firing {
-                let snapshot = self.recorder.flight_snapshot();
-                let mut inner = self.lock();
-                if inner.dumps.len() == MAX_FLIGHT_DUMPS {
-                    inner.dumps.remove(0);
-                }
-                inner.dumps.push(FlightDump { rule: tr.rule.clone(), at: tr.at, snapshot });
-            }
         }
         transitions
     }
@@ -342,7 +310,6 @@ impl AlertEngine {
     /// Current status of every rule, in registration order.
     pub fn statuses(&self) -> Vec<AlertStatus> {
         self.lock()
-            .rules
             .iter()
             .map(|rs| AlertStatus {
                 rule: rs.rule.clone(),
@@ -357,17 +324,10 @@ impl AlertEngine {
     /// Names of rules currently firing.
     pub fn firing(&self) -> Vec<String> {
         self.lock()
-            .rules
             .iter()
             .filter(|rs| rs.state == AlertState::Firing)
             .map(|rs| rs.rule.name.clone())
             .collect()
-    }
-
-    /// Flight dumps captured at firing transitions (oldest first, last
-    /// `MAX_FLIGHT_DUMPS` retained).
-    pub fn flight_dumps(&self) -> Vec<FlightDump> {
-        self.lock().dumps.clone()
     }
 
     /// JSON document for `GET /api/alerts`.
@@ -506,23 +466,6 @@ mod tests {
         assert!(engine.firing().is_empty());
         let status = engine.statuses().remove(0);
         assert_eq!(status.value, Some(0.0));
-    }
-
-    #[test]
-    fn firing_captures_a_flight_dump() {
-        let (rec, clock) = stepped();
-        rec.event("before_the_fire", [("n", 1u64)]);
-        let engine = AlertEngine::new(&rec);
-        engine.add_rule(AlertRule::new("hot", AlertExpr::Gauge("t".into()), Compare::Gt, 0.0));
-        rec.metrics().set_gauge("t", 1.0);
-        clock.store(5, Ordering::SeqCst);
-        engine.evaluate();
-
-        let dumps = engine.flight_dumps();
-        assert_eq!(dumps.len(), 1);
-        assert_eq!(dumps[0].rule, "hot");
-        assert_eq!(dumps[0].at, 5.0);
-        assert!(dumps[0].snapshot.records.iter().any(|r| r.name() == "before_the_fire"));
     }
 
     #[test]

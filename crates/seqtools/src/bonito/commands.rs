@@ -1,26 +1,11 @@
-//! The remaining `bonito` subcommands the paper lists (§V-A): model
-//! download, training-data conversion, and model evaluation.
+//! `bonito convert`, the training-data subcommand of the ones the paper
+//! lists (§V-A); the `paper` gate's AMP rows train on its chunks.
 //!
 //! "It has several functionalities, like training a bonito model (bonito
 //! train), converting an hdf5 training file into a bonito format (bonito
 //! convert), evaluating a model performance (bonito evaluate),
 //! downloading pre-trained models and training datasets (bonito
 //! download), and basecaller ..."
-
-use crate::align::identity;
-use crate::bonito::basecall::{BonitoInput, BonitoOpts};
-use crate::bonito::model::BonitoModel;
-use crate::nn::ctc_greedy_decode;
-
-/// The pre-trained models the `bonito download` registry serves.
-pub const AVAILABLE_MODELS: [&str; 3] = ["dna_r9.4.1", "dna_r9.4.1@v2", "dna_r10.3"];
-
-/// `bonito download --models`: resolve a model name to a deterministic
-/// weight seed (stands in for fetching the weight archive).
-pub fn download_model(name: &str) -> Option<BonitoModel> {
-    let idx = AVAILABLE_MODELS.iter().position(|m| *m == name)?;
-    Some(BonitoModel::pretrained(0xb0_17_00 + idx as u64))
-}
 
 /// One chunk of training data in "bonito format": a signal window and
 /// its target sequence.
@@ -64,63 +49,9 @@ pub fn convert_training_data(
     chunks
 }
 
-/// `bonito evaluate` output: per-read and aggregate accuracy of a model
-/// against ground truth.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Evaluation {
-    /// Per-read identity of basecall vs truth.
-    pub per_read_identity: Vec<f64>,
-    /// Mean identity.
-    pub mean_identity: f64,
-    /// Total bases called.
-    pub bases_called: usize,
-    /// Total true bases.
-    pub bases_true: usize,
-}
-
-/// `bonito evaluate`: basecall the input with `model` and score each read
-/// against its known true sequence.
-pub fn evaluate(input: &BonitoInput, model: &BonitoModel, opts: &BonitoOpts) -> Evaluation {
-    let mut per_read_identity = Vec::with_capacity(input.signals.len());
-    let mut bases_called = 0;
-    let mut bases_true = 0;
-    for (signal, truth) in input.signals.iter().zip(&input.truth) {
-        let mut call = String::new();
-        for chunk in signal.chunks(opts.chunk.max(1)).filter(|c| c.len() >= 16) {
-            let logits = model.forward(chunk);
-            call.push_str(&ctc_greedy_decode(&logits));
-        }
-        bases_called += call.len();
-        bases_true += truth.len();
-        per_read_identity.push(identity(&call, truth));
-    }
-    let mean_identity = if per_read_identity.is_empty() {
-        0.0
-    } else {
-        per_read_identity.iter().sum::<f64>() / per_read_identity.len() as f64
-    };
-    Evaluation { per_read_identity, mean_identity, bases_called, bases_true }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::datasets::DatasetSpec;
-
-    #[test]
-    fn download_known_models() {
-        for name in AVAILABLE_MODELS {
-            assert!(download_model(name).is_some(), "{name}");
-        }
-        assert!(download_model("dna_r999").is_none());
-        // Deterministic weights: two downloads agree.
-        let a = download_model("dna_r9.4.1").unwrap().forward(&[0.1; 64]);
-        let b = download_model("dna_r9.4.1").unwrap().forward(&[0.1; 64]);
-        assert_eq!(a, b);
-        // Different models differ.
-        let c = download_model("dna_r10.3").unwrap().forward(&[0.1; 64]);
-        assert_ne!(a, c);
-    }
 
     #[test]
     fn convert_chunks_align_signal_and_target() {
@@ -147,26 +78,5 @@ mod tests {
     #[should_panic(expected = "one target per signal")]
     fn convert_validates_lengths() {
         convert_training_data(&[vec![0.0; 10]], &[], 10, 1);
-    }
-
-    #[test]
-    fn evaluate_reports_shapes() {
-        let spec = DatasetSpec {
-            name: "eval_tiny",
-            genome_len: 1_200,
-            n_reads: 3,
-            read_len: 250,
-            ..DatasetSpec::acinetobacter_pittii()
-        };
-        let input = BonitoInput::from_dataset(&spec);
-        let model = BonitoModel::tiny(5);
-        let eval = evaluate(&input, &model, &BonitoOpts { chunk: 400, batch: 4, threads: 2 });
-        assert_eq!(eval.per_read_identity.len(), 3);
-        assert!(eval.bases_true > 0);
-        assert!(eval.mean_identity >= 0.0 && eval.mean_identity <= 1.0);
-        // The untrained surrogate model is not accurate — the paper only
-        // measures runtime — but evaluation must be deterministic.
-        let again = evaluate(&input, &model, &BonitoOpts { chunk: 400, batch: 4, threads: 2 });
-        assert_eq!(eval, again);
     }
 }

@@ -16,7 +16,7 @@ pub mod model;
 pub mod train;
 
 pub use basecall::{basecall_cpu, basecall_gpu, BonitoInput, BonitoOpts, BonitoReport};
-pub use commands::{convert_training_data, download_model, evaluate, Evaluation};
+pub use commands::convert_training_data;
 pub use model::BonitoModel;
 pub use train::{train_head, TrainOpts, TrainReport};
 

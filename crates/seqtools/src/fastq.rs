@@ -1,6 +1,5 @@
-//! FASTQ parsing and writing (Sanger/Phred+33 qualities).
-
-use std::fmt;
+//! The FASTQ read record (Sanger/Phred+33 qualities) the read simulator
+//! returns.
 
 /// One FASTQ record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -14,14 +13,6 @@ pub struct FastqRecord {
 }
 
 impl FastqRecord {
-    /// Create a record, panicking if lengths mismatch (use `try_new` for
-    /// fallible construction).
-    pub fn new(id: impl Into<String>, seq: impl Into<String>, qual: impl Into<String>) -> Self {
-        let rec = FastqRecord { id: id.into(), seq: seq.into(), qual: qual.into() };
-        assert_eq!(rec.seq.len(), rec.qual.len(), "seq/qual length mismatch");
-        rec
-    }
-
     /// Read length.
     pub fn len(&self) -> usize {
         self.seq.len()
@@ -30,124 +21,5 @@ impl FastqRecord {
     /// Whether the read is empty.
     pub fn is_empty(&self) -> bool {
         self.seq.is_empty()
-    }
-
-    /// Mean Phred quality score.
-    pub fn mean_quality(&self) -> f64 {
-        if self.qual.is_empty() {
-            return 0.0;
-        }
-        let sum: u64 = self.qual.bytes().map(|b| (b - 33) as u64).sum();
-        sum as f64 / self.qual.len() as f64
-    }
-}
-
-/// Error from FASTQ parsing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FastqError(pub String);
-
-impl fmt::Display for FastqError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "FASTQ error: {}", self.0)
-    }
-}
-
-impl std::error::Error for FastqError {}
-
-/// Parse 4-line FASTQ records.
-pub fn parse_fastq(text: &str) -> Result<Vec<FastqRecord>, FastqError> {
-    let lines: Vec<&str> = text.lines().collect();
-    let mut records = Vec::new();
-    let mut i = 0;
-    while i < lines.len() {
-        if lines[i].trim().is_empty() {
-            i += 1;
-            continue;
-        }
-        if i + 3 >= lines.len() {
-            return Err(FastqError(format!("truncated record at line {}", i + 1)));
-        }
-        let id = lines[i]
-            .strip_prefix('@')
-            .ok_or_else(|| FastqError(format!("expected @ at line {}", i + 1)))?
-            .trim()
-            .to_string();
-        let seq = lines[i + 1].trim().to_string();
-        if !lines[i + 2].starts_with('+') {
-            return Err(FastqError(format!("expected + at line {}", i + 3)));
-        }
-        let qual = lines[i + 3].trim().to_string();
-        if seq.len() != qual.len() {
-            return Err(FastqError(format!(
-                "seq/qual length mismatch for {id:?} ({} vs {})",
-                seq.len(),
-                qual.len()
-            )));
-        }
-        if let Some(bad) =
-            seq.chars().find(|c| !matches!(c.to_ascii_uppercase(), 'A' | 'C' | 'G' | 'T' | 'N'))
-        {
-            return Err(FastqError(format!("illegal character {bad:?} in {id:?}")));
-        }
-        records.push(FastqRecord { id, seq: seq.to_ascii_uppercase(), qual });
-        i += 4;
-    }
-    Ok(records)
-}
-
-/// Write records as 4-line FASTQ.
-pub fn write_fastq(records: &[FastqRecord]) -> String {
-    let mut out = String::new();
-    for rec in records {
-        out.push('@');
-        out.push_str(&rec.id);
-        out.push('\n');
-        out.push_str(&rec.seq);
-        out.push_str("\n+\n");
-        out.push_str(&rec.qual);
-        out.push('\n');
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn roundtrip() {
-        let recs = vec![
-            FastqRecord::new("read1", "ACGT", "IIII"),
-            FastqRecord::new("read2", "GGCC", "!!!!"),
-        ];
-        let text = write_fastq(&recs);
-        assert_eq!(parse_fastq(&text).unwrap(), recs);
-    }
-
-    #[test]
-    fn mean_quality() {
-        let rec = FastqRecord::new("r", "AC", "!I"); // Q0 and Q40
-        assert!((rec.mean_quality() - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn errors() {
-        assert!(parse_fastq("@r\nACGT\n+\nIII\n").is_err()); // length mismatch
-        assert!(parse_fastq("@r\nACGT\n").is_err()); // truncated
-        assert!(parse_fastq("r\nACGT\n+\nIIII\n").is_err()); // missing @
-        assert!(parse_fastq("@r\nACGT\nIIII\nIIII\n").is_err()); // missing +
-        assert!(parse_fastq("@r\nACXT\n+\nIIII\n").is_err()); // bad base
-    }
-
-    #[test]
-    fn blank_lines_skipped() {
-        let recs = parse_fastq("\n@r\nAC\n+\nII\n\n").unwrap();
-        assert_eq!(recs.len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn constructor_validates() {
-        let _ = FastqRecord::new("r", "ACGT", "II");
     }
 }

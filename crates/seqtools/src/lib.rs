@@ -16,10 +16,10 @@
 //!   the GPU path issues GEMM kernels to the simulator (Fig. 6's
 //!   hotspots).
 //!
-//! Supporting substrates: FASTA/FASTQ I/O ([`fasta`], [`fastq`]),
-//! synthetic genomes and error-modelled long reads ([`sim`]), banded edit
-//! distance for identity evaluation ([`align`]), named dataset descriptors
-//! with paper-scale work factors ([`datasets`]), and a
+//! Supporting substrates: FASTA I/O ([`fasta`]), the FASTQ read record
+//! ([`fastq`]), synthetic genomes and error-modelled long reads ([`sim`]),
+//! banded edit distance for identity evaluation ([`align`]), named dataset
+//! descriptors with paper-scale work factors ([`datasets`]), and a
 //! [`galaxy::runners::JobExecutor`] implementation ([`executor`]) that
 //! lets these tools run as Galaxy jobs end-to-end.
 //!
@@ -40,7 +40,6 @@ pub mod fasta;
 pub mod fastq;
 pub mod mapper;
 pub mod nn;
-pub mod paf;
 pub mod poa;
 pub mod racon;
 pub mod sim;

@@ -78,31 +78,6 @@ impl RaconInput {
         RaconInput { draft, reads, overlaps, work_scale, truth }
     }
 
-    /// Build a polishing problem from FASTQ reads, dropping reads whose
-    /// mean Phred quality is below `min_quality` (racon's `-q` filter) and
-    /// mapping the survivors against `draft`. `paper_bytes` sets the
-    /// virtual-work scale (use the unfiltered input size, as racon still
-    /// parses everything it drops).
-    pub fn from_fastq(
-        draft: impl Into<String>,
-        reads: &[crate::fastq::FastqRecord],
-        min_quality: f64,
-        paper_bytes: f64,
-    ) -> Self {
-        let draft = draft.into();
-        let total_bytes: f64 =
-            draft.len() as f64 + reads.iter().map(|r| r.len() as f64 * 2.0).sum::<f64>();
-        let kept: Vec<String> = reads
-            .iter()
-            .filter(|r| r.mean_quality() >= min_quality)
-            .map(|r| r.seq.clone())
-            .collect();
-        let index = TargetIndex::build(&draft, MapperConfig::default());
-        let overlaps = index.map_all(&kept);
-        let work_scale = (paper_bytes / total_bytes.max(1.0)).max(1.0);
-        RaconInput { draft, reads: kept, overlaps, work_scale, truth: String::new() }
-    }
-
     /// Total input bytes of the laptop-scale instance.
     pub fn synthetic_bytes(&self) -> f64 {
         (self.draft.len() + self.reads.iter().map(String::len).sum::<usize>()) as f64
@@ -335,30 +310,6 @@ pub fn polish_gpu(
     })
 }
 
-/// Iterative polishing (`racon` is routinely run for 2–4 rounds): after
-/// each round, reads are re-mapped against the fresh consensus, which
-/// becomes the next round's draft. Returns one report per round.
-pub fn polish_rounds(
-    input: &RaconInput,
-    opts: &RaconOpts,
-    rounds: usize,
-    host: &HostSpec,
-    clock: &VirtualClock,
-) -> Vec<RaconReport> {
-    let mut reports = Vec::with_capacity(rounds);
-    let mut current = input.clone();
-    for _ in 0..rounds {
-        let report = polish_cpu(&current, opts, host, clock);
-        let consensus = report.consensus.clone();
-        reports.push(report);
-        // Re-map against the new draft.
-        let index = TargetIndex::build(&consensus, MapperConfig::default());
-        let overlaps = index.map_all(&current.reads);
-        current = RaconInput { draft: consensus, overlaps, ..current };
-    }
-    reports
-}
-
 /// Total device time attributed to the named GPU activities so far.
 fn gpu_time(ctx: &CudaContext, names: &[&str]) -> f64 {
     names.iter().filter_map(|n| ctx.profiler.gpu_entry(n)).map(|e| e.seconds).sum()
@@ -513,97 +464,5 @@ mod tests {
         let chunk = many.windows.div_ceil(requested).max(1);
         let expected = many.windows.div_ceil(chunk) as u64;
         assert_eq!(p8.gpu_entry("generatePOAKernel").unwrap().calls, expected);
-    }
-}
-
-#[cfg(test)]
-mod rounds_tests {
-    use super::*;
-    use crate::align::identity;
-
-    #[test]
-    fn iterative_polishing_keeps_improving() {
-        let spec = DatasetSpec {
-            name: "rounds",
-            genome_len: 2_500,
-            n_reads: 20,
-            read_len: 2_000,
-            ..DatasetSpec::alzheimers_nfl()
-        };
-        let input = RaconInput::from_dataset(&spec);
-        let reports = polish_rounds(
-            &input,
-            &RaconOpts::default(),
-            2,
-            &HostSpec::xeon_e5_2670(),
-            &VirtualClock::new(),
-        );
-        assert_eq!(reports.len(), 2);
-        let id0 = identity(&input.draft, &input.truth);
-        let id1 = identity(&reports[0].consensus, &input.truth);
-        let id2 = identity(&reports[1].consensus, &input.truth);
-        assert!(id1 > id0, "round 1 must improve: {id0:.4} -> {id1:.4}");
-        assert!(id2 >= id1 - 0.005, "round 2 must not regress: {id1:.4} -> {id2:.4}");
-        assert!(id2 > 0.97, "final identity {id2:.4}");
-    }
-}
-
-#[cfg(test)]
-mod fastq_input_tests {
-    use super::*;
-    use crate::fastq::FastqRecord;
-    use crate::sim::genome::random_genome;
-
-    fn qual(len: usize, q: u8) -> String {
-        std::iter::repeat_n(char::from(33 + q), len).collect()
-    }
-
-    #[test]
-    fn quality_filter_drops_low_quality_reads() {
-        let genome = random_genome(3_000, 21);
-        let good = FastqRecord::new("good", genome[0..1_500].to_string(), qual(1_500, 30));
-        let bad = FastqRecord::new("bad", genome[1_000..2_500].to_string(), qual(1_500, 3));
-        let input = RaconInput::from_fastq(genome.clone(), &[good, bad], 10.0, 1e9);
-        assert_eq!(input.reads.len(), 1, "low-quality read filtered");
-        assert_eq!(input.overlaps.len(), 1);
-        // The scale still charges for everything parsed.
-        assert!(input.work_scale > 1.0);
-    }
-
-    #[test]
-    fn zero_threshold_keeps_everything() {
-        let genome = random_genome(2_000, 23);
-        let reads: Vec<FastqRecord> = (0..4)
-            .map(|i| {
-                FastqRecord::new(
-                    format!("r{i}"),
-                    genome[i * 300..i * 300 + 1_000].to_string(),
-                    qual(1_000, (i * 10) as u8),
-                )
-            })
-            .collect();
-        let input = RaconInput::from_fastq(genome, &reads, 0.0, 1e6);
-        assert_eq!(input.reads.len(), 4);
-    }
-
-    #[test]
-    fn filtered_input_polishes() {
-        let genome = random_genome(2_000, 29);
-        let reads: Vec<FastqRecord> = crate::sim::reads::sample_reads(
-            &genome,
-            16,
-            1_500,
-            &crate::sim::reads::ErrorModel::pacbio(),
-            31,
-        );
-        let input = RaconInput::from_fastq(genome.clone(), &reads, 5.0, 1e8);
-        let report = polish_cpu(
-            &input,
-            &RaconOpts::default(),
-            &HostSpec::xeon_e5_2670(),
-            &VirtualClock::new(),
-        );
-        assert!(!report.consensus.is_empty());
-        assert!(crate::align::identity(&report.consensus, &genome) > 0.9);
     }
 }

@@ -23,12 +23,6 @@ impl ErrorModel {
         ErrorModel { mismatch: 0.015, insertion: 0.055, deletion: 0.04 }
     }
 
-    /// Oxford Nanopore R9-like error profile (~9% total) — the Bonito
-    /// fast5 data of the paper.
-    pub const fn nanopore() -> Self {
-        ErrorModel { mismatch: 0.03, insertion: 0.025, deletion: 0.035 }
-    }
-
     /// An error-free model (for oracle tests).
     pub const fn perfect() -> Self {
         ErrorModel { mismatch: 0.0, insertion: 0.0, deletion: 0.0 }
@@ -122,8 +116,8 @@ mod tests {
     #[test]
     fn reads_are_deterministic_and_sized() {
         let reference = random_genome(10_000, 11);
-        let a = sample_reads(&reference, 50, 1000, &ErrorModel::nanopore(), 42);
-        let b = sample_reads(&reference, 50, 1000, &ErrorModel::nanopore(), 42);
+        let a = sample_reads(&reference, 50, 1000, &ErrorModel::pacbio(), 42);
+        let b = sample_reads(&reference, 50, 1000, &ErrorModel::pacbio(), 42);
         assert_eq!(a, b);
         assert_eq!(a.len(), 50);
         for read in &a {

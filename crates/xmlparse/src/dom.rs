@@ -112,12 +112,6 @@ impl Element {
         }
     }
 
-    /// Remove an attribute, returning its previous value.
-    pub fn remove_attr(&mut self, key: &str) -> Option<String> {
-        let idx = self.attributes.iter().position(|(k, _)| k == key)?;
-        Some(self.attributes.remove(idx).1)
-    }
-
     /// All attributes in document order.
     pub fn attrs(&self) -> &[(String, String)] {
         &self.attributes
@@ -259,14 +253,12 @@ mod tests {
     }
 
     #[test]
-    fn attr_set_replace_remove() {
+    fn attr_set_replaces() {
         let mut e = Element::new("a");
         e.set_attr("k", "1");
         e.set_attr("k", "2");
         assert_eq!(e.attr("k"), Some("2"));
         assert_eq!(e.attrs().len(), 1);
-        assert_eq!(e.remove_attr("k"), Some("2".into()));
-        assert_eq!(e.attr("k"), None);
     }
 
     #[test]

@@ -1,0 +1,40 @@
+#!/usr/bin/env bash
+# Public items nothing calls: every `pub fn|struct|enum|const|trait|type|static`
+# under crates/ (shims excluded) whose name occurs in no other .rs file of the
+# repo (tests/, examples/ and benchmark/ included) and only once in the
+# non-test part of its own file, i.e. in its own declaration. A file's non-test
+# part ends at its first `#[cfg(test)]`, as in loc.sh; `//` comments are not
+# occurrences. A name shared with any other item (`new`, `len`) never counts,
+# so the list is a floor, not a census. Prints "<path>:<line> <kind> <name>" and
+# a last line "orphans: <n>". Usage: scripts/orphans.sh
+set -euo pipefail
+cd "$(dirname "$0")/.."
+export LC_ALL=C
+
+# Every .rs file of the work tree, tracked or not, in one awk run (the
+# counts are global); a tracked file deleted from the work tree is skipped.
+git ls-files --cached --others --exclude-standard -- '*.rs' |
+  while IFS= read -r f; do if [[ -f $f ]]; then printf '%s\n' "$f"; fi; done | xargs awk '
+  FNR == 1 { cut = 0 }
+  /^[ \t]*#\[cfg\(test\)\]/ { cut = 1 }
+  {
+    line = $0; sub(/\/\/.*/, "", line)
+    if (!cut && FILENAME ~ /^crates\// && FILENAME !~ /^crates\/shims\// &&
+        match(line, /^[ \t]*pub[ \t]+((const|unsafe|async)[ \t]+)*(fn|struct|enum|const|trait|type|static)[ \t]+(mut[ \t]+)?[A-Za-z_][A-Za-z0-9_]*/)) {
+      decl = substr(line, RSTART, RLENGTH); n = split(decl, w, /[ \t]+/)
+      name = w[n]; kind = w[n - 1] == "mut" ? w[n - 2] : w[n - 1]
+      decls[++ndecl] = FILENAME SUBSEP name; where[ndecl] = FILENAME ":" FNR " " kind " " name
+    }
+    while (match(line, /[A-Za-z_][A-Za-z0-9_]*/)) {
+      id = substr(line, RSTART, RLENGTH); line = substr(line, RSTART + RLENGTH)
+      if (!((FILENAME, id) in seen)) { seen[FILENAME, id] = 1; files[id]++ }
+      if (!cut) own[FILENAME, id]++
+    }
+  }
+  END {
+    for (i = 1; i <= ndecl; i++) {
+      split(decls[i], k, SUBSEP)
+      if (files[k[2]] == 1 && own[k[1], k[2]] == 1) { print where[i]; hits++ }
+    }
+    print "orphans: " hits + 0
+  }'

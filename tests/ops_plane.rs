@@ -20,9 +20,10 @@ use gyan::allocation::AllocationPolicy;
 use gyan::ops::{default_alert_rules, ops_server};
 use gyan::reservations::LeaseTable;
 use gyan::setup::{install_gyan, GyanConfig};
+use obs::flight::FlightRecord;
 use obs::metrics::parse_prometheus;
 use obs::serve::http_get;
-use obs::slo::{AlertEngine, AlertState};
+use obs::slo::{AlertEngine, AlertState, ALERT_EVENT};
 use std::sync::Arc;
 
 const GPU_TOOL: &str = r#"<tool id="ops_racon" name="Racon">
@@ -263,8 +264,8 @@ fn profile_api_serves_the_in_process_scopes_over_http() {
 /// Synthetic conflict storm: one job camps on device 0 with an exclusive
 /// lease; a stream of probes requests device 0 and gets redirected —
 /// each redirection is a `gyan_reservation_conflicts_total` increment.
-/// The `gpu-conflict-rate` rule must walk pending → firing (capturing a
-/// flight dump) and resolve once the storm stops.
+/// The `gpu-conflict-rate` rule must walk pending → firing (an event the
+/// flight window then holds) and resolve once the storm stops.
 #[test]
 fn conflict_storm_walks_the_alert_through_its_lifecycle() {
     let s = stack();
@@ -329,17 +330,27 @@ fn conflict_storm_walks_the_alert_through_its_lifecycle() {
     assert_eq!(state_of("gpu-conflict-rate"), "firing");
     assert_eq!(s.alerts.firing(), vec!["gpu-conflict-rate".to_string()]);
 
-    // Firing captured a flight dump, and that dump replays as a valid
-    // Chrome trace with the flightrec tracks.
-    let dumps = s.alerts.flight_dumps();
-    assert_eq!(dumps.len(), 1);
-    assert_eq!(dumps[0].rule, "gpu-conflict-rate");
-    let trace = dumps[0].snapshot.to_chrome_trace();
-    let doc = obs::json::parse(&trace).expect("flight dump replays as a Chrome trace");
+    // The firing is an audit event in the log, so the flight window read
+    // after it holds the transition, and replays as a valid Chrome trace
+    // with the flightrec tracks.
+    let snapshot = recorder.flight_snapshot();
+    assert!(
+        snapshot.records.iter().any(|r| match r {
+            FlightRecord::Event(e) => {
+                e.name == ALERT_EVENT
+                    && e.field("rule").and_then(|v| v.as_str()) == Some("gpu-conflict-rate")
+                    && e.field("to").and_then(|v| v.as_str()) == Some("firing")
+            }
+            FlightRecord::Span(_) => false,
+        }),
+        "flight window holds the firing transition"
+    );
+    let trace = snapshot.to_chrome_trace();
+    let doc = obs::json::parse(&trace).expect("flight snapshot replays as a Chrome trace");
     let events = doc.get("traceEvents").and_then(|v| v.as_array()).expect("traceEvents");
     assert!(
         events.iter().any(|e| e.get("ph").and_then(|v| v.as_str()) == Some("X")),
-        "flight dump has complete events"
+        "flight snapshot has complete events"
     );
     // The live endpoint serves the same recorder ring as JSONL.
     let (status, body) = http_get(handle.addr(), "/api/flightrec").unwrap();
