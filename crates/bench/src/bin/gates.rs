@@ -392,7 +392,7 @@ fn arms() -> [(&'static str, &'static str, LoadOptions); 3] {
             "learned",
             "learned",
             LoadOptions {
-                memory_hint: MemoryHint::learned(),
+                memory_hint: MemoryHint::Learned,
                 footprint_retries: FOOTPRINT_RETRIES,
                 ..Default::default()
             },
@@ -400,18 +400,12 @@ fn arms() -> [(&'static str, &'static str, LoadOptions); 3] {
         (
             "static/process-id",
             STATICS[0].1,
-            LoadOptions {
-                allocation_policy: Some(AllocationPolicy::ProcessId),
-                ..Default::default()
-            },
+            LoadOptions { allocation_policy: AllocationPolicy::ProcessId, ..Default::default() },
         ),
         (
             "static/memory-based",
             STATICS[1].1,
-            LoadOptions {
-                allocation_policy: Some(AllocationPolicy::MemoryBased),
-                ..Default::default()
-            },
+            LoadOptions { allocation_policy: AllocationPolicy::MemoryBased, ..Default::default() },
         ),
     ]
 }

@@ -87,7 +87,6 @@ pub struct FleetBuilder {
     rules: DestinationRules,
     policy: Arc<dyn PlacementPolicy>,
     alloc_policy: AllocationPolicy,
-    clock: VirtualClock,
     recorder: Option<Recorder>,
 }
 
@@ -119,12 +118,6 @@ impl FleetBuilder {
         self
     }
 
-    /// Drive all shards from `clock` instead of a fresh fleet clock.
-    pub fn clock(mut self, clock: VirtualClock) -> Self {
-        self.clock = clock;
-        self
-    }
-
     /// Emit decision audits and per-node metrics through `recorder`.
     pub fn recorder(mut self, recorder: Recorder) -> Self {
         self.recorder = Some(recorder);
@@ -133,11 +126,12 @@ impl FleetBuilder {
 
     /// Materialize the shards and the fleet handle.
     pub fn build(self) -> Fleet {
+        let clock = VirtualClock::new();
         let shards: Vec<NodeShard> = self
             .nodes
             .into_iter()
             .enumerate()
-            .map(|(id, class)| NodeShard::new(id as u32, class, &self.clock))
+            .map(|(id, class)| NodeShard::new(id as u32, class, &clock))
             .collect();
         Fleet {
             shards: Arc::new(shards),
@@ -145,7 +139,7 @@ impl FleetBuilder {
             policy: self.policy,
             alloc_policy: self.alloc_policy,
             bookings: Arc::new(Mutex::new(BTreeMap::new())),
-            clock: self.clock,
+            clock,
             recorder: self.recorder,
         }
     }
@@ -159,7 +153,6 @@ impl Fleet {
             rules: DestinationRules::new(),
             policy: Arc::new(LeastLoaded),
             alloc_policy: AllocationPolicy::ProcessId,
-            clock: VirtualClock::new(),
             recorder: None,
         }
     }

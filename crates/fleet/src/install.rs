@@ -17,7 +17,8 @@ use galaxy::job::Job;
 use galaxy::tool::Tool;
 use galaxy::GalaxyApp;
 use gyan::footprint::MemoryHint;
-use gyan::orchestrator::{static_memory_hint, Placed, Placer, DEFAULT_GPU_MEMORY_HINT_MIB};
+use gyan::orchestrator::{static_memory_hint, Placed, Placer};
+use gyan::rules::RULE_NAME;
 use obs::Recorder;
 
 /// Options for [`install_fleet`] (the fleet-level `GyanConfig`).
@@ -29,13 +30,10 @@ pub struct FleetConfig {
     pub cpu_destination: String,
     /// All destination ids the hook treats as GPU destinations.
     pub gpu_destinations: Vec<String>,
-    /// Name under which the dynamic rule is registered.
-    pub rule_name: String,
-    /// Memory (MiB) a GPU job is assumed to allocate when its destination
-    /// carries no `gpu_memory_hint_mib` param.
-    pub gpu_memory_hint_mib: u64,
     /// Memory-hint resolution mode: [`MemoryHint::Static`] always uses
-    /// the hint above; [`MemoryHint::Learned`] right-sizes from footprint
+    /// the destination's `gpu_memory_hint_mib` param (or
+    /// [`gyan::orchestrator::DEFAULT_GPU_MEMORY_HINT_MIB`] without one);
+    /// [`MemoryHint::Learned`] right-sizes from footprint
     /// profiles once they converge — admitting borderline jobs to shared
     /// leases the static hint would have rejected, and letting the queue
     /// engine revise budgets before the blind GPU→CPU fallback.
@@ -44,23 +42,14 @@ pub struct FleetConfig {
 
 impl Default for FleetConfig {
     fn default() -> Self {
+        // The GPU and CPU destinations of the shipped job conf
+        // (`galaxy::job::conf::GYAN_JOB_CONF`).
         FleetConfig {
-            gpu_destination: "fleet_gpu".to_string(),
+            gpu_destination: "local_gpu".to_string(),
             cpu_destination: "local_cpu".to_string(),
-            gpu_destinations: vec!["fleet_gpu".to_string(), "local_gpu".to_string()],
-            rule_name: "gpu_dynamic_destination".to_string(),
-            gpu_memory_hint_mib: DEFAULT_GPU_MEMORY_HINT_MIB,
+            gpu_destinations: vec!["local_gpu".to_string()],
             memory_hint: MemoryHint::Static,
         }
-    }
-}
-
-impl FleetConfig {
-    /// Resolve memory hints from learned footprint profiles (default
-    /// sample threshold) instead of the static hint.
-    pub fn with_learned_hints(mut self) -> Self {
-        self.memory_hint = MemoryHint::learned();
-        self
     }
 }
 
@@ -126,28 +115,20 @@ pub fn install_fleet(app: &mut GalaxyApp, fleet: &Fleet, config: FleetConfig) {
         fleet.clock(),
         fleet.clone(),
         config.gpu_destinations.clone(),
-        config.gpu_memory_hint_mib,
         config.memory_hint,
     );
     // Whether any placeable shard outside `excluded` admits the tool:
     // the hint resolved as the hook will resolve it (tool-wide learned
-    // profile over per-destination param over config default), so the
-    // rule never routes a job to `fleet_gpu` that placement is then
+    // profile over per-destination param over the default), so the
+    // rule never routes a job to the GPU destination that placement is then
     // forced to reject — and, in learned mode, borderline tools the
     // static hint would have turned away are admitted.
     let hosts = {
         let fleet = fleet.clone();
-        let default_hint = config.gpu_memory_hint_mib;
-        let mode = config.memory_hint;
+        let learned_mode = config.memory_hint == MemoryHint::Learned;
         move |tool_id: &str, conf: &JobConfig, dest_id: &str, excluded: &[String]| {
-            let learned = match mode {
-                MemoryHint::Static => None,
-                MemoryHint::Learned { min_samples } => {
-                    footprint.estimate_tool(tool_id, min_samples)
-                }
-            };
-            let hint = learned
-                .unwrap_or_else(|| static_memory_hint(conf.destination(dest_id), default_hint).0);
+            let learned = if learned_mode { footprint.estimate_tool(tool_id) } else { None };
+            let hint = learned.unwrap_or_else(|| static_memory_hint(conf.destination(dest_id)).0);
             fleet.candidates(tool_id, hint, excluded).next().is_some()
         }
     };
@@ -156,7 +137,7 @@ pub fn install_fleet(app: &mut GalaxyApp, fleet: &Fleet, config: FleetConfig) {
     let gpu_dest = config.gpu_destination;
     let cpu_dest = config.cpu_destination;
     app.register_rule(
-        config.rule_name,
+        RULE_NAME,
         Box::new(move |tool: &Tool, _job: &Job, conf: &JobConfig| {
             let on_fleet = tool.requires_gpu() && rule_hosts(&tool.id, conf, &gpu_dest, &[]);
             Ok(if on_fleet { gpu_dest.clone() } else { cpu_dest.clone() })
@@ -203,17 +184,12 @@ mod tests {
     }
 
     /// The one hook, placing over the fleet seam.
-    fn hook(
-        fleet: &Fleet,
-        default_hint_mib: u64,
-        registry: &FootprintRegistry,
-        mode: MemoryHint,
-    ) -> GyanHook {
-        GyanHook::new(fleet.clone(), ["fleet_gpu"], default_hint_mib, registry.clone(), mode)
+    fn hook(fleet: &Fleet, registry: &FootprintRegistry, mode: MemoryHint) -> GyanHook {
+        GyanHook::new(fleet.clone(), ["fleet_gpu"], registry.clone(), mode)
     }
 
     fn static_hook(fleet: &Fleet) -> GyanHook {
-        hook(fleet, DEFAULT_GPU_MEMORY_HINT_MIB, &FootprintRegistry::new(), MemoryHint::Static)
+        hook(fleet, &FootprintRegistry::new(), MemoryHint::Static)
     }
 
     #[test]
@@ -253,16 +229,18 @@ mod tests {
         for i in 0..8 {
             registry.observe("racon_gpu", 1000, 4000.0, 10.0, i as f64);
         }
-        let static_hook = hook(&fleet, 20_000, &registry, MemoryHint::Static);
+        let mut fleet_gpu = dest("fleet_gpu");
+        fleet_gpu.params.set(gyan::orchestrator::GPU_MEMORY_HINT_PARAM, "20000");
+        let static_hook = hook(&fleet, &registry, MemoryHint::Static);
         let mut job = Job::new(1, "racon_gpu", ParamDict::new());
         job.set_env(GALAXY_INPUT_SIZE_MIB_ENV, "1000");
-        static_hook.before_dispatch(&mut job, &gpu_tool("racon_gpu"), &dest("fleet_gpu"));
+        static_hook.before_dispatch(&mut job, &gpu_tool("racon_gpu"), &fleet_gpu);
         assert_eq!(job.env_var(GALAXY_GPU_ENABLED), Some("false"), "static hint rejects");
 
-        let learned_hook = hook(&fleet, 20_000, &registry, MemoryHint::learned());
+        let learned_hook = hook(&fleet, &registry, MemoryHint::Learned);
         let mut job = Job::new(2, "racon_gpu", ParamDict::new());
         job.set_env(GALAXY_INPUT_SIZE_MIB_ENV, "1000");
-        learned_hook.before_dispatch(&mut job, &gpu_tool("racon_gpu"), &dest("fleet_gpu"));
+        learned_hook.before_dispatch(&mut job, &gpu_tool("racon_gpu"), &fleet_gpu);
         assert_eq!(job.env_var(GALAXY_GPU_ENABLED), Some("true"), "learned hint admits");
         let budget: u64 = job.env_var(GPU_MEMORY_BUDGET_ENV).unwrap().parse().unwrap();
         assert!((3900..=4100).contains(&budget), "budget {budget}");
@@ -280,7 +258,7 @@ mod tests {
                 <destination id="dyn" runner="dynamic">
                   <param id="function">gpu_dynamic_destination</param>
                 </destination>
-                <destination id="fleet_gpu" runner="local"/>
+                <destination id="local_gpu" runner="local"/>
                 <destination id="local_cpu" runner="local"/>
               </destinations>
             </job_conf>"#,
@@ -299,7 +277,7 @@ mod tests {
 
         let id = app.submit("racon_gpu", &ParamDict::new()).unwrap();
         let job = app.job(id).unwrap();
-        assert_eq!(job.destination_id.as_deref(), Some("fleet_gpu"));
+        assert_eq!(job.destination_id.as_deref(), Some("local_gpu"));
         assert_eq!(job.env_var(GALAXY_GPU_ENABLED), Some("true"));
         // Least-loaded ties break to node 0 (the K80 node).
         assert_eq!(job.env_var(galaxy::GALAXY_NODE_ENV), Some("k80-000"));
@@ -318,7 +296,7 @@ mod tests {
                 <destination id="dyn" runner="dynamic">
                   <param id="function">gpu_dynamic_destination</param>
                 </destination>
-                <destination id="fleet_gpu" runner="local"/>
+                <destination id="local_gpu" runner="local"/>
                 <destination id="local_cpu" runner="local"/>
               </destinations>
             </job_conf>"#,

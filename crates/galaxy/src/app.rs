@@ -150,11 +150,6 @@ impl GalaxyApp {
         self.tools.get(id).map(Arc::as_ref)
     }
 
-    /// Iterator over every installed tool (unordered).
-    pub fn tools(&self) -> impl Iterator<Item = &Tool> {
-        self.tools.values().map(Arc::as_ref)
-    }
-
     /// Register a dynamic destination rule under `name`.
     pub fn register_rule(&mut self, name: impl Into<String>, rule: DynamicRule) {
         self.rules.insert(name.into(), rule);

@@ -128,11 +128,6 @@ impl CudaContext {
         &self.visible
     }
 
-    /// Host pid of the owning process.
-    pub fn pid(&self) -> u32 {
-        self.pid
-    }
-
     fn ensure_registered(&mut self, minor: u32) -> Result<(), GpuError> {
         if !self.registered.contains(&minor) {
             self.cluster.attach_process(

@@ -25,14 +25,16 @@
 //! * The queue engine's footprint-revised resubmission ladder asks
 //!   [`FootprintRegistry::revised_budget`] for a bigger budget before
 //!   blindly falling back to CPU (`galaxy::FootprintAdvisor`).
-//! * Ops surfaces: `gyan_footprint_*` metrics, the `/api/profiles`
-//!   endpoint, and a `gyan/footprint` Chrome-trace track.
+//! * Ops surfaces: every conclusion that teaches a profile exports the
+//!   `gyan_footprint_*` gauges into the recorder's registry, which
+//!   `/metrics` serves, and its audit lands on a `gyan/footprint`
+//!   Chrome-trace track.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use obs::sketch::{bucket_label, size_bucket, QuantileSketch};
-use obs::{json_escape, Recorder, Value};
+use obs::{Recorder, Value};
 
 /// Environment variable declaring a job's total input size in MiB. Set by
 /// the submitter (Galaxy knows dataset sizes at submission); read by the
@@ -70,11 +72,7 @@ pub fn input_mib(job: &galaxy::Job) -> u64 {
 pub const FOOTPRINT_ESTIMATE_EVENT: &str = "footprint.estimate";
 
 /// Profiles with fewer samples than this fall back to the static hint.
-pub const DEFAULT_MIN_SAMPLES: u64 = 8;
-
-/// Relative-error budget of the profile sketches (see
-/// [`obs::sketch::QuantileSketch::new`]).
-pub const PROFILE_ALPHA: f64 = 0.01;
+pub const MIN_SAMPLES: u64 = 8;
 
 /// How the dispatch-time memory estimate was chosen, in priority order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,8 +82,8 @@ pub enum EstimateSource {
     Override,
     /// Learned p95 from a converged profile.
     Learned,
-    /// The destination's `gpu_memory_hint_mib` parameter or the
-    /// configured default.
+    /// The destination's `gpu_memory_hint_mib` parameter or
+    /// [`crate::orchestrator::DEFAULT_GPU_MEMORY_HINT_MIB`].
     Static,
 }
 
@@ -103,40 +101,21 @@ impl EstimateSource {
 /// Memory-hint resolution mode for the dispatch hook.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MemoryHint {
-    /// Always use the destination parameter / configured default (the
-    /// pre-GYAN behaviour; the ablation baseline).
+    /// Always use the destination parameter / default (the pre-GYAN
+    /// behaviour; the ablation baseline).
     #[default]
     Static,
     /// Use the learned per-`(tool, bucket)` p95 once a profile holds at
-    /// least `min_samples` observations; fall back to static below that.
-    Learned {
-        /// Sample-count threshold before a profile is trusted.
-        min_samples: u64,
-    },
-}
-
-impl MemoryHint {
-    /// Learned mode with the default sample threshold.
-    pub fn learned() -> Self {
-        MemoryHint::Learned { min_samples: DEFAULT_MIN_SAMPLES }
-    }
+    /// least [`MIN_SAMPLES`] observations; fall back to static below that.
+    Learned,
 }
 
 /// One `(tool, input bucket)` profile.
+#[derive(Default)]
 struct Profile {
     peak_mib: QuantileSketch,
     runtime_s: QuantileSketch,
     last_updated: f64,
-}
-
-impl Profile {
-    fn new() -> Self {
-        Profile {
-            peak_mib: QuantileSketch::new(PROFILE_ALPHA),
-            runtime_s: QuantileSketch::new(PROFILE_ALPHA),
-            last_updated: 0.0,
-        }
-    }
 }
 
 /// Dispatch-time context held until the attempt concludes.
@@ -154,12 +133,6 @@ struct Pending {
 struct State {
     profiles: BTreeMap<(String, u32), Profile>,
     pending: BTreeMap<u64, Pending>,
-}
-
-impl Default for Profile {
-    fn default() -> Self {
-        Profile::new()
-    }
 }
 
 /// Read-only snapshot of one profile, for ops surfaces and tests.
@@ -302,13 +275,13 @@ impl FootprintRegistry {
     }
 
     /// Learned memory estimate for `tool` at `input_mib`: the ceil'd p95
-    /// of the profile's peak sketch once it holds at least `min_samples`
+    /// of the profile's peak sketch once it holds at least [`MIN_SAMPLES`]
     /// observations, `None` otherwise (caller falls back to static).
-    pub fn estimate(&self, tool: &str, input_mib: u64, min_samples: u64) -> Option<u64> {
+    pub fn estimate(&self, tool: &str, input_mib: u64) -> Option<u64> {
         let bucket = size_bucket(input_mib);
         let state = self.lock();
         let profile = state.profiles.get(&(tool.to_string(), bucket))?;
-        if profile.peak_mib.count() < min_samples.max(1) {
+        if profile.peak_mib.count() < MIN_SAMPLES {
             return None;
         }
         profile.peak_mib.quantile(0.95).map(|v| v.ceil() as u64)
@@ -316,7 +289,7 @@ impl FootprintRegistry {
 
     /// Tool-wide estimate merging every input bucket — used where no job
     /// context exists (destination-rule admission, placement advisors).
-    pub fn estimate_tool(&self, tool: &str, min_samples: u64) -> Option<u64> {
+    pub fn estimate_tool(&self, tool: &str) -> Option<u64> {
         let state = self.lock();
         let mut merged: Option<QuantileSketch> = None;
         for ((t, _), profile) in state.profiles.iter() {
@@ -329,7 +302,7 @@ impl FootprintRegistry {
             }
         }
         let merged = merged?;
-        if merged.count() < min_samples.max(1) {
+        if merged.count() < MIN_SAMPLES {
             return None;
         }
         merged.quantile(0.95).map(|v| v.ceil() as u64)
@@ -416,41 +389,6 @@ impl FootprintRegistry {
             metrics.set_gauge(&format!("gyan_footprint_runtime_s_p50{labels}"), s.runtime_s_p50);
         }
     }
-
-    /// The `/api/profiles` JSON document.
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\"profiles\":[");
-        for (i, s) in self.snapshot().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"tool\":\"{}\",\"bucket\":{},\"bucket_label\":\"{}\",\"samples\":{},\
-                 \"peak_mib\":{{\"p50\":{:.3},\"p95\":{:.3},\"max\":{:.3}}},\
-                 \"runtime_s\":{{\"p50\":{:.3},\"p95\":{:.3}}},\"last_updated_s\":{:.3}}}",
-                json_escape(&s.tool),
-                s.bucket,
-                json_escape(&s.bucket_label),
-                s.samples,
-                s.peak_mib_p50,
-                s.peak_mib_p95,
-                s.peak_mib_max,
-                s.runtime_s_p50,
-                s.runtime_s_p95,
-                s.last_updated,
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// The `/api/profiles?format=prometheus` exposition: the
-    /// `gyan_footprint_*` family rendered standalone.
-    pub fn render_prometheus(&self) -> String {
-        let registry = obs::metrics::Registry::new();
-        self.export_metrics(&registry);
-        registry.render_prometheus()
-    }
 }
 
 #[cfg(test)]
@@ -463,9 +401,9 @@ mod tests {
         for i in 0..7 {
             reg.observe("racon_gpu", 1500, 900.0 + i as f64, 10.0, i as f64);
         }
-        assert_eq!(reg.estimate("racon_gpu", 1500, 8), None, "below threshold");
+        assert_eq!(reg.estimate("racon_gpu", 1500), None, "below threshold");
         reg.observe("racon_gpu", 1500, 907.0, 10.0, 7.0);
-        let est = reg.estimate("racon_gpu", 1500, 8).expect("converged");
+        let est = reg.estimate("racon_gpu", 1500).expect("converged");
         // p95 of 900..=907 within the sketch's 2% relative error.
         assert!((880..=930).contains(&est), "estimate {est}");
     }
@@ -477,12 +415,12 @@ mod tests {
             reg.observe("bonito_gpu", 100, 500.0, 5.0, i as f64);
             reg.observe("bonito_gpu", 100_000, 40_000.0, 600.0, i as f64);
         }
-        let small = reg.estimate("bonito_gpu", 100, 8).unwrap();
-        let large = reg.estimate("bonito_gpu", 100_000, 8).unwrap();
+        let small = reg.estimate("bonito_gpu", 100).unwrap();
+        let large = reg.estimate("bonito_gpu", 100_000).unwrap();
         assert!(small < 600, "small-input estimate {small}");
         assert!(large > 30_000, "large-input estimate {large}");
         // Same bucket, different probe size: 100 and 120 MiB share [64,128).
-        assert_eq!(reg.estimate("bonito_gpu", 120, 8), Some(small));
+        assert_eq!(reg.estimate("bonito_gpu", 120), Some(small));
     }
 
     #[test]
@@ -493,10 +431,10 @@ mod tests {
             reg.observe("racon_gpu", 10_000, 4000.0, 60.0, i as f64);
         }
         // Neither bucket alone meets the threshold; merged they do.
-        assert_eq!(reg.estimate("racon_gpu", 100, 8), None);
-        let merged = reg.estimate_tool("racon_gpu", 8).unwrap();
+        assert_eq!(reg.estimate("racon_gpu", 100), None);
+        let merged = reg.estimate_tool("racon_gpu").unwrap();
         assert!(merged > 3000, "merged p95 dominated by the heavy bucket: {merged}");
-        assert_eq!(reg.estimate_tool("other_tool", 1), None);
+        assert_eq!(reg.estimate_tool("other_tool"), None);
     }
 
     #[test]
@@ -554,7 +492,7 @@ mod tests {
     }
 
     #[test]
-    fn metrics_and_renders_expose_profiles() {
+    fn metrics_expose_profiles() {
         let reg = FootprintRegistry::new();
         for i in 0..3 {
             reg.observe("racon_gpu", 1500, 1000.0, 10.0, i as f64);
@@ -562,12 +500,14 @@ mod tests {
         let metrics = obs::metrics::Registry::new();
         reg.export_metrics(&metrics);
         assert_eq!(metrics.gauge_value("gyan_footprint_profiles"), Some(1.0));
-        let text = reg.render_prometheus();
+        assert_eq!(
+            metrics.gauge_value(
+                "gyan_footprint_samples{tool=\"racon_gpu\",bucket=\"[1024,2048)MiB\"}"
+            ),
+            Some(3.0)
+        );
+        let text = metrics.render_prometheus();
         assert!(text.contains("# HELP gyan_footprint_peak_mib_p95"), "{text}");
         assert!(text.contains("gyan_footprint_samples{tool=\"racon_gpu\""), "{text}");
-        let json = reg.render_json();
-        assert!(json.contains("\"tool\":\"racon_gpu\""), "{json}");
-        assert!(json.contains("\"samples\":3"), "{json}");
-        obs::json::parse(&json).expect("valid json");
     }
 }

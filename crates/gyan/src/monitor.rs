@@ -74,7 +74,6 @@ pub struct UsageMonitor {
     cluster: GpuCluster,
     state: Arc<Mutex<MonitorState>>,
     active: Arc<AtomicBool>,
-    interval: f64,
     observer: Mutex<Option<ObserverId>>,
 }
 
@@ -113,7 +112,6 @@ impl UsageMonitor {
             cluster: cluster.clone(),
             state,
             active,
-            interval,
             observer: Mutex::new(Some(observer)),
         }
     }
@@ -127,11 +125,6 @@ impl UsageMonitor {
             self.cluster.clock().remove_observer(id);
         }
         self.state.lock().samples.clone()
-    }
-
-    /// The sampling interval in virtual seconds.
-    pub fn interval(&self) -> f64 {
-        self.interval
     }
 
     /// All samples collected so far.

@@ -15,7 +15,10 @@
 //! | `/api/flightrec`   | flight-recorder JSONL dump (the log's tail)      |
 //! | `/api/profile`     | hot-path profiler aggregation (`?format=collapsed` for flamegraph text, `?reset=1` to clear) |
 //! | `/api/bench`       | last recorded perf trajectory (`BENCH_scheduler.json`) |
-//! | `/api/profiles`    | learned per-tool footprint profiles (`?format=prometheus` for a standalone exposition) |
+//!
+//! Learned footprint profiles are served on `/metrics` as the
+//! `gyan_footprint_*` gauges each conclusion that teaches one exports
+//! ([`crate::footprint::FootprintRegistry::conclude`]).
 //!
 //! [`default_alert_rules`] builds the stock SLO rule set the paper's
 //! operators would watch: queue-wait p99, GPU allocation-conflict rate,
@@ -23,7 +26,6 @@
 //!
 //! [`AlertEngine`]: obs::slo::AlertEngine
 
-use crate::footprint::FootprintRegistry;
 use crate::reservations::{Lease, LeaseTable};
 use galaxy::queue::{JobSnapshot, JobsLedger};
 use gpusim::GpuCluster;
@@ -278,20 +280,6 @@ pub fn bench_route(path: impl Into<PathBuf>) -> Handler {
              `cargo run --release -p gyan-bench --bin gates scheduler`)",
             path.display()
         )),
-    })
-}
-
-/// Handler for `/api/profiles`: the learned `(tool, input-size bucket)`
-/// footprint profiles. `?format=prometheus` serves the
-/// `gyan_footprint_*` family as a standalone exposition instead of JSON.
-pub fn profiles_route(registry: &FootprintRegistry) -> Handler {
-    let registry = registry.clone();
-    Arc::new(move |req| {
-        if req.query_param("format") == Some("prometheus") {
-            Response::ok("text/plain; version=0.0.4", registry.render_prometheus())
-        } else {
-            Response::json(registry.render_json())
-        }
     })
 }
 

@@ -6,9 +6,10 @@
 //! 1. inspects the tool's requirements for the `compute`/`gpu` type and
 //!    its requested device IDs (the `version` tag);
 //! 2. if the job landed on a GPU destination, resolves its memory hint
-//!    (footprint-revised override > learned p95 > static destination
-//!    param / default) and asks the [`Placer`] for devices; on a grant it
-//!    exports `CUDA_VISIBLE_DEVICES`;
+//!    (footprint-revised override > learned p95 > the destination's
+//!    `gpu_memory_hint_mib` param > [`DEFAULT_GPU_MEMORY_HINT_MIB`]) and
+//!    asks the [`Placer`] for devices; on a grant it exports
+//!    `CUDA_VISIBLE_DEVICES`;
 //! 3. sets `GALAXY_GPU_ENABLED` and bridges it into the tool wrapper's
 //!    parameter dictionary as `__galaxy_gpu_enabled__` (the
 //!    `build_param_dict` insertion described in §IV-A).
@@ -37,8 +38,8 @@ use galaxy::tool::Tool;
 use gpusim::GpuCluster;
 use obs::{Recorder, Value};
 
-/// Memory a GPU job is assumed to allocate when neither the destination
-/// nor the config declares a hint (MiB). Used by the reservation layer's
+/// Memory a GPU job is assumed to allocate when its destination declares
+/// no `gpu_memory_hint_mib` (MiB). Used by the reservation layer's
 /// Process-Allocated-Memory accounting.
 pub const DEFAULT_GPU_MEMORY_HINT_MIB: u64 = 1024;
 
@@ -52,20 +53,17 @@ pub const INVALID_HINT_COUNTER: &str = "gyan_invalid_memory_hint_total";
 pub const INVALID_HINT_EVENT: &str = "gyan.hook.invalid_memory_hint";
 
 /// The static rung of the hint ladder: `destination`'s
-/// `gpu_memory_hint_mib` param, else `default_mib`. The second value is
-/// the raw param when it is present but not a number (the hint fell back
-/// to the default): the hook audits it, while admission checks made
-/// before dispatch (dynamic rule, placement advisor) only take the
-/// number — so all of them agree on the hint for the same destination.
-pub fn static_memory_hint(
-    destination: Option<&Destination>,
-    default_mib: u64,
-) -> (u64, Option<&str>) {
+/// `gpu_memory_hint_mib` param, else [`DEFAULT_GPU_MEMORY_HINT_MIB`]. The
+/// second value is the raw param when it is present but not a number (the
+/// hint fell back to the default): the hook audits it, while admission
+/// checks made before dispatch (dynamic rule, placement advisor) only take
+/// the number — so all of them agree on the hint for the same destination.
+pub fn static_memory_hint(destination: Option<&Destination>) -> (u64, Option<&str>) {
     match destination.and_then(|d| d.params.get(GPU_MEMORY_HINT_PARAM)) {
-        None => (default_mib, None),
+        None => (DEFAULT_GPU_MEMORY_HINT_MIB, None),
         Some(raw) => match raw.parse() {
             Ok(mib) => (mib, None),
-            Err(_) => (default_mib, Some(raw)),
+            Err(_) => (DEFAULT_GPU_MEMORY_HINT_MIB, Some(raw)),
         },
     }
 }
@@ -137,7 +135,6 @@ pub struct GyanHook {
     placer: Box<dyn Placer>,
     /// Destination ids treated as GPU destinations.
     gpu_destinations: Vec<String>,
-    default_memory_hint_mib: u64,
     /// Concluded GPU attempts feed these per-tool profiles; in
     /// [`MemoryHint::Learned`] mode the learned p95 replaces the static
     /// hint.
@@ -148,20 +145,16 @@ pub struct GyanHook {
 impl GyanHook {
     /// Create a hook placing through `placer`. `gpu_destinations` lists
     /// the destination ids on which jobs may use GPUs (e.g.
-    /// `["local_gpu", "docker_gpu", "singularity_gpu"]`);
-    /// `default_memory_hint_mib` is the assumed per-job GPU memory when
-    /// the destination carries no `gpu_memory_hint_mib` parameter.
+    /// `["local_gpu", "docker_gpu", "singularity_gpu"]`).
     pub fn new(
         placer: impl Placer + 'static,
         gpu_destinations: impl IntoIterator<Item = impl Into<String>>,
-        default_memory_hint_mib: u64,
         footprint: FootprintRegistry,
         hint_mode: MemoryHint,
     ) -> Self {
         GyanHook {
             placer: Box::new(placer),
             gpu_destinations: gpu_destinations.into_iter().map(Into::into).collect(),
-            default_memory_hint_mib,
             footprint,
             hint_mode,
         }
@@ -173,7 +166,7 @@ impl GyanHook {
 
     /// Resolve the memory hint for this attempt, in priority order:
     /// footprint-revised override env > learned p95 > static
-    /// (destination param / default). Returns the chosen hint, the static
+    /// ([`static_memory_hint`]). Returns the chosen hint, the static
     /// hint it (possibly) replaced, and its source. The static rung is
     /// resolved exactly once, so a malformed destination param is audited
     /// exactly once per dispatch.
@@ -182,8 +175,7 @@ impl GyanHook {
         job: &Job,
         destination: &Destination,
     ) -> (u64, u64, EstimateSource) {
-        let (static_hint, malformed) =
-            static_memory_hint(Some(destination), self.default_memory_hint_mib);
+        let (static_hint, malformed) = static_memory_hint(Some(destination));
         // A typo'd hint must not pass silently: audit the fallback so the
         // operator sees the config is wrong.
         if let (Some(raw), Some(rec)) = (malformed, self.placer.recorder()) {
@@ -201,10 +193,8 @@ impl GyanHook {
         if let Some(over) = env_mib(job, galaxy::GALAXY_GPU_BUDGET_OVERRIDE_ENV) {
             return (over, static_hint, EstimateSource::Override);
         }
-        if let MemoryHint::Learned { min_samples } = self.hint_mode {
-            if let Some(learned) =
-                self.footprint.estimate(&job.tool_id, input_mib(job), min_samples)
-            {
+        if self.hint_mode == MemoryHint::Learned {
+            if let Some(learned) = self.footprint.estimate(&job.tool_id, input_mib(job)) {
                 return (learned, static_hint, EstimateSource::Learned);
             }
         }
@@ -281,7 +271,7 @@ impl JobHook for GyanHook {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::footprint::GALAXY_INPUT_SIZE_MIB_ENV;
+    use crate::footprint::{GALAXY_INPUT_SIZE_MIB_ENV, MIN_SAMPLES};
     use galaxy::params::ParamDict;
     use galaxy::tool::macros::MacroLibrary;
     use galaxy::tool::wrapper::parse_tool;
@@ -313,12 +303,7 @@ mod tests {
         recorder: Recorder,
     }
 
-    fn stack_with(
-        cluster: &GpuCluster,
-        policy: AllocationPolicy,
-        default_hint_mib: u64,
-        mode: MemoryHint,
-    ) -> Stack {
+    fn stack_with(cluster: &GpuCluster, policy: AllocationPolicy, mode: MemoryHint) -> Stack {
         let (table, registry, recorder) =
             (LeaseTable::new(), FootprintRegistry::new(), Recorder::new());
         let placer = NodePlacer {
@@ -327,18 +312,12 @@ mod tests {
             table: table.clone(),
             recorder: recorder.clone(),
         };
-        let hook = GyanHook::new(
-            placer,
-            ["local_gpu", "docker_gpu"],
-            default_hint_mib,
-            registry.clone(),
-            mode,
-        );
+        let hook = GyanHook::new(placer, ["local_gpu", "docker_gpu"], registry.clone(), mode);
         Stack { hook, table, registry, recorder }
     }
 
     fn hook(cluster: &GpuCluster, policy: AllocationPolicy) -> GyanHook {
-        stack_with(cluster, policy, DEFAULT_GPU_MEMORY_HINT_MIB, MemoryHint::Static).hook
+        stack_with(cluster, policy, MemoryHint::Static).hook
     }
 
     #[test]
@@ -375,7 +354,7 @@ mod tests {
     #[test]
     fn cpu_destination_disables_gpu_without_touching_the_placer() {
         let c = GpuCluster::k80_node();
-        let s = stack_with(&c, AllocationPolicy::ProcessId, 1024, MemoryHint::Static);
+        let s = stack_with(&c, AllocationPolicy::ProcessId, MemoryHint::Static);
         let mut job = Job::new(1, "racon_gpu", ParamDict::new());
         s.hook.before_dispatch(&mut job, &gpu_tool(None), &dest("local_cpu"));
         assert_eq!(job.env_var(GALAXY_GPU_ENABLED), Some("false"));
@@ -425,7 +404,7 @@ mod tests {
     #[test]
     fn leases_redirect_the_second_same_wave_job() {
         let c = GpuCluster::k80_node();
-        let s = stack_with(&c, AllocationPolicy::ProcessId, 1024, MemoryHint::Static);
+        let s = stack_with(&c, AllocationPolicy::ProcessId, MemoryHint::Static);
         // Both jobs pin device 1; SMI shows it free both times (neither
         // has started executing). Without leases both would get "1".
         let mut first = Job::new(1, "racon_gpu", ParamDict::new());
@@ -440,7 +419,7 @@ mod tests {
     #[test]
     fn after_conclude_releases_the_jobs_leases() {
         let c = GpuCluster::k80_node();
-        let s = stack_with(&c, AllocationPolicy::ProcessId, 1024, MemoryHint::Static);
+        let s = stack_with(&c, AllocationPolicy::ProcessId, MemoryHint::Static);
         let mut job = Job::new(5, "racon_gpu", ParamDict::new());
         s.hook.before_dispatch(&mut job, &gpu_tool(Some("0")), &dest("local_gpu"));
         assert_eq!(s.table.lease_count(), 1);
@@ -453,44 +432,39 @@ mod tests {
     #[test]
     fn destination_param_overrides_the_memory_hint() {
         let c = GpuCluster::k80_node();
-        let s = stack_with(&c, AllocationPolicy::MemoryBased, 512, MemoryHint::Static);
+        let s = stack_with(&c, AllocationPolicy::MemoryBased, MemoryHint::Static);
         let mut d = dest("local_gpu");
         d.params.set(GPU_MEMORY_HINT_PARAM, "2048");
         let mut job = Job::new(1, "racon_gpu", ParamDict::new());
         s.hook.before_dispatch(&mut job, &gpu_tool(Some("0")), &d);
         assert_eq!(s.table.leases_on(0)[0].memory_hint_mib, 2048);
-        // Without the param the configured default applies.
+        // Without the param the default applies.
         let mut job = Job::new(2, "racon_gpu", ParamDict::new());
         s.hook.before_dispatch(&mut job, &gpu_tool(Some("1")), &dest("local_gpu"));
-        assert_eq!(s.table.leases_on(1)[0].memory_hint_mib, 512);
+        assert_eq!(s.table.leases_on(1)[0].memory_hint_mib, DEFAULT_GPU_MEMORY_HINT_MIB);
         assert!(s.recorder.events_named(INVALID_HINT_EVENT).is_empty());
     }
 
     #[test]
     fn malformed_destination_param_is_audited_once_and_falls_back() {
         let c = GpuCluster::k80_node();
-        let s = stack_with(&c, AllocationPolicy::MemoryBased, 512, MemoryHint::learned());
+        let s = stack_with(&c, AllocationPolicy::MemoryBased, MemoryHint::Learned);
         let mut d = dest("local_gpu");
         d.params.set(GPU_MEMORY_HINT_PARAM, "lots");
         let mut job = Job::new(1, "racon_gpu", ParamDict::new());
         s.hook.before_dispatch(&mut job, &gpu_tool(Some("0")), &d);
-        assert_eq!(s.table.leases_on(0)[0].memory_hint_mib, 512);
+        assert_eq!(s.table.leases_on(0)[0].memory_hint_mib, DEFAULT_GPU_MEMORY_HINT_MIB);
         assert_eq!(s.recorder.metrics().counter_value(INVALID_HINT_COUNTER), 1);
         let audits = s.recorder.events_named(INVALID_HINT_EVENT);
         assert_eq!(audits.len(), 1, "one audit per dispatch, not one per ladder rung");
         assert_eq!(audits[0].field("raw").and_then(|v| v.as_str()), Some("lots"));
-        assert_eq!(audits[0].field("fallback_mib").and_then(|v| v.as_f64()), Some(512.0));
+        assert_eq!(audits[0].field("fallback_mib").and_then(|v| v.as_f64()), Some(1024.0));
     }
 
     #[test]
     fn learned_hint_replaces_static_once_profile_converges() {
         let c = GpuCluster::k80_node();
-        let s = stack_with(
-            &c,
-            AllocationPolicy::MemoryBased,
-            1024,
-            MemoryHint::Learned { min_samples: 4 },
-        );
+        let s = stack_with(&c, AllocationPolicy::MemoryBased, MemoryHint::Learned);
         // Cold registry: static hint applies.
         let mut job = Job::new(1, "racon_gpu", ParamDict::new());
         job.set_env(GALAXY_INPUT_SIZE_MIB_ENV, "1500");
@@ -499,7 +473,7 @@ mod tests {
         assert_eq!(job.env_var(GPU_MEMORY_BUDGET_ENV), Some("1024"));
         s.hook.after_conclude(1, JobConclusion::Ok);
         // Converge the profile well above the static hint.
-        for i in 0..4 {
+        for i in 0..MIN_SAMPLES {
             s.registry.observe("racon_gpu", 1500, 3000.0, 10.0, i as f64);
         }
         let mut job = Job::new(2, "racon_gpu", ParamDict::new());
@@ -513,7 +487,7 @@ mod tests {
     #[test]
     fn override_env_outranks_learned_and_static() {
         let c = GpuCluster::k80_node();
-        let s = stack_with(&c, AllocationPolicy::MemoryBased, 1024, MemoryHint::learned());
+        let s = stack_with(&c, AllocationPolicy::MemoryBased, MemoryHint::Learned);
         for i in 0..8 {
             s.registry.observe("racon_gpu", 1500, 3000.0, 10.0, i as f64);
         }
@@ -527,7 +501,7 @@ mod tests {
     #[test]
     fn concluded_gpu_attempt_feeds_the_profile() {
         let c = GpuCluster::k80_node();
-        let s = stack_with(&c, AllocationPolicy::MemoryBased, 1024, MemoryHint::learned());
+        let s = stack_with(&c, AllocationPolicy::MemoryBased, MemoryHint::Learned);
         let mut job = Job::new(9, "racon_gpu", ParamDict::new());
         job.set_env(GALAXY_INPUT_SIZE_MIB_ENV, "1500");
         job.set_env(GPU_OBSERVED_PEAK_ENV, "1800");

@@ -17,7 +17,11 @@ use galaxy::GalaxyError;
 use gpusim::GpuCluster;
 use obs::{Key, Recorder, Value};
 
-/// Factory for the `gpu_dynamic_destination` rule.
+/// Name under which the dynamic rule is registered: the `function` param
+/// of the dynamic destination in the shipped `job_conf.xml`.
+pub const RULE_NAME: &str = "gpu_dynamic_destination";
+
+/// Factory for the [`RULE_NAME`] rule.
 #[derive(Clone)]
 pub struct GpuDestinationRule {
     cluster: GpuCluster,
@@ -30,11 +34,16 @@ pub struct GpuDestinationRule {
     /// multi-GPU cases where busy GPUs still accept jobs), presence of any
     /// GPU suffices and the allocation policy decides placement.
     pub require_free_gpu: bool,
-    recorder: Option<Recorder>,
-    /// When present, devices leased to not-yet-executing plans count as
-    /// busy in the free-GPU observation (relevant with
-    /// [`GpuDestinationRule::require_free`]).
-    reservations: Option<LeaseTable>,
+    /// Sink for one `gyan.rule.decision` audit event per evaluation: the
+    /// device availability the rule observed and why it chose the
+    /// destination it did.
+    recorder: Recorder,
+    /// Devices leased to not-yet-executing plans count as busy in the
+    /// free-GPU observation, so a strict
+    /// ([`GpuDestinationRule::require_free`]) rule does not route a job to
+    /// the GPU destination on the strength of a device another same-wave
+    /// plan already holds.
+    reservations: LeaseTable,
 }
 
 /// What the rule saw of the cluster: pynvml's device count and the
@@ -46,42 +55,28 @@ struct GpuObservation {
 
 impl GpuDestinationRule {
     /// Create a rule bound to a cluster with the given GPU/CPU
-    /// destination ids.
+    /// destination ids, auditing into `recorder` and counting the leases
+    /// in `reservations` as busy.
     pub fn new(
         cluster: &GpuCluster,
         gpu_destination: impl Into<String>,
         cpu_destination: impl Into<String>,
+        recorder: Recorder,
+        reservations: LeaseTable,
     ) -> Self {
         GpuDestinationRule {
             cluster: cluster.clone(),
             gpu_destination: gpu_destination.into(),
             cpu_destination: cpu_destination.into(),
             require_free_gpu: false,
-            recorder: None,
-            reservations: None,
+            recorder,
+            reservations,
         }
     }
 
     /// Require a currently-free GPU for GPU mapping.
     pub fn require_free(mut self) -> Self {
         self.require_free_gpu = true;
-        self
-    }
-
-    /// Count leased devices as busy when observing GPU availability, so a
-    /// strict (`require_free`) rule does not route a job to the GPU
-    /// destination on the strength of a device another same-wave plan
-    /// already holds.
-    pub fn with_reservations(mut self, table: LeaseTable) -> Self {
-        self.reservations = Some(table);
-        self
-    }
-
-    /// Emit a `gyan.rule.decision` audit event per evaluation, recording
-    /// the device availability the rule observed and why it chose the
-    /// destination it did.
-    pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = Some(recorder);
         self
     }
 
@@ -106,20 +101,18 @@ impl GpuDestinationRule {
             (&self.cpu_destination, "no_free_gpu")
         };
 
-        if let Some(rec) = &self.recorder {
-            let fields: [(&str, Value); 8] = [
-                ("tool", tool.id.as_str().into()),
-                ("job_id", job.id.into()),
-                ("requires_gpu", requires_gpu.into()),
-                ("device_count", seen.device_count.into()),
-                ("free_gpus", join(&seen.free_gpus).into()),
-                ("require_free_gpu", self.require_free_gpu.into()),
-                ("destination", chosen.as_str().into()),
-                // A literal, longer than an in-place value: by reference.
-                ("reason", Key::from(reason).into()),
-            ];
-            rec.event("gyan.rule.decision", fields);
-        }
+        let fields: [(&str, Value); 8] = [
+            ("tool", tool.id.as_str().into()),
+            ("job_id", job.id.into()),
+            ("requires_gpu", requires_gpu.into()),
+            ("device_count", seen.device_count.into()),
+            ("free_gpus", join(&seen.free_gpus).into()),
+            ("require_free_gpu", self.require_free_gpu.into()),
+            ("destination", chosen.as_str().into()),
+            // A literal, longer than an in-place value: by reference.
+            ("reason", Key::from(reason).into()),
+        ];
+        self.recorder.event("gyan.rule.decision", fields);
 
         if config.destination(chosen).is_none() {
             return Err(GalaxyError::UnknownDestination(chosen.clone()));
@@ -134,12 +127,12 @@ impl GpuDestinationRule {
     /// observing takes no device lock.
     fn observe(&self) -> GpuObservation {
         let device_count = self.cluster.device_count();
-        let leased = self.reservations.as_ref().map(LeaseTable::view);
+        let leased = self.reservations.view();
         let mut free_gpus = Vec::with_capacity(device_count as usize);
         free_gpus.extend(
             (0..device_count)
                 .filter(|i| self.cluster.is_device_available(*i))
-                .filter(|i| leased.as_ref().is_none_or(|view| !view.is_leased(*i))),
+                .filter(|i| !leased.is_leased(*i)),
         );
         GpuObservation { device_count, free_gpus }
     }
@@ -183,17 +176,23 @@ mod tests {
         Job::new(1, "t", ParamDict::new())
     }
 
+    /// A `local_gpu`/`local_cpu` rule over `c` with a fresh recorder and
+    /// an empty lease table.
+    fn rule(c: &GpuCluster) -> GpuDestinationRule {
+        GpuDestinationRule::new(c, "local_gpu", "local_cpu", Recorder::new(), LeaseTable::new())
+    }
+
     #[test]
     fn gpu_tool_on_gpu_node_goes_to_gpu_destination() {
         let c = GpuCluster::k80_node();
-        let rule = GpuDestinationRule::new(&c, "local_gpu", "local_cpu");
+        let rule = rule(&c);
         assert_eq!(rule.decide(&gpu_tool(), &job(), &config()).unwrap(), "local_gpu");
     }
 
     #[test]
     fn cpu_tool_always_goes_to_cpu_destination() {
         let c = GpuCluster::k80_node();
-        let rule = GpuDestinationRule::new(&c, "local_gpu", "local_cpu");
+        let rule = rule(&c);
         assert_eq!(rule.decide(&cpu_tool(), &job(), &config()).unwrap(), "local_cpu");
     }
 
@@ -202,7 +201,7 @@ mod tests {
         // "if GPUs are unavailable, the runner needs to switch jobs to CPU
         // nodes in a user-agnostic fashion".
         let c = GpuCluster::cpu_only_node();
-        let rule = GpuDestinationRule::new(&c, "local_gpu", "local_cpu");
+        let rule = rule(&c);
         assert_eq!(rule.decide(&gpu_tool(), &job(), &config()).unwrap(), "local_cpu");
     }
 
@@ -211,11 +210,11 @@ mod tests {
         let c = GpuCluster::k80_node();
         c.attach_process(0, GpuProcess::compute(1, "a", 1)).unwrap();
         c.attach_process(1, GpuProcess::compute(2, "b", 1)).unwrap();
-        let strict = GpuDestinationRule::new(&c, "local_gpu", "local_cpu").require_free();
+        let strict = rule(&c).require_free();
         assert_eq!(strict.decide(&gpu_tool(), &job(), &config()).unwrap(), "local_cpu");
         // Default (non-strict): busy GPUs still take jobs; the allocation
         // policy will place them (paper Cases 3/4).
-        let lax = GpuDestinationRule::new(&c, "local_gpu", "local_cpu");
+        let lax = rule(&c);
         assert_eq!(lax.decide(&gpu_tool(), &job(), &config()).unwrap(), "local_gpu");
     }
 
@@ -226,9 +225,9 @@ mod tests {
         let table = LeaseTable::new();
         // Both devices SMI-idle but leased by pending plans.
         table.allocate_and_lease(&c, &[], AllocationPolicy::ProcessId, 1, 100, None);
-        let strict = GpuDestinationRule::new(&c, "local_gpu", "local_cpu")
-            .require_free()
-            .with_reservations(table.clone());
+        let strict =
+            GpuDestinationRule::new(&c, "local_gpu", "local_cpu", Recorder::new(), table.clone())
+                .require_free();
         assert_eq!(strict.decide(&gpu_tool(), &job(), &config()).unwrap(), "local_cpu");
         // Releasing the leases makes the devices free again.
         table.release(1, "ok", None);
@@ -238,7 +237,13 @@ mod tests {
     #[test]
     fn unknown_destination_is_error() {
         let c = GpuCluster::k80_node();
-        let rule = GpuDestinationRule::new(&c, "ghost_gpu", "local_cpu");
+        let rule = GpuDestinationRule::new(
+            &c,
+            "ghost_gpu",
+            "local_cpu",
+            Recorder::new(),
+            LeaseTable::new(),
+        );
         assert!(matches!(
             rule.decide(&gpu_tool(), &job(), &config()),
             Err(GalaxyError::UnknownDestination(_))
@@ -249,8 +254,9 @@ mod tests {
     fn decision_audit_records_observed_state_and_reason() {
         let c = GpuCluster::k80_node();
         c.attach_process(0, GpuProcess::compute(7, "racon", 60)).unwrap();
-        let rec = obs::Recorder::new();
-        let rule = GpuDestinationRule::new(&c, "local_gpu", "local_cpu").with_recorder(rec.clone());
+        let rec = Recorder::new();
+        let rule =
+            GpuDestinationRule::new(&c, "local_gpu", "local_cpu", rec.clone(), LeaseTable::new());
 
         rule.decide(&gpu_tool(), &job(), &config()).unwrap();
         rule.decide(&cpu_tool(), &job(), &config()).unwrap();
@@ -281,11 +287,10 @@ mod tests {
         c.attach_process(0, GpuProcess::compute(1, "a", 1)).unwrap();
         c.attach_process(2, GpuProcess::compute(2, "b", 1)).unwrap();
         c.attach_process(2, GpuProcess::compute(3, "c", 1)).unwrap();
-        let rec = obs::Recorder::new();
+        let rec = Recorder::new();
         let table = LeaseTable::new();
-        let rule = GpuDestinationRule::new(&c, "local_gpu", "local_cpu")
-            .with_recorder(rec.clone())
-            .with_reservations(table.clone());
+        let rule =
+            GpuDestinationRule::new(&c, "local_gpu", "local_cpu", rec.clone(), table.clone());
         let free_gpus = || {
             rule.decide(&gpu_tool(), &job(), &config()).unwrap();
             let events = rec.events_named("gyan.rule.decision");
@@ -304,10 +309,10 @@ mod tests {
         let c = GpuCluster::k80_node();
         c.attach_process(0, GpuProcess::compute(1, "a", 1)).unwrap();
         c.attach_process(1, GpuProcess::compute(2, "b", 1)).unwrap();
-        let rec = obs::Recorder::new();
-        let rule = GpuDestinationRule::new(&c, "local_gpu", "local_cpu")
-            .require_free()
-            .with_recorder(rec.clone());
+        let rec = Recorder::new();
+        let rule =
+            GpuDestinationRule::new(&c, "local_gpu", "local_cpu", rec.clone(), LeaseTable::new())
+                .require_free();
         assert_eq!(rule.decide(&gpu_tool(), &job(), &config()).unwrap(), "local_cpu");
         let e = &rec.events_named("gyan.rule.decision")[0];
         assert_eq!(e.field("reason").and_then(|v| v.as_str()), Some("no_free_gpu"));
@@ -317,7 +322,7 @@ mod tests {
     #[test]
     fn boxed_rule_is_usable() {
         let c = GpuCluster::k80_node();
-        let rule = GpuDestinationRule::new(&c, "local_gpu", "local_cpu").into_rule();
+        let rule = rule(&c).into_rule();
         assert_eq!(rule(&gpu_tool(), &job(), &config()).unwrap(), "local_gpu");
     }
 }

@@ -5,9 +5,9 @@ use crate::container_gpu::{DockerGpuMutator, SingularityGpuMutator};
 use crate::footprint::{
     env_mib, input_mib, FootprintRegistry, MemoryHint, GPU_MEMORY_BUDGET_ENV, GPU_OBSERVED_PEAK_ENV,
 };
-use crate::orchestrator::{GyanHook, NodePlacer, Placer, DEFAULT_GPU_MEMORY_HINT_MIB};
+use crate::orchestrator::{GyanHook, NodePlacer, Placer};
 use crate::reservations::LeaseTable;
-use crate::rules::GpuDestinationRule;
+use crate::rules::{GpuDestinationRule, RULE_NAME};
 use galaxy::app::TimeSource;
 use galaxy::queue::AdvanceableClock;
 use galaxy::GalaxyApp;
@@ -41,6 +41,10 @@ impl AdvanceableClock for ClusterTime {
     }
 }
 
+/// The shipped job conf's GPU destinations: the ids on which the hook
+/// lets a job use GPUs.
+const GPU_DESTINATIONS: [&str; 3] = ["local_gpu", "docker_gpu", "singularity_gpu"];
+
 /// Options for [`install_gyan`].
 #[derive(Debug, Clone)]
 pub struct GyanConfig {
@@ -50,15 +54,6 @@ pub struct GyanConfig {
     pub gpu_destination: String,
     /// Destination id for CPU fallback.
     pub cpu_destination: String,
-    /// All destination ids the hook should treat as GPU destinations.
-    pub gpu_destinations: Vec<String>,
-    /// Name under which the dynamic rule is registered (must match the
-    /// `function` param of the dynamic destination in `job_conf.xml`).
-    pub rule_name: String,
-    /// Memory (MiB) a GPU job is assumed to allocate when its destination
-    /// carries no `gpu_memory_hint_mib` param — the pending-load term the
-    /// reservation layer feeds the Process Allocated Memory policy.
-    pub gpu_memory_hint_mib: u64,
     /// Memory-hint resolution mode: [`MemoryHint::Static`] reproduces the
     /// paper's fixed-hint behaviour; [`MemoryHint::Learned`] right-sizes
     /// from the footprint registry once profiles converge.
@@ -71,13 +66,6 @@ impl Default for GyanConfig {
             policy: AllocationPolicy::ProcessId,
             gpu_destination: "local_gpu".to_string(),
             cpu_destination: "local_cpu".to_string(),
-            gpu_destinations: vec![
-                "local_gpu".to_string(),
-                "docker_gpu".to_string(),
-                "singularity_gpu".to_string(),
-            ],
-            rule_name: "gpu_dynamic_destination".to_string(),
-            gpu_memory_hint_mib: DEFAULT_GPU_MEMORY_HINT_MIB,
             memory_hint: MemoryHint::Static,
         }
     }
@@ -93,13 +81,6 @@ impl GyanConfig {
             ..Self::default()
         }
     }
-
-    /// Resolve memory hints from learned footprint profiles (default
-    /// sample threshold) instead of the static destination hint.
-    pub fn with_learned_hints(mut self) -> Self {
-        self.memory_hint = MemoryHint::learned();
-        self
-    }
 }
 
 /// Install GYAN into `app`: registers the dynamic destination rule, the
@@ -112,7 +93,7 @@ impl GyanConfig {
 /// reservation audit events land in the same log as the job spans), and
 /// its clock is driven by the cluster's virtual clock, making every
 /// exported timestamp deterministic. The operations plane dumps the
-/// recorder's recent history (its flight window) on demand or on alert.
+/// recorder's recent history (its flight window) on demand.
 ///
 /// Returns the lease table so callers can inspect reservations, or hand
 /// [`LeaseTable::discard_listener`] to a `QueueEngine` so leases of plans
@@ -122,7 +103,7 @@ pub fn install_gyan(app: &mut GalaxyApp, cluster: &GpuCluster, config: GyanConfi
 }
 
 /// [`install_gyan`] also returning the [`FootprintRegistry`] the hook
-/// feeds, for ops surfaces (`/api/profiles`) and benches.
+/// feeds, for callers that read the learned profiles.
 pub fn install_gyan_with_footprint(
     app: &mut GalaxyApp,
     cluster: &GpuCluster,
@@ -131,11 +112,15 @@ pub fn install_gyan_with_footprint(
     let recorder = app.recorder().clone();
     let reservations = LeaseTable::new();
     app.register_rule(
-        config.rule_name,
-        GpuDestinationRule::new(cluster, &config.gpu_destination, &config.cpu_destination)
-            .with_recorder(recorder.clone())
-            .with_reservations(reservations.clone())
-            .into_rule(),
+        RULE_NAME,
+        GpuDestinationRule::new(
+            cluster,
+            &config.gpu_destination,
+            &config.cpu_destination,
+            recorder.clone(),
+            reservations.clone(),
+        )
+        .into_rule(),
     );
     let footprint = install_hook(
         app,
@@ -146,8 +131,7 @@ pub fn install_gyan_with_footprint(
             table: reservations.clone(),
             recorder,
         },
-        config.gpu_destinations,
-        config.gpu_memory_hint_mib,
+        GPU_DESTINATIONS,
         config.memory_hint,
     );
     (reservations, footprint)
@@ -165,8 +149,7 @@ pub fn install_hook(
     app: &mut GalaxyApp,
     clock: &VirtualClock,
     placer: impl Placer + 'static,
-    gpu_destinations: Vec<String>,
-    gpu_memory_hint_mib: u64,
+    gpu_destinations: impl IntoIterator<Item = impl Into<String>>,
     memory_hint: MemoryHint,
 ) -> FootprintRegistry {
     let recorder_clock = clock.clone();
@@ -176,13 +159,7 @@ pub fn install_hook(
     if memory_hint != MemoryHint::Static {
         app.set_footprint_advisor(Box::new(footprint_advisor(footprint.clone())));
     }
-    app.add_hook(Box::new(GyanHook::new(
-        placer,
-        gpu_destinations,
-        gpu_memory_hint_mib,
-        footprint.clone(),
-        memory_hint,
-    )));
+    app.add_hook(Box::new(GyanHook::new(placer, gpu_destinations, footprint.clone(), memory_hint)));
     app.add_mutator(Box::new(DockerGpuMutator));
     app.add_mutator(Box::new(SingularityGpuMutator));
     app.set_time_source(Box::new(ClusterTime(clock.clone())));

@@ -27,7 +27,6 @@ use gyan::footprint::{
     MemoryHint, FOOTPRINT_ESTIMATE_EVENT, GALAXY_INPUT_SIZE_MIB_ENV, GPU_MEMORY_BUDGET_ENV,
     GPU_OBSERVED_PEAK_ENV,
 };
-use gyan::setup::GyanConfig;
 use obs::Recorder;
 use simtest::driver::{Gpus, Repro, Stack, StackSpec};
 use simtest::invariants::Violation;
@@ -126,8 +125,8 @@ pub struct LoadOptions {
     /// them fires. Empty = record firings in the report instead.
     pub fail_on: Vec<String>,
     /// Device allocation strategy for single-node GYAN topologies
-    /// (`None` keeps [`GyanConfig::default`]'s Process-Id strategy).
-    pub allocation_policy: Option<AllocationPolicy>,
+    /// (default: Process-Id).
+    pub allocation_policy: AllocationPolicy,
     /// Memory-hint resolution mode — [`MemoryHint::Static`] (default)
     /// vs. [`MemoryHint::Learned`] right-sizing from footprint
     /// profiles. The ablation bench sweeps this.
@@ -233,7 +232,7 @@ pub fn run_scenario_recorded(
         repro: Repro { seed: scenario.seed, seed_env: SEED_ENV, scenario: scenario.describe() },
         tools: vec![CPU_TOOL.to_string(), GPU_TOOL.to_string()],
         hardware: scenario.topology.hardware(),
-        policy: options.allocation_policy.unwrap_or(GyanConfig::default().policy),
+        policy: options.allocation_policy,
         memory_hint: options.memory_hint,
         executor: Arc::new(LoadExecutor),
         queue: QueueConfig {
@@ -438,6 +437,13 @@ mod tests {
     }
 
     #[test]
+    fn default_slo_rules_name_the_stock_alert_rules_in_order() {
+        let stock = gyan::ops::default_alert_rules(&gyan::LeaseTable::new());
+        let names: Vec<&str> = stock.iter().map(|rule| rule.name.as_str()).collect();
+        assert_eq!(names, DEFAULT_SLO_RULES);
+    }
+
+    #[test]
     fn healthy_small_run_is_quiet_and_complete() {
         let scenario = small(21);
         let options = LoadOptions {
@@ -501,7 +507,7 @@ mod tests {
         let learned_report = run_scenario(
             &scenario,
             &LoadOptions {
-                memory_hint: MemoryHint::learned(),
+                memory_hint: MemoryHint::Learned,
                 footprint_retries: 3,
                 ..Default::default()
             },

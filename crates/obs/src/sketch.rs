@@ -3,7 +3,7 @@
 //! [`QuantileSketch`] is a DDSketch-style log-bucketed quantile summary:
 //! values land in geometrically spaced buckets, so the sketch holds a
 //! *relative-accuracy* guarantee (a quantile estimate is within
-//! `2·alpha` of the true value, relatively) in bounded memory, and —
+//! `2·`[`ALPHA`] of the true value, relatively) in bounded memory, and —
 //! unlike t-digest or GK compaction — its merge is plain bucket-count
 //! addition: exactly associative, exactly commutative, and
 //! deterministic. That is the property the footprint pipeline needs:
@@ -18,14 +18,15 @@
 
 use std::collections::BTreeMap;
 
-/// Default relative accuracy: quantile estimates are within ~2% of the
-/// true value. At this accuracy the bucket index range below caps the
-/// sketch at a few thousand buckets regardless of stream length.
-pub const DEFAULT_ALPHA: f64 = 0.01;
+/// Relative accuracy of every sketch: quantile estimates are within ~2%
+/// of the true value. At this accuracy the bucket index range below caps
+/// the sketch at a few thousand buckets regardless of stream length.
+/// One accuracy for all sketches is what lets any two of them merge.
+pub const ALPHA: f64 = 0.01;
 
 /// Bucket indices are clamped to this symmetric range, bounding memory
-/// to `2 * MAX_BUCKET_INDEX + 2` buckets in the worst case. With the
-/// default alpha this covers values from ~1e-9 to ~1e+12 before
+/// to `2 * MAX_BUCKET_INDEX + 2` buckets in the worst case. With
+/// [`ALPHA`] this covers values from ~1e-9 to ~1e+12 before
 /// saturating into the edge buckets.
 const MAX_BUCKET_INDEX: i32 = 1 << 11;
 
@@ -33,13 +34,12 @@ const MAX_BUCKET_INDEX: i32 = 1 << 11;
 /// non-negative samples (memory footprints, runtimes).
 ///
 /// Buckets are geometric: positive value `v` lands in bucket
-/// `ceil(ln(v) / ln(gamma))` with `gamma = (1 + alpha) / (1 - alpha)`.
+/// `ceil(ln(v) / ln(gamma))` with `gamma = (1 + ALPHA) / (1 - ALPHA)`.
 /// Zero (and any negative input, clamped) lands in a dedicated zero
 /// bucket. Exact `min`/`max`/`sum`/`count` ride along so the edge
 /// quantiles and the mean stay exact.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantileSketch {
-    alpha: f64,
     gamma_ln: f64,
     buckets: BTreeMap<i32, u64>,
     zero_count: u64,
@@ -50,19 +50,10 @@ pub struct QuantileSketch {
 }
 
 impl Default for QuantileSketch {
+    /// An empty sketch.
     fn default() -> Self {
-        Self::new(DEFAULT_ALPHA)
-    }
-}
-
-impl QuantileSketch {
-    /// A sketch with relative accuracy `alpha` (clamped to a sane
-    /// range; see [`DEFAULT_ALPHA`]).
-    pub fn new(alpha: f64) -> Self {
-        let alpha = alpha.clamp(1e-4, 0.25);
-        let gamma = (1.0 + alpha) / (1.0 - alpha);
+        let gamma = (1.0 + ALPHA) / (1.0 - ALPHA);
         QuantileSketch {
-            alpha,
             gamma_ln: gamma.ln(),
             buckets: BTreeMap::new(),
             zero_count: 0,
@@ -72,12 +63,9 @@ impl QuantileSketch {
             sum: 0.0,
         }
     }
+}
 
-    /// The configured relative accuracy.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
+impl QuantileSketch {
     /// Record one sample. Non-finite samples are ignored; negatives are
     /// clamped to zero (footprints and runtimes are non-negative).
     pub fn observe(&mut self, value: f64) {
@@ -103,7 +91,7 @@ impl QuantileSketch {
     }
 
     /// Representative value for a bucket: the geometric interior point
-    /// `2·gamma^i / (gamma + 1)`, which is within `alpha` (relatively)
+    /// `2·gamma^i / (gamma + 1)`, which is within [`ALPHA`] (relatively)
     /// of every value the bucket can hold.
     fn bucket_value(&self, idx: i32) -> f64 {
         let gamma = self.gamma_ln.exp();
@@ -161,17 +149,10 @@ impl QuantileSketch {
         Some(self.max)
     }
 
-    /// Merge another sketch into this one. Requires equal `alpha`
-    /// (panics otherwise — mixing accuracies silently would corrupt
-    /// the error bound). Addition of bucket counts makes the merge
-    /// exactly associative, commutative, and deterministic.
+    /// Merge another sketch into this one. Addition of bucket counts
+    /// makes the merge exactly associative, commutative, and
+    /// deterministic.
     pub fn merge(&mut self, other: &QuantileSketch) {
-        assert!(
-            (self.alpha - other.alpha).abs() < 1e-12,
-            "cannot merge sketches with different alpha ({} vs {})",
-            self.alpha,
-            other.alpha
-        );
         for (&idx, &n) in &other.buckets {
             *self.buckets.entry(idx).or_insert(0) += n;
         }
@@ -234,7 +215,7 @@ mod tests {
             let exact = values[((q * values.len() as f64).ceil() as usize - 1).min(9_999)];
             let est = s.quantile(q).unwrap();
             let rel = (est - exact).abs() / exact;
-            assert!(rel <= 2.0 * s.alpha() + 1e-9, "q={q}: est {est} vs exact {exact} rel {rel}");
+            assert!(rel <= 2.0 * ALPHA + 1e-9, "q={q}: est {est} vs exact {exact} rel {rel}");
         }
         assert_eq!(s.quantile(0.0), Some(1.0));
         assert_eq!(s.quantile(1.0), Some(10_000.0));
@@ -299,13 +280,6 @@ mod tests {
         assert_eq!(s.count(), 200_000);
         assert!(s.occupied_buckets() <= 2 * MAX_BUCKET_INDEX as usize + 2);
         assert!(s.occupied_buckets() < 4_000, "got {}", s.occupied_buckets());
-    }
-
-    #[test]
-    #[should_panic(expected = "different alpha")]
-    fn merging_mismatched_alphas_panics() {
-        let mut a = QuantileSketch::new(0.01);
-        a.merge(&QuantileSketch::new(0.05));
     }
 
     #[test]

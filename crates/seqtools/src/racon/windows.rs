@@ -16,13 +16,6 @@ pub struct WindowTask {
     pub fragments: Vec<String>,
 }
 
-impl WindowTask {
-    /// Total bases across backbone and fragments (work sizing).
-    pub fn bases(&self) -> usize {
-        self.backbone.len() + self.fragments.iter().map(String::len).sum::<usize>()
-    }
-}
-
 /// Split `draft` into `window_len` windows and distribute each overlap's
 /// read across the windows it spans. Read coordinates inside a window are
 /// estimated by linear interpolation over the overlap (racon does the same

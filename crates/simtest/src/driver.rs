@@ -29,9 +29,6 @@ use obs::slo::{AlertEngine, AlertExpr, AlertRule, Compare};
 use obs::Recorder;
 use std::sync::Arc;
 
-/// Destination GPU jobs are routed to, whatever the topology.
-const GPU_DESTINATION: &str = "local_gpu";
-
 /// What identifies a run in a failure report: the seed, the environment
 /// variable a test reads it back from, and the scenario's description.
 #[derive(Debug, Clone)]
@@ -113,12 +110,7 @@ impl Gpus {
             }
             Hardware::Fleet(builder) => {
                 let fleet = builder.recorder(app.recorder().clone()).build();
-                let config = FleetConfig {
-                    gpu_destination: GPU_DESTINATION.to_string(),
-                    gpu_destinations: vec![GPU_DESTINATION.to_string()],
-                    memory_hint,
-                    ..FleetConfig::default()
-                };
+                let config = FleetConfig { memory_hint, ..FleetConfig::default() };
                 fleet::install_fleet(app, &fleet, config);
                 Gpus::Fleet(fleet)
             }

@@ -86,17 +86,6 @@ pub enum DagShape {
     FanOut(usize),
 }
 
-impl DagShape {
-    /// Number of steps the shape expands to.
-    pub fn steps(self) -> usize {
-        match self {
-            DagShape::Chain(n) => n,
-            DagShape::Diamond => 4,
-            DagShape::FanOut(n) => n + 1,
-        }
-    }
-}
-
 /// The scenario's fault plan (beyond per-job [`RunnerFault`]s).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultSpec {

@@ -5,8 +5,12 @@
 # non-test part of its own file, i.e. in its own declaration. A file's non-test
 # part ends at its first `#[cfg(test)]`, as in loc.sh; `//` comments are not
 # occurrences. A name shared with any other item (`new`, `len`) never counts,
-# so the list is a floor, not a census. Prints "<path>:<line> <kind> <name>" and
-# a last line "orphans: <n>". Usage: scripts/orphans.sh
+# so the list is a floor, not a census. A second pass sees methods whose name
+# another item shares: each 4-space-indented `pub fn NAME` of the same files
+# that no .rs file calls as `.NAME(`, `.NAME::<` or `::NAME` (kind "method";
+# an item the first pass lists is not listed again). Prints
+# "<path>:<line> <kind> <name>" and a last line "orphans: <n>".
+# Usage: scripts/orphans.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export LC_ALL=C
@@ -24,6 +28,12 @@ git ls-files --cached --others --exclude-standard -- '*.rs' |
       decl = substr(line, RSTART, RLENGTH); n = split(decl, w, /[ \t]+/)
       name = w[n]; kind = w[n - 1] == "mut" ? w[n - 2] : w[n - 1]
       decls[++ndecl] = FILENAME SUBSEP name; where[ndecl] = FILENAME ":" FNR " " kind " " name
+      if (decl ~ /^    pub fn /) { methods[++nmeth] = name; mwhere[nmeth] = ndecl }
+    }
+    calls = line
+    while (match(calls, /\.[A-Za-z_][A-Za-z0-9_]*(\(|::<)|::[A-Za-z_][A-Za-z0-9_]*/)) {
+      id = substr(calls, RSTART, RLENGTH); calls = substr(calls, RSTART + RLENGTH)
+      sub(/^(\.|::)/, "", id); sub(/(\(|::<)$/, "", id); called[id] = 1
     }
     while (match(line, /[A-Za-z_][A-Za-z0-9_]*/)) {
       id = substr(line, RSTART, RLENGTH); line = substr(line, RSTART + RLENGTH)
@@ -34,7 +44,12 @@ git ls-files --cached --others --exclude-standard -- '*.rs' |
   END {
     for (i = 1; i <= ndecl; i++) {
       split(decls[i], k, SUBSEP)
-      if (files[k[2]] == 1 && own[k[1], k[2]] == 1) { print where[i]; hits++ }
+      if (files[k[2]] == 1 && own[k[1], k[2]] == 1) { print where[i]; listed[i] = 1; hits++ }
+    }
+    for (i = 1; i <= nmeth; i++) {
+      if (!(methods[i] in called) && !(mwhere[i] in listed)) {
+        hit = where[mwhere[i]]; sub(/ fn /, " method ", hit); print hit; hits++
+      }
     }
     print "orphans: " hits + 0
   }'

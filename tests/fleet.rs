@@ -265,17 +265,7 @@ fn queue_dispatch_stamps_the_node_onto_the_ledger() {
     let mut app = GalaxyApp::new(JobConfig::from_xml(GYAN_JOB_CONF).unwrap());
     app.install_tool_xml(FLEET_GPU_TOOL, &MacroLibrary::new()).unwrap();
     let fleet = Fleet::builder().nodes(NodeClass::k80(), 2).nodes(NodeClass::a100(), 1).build();
-    // GYAN_JOB_CONF ships local_gpu/local_cpu destinations; point the
-    // fleet config at those.
-    install_fleet(
-        &mut app,
-        &fleet,
-        FleetConfig {
-            gpu_destination: "local_gpu".to_string(),
-            gpu_destinations: vec!["local_gpu".to_string()],
-            ..FleetConfig::default()
-        },
-    );
+    install_fleet(&mut app, &fleet, FleetConfig::default());
     let executor = Arc::new(ToolExecutor::new(&GpuCluster::cpu_only_node()));
     let mut engine = QueueEngine::new(app, executor, QueueConfig::default());
 
@@ -399,15 +389,7 @@ echo cpu
 fn fleet_engine(fleet: &Fleet, policy: galaxy::queue::ResubmitPolicy) -> QueueEngine {
     let mut app = GalaxyApp::new(JobConfig::from_xml(GYAN_JOB_CONF).unwrap());
     app.install_tool_xml(GPU_FLAKY_TOOL, &MacroLibrary::new()).unwrap();
-    install_fleet(
-        &mut app,
-        fleet,
-        FleetConfig {
-            gpu_destination: "local_gpu".to_string(),
-            gpu_destinations: vec!["local_gpu".to_string()],
-            ..FleetConfig::default()
-        },
-    );
+    install_fleet(&mut app, fleet, FleetConfig::default());
     let executor = Arc::new(ToolExecutor::new(&GpuCluster::cpu_only_node()));
     let config = galaxy::queue::QueueConfig { resubmit: policy, ..Default::default() };
     QueueEngine::new(app, executor, config)
@@ -534,7 +516,6 @@ fn release_is_idempotent_across_double_conclude_and_node_death() {
     let hook = gyan::GyanHook::new(
         fleet.clone(),
         ["fleet_gpu"],
-        gyan::orchestrator::DEFAULT_GPU_MEMORY_HINT_MIB,
         gyan::FootprintRegistry::new(),
         gyan::MemoryHint::Static,
     );
@@ -606,7 +587,7 @@ fn hint_conf(hint: &str) -> JobConfig {
             <destination id="dyn" runner="dynamic">
               <param id="function">gpu_dynamic_destination</param>
             </destination>
-            <destination id="fleet_gpu" runner="local">
+            <destination id="local_gpu" runner="local">
               <param id="gpu_memory_hint_mib">{hint}</param>
             </destination>
             <destination id="local_cpu" runner="local"/>
@@ -633,8 +614,8 @@ fn rule_and_hook_agree_on_the_destination_memory_hint() {
 
     let id = app.submit("racon_gpu", &ParamDict::new()).unwrap();
     let job = app.job(id).unwrap();
-    // With the config-level default (1,024 MiB) the rule would have said
-    // "the fleet hosts this" and stranded the job on fleet_gpu with a
+    // With the default hint (1,024 MiB) the rule would have said
+    // "the fleet hosts this" and stranded the job on local_gpu with a
     // CPU environment; resolving the destination's own hint routes it
     // straight to the CPU destination instead.
     assert_eq!(job.destination_id.as_deref(), Some("local_cpu"));
@@ -658,15 +639,33 @@ fn malformed_memory_hint_is_audited_not_silent() {
     // The default hint (1,024 MiB) fits a K80 die: the job still runs on
     // the fleet.
     let job = app.job(id).unwrap();
-    assert_eq!(job.destination_id.as_deref(), Some("fleet_gpu"));
+    assert_eq!(job.destination_id.as_deref(), Some("local_gpu"));
     assert_eq!(job.env_var("GALAXY_GPU_ENABLED"), Some("true"));
 
     assert_eq!(recorder.metrics().counter_value(INVALID_HINT_COUNTER), 1);
     let audits = recorder.events_named(INVALID_HINT_EVENT);
     assert_eq!(audits.len(), 1);
     assert_eq!(audits[0].field("raw").and_then(|v| v.as_str()), Some("lots"));
-    assert_eq!(audits[0].field("destination").and_then(|v| v.as_str()), Some("fleet_gpu"));
+    assert_eq!(audits[0].field("destination").and_then(|v| v.as_str()), Some("local_gpu"));
     assert_eq!(audits[0].field("fallback_mib").and_then(|v| v.as_f64()), Some(1024.0));
+}
+
+/// Bugfix regression: `FleetConfig::default()` named a `fleet_gpu`
+/// destination the shipped job conf does not have, so every GPU job
+/// submitted over it failed with `UnknownDestination("fleet_gpu")`.
+#[test]
+fn default_fleet_config_routes_gpu_jobs_on_the_shipped_job_conf() {
+    let mut app = GalaxyApp::new(JobConfig::from_xml(GYAN_JOB_CONF).unwrap());
+    app.install_tool_xml(SMALL_GPU_TOOL, &MacroLibrary::new()).unwrap();
+    let fleet = Fleet::builder().nodes(NodeClass::k80(), 1).build();
+    install_fleet(&mut app, &fleet, FleetConfig::default());
+
+    let id = app.submit("racon_gpu", &ParamDict::new());
+    assert!(id.is_ok(), "{id:?}");
+    let job = app.job(id.unwrap()).unwrap();
+    assert_eq!(job.destination_id.as_deref(), Some("local_gpu"));
+    assert_eq!(job.env_var("GALAXY_GPU_ENABLED"), Some("true"));
+    assert_eq!(job.env_var(galaxy::GALAXY_NODE_ENV), Some("k80-000"));
 }
 
 // --- Cordon / drain over the queue path --------------------------------

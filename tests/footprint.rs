@@ -1,6 +1,7 @@
 //! Footprint-profile loop, end to end through the real stack: learned
 //! right-sizing, footprint-revised resubmission ahead of the GPU→CPU
-//! ladder, the success-path env scrub, and the `/api/profiles` surface.
+//! ladder, the success-path env scrub, and the `gyan_footprint_*`
+//! metrics family.
 
 use galaxy::job::conf::{JobConfig, GYAN_JOB_CONF};
 use galaxy::params::ParamDict;
@@ -11,11 +12,11 @@ use galaxy::tool::macros::MacroLibrary;
 use galaxy::GalaxyApp;
 use gpusim::{GpuArch, GpuCluster};
 use gyan::footprint::{
-    FootprintRegistry, GALAXY_INPUT_SIZE_MIB_ENV, GPU_MEMORY_BUDGET_ENV, GPU_OBSERVED_PEAK_ENV,
+    FootprintRegistry, MemoryHint, GALAXY_INPUT_SIZE_MIB_ENV, GPU_MEMORY_BUDGET_ENV,
+    GPU_OBSERVED_PEAK_ENV,
 };
 use gyan::setup::{install_gyan_with_footprint, GyanConfig};
 use loadgen::{LoadExecutor, FAIL_GPU_ENV};
-use obs::serve::Request;
 use std::sync::Arc;
 
 const GPU_TOOL: &str = r#"<tool id="load_gpu" name="Load GPU">
@@ -32,7 +33,7 @@ fn engine(footprint_retries: u32) -> (QueueEngine, FootprintRegistry) {
     let cluster = GpuCluster::node(GpuArch::tesla_k80(), 2);
     let mut app = GalaxyApp::new(JobConfig::from_xml(GYAN_JOB_CONF).unwrap());
     app.install_tool_xml(GPU_TOOL, &MacroLibrary::new()).unwrap();
-    let config = GyanConfig::default().with_learned_hints();
+    let config = GyanConfig { memory_hint: MemoryHint::Learned, ..GyanConfig::default() };
     let (_table, registry) = install_gyan_with_footprint(&mut app, &cluster, config);
     app.set_executor(Box::new(LoadExecutor));
     let config = QueueConfig {
@@ -106,37 +107,25 @@ fn non_oom_failures_skip_the_footprint_retry() {
     assert_eq!(metrics.counter_value(&labeled("fallback")), 1);
 }
 
-/// `/api/profiles` serves the registry as JSON and, with
-/// `?format=prometheus`, as metrics text with `# HELP` headers.
+/// A conclusion that teaches a profile exports the `gyan_footprint_*`
+/// family into the app's metrics registry, which `/metrics` serves.
 #[test]
-fn profiles_route_serves_json_and_prometheus() {
+fn conclusions_export_the_footprint_family_to_metrics() {
     let (mut engine, registry) = engine(2);
     let handle = engine.submit_async("carol", "load_gpu", &ParamDict::new()).unwrap();
     engine.app_mut().set_job_env(handle.0, GALAXY_INPUT_SIZE_MIB_ENV, "512");
     engine.app_mut().set_job_env(handle.0, GPU_OBSERVED_PEAK_ENV, "600");
     engine.run_until_idle();
     assert_eq!(engine.state(handle), Some(SubmissionState::Ok));
+    assert_eq!(registry.snapshot().len(), 1);
 
-    let route = gyan::ops::profiles_route(&registry);
-    let json = route(&Request {
-        method: "GET".to_string(),
-        path: "/api/profiles".to_string(),
-        query: String::new(),
-    });
-    assert_eq!(json.status, 200);
-    assert_eq!(json.content_type, "application/json");
-    let doc = obs::json::parse(&json.body).expect("profiles JSON parses");
-    let profiles = doc.get("profiles").and_then(|v| v.as_array()).expect("profiles array");
-    assert_eq!(profiles.len(), 1);
-    assert_eq!(profiles[0].get("tool").and_then(|v| v.as_str()), Some("load_gpu"));
-    assert_eq!(profiles[0].get("samples").and_then(|v| v.as_f64()), Some(1.0));
-
-    let prom = route(&Request {
-        method: "GET".to_string(),
-        path: "/api/profiles".to_string(),
-        query: "format=prometheus".to_string(),
-    });
-    assert_eq!(prom.status, 200);
-    assert!(prom.body.contains("# HELP gyan_footprint_peak_mib_p95"), "{}", prom.body);
-    assert!(prom.body.contains("tool=\"load_gpu\""), "{}", prom.body);
+    let metrics = engine.app().recorder().metrics();
+    assert_eq!(metrics.gauge_value("gyan_footprint_profiles"), Some(1.0));
+    assert_eq!(
+        metrics.gauge_value("gyan_footprint_samples{tool=\"load_gpu\",bucket=\"[512,1024)MiB\"}"),
+        Some(1.0)
+    );
+    let text = metrics.render_prometheus();
+    assert!(text.contains("# HELP gyan_footprint_peak_mib_p95"), "{text}");
+    assert!(text.contains("gyan_footprint_peak_mib_p95{tool=\"load_gpu\""), "{text}");
 }

@@ -162,10 +162,14 @@ proptest! {
             let locked = available_under_the_locks(cluster);
             assert_eq!(cluster.available_devices(), locked, "step {steps}");
 
-            GpuDestinationRule::new(cluster, "local_gpu", "local_cpu")
-                .with_recorder(recorder.clone())
-                .with_reservations(table.clone())
-                .decide(&tool, &job, &config)
+            GpuDestinationRule::new(
+                cluster,
+                "local_gpu",
+                "local_cpu",
+                recorder.clone(),
+                table.clone(),
+            )
+            .decide(&tool, &job, &config)
                 .unwrap();
             let audit = recorder.events_named("gyan.rule.decision").pop().unwrap();
             let nvml = Nvml::init(cluster);
@@ -563,7 +567,7 @@ proptest! {
             let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
             let truth = exact[rank - 1];
             let est = sketch.quantile(q).unwrap();
-            let bound = 2.0 * sketch.alpha() * truth + 1e-9;
+            let bound = 2.0 * obs::sketch::ALPHA * truth + 1e-9;
             prop_assert!(
                 (est - truth).abs() <= bound,
                 "q={} est={} truth={} bound={}", q, est, truth, bound
@@ -631,11 +635,7 @@ proptest! {
         fleet::install_fleet(
             &mut fleeted,
             &the_fleet,
-            fleet::FleetConfig {
-                gpu_destination: "local_gpu".to_string(),
-                gpu_destinations: vec!["local_gpu".to_string()],
-                ..fleet::FleetConfig::default()
-            },
+            fleet::FleetConfig::default(),
         );
         let shard = &the_fleet.shards()[0].cluster;
 
@@ -719,15 +719,7 @@ echo cpu
         .nodes(fleet::NodeClass::k80(), 2)
         .recorder(recorder.clone())
         .build();
-    fleet::install_fleet(
-        &mut app,
-        &the_fleet,
-        fleet::FleetConfig {
-            gpu_destination: "local_gpu".to_string(),
-            gpu_destinations: vec!["local_gpu".to_string()],
-            ..fleet::FleetConfig::default()
-        },
-    );
+    fleet::install_fleet(&mut app, &the_fleet, fleet::FleetConfig::default());
     let executor = Arc::new(seqtools::ToolExecutor::new(&GpuCluster::cpu_only_node()));
     let config =
         QueueConfig { resubmit: ResubmitPolicy::gpu_to_cpu("local_cpu"), ..QueueConfig::default() };
