@@ -30,7 +30,7 @@
 use crate::gpu_usage::{get_gpu_usage, GpuUsage, GpuUsageError};
 use crate::reservations::ReservationView;
 use gpusim::GpuCluster;
-use obs::{Key, Recorder, Value};
+use obs::{Key, Recorder, Text, Value};
 use std::collections::HashSet;
 
 /// Which of GYAN's two device allocation strategies to use.
@@ -135,11 +135,10 @@ pub(crate) fn decide_traced(
     let outcome = decide(usage, requested, policy, reservations);
 
     if let Some(rec) = recorder {
-        // Room for every field below (4 fixed, `invalid_requested`, up to
-        // 3 of the outcome), so the list is allocated once.
-        let leased = reservations.filter(|view| !view.is_empty());
-        let capacity = 8 + 2 * usage.all_gpus.len() + leased.map_or(0, |view| 2 + view.len());
-        let mut fields: Vec<(Key, Value)> = Vec::with_capacity(capacity);
+        // Room for every field below (6 fixed, `invalid_requested`, 3 of
+        // the leases, up to 3 of the outcome), so the list is allocated
+        // once.
+        let mut fields: Vec<(Key, Value)> = Vec::with_capacity(13);
         fields.extend([
             ("policy".into(), policy_name(policy).into()),
             ("requested".into(), join(requested).into()),
@@ -150,24 +149,24 @@ pub(crate) fn decide_traced(
         if !invalid.is_empty() {
             fields.push(("invalid_requested".into(), join(&invalid).into()));
         }
-        // The per-device state the decision was based on: busy PIDs and
-        // allocated framebuffer memory.
-        for (minor, pids) in &usage.proc_gpu_dict {
-            fields.push((device_key(*minor, "_pids"), join(pids).into()));
-        }
-        for (minor, used) in &usage.used_mib {
-            fields.push((device_key(*minor, "_mem_mib"), (*used).into()));
-        }
-        // What the lease table contributed, when one was consulted.
-        if let Some(view) = leased {
-            fields.push(("leased_gpus".into(), join(&view.leased_devices()).into()));
+        // The per-device state the decision was based on, as two columns
+        // aligned with `all_gpus`: busy PIDs and allocated framebuffer
+        // memory.
+        fields.push(("pids".into(), pids_column(&usage.proc_gpu_dict).into()));
+        let used = usage.used_mib.iter().map(|&(_, used)| used);
+        fields.push(("mem_mib".into(), join_numbers(used, ",").finish().into()));
+        // What the lease table contributed, when one was consulted: the
+        // pending column is aligned with `leased_gpus`.
+        if let Some(view) = reservations.filter(|view| !view.is_empty()) {
+            let leased = view.pending().map(|(minor, _)| minor);
+            let leased = join_numbers(leased.map(u64::from), ",").finish();
+            fields.push(("leased_gpus".into(), leased.into()));
             fields.push((
                 "effective_avail".into(),
                 join(&effective_avail(usage, reservations)).into(),
             ));
-            for (minor, pending) in view.pending() {
-                fields.push((device_key(minor, "_pending_mib"), pending.into()));
-            }
+            let pending = view.pending().map(|(_, pending)| pending);
+            fields.push(("pending_mib".into(), join_numbers(pending, ",").finish().into()));
         }
         match (&outcome, observed) {
             (Some(alloc), _) => {
@@ -279,7 +278,8 @@ pub(crate) fn decide(
 
 fn make_allocation(devices: Vec<u32>, reason: AllocationReason) -> Allocation {
     Allocation {
-        cuda_visible_devices: join(&devices),
+        cuda_visible_devices: join_numbers(devices.iter().map(|&id| u64::from(id)), ",")
+            .into_string(),
         devices,
         granted_requested: reason == AllocationReason::RequestedFree,
         reason,
@@ -294,30 +294,108 @@ fn policy_name(policy: AllocationPolicy) -> &'static str {
 }
 
 /// Comma-joined id list — the one rendering of device and PID lists in
-/// exports and audits — written into one exactly-sized buffer (an
-/// `obs::Value` takes over a long list's allocation as it is).
-pub(crate) fn join(ids: &[u32]) -> String {
-    let width = |id: u32| id.checked_ilog10().map_or(1, |log| log as usize + 1);
-    let len: usize = ids.iter().map(|&id| width(id) + 1).sum();
-    let mut out = String::with_capacity(len.saturating_sub(1));
-    let mut digits = [0; 10];
-    for (i, &id) in ids.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(decimal(id, &mut digits));
-    }
+/// exports and audits.
+pub(crate) fn join<'a>(ids: impl IntoIterator<Item = &'a u32, IntoIter: Clone>) -> Text {
+    join_numbers(ids.into_iter().map(|&id| u64::from(id)), ",").finish()
+}
+
+/// `numbers` in decimal, separated by `sep`.
+fn join_numbers(numbers: impl Iterator<Item = u64> + Clone, sep: &str) -> TextWriter {
+    let mut out = TextWriter::with_len(joined_len(numbers.clone()));
+    push_joined(&mut out, numbers, sep);
     out
 }
 
-/// `gpu{minor}{suffix}`, the key of one device's column in the decision
-/// audit, built in place (every one of them fits an `obs::Key`).
-fn device_key(minor: u32, suffix: &str) -> Key {
-    Key::concat(&["gpu", decimal(minor, &mut [0; 10]), suffix])
+/// The decision record's `pids` column: one entry per device, in
+/// `all_gpus` order and `;`-separated, each entry the device's PIDs
+/// `+`-joined (an idle device's is empty).
+fn pids_column(proc_gpu_dict: &[(u32, Vec<u32>)]) -> Text {
+    fn pids(list: &[u32]) -> impl Iterator<Item = u64> + Clone + '_ {
+        list.iter().map(|&pid| u64::from(pid))
+    }
+    let len: usize = proc_gpu_dict.iter().map(|(_, list)| joined_len(pids(list)) + 1).sum();
+    let mut out = TextWriter::with_len(len.saturating_sub(1));
+    for (i, (_, list)) in proc_gpu_dict.iter().enumerate() {
+        if i > 0 {
+            out.push(";");
+        }
+        push_joined(&mut out, pids(list), "+");
+    }
+    out.finish()
+}
+
+/// Bytes of `numbers` in decimal with a one-byte separator between them.
+fn joined_len(numbers: impl Iterator<Item = u64>) -> usize {
+    let width = |n: u64| n.checked_ilog10().map_or(1, |log| log as usize + 1);
+    numbers.map(|n| width(n) + 1).sum::<usize>().saturating_sub(1)
+}
+
+/// Append `numbers` in decimal to `out`, separated by the one-byte
+/// `sep` ([`joined_len`]'s measure).
+fn push_joined(out: &mut TextWriter, numbers: impl Iterator<Item = u64>, sep: &str) {
+    let mut digits = [0; 20];
+    for (i, n) in numbers.enumerate() {
+        if i > 0 {
+            out.push(sep);
+        }
+        out.push(decimal(n, &mut digits));
+    }
+}
+
+/// A text whose length is known before it is written: written on the
+/// stack when an `obs::Text` holds it in place, else into one
+/// exactly-sized `String` that the record (or the exported mask) takes
+/// over — so a short list costs no allocation and a long one exactly one.
+enum TextWriter {
+    Inline([u8; Text::INLINE], usize),
+    Heap(String),
+}
+
+impl TextWriter {
+    fn with_len(len: usize) -> Self {
+        if len <= Text::INLINE {
+            TextWriter::Inline([0; Text::INLINE], 0)
+        } else {
+            TextWriter::Heap(String::with_capacity(len))
+        }
+    }
+
+    fn push(&mut self, piece: &str) {
+        match self {
+            TextWriter::Inline(bytes, len) => {
+                bytes[*len..*len + piece.len()].copy_from_slice(piece.as_bytes());
+                *len += piece.len();
+            }
+            TextWriter::Heap(text) => text.push_str(piece),
+        }
+    }
+
+    fn as_str(&self) -> &str {
+        match self {
+            TextWriter::Inline(bytes, len) => {
+                std::str::from_utf8(&bytes[..*len]).expect("copied from whole strs")
+            }
+            TextWriter::Heap(text) => text,
+        }
+    }
+
+    fn finish(self) -> Text {
+        match self {
+            TextWriter::Inline(..) => Text::concat(&[self.as_str()]),
+            TextWriter::Heap(text) => Text::from(text),
+        }
+    }
+
+    fn into_string(self) -> String {
+        match self {
+            TextWriter::Inline(..) => self.as_str().to_string(),
+            TextWriter::Heap(text) => text,
+        }
+    }
 }
 
 /// `n` in decimal, written into the tail of `digits`.
-fn decimal(mut n: u32, digits: &mut [u8; 10]) -> &str {
+fn decimal(mut n: u64, digits: &mut [u8; 20]) -> &str {
     let mut at = digits.len();
     loop {
         at -= 1;
@@ -523,7 +601,7 @@ mod tests {
         let e = &rec.events_named("gyan.allocation.decision")[0];
         assert_eq!(e.field("leased_gpus").and_then(|v| v.as_str()), Some("1"));
         assert_eq!(e.field("effective_avail").and_then(|v| v.as_str()), Some("0"));
-        assert_eq!(e.field("gpu1_pending_mib").and_then(|v| v.as_f64()), Some(640.0));
+        assert_eq!(e.field("pending_mib").and_then(|v| v.as_str()), Some("640"));
         // SMI still thinks both are available.
         assert_eq!(e.field("avail_gpus").and_then(|v| v.as_str()), Some("0,1"));
     }
@@ -558,11 +636,10 @@ mod tests {
         assert_eq!(e.field("policy").and_then(|v| v.as_str()), Some("memory_based"));
         assert_eq!(e.field("requested").and_then(|v| v.as_str()), Some("1"));
         assert_eq!(e.field("avail_gpus").and_then(|v| v.as_str()), Some(""));
-        assert_eq!(e.field("gpu0_pids").and_then(|v| v.as_str()), Some("43244"));
-        assert_eq!(e.field("gpu1_pids").and_then(|v| v.as_str()), Some("45751"));
+        assert_eq!(e.field("all_gpus").and_then(|v| v.as_str()), Some("0,1"));
+        assert_eq!(e.field("pids").and_then(|v| v.as_str()), Some("43244;45751"));
         // Driver reservation (63 MiB) + process memory.
-        assert_eq!(e.field("gpu0_mem_mib").and_then(|v| v.as_f64()), Some(123.0));
-        assert_eq!(e.field("gpu1_mem_mib").and_then(|v| v.as_f64()), Some(2763.0));
+        assert_eq!(e.field("mem_mib").and_then(|v| v.as_str()), Some("123,2763"));
         assert_eq!(e.field("reason").and_then(|v| v.as_str()), Some("all_busy_least_memory"));
         assert_eq!(e.field("cuda_visible_devices").and_then(|v| v.as_str()), Some("0"));
         // No lease table consulted → no lease fields.

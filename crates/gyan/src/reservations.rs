@@ -113,19 +113,9 @@ impl ReservationView {
         self.find(minor).unwrap_or(0)
     }
 
-    /// Sorted minor IDs with at least one lease.
-    pub fn leased_devices(&self) -> Vec<u32> {
-        self.leased.iter().map(|&(minor, _)| minor).collect()
-    }
-
     /// `(minor, pending MiB)` of every leased device, by ascending minor.
-    pub(crate) fn pending(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
+    pub(crate) fn pending(&self) -> impl Iterator<Item = (u32, u64)> + Clone + '_ {
         self.leased.iter().copied()
-    }
-
-    /// Number of leased devices.
-    pub(crate) fn len(&self) -> usize {
-        self.leased.len()
     }
 
     /// True when no lease is active.
@@ -258,18 +248,17 @@ impl LeaseTable {
             });
         }
         if let Some(rec) = recorder {
-            let reason = Key::from(alloc.reason.as_str());
-            rec.event_rows(
+            // One record per grant: its devices are the exported mask, and
+            // the hint is what each of them was leased with.
+            rec.event(
                 "gyan.reservation.acquire",
-                alloc.devices.iter().map(|&device| {
-                    [
-                        ("job_id", Value::from(holder)),
-                        ("device", Value::from(u64::from(device))),
-                        ("exclusive", Value::from(exclusive)),
-                        ("memory_hint_mib", Value::from(memory_hint_mib)),
-                        ("reason", Value::from(reason.clone())),
-                    ]
-                }),
+                [
+                    ("job_id", Value::from(holder)),
+                    ("devices", Value::from(alloc.cuda_visible_devices.as_str())),
+                    ("exclusive", Value::from(exclusive)),
+                    ("memory_hint_mib", Value::from(memory_hint_mib)),
+                    ("reason", Value::from(Key::from(alloc.reason.as_str()))),
+                ],
             );
             let m = rec.metrics();
             m.inc_counter(RESERVATIONS_ACQUIRED_COUNTER, alloc.devices.len() as u64);
@@ -317,7 +306,7 @@ impl LeaseTable {
         );
     }
 
-    /// Release every lease `holder` holds, auditing each as
+    /// Release every lease `holder` holds, auditing them as one
     /// `gyan.reservation.release` with `why` (e.g. `ok`,
     /// `failed_retryable`, `discarded`). Returns the number released
     /// (0 when the holder had none — releasing is idempotent).
@@ -396,24 +385,32 @@ impl LeaseTable {
 }
 
 fn release_locked(inner: &mut Inner, holder: u64, why: &str, recorder: Option<&Recorder>) -> usize {
-    // The audits first, as one batch in device order; then the leases go.
-    // Most releases find nothing held (every CPU job's, every first
-    // preparation's supersede) and read no clock.
-    let mut held =
-        inner.leases.values().flatten().filter(|lease| lease.holder == holder).peekable();
-    if let (Some(rec), Some(_)) = (recorder, held.peek()) {
-        let now = rec.now();
-        let why = Key::concat(&[why]);
-        rec.event_rows(
+    // The audit first, one record for the holder's devices in ascending
+    // order; then the leases go. Most releases find nothing held (every
+    // CPU job's, every first preparation's supersede) and read no clock.
+    let mut held = inner.leases.values().flatten().filter(|lease| lease.holder == holder);
+    let Some(first) = held.next() else { return 0 };
+    // `allocate_and_lease` supersedes before it leases, so a holder's
+    // leases are one grant's: one acquisition time, hint and kind.
+    debug_assert!(
+        held.all(|lease| (lease.acquired_at, lease.memory_hint_mib, lease.exclusive)
+            == (first.acquired_at, first.memory_hint_mib, first.exclusive)),
+        "job {holder} holds leases of more than one grant"
+    );
+    if let Some(rec) = recorder {
+        let devices = inner
+            .leases
+            .iter()
+            .filter(|(_, leases)| leases.iter().any(|lease| lease.holder == holder))
+            .map(|(minor, _)| minor);
+        rec.event(
             "gyan.reservation.release",
-            held.map(|lease| {
-                [
-                    ("job_id", Value::from(holder)),
-                    ("device", Value::from(u64::from(lease.device))),
-                    ("reason", Value::from(why.clone())),
-                    ("held_seconds", Value::from((now - lease.acquired_at).max(0.0))),
-                ]
-            }),
+            [
+                ("job_id", Value::from(holder)),
+                ("devices", Value::from(join(devices))),
+                ("reason", Value::from(why)),
+                ("held_seconds", Value::from((rec.now() - first.acquired_at).max(0.0))),
+            ],
         );
     }
     let mut released = 0usize;
@@ -422,12 +419,10 @@ fn release_locked(inner: &mut Inner, holder: u64, why: &str, recorder: Option<&R
         leases.retain(|lease| lease.holder != holder);
         released += held - leases.len();
     }
-    if released > 0 {
-        if let Some(rec) = recorder {
-            let m = rec.metrics();
-            m.inc_counter(RESERVATIONS_RELEASED_COUNTER, released as u64);
-            m.set_gauge(RESERVATIONS_ACTIVE_GAUGE, inner.count() as f64);
-        }
+    if let Some(rec) = recorder {
+        let m = rec.metrics();
+        m.inc_counter(RESERVATIONS_RELEASED_COUNTER, released as u64);
+        m.set_gauge(RESERVATIONS_ACTIVE_GAUGE, inner.count() as f64);
     }
     released
 }
@@ -561,7 +556,7 @@ mod tests {
         assert!(view.is_leased(1));
         assert!(!view.is_leased(0));
         assert_eq!(view.pending_mem(1), 640);
-        assert_eq!(view.leased_devices(), vec![1]);
+        assert_eq!(view.pending().collect::<Vec<_>>(), vec![(1, 640)]);
         t.release(1, "ok", Some(&rec));
         assert!(t.view().is_empty());
     }

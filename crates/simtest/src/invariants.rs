@@ -60,41 +60,55 @@ pub fn no_leaked_leases(table: &LeaseTable, wave: usize) -> Result<(), Violation
 /// device with no active leases (which also bounds exclusives at one per
 /// minor). Shared grants may legitimately pile onto a busy device — the
 /// paper's all-busy placements oversubscribe by design — so they are
-/// never a conflict.
-pub fn exclusive_isolation(events: &[EventData]) -> Result<(), Violation> {
+/// never a conflict. Each record covers one grant's `devices`; one this
+/// check cannot read is a violation, not a record to skip. Returns how
+/// many acquire records it replayed.
+pub fn exclusive_isolation(events: &[EventData]) -> Result<usize, Violation> {
     // device → active (holder, exclusive) leases, in audit order.
-    let mut active: BTreeMap<u64, Vec<(u64, bool)>> = BTreeMap::new();
+    let mut active: BTreeMap<u32, Vec<(u64, bool)>> = BTreeMap::new();
+    let mut acquires = 0;
     for ev in events {
-        let device = ev.field("device").and_then(|v| v.as_f64()).map(|d| d as u64);
+        let acquire = match &*ev.name {
+            "gyan.reservation.acquire" => true,
+            "gyan.reservation.release" => false,
+            _ => continue,
+        };
         let holder = ev.field("job_id").and_then(|v| v.as_f64()).map(|j| j as u64);
-        let (Some(device), Some(holder)) = (device, holder) else { continue };
-        match &*ev.name {
-            "gyan.reservation.acquire" => {
-                let exclusive = ev.field("exclusive").and_then(|v| v.as_bool()).unwrap_or(false);
+        let devices = ev.field("devices").and_then(|v| v.as_str()).and_then(|list| {
+            list.split(',').map(|minor| minor.parse::<u32>().ok()).collect::<Option<Vec<_>>>()
+        });
+        let (Some(holder), Some(devices)) = (holder, devices) else {
+            return Err(Violation::new(
+                "exclusive_isolation",
+                format!("unreadable {} record: {:?}", ev.name, ev.fields),
+            ));
+        };
+        if !acquire {
+            for device in devices {
                 let slot = active.entry(device).or_default();
-                if exclusive && !slot.is_empty() {
-                    return Err(Violation::new(
-                        "exclusive_isolation",
-                        format!(
-                            "job {holder} acquired gpu {device} (exclusive={exclusive}) while \
-                             held by {:?}",
-                            slot
-                        ),
-                    ));
-                }
-                slot.push((holder, exclusive));
-            }
-            "gyan.reservation.release" => {
-                if let Some(slot) = active.get_mut(&device) {
-                    if let Some(i) = slot.iter().position(|(h, _)| *h == holder) {
-                        slot.remove(i);
-                    }
+                if let Some(i) = slot.iter().position(|(h, _)| *h == holder) {
+                    slot.remove(i);
                 }
             }
-            _ => {}
+            continue;
+        }
+        acquires += 1;
+        let exclusive = ev.field("exclusive").and_then(|v| v.as_bool()).unwrap_or(false);
+        for device in devices {
+            let slot = active.entry(device).or_default();
+            if exclusive && !slot.is_empty() {
+                return Err(Violation::new(
+                    "exclusive_isolation",
+                    format!(
+                        "job {holder} acquired gpu {device} (exclusive={exclusive}) while held \
+                         by {slot:?}"
+                    ),
+                ));
+            }
+            slot.push((holder, exclusive));
         }
     }
-    Ok(())
+    Ok(acquires)
 }
 
 /// Jobs whose `audit` event carries a true `flag` must be exactly the
@@ -323,38 +337,51 @@ mod tests {
 
     #[test]
     fn exclusive_overlap_is_flagged() {
-        let acquire = |job: u64, dev: u64, excl: bool| {
+        let acquire = |job: u64, devices: &str, excl: bool| {
             event(
                 "gyan.reservation.acquire",
                 vec![
                     ("job_id", Value::from(job)),
-                    ("device", Value::from(dev)),
+                    ("devices", Value::from(devices)),
                     ("exclusive", Value::from(excl)),
                 ],
             )
         };
-        let release = |job: u64, dev: u64| {
+        let release = |job: u64, devices: &str| {
             event(
                 "gyan.reservation.release",
-                vec![("job_id", Value::from(job)), ("device", Value::from(dev))],
+                vec![("job_id", Value::from(job)), ("devices", Value::from(devices))],
             )
         };
 
         // Shared leases may pile up — even onto an exclusively-held
         // device (the all-busy placements oversubscribe by design).
-        let ok = vec![acquire(1, 0, false), acquire(2, 0, false), release(1, 0), release(2, 0)];
-        assert!(exclusive_isolation(&ok).is_ok());
-        let oversubscribed = vec![acquire(1, 0, true), acquire(2, 0, false)];
+        let ok =
+            vec![acquire(1, "0", false), acquire(2, "0", false), release(1, "0"), release(2, "0")];
+        assert_eq!(exclusive_isolation(&ok).unwrap(), 2);
+        let oversubscribed = vec![acquire(1, "0,1", true), acquire(2, "0,1", false)];
         assert!(exclusive_isolation(&oversubscribed).is_ok());
 
-        // An exclusive grant on an already-leased device is dishonest.
-        let bad = vec![acquire(1, 0, false), acquire(2, 0, true)];
+        // An exclusive grant on an already-leased device is dishonest —
+        // also when only one device of the grant overlaps.
+        let bad = vec![acquire(1, "0", false), acquire(2, "0", true)];
         let violation = exclusive_isolation(&bad).unwrap_err();
         assert_eq!(violation.invariant, "exclusive_isolation");
+        let partial = vec![acquire(1, "1", true), acquire(2, "0,1", true)];
+        let violation = exclusive_isolation(&partial).unwrap_err();
+        assert!(violation.detail.contains("job 2 acquired gpu 1"), "{}", violation.detail);
 
-        // Release in between clears the conflict.
-        let healed = vec![acquire(1, 0, true), release(1, 0), acquire(2, 0, true)];
+        // Release in between clears the conflict, for every device of it.
+        let healed = vec![acquire(1, "0,1", true), release(1, "0,1"), acquire(2, "1,0", true)];
         assert!(exclusive_isolation(&healed).is_ok());
+
+        // A record the check cannot read fails it instead of being skipped.
+        let per_device = event(
+            "gyan.reservation.acquire",
+            vec![("job_id", Value::from(3u64)), ("device", Value::from(0u64))],
+        );
+        let violation = exclusive_isolation(&[per_device]).unwrap_err();
+        assert!(violation.detail.starts_with("unreadable"), "{}", violation.detail);
     }
 
     #[test]
@@ -368,7 +395,7 @@ mod tests {
 
         let acquire = event(
             "gyan.reservation.acquire",
-            vec![("job_id", Value::from(5u64)), ("device", Value::from(0u64))],
+            vec![("job_id", Value::from(5u64)), ("devices", Value::from("0"))],
         );
         assert!(export_matches_acquire(&[export, acquire]).is_ok());
     }

@@ -149,8 +149,11 @@ fn memory_allocation_audit_matches_case4_placement() {
     assert_eq!(last.field("reason").and_then(|v| v.as_str()), Some("all_busy_least_memory"));
     // Observed inputs: per-device memory at decision time (driver 63 MiB +
     // racon 60 MiB on GPU 0; bonito's 2.7 GB footprint on GPU 1).
-    let gpu0 = last.field("gpu0_mem_mib").and_then(|v| v.as_f64()).unwrap();
-    let gpu1 = last.field("gpu1_mem_mib").and_then(|v| v.as_f64()).unwrap();
+    // `mem_mib` is a column aligned with `all_gpus`.
+    assert_eq!(last.field("all_gpus").and_then(|v| v.as_str()), Some("0,1"));
+    let mem_mib = last.field("mem_mib").and_then(|v| v.as_str()).unwrap();
+    let (gpu0, gpu1) = mem_mib.split_once(',').unwrap();
+    let (gpu0, gpu1): (u64, u64) = (gpu0.parse().unwrap(), gpu1.parse().unwrap());
     assert!(gpu0 < gpu1, "GPU 0 ({gpu0} MiB) observed lighter than GPU 1 ({gpu1} MiB)");
 }
 

@@ -60,16 +60,20 @@ fn exports_are_byte_identical_to_the_parent_commit() {
 }
 
 /// The same four exports of a five-minute day on 32 devices (half the
-/// jobs GPU jobs, a fifth of those failing their GPU try), captured at
-/// the parent commit b774b45 — before names, keys and string values
-/// became `obs::Text` and a grant's lease audits one batched emit. The
-/// simtest host above has at most 2 devices; this one sees minors ≥ 10,
-/// id lists of 85 bytes and 32 leases per grant, i.e. every spill path.
+/// jobs GPU jobs, a fifth of those failing their GPU try), first
+/// captured at b774b45 and re-captured when a GPU grant became one
+/// record in each audit stream (one decision with `pids` / `mem_mib` /
+/// `pending_mib` columns, one acquire, one release, each naming its
+/// `devices`): the 4 096 per-device lease records of the old capture are
+/// 128 grant records here, and the log holds the same facts. The simtest
+/// host above has no GPU, so its exports did not move; this one sees
+/// minors ≥ 10, id lists of 85 bytes and 32 leases per grant, i.e. every
+/// spill path.
 const GOLDEN_32_DEVICES: [(&str, usize, u64); 4] = [
-    ("recorder.to_jsonl", 1_180_246, 5_286_176_719_949_914_585),
-    ("flight.to_jsonl", 100_103, 2_024_066_187_712_682_076),
-    ("flight.to_chrome_trace", 104_661, 17_145_932_976_094_436_197),
-    ("telemetry.merged_chrome_trace", 1_225_953, 12_127_110_619_425_173_836),
+    ("recorder.to_jsonl", 414_669, 3_287_839_628_683_856_296),
+    ("flight.to_jsonl", 100_561, 657_269_929_752_658_347),
+    ("flight.to_chrome_trace", 97_944, 10_538_101_337_405_827_445),
+    ("telemetry.merged_chrome_trace", 412_667, 12_134_616_110_987_436_906),
 ];
 
 #[test]

@@ -405,28 +405,38 @@ proptest! {
         let mut active: std::collections::HashMap<u32, Vec<(u64, bool)>> =
             std::collections::HashMap::new();
         for event in rec.events() {
-            let device = || event.field("device").and_then(|v| v.as_f64()).unwrap() as u32;
+            // One record per grant or release, naming all of its devices.
+            let devices = || -> Vec<u32> {
+                let list = event.field("devices").and_then(|v| v.as_str()).unwrap();
+                list.split(',').map(|minor| minor.parse().unwrap()).collect()
+            };
             let holder = || event.field("job_id").and_then(|v| v.as_f64()).unwrap() as u64;
             match &*event.name {
                 "gyan.reservation.acquire" => {
                     let exclusive = event.field("exclusive").and_then(|v| v.as_bool()).unwrap();
-                    let slot = active.entry(device()).or_default();
-                    if exclusive {
-                        prop_assert!(
-                            slot.is_empty(),
-                            "exclusive grant on device {} with {} active lease(s)",
-                            device(),
-                            slot.len()
-                        );
+                    for device in devices() {
+                        let slot = active.entry(device).or_default();
+                        if exclusive {
+                            prop_assert!(
+                                slot.is_empty(),
+                                "exclusive grant on device {} with {} active lease(s)",
+                                device,
+                                slot.len()
+                            );
+                        }
+                        slot.push((holder(), exclusive));
                     }
-                    slot.push((holder(), exclusive));
                 }
                 "gyan.reservation.release" => {
-                    let slot = active.entry(device()).or_default();
-                    let h = holder();
-                    let pos = slot.iter().position(|(owner, _)| *owner == h);
-                    prop_assert!(pos.is_some(), "release without a matching lease");
-                    slot.remove(pos.unwrap());
+                    let released = devices();
+                    prop_assert!(released.windows(2).all(|w| w[0] < w[1]), "{:?}", released);
+                    for device in released {
+                        let slot = active.entry(device).or_default();
+                        let h = holder();
+                        let pos = slot.iter().position(|(owner, _)| *owner == h);
+                        prop_assert!(pos.is_some(), "release without a matching lease");
+                        slot.remove(pos.unwrap());
+                    }
                 }
                 _ => {}
             }
