@@ -816,4 +816,95 @@ mod tests {
             );
         }
     }
+
+    // ---- the decision record round-trips ---------------------------------
+
+    /// Rebuild the observation and the lease view a decision was made
+    /// from out of its `gyan.allocation.decision` record alone: the
+    /// first step of re-deciding it from the log.
+    fn decode_decision(event: &obs::EventData) -> (GpuUsage, ReservationView) {
+        let text = |key: &str| -> &str {
+            event.field(key).and_then(|v| v.as_str()).unwrap_or_else(|| panic!("no `{key}`"))
+        };
+        // An empty column has no entries (a one-device column of an idle
+        // device is empty too, so `all_gpus` says how many there are).
+        let entries = |key: &str, sep: char, count: usize| -> Vec<String> {
+            match count {
+                0 => Vec::new(),
+                _ => text(key).split(sep).map(str::to_string).collect(),
+            }
+        };
+        let numbers = |list: &str, sep: char| -> Vec<u64> {
+            list.split(sep).filter(|n| !n.is_empty()).map(|n| n.parse().unwrap()).collect()
+        };
+        let minors = |key: &str| -> Vec<u32> {
+            numbers(text(key), ',').into_iter().map(|n| u32::try_from(n).unwrap()).collect()
+        };
+        let all_gpus = minors("all_gpus");
+        let pids = entries("pids", ';', all_gpus.len());
+        let used = numbers(text("mem_mib"), ',');
+        assert_eq!((pids.len(), used.len()), (all_gpus.len(), all_gpus.len()));
+        let usage = GpuUsage {
+            avail_gpus: minors("avail_gpus"),
+            proc_gpu_dict: all_gpus
+                .iter()
+                .zip(&pids)
+                .map(|(&minor, list)| {
+                    let list = numbers(list, '+').into_iter();
+                    (minor, list.map(|pid| u32::try_from(pid).unwrap()).collect())
+                })
+                .collect(),
+            used_mib: all_gpus.iter().copied().zip(used).collect(),
+            all_gpus,
+        };
+        let view = match event.field("leased_gpus") {
+            None => ReservationView::default(),
+            Some(_) => {
+                let leased = minors("leased_gpus");
+                let pending = numbers(text("pending_mib"), ',');
+                assert_eq!(pending.len(), leased.len());
+                ReservationView::from_rows(leased.into_iter().zip(pending).collect())
+            }
+        };
+        (usage, view)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A decision record holds everything its decision read: decoding
+        /// one gives back the `GpuUsage` and the `ReservationView` it was
+        /// made from, and deciding those again grants what it granted.
+        #[test]
+        fn the_decision_record_round_trips(
+            devices in prop::collection::vec(
+                (0u32..40, prop::collection::vec(1u32..u32::MAX, 0..4), any::<u64>()),
+                0..=32,
+            ),
+            leases in prop::collection::vec((0u32..40, any::<u64>()), 0..12),
+            requested in prop::collection::vec(0u32..42, 0..4),
+            memory_policy in any::<bool>(),
+        ) {
+            let mut seen = HashSet::new();
+            let rows: Vec<_> = devices.into_iter().filter(|(minor, ..)| seen.insert(*minor)).collect();
+            let usage = GpuUsage::from_devices(rows);
+            // One row per leased minor, ascending.
+            let leases: std::collections::BTreeMap<u32, u64> = leases.into_iter().collect();
+            let view = ReservationView::from_rows(leases.into_iter().collect());
+            let policy =
+                if memory_policy { AllocationPolicy::MemoryBased } else { AllocationPolicy::ProcessId };
+
+            let rec = obs::Recorder::new();
+            let granted = decide_traced(&Ok(usage.clone()), &requested, policy, Some(&view), Some(&rec));
+            let record = rec.events_named("gyan.allocation.decision").remove(0);
+            let (decoded_usage, decoded_view) = decode_decision(&record);
+            prop_assert_eq!(&decoded_usage, &usage);
+            prop_assert_eq!(&decoded_view, &view);
+
+            let again = decide(&decoded_usage, &requested, policy, Some(&decoded_view));
+            prop_assert_eq!(&again, &granted);
+            let mask = record.field("cuda_visible_devices").and_then(|v| v.as_str());
+            prop_assert_eq!(mask, granted.as_ref().map(|a| a.cuda_visible_devices.as_str()));
+        }
+    }
 }

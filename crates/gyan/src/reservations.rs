@@ -49,7 +49,9 @@
 //! Everything is audited: `gyan.reservation.acquire` / `.release` /
 //! `.conflict` events (the conflict event records what the allocator
 //! *would* have done without leases, and which holders blocked that),
-//! plus active-lease gauge and acquire/release/conflict counters.
+//! plus active-lease gauge and acquire/release/conflict counters. A grant
+//! is one acquire and one release record naming its `devices`, however
+//! many it leases; the gauge and the counters count device leases.
 
 use crate::allocation::{
     decide, decide_traced, join, Allocation, AllocationPolicy, AllocationReason,
@@ -136,6 +138,16 @@ pub struct LeaseSummary {
     /// Devices that are effectively free — no resident process and no
     /// lease — which is the allocator's own notion of free.
     pub free_devices: usize,
+}
+
+#[cfg(test)]
+impl ReservationView {
+    /// The view of exactly these `(minor, pending MiB)` rows, ascending
+    /// by minor, as a decision record lists them.
+    pub(crate) fn from_rows(leased: Vec<(u32, u64)>) -> Self {
+        assert!(leased.windows(2).all(|pair| pair[0].0 < pair[1].0));
+        ReservationView { leased }
+    }
 }
 
 #[derive(Default)]

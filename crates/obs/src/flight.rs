@@ -170,7 +170,8 @@ mod tests {
         let outer = rec.span("outer");
         rec.event("first", [("n", 1u64)]);
         rec.span("inner").end();
-        rec.event_rows("row", [[("n", 2u64)], [("n", 3u64)]]);
+        rec.event("row", [("n", 2u64)]);
+        rec.event("row", [("n", 3u64)]);
         outer.end();
         rec.event("last", [("n", 4u64)]);
         assert_eq!(names(&rec), ["first", "inner", "row", "row", "outer", "last"]);

@@ -22,10 +22,8 @@
 //! Recording is the hot side and reading the cold one (end of run, on
 //! failure, on a scrape), so a record is laid out for the writer: names,
 //! field keys and string values are [`Text`]s (a literal, or a run-time
-//! string of at most [`Text::INLINE`] bytes, costs no allocation), the
-//! per-device audits of one decision go out as rows of one
-//! [`Recorder::event_rows`] call (one lock hold, one clock read under
-//! it), an ended span or an event is stored **once**, by value, in the
+//! string of at most [`Text::INLINE`] bytes, costs no allocation), an
+//! ended span or an event is stored **once**, by value, in the
 //! log with a record number, and every reader — [`Recorder::spans`],
 //! [`Recorder::events`], a [`flight::FlightSnapshot`] (the log's last
 //! [`flight::CAPACITY`] records) — copies on demand. A timestamp takes
@@ -507,38 +505,24 @@ impl Recorder {
         name: impl Into<Key>,
         fields: impl IntoIterator<Item = (K, V)>,
     ) {
-        self.emit_events(name.into(), None, [fields]);
+        self.emit_event(name.into(), None, fields);
     }
 
-    /// Emit one standalone `name` event per row of `rows` — the
-    /// per-device audits of one grant, say — with one clock read and one
-    /// hold of the log lock. The log, its record numbers and the eviction
-    /// counts end up exactly as after one [`Recorder::event`] per row at
-    /// an unchanged clock. `rows` is walked with the log lock held, so it
-    /// must not call back into the recorder.
-    pub fn event_rows<R, K, V>(&self, name: impl Into<Key>, rows: impl IntoIterator<Item = R>)
-    where
-        R: IntoIterator<Item = (K, V)>,
+    fn emit_event<K, V>(
+        &self,
+        name: Key,
+        span: Option<u64>,
+        fields: impl IntoIterator<Item = (K, V)>,
+    ) where
         K: Into<Key>,
         V: Into<Value>,
     {
-        self.emit_events(name.into(), None, rows);
-    }
-
-    fn emit_events<R, K, V>(&self, name: Key, span: Option<u64>, rows: impl IntoIterator<Item = R>)
-    where
-        R: IntoIterator<Item = (K, V)>,
-        K: Into<Key>,
-        V: Into<Value>,
-    {
+        let fields = fields.into_iter().map(|(k, v)| (k.into(), v.into())).collect();
         let mut log = self.log();
         let t = log.now();
-        for fields in rows {
-            let fields = fields.into_iter().map(|(k, v)| (k.into(), v.into())).collect();
-            let seq = log.next_record();
-            log.events.push_back((seq, EventData { name: name.clone(), t, span, fields }));
-            log.evict();
-        }
+        let seq = log.next_record();
+        log.events.push_back((seq, EventData { name, t, span, fields }));
+        log.evict();
     }
 
     /// Snapshot of all spans recorded so far, in open order.
@@ -650,7 +634,7 @@ impl Span {
         name: impl Into<Key>,
         fields: impl IntoIterator<Item = (K, V)>,
     ) {
-        self.recorder.emit_events(name.into(), Some(self.id), [fields]);
+        self.recorder.emit_event(name.into(), Some(self.id), fields);
     }
 
     /// Close the span now.

@@ -2,9 +2,9 @@
 //! names, field keys and string field values.
 //!
 //! Recording is the hot side, and nearly every string it is handed is
-//! either a literal (`"gyan.reservation.acquire"`, `"device"`) or short
+//! either a literal (`"gyan.reservation.acquire"`, `"devices"`) or short
 //! and built at run time (`"free_fallback"`, `"0,1"`,
-//! `gpu31_pending_mib`). A `Text` keeps the first as the `&'static str`
+//! `"63,63"`). A `Text` keeps the first as the `&'static str`
 //! it is and the second in place, up to [`Text::INLINE`] bytes; only a
 //! longer run-time string owns a heap allocation. All three are 24 bytes
 //! — a `String`'s size — and a reader cannot tell them apart: equality

@@ -17,7 +17,9 @@ use galaxy::queue::{DagStep, DagWorkflow, QueueConfig, QueueEngine, ResubmitPoli
 use galaxy::runners::faults::{FaultInjectingExecutor, FaultPlan, InjectedFault};
 use galaxy::GalaxyError;
 use gpusim::{GpuArch, GpuCluster};
+use gyan::allocation::AllocationPolicy;
 use gyan::setup::GyanConfig;
+use gyan::LeaseTable;
 use obs::slo::{AlertExpr, AlertRule, Compare};
 use obs::Recorder;
 use seqtools::{DatasetSpec, ToolExecutor};
@@ -211,6 +213,7 @@ pub fn run_scenario_recorded(
     // SMI view for exactly one wave, one discarded wave.
     cluster.inject_smi_query_failures(scenario.faults.smi_query_failures);
     let discard_wave = options.force_wave_discard.or(scenario.faults.discard_at_wave);
+    let second_table = options.second_lease_table.then(LeaseTable::new);
 
     let jobs = scenario.jobs.iter().enumerate().map(|(i, job)| Arrival::Job(i, job));
     let dags = scenario.dags.iter().enumerate().map(|(i, shape)| Arrival::Dag(i, *shape));
@@ -233,6 +236,11 @@ pub fn run_scenario_recorded(
         MAX_WAVES,
         // Before a wave, its faults; at its barrier the stale view ends.
         |stack, wave| {
+            if let Some(table) = &second_table {
+                // Each grant supersedes the one before it.
+                let policy = AllocationPolicy::ProcessId;
+                table.allocate_and_lease(&cluster, &[], policy, u64::MAX, 0, Some(&stack.recorder));
+            }
             if scenario.faults.freeze_smi_at_wave == Some(wave) {
                 cluster.freeze_smi_snapshot();
             }

@@ -57,11 +57,17 @@ pub struct SimOptions {
     /// Force a mid-wave discard at this wave, overriding the scenario's
     /// own fault plan.
     pub force_wave_discard: Option<usize>,
+    /// The known-bad wiring for exclusive isolation: a second
+    /// `LeaseTable` over the same node leases every idle device before
+    /// each wave, so the stack's own table grants the same devices
+    /// exclusively again and `exclusive_isolation` must trip on the
+    /// records the two tables write.
+    pub second_lease_table: bool,
 }
 
 impl Default for SimOptions {
     fn default() -> Self {
-        SimOptions { release_on_discard: true, force_wave_discard: None }
+        SimOptions { release_on_discard: true, force_wave_discard: None, second_lease_table: false }
     }
 }
 
@@ -151,7 +157,7 @@ pub fn check_seed(seed: u64, options: &SimOptions) -> Result<SimReport, Failure>
     match run_seed(seed, options) {
         Ok(report) => Ok(report),
         Err(original) => {
-            let minimized = shrink::shrink(&Scenario::generate(seed), options);
+            let minimized = shrink::shrink(&Scenario::generate(seed), options, original.reason);
             let failure = run_scenario(&minimized, options).err().unwrap_or(original);
             Err(Failure {
                 seed,

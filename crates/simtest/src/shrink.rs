@@ -1,10 +1,10 @@
 //! Scenario minimization.
 //!
 //! Given a failing scenario, try structurally smaller variants (fewer
-//! jobs, fewer workflows, fewer faults) that still fail, and iterate to a
-//! fixpoint. Everything stays deterministic: candidates are derived from
-//! the scenario value, never from fresh randomness, so the shrink path
-//! itself reproduces from the seed.
+//! jobs, fewer workflows, fewer faults) that still fail the same way, and
+//! iterate to a fixpoint. Everything stays deterministic: candidates are
+//! derived from the scenario value, never from fresh randomness, so the
+//! shrink path itself reproduces from the seed.
 
 use crate::harness::run_scenario;
 use crate::scenario::Scenario;
@@ -74,8 +74,10 @@ fn candidates(s: &Scenario) -> Vec<Scenario> {
 }
 
 /// Shrink `scenario` to a locally minimal variant that still fails under
-/// `options`. If nothing smaller fails, the input comes back unchanged.
-pub fn shrink(scenario: &Scenario, options: &SimOptions) -> Scenario {
+/// `options` with the same `reason` — a smaller scenario that breaks
+/// something else is a different bug. If nothing smaller fails so, the
+/// input comes back unchanged.
+pub fn shrink(scenario: &Scenario, options: &SimOptions, reason: &str) -> Scenario {
     let mut best = scenario.clone();
     let mut runs = 0usize;
     loop {
@@ -85,7 +87,7 @@ pub fn shrink(scenario: &Scenario, options: &SimOptions) -> Scenario {
             if runs > MAX_SHRINK_RUNS {
                 return best;
             }
-            if run_scenario(&candidate, options).is_err() {
+            if run_scenario(&candidate, options).is_err_and(|failure| failure.reason == reason) {
                 best = candidate;
                 improved = true;
                 break;
@@ -140,6 +142,6 @@ mod tests {
         let s = scenario_with(2);
         let options = SimOptions::default();
         assert!(run_scenario(&s, &options).is_ok(), "fixture passes under correct options");
-        assert_eq!(shrink(&s, &options), s);
+        assert_eq!(shrink(&s, &options, "no_leaked_leases"), s);
     }
 }

@@ -37,6 +37,14 @@ cargo build --release
 echo "==> cargo test --workspace (every test binary, once)"
 cargo test -q --workspace
 
+# The tier-1 command is the bare `cargo test -q`; `default-members` makes
+# it the whole workspace. Fail if the two ever list different tests.
+echo "==> tier-1 covers the workspace (test counts)"
+count_tests() { cargo test -q "$@" -- --list 2>/dev/null | grep -c ': test$'; }
+tier1=$(count_tests) workspace=$(count_tests --workspace)
+echo "tests: tier-1 $tier1, workspace $workspace"
+[[ "$tier1" == "$workspace" ]] || { echo "tier-1 runs $tier1 of the workspace's $workspace tests"; exit 1; }
+
 # The per-job allocation count was the decisive number of PRs 19 and 21;
 # read it from every run (release, as the ceilings were measured) instead
 # of from a counting allocator patched into a scratch copy.

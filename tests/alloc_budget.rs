@@ -114,31 +114,36 @@ fn per_placement(k80: u32, a100: u32) -> f64 {
 /// event log), 96.3 at 83e239d (a wave runs inline in the queue engine:
 /// no boxed plan, no results map), 83.1 at fedd730 (a record is kept by
 /// value in the log, with no `Arc` and no second handle in a flight
-/// ring), 80.1 now (the queue engine keeps a job's user and state only in
-/// its ledger); the ceiling is the measured value plus 10 %.
-const ALLOCS_PER_JOB_CEILING: f64 = 88.1;
+/// ring), 80.1 at a3b9e33 (the queue engine keeps a job's user and
+/// state only in its ledger), 77.5 now (a grant is one record in each
+/// audit stream, and a short id list or column is written in place); the
+/// ceiling is the measured value plus 10 %.
+const ALLOCS_PER_JOB_CEILING: f64 = 85.3;
 
-/// Allocations per GPU job's audit trail on 32 devices — one decision,
-/// 32 lease acquires, 32 releases: 425.0 at b774b45 (this same probe run
-/// there), 143.0 at 83e239d, of which 128 were the 64 lease records (an
-/// `Arc` and a field list each), 78.0 now, of which 64 are the lease
-/// records' field lists; the ceiling is the measured value plus 10 %.
-const ALLOCS_PER_32_DEVICE_GRANT_CEILING: f64 = 85.8;
+/// Allocations per GPU job's grant and audit trail on 32 devices — the
+/// decision, the leases and their release: 425.0 at b774b45 (this same
+/// probe run there), 143.0 at 83e239d, of which 128 were the 64 per-device
+/// lease records (an `Arc` and a field list each), 78.0 at a3b9e33, of
+/// which 64 were those records' field lists, 20.0 now, where the grant
+/// writes one decision, one acquire and one release record; the ceiling
+/// is the measured value plus 10 %.
+const ALLOCS_PER_32_DEVICE_GRANT_CEILING: f64 = 22.0;
 
 /// Allocations per placement + release on the benchmark's `day_fleet`
 /// shape (60 K80 + 20 A100 nodes): 132.0 at 0f6d93c (this same probe run
 /// there; 38.0 on 8 nodes), where scoring a node cost one to two (a
 /// lease view, an availability list) and the candidate list grew by
 /// doubling; 27.0 at 83e239d on 80 nodes and on 8, none of them per
-/// node; 22.0 now (the placement's and release's audit records lost their
-/// `Arc`s); the ceiling is the measured value plus 10 %.
-const ALLOCS_PER_PLACEMENT_CEILING: f64 = 24.2;
+/// node; 22.0 at a3b9e33 (the placement's and release's audit records
+/// lost their `Arc`s); 19.0 now (short id lists and the decision's
+/// columns are written in place); the ceiling is the measured value plus
+/// 10 %.
+const ALLOCS_PER_PLACEMENT_CEILING: f64 = 20.9;
 
 #[test]
 fn telemetry_records_and_jobs_stay_inside_their_allocation_budget() {
-    // The shape of a lease audit (Case 1 emits 32 of them per job): six
-    // numeric fields under literal keys. One `Vec` of fields; the record
-    // itself is kept by value in the log.
+    // An audit record of six numeric fields under literal keys. One `Vec`
+    // of fields; the record itself is kept by value in the log.
     let event = per_record(|rec, i| {
         rec.event(
             "gyan.reservation.acquire",
@@ -148,8 +153,8 @@ fn telemetry_records_and_jobs_stay_inside_their_allocation_budget() {
     assert!(event <= 1.0, "{event} allocations per six-field event");
 
     // A string built at run time costs nothing more while it fits in
-    // place — as key (`gpu31_pids`) or as value (a PID list of 22 bytes) —
-    // and one allocation once it does not.
+    // place — as key (`gpu31_pids`) or as value (a PID column of 22
+    // bytes) — and one allocation once it does not.
     let minors: Vec<String> = (0..32).map(|minor| minor.to_string()).collect();
     let pids = "39953,41105,41872,4310x";
     let text_event = |pids: &'static str| {
@@ -173,8 +178,9 @@ fn telemetry_records_and_jobs_stay_inside_their_allocation_budget() {
     });
     assert!(span <= 2.0, "{span} allocations per span open + two fields + close");
 
-    // One GPU job's audit trail on the 32-device node: no preference on an
-    // idle node is granted, and leases, every device.
+    // One GPU job's grant on the 32-device node: no preference on an idle
+    // node is granted, and leases, every device — audited as one decision,
+    // one acquire and one release.
     let Hardware::Node(node) = (Topology::SingleNode { gpus: 32 }).hardware() else {
         unreachable!("a single node is a node")
     };

@@ -5,8 +5,8 @@
 //! `gyan::telemetry`'s merged trace are pinned by length and checksum —
 //! and the same four of a short day on 32 devices, where id lists and
 //! per-device keys outgrow what a record holds in place.
-//! (b) A retention/flight model: random recorder sequences, batched
-//! emits among them, against a naive `Vec` reference. (c) `obs::Text`
+//! (b) A retention/flight model: random recorder sequences, bursts of
+//! events among them, against a naive `Vec` reference. (c) `obs::Text`
 //! against the `String` it was built from.
 
 use loadgen::{LoadOptions, LoadScenario, Topology};
@@ -225,13 +225,12 @@ fn assert_same(rec: &Recorder, model: &Model, live: &[(Span, u64)], now: f64) {
 }
 
 proptest! {
-    /// Random `span / child / field / event / event_rows / end /
-    /// set_log_retention` sequences: after every operation each reader of
-    /// the recorder agrees with the naive model — for which a batch of N
-    /// rows is N single events at one clock reading. The clock ticks on
-    /// a quarter of the operations, so spans and events often share a
-    /// timestamp and only the record number can order the window; batches
-    /// of up to 300 rows carry it past [`CAPACITY`].
+    /// Random `span / child / field / event / end / set_log_retention`
+    /// sequences: after every operation each reader of the recorder
+    /// agrees with the naive model. The clock ticks on a quarter of the
+    /// operations, so spans and events often share a timestamp and only
+    /// the record number can order the window; bursts of up to 300
+    /// events at one clock reading carry it past [`CAPACITY`].
     #[test]
     fn recorder_matches_the_naive_vec_model(
         ops in prop::collection::vec((0u8..18, any::<u32>(), any::<u32>()), 0..160),
@@ -289,20 +288,16 @@ proptest! {
                     }
                 }
                 15..=17 => {
-                    // 0 to 5 rows — or, for op 15, up to 300 — each led
-                    // by its row number.
+                    // A burst of 0 to 5 events — or, for op 15, up to 300 —
+                    // at one clock reading, each led by its row number.
                     let n = if op == 15 { b % 301 } else { b % 6 };
-                    let rows: Vec<Vec<(Key, Value)>> = (0..n)
-                        .map(|row| {
-                            let rest = (0..a % 3).map(|i| (key(b ^ i), value(a ^ row)));
-                            std::iter::once(("row".into(), Value::from(row))).chain(rest).collect()
-                        })
-                        .collect();
-                    for fields in &rows {
-                        let fields = fields.clone();
-                        model.event(EventData { name: key(a), t: now, span: None, fields });
+                    for row in 0..n {
+                        let rest = (0..a % 3).map(|i| (key(b ^ i), value(a ^ row)));
+                        let fields: Vec<(Key, Value)> =
+                            std::iter::once(("row".into(), Value::from(row))).chain(rest).collect();
+                        model.event(EventData { name: key(a), t: now, span: None, fields: fields.clone() });
+                        rec.event(key(a), fields);
                     }
-                    rec.event_rows(key(a), rows);
                 }
                 14 => {
                     let limit = (b % 4 != 0).then_some(a as usize % 12);

@@ -7,7 +7,9 @@
 //! * `SIMTEST_SEED=<n>` — reproduce exactly that seed instead of the
 //!   sweep. This is the string a failure report prints.
 
-use simtest::{cases_from_env, check_seed, run_seed, seed_from_env, SimOptions};
+use simtest::harness::run_scenario_recorded;
+use simtest::invariants::exclusive_isolation;
+use simtest::{cases_from_env, check_seed, run_seed, seed_from_env, Scenario, SimOptions};
 
 /// Sweep seeds 0..N (or replay `SIMTEST_SEED`) under the production
 /// wiring: every scenario — whatever faults it injects — must hold all
@@ -45,7 +47,11 @@ fn seeded_scenarios_hold_invariants() {
 /// print a single reproducing seed.
 #[test]
 fn unreleased_discard_leases_are_caught_with_a_reproducing_seed() {
-    let bad = SimOptions { release_on_discard: false, force_wave_discard: Some(0) };
+    let bad = SimOptions {
+        release_on_discard: false,
+        force_wave_discard: Some(0),
+        ..SimOptions::default()
+    };
     let failure = (0..200)
         .find_map(|seed| check_seed(seed, &bad).err())
         .expect("a discarded GPU wave with no release listener must trip an invariant");
@@ -71,6 +77,41 @@ fn unreleased_discard_leases_are_caught_with_a_reproducing_seed() {
     let again = run_seed(failure.seed, &bad).expect_err("seed must reproduce the failure");
     assert_eq!(again.reason, failure.reason);
     assert!(again.fired_alerts.iter().any(|a| a == "leaked-lease"), "{again}");
+}
+
+/// `exclusive_isolation` reads the lease records the stack really writes:
+/// on the sweep's first seeds it replays every acquire record the log
+/// holds, and there are some.
+#[test]
+fn exclusive_isolation_replays_the_real_acquire_records() {
+    let mut replayed = 0;
+    for seed in 0..8 {
+        let (_, recorder) =
+            run_scenario_recorded(&Scenario::generate(seed), &SimOptions::default())
+                .unwrap_or_else(|f| panic!("{f}"));
+        let events = recorder.events();
+        let acquires = events.iter().filter(|e| e.name == "gyan.reservation.acquire").count();
+        assert_eq!(exclusive_isolation(&events).map_err(|v| v.detail), Ok(acquires), "seed {seed}");
+        replayed += acquires;
+    }
+    assert!(replayed > 0, "no seed of 0..8 leased a device");
+}
+
+/// A double exclusive grant — a second lease table over the node, leasing
+/// every idle device before each wave — is caught on the real records,
+/// with a seed that reproduces it.
+#[test]
+fn a_double_exclusive_grant_is_caught_with_a_reproducing_seed() {
+    let bad = SimOptions { second_lease_table: true, ..SimOptions::default() };
+    let failure = (0..50)
+        .find_map(|seed| check_seed(seed, &bad).err())
+        .expect("two tables granting one device exclusively must trip an invariant");
+    assert_eq!(failure.reason, "exclusive_isolation", "{failure}");
+    assert!(failure.detail.contains("(exclusive=true) while held by"), "{failure}");
+    let text = failure.to_string();
+    assert!(text.contains(&format!("SIMTEST_SEED={}", failure.seed)), "{text}");
+    let again = run_seed(failure.seed, &bad).expect_err("seed must reproduce the failure");
+    assert_eq!(again.reason, failure.reason);
 }
 
 /// Fleet-layer sweep: seeded multi-node scenarios must hold the
