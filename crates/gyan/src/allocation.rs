@@ -135,17 +135,28 @@ pub(crate) fn decide_traced(
     let outcome = decide(usage, requested, policy, reservations);
 
     if let Some(rec) = recorder {
-        // Room for every field below (6 fixed, `invalid_requested`, 3 of
-        // the leases, up to 3 of the outcome), so the list is allocated
-        // once.
-        let mut fields: Vec<(Key, Value)> = Vec::with_capacity(13);
+        // Exactly the fields below, so the list is allocated once and the
+        // record, which the log keeps, carries no spare room: 6 always,
+        // `invalid_requested` for a bad request, 3 when a lease was held,
+        // 1 to 3 for the outcome.
+        let invalid = invalid_requested(usage, requested);
+        let leased = reservations.filter(|view| !view.is_empty());
+        let outcome_fields = match (&outcome, observed) {
+            (Some(_), _) => 3,
+            (None, Ok(_)) => 1,
+            (None, Err(_)) => 2,
+        };
+        let capacity = 6
+            + usize::from(!invalid.is_empty())
+            + 3 * usize::from(leased.is_some())
+            + outcome_fields;
+        let mut fields: Vec<(Key, Value)> = Vec::with_capacity(capacity);
         fields.extend([
             ("policy".into(), policy_name(policy).into()),
             ("requested".into(), join(requested).into()),
             ("all_gpus".into(), join(&usage.all_gpus).into()),
             ("avail_gpus".into(), join(&usage.avail_gpus).into()),
         ]);
-        let invalid = invalid_requested(usage, requested);
         if !invalid.is_empty() {
             fields.push(("invalid_requested".into(), join(&invalid).into()));
         }
@@ -157,7 +168,7 @@ pub(crate) fn decide_traced(
         fields.push(("mem_mib".into(), join_numbers(used, ",").finish().into()));
         // What the lease table contributed, when one was consulted: the
         // pending column is aligned with `leased_gpus`.
-        if let Some(view) = reservations.filter(|view| !view.is_empty()) {
+        if let Some(view) = leased {
             let leased = view.pending().map(|(minor, _)| minor);
             let leased = join_numbers(leased.map(u64::from), ",").finish();
             fields.push(("leased_gpus".into(), leased.into()));
@@ -183,6 +194,7 @@ pub(crate) fn decide_traced(
                 fields.push(("error".into(), e.to_string().into()));
             }
         }
+        debug_assert_eq!(fields.len(), capacity);
         rec.event("gyan.allocation.decision", fields);
     }
     outcome

@@ -140,16 +140,6 @@ pub struct LeaseSummary {
     pub free_devices: usize,
 }
 
-#[cfg(test)]
-impl ReservationView {
-    /// The view of exactly these `(minor, pending MiB)` rows, ascending
-    /// by minor, as a decision record lists them.
-    pub(crate) fn from_rows(leased: Vec<(u32, u64)>) -> Self {
-        assert!(leased.windows(2).all(|pair| pair[0].0 < pair[1].0));
-        ReservationView { leased }
-    }
-}
-
 #[derive(Default)]
 struct Inner {
     /// Leases per device, in acquisition order. A device's list stays
@@ -437,6 +427,16 @@ fn release_locked(inner: &mut Inner, holder: u64, why: &str, recorder: Option<&R
         m.set_gauge(RESERVATIONS_ACTIVE_GAUGE, inner.count() as f64);
     }
     released
+}
+
+#[cfg(test)]
+impl ReservationView {
+    /// The view of exactly these `(minor, pending MiB)` rows, ascending
+    /// by minor, as a decision record lists them.
+    pub(crate) fn from_rows(leased: Vec<(u32, u64)>) -> Self {
+        assert!(leased.windows(2).all(|pair| pair[0].0 < pair[1].0));
+        ReservationView { leased }
+    }
 }
 
 #[cfg(test)]
