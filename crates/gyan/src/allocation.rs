@@ -169,9 +169,8 @@ pub(crate) fn decide_traced(
         // What the lease table contributed, when one was consulted: the
         // pending column is aligned with `leased_gpus`.
         if let Some(view) = leased {
-            let leased = view.pending().map(|(minor, _)| minor);
-            let leased = join_numbers(leased.map(u64::from), ",").finish();
-            fields.push(("leased_gpus".into(), leased.into()));
+            let leased = view.pending().map(|(minor, _)| u64::from(minor));
+            fields.push(("leased_gpus".into(), join_numbers(leased, ",").finish().into()));
             fields.push((
                 "effective_avail".into(),
                 join(&effective_avail(usage, reservations)).into(),

@@ -531,6 +531,21 @@ mod tests {
         assert_eq!(a2.reason, AllocationReason::AllBusyScatter);
         assert!(!t.leases_on(0)[1].exclusive);
         assert_eq!(t.lease_count(), 4);
+        // Each grant is one acquire record and each release one release
+        // record, naming every device; the counters count device leases.
+        assert_eq!(t.release(1, "ok", Some(&rec)), 2);
+        let field = |e: &obs::EventData, key: &str| e.field(key).cloned();
+        let acquires = rec.events_named("gyan.reservation.acquire");
+        let releases = rec.events_named("gyan.reservation.release");
+        assert_eq!((acquires.len(), releases.len()), (2, 1));
+        for (acquire, exclusive) in acquires.iter().zip([true, false]) {
+            assert_eq!(field(acquire, "devices"), Some(Value::from("0,1")));
+            assert_eq!(field(acquire, "exclusive"), Some(Value::from(exclusive)));
+        }
+        assert_eq!(field(&releases[0], "job_id"), Some(Value::from(1u64)));
+        assert_eq!(field(&releases[0], "devices"), Some(Value::from("0,1")));
+        assert_eq!(rec.metrics().counter_value(RESERVATIONS_ACQUIRED_COUNTER), 4);
+        assert_eq!(rec.metrics().counter_value(RESERVATIONS_RELEASED_COUNTER), 2);
     }
 
     #[test]
