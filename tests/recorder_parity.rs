@@ -3,8 +3,10 @@
 //! (a) Golden exports: one seeded `simtest` scenario, retention off; the
 //! JSONL log, the flight dump (JSONL and Chrome trace) and
 //! `gyan::telemetry`'s merged trace are pinned by length and checksum —
-//! and the same four of a short day on 32 devices, where id lists and
-//! per-device keys outgrow what a record holds in place.
+//! of a scenario without a GPU, of one on two devices whose log holds
+//! the GPU audit (decision, acquire and release records), and of a short
+//! day on 32 devices, where id lists and per-device keys outgrow what a
+//! record holds in place.
 //! (b) A retention/flight model: random recorder sequences, bursts of
 //! events among them, against a naive `Vec` reference. (c) `obs::Text`
 //! against the `String` it was built from.
@@ -57,6 +59,33 @@ fn exports_are_byte_identical_to_the_parent_commit() {
         .unwrap_or_else(|f| panic!("{f}"));
     assert_eq!((report.waves, report.submitted, report.error), (9, 11, 3));
     assert_eq!(pinned(&recorder, &GOLDEN), GOLDEN);
+}
+
+/// The same four exports of simtest seed 5: two K80 devices, 15 waves,
+/// 10 submissions (a diamond DAG among them), a frozen SMI snapshot and
+/// two runner faults, captured at 5770bae. Seed 17 has no GPU; this log
+/// holds 7 `gyan.allocation.decision`, 7 `gyan.reservation.acquire` and 7
+/// `.release` records, so it guards the GPU audit on a small node.
+const GOLDEN_2_DEVICES: [(&str, usize, u64); 4] = [
+    ("recorder.to_jsonl", 33_051, 12_575_911_306_675_975_908),
+    ("flight.to_jsonl", 33_131, 13_469_848_510_506_357_253),
+    ("flight.to_chrome_trace", 33_645, 15_983_164_168_668_306_122),
+    ("telemetry.merged_chrome_trace", 34_202, 1_784_961_559_679_998_756),
+];
+
+#[test]
+fn exports_of_a_2_device_scenario_are_byte_identical_to_the_parent_commit() {
+    let scenario = Scenario::generate(5);
+    assert_eq!(scenario.gpu_count, 2);
+    let (report, recorder) =
+        run_scenario_recorded(&scenario, &SimOptions::default()).unwrap_or_else(|f| panic!("{f}"));
+    assert_eq!((report.waves, report.submitted, report.error), (15, 10, 0));
+    let jsonl = recorder.to_jsonl();
+    for name in ["gyan.allocation.decision", "gyan.reservation.acquire", "gyan.reservation.release"]
+    {
+        assert_eq!(jsonl.matches(&format!("\"{name}\"")).count(), 7, "{name}");
+    }
+    assert_eq!(pinned(&recorder, &GOLDEN_2_DEVICES), GOLDEN_2_DEVICES);
 }
 
 /// The same four exports of a five-minute day on 32 devices (half the
