@@ -183,7 +183,7 @@ mod tests {
 
     impl<E: JobExecutor> JobExecutor for Recording<E> {
         fn execute(&self, plan: &ExecutionPlan) -> ExecutionResult {
-            self.launches.lock().unwrap().push(plan.rendered_command());
+            self.launches.lock().unwrap().push(plan.command_parts.join(" "));
             self.inner.execute(plan)
         }
     }
@@ -228,9 +228,192 @@ mod tests {
         // `planemo test` would against a live GYAN deployment.
         let mut tb = Testbed::k80();
         tb.executor.register_dataset(tiny_racon());
-        let results = tb.app.run_tool_tests("racon_gpu").unwrap();
+        let results = planemo::run_tool_tests(&mut tb.app, &racon_tool_xml("racon_gpu", None));
         assert_eq!(results.len(), 1);
-        assert!(results[0].passed(), "{:?}", results[0].failures);
+        assert!(results[0].is_empty(), "{:?}", results[0]);
+    }
+
+    /// `planemo test`: run the functional tests a wrapper embeds in its
+    /// `<tests>` section through a live app and check each output dataset.
+    mod planemo {
+        use galaxy::params::ParamDict;
+        use galaxy::GalaxyApp;
+        use xmlparse::Element;
+
+        /// Submit each `<test>` of the wrapper `xml` (installed in `app`)
+        /// with its `<param>` values and check the assertions of each
+        /// `<output>`; one list of failure messages per test (empty =
+        /// pass).
+        pub(super) fn run_tool_tests(app: &mut GalaxyApp, xml: &str) -> Vec<Vec<String>> {
+            let doc = xmlparse::parse(xml).expect("wrapper parses");
+            let tool_id = doc.root().attr("id").expect("tool id");
+            let Some(tests) = doc.root().find("tests") else { return Vec::new() };
+            tests.children_named("test").map(|test| run_test(app, tool_id, test)).collect()
+        }
+
+        fn run_test(app: &mut GalaxyApp, tool_id: &str, test: &Element) -> Vec<String> {
+            let mut params = ParamDict::new();
+            for param in test.children_named("param") {
+                params.set(
+                    param.attr("name").expect("test param name"),
+                    param.attr("value").unwrap_or(""),
+                );
+            }
+            let job_id = match app.submit(tool_id, &params) {
+                Ok(id) => id,
+                Err(e) => return vec![format!("job failed: {e}")],
+            };
+            let mut failures = Vec::new();
+            for output in test.children_named("output") {
+                let name = output.attr("name").expect("test output name");
+                let history = app.history();
+                let Some(dataset) =
+                    history.datasets_for_job(job_id).into_iter().find(|d| d.name == name)
+                else {
+                    failures.push(format!("output {name:?} was not produced"));
+                    continue;
+                };
+                for assertion in
+                    output.find("assert_contents").into_iter().flat_map(Element::child_elements)
+                {
+                    if let Err(msg) = check(assertion, &dataset.content) {
+                        failures.push(format!("output {name:?}: {msg}"));
+                    }
+                }
+            }
+            failures
+        }
+
+        /// One `<assert_contents>` child against dataset content.
+        pub(super) fn check(assertion: &Element, content: &str) -> Result<(), String> {
+            let num = |key: &str| assertion.attr(key).and_then(|v| v.parse::<usize>().ok());
+            let text =
+                || assertion.attr("text").ok_or(format!("<{}> without text", assertion.name()));
+            match assertion.name() {
+                "has_text" => {
+                    let text = text()?;
+                    if content.contains(text) {
+                        Ok(())
+                    } else {
+                        Err(format!("expected text {text:?} not found"))
+                    }
+                }
+                "not_has_text" => {
+                    let text = text()?;
+                    if content.contains(text) {
+                        Err(format!("forbidden text {text:?} present"))
+                    } else {
+                        Ok(())
+                    }
+                }
+                "has_n_lines" => {
+                    let lines = content.lines().count();
+                    if num("n").is_some_and(|n| lines != n) {
+                        return Err(format!("expected {:?} lines, found {lines}", num("n")));
+                    }
+                    if num("min").is_some_and(|min| lines < min)
+                        || num("max").is_some_and(|max| lines > max)
+                    {
+                        return Err(format!(
+                            "expected {:?}..={:?} lines, found {lines}",
+                            num("min"),
+                            num("max")
+                        ));
+                    }
+                    Ok(())
+                }
+                "has_size" => {
+                    let value = num("value").ok_or("<has_size> without value")?;
+                    let delta = num("delta").unwrap_or(0);
+                    let size = content.len();
+                    if size.abs_diff(value) <= delta {
+                        Ok(())
+                    } else {
+                        Err(format!("expected size {value}±{delta}, found {size}"))
+                    }
+                }
+                other => Err(format!("unknown assertion <{other}>")),
+            }
+        }
+
+        mod tests {
+            use super::*;
+            use galaxy::job::conf::{JobConfig, GYAN_JOB_CONF};
+            use galaxy::runners::{ExecutionPlan, ExecutionResult, JobExecutor};
+            use galaxy::tool::macros::MacroLibrary;
+
+            const TOOL_WITH_TESTS: &str = r#"<tool id="echo" name="Echo">
+      <command>echo $text</command>
+      <inputs><param name="text" type="text" value="default"/></inputs>
+      <outputs><data name="out" format="txt"/></outputs>
+      <tests>
+        <test>
+          <param name="text" value="hello world"/>
+          <output name="out">
+            <assert_contents>
+              <has_text text="hello"/>
+              <not_has_text text="goodbye"/>
+              <has_n_lines n="1"/>
+              <has_size value="11" delta="2"/>
+            </assert_contents>
+          </output>
+        </test>
+        <test>
+          <param name="text" value="two"/>
+          <output name="out">
+            <assert_contents><has_text text="THIS WILL FAIL"/></assert_contents>
+          </output>
+        </test>
+      </tests>
+    </tool>"#;
+
+            struct EchoExecutor;
+            impl JobExecutor for EchoExecutor {
+                fn execute(&self, plan: &ExecutionPlan) -> ExecutionResult {
+                    ExecutionResult::ok(plan.command_line.strip_prefix("echo ").unwrap_or(""))
+                }
+            }
+
+            #[test]
+            fn passing_and_failing_tests_reported() {
+                let mut app = GalaxyApp::new(JobConfig::from_xml(GYAN_JOB_CONF).unwrap());
+                app.install_tool_xml(TOOL_WITH_TESTS, &MacroLibrary::new()).unwrap();
+                app.set_executor(Box::new(EchoExecutor));
+                app.register_rule(
+                    "gpu_dynamic_destination",
+                    Box::new(|_t, _j, _c| Ok("local_cpu".to_string())),
+                );
+                let results = run_tool_tests(&mut app, TOOL_WITH_TESTS);
+                assert_eq!(results.len(), 2);
+                assert!(results[0].is_empty(), "{:?}", results[0]);
+                assert_eq!(results[1].len(), 1);
+                assert!(results[1][0].contains("THIS WILL FAIL"));
+            }
+
+            fn checks(assertion: &str, content: &str) -> bool {
+                check(xmlparse::parse(assertion).unwrap().root(), content).is_ok()
+            }
+
+            #[test]
+            fn assertions_check_correctly() {
+                assert!(checks(r#"<has_text text="abc"/>"#, "xxabcxx"));
+                assert!(!checks(r#"<has_text text="abc"/>"#, "nope"));
+                assert!(checks(r#"<not_has_text text="abc"/>"#, "nope"));
+                let lines = r#"<has_n_lines min="2" max="3"/>"#;
+                assert!(checks(lines, "a\nb\n"));
+                assert!(!checks(lines, "a\n"));
+                assert!(!checks(lines, "a\nb\nc\nd\n"));
+                let size = r#"<has_size value="10" delta="1"/>"#;
+                assert!(checks(size, "0123456789"));
+                assert!(checks(size, "01234567891"));
+                assert!(!checks(size, "0123"));
+            }
+
+            #[test]
+            fn unknown_assertion_rejected() {
+                assert!(!checks("<has_magic/>", "anything"));
+            }
+        }
     }
 
     fn tiny_racon() -> seqtools::DatasetSpec {

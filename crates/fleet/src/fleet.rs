@@ -35,8 +35,8 @@ pub const FLEET_RELEASE_EVENT: &str = "fleet.placement.release";
 /// Gauge: 1 when a node is cordoned or dead, 0 when ready, labeled
 /// `{node="<name>"}`.
 pub const FLEET_CORDONED_GAUGE: &str = "fleet_node_cordoned";
-/// Audit event emitted per node status transition (cordon, uncordon,
-/// drain, fail).
+/// Audit event emitted per node status transition (drain, uncordon,
+/// fail).
 pub const FLEET_NODE_EVENT: &str = "fleet.node.status";
 /// Release reason recorded when a node dies with leases on it.
 pub const NODE_LOST_REASON: &str = "node_lost";
@@ -399,23 +399,6 @@ impl Fleet {
         }
     }
 
-    /// Cordon a node: placement skips it from now on, but its leases keep
-    /// draining through [`Fleet::release`]. Idempotent (re-cordoning a
-    /// cordoned node is a no-op); returns false for unknown nodes and for
-    /// dead ones (a dead node cannot come back as merely cordoned).
-    pub fn cordon(&self, node: &str) -> bool {
-        let Some(shard) = self.shard_named(node) else { return false };
-        match shard.status() {
-            NodeStatus::Dead => false,
-            NodeStatus::Cordoned => true,
-            NodeStatus::Ready => {
-                shard.set_status(NodeStatus::Cordoned);
-                self.audit_node_status(shard, "cordon", shard.table.lease_count());
-                true
-            }
-        }
-    }
-
     /// Lift a cordon (or resurrect a dead node, modeling a repaired host
     /// rejoining). Returns false for unknown nodes.
     pub fn uncordon(&self, node: &str) -> bool {
@@ -427,9 +410,10 @@ impl Fleet {
         true
     }
 
-    /// Begin draining a node: cordon it and report how many leases still
-    /// have to release before the drain resolves (0 = already drained).
-    /// `None` for unknown or dead nodes.
+    /// Begin draining a node: cordon it — placement skips it from now on,
+    /// but its leases keep draining through [`Fleet::release`] — and report
+    /// how many leases still have to release before the drain resolves
+    /// (0 = already drained). `None` for unknown or dead nodes.
     pub fn drain(&self, node: &str) -> Option<usize> {
         let shard = self.shard_named(node)?;
         if shard.status() == NodeStatus::Dead {
@@ -441,14 +425,6 @@ impl Fleet {
         let remaining = shard.table.lease_count();
         self.audit_node_status(shard, "drain", remaining);
         Some(remaining)
-    }
-
-    /// Whether a node's drain has resolved: it is cordoned (or dead) and
-    /// holds no leases. `None` for unknown nodes; `Some(false)` while
-    /// ready or still holding leases.
-    pub fn is_drained(&self, node: &str) -> Option<bool> {
-        let shard = self.shard_named(node)?;
-        Some(!shard.is_placeable() && shard.table.lease_count() == 0)
     }
 
     /// Kill a node: mark it dead, force-release every booking on it as
@@ -478,7 +454,6 @@ impl Fleet {
 mod tests {
     use super::*;
     use crate::placement::{BinPack, FairShare};
-    use crate::rules::DestinationRule;
 
     // Pin one minor so each placement leases exactly one die (an empty
     // request takes every free die on the chosen node, per gyan).
@@ -491,6 +466,13 @@ mod tests {
             memory_hint_mib: 256,
             excluded_nodes: &[],
         }
+    }
+
+    /// Whether a node's drain has resolved: it is cordoned (or dead) and
+    /// holds no leases. `None` for unknown nodes.
+    fn drained(fleet: &Fleet, node: &str) -> Option<bool> {
+        let shard = fleet.shard_named(node)?;
+        Some(!shard.is_placeable() && shard.table.lease_count() == 0)
     }
 
     fn two_k80s() -> Fleet {
@@ -520,9 +502,7 @@ mod tests {
 
     #[test]
     fn rules_exclude_classes_and_reject_when_nothing_fits() {
-        let rules = DestinationRules::new()
-            .with(DestinationRule::any("bonito*").on_classes(["a100"]))
-            .with(DestinationRule::any("*"));
+        let rules = DestinationRules::parse("tool=bonito* classes=a100\ntool=*").unwrap();
         let fleet = Fleet::builder()
             .nodes(NodeClass::k80(), 2)
             .nodes(NodeClass::a100(), 1)
@@ -568,8 +548,7 @@ mod tests {
 
     #[test]
     fn placement_records_right_sized_resources() {
-        let rules =
-            DestinationRules::new().with(DestinationRule::any("*").with_cores(4).with_mem(8192));
+        let rules = DestinationRules::parse("tool=* cores=4 mem_mib=8192").unwrap();
         let fleet = Fleet::builder().nodes(NodeClass::v100(), 1).rules(rules).build();
         let p = fleet.place(&request(1, "ada", "racon_gpu")).unwrap();
         assert_eq!((p.cores, p.mem_mib), (4, 8192));
@@ -600,15 +579,15 @@ mod tests {
         let fleet = two_k80s();
         fleet.place(&request(1, "ada", "racon_gpu")).unwrap();
         assert_eq!(fleet.node_of(1), Some(0));
-        assert!(fleet.cordon("k80-000"));
+        assert_eq!(fleet.drain("k80-000"), Some(1));
         // New placements avoid the cordoned node...
         assert_eq!(fleet.place(&request(2, "ada", "racon_gpu")).unwrap().node, 1);
         // ...but its existing lease still releases.
         assert!(fleet.release(1, "ok") > 0);
-        assert_eq!(fleet.is_drained("k80-000"), Some(true));
+        assert_eq!(drained(&fleet, "k80-000"), Some(true));
         assert!(fleet.uncordon("k80-000"));
         assert_eq!(fleet.place(&request(3, "ada", "racon_gpu")).unwrap().node, 0);
-        assert!(!fleet.cordon("ghost-042"), "unknown nodes are not cordonable");
+        assert_eq!(fleet.drain("ghost-042"), None, "unknown nodes are not drainable");
     }
 
     #[test]
@@ -616,11 +595,11 @@ mod tests {
         let fleet = two_k80s();
         fleet.place(&request(1, "ada", "racon_gpu")).unwrap();
         assert_eq!(fleet.drain("k80-000"), Some(1));
-        assert_eq!(fleet.is_drained("k80-000"), Some(false));
+        assert_eq!(drained(&fleet, "k80-000"), Some(false));
         fleet.release(1, "ok");
-        assert_eq!(fleet.is_drained("k80-000"), Some(true));
+        assert_eq!(drained(&fleet, "k80-000"), Some(true));
         // A ready node with no leases is not "drained" — it is serving.
-        assert_eq!(fleet.is_drained("k80-001"), Some(false));
+        assert_eq!(drained(&fleet, "k80-001"), Some(false));
     }
 
     #[test]
@@ -635,10 +614,9 @@ mod tests {
         assert_eq!(fleet.shard_named("k80-000").unwrap().table.lease_count(), 0);
         // Job 2 on the surviving node is untouched.
         assert_eq!(fleet.node_of(2), Some(1));
-        // The dead node takes no further placements and cannot be merely
-        // cordoned; uncordon models a repaired host rejoining.
+        // The dead node takes no further placements and cannot be
+        // drained; uncordon models a repaired host rejoining.
         assert_eq!(fleet.place(&request(3, "ada", "racon_gpu")).unwrap().node, 1);
-        assert!(!fleet.cordon("k80-000"));
         assert_eq!(fleet.drain("k80-000"), None);
         let log = recorder.to_jsonl();
         assert!(log.contains(NODE_LOST_REASON), "{log}");

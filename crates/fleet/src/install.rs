@@ -21,13 +21,16 @@ use gyan::orchestrator::{static_memory_hint, Placed, Placer};
 use gyan::rules::RULE_NAME;
 use obs::Recorder;
 
+/// The destination the dynamic rule picks for every job the fleet does
+/// not host: the CPU destination of the shipped job conf
+/// (`galaxy::job::conf::GYAN_JOB_CONF`).
+const CPU_DESTINATION: &str = "local_cpu";
+
 /// Options for [`install_fleet`] (the fleet-level `GyanConfig`).
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Destination id the dynamic rule picks for GPU jobs.
     pub gpu_destination: String,
-    /// Destination id for CPU fallback.
-    pub cpu_destination: String,
     /// All destination ids the hook treats as GPU destinations.
     pub gpu_destinations: Vec<String>,
     /// Memory-hint resolution mode: [`MemoryHint::Static`] always uses
@@ -42,11 +45,10 @@ pub struct FleetConfig {
 
 impl Default for FleetConfig {
     fn default() -> Self {
-        // The GPU and CPU destinations of the shipped job conf
+        // The GPU destination of the shipped job conf
         // (`galaxy::job::conf::GYAN_JOB_CONF`).
         FleetConfig {
             gpu_destination: "local_gpu".to_string(),
-            cpu_destination: "local_cpu".to_string(),
             gpu_destinations: vec!["local_gpu".to_string()],
             memory_hint: MemoryHint::Static,
         }
@@ -97,7 +99,7 @@ fn parse_excluded_nodes(raw: &str) -> Vec<String> {
 
 /// Install the fleet into `app`: registers a dynamic destination rule
 /// (GPU tools the fleet can host → `gpu_destination`, everything else →
-/// `cpu_destination`) and a placement advisor, then wires the rest —
+/// the shipped conf's `local_cpu`) and a placement advisor, then wires the rest —
 /// hook, container GPU mutators, the fleet's shared clock as time source
 /// — through [`gyan::setup::install_hook`], exactly like a single node.
 ///
@@ -135,12 +137,11 @@ pub fn install_fleet(app: &mut GalaxyApp, fleet: &Fleet, config: FleetConfig) {
 
     let rule_hosts = hosts.clone();
     let gpu_dest = config.gpu_destination;
-    let cpu_dest = config.cpu_destination;
     app.register_rule(
         RULE_NAME,
         Box::new(move |tool: &Tool, _job: &Job, conf: &JobConfig| {
             let on_fleet = tool.requires_gpu() && rule_hosts(&tool.id, conf, &gpu_dest, &[]);
-            Ok(if on_fleet { gpu_dest.clone() } else { cpu_dest.clone() })
+            Ok(if on_fleet { gpu_dest.clone() } else { CPU_DESTINATION.to_string() })
         }),
     );
     // Placement-aware resubmission seam: the queue engine asks, per
@@ -158,13 +159,15 @@ pub fn install_fleet(app: &mut GalaxyApp, fleet: &Fleet, config: FleetConfig) {
 mod tests {
     use super::*;
     use crate::node::NodeClass;
-    use crate::rules::{DestinationRule, DestinationRules};
+    use crate::rules::DestinationRules;
     use galaxy::job::conf::Destination;
     use galaxy::params::ParamDict;
     use galaxy::runners::{JobConclusion, JobHook};
     use galaxy::tool::macros::MacroLibrary;
     use galaxy::tool::wrapper::parse_tool;
-    use gyan::footprint::{FootprintRegistry, GALAXY_INPUT_SIZE_MIB_ENV, GPU_MEMORY_BUDGET_ENV};
+    use gyan::footprint::{
+        FootprintRegistry, GALAXY_INPUT_SIZE_MIB_ENV, GPU_MEMORY_BUDGET_ENV, GPU_OBSERVED_PEAK_ENV,
+    };
     use gyan::{GyanHook, CUDA_VISIBLE_DEVICES, GALAXY_GPU_ENABLED};
 
     fn gpu_tool(id: &str) -> Tool {
@@ -209,8 +212,7 @@ mod tests {
     #[test]
     fn rejected_placement_falls_back_to_cpu_env() {
         // bonito only runs on a100; this fleet has none.
-        let rules =
-            DestinationRules::new().with(DestinationRule::any("bonito*").on_classes(["a100"]));
+        let rules = DestinationRules::parse("tool=bonito* classes=a100").unwrap();
         let fleet = Fleet::builder().nodes(NodeClass::k80(), 1).rules(rules).build();
         let hook = static_hook(&fleet);
         let mut job = Job::new(1, "bonito", ParamDict::new());
@@ -240,13 +242,14 @@ mod tests {
         let learned_hook = hook(&fleet, &registry, MemoryHint::Learned);
         let mut job = Job::new(2, "racon_gpu", ParamDict::new());
         job.set_env(GALAXY_INPUT_SIZE_MIB_ENV, "1000");
+        job.set_env(GPU_OBSERVED_PEAK_ENV, "4000");
         learned_hook.before_dispatch(&mut job, &gpu_tool("racon_gpu"), &fleet_gpu);
         assert_eq!(job.env_var(GALAXY_GPU_ENABLED), Some("true"), "learned hint admits");
         let budget: u64 = job.env_var(GPU_MEMORY_BUDGET_ENV).unwrap().parse().unwrap();
         assert!((3900..=4100).contains(&budget), "budget {budget}");
-        assert_eq!(registry.pending_count(), 1);
         learned_hook.after_conclude(2, JobConclusion::Ok);
-        assert_eq!(registry.pending_count(), 0);
+        // The hook noted the dispatch and concluded it: the peak is learned.
+        assert_eq!(registry.snapshot()[0].samples, 9);
     }
 
     #[test]
@@ -310,8 +313,7 @@ mod tests {
             &MacroLibrary::new(),
         )
         .unwrap();
-        let rules =
-            DestinationRules::new().with(DestinationRule::any("bonito*").on_classes(["a100"]));
+        let rules = DestinationRules::parse("tool=bonito* classes=a100").unwrap();
         let fleet = Fleet::builder().nodes(NodeClass::k80(), 2).rules(rules).build();
         install_fleet(&mut app, &fleet, FleetConfig::default());
 

@@ -171,7 +171,7 @@ mod tests {
         assert_eq!(nodes[0].get("status").and_then(|v| v.as_str()), Some("ready"));
         assert_eq!(nodes[0].get("cordoned").and_then(|v| v.as_bool()), Some(false));
         // Cordon state flows straight into the view.
-        fleet.cordon("k80-000");
+        fleet.drain("k80-000");
         let doc = obs::json::parse(&fleet_nodes_json(&fleet)).expect("parses");
         let nodes = doc.get("nodes").and_then(|v| v.as_array()).expect("nodes");
         assert_eq!(nodes[0].get("status").and_then(|v| v.as_str()), Some("cordoned"));

@@ -52,24 +52,6 @@ impl DestinationRule {
         }
     }
 
-    /// Restrict to the given class labels.
-    pub fn on_classes(mut self, classes: impl IntoIterator<Item = impl Into<String>>) -> Self {
-        self.classes = classes.into_iter().map(Into::into).collect();
-        self
-    }
-
-    /// Right-size to `cores` host cores.
-    pub fn with_cores(mut self, cores: u32) -> Self {
-        self.cores = Some(cores);
-        self
-    }
-
-    /// Right-size to `mib` host memory.
-    pub fn with_mem(mut self, mib: u64) -> Self {
-        self.mem_mib = Some(mib);
-        self
-    }
-
     /// Whether this rule's pattern matches `tool_id`.
     pub fn matches_tool(&self, tool_id: &str) -> bool {
         match self.tool.strip_suffix('*') {
@@ -253,8 +235,7 @@ tool=*
         assert_eq!(rules.right_size("bonito", &NodeClass::a100()), (8, 65_536));
         // cores=8 asked, but the rule's mem cap exceeds nothing on a100;
         // on the smaller k80 host the ask is clamped.
-        let rules2 = DestinationRules::new()
-            .with(DestinationRule::any("*").with_cores(512).with_mem(1 << 30));
+        let rules2 = DestinationRules::parse("tool=* cores=512 mem_mib=1073741824").unwrap();
         assert_eq!(rules2.right_size("x", &NodeClass::k80()), (32, 128 * 1024));
         // No rules: the whole node.
         assert_eq!(DestinationRules::new().right_size("x", &NodeClass::v100()), (40, 256 * 1024));

@@ -565,6 +565,10 @@ mod tests {
     use super::*;
     use crate::job::conf::GYAN_JOB_CONF;
 
+    fn spans_named(rec: &Recorder, name: &str) -> Vec<obs::SpanData> {
+        rec.spans().into_iter().filter(|s| s.name == name).collect()
+    }
+
     const ECHO_TOOL: &str = r#"<tool id="echo" name="Echo">
       <command>echo $text</command>
       <inputs><param name="text" type="text" value="hello"/></inputs>
@@ -693,7 +697,7 @@ mod tests {
         app.submit("echo", &ParamDict::new()).unwrap();
 
         let rec = app.recorder();
-        let job = &rec.spans_named("galaxy.job")[0];
+        let job = &spans_named(rec, "galaxy.job")[0];
         assert_eq!(job.field("tool").and_then(|v| v.as_str()), Some("echo"));
         assert_eq!(job.field("job_id").and_then(|v| v.as_f64()), Some(1.0));
         assert!(job.end.is_some(), "job span must close");
@@ -705,12 +709,12 @@ mod tests {
             "galaxy.container_assembly",
             "galaxy.dispatch",
         ] {
-            let spans = rec.spans_named(phase);
+            let spans = spans_named(rec, phase);
             assert_eq!(spans.len(), 1, "missing phase span {phase}");
             assert_eq!(spans[0].parent, Some(job.id), "{phase} must nest under the job");
             assert!(spans[0].end.is_some(), "{phase} must close");
         }
-        let dispatch = &rec.spans_named("galaxy.dispatch")[0];
+        let dispatch = &spans_named(rec, "galaxy.dispatch")[0];
         assert_eq!(dispatch.field("exit_code").and_then(|v| v.as_f64()), Some(0.0));
 
         let m = rec.metrics();
@@ -739,7 +743,7 @@ mod tests {
         assert_eq!(m.counter_value(JOBS_SUBMITTED_COUNTER), 2);
         assert_eq!(m.counter_value(JOBS_ERROR_COUNTER), 2);
         assert_eq!(m.counter_value(JOBS_OK_COUNTER), 0);
-        let jobs = app.recorder().spans_named("galaxy.job");
+        let jobs = spans_named(app.recorder(), "galaxy.job");
         assert!(jobs.iter().all(|s| s.field("error").is_some()));
     }
 

@@ -87,11 +87,6 @@ impl History {
         }
     }
 
-    /// Dataset by id.
-    pub fn dataset(&self, id: u64) -> Option<&Dataset> {
-        self.datasets.get(Self::position(id)?)
-    }
-
     fn dataset_mut(&mut self, id: u64) -> Option<&mut Dataset> {
         self.datasets.get_mut(Self::position(id)?)
     }
@@ -119,6 +114,13 @@ impl History {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl History {
+        /// Dataset by id.
+        fn dataset(&self, id: u64) -> Option<&Dataset> {
+            self.datasets.get(Self::position(id)?)
+        }
+    }
 
     #[test]
     fn declare_then_complete() {

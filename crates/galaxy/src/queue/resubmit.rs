@@ -83,19 +83,6 @@ impl ResubmitPolicy {
         self
     }
 
-    /// TPV-style placement-aware fallback: after a fleet-GPU failure,
-    /// retry up to `node_retries` times on the same destination with the
-    /// failed node excluded, then fall back to `cpu_destination` —
-    /// falling to CPU early when no viable node class remains.
-    pub fn placement_aware(cpu_destination: impl Into<String>, node_retries: u32) -> Self {
-        ResubmitPolicy {
-            max_attempts: 2 + node_retries,
-            fallbacks: vec![cpu_destination.into()],
-            node_retries,
-            footprint_retries: 0,
-        }
-    }
-
     /// Destination for the attempt after `completed_attempts` failures, or
     /// `None` when the budget is exhausted or no fallback is configured.
     pub fn fallback_for(&self, completed_attempts: u32) -> Option<&str> {
@@ -179,7 +166,17 @@ mod tests {
 
     #[test]
     fn placement_aware_budgets_node_retries_before_cpu() {
-        let p = ResubmitPolicy::placement_aware("local_cpu", 2);
+        let conf = r#"<job_conf>
+          <plugins><plugin id="local" type="runner" load="x"/></plugins>
+          <destinations default="fleet_gpu">
+            <destination id="fleet_gpu" runner="local">
+              <param id="resubmit_destination">local_cpu</param>
+              <param id="resubmit_node_retries">2</param>
+            </destination>
+          </destinations>
+        </job_conf>"#;
+        let config = JobConfig::from_xml(conf).unwrap();
+        let p = ResubmitPolicy::from_destination(config.destination("fleet_gpu").unwrap()).unwrap();
         assert_eq!(p.max_attempts, 4, "1 initial + 2 node retries + 1 CPU");
         assert_eq!(p.node_retries, 2);
         assert_eq!(p.fallbacks, vec!["local_cpu".to_string()]);

@@ -108,11 +108,6 @@ impl<E: JobExecutor> FaultInjectingExecutor<E> {
     pub fn new(inner: E, plan: FaultPlan) -> Self {
         FaultInjectingExecutor { inner, plan }
     }
-
-    /// The shared fault plan (inject through a clone of this).
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
 }
 
 impl<E: JobExecutor> JobExecutor for FaultInjectingExecutor<E> {
@@ -128,6 +123,13 @@ impl<E: JobExecutor> JobExecutor for FaultInjectingExecutor<E> {
 mod tests {
     use super::*;
     use crate::runners::NullExecutor;
+
+    impl<E: JobExecutor> FaultInjectingExecutor<E> {
+        /// The shared fault plan (inject through a clone of this).
+        fn plan(&self) -> &FaultPlan {
+            &self.plan
+        }
+    }
 
     fn plan_for(job_id: u64) -> ExecutionPlan {
         ExecutionPlan {

@@ -68,11 +68,6 @@ impl ExecutionPlan {
     pub fn env_var(&self, key: &str) -> Option<&str> {
         self.env.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
     }
-
-    /// The final command as one shell-ish string (for tests).
-    pub fn rendered_command(&self) -> String {
-        self.command_parts.join(" ")
-    }
 }
 
 /// Result of executing a plan.
@@ -215,7 +210,6 @@ mod tests {
             command_parts: vec!["/bin/bash".into(), "-c".into(), "echo hi".into()],
         };
         assert_eq!(plan.env_var("GALAXY_GPU_ENABLED"), Some("true"));
-        assert_eq!(plan.rendered_command(), "/bin/bash -c echo hi");
     }
 
     #[test]

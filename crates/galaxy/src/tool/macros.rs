@@ -34,11 +34,6 @@ impl MacroLibrary {
         Self::default()
     }
 
-    /// Register a macro file's XML content under its file name.
-    pub fn add_file(&mut self, name: impl Into<String>, content: impl Into<String>) {
-        self.files.insert(name.into(), content.into());
-    }
-
     fn get(&self, name: &str) -> Option<&str> {
         self.files.get(name).map(String::as_str)
     }
@@ -175,6 +170,13 @@ fn substitute_tokens(element: &mut Element, tokens: &[(String, String)]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MacroLibrary {
+        /// Register a macro file's XML content under its file name.
+        pub(crate) fn add_file(&mut self, name: &str, content: &str) {
+            self.files.insert(name.into(), content.into());
+        }
+    }
 
     /// The paper's Code 1 `macros.xml`, verbatim in structure.
     const PAPER_MACROS: &str = r#"<macros>

@@ -8,7 +8,6 @@
 //! (paper §IV-C).
 
 pub mod macros;
-pub mod tests_section;
 pub mod wrapper;
 
 use crate::template::Template;
@@ -57,24 +56,6 @@ pub struct Requirement {
 }
 
 impl Requirement {
-    /// A package requirement.
-    pub fn package(name: impl Into<String>, version: impl Into<String>) -> Self {
-        Requirement {
-            rtype: RequirementType::Package,
-            name: name.into(),
-            version: Some(version.into()),
-        }
-    }
-
-    /// GYAN's GPU compute requirement, optionally pinned to device IDs.
-    pub fn gpu(device_ids: Option<&str>) -> Self {
-        Requirement {
-            rtype: RequirementType::Compute,
-            name: "gpu".to_string(),
-            version: device_ids.map(str::to_string),
-        }
-    }
-
     /// True when this is the `compute`/`gpu` requirement GYAN looks for.
     pub fn is_gpu(&self) -> bool {
         self.rtype == RequirementType::Compute && self.name == "gpu"
@@ -144,8 +125,6 @@ pub struct Tool {
     pub inputs: Vec<ParamDecl>,
     /// Declared outputs.
     pub outputs: Vec<OutputDecl>,
-    /// Embedded functional tests (`<tests>` section).
-    pub tests: Vec<tests_section::ToolTest>,
 }
 
 impl Tool {
@@ -177,6 +156,26 @@ impl Tool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Requirement {
+        /// A package requirement.
+        fn package(name: impl Into<String>, version: impl Into<String>) -> Self {
+            Requirement {
+                rtype: RequirementType::Package,
+                name: name.into(),
+                version: Some(version.into()),
+            }
+        }
+
+        /// GYAN's GPU compute requirement, optionally pinned to device IDs.
+        fn gpu(device_ids: Option<&str>) -> Self {
+            Requirement {
+                rtype: RequirementType::Compute,
+                name: "gpu".to_string(),
+                version: device_ids.map(str::to_string),
+            }
+        }
+    }
 
     #[test]
     fn requirement_type_parses() {

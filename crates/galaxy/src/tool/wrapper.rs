@@ -7,7 +7,6 @@
 use crate::error::GalaxyError;
 use crate::template::Template;
 use crate::tool::macros::{expand_macros, MacroLibrary};
-use crate::tool::tests_section::parse_tests;
 use crate::tool::{
     ContainerRef, ContainerType, OutputDecl, ParamDecl, Requirement, RequirementType, Tool,
 };
@@ -68,11 +67,6 @@ pub fn parse_tool(src: &str, library: &MacroLibrary) -> Result<Tool, GalaxyError
         None => Vec::new(),
     };
 
-    let tests = match root.find("tests") {
-        Some(tests_el) => parse_tests(tests_el)?,
-        None => Vec::new(),
-    };
-
     Ok(Tool {
         id,
         name,
@@ -84,7 +78,6 @@ pub fn parse_tool(src: &str, library: &MacroLibrary) -> Result<Tool, GalaxyError
         command,
         inputs,
         outputs,
-        tests,
     })
 }
 

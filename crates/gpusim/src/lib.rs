@@ -3,7 +3,7 @@
 //! A GPU cluster simulator standing in for the NVIDIA hardware + driver
 //! stack that the GYAN paper runs on (2× Tesla K80 on a Chameleon Cloud
 //! node). GYAN itself never launches CUDA kernels — it *queries* GPU state
-//! (`nvidia-smi -q -x`, `pynvml`) and *constrains* tools
+//! (`nvidia-smi -q -x`) and *constrains* tools
 //! (`CUDA_VISIBLE_DEVICES`, `docker --gpus`, `singularity --nv`). This crate
 //! therefore provides:
 //!
@@ -11,8 +11,6 @@
 //!   process placement and memory accounting;
 //! * [`arch`] — architecture descriptors (Tesla K80/GK210, V100, A100) with
 //!   the microarchitectural parameters the cost model needs;
-//! * [`nvml`] — a `pynvml`-like query API (device count, utilization,
-//!   memory info, running processes);
 //! * [`smi`] — an `nvidia-smi` emulator producing the `-q -x` XML document
 //!   and the human-readable console table shown in the paper's Figs. 10/11;
 //! * [`cuda`] — a CUDA-runtime-like facade (malloc/memcpy/launch/sync) whose
@@ -34,7 +32,6 @@ pub mod device;
 pub mod error;
 pub mod host;
 pub mod kernel;
-pub mod nvml;
 pub mod occupancy;
 pub mod process;
 pub mod profiler;

@@ -86,11 +86,6 @@ impl Profiler {
         sorted(&self.gpu_activities)
     }
 
-    /// Look up one API entry by name.
-    pub fn api_entry(&self, name: &str) -> Option<Entry> {
-        self.api_calls.get(name).copied()
-    }
-
     /// Look up one GPU-activity entry by name.
     pub fn gpu_entry(&self, name: &str) -> Option<Entry> {
         self.gpu_activities.get(name).copied()
@@ -144,6 +139,13 @@ fn sorted(map: &HashMap<String, Entry>) -> Vec<(String, Entry)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Profiler {
+        /// Look up one API entry by name.
+        pub(crate) fn api_entry(&self, name: &str) -> Option<Entry> {
+            self.api_calls.get(name).copied()
+        }
+    }
 
     #[test]
     fn records_accumulate() {

@@ -24,18 +24,6 @@ pub struct TraceEvent {
     pub dur_s: f64,
 }
 
-impl TraceEvent {
-    /// End of the interval.
-    pub fn end_s(&self) -> f64 {
-        self.start_s + self.dur_s
-    }
-
-    /// Whether two intervals overlap in time.
-    pub fn overlaps(&self, other: &TraceEvent) -> bool {
-        self.start_s < other.end_s() && other.start_s < self.end_s()
-    }
-}
-
 /// An append-only trace.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
@@ -71,21 +59,6 @@ impl Trace {
         &self.events
     }
 
-    /// Events on one track, sorted by start time.
-    pub fn track(&self, track: &str) -> Vec<&TraceEvent> {
-        let mut v: Vec<&TraceEvent> = self.events.iter().filter(|e| e.track == track).collect();
-        v.sort_by(|a, b| a.start_s.total_cmp(&b.start_s));
-        v
-    }
-
-    /// Do any two events on *different* tracks overlap? (The signature of
-    /// copy/compute pipelining.)
-    pub fn has_cross_track_overlap(&self, track_a: &str, track_b: &str) -> bool {
-        let a = self.track(track_a);
-        let b = self.track(track_b);
-        a.iter().any(|ea| b.iter().any(|eb| ea.overlaps(eb)))
-    }
-
     /// Merge another trace into this one.
     pub fn merge(&mut self, other: &Trace) {
         self.events.extend(other.events.iter().cloned());
@@ -95,6 +68,27 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TraceEvent {
+        /// End of the interval.
+        pub(crate) fn end_s(&self) -> f64 {
+            self.start_s + self.dur_s
+        }
+
+        /// Whether two intervals overlap in time.
+        pub(crate) fn overlaps(&self, other: &TraceEvent) -> bool {
+            self.start_s < other.end_s() && other.start_s < self.end_s()
+        }
+    }
+
+    impl Trace {
+        /// Events on one track, sorted by start time.
+        pub(crate) fn track(&self, track: &str) -> Vec<&TraceEvent> {
+            let mut v: Vec<&TraceEvent> = self.events.iter().filter(|e| e.track == track).collect();
+            v.sort_by(|a, b| a.start_s.total_cmp(&b.start_s));
+            v
+        }
+    }
 
     #[test]
     fn record_and_query_tracks() {
@@ -123,15 +117,6 @@ mod tests {
         assert!(a.overlaps(&b));
         assert!(!a.overlaps(&c)); // touching intervals do not overlap
         assert!(b.overlaps(&c));
-    }
-
-    #[test]
-    fn cross_track_overlap() {
-        let mut t = Trace::new();
-        t.record("k", "kernel", "gpu0/compute", 1.0, 2.0);
-        t.record("c", "h2d", "gpu0/h2d", 2.0, 2.0);
-        assert!(t.has_cross_track_overlap("gpu0/compute", "gpu0/h2d"));
-        assert!(!t.has_cross_track_overlap("gpu0/compute", "gpu1/h2d"));
     }
 
     #[test]

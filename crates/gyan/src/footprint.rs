@@ -354,11 +354,6 @@ impl FootprintRegistry {
             .collect()
     }
 
-    /// Pending dispatch records currently held (attempts in flight).
-    pub fn pending_count(&self) -> usize {
-        self.lock().pending.len()
-    }
-
     /// Export every profile as `gyan_footprint_*` gauges into `metrics`.
     pub fn export_metrics(&self, metrics: &obs::metrics::Registry) {
         metrics.set_help(
@@ -394,6 +389,13 @@ impl FootprintRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FootprintRegistry {
+        /// Pending dispatch records currently held (attempts in flight).
+        pub(crate) fn pending_count(&self) -> usize {
+            self.lock().pending.len()
+        }
+    }
 
     #[test]
     fn estimate_gated_on_min_samples() {

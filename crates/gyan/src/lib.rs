@@ -11,7 +11,8 @@
 //!   this crate consumes it everywhere.
 //! * **Challenge-II** (exposing GPU availability to the runner):
 //!   [`rules`] implements the `gpu_dynamic_destination` job rule that maps
-//!   jobs to GPU or CPU destinations from live `pynvml` queries, and
+//!   jobs to GPU or CPU destinations from live GPU availability (the
+//!   paper's `pynvml` queries), and
 //!   [`orchestrator`] exports `GALAXY_GPU_ENABLED` and bridges
 //!   `__galaxy_gpu_enabled__` into the tool's parameter dictionary.
 //! * **Challenge-III** (GPU support for containerized tools):

@@ -127,11 +127,6 @@ impl UsageMonitor {
         self.state.lock().samples.clone()
     }
 
-    /// All samples collected so far.
-    pub fn samples(&self) -> Vec<Sample> {
-        self.state.lock().samples.clone()
-    }
-
     /// Post-process into per-device min/max/avg statistics.
     pub fn stats(&self) -> Vec<UsageStats> {
         let samples = self.state.lock();
@@ -217,6 +212,13 @@ fn snapshot_devices(cluster: &GpuCluster) -> Vec<DeviceSample> {
 mod tests {
     use super::*;
     use gpusim::GpuProcess;
+
+    impl UsageMonitor {
+        /// All samples collected so far.
+        fn samples(&self) -> Vec<Sample> {
+            self.state.lock().samples.clone()
+        }
+    }
 
     #[test]
     fn samples_once_per_virtual_second() {

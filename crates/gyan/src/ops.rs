@@ -417,7 +417,7 @@ mod tests {
         assert_eq!(jobs[0].get("state").and_then(|v| v.as_str()), Some("queued"));
         assert_eq!(jobs[0].get("destination").and_then(|v| v.as_str()), Some("local_gpu"));
         assert_eq!(jobs[0].get("node").and_then(|v| v.as_str()), Some("k80-000"));
-        assert!(jobs[0].get("finished_at").map(|v| v.is_null()).unwrap_or(false));
+        assert_eq!(jobs[0].get("finished_at"), Some(&obs::json::JsonValue::Null));
         let leases = jobs[0].get("leases").and_then(|v| v.as_array()).unwrap();
         assert_eq!(leases.len(), 1);
         assert_eq!(leases[0].get("device").and_then(|v| v.as_f64()), Some(0.0));

@@ -54,12 +54,6 @@ pub struct LoadProfile {
 }
 
 impl LoadProfile {
-    /// A flat profile at `rate` jobs/second — no diurnal swing, no
-    /// bursts. The degenerate case used to calibrate the sampler.
-    pub fn constant(rate: f64) -> Self {
-        LoadProfile { base_rate: rate, diurnal_amplitude: 0.0, period_s: 0.0, bursts: Vec::new() }
-    }
-
     /// Instantaneous rate λ(t), never negative.
     pub fn rate_at(&self, t: f64) -> f64 {
         let mut rate = self.base_rate;
@@ -140,8 +134,9 @@ mod tests {
 
     #[test]
     fn constant_profile_matches_configured_rate() {
-        let arrivals: Vec<f64> =
-            ArrivalProcess::new(LoadProfile::constant(2.0), 10_000.0, 7).collect();
+        let flat =
+            LoadProfile { base_rate: 2.0, diurnal_amplitude: 0.0, period_s: 0.0, bursts: vec![] };
+        let arrivals: Vec<f64> = ArrivalProcess::new(flat, 10_000.0, 7).collect();
         // 2 jobs/s over 10^4 s: the count concentrates around 20 000.
         let rate = arrivals.len() as f64 / 10_000.0;
         assert!((rate - 2.0).abs() < 0.1, "empirical rate {rate}");

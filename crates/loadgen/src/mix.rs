@@ -40,29 +40,6 @@ impl BoundedPareto {
         // Clamp against floating-point drift at the edges.
         x.clamp(self.xm, self.cap)
     }
-
-    /// Analytic mean of the truncated distribution (α ≠ 1).
-    pub fn mean(&self) -> f64 {
-        let (xm, cap, a) = (self.xm, self.cap, self.alpha);
-        if (a - 1.0).abs() < 1e-9 {
-            // α = 1: mean = ln(cap/xm) / (1/xm − 1/cap).
-            return (cap / xm).ln() / (1.0 / xm - 1.0 / cap);
-        }
-        let r = (xm / cap).powf(a);
-        (a * xm / (a - 1.0)) * (1.0 - (xm / cap).powf(a - 1.0)) / (1.0 - r)
-    }
-
-    /// Tail probability P(X > x) of the truncated distribution.
-    pub fn tail(&self, x: f64) -> f64 {
-        if x <= self.xm {
-            return 1.0;
-        }
-        if x >= self.cap {
-            return 0.0;
-        }
-        let r = (self.xm / self.cap).powf(self.alpha);
-        ((self.xm / x).powf(self.alpha) - r) / (1.0 - r)
-    }
 }
 
 /// Skewed assignment of work to a (possibly huge) user population.
@@ -92,6 +69,31 @@ impl UserMix {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    impl BoundedPareto {
+        /// Analytic mean of the truncated distribution (α ≠ 1).
+        fn mean(&self) -> f64 {
+            let (xm, cap, a) = (self.xm, self.cap, self.alpha);
+            if (a - 1.0).abs() < 1e-9 {
+                // α = 1: mean = ln(cap/xm) / (1/xm − 1/cap).
+                return (cap / xm).ln() / (1.0 / xm - 1.0 / cap);
+            }
+            let r = (xm / cap).powf(a);
+            (a * xm / (a - 1.0)) * (1.0 - (xm / cap).powf(a - 1.0)) / (1.0 - r)
+        }
+
+        /// Tail probability P(X > x) of the truncated distribution.
+        fn tail(&self, x: f64) -> f64 {
+            if x <= self.xm {
+                return 1.0;
+            }
+            if x >= self.cap {
+                return 0.0;
+            }
+            let r = (self.xm / self.cap).powf(self.alpha);
+            ((self.xm / x).powf(self.alpha) - r) / (1.0 - r)
+        }
+    }
 
     #[test]
     fn samples_stay_inside_the_bounds() {

@@ -25,14 +25,6 @@ pub enum FlightRecord {
 }
 
 impl FlightRecord {
-    /// The record's timestamp: span start or event time.
-    pub fn t(&self) -> f64 {
-        match self {
-            FlightRecord::Span(s) => s.start,
-            FlightRecord::Event(e) => e.t,
-        }
-    }
-
     /// The record's name.
     pub fn name(&self) -> &str {
         match self {
@@ -84,40 +76,6 @@ impl FlightSnapshot {
         }
         out
     }
-
-    /// Render as a Chrome trace (JSON string): closed spans become
-    /// complete events on a `flightrec/spans` track, events become
-    /// zero-duration slices on `flightrec/events`. Open spans are
-    /// clipped to the capture time.
-    pub fn to_chrome_trace(&self) -> String {
-        let mut trace = crate::chrome::TraceBuilder::new();
-        for record in &self.records {
-            match record {
-                FlightRecord::Span(s) => {
-                    let end = s.end.unwrap_or(self.captured_at).max(s.start);
-                    trace.add_complete(
-                        s.name.clone(),
-                        "flightrec",
-                        "flightrec/spans",
-                        s.start,
-                        end - s.start,
-                        s.fields.clone(),
-                    );
-                }
-                FlightRecord::Event(e) => {
-                    trace.add_complete(
-                        e.name.clone(),
-                        "flightrec",
-                        "flightrec/events",
-                        e.t,
-                        0.0,
-                        e.fields.clone(),
-                    );
-                }
-            }
-        }
-        trace.to_json()
-    }
 }
 
 #[cfg(test)]
@@ -127,10 +85,21 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
+    impl super::FlightRecord {
+        /// The record's timestamp: span start or event time.
+        pub(crate) fn t(&self) -> f64 {
+            match self {
+                super::FlightRecord::Span(s) => s.start,
+                super::FlightRecord::Event(e) => e.t,
+            }
+        }
+    }
+
     fn stepped() -> (Recorder, Arc<AtomicU64>) {
         let cell = Arc::new(AtomicU64::new(0));
         let c = cell.clone();
-        let rec = Recorder::with_clock(move || c.load(Ordering::SeqCst) as f64 / 1000.0);
+        let rec = Recorder::new();
+        rec.set_clock(move || c.load(Ordering::SeqCst) as f64 / 1000.0);
         (rec, cell)
     }
 
@@ -235,24 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_export_is_valid_json_with_both_tracks() {
-        let (rec, clock) = stepped();
-        let s = rec.span("work");
-        clock.store(2000, Ordering::SeqCst);
-        s.end();
-        rec.event("decision", [("gpu", 0u64)]);
-
-        let trace = rec.flight_snapshot().to_chrome_trace();
-        let parsed = json::parse(&trace).expect("chrome trace parses");
-        let events = parsed.get("traceEvents").and_then(|v| v.as_array()).unwrap();
-        assert!(!events.is_empty());
-        let names: Vec<_> =
-            events.iter().filter_map(|e| e.get("name").and_then(|n| n.as_str())).collect();
-        assert!(names.contains(&"work"), "{names:?}");
-        assert!(names.contains(&"decision"), "{names:?}");
-    }
-
-    #[test]
     fn snapshot_ordering_is_stable_across_wraps_and_repeat_captures() {
         let (rec, clock) = stepped();
         // Record far more than the window holds; the window must still
@@ -281,7 +232,7 @@ mod tests {
     }
 
     #[test]
-    fn mid_wrap_dump_replays_into_a_valid_chrome_trace() {
+    fn mid_wrap_dump_holds_the_window_and_the_open_span() {
         let (rec, clock) = stepped();
         // Interleave spans and events well past capacity so the capture
         // lands mid-wrap, with one span still open at capture time.
@@ -300,23 +251,16 @@ mod tests {
         assert_eq!(snap.len(), CAPACITY + 1, "the window plus the open span");
         assert_eq!(snap.dropped, 18, "capture must land mid-wrap");
 
-        let trace = snap.to_chrome_trace();
-        let parsed = json::parse(&trace).expect("mid-wrap dump parses as a Chrome trace");
-        let events = parsed.get("traceEvents").and_then(|v| v.as_array()).unwrap();
-        // Every windowed record becomes a complete event with a
-        // non-negative duration; the open span is clipped to capture
-        // time rather than emitted with a null end.
-        let complete: Vec<_> =
-            events.iter().filter(|e| e.get("ph").and_then(|v| v.as_str()) == Some("X")).collect();
-        assert_eq!(complete.len(), snap.len());
-        for e in &complete {
-            assert!(e.get("dur").and_then(|v| v.as_f64()).unwrap() >= 0.0);
-        }
-        let open = complete
-            .iter()
-            .find(|e| e.get("name").and_then(|v| v.as_str()) == Some("in_flight"))
-            .expect("open span present in the trace");
-        // Clipped: started at the last wave's end, captured 1s later.
-        assert_eq!(open.get("dur").and_then(|v| v.as_f64()), Some(1_000_000.0));
+        // The dump `/api/flightrec` serves: a header carrying the drop
+        // count, then one parseable line per record, the open span last
+        // with no end.
+        let dump = snap.to_jsonl();
+        let lines: Vec<_> =
+            dump.lines().map(|l| json::parse(l).expect("dump line parses")).collect();
+        assert_eq!(lines[0].get("dropped").and_then(|v| v.as_f64()), Some(18.0));
+        assert_eq!(lines.len(), 1 + snap.len());
+        let open = lines.last().unwrap();
+        assert_eq!(open.get("name").and_then(|v| v.as_str()), Some("in_flight"));
+        assert_eq!(open.get("end"), Some(&json::JsonValue::Null));
     }
 }

@@ -60,11 +60,6 @@ impl JsonValue {
             _ => None,
         }
     }
-
-    /// Whether this is JSON `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, JsonValue::Null)
-    }
 }
 
 /// Parse one JSON document; trailing non-whitespace is an error.
@@ -240,7 +235,7 @@ mod tests {
             parse(r#"{"a": [1, 2.5, -3e2], "b": {"c": "x\ny", "d": null}, "e": true}"#).unwrap();
         assert_eq!(doc.get("a").unwrap().as_array().unwrap()[2].as_f64(), Some(-300.0));
         assert_eq!(doc.get("b").unwrap().get("c").unwrap().as_str(), Some("x\ny"));
-        assert!(doc.get("b").unwrap().get("d").unwrap().is_null());
+        assert_eq!(doc.get("b").unwrap().get("d"), Some(&JsonValue::Null));
         assert_eq!(doc.get("e").unwrap().as_bool(), Some(true));
     }
 

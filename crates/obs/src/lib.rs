@@ -389,13 +389,6 @@ impl Recorder {
         }
     }
 
-    /// A recorder reading timestamps from `clock`.
-    pub fn with_clock(clock: impl Fn() -> f64 + Send + Sync + 'static) -> Self {
-        let r = Recorder::new();
-        r.set_clock(clock);
-        r
-    }
-
     /// Replace the timestamp source (e.g. with a virtual clock). The
     /// clock is called with the recorder's log lock held (one call per
     /// event or batch of events, two per span, one per
@@ -550,12 +543,6 @@ impl Recorder {
         log.events.iter().filter(|(_, e)| e.name == name).map(|(_, e)| e.clone()).collect()
     }
 
-    /// Spans with the given name.
-    pub fn spans_named(&self, name: &str) -> Vec<SpanData> {
-        let log = self.log();
-        LogState::by_id(log.spans().filter(|s| s.name == name)).into_iter().cloned().collect()
-    }
-
     /// Export the span/event log as JSON Lines: one object per line,
     /// spans first (in open order), then events (in emit order).
     pub fn to_jsonl(&self) -> String {
@@ -661,7 +648,8 @@ mod tests {
         // Clock in milliseconds stored in an atomic; tests advance it.
         let cell = Arc::new(ClockCell::new(0));
         let c = cell.clone();
-        let rec = Recorder::with_clock(move || c.load(ClockOrdering::SeqCst) as f64 / 1000.0);
+        let rec = Recorder::new();
+        rec.set_clock(move || c.load(ClockOrdering::SeqCst) as f64 / 1000.0);
         (rec, cell)
     }
 
@@ -670,7 +658,7 @@ mod tests {
         let (rec, clock) = stepped_recorder();
         let root = rec.span("job");
         clock.store(100, ClockOrdering::SeqCst);
-        let child = rec.spans_named("job");
+        let child: Vec<_> = rec.spans().into_iter().filter(|s| s.name == "job").collect();
         assert_eq!(child.len(), 1);
         let inner = root.child("phase");
         inner.field("tool", "racon_gpu");
@@ -879,7 +867,8 @@ mod tests {
     fn concurrent_writers_log_in_time_order() {
         let ticks = Arc::new(ClockCell::new(0));
         let t = ticks.clone();
-        let rec = Recorder::with_clock(move || t.fetch_add(1, ClockOrdering::SeqCst) as f64);
+        let rec = Recorder::new();
+        rec.set_clock(move || t.fetch_add(1, ClockOrdering::SeqCst) as f64);
         // Three writers and the snapshot taker start together.
         let start = Arc::new(std::sync::Barrier::new(4));
         let writers: Vec<_> = (0..3u64)

@@ -322,12 +322,7 @@ pub struct PromSample {
     pub value: f64,
 }
 
-impl PromSample {
-    /// Look up a label by key.
-    pub fn label(&self, key: &str) -> Option<&str> {
-        self.labels.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
-    }
-}
+impl PromSample {}
 
 /// Parse Prometheus text exposition into samples; `#` lines are skipped,
 /// malformed lines are errors.
@@ -406,6 +401,13 @@ fn parse_labels(body: &str, lineno: usize) -> Result<Vec<(String, String)>, Stri
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl PromSample {
+        /// Look up a label by key.
+        fn label(&self, key: &str) -> Option<&str> {
+            self.labels.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
+        }
+    }
 
     #[test]
     fn counters_gauges_histograms_round_trip() {

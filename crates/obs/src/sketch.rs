@@ -118,11 +118,6 @@ impl QuantileSketch {
         self.sum
     }
 
-    /// Exact mean (`None` while empty).
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.sum / self.count as f64)
-    }
-
     /// Estimate the `q`-quantile (`q` in `[0, 1]`, clamped). Returns
     /// `None` while empty. Estimates are clamped into `[min, max]`, so
     /// `quantile(0.0)` and `quantile(1.0)` are exact.
@@ -188,6 +183,13 @@ pub fn bucket_label(bucket: u32) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl QuantileSketch {
+        /// Exact mean (`None` while empty).
+        fn mean(&self) -> Option<f64> {
+            (self.count > 0).then_some(self.sum / self.count as f64)
+        }
+    }
 
     fn filled(values: &[f64]) -> QuantileSketch {
         let mut s = QuantileSketch::default();

@@ -375,7 +375,8 @@ mod tests {
     fn stepped() -> (Recorder, Arc<AtomicU64>) {
         let cell = Arc::new(AtomicU64::new(0));
         let c = cell.clone();
-        let rec = Recorder::with_clock(move || c.load(Ordering::SeqCst) as f64);
+        let rec = Recorder::new();
+        rec.set_clock(move || c.load(Ordering::SeqCst) as f64);
         (rec, cell)
     }
 
@@ -477,6 +478,6 @@ mod tests {
         let alerts = doc.get("alerts").and_then(|v| v.as_array()).unwrap();
         assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].get("state").and_then(|v| v.as_str()), Some("inactive"));
-        assert_eq!(alerts[0].get("value").map(|v| v.is_null()), Some(true));
+        assert_eq!(alerts[0].get("value"), Some(&crate::json::JsonValue::Null));
     }
 }

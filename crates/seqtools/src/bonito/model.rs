@@ -42,21 +42,6 @@ impl BonitoModel {
         BonitoModel { convs, head_w, head_b }
     }
 
-    /// A tiny model for fast tests.
-    pub fn tiny(seed: u64) -> Self {
-        let convs = vec![
-            Conv1d::new_seeded(1, 4, 5, 2, Activation::Swish, seed ^ 0x11),
-            Conv1d::new_seeded(4, 6, 3, 2, Activation::Swish, seed ^ 0x12),
-        ];
-        let (head_w, head_b) = head_init(6, seed ^ 0x13);
-        BonitoModel { convs, head_w, head_b }
-    }
-
-    /// The convolutional feature stack.
-    pub fn layers(&self) -> &[Conv1d] {
-        &self.convs
-    }
-
     /// Total downsampling factor (signal samples per output timestep).
     pub fn downsample(&self) -> usize {
         self.convs.iter().map(|l| l.stride).product()
@@ -132,6 +117,25 @@ impl BonitoModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl BonitoModel {
+        /// The convolutional feature stack.
+        fn layers(&self) -> &[Conv1d] {
+            &self.convs
+        }
+    }
+
+    impl BonitoModel {
+        /// A tiny model for fast tests.
+        pub(crate) fn tiny(seed: u64) -> Self {
+            let convs = vec![
+                Conv1d::new_seeded(1, 4, 5, 2, Activation::Swish, seed ^ 0x11),
+                Conv1d::new_seeded(4, 6, 3, 2, Activation::Swish, seed ^ 0x12),
+            ];
+            let (head_w, head_b) = head_init(6, seed ^ 0x13);
+            BonitoModel { convs, head_w, head_b }
+        }
+    }
 
     #[test]
     fn forward_shape() {

@@ -89,11 +89,6 @@ impl DatasetSpec {
         }
     }
 
-    /// Factor by which to scale work accounting to reach paper scale.
-    pub fn work_scale(&self) -> f64 {
-        self.paper_bytes / self.synthetic_bytes()
-    }
-
     /// All paper datasets.
     pub fn all() -> Vec<DatasetSpec> {
         vec![Self::alzheimers_nfl(), Self::acinetobacter_pittii(), Self::klebsiella_ksb2()]
@@ -108,6 +103,13 @@ impl DatasetSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl DatasetSpec {
+        /// Factor by which to scale work accounting to reach paper scale.
+        fn work_scale(&self) -> f64 {
+            self.paper_bytes / self.synthetic_bytes()
+        }
+    }
 
     #[test]
     fn work_scales_are_large_and_ordered() {

@@ -17,7 +17,7 @@ use crate::bonito::{basecall_cpu, basecall_gpu, BonitoInput, BonitoModel, Bonito
 use crate::datasets::DatasetSpec;
 use crate::racon::{polish_cpu, polish_gpu, RaconInput, RaconOpts};
 use galaxy::runners::{ExecutionPlan, ExecutionResult, JobExecutor};
-use gpusim::{CudaContext, GpuCluster, GpuProcess, Profiler, Trace};
+use gpusim::{CudaContext, GpuCluster, GpuProcess, Trace};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -48,7 +48,6 @@ pub struct ToolExecutor {
     datasets: Mutex<HashMap<String, DatasetSpec>>,
     racon_cache: Mutex<HashMap<String, Arc<RaconInput>>>,
     bonito_cache: Mutex<HashMap<String, Arc<BonitoInput>>>,
-    profilers: Mutex<Vec<(u64, Profiler)>>,
     traces: Mutex<Vec<(u64, Trace)>>,
 }
 
@@ -66,7 +65,6 @@ impl ToolExecutor {
             datasets: Mutex::new(datasets),
             racon_cache: Mutex::new(HashMap::new()),
             bonito_cache: Mutex::new(HashMap::new()),
-            profilers: Mutex::new(Vec::new()),
             traces: Mutex::new(Vec::new()),
         }
     }
@@ -80,11 +78,6 @@ impl ToolExecutor {
     /// Register (or override) a dataset, addressable from command lines.
     pub fn register_dataset(&self, spec: DatasetSpec) {
         self.datasets.lock().insert(spec.name.to_ascii_lowercase(), spec);
-    }
-
-    /// Processes currently lingering on GPUs.
-    pub fn lingering(&self) -> Vec<LingeringProcess> {
-        self.lingering.lock().clone()
     }
 
     /// Release one lingering process (the job's owner killed it).
@@ -104,11 +97,6 @@ impl ToolExecutor {
         for pid in pids {
             self.release(pid);
         }
-    }
-
-    /// NVProf-style profiler for a finished job, when it used the GPU.
-    pub fn profiler_for_job(&self, job_id: u64) -> Option<Profiler> {
-        self.profilers.lock().iter().find(|(id, _)| *id == job_id).map(|(_, p)| p.clone())
     }
 
     /// Execution timeline of a finished GPU job (rendered as a Chrome
@@ -176,8 +164,7 @@ impl ToolExecutor {
                 Ok(report) => {
                     let minors = ctx.visible_minors().to_vec();
                     self.traces.lock().push((plan.job_id, ctx.trace.clone()));
-                    let profiler = ctx.destroy();
-                    self.profilers.lock().push((plan.job_id, profiler));
+                    ctx.destroy();
                     self.maybe_linger(pid, &minors, "/usr/bin/racon_gpu", RACON_LINGER_MIB);
                     ExecutionResult::ok(consensus_fasta(&report.consensus)).with_pid(pid)
                 }
@@ -215,8 +202,7 @@ impl ToolExecutor {
                 Ok(report) => {
                     let minors = ctx.visible_minors().to_vec();
                     self.traces.lock().push((plan.job_id, ctx.trace.clone()));
-                    let profiler = ctx.destroy();
-                    self.profilers.lock().push((plan.job_id, profiler));
+                    ctx.destroy();
                     self.maybe_linger(pid, &minors, "bonito", BONITO_LINGER_MIB);
                     ExecutionResult::ok(report.fasta).with_pid(pid)
                 }
@@ -277,6 +263,13 @@ mod tests {
     use super::*;
     use galaxy::runners::ExecutionPlan;
 
+    impl ToolExecutor {
+        /// Processes currently lingering on GPUs.
+        fn lingering(&self) -> Vec<LingeringProcess> {
+            self.lingering.lock().clone()
+        }
+    }
+
     fn tiny_racon_spec() -> DatasetSpec {
         DatasetSpec {
             name: "tiny_racon",
@@ -313,7 +306,7 @@ mod tests {
         assert!(result.pid.is_some());
         // Without linger, devices are free afterwards.
         assert_eq!(cluster.available_devices(), vec![0, 1]);
-        assert!(exec.profiler_for_job(1).is_some());
+        assert!(exec.trace_for_job(1).is_some());
     }
 
     #[test]

@@ -1,6 +1,4 @@
-//! FASTA parsing and writing.
-
-use std::fmt;
+//! FASTA writing.
 
 /// One FASTA record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,66 +26,6 @@ impl FastaRecord {
     }
 }
 
-/// Error from FASTA parsing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FastaError(pub String);
-
-impl fmt::Display for FastaError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "FASTA error: {}", self.0)
-    }
-}
-
-impl std::error::Error for FastaError {}
-
-/// Parse FASTA text into records. Multi-line sequences are concatenated;
-/// blank lines are ignored; sequence characters are validated and
-/// uppercased.
-pub fn parse_fasta(text: &str) -> Result<Vec<FastaRecord>, FastaError> {
-    let mut records = Vec::new();
-    let mut current: Option<FastaRecord> = None;
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim_end();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(header) = line.strip_prefix('>') {
-            if let Some(rec) = current.take() {
-                if rec.seq.is_empty() {
-                    return Err(FastaError(format!("record {:?} has no sequence", rec.id)));
-                }
-                records.push(rec);
-            }
-            let id = header.trim();
-            if id.is_empty() {
-                return Err(FastaError(format!("empty header at line {}", lineno + 1)));
-            }
-            current = Some(FastaRecord::new(id, String::new()));
-        } else {
-            let rec = current.as_mut().ok_or_else(|| {
-                FastaError(format!("sequence before header at line {}", lineno + 1))
-            })?;
-            for ch in line.chars() {
-                let up = ch.to_ascii_uppercase();
-                if !matches!(up, 'A' | 'C' | 'G' | 'T' | 'N') {
-                    return Err(FastaError(format!(
-                        "illegal character {ch:?} at line {}",
-                        lineno + 1
-                    )));
-                }
-                rec.seq.push(up);
-            }
-        }
-    }
-    if let Some(rec) = current {
-        if rec.seq.is_empty() {
-            return Err(FastaError(format!("record {:?} has no sequence", rec.id)));
-        }
-        records.push(rec);
-    }
-    Ok(records)
-}
-
 /// Write records as FASTA with `width`-column wrapping (0 = no wrapping).
 pub fn write_fasta(records: &[FastaRecord], width: usize) -> String {
     let mut out = String::new();
@@ -109,8 +47,54 @@ pub fn write_fasta(records: &[FastaRecord], width: usize) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The reader the writer is checked against: FASTA text into records.
+    /// Multi-line sequences are concatenated; blank lines are ignored;
+    /// sequence characters are validated and uppercased.
+    pub(crate) fn parse_fasta(text: &str) -> Result<Vec<FastaRecord>, String> {
+        let mut records = Vec::new();
+        let mut current: Option<FastaRecord> = None;
+        for (lineno, line) in text.lines().enumerate() {
+            let line = line.trim_end();
+            if line.is_empty() {
+                continue;
+            }
+            if let Some(header) = line.strip_prefix('>') {
+                if let Some(rec) = current.take() {
+                    if rec.seq.is_empty() {
+                        return Err(format!("record {:?} has no sequence", rec.id));
+                    }
+                    records.push(rec);
+                }
+                let id = header.trim();
+                if id.is_empty() {
+                    return Err(format!("empty header at line {}", lineno + 1));
+                }
+                current = Some(FastaRecord::new(id, String::new()));
+            } else {
+                let rec = current
+                    .as_mut()
+                    .ok_or_else(|| format!("sequence before header at line {}", lineno + 1))?;
+                for ch in line.chars() {
+                    let up = ch.to_ascii_uppercase();
+                    if !matches!(up, 'A' | 'C' | 'G' | 'T' | 'N') {
+                        return Err(format!("illegal character {ch:?} at line {}", lineno + 1));
+                    }
+                    rec.seq.push(up);
+                }
+            }
+        }
+        if let Some(rec) = current {
+            if rec.seq.is_empty() {
+                return Err(format!("record {:?} has no sequence", rec.id));
+            }
+            records.push(rec);
+        }
+        Ok(records)
+    }
 
     #[test]
     fn parse_simple() {
@@ -143,5 +127,21 @@ mod tests {
     fn empty_input_is_empty_vec() {
         assert!(parse_fasta("").unwrap().is_empty());
         assert!(parse_fasta("\n\n").unwrap().is_empty());
+    }
+
+    proptest! {
+        /// FASTA round-trips arbitrary valid records at any wrap width.
+        #[test]
+        fn fasta_roundtrip(
+            seqs in prop::collection::vec("[ACGTN]{1,80}", 1..5),
+            width in 0usize..50,
+        ) {
+            let records: Vec<FastaRecord> = seqs
+                .iter()
+                .enumerate()
+                .map(|(i, s)| FastaRecord::new(format!("r{i}"), s.clone()))
+                .collect();
+            prop_assert_eq!(parse_fasta(&write_fasta(&records, width)).unwrap(), records);
+        }
     }
 }

@@ -16,7 +16,7 @@
 //!   the GPU path issues GEMM kernels to the simulator (Fig. 6's
 //!   hotspots).
 //!
-//! Supporting substrates: FASTA I/O ([`fasta`]), the FASTQ read record
+//! Supporting substrates: FASTA output ([`fasta`]), the FASTQ read record
 //! ([`fastq`]), synthetic genomes and error-modelled long reads ([`sim`]),
 //! banded edit distance for identity evaluation ([`align`]), named dataset
 //! descriptors with paper-scale work factors ([`datasets`]), and a

@@ -50,11 +50,6 @@ impl PoaGraph {
         self.nodes.len()
     }
 
-    /// Number of sequences added so far.
-    pub fn sequence_count(&self) -> usize {
-        self.sequences
-    }
-
     pub(crate) fn add_node(&mut self, base: u8, pos: u32) -> usize {
         self.nodes.push(Node { base, pos, in_edges: Vec::new(), out_edges: Vec::new() });
         self.nodes.len() - 1
@@ -207,16 +202,40 @@ impl PoaGraph {
         path.reverse();
         String::from_utf8(path).expect("bases are ASCII")
     }
-
-    /// Total edge weight in the graph (diagnostic).
-    pub fn total_edge_weight(&self) -> u64 {
-        self.nodes.iter().flat_map(|n| n.out_edges.iter()).map(|&(_, w)| u64::from(w)).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    impl PoaGraph {
+        /// Number of sequences added so far.
+        pub(crate) fn sequence_count(&self) -> usize {
+            self.sequences
+        }
+
+        /// Total edge weight in the graph.
+        fn total_edge_weight(&self) -> u64 {
+            self.nodes.iter().flat_map(|n| n.out_edges.iter()).map(|&(_, w)| u64::from(w)).sum()
+        }
+    }
+
+    proptest! {
+        /// POA: adding the same sequence N times always yields that sequence
+        /// as consensus, and edge weights grow linearly.
+        #[test]
+        fn poa_consensus_of_repeats_is_identity(seq in "[ACGT]{10,60}", n in 1usize..5) {
+            let mut g = PoaGraph::from_sequence(seq.as_bytes());
+            for _ in 0..n {
+                g.add_sequence(seq.as_bytes(), None);
+            }
+            prop_assert_eq!(g.consensus(), seq.clone());
+            prop_assert_eq!(g.consensus_anchored(), seq.clone());
+            prop_assert_eq!(g.node_count(), seq.len());
+            prop_assert_eq!(g.total_edge_weight() as usize, (n + 1) * (seq.len() - 1));
+        }
+    }
 
     #[test]
     fn single_sequence_consensus_is_identity() {

@@ -51,10 +51,6 @@ pub const H2D_PAD_FACTOR: f64 = 2.5;
 /// Fraction of input bytes returned as results (D2H).
 pub const D2H_FRAC: f64 = 0.12;
 
-/// Banding cuts computed cells roughly by this factor at racon's default
-/// band (observed from the real banded DP; used only in docs/tests).
-pub const EXPECTED_BAND_SPEEDUP_MIN: f64 = 1.5;
-
 /// Threads per block of `generatePOAKernel` (one block per window, as in
 /// ClaraGenomics cudapoa).
 pub const POA_BLOCK_THREADS: u32 = 128;

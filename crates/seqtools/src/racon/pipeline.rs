@@ -399,6 +399,10 @@ mod tests {
         assert_eq!(t1.consensus, t8.consensus);
     }
 
+    /// Banding cuts computed cells roughly by this factor at racon's
+    /// default band (observed from the real banded DP).
+    const EXPECTED_BAND_SPEEDUP_MIN: f64 = 1.5;
+
     #[test]
     fn banding_reduces_cells() {
         let input = RaconInput::from_dataset(&tiny_dataset());
@@ -411,7 +415,7 @@ mod tests {
             &VirtualClock::new(),
         );
         assert!(
-            (banded.cells as f64) < full.cells as f64 / model::EXPECTED_BAND_SPEEDUP_MIN,
+            (banded.cells as f64) < full.cells as f64 / EXPECTED_BAND_SPEEDUP_MIN,
             "banded {} vs full {}",
             banded.cells,
             full.cells

@@ -32,15 +32,6 @@ impl ErrorModel {
     pub fn total(&self) -> f64 {
         self.mismatch + self.insertion + self.deletion
     }
-
-    /// Uniformly scale all error rates.
-    pub fn scaled(&self, factor: f64) -> Self {
-        ErrorModel {
-            mismatch: self.mismatch * factor,
-            insertion: self.insertion * factor,
-            deletion: self.deletion * factor,
-        }
-    }
 }
 
 /// Apply the error model to a template sequence.
@@ -92,6 +83,17 @@ pub fn sample_reads(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ErrorModel {
+        /// Uniformly scale all error rates.
+        pub(crate) fn scaled(&self, factor: f64) -> Self {
+            ErrorModel {
+                mismatch: self.mismatch * factor,
+                insertion: self.insertion * factor,
+                deletion: self.deletion * factor,
+            }
+        }
+    }
     use crate::sim::genome::random_genome;
 
     #[test]

@@ -52,11 +52,16 @@ echo "==> allocation budget (tests/alloc_budget.rs, release)"
 budget=$(cargo test --release -q --test alloc_budget -- --nocapture) || { echo "$budget"; exit 1; }
 grep '^allocations:' <<<"$budget"
 
-# Public items that nothing outside their own unit tests names: a report,
-# like the allocations line, not a gate. ROADMAP item 8 says why each
-# listed item stays.
-echo "==> orphaned public items (scripts/orphans.sh)"
+# Public items that nothing outside their own unit tests names, then the
+# `test-only` kind: items only test code names. A report, like the
+# allocations line, not a gate. ROADMAP item 8 says why each listed item
+# stays.
+echo "==> orphaned and test-only public items (scripts/orphans.sh)"
 scripts/orphans.sh
+
+# Lines removed are a reported metric: the non-test line total.
+echo "==> non-test lines (scripts/loc.sh)"
+scripts/loc.sh | tail -n 1
 
 echo "==> ops-server smoke (scrape + health over live HTTP)"
 cargo run -q --release --example ops_server -- --check

@@ -101,7 +101,7 @@ fn bonito_speedup_exceeds_fifty() {
         ..DatasetSpec::acinetobacter_pittii()
     };
     let input = BonitoInput::from_dataset(&spec);
-    let model = BonitoModel::tiny(spec.seed);
+    let model = BonitoModel::pretrained(spec.seed);
     let opts = BonitoOpts { chunk: 500, batch: 8, threads: 4 };
 
     let cpu = basecall_cpu(&input, &model, &opts, &HostSpec::xeon_e5_2670(), &VirtualClock::new());
@@ -125,7 +125,7 @@ fn klebsiella_cpu_time_is_roughly_four_times_acinetobacter() {
         ..spec
     };
     let host = HostSpec::xeon_e5_2670();
-    let model = BonitoModel::tiny(1);
+    let model = BonitoModel::pretrained(1);
     let opts = BonitoOpts { chunk: 500, batch: 8, threads: 4 };
 
     let aci = shrink(DatasetSpec::acinetobacter_pittii(), 3);

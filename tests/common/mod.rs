@@ -72,7 +72,7 @@ pub fn record_launches(app: &mut GalaxyApp, executor: impl JobExecutor + 'static
     }
     impl<E: JobExecutor> JobExecutor for Recording<E> {
         fn execute(&self, plan: &ExecutionPlan) -> ExecutionResult {
-            self.launched.lock().unwrap().push(plan.rendered_command());
+            self.launched.lock().unwrap().push(plan.command_parts.join(" "));
             self.inner.execute(plan)
         }
     }

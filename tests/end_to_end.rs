@@ -82,9 +82,9 @@ fn gpu_job_runs_on_gpu_destination_with_device_mask() {
     assert_eq!(job.env_var("CUDA_VISIBLE_DEVICES"), Some("0,1"));
     assert!(job.command_line.as_deref().unwrap().starts_with("racon_gpu"));
     assert!(job.runtime().unwrap() > 0.0);
-    // The GPU run produced an NVProf profile with the POA kernels.
-    let prof = executor.profiler_for_job(id).expect("profiler recorded");
-    assert!(prof.gpu_entry("generatePOAKernel").is_some());
+    // The GPU run recorded an execution trace with the POA kernels.
+    let trace = executor.trace_for_job(id).expect("trace recorded");
+    assert!(trace.events().iter().any(|e| e.name == "generatePOAKernel"));
     // Output landed in the history.
     let datasets = app.history().datasets_for_job(id);
     assert_eq!(datasets.len(), 1);

@@ -5,7 +5,7 @@
 
 use fleet::{
     fleet_gpus_json, fleet_nodes_json, fleet_ops_server, install_fleet, policy_by_name, BinPack,
-    DestinationRule, DestinationRules, FairShare, Fleet, FleetConfig, NodeClass, PlacementRequest,
+    DestinationRules, FairShare, Fleet, FleetConfig, NodeClass, PlacementRequest,
 };
 use galaxy::job::conf::{JobConfig, GYAN_JOB_CONF};
 use galaxy::params::ParamDict;
@@ -230,9 +230,8 @@ fn memory_hints_exclude_small_die_classes() {
 
 #[test]
 fn right_sizing_comes_from_the_matching_rule() {
-    let rules = DestinationRules::new()
-        .with(DestinationRule::any("bonito*").on_classes(["a100"]).with_cores(8).with_mem(65_536))
-        .with(DestinationRule::any("*"));
+    let rules =
+        DestinationRules::parse("tool=bonito* classes=a100 cores=8 mem_mib=65536\ntool=*").unwrap();
     let fleet = Fleet::builder().nodes(NodeClass::a100(), 1).rules(rules).build();
     let p = fleet.place(&request(1, "ada", "bonito", 1024)).unwrap();
     assert_eq!((p.cores, p.mem_mib), (8, 65_536));
@@ -402,7 +401,21 @@ fn fleet_engine(fleet: &Fleet, policy: galaxy::queue::ResubmitPolicy) -> QueueEn
 #[test]
 fn failed_node_is_excluded_on_retry_before_falling_to_cpu() {
     let fleet = Fleet::builder().nodes(NodeClass::k80(), 1).nodes(NodeClass::a100(), 1).build();
-    let policy = galaxy::queue::ResubmitPolicy::placement_aware("local_cpu", 1);
+    // The conf's placement-aware ladder: one fleet retry with the failed
+    // node excluded, then `local_cpu`.
+    let conf = r#"<job_conf>
+      <plugins><plugin id="local" type="runner" load="x"/></plugins>
+      <destinations default="fleet_gpu">
+        <destination id="fleet_gpu" runner="local">
+          <param id="resubmit_destination">local_cpu</param>
+          <param id="resubmit_node_retries">1</param>
+        </destination>
+      </destinations>
+    </job_conf>"#;
+    let conf = JobConfig::from_xml(conf).unwrap();
+    let policy =
+        galaxy::queue::ResubmitPolicy::from_destination(conf.destination("fleet_gpu").unwrap())
+            .unwrap();
     let mut engine = fleet_engine(&fleet, policy);
 
     let handle = engine.submit_async("ada", "racon_gpu", &ParamDict::new()).unwrap();
@@ -560,7 +573,7 @@ fn re_placing_a_booked_job_supersedes_its_first_placement() {
     assert_eq!(fleet.active_placements(), vec![(1, 0)]);
 
     // Landing elsewhere leaves nothing behind either.
-    assert!(fleet.cordon("k80-000"));
+    assert_eq!(fleet.drain("k80-000"), Some(1));
     assert_eq!(fleet.place(&request(1, "ada", "racon_gpu", 256)).unwrap().node, 1);
     assert_eq!(fleet.holders_by_node(), vec![(0, vec![]), (1, vec![1])]);
 
@@ -680,13 +693,13 @@ fn cordon_drain_uncordon_lifecycle_over_live_leases() {
     assert_eq!(fleet.node_of(1), Some(0));
 
     assert_eq!(fleet.drain("k80-000"), Some(1), "one lease still draining");
-    assert_eq!(fleet.is_drained("k80-000"), Some(false));
+    let leases = |node: &str| fleet.shard_named(node).unwrap().table.lease_count();
     // New work skips the cordoned node even though it is emptier.
     let p = fleet.place(&request(2, "ada", "racon_gpu", 256)).unwrap();
     assert_eq!(p.node_name, "k80-001");
     // The cordoned shard still serves its release; drain resolves.
     fleet.release(1, "ok");
-    assert_eq!(fleet.is_drained("k80-000"), Some(true));
+    assert_eq!(leases("k80-000"), 0);
 
     assert!(fleet.uncordon("k80-000"));
     let p = fleet.place(&request(3, "ada", "racon_gpu", 256)).unwrap();

@@ -204,8 +204,9 @@ proptest! {
     fn inter_arrival_mean_matches_rate(rate_milli in 200u64..5_000, seed in any::<u64>()) {
         let rate = rate_milli as f64 / 1_000.0;
         let horizon = 4_000.0 / rate; // ≈ 4000 expected arrivals
-        let arrivals: Vec<f64> =
-            ArrivalProcess::new(LoadProfile::constant(rate), horizon, seed).collect();
+        let flat =
+            LoadProfile { base_rate: rate, diurnal_amplitude: 0.0, period_s: 0.0, bursts: vec![] };
+        let arrivals: Vec<f64> = ArrivalProcess::new(flat, horizon, seed).collect();
         prop_assert!(arrivals.len() > 3_000, "only {} arrivals", arrivals.len());
         let mean_gap = arrivals.last().unwrap() / arrivals.len() as f64;
         let expected = 1.0 / rate;

@@ -56,9 +56,12 @@ fn testbed(policy: AllocationPolicy) -> (GpuCluster, GalaxyApp, Arc<ToolExecutor
 
 fn job_span(app: &GalaxyApp, job_id: u64) -> obs::SpanData {
     app.recorder()
-        .spans_named("galaxy.job")
+        .spans()
         .into_iter()
-        .find(|s| s.field("job_id").and_then(|v| v.as_f64()) == Some(job_id as f64))
+        .find(|s| {
+            s.name == "galaxy.job"
+                && s.field("job_id").and_then(|v| v.as_f64()) == Some(job_id as f64)
+        })
         .expect("job span recorded")
 }
 

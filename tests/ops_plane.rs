@@ -331,8 +331,7 @@ fn conflict_storm_walks_the_alert_through_its_lifecycle() {
     assert_eq!(s.alerts.firing(), vec!["gpu-conflict-rate".to_string()]);
 
     // The firing is an audit event in the log, so the flight window read
-    // after it holds the transition, and replays as a valid Chrome trace
-    // with the flightrec tracks.
+    // after it holds the transition.
     let snapshot = recorder.flight_snapshot();
     assert!(
         snapshot.records.iter().any(|r| match r {
@@ -344,13 +343,6 @@ fn conflict_storm_walks_the_alert_through_its_lifecycle() {
             FlightRecord::Span(_) => false,
         }),
         "flight window holds the firing transition"
-    );
-    let trace = snapshot.to_chrome_trace();
-    let doc = obs::json::parse(&trace).expect("flight snapshot replays as a Chrome trace");
-    let events = doc.get("traceEvents").and_then(|v| v.as_array()).expect("traceEvents");
-    assert!(
-        events.iter().any(|e| e.get("ph").and_then(|v| v.as_str()) == Some("X")),
-        "flight snapshot has complete events"
     );
     // The live endpoint serves the same recorder ring as JSONL.
     let (status, body) = http_get(handle.addr(), "/api/flightrec").unwrap();

@@ -3,7 +3,6 @@
 //! consensus sanity under random inputs.
 
 use gpusim::cuda::parse_visible_devices;
-use gpusim::nvml::Nvml;
 use gpusim::{smi, GpuArch, GpuCluster, GpuProcess};
 use gyan::allocation::{select_gpus, AllocationPolicy};
 use gyan::gpu_usage::{get_gpu_usage, parse_gpu_usage, try_get_gpu_usage, GpuUsage};
@@ -12,6 +11,114 @@ use proptest::prelude::*;
 use seqtools::poa::PoaGraph;
 use seqtools::racon::build_windows;
 use seqtools::sim::genome::random_genome;
+
+use nvml::Nvml;
+
+/// A `pynvml`-like query API over a simulated node: the oracle the
+/// allocation properties check the SMI observation against. GYAN reads
+/// GPU state through `nvidia-smi`; this reads it through
+/// `GpuCluster::with_device` and shares no code with that path. Method
+/// names follow NVML's.
+mod nvml {
+    use gpusim::{GpuCluster, GpuError};
+
+    /// Memory info in bytes, mirroring `nvmlDeviceGetMemoryInfo`.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct MemoryInfo {
+        pub total: u64,
+        pub used: u64,
+        pub free: u64,
+    }
+
+    /// A running compute process, mirroring
+    /// `nvmlDeviceGetComputeRunningProcesses`.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct RunningProcess {
+        pub pid: u32,
+        pub used_gpu_memory: u64,
+    }
+
+    /// Handle to the simulated NVML library.
+    pub struct Nvml {
+        cluster: GpuCluster,
+    }
+
+    impl Nvml {
+        /// `nvmlInit` — bind to a cluster.
+        pub fn init(cluster: &GpuCluster) -> Self {
+            Nvml { cluster: cluster.clone() }
+        }
+
+        /// `nvmlDeviceGetCount`.
+        pub fn device_count(&self) -> u32 {
+            self.cluster.device_count()
+        }
+
+        /// `nvmlDeviceGetMemoryInfo` for device `index`.
+        pub fn memory_info(&self, index: u32) -> Result<MemoryInfo, GpuError> {
+            self.cluster.with_device(index, |d| MemoryInfo {
+                total: d.fb_total_mib() << 20,
+                used: d.fb_used_mib() << 20,
+                free: d.fb_free_mib() << 20,
+            })
+        }
+
+        /// `nvmlDeviceGetComputeRunningProcesses` for device `index`.
+        pub fn compute_running_processes(
+            &self,
+            index: u32,
+        ) -> Result<Vec<RunningProcess>, GpuError> {
+            self.cluster.with_device(index, |d| {
+                d.processes()
+                    .iter()
+                    .map(|p| RunningProcess { pid: p.pid, used_gpu_memory: p.used_mib << 20 })
+                    .collect()
+            })
+        }
+
+        /// `nvmlDeviceGetComputeRunningProcesses` called with
+        /// `infoCount = 0`: only the number of running compute processes.
+        pub fn compute_running_process_count(&self, index: u32) -> Result<usize, GpuError> {
+            self.cluster.with_device(index, |d| d.processes().len())
+        }
+    }
+
+    mod tests {
+        use super::*;
+        use gpusim::GpuProcess;
+
+        #[test]
+        fn counts_devices() {
+            let c = GpuCluster::k80_node();
+            assert_eq!(Nvml::init(&c).device_count(), 2);
+        }
+
+        #[test]
+        fn memory_info_tracks_processes() {
+            let c = GpuCluster::k80_node();
+            let nvml = Nvml::init(&c);
+            let before = nvml.memory_info(0).unwrap();
+            c.attach_process(0, GpuProcess::compute(9, "t", 100)).unwrap();
+            let after = nvml.memory_info(0).unwrap();
+            assert_eq!(after.used - before.used, 100 << 20);
+            assert_eq!(after.total, before.total);
+            assert_eq!(after.free + after.used, after.total);
+        }
+
+        #[test]
+        fn running_processes_reported() {
+            let c = GpuCluster::k80_node();
+            c.attach_process(1, GpuProcess::compute(42, "bonito", 2700)).unwrap();
+            let nvml = Nvml::init(&c);
+            let procs = nvml.compute_running_processes(1).unwrap();
+            assert_eq!(procs, vec![RunningProcess { pid: 42, used_gpu_memory: 2700 << 20 }]);
+            assert!(nvml.compute_running_processes(0).unwrap().is_empty());
+            assert_eq!(nvml.compute_running_process_count(1).unwrap(), 1);
+            assert_eq!(nvml.compute_running_process_count(0).unwrap(), 0);
+            assert!(nvml.compute_running_process_count(2).is_err());
+        }
+    }
+}
 
 /// An arbitrary occupancy pattern for a 2-GPU node: per-device process
 /// memory sizes (empty vec = idle device).
@@ -351,20 +458,6 @@ proptest! {
         }
     }
 
-    /// POA: adding the same sequence N times always yields that sequence
-    /// as consensus, and edge weights grow linearly.
-    #[test]
-    fn poa_consensus_of_repeats_is_identity(seq in "[ACGT]{10,60}", n in 1usize..5) {
-        let mut g = PoaGraph::from_sequence(seq.as_bytes());
-        for _ in 0..n {
-            g.add_sequence(seq.as_bytes(), None);
-        }
-        prop_assert_eq!(g.consensus(), seq.clone());
-        prop_assert_eq!(g.consensus_anchored(), seq.clone());
-        prop_assert_eq!(g.node_count(), seq.len());
-        prop_assert_eq!(g.total_edge_weight() as usize, (n + 1) * (seq.len() - 1));
-    }
-
     /// The nvidia-smi XML stays parseable for arbitrary cluster states
     /// and round-trips the process placement.
     #[test]
@@ -401,22 +494,6 @@ proptest! {
         prop_assert!(rendered == "no\n" || rendered.contains("v"));
     }
 
-    /// FASTA round-trips arbitrary valid records at any wrap width.
-    #[test]
-    fn fasta_roundtrip(
-        seqs in prop::collection::vec("[ACGTN]{1,80}", 1..5),
-        width in 0usize..50,
-    ) {
-        let records: Vec<seqtools::fasta::FastaRecord> = seqs
-            .iter()
-            .enumerate()
-            .map(|(i, s)| seqtools::fasta::FastaRecord::new(format!("r{i}"), s.clone()))
-            .collect();
-        let text = seqtools::fasta::write_fasta(&records, width);
-        let parsed = seqtools::fasta::parse_fasta(&text).unwrap();
-        prop_assert_eq!(parsed, records);
-    }
-
     /// Banded and full POA both produce consensus close to the truth when
     /// reads are low-error full-length copies; banding never corrupts the
     /// backbone anchoring.
@@ -425,11 +502,17 @@ proptest! {
         use seqtools::sim::reads::{mutate_sequence, ErrorModel};
         use rand::SeedableRng;
         let truth = random_genome(250, seed);
+        let pacbio = ErrorModel::pacbio();
+        let half = ErrorModel {
+            mismatch: pacbio.mismatch * 0.5,
+            insertion: pacbio.insertion * 0.5,
+            deletion: pacbio.deletion * 0.5,
+        };
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xabc);
         let build = |band: Option<usize>, rng: &mut rand::rngs::StdRng| {
             let mut g = PoaGraph::from_sequence(truth.as_bytes());
             for _ in 0..8 {
-                let read = mutate_sequence(&truth, &ErrorModel::pacbio().scaled(0.5), rng);
+                let read = mutate_sequence(&truth, &half, rng);
                 g.add_sequence(read.as_bytes(), band);
             }
             g.consensus_anchored()

@@ -1,12 +1,11 @@
 //! The recorder's exports do not depend on how it stores its records.
 //!
-//! (a) Golden exports: one seeded `simtest` scenario, retention off; the
-//! JSONL log, the flight dump (JSONL and Chrome trace) and
+//! (a) Golden exports, retention off: the JSONL log, the flight dump and
 //! `gyan::telemetry`'s merged trace are pinned by length and checksum —
-//! of a scenario without a GPU, of one on two devices whose log holds
-//! the GPU audit (decision, acquire and release records), and of a short
-//! day on 32 devices, where id lists and per-device keys outgrow what a
-//! record holds in place.
+//! of a `simtest` scenario without a GPU, of one on two devices whose log
+//! holds the GPU audit (decision, acquire and release records), and of a
+//! short day on 32 devices, where id lists and per-device keys outgrow
+//! what a record holds in place.
 //! (b) A retention/flight model: random recorder sequences, bursts of
 //! events among them, against a naive `Vec` reference. (c) `obs::Text`
 //! against the `String` it was built from.
@@ -30,24 +29,22 @@ fn fnv1a(text: &str) -> u64 {
 /// DAGs, three failed jobs), captured at the parent commit 8faed09 —
 /// before records moved behind `Arc`s, names and keys became
 /// `obs::Key`, and the log became an open map plus close-ordered deques.
-const GOLDEN: [(&str, usize, u64); 4] = [
+const GOLDEN: [(&str, usize, u64); 3] = [
     ("recorder.to_jsonl", 33_407, 11_767_414_486_632_283_686),
     ("flight.to_jsonl", 33_486, 3_506_733_524_660_359_508),
-    ("flight.to_chrome_trace", 33_804, 5_967_083_548_393_277_289),
     ("telemetry.merged_chrome_trace", 34_598, 9_628_678_937_678_224_703),
 ];
 
-/// The four pinned exports of `recorder` as `(export, bytes, fnv1a)`,
+/// The three pinned exports of `recorder` as `(export, bytes, fnv1a)`,
 /// named as `golden` names them.
 fn pinned(
     recorder: &Recorder,
-    golden: &[(&'static str, usize, u64); 4],
+    golden: &[(&'static str, usize, u64); 3],
 ) -> Vec<(&'static str, usize, u64)> {
     let flight = recorder.flight_snapshot();
     let exports = [
         recorder.to_jsonl(),
         flight.to_jsonl(),
-        flight.to_chrome_trace(),
         gyan::telemetry::merged_chrome_trace(recorder, &[], &[]).to_json(),
     ];
     golden.iter().zip(&exports).map(|(g, text)| (g.0, text.len(), fnv1a(text))).collect()
@@ -61,15 +58,14 @@ fn exports_are_byte_identical_to_the_parent_commit() {
     assert_eq!(pinned(&recorder, &GOLDEN), GOLDEN);
 }
 
-/// The same four exports of simtest seed 5: two K80 devices, 15 waves,
+/// The same three exports of simtest seed 5: two K80 devices, 15 waves,
 /// 10 submissions (a diamond DAG among them), a frozen SMI snapshot and
 /// two runner faults, captured at 5770bae. Seed 17 has no GPU; this log
 /// holds 7 `gyan.allocation.decision`, 7 `gyan.reservation.acquire` and 7
 /// `.release` records, so it guards the GPU audit on a small node.
-const GOLDEN_2_DEVICES: [(&str, usize, u64); 4] = [
+const GOLDEN_2_DEVICES: [(&str, usize, u64); 3] = [
     ("recorder.to_jsonl", 33_051, 12_575_911_306_675_975_908),
     ("flight.to_jsonl", 33_131, 13_469_848_510_506_357_253),
-    ("flight.to_chrome_trace", 33_645, 15_983_164_168_668_306_122),
     ("telemetry.merged_chrome_trace", 34_202, 1_784_961_559_679_998_756),
 ];
 
@@ -88,7 +84,7 @@ fn exports_of_a_2_device_scenario_are_byte_identical_to_the_parent_commit() {
     assert_eq!(pinned(&recorder, &GOLDEN_2_DEVICES), GOLDEN_2_DEVICES);
 }
 
-/// The same four exports of a five-minute day on 32 devices (half the
+/// The same three exports of a five-minute day on 32 devices (half the
 /// jobs GPU jobs, a fifth of those failing their GPU try), first
 /// captured at b774b45 and re-captured when a GPU grant became one
 /// record in each audit stream (one decision with `pids` / `mem_mib` /
@@ -98,10 +94,9 @@ fn exports_of_a_2_device_scenario_are_byte_identical_to_the_parent_commit() {
 /// host above has no GPU, so its exports did not move; this one sees
 /// minors ≥ 10, id lists of 85 bytes and 32 leases per grant, i.e. every
 /// spill path.
-const GOLDEN_32_DEVICES: [(&str, usize, u64); 4] = [
+const GOLDEN_32_DEVICES: [(&str, usize, u64); 3] = [
     ("recorder.to_jsonl", 414_669, 3_287_839_628_683_856_296),
     ("flight.to_jsonl", 100_561, 657_269_929_752_658_347),
-    ("flight.to_chrome_trace", 97_944, 10_538_101_337_405_827_445),
     ("telemetry.merged_chrome_trace", 412_667, 12_134_616_110_987_436_906),
 ];
 
@@ -237,8 +232,6 @@ fn assert_same(rec: &Recorder, model: &Model, live: &[(Span, u64)], now: f64) {
     prop_assert_eq!(&events, &model_events);
     prop_assert_eq!(rec.dropped_log_records(), model.dropped);
     for name in ["galaxy.job", "gpu3_pids"] {
-        let named: Vec<SpanData> = spans.iter().filter(|s| s.name == name).cloned().collect();
-        prop_assert_eq!(rec.spans_named(name), named);
         let named: Vec<EventData> =
             model_events.iter().filter(|e| e.name == name).cloned().collect();
         prop_assert_eq!(rec.events_named(name), named);
@@ -266,7 +259,8 @@ proptest! {
     ) {
         let tick = Arc::new(AtomicU64::new(0));
         let clock = tick.clone();
-        let rec = Recorder::with_clock(move || clock.load(Ordering::SeqCst) as f64);
+        let rec = Recorder::new();
+        rec.set_clock(move || clock.load(Ordering::SeqCst) as f64);
         let mut model = Model::default();
         // Open spans: the recorder's handle and the model's id.
         let mut live: Vec<(Span, u64)> = Vec::new();

@@ -7,7 +7,7 @@ use galaxy::job::conf::{JobConfig, GYAN_JOB_CONF};
 use galaxy::params::ParamDict;
 use galaxy::tool::macros::MacroLibrary;
 use galaxy::GalaxyApp;
-use gpusim::GpuCluster;
+use gpusim::{GpuCluster, Trace, TraceEvent};
 use gyan::setup::{install_gyan, GyanConfig};
 use obs::Recorder;
 use seqtools::{DatasetSpec, ToolExecutor};
@@ -18,6 +18,36 @@ const RACON: &str = r#"<tool id="racon_gpu">
   <command>racon_gpu -t 2 --cudapoa-batches $batches trace_racon > out</command>
   <inputs><param name="batches" type="integer" value="4"/></inputs>
 </tool>"#;
+
+/// End of an interval.
+fn end_s(e: &TraceEvent) -> f64 {
+    e.start_s + e.dur_s
+}
+
+/// Events on one track, sorted by start time.
+fn track<'a>(trace: &'a Trace, name: &str) -> Vec<&'a TraceEvent> {
+    let mut events: Vec<&TraceEvent> = trace.events().iter().filter(|e| e.track == name).collect();
+    events.sort_by(|a, b| a.start_s.total_cmp(&b.start_s));
+    events
+}
+
+/// Do any two events on the two tracks overlap? (The signature of
+/// copy/compute pipelining.)
+fn has_cross_track_overlap(trace: &Trace, track_a: &str, track_b: &str) -> bool {
+    let b = track(trace, track_b);
+    track(trace, track_a)
+        .iter()
+        .any(|ea| b.iter().any(|eb| ea.start_s < end_s(eb) && eb.start_s < end_s(ea)))
+}
+
+#[test]
+fn cross_track_overlap() {
+    let mut t = Trace::new();
+    t.record("k", "kernel", "gpu0/compute", 1.0, 2.0);
+    t.record("c", "h2d", "gpu0/h2d", 2.0, 2.0);
+    assert!(has_cross_track_overlap(&t, "gpu0/compute", "gpu0/h2d"));
+    assert!(!has_cross_track_overlap(&t, "gpu0/compute", "gpu1/h2d"));
+}
 
 fn run_job(batches: u32) -> (Arc<ToolExecutor>, u64) {
     let cluster = GpuCluster::k80_node();
@@ -46,21 +76,21 @@ fn batched_job_trace_shows_copy_compute_overlap() {
     // One H2D + two kernels + one D2H per batch; requesting 4 batches on
     // a handful of windows yields at least 2 and at most 4 actual batches
     // (windows are chunked evenly).
-    let batches = trace.track("gpu0/h2d").len();
+    let batches = track(&trace, "gpu0/h2d").len();
     assert!((2..=4).contains(&batches), "batches = {batches}");
-    assert_eq!(trace.track("gpu0/compute").len(), 2 * batches);
-    assert_eq!(trace.track("gpu0/d2h").len(), batches);
+    assert_eq!(track(&trace, "gpu0/compute").len(), 2 * batches);
+    assert_eq!(track(&trace, "gpu0/d2h").len(), batches);
     // Pipelining: a later batch's H2D overlaps an earlier batch's kernel.
     assert!(
-        trace.has_cross_track_overlap("gpu0/h2d", "gpu0/compute"),
+        has_cross_track_overlap(&trace, "gpu0/h2d", "gpu0/compute"),
         "expected copy/compute overlap in\n{:?}",
         trace.events()
     );
     // Within each engine, intervals are serial.
-    for track in ["gpu0/h2d", "gpu0/compute", "gpu0/d2h"] {
-        let events = trace.track(track);
+    for name in ["gpu0/h2d", "gpu0/compute", "gpu0/d2h"] {
+        let events = track(&trace, name);
         for pair in events.windows(2) {
-            assert!(pair[0].end_s() <= pair[1].start_s + 1e-9, "{track}: {pair:?}");
+            assert!(end_s(pair[0]) <= pair[1].start_s + 1e-9, "{name}: {pair:?}");
         }
     }
     // The Chrome export loads as one JSON object.
@@ -73,9 +103,9 @@ fn batched_job_trace_shows_copy_compute_overlap() {
 fn single_batch_trace_is_serial() {
     let (executor, id) = run_job(1);
     let trace = executor.trace_for_job(id).expect("trace recorded");
-    assert_eq!(trace.track("gpu0/h2d").len(), 1);
+    assert_eq!(track(&trace, "gpu0/h2d").len(), 1);
     // One batch: the kernel strictly follows its input copy.
-    let h2d = &trace.track("gpu0/h2d")[0].clone();
-    let kernel = &trace.track("gpu0/compute")[0].clone();
-    assert!(kernel.start_s >= h2d.end_s() - 1e-9);
+    let h2d = &track(&trace, "gpu0/h2d")[0].clone();
+    let kernel = &track(&trace, "gpu0/compute")[0].clone();
+    assert!(kernel.start_s >= end_s(h2d) - 1e-9);
 }
