@@ -80,17 +80,17 @@ impl FlightSnapshot {
 
 #[cfg(test)]
 mod tests {
-    use super::CAPACITY;
+    use super::{FlightRecord, CAPACITY};
     use crate::{json, Recorder};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
-    impl super::FlightRecord {
+    impl FlightRecord {
         /// The record's timestamp: span start or event time.
         pub(crate) fn t(&self) -> f64 {
             match self {
-                super::FlightRecord::Span(s) => s.start,
-                super::FlightRecord::Event(e) => e.t,
+                FlightRecord::Span(s) => s.start,
+                FlightRecord::Event(e) => e.t,
             }
         }
     }

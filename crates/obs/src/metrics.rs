@@ -322,8 +322,6 @@ pub struct PromSample {
     pub value: f64,
 }
 
-impl PromSample {}
-
 /// Parse Prometheus text exposition into samples; `#` lines are skipped,
 /// malformed lines are errors.
 pub fn parse_prometheus(text: &str) -> Result<Vec<PromSample>, String> {

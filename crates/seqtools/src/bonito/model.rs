@@ -123,9 +123,7 @@ mod tests {
         fn layers(&self) -> &[Conv1d] {
             &self.convs
         }
-    }
 
-    impl BonitoModel {
         /// A tiny model for fast tests.
         pub(crate) fn tiny(seed: u64) -> Self {
             let convs = vec![
