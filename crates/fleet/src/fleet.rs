@@ -190,8 +190,8 @@ impl Fleet {
     /// Phase 1a: the shards that could host `tool_id` at
     /// `memory_hint_mib` — placeable, not in `excluded`, and admitted by
     /// the destination rules. [`Fleet::place`] scores these; the dynamic
-    /// rule and the placement advisor route to the fleet only while one
-    /// exists, so they never commit a job that placement must reject.
+    /// rule and the placement-aware retry route to the fleet only while
+    /// one exists, so they never commit a job that placement must reject.
     pub fn candidates<'a>(
         &'a self,
         tool_id: &'a str,

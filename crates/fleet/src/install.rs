@@ -17,7 +17,7 @@ use galaxy::job::Job;
 use galaxy::tool::Tool;
 use galaxy::GalaxyApp;
 use gyan::footprint::MemoryHint;
-use gyan::orchestrator::{static_memory_hint, Placed, Placer};
+use gyan::orchestrator::{admission_hint, Placed, Placer};
 use gyan::rules::RULE_NAME;
 use obs::Recorder;
 
@@ -57,23 +57,17 @@ impl Default for FleetConfig {
 
 impl Placer for Fleet {
     fn place(&self, job: &Job, tool: &Tool, memory_hint_mib: u64) -> Option<Placed> {
-        // Placement-aware resubmission: the engine exports the nodes
-        // previous attempts failed on; phase-1a filters them out.
-        let excluded: Vec<String> = job
-            .env_var(galaxy::GALAXY_EXCLUDED_NODES_ENV)
-            .map(parse_excluded_nodes)
-            .unwrap_or_default();
+        // The queue engine writes the user and the nodes previous
+        // attempts failed on (phase-1a filters them out) onto the job.
         let placement = Fleet::place(
             self,
             &PlacementRequest {
                 job_id: job.id,
-                // The queue engine exports the fair-share user before
-                // preparing the plan; direct GalaxyApp::submit has none.
-                user: job.env_var(galaxy::GALAXY_USER_ENV).unwrap_or(""),
+                user: &job.user,
                 tool_id: &tool.id,
                 requested: &tool.requested_gpu_ids(),
                 memory_hint_mib,
-                excluded_nodes: &excluded,
+                excluded_nodes: &job.excluded_nodes,
             },
         )?;
         Some(Placed {
@@ -89,19 +83,19 @@ impl Placer for Fleet {
     fn recorder(&self) -> Option<&Recorder> {
         Fleet::recorder(self)
     }
-}
 
-/// Split the comma-joined `GALAXY_EXCLUDED_NODES` export back into node
-/// names.
-fn parse_excluded_nodes(raw: &str) -> Vec<String> {
-    raw.split(',').map(str::trim).filter(|s| !s.is_empty()).map(String::from).collect()
+    fn hosts_outside(&self, tool_id: &str, memory_hint_mib: u64, excluded: &[String]) -> bool {
+        self.candidates(tool_id, memory_hint_mib, excluded).next().is_some()
+    }
 }
 
 /// Install the fleet into `app`: registers a dynamic destination rule
 /// (GPU tools the fleet can host → `gpu_destination`, everything else →
-/// the shipped conf's `local_cpu`) and a placement advisor, then wires the rest —
-/// hook, container GPU mutators, the fleet's shared clock as time source
-/// — through [`gyan::setup::install_hook`], exactly like a single node.
+/// the shipped conf's `local_cpu`), then wires the rest — hook, container
+/// GPU mutators, the fleet's shared clock as time source — through
+/// [`gyan::setup::install_hook`], exactly like a single node. The hook
+/// also answers the queue engine's placement-aware retries through the
+/// fleet's [`Placer::hosts_outside`].
 ///
 /// The app's recorder is clocked on the fleet timeline. Note the fleet
 /// must have been built with [`crate::FleetBuilder::recorder`] for
@@ -109,50 +103,34 @@ fn parse_excluded_nodes(raw: &str) -> Vec<String> {
 /// recorder into an already-built fleet's shards.
 ///
 /// In [`MemoryHint::Learned`] mode the learned tool-wide p95 replaces the
-/// static hint in the dynamic rule's and the placement advisor's
+/// static hint in the dynamic rule's and the placement-aware retry's
 /// admission checks (per-job context does not exist there).
 pub fn install_fleet(app: &mut GalaxyApp, fleet: &Fleet, config: FleetConfig) {
     let footprint = gyan::setup::install_hook(
         app,
         fleet.clock(),
         fleet.clone(),
-        config.gpu_destinations.clone(),
+        config.gpu_destinations,
         config.memory_hint,
     );
-    // Whether any placeable shard outside `excluded` admits the tool:
-    // the hint resolved as the hook will resolve it (tool-wide learned
-    // profile over per-destination param over the default), so the
-    // rule never routes a job to the GPU destination that placement is then
-    // forced to reject — and, in learned mode, borderline tools the
-    // static hint would have turned away are admitted.
-    let hosts = {
-        let fleet = fleet.clone();
-        let learned_mode = config.memory_hint == MemoryHint::Learned;
-        move |tool_id: &str, conf: &JobConfig, dest_id: &str, excluded: &[String]| {
-            let learned = if learned_mode { footprint.estimate_tool(tool_id) } else { None };
-            let hint = learned.unwrap_or_else(|| static_memory_hint(conf.destination(dest_id)).0);
-            fleet.candidates(tool_id, hint, excluded).next().is_some()
-        }
-    };
-
-    let rule_hosts = hosts.clone();
+    // Route to the GPU destination only while a placeable shard admits
+    // the tool at the hint the hook will resolve, so the rule never
+    // commits a job that placement is then forced to reject — and, in
+    // learned mode, borderline tools the static hint would have turned
+    // away are admitted.
+    let fleet = fleet.clone();
     let gpu_dest = config.gpu_destination;
     app.register_rule(
         RULE_NAME,
         Box::new(move |tool: &Tool, _job: &Job, conf: &JobConfig| {
-            let on_fleet = tool.requires_gpu() && rule_hosts(&tool.id, conf, &gpu_dest, &[]);
+            let on_fleet = tool.requires_gpu() && {
+                let dest = conf.destination(&gpu_dest);
+                let hint = admission_hint(&footprint, config.memory_hint, &tool.id, dest);
+                fleet.hosts_outside(&tool.id, hint, &[])
+            };
             Ok(if on_fleet { gpu_dest.clone() } else { CPU_DESTINATION.to_string() })
         }),
     );
-    // Placement-aware resubmission seam: the queue engine asks, per
-    // failed attempt, whether the fleet still hosts the tool on this
-    // destination once the failed nodes are excluded — retrying on the
-    // fleet when yes, falling down the ladder (CPU) when no.
-    let advisor_conf = app.config().clone();
-    let gpu_dests = config.gpu_destinations;
-    app.set_placement_advisor(Box::new(move |tool_id, dest_id, excluded| {
-        gpu_dests.iter().any(|d| d == dest_id) && hosts(tool_id, &advisor_conf, dest_id, excluded)
-    }));
 }
 
 #[cfg(test)]

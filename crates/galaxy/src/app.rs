@@ -46,24 +46,6 @@ pub const JOBS_ERROR_COUNTER: &str = "galaxy_jobs_error_total";
 pub type DynamicRule =
     Box<dyn Fn(&Tool, &Job, &JobConfig) -> Result<String, GalaxyError> + Send + Sync>;
 
-/// Placement-aware resubmission callback: `(tool_id, destination_id,
-/// excluded_nodes) -> can_still_host`. Installed by a placement layer
-/// (the fleet) so the queue engine can ask, without a dependency on it,
-/// whether retrying a failed attempt on the same destination is viable
-/// once the failed node is excluded — falling to the ordinary fallback
-/// ladder when it is not.
-pub type PlacementAdvisor = Box<dyn Fn(&str, &str, &[String]) -> bool + Send + Sync>;
-
-/// Footprint-aware resubmission callback: given the failed job (with its
-/// per-attempt env still attached), return a revised GPU memory budget
-/// (MiB) for a same-destination retry — or `None` when no better budget
-/// is known and the failure should walk the ordinary fallback ladder.
-/// Installed by a footprint layer (GYAN's learned profiles) so the queue
-/// engine can resubmit with a grown budget, via
-/// [`crate::GALAXY_GPU_BUDGET_OVERRIDE_ENV`], before blindly falling
-/// from GPU to CPU.
-pub type FootprintAdvisor = Box<dyn Fn(&Job) -> Option<u64> + Send + Sync>;
-
 /// Source of (virtual) time for job timestamps.
 pub trait TimeSource: Send + Sync {
     /// Current time in seconds.
@@ -101,8 +83,6 @@ pub struct GalaxyApp {
     /// or prepared but not yet finished) — kept so the asynchronous queue
     /// path can span multiple dispatch attempts under one job span.
     open_spans: HashMap<u64, Span>,
-    placement_advisor: Option<PlacementAdvisor>,
-    footprint_advisor: Option<FootprintAdvisor>,
 }
 
 impl GalaxyApp {
@@ -123,8 +103,6 @@ impl GalaxyApp {
             volumes: Vec::new(),
             recorder: Recorder::new(),
             open_spans: HashMap::new(),
-            placement_advisor: None,
-            footprint_advisor: None,
         }
     }
 
@@ -165,26 +143,10 @@ impl GalaxyApp {
         self.mutators.push(mutator);
     }
 
-    /// Install the placement-aware resubmission advisor (see
-    /// [`PlacementAdvisor`]). Replaces any previous advisor.
-    pub fn set_placement_advisor(&mut self, advisor: PlacementAdvisor) {
-        self.placement_advisor = Some(advisor);
-    }
-
-    /// The installed placement advisor, if any.
-    pub fn placement_advisor(&self) -> Option<&PlacementAdvisor> {
-        self.placement_advisor.as_ref()
-    }
-
-    /// Install the footprint-aware resubmission advisor (see
-    /// [`FootprintAdvisor`]). Replaces any previous advisor.
-    pub fn set_footprint_advisor(&mut self, advisor: FootprintAdvisor) {
-        self.footprint_advisor = Some(advisor);
-    }
-
-    /// The installed footprint advisor, if any.
-    pub fn footprint_advisor(&self) -> Option<&FootprintAdvisor> {
-        self.footprint_advisor.as_ref()
+    /// The registered hooks, in registration order — the queue engine
+    /// asks them for retry advice.
+    pub(crate) fn hooks(&self) -> &[Box<dyn JobHook>] {
+        &self.hooks
     }
 
     /// Replace the execution backend.
@@ -516,27 +478,17 @@ impl GalaxyApp {
         self.jobs.get(&id)
     }
 
-    /// Set an environment variable on a job's record before dispatch —
-    /// how the queue engine passes per-submission context (e.g.
-    /// [`crate::GALAXY_USER_ENV`]) to pre-dispatch hooks. Returns false
-    /// for unknown job ids.
-    pub fn set_job_env(&mut self, id: u64, key: &str, value: &str) -> bool {
-        match self.jobs.get_mut(&id) {
-            Some(job) => {
-                job.set_env(key, value);
-                true
-            }
-            None => false,
-        }
+    /// Mutable job by id — how the queue engine writes an attempt's
+    /// context (user, excluded nodes, revised budget) before dispatch.
+    pub(crate) fn job_mut(&mut self, id: u64) -> Option<&mut Job> {
+        self.jobs.get_mut(&id)
     }
 
-    /// Remove an environment variable from a job's record — the companion
-    /// of [`GalaxyApp::set_job_env`] for per-attempt context that must
-    /// not leak onto the next attempt (e.g. the exclusion set of
-    /// [`crate::GALAXY_EXCLUDED_NODES_ENV`]). Returns false when the job
-    /// is unknown or the key was absent.
-    pub fn remove_job_env(&mut self, id: u64, key: &str) -> bool {
-        self.jobs.get_mut(&id).map(|job| job.remove_env(key)).unwrap_or(false)
+    /// Set an environment variable on a job's record before dispatch
+    /// (e.g. a submitter's declared input size). Returns false for
+    /// unknown job ids.
+    pub fn set_job_env(&mut self, id: u64, key: &str, value: &str) -> bool {
+        self.job_mut(id).map(|job| job.set_env(key, value)).is_some()
     }
 
     /// All jobs, ordered by id.

@@ -72,8 +72,19 @@ pub struct Job {
     /// Environment exported to the tool process (`GALAXY_GPU_ENABLED`,
     /// `CUDA_VISIBLE_DEVICES`, ...).
     pub env: Vec<(String, String)>,
-    /// Resolved container image when running containerized.
-    pub container_image: Option<String>,
+    /// The submitting user, written by the queue engine before each
+    /// attempt (a fleet's fair-share policy reads it); empty on
+    /// [`crate::GalaxyApp::submit`], which has no user.
+    pub user: String,
+    /// Fleet nodes this attempt must not land on: every node an earlier
+    /// attempt failed on (placement-aware resubmission). Written by the
+    /// queue engine before each attempt.
+    pub excluded_nodes: Vec<String>,
+    /// A revised GPU memory budget (MiB) for a footprint-revised
+    /// resubmission; the GPU hook takes it over every other memory hint.
+    /// Set by the queue engine once a retry earns it, kept by later
+    /// attempts.
+    pub gpu_budget_override_mib: Option<u64>,
     /// Virtual time of submission.
     pub submit_time: Option<f64>,
     /// Virtual time execution started.
@@ -101,7 +112,9 @@ impl Job {
             destination_id: None,
             command_line: None,
             env: Vec::new(),
-            container_image: None,
+            user: String::new(),
+            excluded_nodes: Vec::new(),
+            gpu_budget_override_mib: None,
             submit_time: None,
             start_time: None,
             end_time: None,

@@ -44,26 +44,7 @@ pub mod tool;
 /// the ledger so ops views can label jobs per node.
 pub const GALAXY_NODE_ENV: &str = "GALAXY_NODE";
 
-/// Environment variable carrying a comma-separated list of fleet node
-/// names the current attempt must not land on. The queue engine exports
-/// it on resubmitted attempts (placement-aware resubmission: the node a
-/// GPU attempt failed on is excluded from the retry); placement hooks
-/// parse it into the placement request's exclusion set.
-pub const GALAXY_EXCLUDED_NODES_ENV: &str = "GALAXY_EXCLUDED_NODES";
-
-/// Environment variable carrying the submitting user into pre-dispatch
-/// hooks (the queue engine sets it from its fair-share context before
-/// preparing the plan, since `Job` itself has no user field).
-pub const GALAXY_USER_ENV: &str = "GALAXY_USER";
-
-/// Environment variable carrying a revised GPU memory budget (MiB) for a
-/// footprint-revised resubmission: the queue engine sets it from the
-/// installed [`app::FootprintAdvisor`] before requeueing a failed
-/// attempt on its original destination, and the GPU hook consumes it as
-/// the highest-priority memory hint for that retry.
-pub const GALAXY_GPU_BUDGET_OVERRIDE_ENV: &str = "GALAXY_GPU_BUDGET_OVERRIDE_MIB";
-
-pub use app::{FootprintAdvisor, GalaxyApp, PlacementAdvisor};
+pub use app::GalaxyApp;
 pub use error::GalaxyError;
 pub use job::{Job, JobState};
 pub use params::ParamDict;

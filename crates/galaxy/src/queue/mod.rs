@@ -239,8 +239,9 @@ struct DagRun {
     outcomes: Vec<Option<StepOutcome>>,
 }
 
-/// Engine-private retry context of one job. Its lifecycle — state,
-/// user, priority, attempts — lives only in the [`JobsLedger`].
+/// Engine-private retry context of one job, dropped when the job reaches
+/// a terminal state. Its lifecycle — state, user, priority, attempts —
+/// lives only in the [`JobsLedger`].
 #[derive(Default)]
 struct JobCtx {
     /// Destination override for the next attempt (resubmission).
@@ -250,9 +251,12 @@ struct JobCtx {
     /// Owning DAG step, when the job materializes a workflow step.
     origin: Option<(usize, usize)>,
     /// Fleet nodes this job's next attempt must avoid (every node a
-    /// previous attempt failed on). Exported to the placement hook via
-    /// [`crate::GALAXY_EXCLUDED_NODES_ENV`].
+    /// previous attempt failed on), written onto the job as
+    /// [`crate::Job::excluded_nodes`] before each attempt.
     excluded_nodes: Vec<String>,
+    /// Revised GPU budget (MiB) a footprint retry earned, written onto
+    /// the job as [`crate::Job::gpu_budget_override_mib`].
+    budget_override_mib: Option<u64>,
     /// Placement-aware same-destination retries already consumed.
     node_retries_used: u32,
     /// Footprint-revised same-destination retries already consumed.
@@ -609,20 +613,15 @@ impl QueueEngine {
             let wait = (wave_start - popped.enqueued_at).max(0.0);
             self.app.recorder().metrics().observe(QUEUE_WAIT_HISTOGRAM, wait);
 
-            let dest_override = self.jobs.get_mut(&job_id).and_then(|ctx| ctx.next_dest.take());
-            // Export the fair-share user onto the job record so
-            // placement-aware hooks (e.g. a fleet's fair-share policy)
-            // can see who is dispatching without a Job.user field.
-            self.app.set_job_env(job_id, crate::GALAXY_USER_ENV, &popped.user);
-            // Export (or clear) the attempt's node exclusion set so the
-            // placement hook filters out nodes previous attempts died on.
-            match self.jobs.get(&job_id).map(|ctx| ctx.excluded_nodes.join(",")) {
-                Some(joined) if !joined.is_empty() => {
-                    self.app.set_job_env(job_id, crate::GALAXY_EXCLUDED_NODES_ENV, &joined);
-                }
-                _ => {
-                    self.app.remove_job_env(job_id, crate::GALAXY_EXCLUDED_NODES_ENV);
-                }
+            // Hand the hooks this attempt's context on the job record: who
+            // submitted it (moved, not copied), the nodes earlier attempts
+            // died on, and any revised GPU budget.
+            let ctx = self.jobs.get_mut(&job_id).expect("ctx exists");
+            let dest_override = ctx.next_dest.take();
+            if let Some(job) = self.app.job_mut(job_id) {
+                job.user = popped.user;
+                job.excluded_nodes.clone_from(&ctx.excluded_nodes);
+                job.gpu_budget_override_mib = ctx.budget_override_mib;
             }
             let prepared = {
                 obs::profile_scope!("queue.prepare_plan");
@@ -638,11 +637,8 @@ impl QueueEngine {
                     // Hooks that place jobs onto fleet nodes export the
                     // chosen node; record it in the ledger (cleared on a
                     // node-less dispatch, e.g. a CPU resubmission).
-                    let node = self
-                        .app
-                        .job(job_id)
-                        .and_then(|j| j.env_var(crate::GALAXY_NODE_ENV))
-                        .map(str::to_string);
+                    let job = self.app.job(job_id).expect("a prepared job exists");
+                    let node = job.env_var(crate::GALAXY_NODE_ENV).map(str::to_string);
                     let attempt = self
                         .ledger
                         .update(job_id, |snap| {
@@ -664,7 +660,7 @@ impl QueueEngine {
                             ("job_id", Value::from(job_id)),
                             ("tool", Value::from(plan.tool_id.as_str())),
                             ("destination", Value::from(destination)),
-                            ("user", Value::from(popped.user.as_str())),
+                            ("user", Value::from(job.user.as_str())),
                             ("attempt", Value::from(u64::from(attempt))),
                             ("wait_seconds", Value::from(wait)),
                         ],
@@ -678,7 +674,7 @@ impl QueueEngine {
                 Err(_) => {
                     // prepare_plan already marked the job failed.
                     self.set_status(job_id, SubmissionState::Error);
-                    if let Some((wf, step)) = self.jobs.get(&job_id).and_then(|ctx| ctx.origin) {
+                    if let Some((wf, step)) = self.jobs.remove(&job_id).and_then(|ctx| ctx.origin) {
                         self.fail_step(wf, step);
                     }
                 }
@@ -791,7 +787,7 @@ impl QueueEngine {
                 "galaxy.queue.discard",
                 [("job_id", Value::from(job_id)), ("reason", Value::from("wave_discarded"))],
             );
-            if let Some((wf, step)) = self.jobs.get(&job_id).and_then(|ctx| ctx.origin) {
+            if let Some((wf, step)) = self.jobs.remove(&job_id).and_then(|ctx| ctx.origin) {
                 self.fail_step(wf, step);
             }
             return;
@@ -805,13 +801,14 @@ impl QueueEngine {
             let _ = self.app.finish_job(job_id, &result, true);
             // Scrub per-attempt retry context from the surviving job
             // record (mirroring the hook-side CUDA/node scrub): a
-            // succeeded job's ledger snapshot must not carry the dead
-            // exclusion set or budget override of earlier failed
-            // attempts.
-            self.app.remove_job_env(job_id, crate::GALAXY_EXCLUDED_NODES_ENV);
-            self.app.remove_job_env(job_id, crate::GALAXY_GPU_BUDGET_OVERRIDE_ENV);
+            // succeeded job must not carry the dead exclusion set or
+            // budget override of earlier failed attempts.
+            if let Some(job) = self.app.job_mut(job_id) {
+                job.excluded_nodes.clear();
+                job.gpu_budget_override_mib = None;
+            }
             self.set_status(job_id, SubmissionState::Ok);
-            if let Some((wf, step)) = self.jobs.get(&job_id).and_then(|ctx| ctx.origin) {
+            if let Some((wf, step)) = self.jobs.remove(&job_id).and_then(|ctx| ctx.origin) {
                 let end = if self.time_charging.is_some() {
                     wave_start + duration
                 } else {
@@ -839,7 +836,7 @@ impl QueueEngine {
 
         // Failure: prefer a placement-aware retry on the same destination
         // with the failed node excluded (policy budgets node retries AND
-        // the placement advisor confirms a viable node class remains);
+        // a hook confirms a viable node remains);
         // else walk the fallback ladder; else the failure is final.
         let policy = self.policy_for(job_id);
         let (attempts, from_node) =
@@ -865,7 +862,7 @@ impl QueueEngine {
         }
 
         // Next preference: a same-destination retry with a revised GPU
-        // memory budget, when the footprint advisor knows one (e.g. the
+        // memory budget, when a hook knows one (e.g. the
         // learned profile says this tool/input really needs more than
         // the failed attempt's budget). Like node retries, these are
         // budgeted separately and do not consume the fallback ladder.
@@ -898,7 +895,7 @@ impl QueueEngine {
             None => {
                 let _ = self.app.finish_job(job_id, &result, true);
                 self.set_status(job_id, SubmissionState::Error);
-                if let Some((wf, step)) = self.jobs.get(&job_id).and_then(|ctx| ctx.origin) {
+                if let Some((wf, step)) = self.jobs.remove(&job_id).and_then(|ctx| ctx.origin) {
                     self.fail_step(wf, step);
                 }
             }
@@ -925,11 +922,7 @@ impl QueueEngine {
                 ("node_excluded", "galaxy_queue_resubmitted_total{reason=\"node_excluded\"}")
             }
             Retry::FootprintRevised(budget_mib) => {
-                self.app.set_job_env(
-                    job_id,
-                    crate::GALAXY_GPU_BUDGET_OVERRIDE_ENV,
-                    &budget_mib.to_string(),
-                );
+                ctx.budget_override_mib = Some(budget_mib);
                 ctx.footprint_retries_used += 1;
                 (
                     "footprint_revised",
@@ -974,9 +967,10 @@ impl QueueEngine {
 
     /// Whether a failed attempt can retry on its own destination with the
     /// failed node excluded: needs a node-labeled failure, a first
-    /// destination, and the installed placement advisor's confirmation
-    /// that a non-excluded node class still hosts the tool. Returns the
-    /// retry destination plus the grown exclusion set.
+    /// destination, and a hook's confirmation
+    /// ([`crate::runners::JobHook::hosts_outside`]) that a node outside
+    /// the grown exclusion set still hosts the tool. Returns the retry
+    /// destination plus that set.
     fn node_retry_target(
         &self,
         job_id: u64,
@@ -990,18 +984,19 @@ impl QueueEngine {
         if !excluded.iter().any(|n| n == node) {
             excluded.push(node.to_string());
         }
-        let advisor = self.app.placement_advisor()?;
-        advisor(&tool, &destination, &excluded).then_some((destination, excluded))
+        let dest = self.app.config().destination(&destination)?;
+        let hosted = self.app.hooks().iter().any(|h| h.hosts_outside(&tool, dest, &excluded));
+        hosted.then_some((destination, excluded))
     }
 
     /// Whether a failed attempt can retry on its own destination with a
-    /// revised GPU memory budget: needs a first destination and the
-    /// installed footprint advisor recommending a budget for the job.
+    /// revised GPU memory budget: needs a first destination and a hook
+    /// recommending one ([`crate::runners::JobHook::revised_gpu_budget`]).
     /// Returns the retry destination plus the revised budget (MiB).
     fn footprint_retry_target(&self, job_id: u64) -> Option<(String, u64)> {
         let destination = self.jobs.get(&job_id)?.first_destination.clone()?;
-        let advisor = self.app.footprint_advisor()?;
-        let budget_mib = advisor(self.app.job(job_id)?)?;
+        let job = self.app.job(job_id)?;
+        let budget_mib = self.app.hooks().iter().find_map(|h| h.revised_gpu_budget(job))?;
         Some((destination, budget_mib))
     }
 

@@ -30,18 +30,18 @@ pub struct ResubmitPolicy {
     pub fallbacks: Vec<String>,
     /// Placement-aware retries: before walking the fallback ladder, retry
     /// up to this many times on the *same* destination with the failed
-    /// node added to the job's exclusion set. Only effective when a
-    /// placement advisor is registered (see
-    /// [`crate::GalaxyApp::set_placement_advisor`]); node retries count
+    /// node added to the job's exclusion set. Only effective when a hook
+    /// confirms a node outside that set still hosts the tool (see
+    /// [`crate::runners::JobHook::hosts_outside`]); node retries count
     /// against `max_attempts` but do not consume the fallback ladder.
     pub node_retries: u32,
     /// Footprint-revised retries: before walking the fallback ladder,
     /// retry up to this many times on the *same* destination with a
-    /// revised GPU memory budget from the footprint advisor (see
-    /// [`crate::GalaxyApp::set_footprint_advisor`]) — a job that died
+    /// revised GPU memory budget from a hook (see
+    /// [`crate::runners::JobHook::revised_gpu_budget`]) — a job that died
     /// under a too-small learned budget gets a bigger one instead of
-    /// blindly falling to CPU. Only effective when an advisor is
-    /// registered; like node retries, these count against
+    /// blindly falling to CPU. Only effective when a hook revises
+    /// budgets; like node retries, these count against
     /// `max_attempts` but do not consume the fallback ladder.
     pub footprint_retries: u32,
 }
@@ -75,7 +75,7 @@ impl ResubmitPolicy {
     }
 
     /// Allow up to `retries` same-destination resubmissions with a
-    /// revised memory budget (footprint advisor) before the ladder,
+    /// revised memory budget (from a hook) before the ladder,
     /// growing `max_attempts` to keep the existing ladder reachable.
     pub fn with_footprint_retries(mut self, retries: u32) -> Self {
         self.max_attempts += retries.saturating_sub(self.footprint_retries);

@@ -169,7 +169,8 @@ impl JobConclusion {
 /// Hook invoked after destination mapping and before command rendering —
 /// the extension point GYAN's orchestrator uses to pick GPUs, export
 /// `CUDA_VISIBLE_DEVICES`/`GALAXY_GPU_ENABLED`, and bridge
-/// `__galaxy_gpu_enabled__` into the parameter dictionary.
+/// `__galaxy_gpu_enabled__` into the parameter dictionary. The queue
+/// engine also asks it how a failed attempt may retry.
 pub trait JobHook: Send + Sync {
     /// Adjust the job in place.
     fn before_dispatch(&self, job: &mut Job, tool: &Tool, destination: &Destination);
@@ -180,6 +181,26 @@ pub trait JobHook: Send + Sync {
     /// [`JobHook::before_dispatch`]. Default: no-op.
     fn after_conclude(&self, job_id: u64, conclusion: JobConclusion) {
         let _ = (job_id, conclusion);
+    }
+
+    /// Placement-aware resubmission: whether a placeable node outside
+    /// `excluded` (every node the job's attempts failed on) still hosts
+    /// `tool_id` on `destination`. The queue engine retries a failed
+    /// attempt on its own destination only when a hook says yes. Default:
+    /// no.
+    fn hosts_outside(&self, tool_id: &str, destination: &Destination, excluded: &[String]) -> bool {
+        let _ = (tool_id, destination, excluded);
+        false
+    }
+
+    /// Footprint-aware resubmission: a revised GPU memory budget (MiB)
+    /// for `job`'s failed attempt, read with that attempt's exports still
+    /// on the job, or `None` when none is known and the failure walks the
+    /// fallback ladder. The queue engine passes the first answer to the
+    /// retry as [`Job::gpu_budget_override_mib`]. Default: none.
+    fn revised_gpu_budget(&self, job: &Job) -> Option<u64> {
+        let _ = job;
+        None
     }
 }
 

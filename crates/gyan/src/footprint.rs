@@ -19,12 +19,13 @@
 //! Consumers:
 //!
 //! * [`crate::GyanHook`] resolves each job's memory hint through
-//!   [`FootprintRegistry::estimate`] (override env > learned >
+//!   [`FootprintRegistry::estimate`] (override > learned >
 //!   destination param > default) and reports the decision as a
 //!   [`FOOTPRINT_ESTIMATE_EVENT`] audit once the attempt concludes.
-//! * The queue engine's footprint-revised resubmission ladder asks
-//!   [`FootprintRegistry::revised_budget`] for a bigger budget before
-//!   blindly falling back to CPU (`galaxy::FootprintAdvisor`).
+//! * The queue engine's footprint-revised resubmission ladder asks the
+//!   hook (`JobHook::revised_gpu_budget`), which asks
+//!   [`FootprintRegistry::revised_budget`], for a bigger budget before
+//!   blindly falling back to CPU.
 //! * Ops surfaces: every conclusion that teaches a profile exports the
 //!   `gyan_footprint_*` gauges into the recorder's registry, which
 //!   `/metrics` serves, and its audit lands on a `gyan/footprint`
@@ -77,7 +78,7 @@ pub const MIN_SAMPLES: u64 = 8;
 /// How the dispatch-time memory estimate was chosen, in priority order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EstimateSource {
-    /// `GALAXY_GPU_BUDGET_OVERRIDE_MIB` on the job (footprint-revised
+    /// The job's `gpu_budget_override_mib` (footprint-revised
     /// resubmission).
     Override,
     /// Learned p95 from a converged profile.
@@ -288,7 +289,7 @@ impl FootprintRegistry {
     }
 
     /// Tool-wide estimate merging every input bucket — used where no job
-    /// context exists (destination-rule admission, placement advisors).
+    /// context exists ([`crate::orchestrator::admission_hint`]).
     pub fn estimate_tool(&self, tool: &str) -> Option<u64> {
         let state = self.lock();
         let mut merged: Option<QuantileSketch> = None;

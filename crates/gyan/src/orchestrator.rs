@@ -56,8 +56,8 @@ pub const INVALID_HINT_EVENT: &str = "gyan.hook.invalid_memory_hint";
 /// `gpu_memory_hint_mib` param, else [`DEFAULT_GPU_MEMORY_HINT_MIB`]. The
 /// second value is the raw param when it is present but not a number (the
 /// hint fell back to the default): the hook audits it, while admission
-/// checks made before dispatch (dynamic rule, placement advisor) only take
-/// the number — so all of them agree on the hint for the same destination.
+/// checks made without a job ([`admission_hint`]) only take the number —
+/// so all of them agree on the hint for the same destination.
 pub fn static_memory_hint(destination: Option<&Destination>) -> (u64, Option<&str>) {
     match destination.and_then(|d| d.params.get(GPU_MEMORY_HINT_PARAM)) {
         None => (DEFAULT_GPU_MEMORY_HINT_MIB, None),
@@ -66,6 +66,20 @@ pub fn static_memory_hint(destination: Option<&Destination>) -> (u64, Option<&st
             Err(_) => (DEFAULT_GPU_MEMORY_HINT_MIB, Some(raw)),
         },
     }
+}
+
+/// The memory hint of admission checks made without a job — a fleet's
+/// dynamic rule and [`GyanHook`]'s placement-aware retry advice: in
+/// [`MemoryHint::Learned`] mode the tool-wide learned p95 once it
+/// converges, else [`static_memory_hint`] of `destination`.
+pub fn admission_hint(
+    footprint: &FootprintRegistry,
+    mode: MemoryHint,
+    tool_id: &str,
+    destination: Option<&Destination>,
+) -> u64 {
+    let learned = if mode == MemoryHint::Learned { footprint.estimate_tool(tool_id) } else { None };
+    learned.unwrap_or_else(|| static_memory_hint(destination).0)
 }
 
 /// Devices granted to a job, held until [`Placer::release`].
@@ -91,6 +105,14 @@ pub trait Placer: Send + Sync {
 
     /// Where the placer's and the hook's decision audits go.
     fn recorder(&self) -> Option<&Recorder>;
+
+    /// Whether some placeable node outside `excluded` admits `tool_id` at
+    /// `memory_hint_mib` — the question behind a placement-aware retry.
+    /// Default: no; a single node has no other node to retry on.
+    fn hosts_outside(&self, tool_id: &str, memory_hint_mib: u64, excluded: &[String]) -> bool {
+        let _ = (tool_id, memory_hint_mib, excluded);
+        false
+    }
 }
 
 /// The paper's single GPU node as a [`Placer`]: `policy` decides over
@@ -164,8 +186,12 @@ impl GyanHook {
         self.placer.recorder().map_or(0.0, |r| r.now())
     }
 
+    fn is_gpu_destination(&self, destination: &Destination) -> bool {
+        self.gpu_destinations.iter().any(|d| d == &destination.id)
+    }
+
     /// Resolve the memory hint for this attempt, in priority order:
-    /// footprint-revised override env > learned p95 > static
+    /// footprint-revised override > learned p95 > static
     /// ([`static_memory_hint`]). Returns the chosen hint, the static
     /// hint it (possibly) replaced, and its source. The static rung is
     /// resolved exactly once, so a malformed destination param is audited
@@ -190,7 +216,7 @@ impl GyanHook {
                 ],
             );
         }
-        if let Some(over) = env_mib(job, galaxy::GALAXY_GPU_BUDGET_OVERRIDE_ENV) {
+        if let Some(over) = job.gpu_budget_override_mib {
             return (over, static_hint, EstimateSource::Override);
         }
         if self.hint_mode == MemoryHint::Learned {
@@ -218,7 +244,7 @@ impl GyanHook {
 
 impl JobHook for GyanHook {
     fn before_dispatch(&self, job: &mut Job, tool: &Tool, destination: &Destination) {
-        if tool.requires_gpu() && self.gpu_destinations.iter().any(|d| d == &destination.id) {
+        if tool.requires_gpu() && self.is_gpu_destination(destination) {
             let (hint_mib, static_hint_mib, source) = self.resolve_memory_hint(job, destination);
             if let Some(placed) = self.placer.place(job, tool, hint_mib) {
                 self.audit(job, destination, Some(&placed.cuda_visible_devices));
@@ -265,6 +291,32 @@ impl JobHook for GyanHook {
             self.now(),
             self.placer.recorder(),
         );
+    }
+
+    fn hosts_outside(&self, tool_id: &str, destination: &Destination, excluded: &[String]) -> bool {
+        self.is_gpu_destination(destination) && {
+            let hint = admission_hint(&self.footprint, self.hint_mode, tool_id, Some(destination));
+            self.placer.hosts_outside(tool_id, hint, excluded)
+        }
+    }
+
+    /// Profile max plus headroom, at least double the budget the failed
+    /// attempt ran under (its override, else its exported budget); only
+    /// in [`MemoryHint::Learned`] mode. Declines when the job declares an
+    /// observed peak that *fit* that budget — the failure wasn't an OOM,
+    /// so a bigger budget can't fix it and a footprint retry would only
+    /// delay the fallback ladder.
+    fn revised_gpu_budget(&self, job: &Job) -> Option<u64> {
+        if self.hint_mode == MemoryHint::Static {
+            return None;
+        }
+        let prev = job.gpu_budget_override_mib.or_else(|| env_mib(job, GPU_MEMORY_BUDGET_ENV));
+        if let (Some(peak), Some(prev)) = (env_mib(job, GPU_OBSERVED_PEAK_ENV), prev) {
+            if peak <= prev {
+                return None;
+            }
+        }
+        self.footprint.revised_budget(&job.tool_id, input_mib(job), prev)
     }
 }
 
@@ -485,7 +537,7 @@ mod tests {
     }
 
     #[test]
-    fn override_env_outranks_learned_and_static() {
+    fn budget_override_outranks_learned_and_static() {
         let c = GpuCluster::k80_node();
         let s = stack_with(&c, AllocationPolicy::MemoryBased, MemoryHint::Learned);
         for i in 0..8 {
@@ -493,9 +545,36 @@ mod tests {
         }
         let mut job = Job::new(1, "racon_gpu", ParamDict::new());
         job.set_env(GALAXY_INPUT_SIZE_MIB_ENV, "1500");
-        job.set_env(galaxy::GALAXY_GPU_BUDGET_OVERRIDE_ENV, "7777");
+        job.gpu_budget_override_mib = Some(7777);
         s.hook.before_dispatch(&mut job, &gpu_tool(Some("0")), &dest("local_gpu"));
         assert_eq!(s.table.leases_on(0)[0].memory_hint_mib, 7777);
+    }
+
+    #[test]
+    fn revised_budget_declines_when_the_peak_fit_the_budget() {
+        let c = GpuCluster::k80_node();
+        let s = stack_with(&c, AllocationPolicy::ProcessId, MemoryHint::Learned);
+        let mut job = Job::new(1, "racon_gpu", ParamDict::new());
+        job.set_env(GALAXY_INPUT_SIZE_MIB_ENV, "512");
+        job.set_env(GPU_MEMORY_BUDGET_ENV, "1024");
+
+        // An OOM (peak above the granted budget) earns a doubled budget
+        // even before any profile exists...
+        job.set_env(GPU_OBSERVED_PEAK_ENV, "1500");
+        assert_eq!(s.hook.revised_gpu_budget(&job), Some(2048));
+        // ...and a second one doubles the override it ran under.
+        job.gpu_budget_override_mib = Some(2048);
+        job.set_env(GPU_OBSERVED_PEAK_ENV, "3000");
+        assert_eq!(s.hook.revised_gpu_budget(&job), Some(4096));
+
+        // A failure whose peak *fit* the budget wasn't memory-caused:
+        // no revised budget, straight to the fallback ladder.
+        job.set_env(GPU_OBSERVED_PEAK_ENV, "700");
+        assert_eq!(s.hook.revised_gpu_budget(&job), None);
+
+        // The static hint never revises: the paper's behaviour.
+        job.set_env(GPU_OBSERVED_PEAK_ENV, "3000");
+        assert_eq!(hook(&c, AllocationPolicy::ProcessId).revised_gpu_budget(&job), None);
     }
 
     #[test]

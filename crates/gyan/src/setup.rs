@@ -2,9 +2,7 @@
 
 use crate::allocation::AllocationPolicy;
 use crate::container_gpu::{DockerGpuMutator, SingularityGpuMutator};
-use crate::footprint::{
-    env_mib, input_mib, FootprintRegistry, MemoryHint, GPU_MEMORY_BUDGET_ENV, GPU_OBSERVED_PEAK_ENV,
-};
+use crate::footprint::{FootprintRegistry, MemoryHint};
 use crate::orchestrator::{GyanHook, NodePlacer, Placer};
 use crate::reservations::LeaseTable;
 use crate::rules::{GpuDestinationRule, RULE_NAME};
@@ -140,11 +138,10 @@ pub fn install_gyan_with_footprint(
 /// Everything [`install_gyan`] and `fleet::install_fleet` share — all but
 /// the destination rule: the [`GyanHook`] over `placer`, both container
 /// GPU mutators, and `clock` as the app's time source and the recorder's
-/// clock. Returns the [`FootprintRegistry`] the hook feeds. In
-/// [`MemoryHint::Learned`] mode the registry additionally backs a
-/// [`galaxy::FootprintAdvisor`] on the app, so the queue engine's
-/// footprint-revised resubmission ladder can ask for a bigger budget
-/// before falling back to CPU.
+/// clock. Returns the [`FootprintRegistry`] the hook feeds; in
+/// [`MemoryHint::Learned`] mode the hook also answers the queue engine's
+/// footprint-revised resubmission from it, so a failed attempt can retry
+/// with a bigger budget before falling back to CPU.
 pub fn install_hook(
     app: &mut GalaxyApp,
     clock: &VirtualClock,
@@ -156,38 +153,11 @@ pub fn install_hook(
     app.recorder().set_clock(move || recorder_clock.now());
 
     let footprint = FootprintRegistry::new();
-    if memory_hint != MemoryHint::Static {
-        app.set_footprint_advisor(Box::new(footprint_advisor(footprint.clone())));
-    }
     app.add_hook(Box::new(GyanHook::new(placer, gpu_destinations, footprint.clone(), memory_hint)));
     app.add_mutator(Box::new(DockerGpuMutator));
     app.add_mutator(Box::new(SingularityGpuMutator));
     app.set_time_source(Box::new(ClusterTime(clock.clone())));
     footprint
-}
-
-/// The revised-budget advisor the queue engine consults before a
-/// footprint-revised resubmission: profile max plus headroom, at least
-/// double the budget the failed attempt ran under (read back from the
-/// job's `GALAXY_GPU_MEMORY_BUDGET_MIB` / override exports).
-///
-/// Declines (returns `None`) when the job declares an observed peak
-/// that *fit* the failed attempt's budget — the failure wasn't an OOM,
-/// so a bigger budget can't fix it and a footprint retry would only
-/// delay the fallback ladder.
-pub fn footprint_advisor(
-    registry: FootprintRegistry,
-) -> impl Fn(&galaxy::Job) -> Option<u64> + Send + Sync + 'static {
-    move |job: &galaxy::Job| {
-        let prev = env_mib(job, galaxy::GALAXY_GPU_BUDGET_OVERRIDE_ENV)
-            .or_else(|| env_mib(job, GPU_MEMORY_BUDGET_ENV));
-        if let (Some(peak), Some(prev)) = (env_mib(job, GPU_OBSERVED_PEAK_ENV), prev) {
-            if peak <= prev {
-                return None;
-            }
-        }
-        registry.revised_budget(&job.tool_id, input_mib(job), prev)
-    }
 }
 
 #[cfg(test)]
@@ -248,29 +218,5 @@ racon $input
         install_gyan(&mut app, &cluster, GyanConfig::default());
         let id = app.submit("racon_gpu", &ParamDict::new()).unwrap();
         assert_eq!(app.job(id).unwrap().submit_time, Some(42.0));
-    }
-
-    #[test]
-    fn advisor_declines_when_the_peak_fit_the_budget() {
-        use crate::footprint::{
-            FootprintRegistry, GALAXY_INPUT_SIZE_MIB_ENV, GPU_MEMORY_BUDGET_ENV,
-            GPU_OBSERVED_PEAK_ENV,
-        };
-        let registry = FootprintRegistry::new();
-        let advisor = footprint_advisor(registry);
-
-        let mut job = galaxy::Job::new(1, "racon_gpu", galaxy::params::ParamDict::new());
-        job.set_env(GALAXY_INPUT_SIZE_MIB_ENV, "512");
-        job.set_env(GPU_MEMORY_BUDGET_ENV, "1024");
-
-        // An OOM (peak above the granted budget) earns a doubled budget
-        // even before any profile exists.
-        job.set_env(GPU_OBSERVED_PEAK_ENV, "1500");
-        assert_eq!(advisor(&job), Some(2048));
-
-        // A failure whose peak *fit* the budget wasn't memory-caused:
-        // no revised budget, straight to the fallback ladder.
-        job.set_env(GPU_OBSERVED_PEAK_ENV, "700");
-        assert_eq!(advisor(&job), None);
     }
 }

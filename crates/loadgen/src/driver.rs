@@ -132,8 +132,8 @@ pub struct LoadOptions {
     /// profiles. The ablation bench sweeps this.
     pub memory_hint: MemoryHint,
     /// Footprint-revised same-destination retries granted before the
-    /// GPU→CPU fallback ladder (effective only with a learned-mode
-    /// footprint advisor installed).
+    /// GPU→CPU fallback ladder (effective only with
+    /// [`MemoryHint::Learned`], whose hook revises budgets).
     pub footprint_retries: u32,
 }
 
@@ -483,6 +483,25 @@ mod tests {
         let report = run_scenario(&small_fleet(), &LoadOptions::default()).expect("fleet run");
         assert_eq!(report.ok, report.submitted);
         assert!(!report.fired.iter().any(|r| r == "fleet-lease-leak"), "{:?}", report.fired);
+    }
+
+    /// The allocation policy reaches a fleet's shards as it reaches a
+    /// single node: every grant of a Memory-Based fleet run is decided
+    /// Memory-Based.
+    #[test]
+    fn fleet_topology_runs_the_requested_allocation_policy() {
+        let options = LoadOptions {
+            allocation_policy: AllocationPolicy::MemoryBased,
+            ..LoadOptions::default()
+        };
+        let (report, recorder) =
+            run_scenario_recorded(&small_fleet(), &options).expect("fleet run");
+        assert_eq!(report.ok, report.submitted);
+        let decisions = recorder.events_named("gyan.allocation.decision");
+        assert!(!decisions.is_empty(), "the fleet run decided no grant");
+        for decision in &decisions {
+            assert_eq!(decision.field("policy").and_then(|v| v.as_str()), Some("memory_based"));
+        }
     }
 
     #[test]

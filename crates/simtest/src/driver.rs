@@ -93,9 +93,9 @@ pub enum Gpus {
 }
 
 impl Gpus {
-    /// Install GYAN over `hardware` into `app`. `policy` is the single
-    /// node's device allocation strategy (a fleet's shards keep their
-    /// builder's); `memory_hint` applies to both.
+    /// Install GYAN over `hardware` into `app`. `policy` is the device
+    /// allocation strategy — the single node's, or every fleet shard's
+    /// (it replaces the builder's); `memory_hint` applies to both.
     pub fn install(
         hardware: Hardware,
         app: &mut GalaxyApp,
@@ -109,7 +109,8 @@ impl Gpus {
                 Gpus::Node { cluster, table }
             }
             Hardware::Fleet(builder) => {
-                let fleet = builder.recorder(app.recorder().clone()).build();
+                let fleet =
+                    builder.allocation_policy(policy).recorder(app.recorder().clone()).build();
                 let config = FleetConfig { memory_hint, ..FleetConfig::default() };
                 fleet::install_fleet(app, &fleet, config);
                 Gpus::Fleet(fleet)

@@ -59,26 +59,46 @@ pub fn build(
     (app, executor)
 }
 
-/// The argv of every plan an app handed its executor, each joined by
-/// spaces, in launch order.
-pub type Launched = Arc<Mutex<Vec<String>>>;
+/// Every plan an executor was handed, in launch order.
+pub type Plans = Arc<Mutex<Vec<ExecutionPlan>>>;
 
-/// Install `executor` on `app` behind a wrapper that records each plan's
-/// argv before running it: what the app launched, for a test to read.
-pub fn record_launches(app: &mut GalaxyApp, executor: impl JobExecutor + 'static) -> Launched {
+/// Install `executor` on `app` behind [`record_plans`]: what the app
+/// launched, for a test to read.
+pub fn record_launches(app: &mut GalaxyApp, executor: impl JobExecutor + 'static) -> Plans {
+    let (executor, plans) = record_plans(executor);
+    app.set_executor(Box::new(executor));
+    plans
+}
+
+/// The argv of the first recorded launch that contains `needle`, joined
+/// by spaces.
+pub fn launch_containing(plans: &Plans, needle: &str) -> Option<String> {
+    let plans = plans.lock().unwrap();
+    plans.iter().map(|p| p.command_parts.join(" ")).find(|argv| argv.contains(needle))
+}
+
+/// `executor` behind a wrapper that records each plan before running it —
+/// a queue engine takes its executor directly.
+pub fn record_plans(executor: impl JobExecutor + 'static) -> (Arc<dyn JobExecutor>, Plans) {
     struct Recording<E> {
         inner: E,
-        launched: Launched,
+        plans: Plans,
     }
     impl<E: JobExecutor> JobExecutor for Recording<E> {
         fn execute(&self, plan: &ExecutionPlan) -> ExecutionResult {
-            self.launched.lock().unwrap().push(plan.command_parts.join(" "));
+            self.plans.lock().unwrap().push(plan.clone());
             self.inner.execute(plan)
         }
     }
-    let launched = Launched::default();
-    app.set_executor(Box::new(Recording { inner: executor, launched: launched.clone() }));
-    launched
+    let plans = Plans::default();
+    (Arc::new(Recording { inner: executor, plans: plans.clone() }), plans)
+}
+
+/// The sorted keys of a plan's exported environment.
+pub fn env_keys(plan: &ExecutionPlan) -> Vec<&str> {
+    let mut keys: Vec<&str> = plan.env.iter().map(|(k, _)| k.as_str()).collect();
+    keys.sort_unstable();
+    keys
 }
 
 /// Wrapper XML for a GPU tool pinned to `gpu_ids` via the

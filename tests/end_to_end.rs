@@ -114,9 +114,8 @@ fn containerized_gpu_job_gets_gpus_flag_and_overhead() {
     let job = app.job(id).unwrap();
     assert_eq!(job.destination_id.as_deref(), Some("docker_gpu"));
     // The executor was handed the mutated docker command line.
-    let launched = launched.lock().unwrap();
     let launch =
-        launched.iter().find(|argv| argv.contains("docker run")).expect("docker launch recorded");
+        common::launch_containing(&launched, "docker run").expect("docker launch recorded");
     assert!(launch.contains("--gpus all"));
     assert!(launch.contains("CUDA_VISIBLE_DEVICES=0,1"));
     assert!(launch.contains("gulsumgudukbay/racon_dockerfile"));

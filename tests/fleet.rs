@@ -22,6 +22,9 @@ use seqtools::ToolExecutor;
 use simtest::driver::{Gpus, Hardware, Repro, Stack, StackSpec};
 use std::sync::Arc;
 
+mod common;
+use common::{env_keys, record_plans, Plans};
+
 // &[0] pins one minor so each placement takes exactly one die (an empty
 // request takes every free die on the chosen node).
 fn request<'a>(job_id: u64, user: &'a str, tool: &'a str, hint: u64) -> PlacementRequest<'a> {
@@ -385,19 +388,21 @@ echo cpu
   <outputs><data name="out" format="txt"/></outputs>
 </tool>"#;
 
-fn fleet_engine(fleet: &Fleet, policy: galaxy::queue::ResubmitPolicy) -> QueueEngine {
+/// An engine over `fleet` whose executor records every plan it runs.
+fn fleet_engine(fleet: &Fleet, policy: galaxy::queue::ResubmitPolicy) -> (QueueEngine, Plans) {
     let mut app = GalaxyApp::new(JobConfig::from_xml(GYAN_JOB_CONF).unwrap());
     app.install_tool_xml(GPU_FLAKY_TOOL, &MacroLibrary::new()).unwrap();
     install_fleet(&mut app, fleet, FleetConfig::default());
-    let executor = Arc::new(ToolExecutor::new(&GpuCluster::cpu_only_node()));
+    let (executor, plans) = record_plans(ToolExecutor::new(&GpuCluster::cpu_only_node()));
     let config = galaxy::queue::QueueConfig { resubmit: policy, ..Default::default() };
-    QueueEngine::new(app, executor, config)
+    (QueueEngine::new(app, executor, config), plans)
 }
 
 /// The tentpole end to end: a GPU failure first retries *on the fleet*
 /// with the failed node excluded (landing on the other node class), and
 /// only when the node-retry budget is spent falls down the ladder to
 /// CPU — each hop audited with the failed node and the exclusion set.
+/// The tool sees only what it reads: the GPU exports, no retry context.
 #[test]
 fn failed_node_is_excluded_on_retry_before_falling_to_cpu() {
     let fleet = Fleet::builder().nodes(NodeClass::k80(), 1).nodes(NodeClass::a100(), 1).build();
@@ -416,12 +421,25 @@ fn failed_node_is_excluded_on_retry_before_falling_to_cpu() {
     let policy =
         galaxy::queue::ResubmitPolicy::from_destination(conf.destination("fleet_gpu").unwrap())
             .unwrap();
-    let mut engine = fleet_engine(&fleet, policy);
+    let (mut engine, plans) = fleet_engine(&fleet, policy);
 
     let handle = engine.submit_async("ada", "racon_gpu", &ParamDict::new()).unwrap();
     engine.run_until_idle();
 
-    // Three attempts: k80-000 (fails) → a100-001 (fails) → CPU (ok).
+    // Three attempts: k80-000 (fails) → a100-001 (fails) → CPU (ok),
+    // each exporting exactly what a tool process reads.
+    let plans = plans.lock().unwrap();
+    let nodes: Vec<Option<&str>> = plans.iter().map(|p| p.env_var("GALAXY_NODE")).collect();
+    assert_eq!(nodes, [Some("k80-000"), Some("a100-001"), None]);
+    let gpu_keys = [
+        "CUDA_VISIBLE_DEVICES",
+        "GALAXY_GPU_ENABLED",
+        "GALAXY_GPU_MEMORY_BUDGET_MIB",
+        "GALAXY_NODE",
+    ];
+    assert_eq!(env_keys(&plans[0]), gpu_keys);
+    assert_eq!(env_keys(&plans[1]), gpu_keys);
+    assert_eq!(env_keys(&plans[2]), ["GALAXY_GPU_ENABLED"]);
     assert_eq!(engine.state(handle), Some(SubmissionState::Ok));
     let snap = engine.ledger().get(handle.0).unwrap();
     assert_eq!(snap.attempts, 3);
@@ -464,7 +482,7 @@ fn failed_node_is_excluded_on_retry_before_falling_to_cpu() {
 fn cpu_retry_carries_no_stale_node_or_device_mask() {
     let fleet = Fleet::builder().nodes(NodeClass::k80(), 1).build();
     let policy = galaxy::queue::ResubmitPolicy::gpu_to_cpu("local_cpu");
-    let mut engine = fleet_engine(&fleet, policy);
+    let (mut engine, _) = fleet_engine(&fleet, policy);
 
     let handle = engine.submit_async("ada", "racon_gpu", &ParamDict::new()).unwrap();
     engine.run_until_idle();
@@ -500,7 +518,7 @@ fn resubmission_releases_leases_before_the_retry_places() {
         node_retries: 0,
         footprint_retries: 0,
     };
-    let mut engine = fleet_engine(&fleet, policy);
+    let (mut engine, _) = fleet_engine(&fleet, policy);
 
     let handle = engine.submit_async("ada", "racon_gpu", &ParamDict::new()).unwrap();
     engine.run_until_idle();

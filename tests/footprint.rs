@@ -17,7 +17,9 @@ use gyan::footprint::{
 };
 use gyan::setup::{install_gyan_with_footprint, GyanConfig};
 use loadgen::{LoadExecutor, FAIL_GPU_ENV};
-use std::sync::Arc;
+
+mod common;
+use common::{env_keys, record_plans, Plans};
 
 const GPU_TOOL: &str = r#"<tool id="load_gpu" name="Load GPU">
   <requirements><requirement type="compute">gpu</requirement></requirements>
@@ -28,8 +30,9 @@ const GPU_TOOL: &str = r#"<tool id="load_gpu" name="Load GPU">
 /// A wired stack: GYAN with footprint learning on one K80 node, the
 /// loadgen executor (which OOM-kills GPU attempts whose declared peak
 /// exceeds the granted budget), and `footprint_retries` same-destination
-/// retries ahead of the GPU→CPU ladder.
-fn engine(footprint_retries: u32) -> (QueueEngine, FootprintRegistry) {
+/// retries ahead of the GPU→CPU ladder. The engine's executor records
+/// every plan it runs.
+fn engine(footprint_retries: u32) -> (QueueEngine, FootprintRegistry, Plans) {
     let cluster = GpuCluster::node(GpuArch::tesla_k80(), 2);
     let mut app = GalaxyApp::new(JobConfig::from_xml(GYAN_JOB_CONF).unwrap());
     app.install_tool_xml(GPU_TOOL, &MacroLibrary::new()).unwrap();
@@ -41,7 +44,8 @@ fn engine(footprint_retries: u32) -> (QueueEngine, FootprintRegistry) {
         resubmit: ResubmitPolicy::gpu_to_cpu("local_cpu").with_footprint_retries(footprint_retries),
         ..QueueConfig::default()
     };
-    (QueueEngine::new(app, Arc::new(LoadExecutor), config), registry)
+    let (executor, plans) = record_plans(LoadExecutor);
+    (QueueEngine::new(app, executor, config), registry, plans)
 }
 
 fn labeled(reason: &str) -> String {
@@ -50,11 +54,12 @@ fn labeled(reason: &str) -> String {
 
 /// An oversized job OOMs under the 1024 MiB static hint, earns a
 /// footprint-revised retry at double the budget on the *same* GPU
-/// destination, succeeds there, feeds the profile — and the surviving
-/// job record carries none of the per-attempt retry context.
+/// destination, succeeds there, feeds the profile — and neither an
+/// attempt's exports nor the surviving job record carry the retry
+/// context.
 #[test]
 fn oom_earns_a_footprint_retry_and_the_success_path_scrubs_the_env() {
-    let (mut engine, registry) = engine(2);
+    let (mut engine, registry, plans) = engine(2);
     let handle = engine.submit_async("alice", "load_gpu", &ParamDict::new()).unwrap();
     engine.app_mut().set_job_env(handle.0, GALAXY_INPUT_SIZE_MIB_ENV, "1200");
     engine.app_mut().set_job_env(handle.0, GPU_OBSERVED_PEAK_ENV, "1500");
@@ -68,8 +73,27 @@ fn oom_earns_a_footprint_retry_and_the_success_path_scrubs_the_env() {
     // ...but the success path scrubbed the override and exclusion set
     // (the regression this test pins: a finished job must not carry the
     // retry context of its failed attempts).
-    assert_eq!(job.env_var(galaxy::GALAXY_GPU_BUDGET_OVERRIDE_ENV), None);
-    assert_eq!(job.env_var(galaxy::GALAXY_EXCLUDED_NODES_ENV), None);
+    assert_eq!(job.gpu_budget_override_mib, None);
+    assert!(job.excluded_nodes.is_empty());
+
+    // Each attempt exported exactly the GPU exports a tool reads plus the
+    // submitter's own inputs: 1024 MiB (OOM), then 2048 MiB.
+    let plans = plans.lock().unwrap();
+    let budgets: Vec<Option<&str>> =
+        plans.iter().map(|p| p.env_var(GPU_MEMORY_BUDGET_ENV)).collect();
+    assert_eq!(budgets, [Some("1024"), Some("2048")]);
+    for plan in plans.iter() {
+        assert_eq!(
+            env_keys(plan),
+            [
+                "CUDA_VISIBLE_DEVICES",
+                "GALAXY_GPU_ENABLED",
+                "GALAXY_GPU_MEMORY_BUDGET_MIB",
+                "GALAXY_GPU_OBSERVED_PEAK_MIB",
+                "GALAXY_INPUT_SIZE_MIB",
+            ]
+        );
+    }
 
     let metrics = engine.app().recorder().metrics();
     assert_eq!(metrics.counter_value(&labeled("footprint_revised")), 1);
@@ -88,11 +112,11 @@ fn oom_earns_a_footprint_retry_and_the_success_path_scrubs_the_env() {
 }
 
 /// A fault that is *not* an OOM (the declared peak fit the budget) must
-/// not consume footprint retries: the advisor declines and the job goes
+/// not consume footprint retries: the hook declines and the job goes
 /// straight down the fallback ladder to CPU.
 #[test]
 fn non_oom_failures_skip_the_footprint_retry() {
-    let (mut engine, _registry) = engine(2);
+    let (mut engine, _registry, _) = engine(2);
     let handle = engine.submit_async("bob", "load_gpu", &ParamDict::new()).unwrap();
     engine.app_mut().set_job_env(handle.0, GALAXY_INPUT_SIZE_MIB_ENV, "256");
     engine.app_mut().set_job_env(handle.0, GPU_OBSERVED_PEAK_ENV, "300");
@@ -111,7 +135,7 @@ fn non_oom_failures_skip_the_footprint_retry() {
 /// family into the app's metrics registry, which `/metrics` serves.
 #[test]
 fn conclusions_export_the_footprint_family_to_metrics() {
-    let (mut engine, registry) = engine(2);
+    let (mut engine, registry, _) = engine(2);
     let handle = engine.submit_async("carol", "load_gpu", &ParamDict::new()).unwrap();
     engine.app_mut().set_job_env(handle.0, GALAXY_INPUT_SIZE_MIB_ENV, "512");
     engine.app_mut().set_job_env(handle.0, GPU_OBSERVED_PEAK_ENV, "600");

@@ -28,7 +28,7 @@ racon -t 2 sing_racon > out.fa
   <outputs><data name="consensus" format="fasta"/></outputs>
 </tool>"#;
 
-fn build() -> (GpuCluster, GalaxyApp, common::Launched) {
+fn build() -> (GpuCluster, GalaxyApp, common::Plans) {
     let cluster = GpuCluster::k80_node();
     let mut app = GalaxyApp::new(JobConfig::from_xml(GYAN_JOB_CONF).unwrap());
     let registry = galaxy::containers::ImageRegistry::with_paper_images();
@@ -64,10 +64,7 @@ fn singularity_launch_gets_nv_and_loses_bind_modes() {
     assert_eq!(job.state(), JobState::Ok);
     assert_eq!(job.destination_id.as_deref(), Some("singularity_gpu"));
 
-    let launched = launched.lock().unwrap();
-    let cmd = launched
-        .iter()
-        .find(|argv| argv.contains("singularity exec"))
+    let cmd = common::launch_containing(&launched, "singularity exec")
         .expect("singularity launch recorded");
     assert!(cmd.contains("--nv"), "{cmd}");
     assert!(cmd.contains("SINGULARITYENV_GALAXY_GPU_ENABLED=true"), "{cmd}");
