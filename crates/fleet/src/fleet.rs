@@ -1,5 +1,5 @@
-//! The [`Fleet`]: shard ownership, two-phase placement, and per-node
-//! accounting.
+//! The [`Fleet`]: shard ownership, two-phase placement, and the fleet's
+//! books.
 //!
 //! Placement is two-phase: the fleet filters candidate shards through
 //! the destination rules (phase 1a), scores survivors with the
@@ -11,15 +11,25 @@
 //! the fleet booked on S, and no job may hold leases on two shards —
 //! which is why placing a job that is already booked first releases that
 //! booking as `superseded`.
+//!
+//! Beside the bookings, under the same lock, the fleet keeps each node's
+//! running sums — leases per device and pending declared MiB — and each
+//! user's active placements per node. They change only where a booking
+//! does (a grant, a release), so phase 1 builds every candidate's
+//! [`NodeLoad`] from them in one pass under that one lock: no shard
+//! table lock, no walk over the bookings. A device's SMI availability is
+//! the one live input, read from the cluster's per-device atomic,
+//! because lingering processes come and go without the fleet.
 
-use crate::node::{NodeClass, NodeShard, NodeStatus};
+use crate::node::{NodeClass, NodeLoad, NodeShard, NodeStatus};
 use crate::placement::{LeastLoaded, PlacementPolicy, PlacementRequest};
-use crate::rules::DestinationRules;
+use crate::rules::{rule_admits, DestinationRules};
 use gpusim::VirtualClock;
 use gyan::allocation::{Allocation, AllocationPolicy};
 use obs::{Recorder, Value};
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Counter: successful placements, labeled `{node="<name>"}`.
@@ -60,15 +70,134 @@ pub struct Placement {
     pub mem_mib: u64,
 }
 
-/// Fleet-side record of an active placement.
-#[derive(Debug, Clone)]
+/// Fleet-side record of an active placement: where it landed and what
+/// the shard granted, so a release can take it off the books again.
 struct Booking {
     node: u32,
-    user: String,
+    /// Shared with the user's entry in [`Books::users`].
+    user: Arc<str>,
+    /// The granted minors (`Allocation::devices`): one lease each.
+    devices: Vec<u32>,
+    /// The declared hint every one of those leases carries.
+    memory_hint_mib: u64,
+}
+
+/// One node's running sums: what its lease table holds, kept by the
+/// fleet so scoring the node never asks the table.
+struct NodeBook {
+    /// Leases per device minor.
+    leases: Vec<u32>,
+    /// Sum of `leases`.
+    active_leases: usize,
+    /// Sum of the leases' declared hints (MiB).
+    pending_mem_mib: u64,
+}
+
+/// The bookings and the sums derived from them, all behind the fleet's
+/// one `Mutex` and changed together by [`Books::book`] and
+/// [`Books::unbook`].
+struct Books {
+    bookings: BTreeMap<u64, Booking>,
+    /// One per shard, by node id.
+    nodes: Vec<NodeBook>,
+    /// user → (node, active placements there), by ascending node; a user
+    /// with none has no entry.
+    users: HashMap<Arc<str>, Vec<(u32, usize)>>,
+}
+
+impl Books {
+    fn new(shards: &[NodeShard]) -> Self {
+        let nodes = shards
+            .iter()
+            .map(|s| NodeBook {
+                leases: vec![0; s.cluster.device_count() as usize],
+                active_leases: 0,
+                pending_mem_mib: 0,
+            })
+            .collect();
+        Books { bookings: BTreeMap::new(), nodes, users: HashMap::new() }
+    }
+
+    /// Book `job_id` on `node` with the shard's grant, exactly as the
+    /// shard's table leased it: one lease per granted minor, each with
+    /// the hint.
+    fn book(&mut self, job_id: u64, node: u32, user: &str, devices: &[u32], memory_hint_mib: u64) {
+        // Only a concurrent placement of the same job finds one; the
+        // books follow the booking map either way.
+        self.unbook(job_id);
+        let user =
+            self.users.get_key_value(user).map_or_else(|| Arc::from(user), |(k, _)| k.clone());
+        let mine = self.users.entry(user.clone()).or_default();
+        match mine.binary_search_by_key(&node, |&(n, _)| n) {
+            Ok(at) => mine[at].1 += 1,
+            Err(at) => mine.insert(at, (node, 1)),
+        }
+        let book = &mut self.nodes[node as usize];
+        for &minor in devices {
+            book.leases[minor as usize] += 1;
+        }
+        book.active_leases += devices.len();
+        book.pending_mem_mib += memory_hint_mib * devices.len() as u64;
+        let devices = devices.to_vec();
+        self.bookings.insert(job_id, Booking { node, user, devices, memory_hint_mib });
+    }
+
+    /// Take `job_id`'s booking off the books, if it has one.
+    fn unbook(&mut self, job_id: u64) -> Option<Booking> {
+        let booking = self.bookings.remove(&job_id)?;
+        let book = &mut self.nodes[booking.node as usize];
+        for &minor in &booking.devices {
+            book.leases[minor as usize] -= 1;
+        }
+        book.active_leases -= booking.devices.len();
+        book.pending_mem_mib -= booking.memory_hint_mib * booking.devices.len() as u64;
+        if let Entry::Occupied(mut entry) = self.users.entry(booking.user.clone()) {
+            let mine = entry.get_mut();
+            if let Ok(at) = mine.binary_search_by_key(&booking.node, |&(n, _)| n) {
+                mine[at].1 -= 1;
+                if mine[at].1 == 0 {
+                    mine.remove(at);
+                }
+            }
+            if mine.is_empty() {
+                entry.remove();
+            }
+        }
+        Some(booking)
+    }
+
+    /// `(node, active placements)` of `user`, by ascending node.
+    fn user_nodes(&self, user: Option<&str>) -> &[(u32, usize)] {
+        match user.and_then(|u| self.users.get(u)) {
+            Some(mine) => mine,
+            None => &[],
+        }
+    }
+
+    /// What placement scores `shard` by: the books' sums, the user's
+    /// count from `mine` (its [`Books::user_nodes`]), and each unleased
+    /// device's availability flag.
+    fn load(&self, shard: &NodeShard, mine: &[(u32, usize)]) -> NodeLoad {
+        let book = &self.nodes[shard.id as usize];
+        let free_devices = (0u32..)
+            .zip(&book.leases)
+            .filter(|&(minor, leases)| *leases == 0 && shard.cluster.is_device_available(minor))
+            .count();
+        NodeLoad {
+            node: shard.id,
+            device_count: shard.cluster.device_count(),
+            active_leases: book.active_leases,
+            free_devices,
+            pending_mem_mib: book.pending_mem_mib,
+            user_active: mine
+                .binary_search_by_key(&shard.id, |&(n, _)| n)
+                .map_or(0, |at| mine[at].1),
+        }
+    }
 }
 
 /// N per-node shards plus the placement layer above them. Clones share
-/// state (shards, bookings, policy), so one handle can serve the
+/// state (shards, books, policy), so one handle can serve the
 /// dispatch hook, the ops server, and the invariant checker at once.
 #[derive(Clone)]
 pub struct Fleet {
@@ -76,7 +205,7 @@ pub struct Fleet {
     rules: Arc<DestinationRules>,
     policy: Arc<dyn PlacementPolicy>,
     alloc_policy: AllocationPolicy,
-    bookings: Arc<Mutex<BTreeMap<u64, Booking>>>,
+    books: Arc<Mutex<Books>>,
     clock: VirtualClock,
     recorder: Option<Recorder>,
 }
@@ -134,11 +263,11 @@ impl FleetBuilder {
             .map(|(id, class)| NodeShard::new(id as u32, class, &clock))
             .collect();
         Fleet {
+            books: Arc::new(Mutex::new(Books::new(&shards))),
             shards: Arc::new(shards),
             rules: Arc::new(self.rules),
             policy: self.policy,
             alloc_policy: self.alloc_policy,
-            bookings: Arc::new(Mutex::new(BTreeMap::new())),
             clock,
             recorder: self.recorder,
         }
@@ -189,20 +318,22 @@ impl Fleet {
 
     /// Phase 1a: the shards that could host `tool_id` at
     /// `memory_hint_mib` — placeable, not in `excluded`, and admitted by
-    /// the destination rules. [`Fleet::place`] scores these; the dynamic
-    /// rule and the placement-aware retry route to the fleet only while
-    /// one exists, so they never commit a job that placement must reject.
+    /// the destination rules (the tool's rule is matched once, not once
+    /// per shard). [`Fleet::place`] scores these; the dynamic rule and the
+    /// placement-aware retry route to the fleet only while one exists, so
+    /// they never commit a job that placement must reject.
     pub fn candidates<'a>(
         &'a self,
         tool_id: &'a str,
         memory_hint_mib: u64,
         excluded: &'a [String],
     ) -> impl Iterator<Item = &'a NodeShard> {
+        let rule = self.rules.match_tool(tool_id);
         self.shards
             .iter()
             .filter(|s| s.is_placeable())
             .filter(move |s| !excluded.iter().any(|n| n == &s.name))
-            .filter(move |s| self.rules.admits(tool_id, &s.class, memory_hint_mib))
+            .filter(move |s| rule_admits(rule, &s.class, memory_hint_mib))
     }
 
     /// Place a job: filter candidates by rules/arch/memory, score with
@@ -213,40 +344,20 @@ impl Fleet {
     /// also when it then lands nowhere.
     pub fn place(&self, req: &PlacementRequest<'_>) -> Option<Placement> {
         obs::profile_scope!("fleet.place");
-        let (booked, user_nodes) = {
-            let bookings = self.bookings.lock();
-            // Where the user's other active placements are, gathered in
-            // one pass over the bookings instead of one per candidate.
-            let user_nodes: Vec<u32> = bookings
-                .iter()
-                .filter(|(job, b)| **job != req.job_id && b.user == req.user)
-                .map(|(_, b)| b.node)
-                .collect();
-            (bookings.contains_key(&req.job_id), user_nodes)
-        };
+        let mut books = self.books.lock();
         // A job placed again gives up its first placement before any node
         // is scored: the shard's table supersedes a holder's leases only
         // on itself, so landing elsewhere would strand the old ones.
-        if booked {
-            self.release(req.job_id, "superseded");
+        if let Some(stale) = books.unbook(req.job_id) {
+            let leases = books.nodes[stale.node as usize].active_leases;
+            drop(books);
+            self.release_unbooked(req.job_id, stale.node, leases, "superseded");
+            books = self.books.lock();
         }
-        // Sized once — and not at all for a request no node admits, which
-        // is rejected without allocating.
-        let mut admitted =
-            self.candidates(req.tool_id, req.memory_hint_mib, req.excluded_nodes).peekable();
-        let room = if admitted.peek().is_some() { self.shards.len() } else { 0 };
-        let mut candidates: Vec<(f64, u32)> = Vec::with_capacity(room);
-        candidates.extend(admitted.map(|s| {
-            let mut load = s.load();
-            load.user_active = user_nodes.iter().filter(|node| **node == s.id).count();
-            (self.policy.score(&load, req), s.id)
-        }));
-        // Deterministic total order: score, then lowest node id. Node ids
-        // are unique, so no two entries compare equal and an unstable sort
-        // yields the one order there is.
-        candidates.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let (mut best, candidates) = self.pick(&books, req, &[]);
+        drop(books);
 
-        if candidates.is_empty() {
+        if best.is_none() {
             if let Some(rec) = &self.recorder {
                 rec.metrics().inc_counter(FLEET_REJECTED_COUNTER, 1);
                 rec.event(
@@ -263,58 +374,100 @@ impl Fleet {
             }
             return None;
         }
-
-        let n_candidates = candidates.len();
-        for (score, node) in candidates {
-            let shard = &self.shards[node as usize];
-            let Some(allocation) = shard.table.allocate_and_lease(
-                &shard.cluster,
-                req.requested,
-                self.alloc_policy,
-                req.job_id,
-                req.memory_hint_mib,
-                self.recorder.as_ref(),
-            ) else {
-                continue;
-            };
-            self.bookings.lock().insert(req.job_id, Booking { node, user: req.user.to_string() });
-            let (cores, mem_mib) = self.rules.right_size(req.tool_id, &shard.class);
-            if let Some(rec) = &self.recorder {
-                let m = rec.metrics();
-                m.inc_counter(&shard.placements_key, 1);
-                m.set_gauge(&shard.leases_key, shard.table.lease_count() as f64);
-                rec.event(
-                    FLEET_DECISION_EVENT,
-                    [
-                        ("job_id", Value::from(req.job_id)),
-                        ("tool", Value::from(req.tool_id)),
-                        ("user", Value::from(req.user)),
-                        ("policy", Value::from(self.policy.name())),
-                        ("placed", Value::from(true)),
-                        ("candidates", Value::from(n_candidates)),
-                        ("node", Value::from(shard.name.as_str())),
-                        ("node_class", Value::from(shard.class.name)),
-                        ("score", Value::from(score)),
-                        (
-                            "cuda_visible_devices",
-                            Value::from(allocation.cuda_visible_devices.as_str()),
-                        ),
-                        ("cores", Value::from(u64::from(cores))),
-                        ("mem_mib", Value::from(mem_mib)),
-                    ],
-                );
+        let mut refused = Vec::new();
+        while let Some((score, node)) = best {
+            if let Some(placement) = self.grant(req, node, score, candidates) {
+                return Some(placement);
             }
-            return Some(Placement {
-                job_id: req.job_id,
-                node,
-                node_name: shard.name.clone(),
-                node_class: shard.class.name.to_string(),
-                allocation,
-                cores,
-                mem_mib,
-            });
+            // The chosen shard refused (raced, or its node could not be
+            // observed): the next in `(score, node id)` order.
+            refused.push(node);
+            best = self.pick(&self.books.lock(), req, &refused).0;
         }
         None
+    }
+
+    /// Phase 1: the candidate with the lowest `(score, node id)` outside
+    /// `refused`, and how many candidates there are — one pass, scoring
+    /// each node from `books`: no shard lock, no list, no sort.
+    fn pick(
+        &self,
+        books: &Books,
+        req: &PlacementRequest<'_>,
+        refused: &[u32],
+    ) -> (Option<(f64, u32)>, usize) {
+        let mine = books.user_nodes(Some(req.user));
+        let mut candidates = 0;
+        let mut best: Option<(f64, u32)> = None;
+        for shard in self.candidates(req.tool_id, req.memory_hint_mib, req.excluded_nodes) {
+            candidates += 1;
+            if refused.contains(&shard.id) {
+                continue;
+            }
+            let score = self.policy.score(&books.load(shard, mine), req);
+            // Ascending node ids: a tie keeps the lower one.
+            if best.is_none_or(|(low, _)| score.total_cmp(&low).is_lt()) {
+                best = Some((score, shard.id));
+            }
+        }
+        (best, candidates)
+    }
+
+    /// Phase 2 on `node`: lease minors from its shard's table and, on a
+    /// grant, book it and audit the decision.
+    fn grant(
+        &self,
+        req: &PlacementRequest<'_>,
+        node: u32,
+        score: f64,
+        candidates: usize,
+    ) -> Option<Placement> {
+        let shard = &self.shards[node as usize];
+        let allocation = shard.table.allocate_and_lease(
+            &shard.cluster,
+            req.requested,
+            self.alloc_policy,
+            req.job_id,
+            req.memory_hint_mib,
+            self.recorder.as_ref(),
+        )?;
+        let leases = {
+            let mut books = self.books.lock();
+            books.book(req.job_id, node, req.user, &allocation.devices, req.memory_hint_mib);
+            books.nodes[node as usize].active_leases
+        };
+        let (cores, mem_mib) = self.rules.right_size(req.tool_id, &shard.class);
+        if let Some(rec) = &self.recorder {
+            let m = rec.metrics();
+            m.inc_counter(&shard.placements_key, 1);
+            m.set_gauge(&shard.leases_key, leases as f64);
+            rec.event(
+                FLEET_DECISION_EVENT,
+                [
+                    ("job_id", Value::from(req.job_id)),
+                    ("tool", Value::from(req.tool_id)),
+                    ("user", Value::from(req.user)),
+                    ("policy", Value::from(self.policy.name())),
+                    ("placed", Value::from(true)),
+                    ("candidates", Value::from(candidates)),
+                    ("node", Value::from(shard.name.as_str())),
+                    ("node_class", Value::from(shard.class.name)),
+                    ("score", Value::from(score)),
+                    ("cuda_visible_devices", Value::from(allocation.cuda_visible_devices.as_str())),
+                    ("cores", Value::from(u64::from(cores))),
+                    ("mem_mib", Value::from(mem_mib)),
+                ],
+            );
+        }
+        Some(Placement {
+            job_id: req.job_id,
+            node,
+            node_name: shard.name.clone(),
+            node_class: shard.class.name.to_string(),
+            allocation,
+            cores,
+            mem_mib,
+        })
     }
 
     /// Release a job's placement: drops its leases on the booked shard
@@ -322,11 +475,21 @@ impl Fleet {
     /// (0 for unknown jobs — release is idempotent, like the lease
     /// table's).
     pub fn release(&self, job_id: u64, why: &str) -> usize {
-        let Some(booking) = self.bookings.lock().remove(&job_id) else { return 0 };
-        let shard = &self.shards[booking.node as usize];
+        let (node, leases) = {
+            let mut books = self.books.lock();
+            let Some(booking) = books.unbook(job_id) else { return 0 };
+            (booking.node, books.nodes[booking.node as usize].active_leases)
+        };
+        self.release_unbooked(job_id, node, leases, why)
+    }
+
+    /// The shard half of a release, for a booking already off the books
+    /// that left `leases` booked on `node`.
+    fn release_unbooked(&self, job_id: u64, node: u32, leases: usize, why: &str) -> usize {
+        let shard = &self.shards[node as usize];
         let released = shard.table.release(job_id, why, self.recorder.as_ref());
         if let Some(rec) = &self.recorder {
-            rec.metrics().set_gauge(&shard.leases_key, shard.table.lease_count() as f64);
+            rec.metrics().set_gauge(&shard.leases_key, leases as f64);
             rec.event(
                 FLEET_RELEASE_EVENT,
                 [
@@ -353,12 +516,30 @@ impl Fleet {
 
     /// The node a job is currently booked on.
     pub fn node_of(&self, job_id: u64) -> Option<u32> {
-        self.bookings.lock().get(&job_id).map(|b| b.node)
+        self.books.lock().bookings.get(&job_id).map(|b| b.node)
     }
 
     /// Snapshot of active bookings: (job id, node id), in job-id order.
     pub fn active_placements(&self) -> Vec<(u64, u32)> {
-        self.bookings.lock().iter().map(|(job, b)| (*job, b.node)).collect()
+        self.books.lock().bookings.iter().map(|(job, b)| (*job, b.node)).collect()
+    }
+
+    /// Every node's load as placement scores it, in node-id order, from
+    /// one hold of the books: the fleet's sums, the devices' availability
+    /// flags, and `user`'s active placements on the node (0 everywhere
+    /// for `None`). Placeability is not considered. The fleet's one
+    /// definition of "node load", which `/api/nodes` serves.
+    pub fn loads(&self, user: Option<&str>) -> Vec<NodeLoad> {
+        let books = self.books.lock();
+        let mine = books.user_nodes(user);
+        self.shards.iter().map(|s| books.load(s, mine)).collect()
+    }
+
+    /// Leases per device minor of `node` as the fleet's books hold them
+    /// (empty for an unknown node) — what the node's lease table must
+    /// hold too.
+    pub fn booked_leases(&self, node: u32) -> Vec<u32> {
+        self.books.lock().nodes.get(node as usize).map_or_else(Vec::new, |b| b.leases.clone())
     }
 
     /// Sum of lease counts across all shards.
@@ -436,8 +617,9 @@ impl Fleet {
         let shard = self.shard_named(node)?;
         shard.set_status(NodeStatus::Dead);
         let lost: Vec<u64> = self
-            .bookings
+            .books
             .lock()
+            .bookings
             .iter()
             .filter(|(_, b)| b.node == shard.id)
             .map(|(job, _)| *job)
@@ -487,6 +669,22 @@ mod tests {
         // Node 0 now carries a lease, so the next job spreads to node 1.
         let p2 = fleet.place(&request(2, "ada", "racon_gpu")).expect("placed");
         assert_eq!(p2.node, 1);
+    }
+
+    #[test]
+    fn a_refusing_shard_hands_the_job_to_the_next_in_score_order() {
+        let fleet = Fleet::builder().nodes(NodeClass::k80(), 3).build();
+        assert_eq!(fleet.place(&request(1, "ada", "racon_gpu")).unwrap().node, 0);
+        // Node 1 scores best (idle, lowest id) but cannot be observed: the
+        // rest are tried in order — node 2, idle, before node 0.
+        fleet.shard(1).unwrap().cluster.inject_smi_query_failures(1);
+        assert_eq!(fleet.place(&request(2, "ada", "racon_gpu")).unwrap().node, 2);
+        // Every shard refusing places nothing and books nothing.
+        for shard in fleet.shards() {
+            shard.cluster.inject_smi_query_failures(1);
+        }
+        assert!(fleet.place(&request(3, "ada", "racon_gpu")).is_none());
+        assert_eq!(fleet.active_placements(), vec![(1, 0), (2, 2)]);
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //!  job ──►   │ 1. filter: destination rules    │   two-phase placement
 //!            │    (tool → node class, memory)  │
 //!            │ 2. score: PlacementPolicy       │   phase 1: pick the node
-//!            │    (least-loaded / bin-pack /   │     (per candidate one hold
-//!            │     fair-share), ties → lowest  │      of its table lock, no
-//!            │     node id                     │      device lock)
+//!            │    (least-loaded / bin-pack /   │     (one pass under the
+//!            │     fair-share), ties → lowest  │      fleet's own books, no
+//!            │     node id                     │      shard lock)
 //!            └────────────┬────────────────────┘
 //!                         ▼
 //!            ┌─ NodeShard k80-000 ─┐ ┌─ NodeShard a100-001 ─┐ …

@@ -3,15 +3,11 @@
 //! A *node class* describes one hardware flavour an operator runs
 //! (architecture, GPU count, host cores/memory); a *shard* is one
 //! concrete node of a class: its own [`GpuCluster`] and its own
-//! [`LeaseTable`]. Shards never share a lock — the fleet's placement
-//! layer reads their state, picks one, and only that shard's table
-//! serializes the minor-level grant.
-//!
-//! Reading a shard's state ([`NodeShard::load`]) is one short hold of
-//! that shard's table lock and one atomic read per device: no device
-//! lock, no allocation, and the lease count, the pending memory and the
-//! free-device count describe one instant of the table. Placement reads
-//! every candidate this way before it writes to one.
+//! [`LeaseTable`]. Shards never share a lock, and placement does not
+//! read their tables: the fleet scores a node from its own books of what
+//! it leased there ([`NodeLoad`], see [`crate::fleet`]) plus one atomic
+//! availability read per unleased device, and only the chosen shard's
+//! table serializes the minor-level grant.
 
 use crate::fleet::{FLEET_CORDONED_GAUGE, FLEET_LEASES_GAUGE, FLEET_PLACEMENTS_COUNTER};
 use gpusim::{GpuArch, GpuCluster, VirtualClock};
@@ -181,21 +177,6 @@ impl NodeShard {
     pub fn is_placeable(&self) -> bool {
         self.status() == NodeStatus::Ready
     }
-
-    /// Instantaneous load snapshot the placement policies score.
-    /// `user_active` is filled in by the fleet (the shard does not track
-    /// who holds its leases).
-    pub fn load(&self) -> NodeLoad {
-        let summary = self.table.summary(&self.cluster);
-        NodeLoad {
-            node: self.id,
-            device_count: self.cluster.device_count(),
-            active_leases: summary.active_leases,
-            free_devices: summary.free_devices,
-            pending_mem_mib: summary.pending_mem_mib,
-            user_active: 0,
-        }
-    }
 }
 
 /// What a placement policy sees of one candidate node.
@@ -226,7 +207,6 @@ impl NodeLoad {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gyan::allocation::AllocationPolicy;
 
     #[test]
     fn stock_classes_are_heterogeneous() {
@@ -251,21 +231,30 @@ mod tests {
 
     #[test]
     fn load_counts_leases_and_free_devices() {
-        let clock = VirtualClock::new();
-        let shard = NodeShard::new(0, NodeClass::k80(), &clock);
-        let idle = shard.load();
+        let fleet = crate::Fleet::builder().nodes(NodeClass::k80(), 1).build();
+        let idle = fleet.loads(None).remove(0);
         assert_eq!((idle.active_leases, idle.free_devices), (0, 2));
         assert_eq!(idle.utilization(), 0.0);
 
-        shard
-            .table
-            .allocate_and_lease(&shard.cluster, &[0], AllocationPolicy::ProcessId, 7, 512, None)
-            .expect("k80 node allocates");
-        let loaded = shard.load();
+        let request = crate::PlacementRequest {
+            job_id: 7,
+            user: "ada",
+            tool_id: "racon_gpu",
+            requested: &[0],
+            memory_hint_mib: 512,
+            excluded_nodes: &[],
+        };
+        fleet.place(&request).expect("k80 node allocates");
+        let loaded = fleet.loads(Some("ada")).remove(0);
         assert_eq!(loaded.active_leases, 1);
         assert_eq!(loaded.free_devices, 1);
         assert_eq!(loaded.pending_mem_mib, 512);
+        assert_eq!(loaded.user_active, 1);
         assert!(loaded.utilization() > 0.4);
+        // A lingering process makes its unleased device busy.
+        let shard = fleet.shard(0).unwrap();
+        shard.cluster.attach_process(1, gpusim::GpuProcess::compute(9, "linger", 64)).unwrap();
+        assert_eq!(fleet.loads(None)[0].free_devices, 0);
     }
 
     #[test]

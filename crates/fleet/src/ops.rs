@@ -32,13 +32,14 @@ pub fn fleet_gpus_json(fleet: &Fleet) -> String {
     format!("{{\"gpus\":[{}]}}", objects.join(","))
 }
 
-/// JSON document for `/api/nodes`: one summary object per shard.
+/// JSON document for `/api/nodes`: one summary object per shard, its
+/// load the one placement scores ([`Fleet::loads`]).
 pub fn fleet_nodes_json(fleet: &Fleet) -> String {
     let nodes: Vec<String> = fleet
         .shards()
         .iter()
-        .map(|s| {
-            let load = s.load();
+        .zip(fleet.loads(None))
+        .map(|(s, load)| {
             format!(
                 "{{\"node\":\"{}\",\"class\":\"{}\",\"arch\":\"{}\",\"status\":\"{}\",\
                  \"cordoned\":{},\"devices\":{},\

@@ -28,8 +28,9 @@ pub struct PlacementRequest<'a> {
 }
 
 /// A node-scoring strategy. Implementations must be pure functions of
-/// `(load, request)`: the fleet sorts candidates by `(score, node id)`,
-/// so a deterministic score yields a deterministic placement.
+/// `(load, request)`: the fleet picks the candidate with the lowest
+/// `(score, node id)`, so a deterministic score yields a deterministic
+/// placement.
 pub trait PlacementPolicy: Send + Sync {
     /// Strategy name for audits and config (`least_loaded`, ...).
     fn name(&self) -> &'static str;

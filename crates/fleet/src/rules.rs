@@ -148,16 +148,6 @@ impl DestinationRules {
         self.rules.iter().find(|r| r.matches_tool(tool_id))
     }
 
-    /// Whether a node of `class` may host `tool_id` with the given per-job
-    /// memory hint. No matching rule means no constraint; the hint must
-    /// always fit one die.
-    pub fn admits(&self, tool_id: &str, class: &NodeClass, memory_hint_mib: u64) -> bool {
-        if class.arch.fb_total_mib < memory_hint_mib || class.gpus == 0 {
-            return false;
-        }
-        self.match_tool(tool_id).is_none_or(|r| r.admits_class(class))
-    }
-
     /// Right-sized (cores, host mem MiB) for `tool_id` on `class`: the
     /// matching rule's ask capped at the class's hardware, or the full
     /// node when no rule asks.
@@ -180,6 +170,22 @@ impl DestinationRules {
     pub fn is_empty(&self) -> bool {
         self.rules.is_empty()
     }
+}
+
+/// Whether a node of `class` may host a job at the given per-job memory
+/// hint under `rule`, the first rule matching its tool
+/// ([`DestinationRules::match_tool`], matched once for all the classes
+/// one request is asked about). `None` — no rule matches — means no
+/// constraint; the hint must always fit one die.
+pub(crate) fn rule_admits(
+    rule: Option<&DestinationRule>,
+    class: &NodeClass,
+    memory_hint_mib: u64,
+) -> bool {
+    if class.arch.fb_total_mib < memory_hint_mib || class.gpus == 0 {
+        return false;
+    }
+    rule.is_none_or(|r| r.admits_class(class))
 }
 
 #[cfg(test)]
@@ -214,19 +220,23 @@ tool=*
         assert!(DestinationRule::parse("tool=x cores=lots").is_err(), "bad number");
     }
 
+    fn admits(rules: &DestinationRules, tool_id: &str, class: &NodeClass, hint: u64) -> bool {
+        rule_admits(rules.match_tool(tool_id), class, hint)
+    }
+
     #[test]
     fn class_admission_honours_lists_and_memory_floors() {
         let rules = DestinationRules::parse(RULES).unwrap();
         // K80 dies (11,441 MiB) are both off-list and under the floor.
-        assert!(!rules.admits("bonito", &NodeClass::k80(), 1024));
-        assert!(rules.admits("bonito", &NodeClass::v100(), 1024));
-        assert!(rules.admits("bonito", &NodeClass::a100(), 1024));
+        assert!(!admits(&rules, "bonito", &NodeClass::k80(), 1024));
+        assert!(admits(&rules, "bonito", &NodeClass::v100(), 1024));
+        assert!(admits(&rules, "bonito", &NodeClass::a100(), 1024));
         // Unmatched tools are unconstrained (but never fit a cpu node).
-        assert!(rules.admits("racon_gpu", &NodeClass::k80(), 1024));
-        assert!(!rules.admits("racon_gpu", &NodeClass::cpu(), 1024));
+        assert!(admits(&rules, "racon_gpu", &NodeClass::k80(), 1024));
+        assert!(!admits(&rules, "racon_gpu", &NodeClass::cpu(), 1024));
         // The per-job hint must fit one die regardless of rules.
-        assert!(!rules.admits("racon_gpu", &NodeClass::k80(), 20_000));
-        assert!(rules.admits("racon_gpu", &NodeClass::a100(), 20_000));
+        assert!(!admits(&rules, "racon_gpu", &NodeClass::k80(), 20_000));
+        assert!(admits(&rules, "racon_gpu", &NodeClass::a100(), 20_000));
     }
 
     #[test]
@@ -245,7 +255,7 @@ tool=*
     fn min_gpu_mem_floor_without_class_list() {
         let rule = DestinationRule { min_gpu_mem_mib: 30_000, ..DestinationRule::any("deep*") };
         let rules = DestinationRules::new().with(rule);
-        assert!(!rules.admits("deepvariant", &NodeClass::v100(), 100));
-        assert!(rules.admits("deepvariant", &NodeClass::a100(), 100));
+        assert!(!admits(&rules, "deepvariant", &NodeClass::v100(), 100));
+        assert!(admits(&rules, "deepvariant", &NodeClass::a100(), 100));
     }
 }

@@ -58,7 +58,7 @@ pub use gpu_usage::{get_gpu_usage, parse_gpu_usage, try_get_gpu_usage, GpuUsageE
 pub use monitor::UsageMonitor;
 pub use ops::{default_alert_rules, galaxy_alert_rules, ops_server};
 pub use orchestrator::{GyanHook, NodePlacer, Placed, Placer};
-pub use reservations::{Lease, LeaseSummary, LeaseTable, ReservationView};
+pub use reservations::{Lease, LeaseTable, ReservationView};
 pub use rules::GpuDestinationRule;
 pub use setup::{install_gyan, install_gyan_with_footprint, install_hook};
 pub use telemetry::{export_run, merged_chrome_trace, TelemetryExport};

@@ -19,7 +19,7 @@ use crate::racon::{polish_cpu, polish_gpu, RaconInput, RaconOpts};
 use galaxy::runners::{ExecutionPlan, ExecutionResult, JobExecutor};
 use gpusim::{CudaContext, GpuCluster, GpuProcess, Trace};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Device memory (MiB) a lingering Racon process holds (paper Fig. 11
@@ -28,6 +28,34 @@ const RACON_LINGER_MIB: u64 = 60;
 /// Device memory (MiB) a lingering Bonito process holds (Fig. 10 shows a
 /// busy device at 2734 MiB ≈ 63 driver + 2671 process).
 const BONITO_LINGER_MIB: u64 = 2671;
+
+/// GPU-job traces an executor keeps: the most recent this many, older ones
+/// dropped, so a serving executor's memory does not grow with its jobs.
+const TRACES_KEPT: usize = 256;
+
+/// The most recent `TRACES_KEPT` GPU-job traces, by job id.
+#[derive(Default)]
+struct Traces {
+    by_job: HashMap<u64, Trace>,
+    /// Job ids in the order their traces arrived, oldest first.
+    order: VecDeque<u64>,
+}
+
+impl Traces {
+    /// Keep `trace` as `job_id`'s (a job traced again keeps its latest
+    /// trace and its first place in line) and drop the oldest past the
+    /// bound.
+    fn keep(&mut self, job_id: u64, trace: Trace) {
+        if self.by_job.insert(job_id, trace).is_none() {
+            self.order.push_back(job_id);
+        }
+        if self.order.len() > TRACES_KEPT {
+            if let Some(oldest) = self.order.pop_front() {
+                self.by_job.remove(&oldest);
+            }
+        }
+    }
+}
 
 /// One lingering process record.
 #[derive(Debug, Clone)]
@@ -48,7 +76,7 @@ pub struct ToolExecutor {
     datasets: Mutex<HashMap<String, DatasetSpec>>,
     racon_cache: Mutex<HashMap<String, Arc<RaconInput>>>,
     bonito_cache: Mutex<HashMap<String, Arc<BonitoInput>>>,
-    traces: Mutex<Vec<(u64, Trace)>>,
+    traces: Mutex<Traces>,
 }
 
 impl ToolExecutor {
@@ -65,7 +93,7 @@ impl ToolExecutor {
             datasets: Mutex::new(datasets),
             racon_cache: Mutex::new(HashMap::new()),
             bonito_cache: Mutex::new(HashMap::new()),
-            traces: Mutex::new(Vec::new()),
+            traces: Mutex::default(),
         }
     }
 
@@ -100,9 +128,10 @@ impl ToolExecutor {
     }
 
     /// Execution timeline of a finished GPU job (rendered as a Chrome
-    /// trace by `gyan::merged_chrome_trace`).
+    /// trace by `gyan::merged_chrome_trace`), while it is among the last
+    /// 256 GPU jobs this executor ran.
     pub fn trace_for_job(&self, job_id: u64) -> Option<Trace> {
-        self.traces.lock().iter().find(|(id, _)| *id == job_id).map(|(_, t)| t.clone())
+        self.traces.lock().by_job.get(&job_id).cloned()
     }
 
     fn dataset_from_command(&self, tokens: &[&str], default: &str) -> DatasetSpec {
@@ -163,7 +192,7 @@ impl ToolExecutor {
             match polish_gpu(&input, &opts, &self.cluster, &mut ctx) {
                 Ok(report) => {
                     let minors = ctx.visible_minors().to_vec();
-                    self.traces.lock().push((plan.job_id, ctx.trace.clone()));
+                    self.traces.lock().keep(plan.job_id, std::mem::take(&mut ctx.trace));
                     ctx.destroy();
                     self.maybe_linger(pid, &minors, "/usr/bin/racon_gpu", RACON_LINGER_MIB);
                     ExecutionResult::ok(consensus_fasta(&report.consensus)).with_pid(pid)
@@ -201,7 +230,7 @@ impl ToolExecutor {
             match basecall_gpu(&input, &model, &opts, &self.cluster, &mut ctx) {
                 Ok(report) => {
                     let minors = ctx.visible_minors().to_vec();
-                    self.traces.lock().push((plan.job_id, ctx.trace.clone()));
+                    self.traces.lock().keep(plan.job_id, std::mem::take(&mut ctx.trace));
                     ctx.destroy();
                     self.maybe_linger(pid, &minors, "bonito", BONITO_LINGER_MIB);
                     ExecutionResult::ok(report.fasta).with_pid(pid)
@@ -307,6 +336,22 @@ mod tests {
         // Without linger, devices are free afterwards.
         assert_eq!(cluster.available_devices(), vec![0, 1]);
         assert!(exec.trace_for_job(1).is_some());
+    }
+
+    #[test]
+    fn only_the_most_recent_traces_are_kept() {
+        let mut traces = Traces::default();
+        for job in 0..TRACES_KEPT as u64 + 44 {
+            let mut trace = Trace::new();
+            trace.record("k", "gpu", "gpu0/compute", job as f64, 1.0);
+            traces.keep(job, trace);
+        }
+        assert_eq!((traces.by_job.len(), traces.order.len()), (TRACES_KEPT, TRACES_KEPT));
+        assert!(!traces.by_job.contains_key(&43) && traces.by_job.contains_key(&44));
+        // A job traced again keeps its latest trace and its place in line.
+        traces.keep(44, Trace::new());
+        assert!(traces.by_job[&44].events().is_empty());
+        assert_eq!(traces.order.front(), Some(&44));
     }
 
     #[test]

@@ -9,6 +9,9 @@
 //!   elsewhere, or not at all, has leaked);
 //! * **fleet-wide no-double-booking** — no job holds leases on two
 //!   shards at once;
+//! * **books match shards** — each node's leases per device and pending
+//!   declared MiB in the fleet's books, which placement scores the node
+//!   by, equal what the node's lease table holds;
 //! * **export↔acquire equality** — the set of jobs with a successful
 //!   `fleet.placement.decision` audit equals the set of jobs with
 //!   `gyan.reservation.acquire` audits (checked fleet-wide at the end:
@@ -34,7 +37,8 @@
 //! dispatch layer that kept its own idea of where a retry goes would).
 //! The booking map knows one node, the other shard's leases belong to
 //! nobody, and the per-shard conservation check trips — reproducibly,
-//! from the seed. (Re-placing *through* [`Fleet::place`] is not a bug: the
+//! from the seed. (It runs first; the books check, which the same leases
+//! break, would trip at the same barrier.) (Re-placing *through* [`Fleet::place`] is not a bug: the
 //! fleet supersedes the first booking itself.)
 //!
 //! [`FleetSimOptions::ignore_node_death`] is the shard-failure sibling:
@@ -274,6 +278,7 @@ impl<'a> FleetRun<'a> {
     /// The barrier checks, from the fleet's live state.
     fn check(&self) -> Result<(), Violation> {
         invariants::fleet_lease_conservation(&self.fleet)?;
+        invariants::fleet_books_match_shards(&self.fleet)?;
         invariants::fleet_no_dead_node_booking(&self.fleet, &self.dead)?;
         invariants::fleet_availability_flags_honest(&self.fleet)
     }

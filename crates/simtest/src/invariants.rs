@@ -209,6 +209,35 @@ pub fn fleet_lease_conservation(fleet: &Fleet) -> Result<(), Violation> {
     Ok(())
 }
 
+/// The fleet's books against its shards: each node's leases per device
+/// and pending declared MiB — what placement scores the node by — must
+/// equal what that node's lease table holds. A lease taken or dropped
+/// behind the fleet's back, or a release that unwinds the books wrongly,
+/// makes placement score a node that is not there.
+pub fn fleet_books_match_shards(fleet: &Fleet) -> Result<(), Violation> {
+    let loads = fleet.loads(None);
+    for (shard, load) in fleet.shards().iter().zip(loads) {
+        let mut per_device = vec![0u32; shard.cluster.device_count() as usize];
+        let mut pending_mem_mib = 0;
+        for lease in shard.table.all_leases() {
+            per_device[lease.device as usize] += 1;
+            pending_mem_mib += lease.memory_hint_mib;
+        }
+        let booked = fleet.booked_leases(shard.id);
+        if booked != per_device || load.pending_mem_mib != pending_mem_mib {
+            return Err(Violation::new(
+                "fleet_books_match_shards",
+                format!(
+                    "node {} ({}) is booked with leases {booked:?} and {} MiB pending; its table \
+                     holds {per_device:?} and {pending_mem_mib} MiB",
+                    shard.id, shard.name, load.pending_mem_mib
+                ),
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// No booking or lease may point at a node the fault plan has killed.
 /// Correct wiring marks the shard dead (so placement filters it); the
 /// stale wiring leaves it placeable and this check trips on the first
@@ -333,6 +362,28 @@ mod tests {
         let rec = Recorder::new();
         rec.event(name, fields);
         rec.events().pop().unwrap()
+    }
+
+    #[test]
+    fn a_lease_behind_the_fleets_back_breaks_the_books() {
+        let fleet = fleet::Fleet::builder().nodes(fleet::NodeClass::k80(), 2).build();
+        let request = fleet::PlacementRequest {
+            job_id: 1,
+            user: "ada",
+            tool_id: "racon_gpu",
+            requested: &[0],
+            memory_hint_mib: 256,
+            excluded_nodes: &[],
+        };
+        assert_eq!(fleet.place(&request).map(|p| p.node), Some(0));
+        assert!(fleet_books_match_shards(&fleet).is_ok());
+        let shard = fleet.shard(1).unwrap();
+        let policy = gyan::allocation::AllocationPolicy::ProcessId;
+        shard.table.allocate_and_lease(&shard.cluster, &[1], policy, 2, 512, None).unwrap();
+        let violation = fleet_books_match_shards(&fleet).unwrap_err();
+        assert_eq!(violation.invariant, "fleet_books_match_shards");
+        assert!(violation.detail.contains("k80-001"), "{}", violation.detail);
+        assert!(violation.detail.contains("[0, 1] and 512 MiB"), "{}", violation.detail);
     }
 
     #[test]

@@ -84,24 +84,39 @@ fn per_record(record: impl Fn(&Recorder, u64)) -> f64 {
 }
 
 /// Allocations per `Fleet::place` + `Fleet::release` of a one-die job on
-/// an otherwise idle audited fleet of `k80` K80 and `a100` A100 nodes:
-/// every node is a candidate and is scored.
-fn per_placement(k80: u32, a100: u32) -> f64 {
+/// an audited fleet of `k80` K80 and `a100` A100 nodes that holds
+/// `others` one-die bookings of as many other users: every node is a
+/// candidate and is scored, and the books keep every other user's counts
+/// beside the placed user's.
+fn per_placement(k80: u32, a100: u32, others: u32) -> f64 {
     let rec = production_recorder();
     let fleet = Fleet::builder()
         .nodes(NodeClass::k80(), k80)
         .nodes(NodeClass::a100(), a100)
         .recorder(rec.clone())
         .build();
-    per_record_on(&rec, |_, job| {
-        let placed = fleet.place(&PlacementRequest {
-            job_id: job,
-            user: "u000042",
+    fn request(job_id: u64, user: &str) -> PlacementRequest<'_> {
+        PlacementRequest {
+            job_id,
+            user,
             tool_id: "racon_gpu",
             requested: &[0],
             memory_hint_mib: 512,
             excluded_nodes: &[],
-        });
+        }
+    }
+    // The others' hint fits only an A100 die, so the probe's one-die
+    // grant is on the same K80 node as on an idle fleet.
+    for other in 0..others {
+        let user = format!("other{other:03}");
+        let booked = PlacementRequest {
+            memory_hint_mib: 20_000,
+            ..request(u64::from(other) + 1_000_000, &user)
+        };
+        assert!(fleet.place(&booked).is_some_and(|p| p.node >= k80));
+    }
+    per_record_on(&rec, |_, job| {
+        let placed = fleet.place(&request(job, "u000042"));
         assert_eq!(placed.map(|p| p.node), Some(0));
         assert_eq!(fleet.release(job, "ok"), 1);
     })
@@ -137,9 +152,11 @@ const ALLOCS_PER_32_DEVICE_GRANT_CEILING: f64 = 22.0;
 /// lease view, an availability list) and the candidate list grew by
 /// doubling; 27.0 at 83e239d on 80 nodes and on 8, none of them per
 /// node; 22.0 at a3b9e33 (the placement's and release's audit records
-/// lost their `Arc`s); 19.0 now (short id lists and the decision's
-/// columns are written in place); the ceiling is the measured value plus
-/// 10 %.
+/// lost their `Arc`s); 19.0 at 1c837c1 (short id lists and the
+/// decision's columns are written in place); 20.0 now, also with 64
+/// other users' bookings on the fleet (the fleet's books keep a booking's
+/// granted minors and the user's per-node counts, and phase 1 keeps no
+/// candidate list); the ceiling is 10 % over 19.0.
 const ALLOCS_PER_PLACEMENT_CEILING: f64 = 20.9;
 
 #[test]
@@ -200,12 +217,16 @@ fn telemetry_records_and_jobs_stay_inside_their_allocation_budget() {
 
     // One placement and its release on the benchmark's 80-node fleet, and
     // on a tenth of it: scoring a node allocates nothing, so the two may
-    // differ by the candidate list's one allocation at most.
-    let (placement, small_fleet) = (per_placement(60, 20), per_placement(6, 2));
-    assert!(
-        placement <= ALLOCS_PER_PLACEMENT_CEILING,
-        "{placement:.1} allocations per placement + release on 80 nodes"
-    );
+    // differ by one allocation at most. The same on the 80 nodes while 64
+    // other users hold a booking each.
+    let (placement, small_fleet) = (per_placement(60, 20, 0), per_placement(6, 2, 0));
+    let busy_fleet = per_placement(60, 20, 64);
+    for (cost, what) in [(placement, "an idle fleet"), (busy_fleet, "64 other users' bookings")] {
+        assert!(
+            cost <= ALLOCS_PER_PLACEMENT_CEILING,
+            "{cost:.1} allocations per placement + release on 80 nodes with {what}"
+        );
+    }
     assert!(
         (placement - small_fleet).abs() <= 1.0,
         "{placement:.1} allocations per placement on 80 nodes, {small_fleet:.1} on 8"
@@ -227,7 +248,7 @@ fn telemetry_records_and_jobs_stay_inside_their_allocation_budget() {
     let per_job = counted as f64 / jobs as f64;
     println!(
         "allocations: event {event:.2}  span {span:.2}  32-device grant {grant:.1}  \
-         placement {placement:.1}  job {per_job:.1}"
+         placement {placement:.1} (busy fleet {busy_fleet:.1})  job {per_job:.1}"
     );
     assert!(per_job <= ALLOCS_PER_JOB_CEILING, "{per_job:.1} allocations per job of {jobs}");
 }
