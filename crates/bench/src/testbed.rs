@@ -13,18 +13,50 @@ use gyan::setup::{install_gyan, GyanConfig};
 use seqtools::ToolExecutor;
 use std::sync::Arc;
 
+/// The paper's Code 1: the Racon tool directory's `macros.xml`, holding
+/// the requirements (the GYAN `compute`/`gpu` one among them) that the
+/// shipped wrapper ([`racon_imported_xml`]) imports.
+const RACON_MACROS: &str = r#"<macros>
+  <token name="@TOOL_VERSION@">1.4.3</token>
+  <xml name="requirements">
+    <requirements>
+      <requirement type="package" version="@TOOL_VERSION@">racon</requirement>
+      <requirement type="compute">gpu</requirement>
+      <container type="docker">gulsumgudukbay/racon_dockerfile</container>
+    </requirements>
+  </xml>
+</macros>"#;
+
 /// The Racon wrapper in the shape of the paper's Code 3, parameterized by
-/// an optional pinned GPU id (`<requirement type="compute" version=...>`).
+/// an optional pinned GPU id (`<requirement type="compute" version=...>`),
+/// with its requirements inline.
 pub fn racon_tool_xml(id: &str, pinned_gpu: Option<&str>) -> String {
     let version = pinned_gpu.map(|v| format!(" version=\"{v}\"")).unwrap_or_default();
-    format!(
-        r#"<tool id="{id}" name="Racon" version="1.4.3">
-  <description>Consensus module for raw de novo DNA assembly</description>
-  <requirements>
+    let requirements = format!(
+        r#"<requirements>
     <requirement type="package" version="1.4.3">racon</requirement>
     <requirement type="compute"{version}>gpu</requirement>
     <container type="docker">gulsumgudukbay/racon_dockerfile</container>
-  </requirements>
+  </requirements>"#
+    );
+    racon_wrapper(id, "1.4.3", &requirements)
+}
+
+/// The unpinned `racon_gpu` wrapper as the paper ships it: its version
+/// and requirements come from [`RACON_MACROS`], imported as `macros.xml`.
+fn racon_imported_xml() -> String {
+    let requirements = r#"<macros><import>macros.xml</import></macros>
+  <expand macro="requirements"/>"#;
+    racon_wrapper("racon_gpu", "@TOOL_VERSION@", requirements)
+}
+
+/// Code 3 around `requirements`: the GPU/CPU command branches, inputs,
+/// output and the planemo test.
+fn racon_wrapper(id: &str, version: &str, requirements: &str) -> String {
+    format!(
+        r#"<tool id="{id}" name="Racon" version="{version}">
+  <description>Consensus module for raw de novo DNA assembly</description>
+  {requirements}
   <command><![CDATA[
 #if $__galaxy_gpu_enabled__ == "true"
 racon_gpu -t $threads --cudapoa-batches $batches $banding $dataset > $consensus
@@ -126,9 +158,8 @@ impl Testbed {
         app.set_executor(Box::new(executor.clone()));
         install_gyan(&mut app, &cluster, config);
 
-        let lib = MacroLibrary::new();
-        app.install_tool_xml(&racon_tool_xml("racon_gpu", None), &lib)
-            .expect("racon wrapper parses");
+        let lib = MacroLibrary::from_files([("macros.xml", RACON_MACROS)]);
+        app.install_tool_xml(&racon_imported_xml(), &lib).expect("racon wrapper parses");
         app.install_tool_xml(&bonito_tool_xml("bonito", None), &lib)
             .expect("bonito wrapper parses");
         Testbed { cluster, app, executor }
@@ -186,6 +217,21 @@ mod tests {
             self.launches.lock().unwrap().push(plan.command_parts.join(" "));
             self.inner.execute(plan)
         }
+    }
+
+    #[test]
+    fn imported_racon_wrapper_parses_like_the_inline_one() {
+        use galaxy::tool::wrapper::parse_tool;
+        let lib = MacroLibrary::from_files([("macros.xml", RACON_MACROS)]);
+        let imported = parse_tool(&racon_imported_xml(), &lib).unwrap();
+        let inline = parse_tool(&racon_tool_xml("racon_gpu", None), &MacroLibrary::new()).unwrap();
+        assert_eq!(format!("{imported:?}"), format!("{inline:?}"));
+        assert!(imported.requires_gpu() && imported.requested_gpu_ids().is_empty());
+        // Without its macros.xml the shipped wrapper does not install.
+        assert!(matches!(
+            parse_tool(&racon_imported_xml(), &MacroLibrary::new()),
+            Err(GalaxyError::UnknownMacro(_))
+        ));
     }
 
     #[test]

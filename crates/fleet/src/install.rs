@@ -12,13 +12,11 @@
 
 use crate::fleet::Fleet;
 use crate::placement::PlacementRequest;
-use galaxy::job::conf::JobConfig;
 use galaxy::job::Job;
 use galaxy::tool::Tool;
 use galaxy::GalaxyApp;
 use gyan::footprint::MemoryHint;
-use gyan::orchestrator::{admission_hint, Placed, Placer};
-use gyan::rules::RULE_NAME;
+use gyan::orchestrator::{Placed, Placer};
 use obs::Recorder;
 
 /// The destination the dynamic rule picks for every job the fleet does
@@ -89,47 +87,26 @@ impl Placer for Fleet {
     }
 }
 
-/// Install the fleet into `app`: registers a dynamic destination rule
-/// (GPU tools the fleet can host → `gpu_destination`, everything else →
-/// the shipped conf's `local_cpu`), then wires the rest — hook, container
-/// GPU mutators, the fleet's shared clock as time source — through
-/// [`gyan::setup::install_hook`], exactly like a single node. The hook
-/// also answers the queue engine's placement-aware retries through the
-/// fleet's [`Placer::hosts_outside`].
+/// Install the fleet into `app` through [`gyan::setup::install`], exactly
+/// like a single node: the one dynamic destination rule (GPU tools a
+/// placeable node admits → `gpu_destination`, everything else → the
+/// shipped conf's `local_cpu`), and the one hook placing across nodes,
+/// which also answers the queue engine's placement-aware retries through
+/// the fleet's [`Placer::hosts_outside`].
 ///
 /// The app's recorder is clocked on the fleet timeline. Note the fleet
 /// must have been built with [`crate::FleetBuilder::recorder`] for
 /// placement and hook audits/metrics — `install_fleet` cannot retrofit a
 /// recorder into an already-built fleet's shards.
-///
-/// In [`MemoryHint::Learned`] mode the learned tool-wide p95 replaces the
-/// static hint in the dynamic rule's and the placement-aware retry's
-/// admission checks (per-job context does not exist there).
 pub fn install_fleet(app: &mut GalaxyApp, fleet: &Fleet, config: FleetConfig) {
-    let footprint = gyan::setup::install_hook(
+    gyan::setup::install(
         app,
         fleet.clock(),
         fleet.clone(),
+        &config.gpu_destination,
+        CPU_DESTINATION,
         config.gpu_destinations,
         config.memory_hint,
-    );
-    // Route to the GPU destination only while a placeable shard admits
-    // the tool at the hint the hook will resolve, so the rule never
-    // commits a job that placement is then forced to reject — and, in
-    // learned mode, borderline tools the static hint would have turned
-    // away are admitted.
-    let fleet = fleet.clone();
-    let gpu_dest = config.gpu_destination;
-    app.register_rule(
-        RULE_NAME,
-        Box::new(move |tool: &Tool, _job: &Job, conf: &JobConfig| {
-            let on_fleet = tool.requires_gpu() && {
-                let dest = conf.destination(&gpu_dest);
-                let hint = admission_hint(&footprint, config.memory_hint, &tool.id, dest);
-                fleet.hosts_outside(&tool.id, hint, &[])
-            };
-            Ok(if on_fleet { gpu_dest.clone() } else { CPU_DESTINATION.to_string() })
-        }),
     );
 }
 

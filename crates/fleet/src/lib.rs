@@ -31,11 +31,11 @@
 //!
 //! [`install::install_fleet`] wires a fleet into a
 //! [`galaxy::GalaxyApp`]/queue-engine stack through the same
-//! `gyan::setup::install_hook` that wires a single node: its own dynamic
-//! destination rule, plus the one `gyan::GyanHook` with the [`Fleet`] as
-//! its placement seam (`gyan::Placer`) — so the hook places across nodes,
-//! exports `CUDA_VISIBLE_DEVICES` *and* `GALAXY_NODE`, and releases on
-//! conclusion. [`ops::fleet_ops_server`] serves node-labeled GPU/job
+//! `gyan::setup::install` that wires a single node: the one dynamic
+//! destination rule and the one `gyan::GyanHook`, both over the
+//! [`Fleet`] as placement seam (`gyan::Placer`) — so the hook places
+//! across nodes, exports `CUDA_VISIBLE_DEVICES` *and* `GALAXY_NODE`, and
+//! releases on conclusion. [`ops::fleet_ops_server`] serves node-labeled GPU/job
 //! views and per-node Prometheus metrics.
 
 pub mod fleet;

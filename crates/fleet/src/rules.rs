@@ -3,10 +3,11 @@
 //!
 //! Total Perspective Vortex routes Galaxy tools to destinations by
 //! matching tool ids against operator-written rules that also right-size
-//! the job's resource ask. This module is the fleet-level equivalent, in
-//! the spirit of the single-node `gyan::rules::GpuDestinationRule`: the
-//! *first matching* rule constrains which node classes may host the tool
-//! and what cores/memory the placement records.
+//! the job's resource ask. This module is the fleet-level equivalent, and
+//! part of the fleet's answer to `gyan::rules::dynamic_destination`'s
+//! "does a node admit this tool": the *first matching* rule constrains
+//! which node classes may host the tool and what cores/memory the
+//! placement records.
 //!
 //! Line syntax (one rule per line, `#` comments, first match wins):
 //!

@@ -7,23 +7,24 @@ use gyan::allocation::AllocationPolicy;
 use std::collections::BTreeMap;
 
 /// `NodeShard::load` as it stood at 0f6d93c, kept as the reference model:
-/// a lease view under one hold of the table lock, every device read under
-/// its own lock, and the lease count under a second hold. On one thread
-/// the three snapshots are one instant, so the fleet's books must agree
-/// with them field by field. `user_active` is the fleet's alone: 0 here.
+/// the shard table's leases under one hold of its lock, every device read
+/// under its own lock, and the lease count under a second hold. On one
+/// thread the three snapshots are one instant, so the fleet's books must
+/// agree with them field by field. `user_active` is the fleet's alone: 0
+/// here.
 fn reference_load(shard: &NodeShard) -> NodeLoad {
-    let view = shard.table.view();
+    let leases = shard.table.all_leases();
     let device_count = shard.cluster.device_count();
     let free_devices = (0..device_count)
         .filter(|minor| shard.cluster.with_device(*minor, |d| d.is_available()) == Ok(true))
-        .filter(|minor| !view.is_leased(*minor))
+        .filter(|minor| !leases.iter().any(|lease| lease.device == *minor))
         .count();
     NodeLoad {
         node: shard.id,
         device_count,
         active_leases: shard.table.lease_count(),
         free_devices,
-        pending_mem_mib: (0..device_count).map(|minor| view.pending_mem(minor)).sum(),
+        pending_mem_mib: leases.iter().map(|lease| lease.memory_hint_mib).sum(),
         user_active: 0,
     }
 }

@@ -34,6 +34,13 @@ impl MacroLibrary {
         Self::default()
     }
 
+    /// A library of the given `(file name, XML content)` macro files, as
+    /// a tool directory ships them (e.g. the paper's Code 1 `macros.xml`).
+    pub fn from_files<'a>(files: impl IntoIterator<Item = (&'a str, &'a str)>) -> Self {
+        let files = files.into_iter().map(|(name, xml)| (name.to_string(), xml.to_string()));
+        MacroLibrary { files: files.collect() }
+    }
+
     fn get(&self, name: &str) -> Option<&str> {
         self.files.get(name).map(String::as_str)
     }
@@ -171,13 +178,6 @@ fn substitute_tokens(element: &mut Element, tokens: &[(String, String)]) {
 mod tests {
     use super::*;
 
-    impl MacroLibrary {
-        /// Register a macro file's XML content under its file name.
-        pub(crate) fn add_file(&mut self, name: &str, content: &str) {
-            self.files.insert(name.into(), content.into());
-        }
-    }
-
     /// The paper's Code 1 `macros.xml`, verbatim in structure.
     const PAPER_MACROS: &str = r#"<macros>
         <xml name="requirements">
@@ -191,8 +191,7 @@ mod tests {
 
     #[test]
     fn expands_imported_macro_like_paper_code1() {
-        let mut lib = MacroLibrary::new();
-        lib.add_file("macros.xml", PAPER_MACROS);
+        let lib = MacroLibrary::from_files([("macros.xml", PAPER_MACROS)]);
         let tool = parse(
             r#"<tool id="racon" version="@TOOL_VERSION@">
                  <macros><import>macros.xml</import></macros>
@@ -274,8 +273,7 @@ mod tests {
 
     #[test]
     fn bad_macro_file_root_errors() {
-        let mut lib = MacroLibrary::new();
-        lib.add_file("m.xml", "<notmacros/>");
+        let lib = MacroLibrary::from_files([("m.xml", "<notmacros/>")]);
         let tool = parse(r#"<tool id="t"><macros><import>m.xml</import></macros></tool>"#).unwrap();
         assert!(matches!(expand_macros(tool.root(), &lib), Err(GalaxyError::BadWrapper(_))));
     }

@@ -170,9 +170,7 @@ racon -t $threads $reads $overlaps $target > $consensus
 </macros>"#;
 
     fn library() -> MacroLibrary {
-        let mut lib = MacroLibrary::new();
-        lib.add_file("macros.xml", RACON_MACROS);
-        lib
+        MacroLibrary::from_files([("macros.xml", RACON_MACROS)])
     }
 
     #[test]

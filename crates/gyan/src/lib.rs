@@ -59,8 +59,7 @@ pub use monitor::UsageMonitor;
 pub use ops::{default_alert_rules, galaxy_alert_rules, ops_server};
 pub use orchestrator::{GyanHook, NodePlacer, Placed, Placer};
 pub use reservations::{Lease, LeaseTable, ReservationView};
-pub use rules::GpuDestinationRule;
-pub use setup::{install_gyan, install_gyan_with_footprint, install_hook};
+pub use setup::{install, install_gyan};
 pub use telemetry::{export_run, merged_chrome_trace, TelemetryExport};
 
 /// The boolean environment variable GYAN introduces to Galaxy: `"true"`

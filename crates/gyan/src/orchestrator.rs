@@ -68,8 +68,8 @@ pub fn static_memory_hint(destination: Option<&Destination>) -> (u64, Option<&st
     }
 }
 
-/// The memory hint of admission checks made without a job — a fleet's
-/// dynamic rule and [`GyanHook`]'s placement-aware retry advice: in
+/// The memory hint of admission checks made without a job — the dynamic
+/// destination rule and [`GyanHook`]'s placement-aware retry advice: in
 /// [`MemoryHint::Learned`] mode the tool-wide learned p95 once it
 /// converges, else [`static_memory_hint`] of `destination`.
 pub fn admission_hint(
@@ -106,18 +106,17 @@ pub trait Placer: Send + Sync {
     /// Where the placer's and the hook's decision audits go.
     fn recorder(&self) -> Option<&Recorder>;
 
-    /// Whether some placeable node outside `excluded` admits `tool_id` at
-    /// `memory_hint_mib` — the question behind a placement-aware retry.
-    /// Default: no; a single node has no other node to retry on.
-    fn hosts_outside(&self, tool_id: &str, memory_hint_mib: u64, excluded: &[String]) -> bool {
-        let _ = (tool_id, memory_hint_mib, excluded);
-        false
-    }
+    /// Whether some placeable host outside `excluded` (node names) admits
+    /// `tool_id` at `memory_hint_mib` — the question behind the destination
+    /// rule ([`crate::rules::dynamic_destination`], nothing excluded) and a
+    /// placement-aware retry.
+    fn hosts_outside(&self, tool_id: &str, memory_hint_mib: u64, excluded: &[String]) -> bool;
 }
 
 /// The paper's single GPU node as a [`Placer`]: `policy` decides over
 /// `cluster`'s SMI state and the leases in `table`, which holds each
 /// grant until release.
+#[derive(Clone)]
 pub struct NodePlacer {
     /// The node's devices.
     pub cluster: GpuCluster,
@@ -148,6 +147,14 @@ impl Placer for NodePlacer {
 
     fn recorder(&self) -> Option<&Recorder> {
         Some(&self.recorder)
+    }
+
+    /// Whether the node has a GPU: busy devices still take jobs (the
+    /// policy shares them, paper Cases 3/4). The node has no name to be in
+    /// `excluded`; its failures carry no `GALAXY_NODE`, so no
+    /// placement-aware retry asks.
+    fn hosts_outside(&self, _tool_id: &str, _memory_hint_mib: u64, _excluded: &[String]) -> bool {
+        self.cluster.device_count() > 0
     }
 }
 

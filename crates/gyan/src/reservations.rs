@@ -304,12 +304,6 @@ impl LeaseTable {
         release_locked(&mut inner, holder, why, recorder)
     }
 
-    /// Snapshot the current lease state for a lease-aware allocation
-    /// outside the table (e.g. the destination rule's observation).
-    pub fn view(&self) -> ReservationView {
-        self.inner.lock().view()
-    }
-
     /// Total active leases.
     pub fn lease_count(&self) -> usize {
         self.inner.lock().count()
@@ -392,6 +386,15 @@ fn release_locked(inner: &mut Inner, holder: u64, why: &str, recorder: Option<&R
         m.set_gauge(RESERVATIONS_ACTIVE_GAUGE, inner.count() as f64);
     }
     released
+}
+
+#[cfg(test)]
+impl LeaseTable {
+    /// Snapshot the current lease state, as a decision under the lock
+    /// sees it.
+    pub(crate) fn view(&self) -> ReservationView {
+        self.inner.lock().view()
+    }
 }
 
 #[cfg(test)]

@@ -6,152 +6,88 @@
 //! at least one GPU available, then the destination is configured to be
 //! 'local GPU'" — otherwise the job is switched to a CPU destination in a
 //! user-agnostic fashion.
+//!
+//! One rule serves every topology. "Is there a GPU for this tool" is
+//! asked of the [`Placer`] the hook places through
+//! ([`Placer::hosts_outside`], nothing excluded): the single node
+//! ([`crate::NodePlacer`]) answers "this node has a GPU", a fleet "a
+//! placeable node admits the tool at its memory hint".
 
-use crate::allocation::join;
-use crate::reservations::LeaseTable;
+use crate::footprint::{FootprintRegistry, MemoryHint};
+use crate::orchestrator::{admission_hint, Placer};
 use galaxy::app::DynamicRule;
-use galaxy::job::conf::JobConfig;
-use galaxy::job::Job;
-use galaxy::tool::Tool;
-use galaxy::GalaxyError;
-use gpusim::GpuCluster;
 use obs::{Key, Recorder, Value};
 
 /// Name under which the dynamic rule is registered: the `function` param
 /// of the dynamic destination in the shipped `job_conf.xml`.
 pub const RULE_NAME: &str = "gpu_dynamic_destination";
 
-/// Factory for the [`RULE_NAME`] rule.
-#[derive(Clone)]
-pub struct GpuDestinationRule {
-    cluster: GpuCluster,
-    /// Destination id for GPU execution (e.g. `local_gpu` or `docker_gpu`).
-    pub gpu_destination: String,
-    /// Destination id for the CPU fallback.
-    pub cpu_destination: String,
-    /// When true, a GPU destination is chosen only if at least one GPU is
-    /// currently *free*; when false (the default, matching the paper's
-    /// multi-GPU cases where busy GPUs still accept jobs), presence of any
-    /// GPU suffices and the allocation policy decides placement.
-    pub require_free_gpu: bool,
-    /// Sink for one `gyan.rule.decision` audit event per evaluation: the
-    /// device availability the rule observed and why it chose the
-    /// destination it did.
+/// The [`RULE_NAME`] rule: a GPU tool goes to `gpu_destination` when
+/// `placer` has a host that admits it at the hint the hook will resolve
+/// ([`admission_hint`] of `gpu_destination`), every other job to
+/// `cpu_destination`. So the rule never commits a job that placement is
+/// then forced to reject, and in [`MemoryHint::Learned`] mode a tool the
+/// static hint would turn away is admitted once its profile converges.
+///
+/// Each evaluation writes one `gyan.rule.decision` record to `recorder`
+/// with what the rule read and chose: `tool`, `job_id`, `requires_gpu`,
+/// `memory_hint_mib` (GPU tools only), `destination` and `reason`
+/// (`gpu_tool_and_gpu_available`, `tool_has_no_gpu_requirement` or
+/// `no_gpu_host`). A destination id the job conf lacks is the caller's
+/// error: `GalaxyApp::map_destination` rejects it.
+pub fn dynamic_destination(
+    placer: impl Placer + 'static,
+    gpu_destination: &str,
+    cpu_destination: &str,
+    footprint: FootprintRegistry,
+    memory_hint: MemoryHint,
     recorder: Recorder,
-    /// Devices leased to not-yet-executing plans count as busy in the
-    /// free-GPU observation, so a strict
-    /// ([`GpuDestinationRule::require_free`]) rule does not route a job to
-    /// the GPU destination on the strength of a device another same-wave
-    /// plan already holds.
-    reservations: LeaseTable,
-}
-
-/// What the rule saw of the cluster: pynvml's device count and the
-/// devices free to a new job.
-struct GpuObservation {
-    device_count: u32,
-    free_gpus: Vec<u32>,
-}
-
-impl GpuDestinationRule {
-    /// Create a rule bound to a cluster with the given GPU/CPU
-    /// destination ids, auditing into `recorder` and counting the leases
-    /// in `reservations` as busy.
-    pub fn new(
-        cluster: &GpuCluster,
-        gpu_destination: impl Into<String>,
-        cpu_destination: impl Into<String>,
-        recorder: Recorder,
-        reservations: LeaseTable,
-    ) -> Self {
-        GpuDestinationRule {
-            cluster: cluster.clone(),
-            gpu_destination: gpu_destination.into(),
-            cpu_destination: cpu_destination.into(),
-            require_free_gpu: false,
-            recorder,
-            reservations,
-        }
-    }
-
-    /// Require a currently-free GPU for GPU mapping.
-    pub fn require_free(mut self) -> Self {
-        self.require_free_gpu = true;
-        self
-    }
-
-    /// Evaluate the rule for one job.
-    pub fn decide(
-        &self,
-        tool: &Tool,
-        job: &Job,
-        config: &JobConfig,
-    ) -> Result<String, GalaxyError> {
-        let seen = self.observe();
-        let gpu_ok =
-            seen.device_count > 0 && (!self.require_free_gpu || !seen.free_gpus.is_empty());
+) -> DynamicRule {
+    let (gpu_destination, cpu_destination) =
+        (gpu_destination.to_string(), cpu_destination.to_string());
+    Box::new(move |tool, job, config| {
         let requires_gpu = tool.requires_gpu();
-        let (chosen, reason) = if gpu_ok && requires_gpu {
-            (&self.gpu_destination, "gpu_tool_and_gpu_available")
-        } else if !requires_gpu {
-            (&self.cpu_destination, "tool_has_no_gpu_requirement")
-        } else if seen.device_count == 0 {
-            (&self.cpu_destination, "no_gpus_on_node")
-        } else {
-            (&self.cpu_destination, "no_free_gpu")
+        let hint_mib = requires_gpu.then(|| {
+            let destination = config.destination(&gpu_destination);
+            admission_hint(&footprint, memory_hint, &tool.id, destination)
+        });
+        let (chosen, reason) = match hint_mib {
+            None => (&cpu_destination, "tool_has_no_gpu_requirement"),
+            Some(mib) if placer.hosts_outside(&tool.id, mib, &[]) => {
+                (&gpu_destination, "gpu_tool_and_gpu_available")
+            }
+            Some(_) => (&cpu_destination, "no_gpu_host"),
         };
-
-        let fields: [(&str, Value); 8] = [
+        let head: [(&str, Value); 3] = [
             ("tool", tool.id.as_str().into()),
             ("job_id", job.id.into()),
             ("requires_gpu", requires_gpu.into()),
-            ("device_count", seen.device_count.into()),
-            ("free_gpus", join(&seen.free_gpus).into()),
-            ("require_free_gpu", self.require_free_gpu.into()),
+        ];
+        let tail: [(&str, Value); 2] = [
             ("destination", chosen.as_str().into()),
             // A literal, longer than an in-place value: by reference.
             ("reason", Key::from(reason).into()),
         ];
-        self.recorder.event("gyan.rule.decision", fields);
-
-        if config.destination(chosen).is_none() {
-            return Err(GalaxyError::UnknownDestination(chosen.clone()));
-        }
+        let hint = hint_mib.map(|mib| ("memory_hint_mib", Value::from(mib)));
+        recorder.event("gyan.rule.decision", head.into_iter().chain(hint).chain(tail));
         Ok(chosen.clone())
-    }
-
-    /// A device is free when no compute process runs on it (NVML's
-    /// running-process count is 0 — [`gpusim::DeviceState::is_available`])
-    /// and no lease holds it. The first half is read from the flag every
-    /// device write republishes ([`GpuCluster::is_device_available`]), so
-    /// observing takes no device lock.
-    fn observe(&self) -> GpuObservation {
-        let device_count = self.cluster.device_count();
-        let leased = self.reservations.view();
-        let mut free_gpus = Vec::with_capacity(device_count as usize);
-        free_gpus.extend(
-            (0..device_count)
-                .filter(|i| self.cluster.is_device_available(*i))
-                .filter(|i| !leased.is_leased(*i)),
-        );
-        GpuObservation { device_count, free_gpus }
-    }
-
-    /// Box the rule for registration with
-    /// [`galaxy::GalaxyApp::register_rule`].
-    pub fn into_rule(self) -> DynamicRule {
-        Box::new(move |tool, job, config| self.decide(tool, job, config))
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use galaxy::job::conf::GYAN_JOB_CONF;
+    use crate::allocation::AllocationPolicy;
+    use crate::orchestrator::{NodePlacer, GPU_MEMORY_HINT_PARAM};
+    use crate::reservations::LeaseTable;
+    use galaxy::job::conf::{JobConfig, GYAN_JOB_CONF};
+    use galaxy::job::Job;
     use galaxy::params::ParamDict;
     use galaxy::tool::macros::MacroLibrary;
     use galaxy::tool::wrapper::parse_tool;
-    use gpusim::GpuProcess;
+    use galaxy::tool::Tool;
+    use galaxy::GalaxyError;
+    use gpusim::{GpuCluster, GpuProcess};
 
     fn gpu_tool() -> Tool {
         parse_tool(
@@ -176,24 +112,44 @@ mod tests {
         Job::new(1, "t", ParamDict::new())
     }
 
-    /// A `local_gpu`/`local_cpu` rule over `c` with a fresh recorder and
-    /// an empty lease table.
-    fn rule(c: &GpuCluster) -> GpuDestinationRule {
-        GpuDestinationRule::new(c, "local_gpu", "local_cpu", Recorder::new(), LeaseTable::new())
+    fn placer(c: &GpuCluster, table: &LeaseTable) -> NodePlacer {
+        NodePlacer {
+            cluster: c.clone(),
+            policy: AllocationPolicy::ProcessId,
+            table: table.clone(),
+            recorder: Recorder::new(),
+        }
+    }
+
+    /// A `local_gpu`/`local_cpu` rule over the single node `c`, with static
+    /// hints, auditing into `rec`.
+    fn rule_on(c: &GpuCluster, rec: &Recorder) -> DynamicRule {
+        let placer = placer(c, &LeaseTable::new());
+        let footprint = FootprintRegistry::new();
+        dynamic_destination(
+            placer,
+            "local_gpu",
+            "local_cpu",
+            footprint,
+            MemoryHint::Static,
+            rec.clone(),
+        )
+    }
+
+    fn rule(c: &GpuCluster) -> DynamicRule {
+        rule_on(c, &Recorder::new())
     }
 
     #[test]
     fn gpu_tool_on_gpu_node_goes_to_gpu_destination() {
         let c = GpuCluster::k80_node();
-        let rule = rule(&c);
-        assert_eq!(rule.decide(&gpu_tool(), &job(), &config()).unwrap(), "local_gpu");
+        assert_eq!(rule(&c)(&gpu_tool(), &job(), &config()).unwrap(), "local_gpu");
     }
 
     #[test]
     fn cpu_tool_always_goes_to_cpu_destination() {
         let c = GpuCluster::k80_node();
-        let rule = rule(&c);
-        assert_eq!(rule.decide(&cpu_tool(), &job(), &config()).unwrap(), "local_cpu");
+        assert_eq!(rule(&c)(&cpu_tool(), &job(), &config()).unwrap(), "local_cpu");
     }
 
     #[test]
@@ -201,52 +157,55 @@ mod tests {
         // "if GPUs are unavailable, the runner needs to switch jobs to CPU
         // nodes in a user-agnostic fashion".
         let c = GpuCluster::cpu_only_node();
-        let rule = rule(&c);
-        assert_eq!(rule.decide(&gpu_tool(), &job(), &config()).unwrap(), "local_cpu");
+        assert_eq!(rule(&c)(&gpu_tool(), &job(), &config()).unwrap(), "local_cpu");
     }
 
     #[test]
-    fn require_free_gpu_falls_back_when_all_busy() {
+    fn busy_and_leased_gpus_still_take_gpu_jobs() {
+        // Busy GPUs still take jobs; the allocation policy places them
+        // (paper Cases 3/4). A lease held by a pending plan changes
+        // nothing either: the rule asks whether the node has a GPU.
         let c = GpuCluster::k80_node();
         c.attach_process(0, GpuProcess::compute(1, "a", 1)).unwrap();
         c.attach_process(1, GpuProcess::compute(2, "b", 1)).unwrap();
-        let strict = rule(&c).require_free();
-        assert_eq!(strict.decide(&gpu_tool(), &job(), &config()).unwrap(), "local_cpu");
-        // Default (non-strict): busy GPUs still take jobs; the allocation
-        // policy will place them (paper Cases 3/4).
-        let lax = rule(&c);
-        assert_eq!(lax.decide(&gpu_tool(), &job(), &config()).unwrap(), "local_gpu");
+        let table = LeaseTable::new();
+        table.allocate_and_lease(&c, &[], AllocationPolicy::ProcessId, 1, 100, None);
+        let footprint = FootprintRegistry::new();
+        let rule = dynamic_destination(
+            placer(&c, &table),
+            "local_gpu",
+            "local_cpu",
+            footprint,
+            MemoryHint::Static,
+            Recorder::new(),
+        );
+        assert_eq!(rule(&gpu_tool(), &job(), &config()).unwrap(), "local_gpu");
     }
 
-    #[test]
-    fn leased_devices_are_not_free_to_a_strict_rule() {
-        use crate::allocation::AllocationPolicy;
-        let c = GpuCluster::k80_node();
-        let table = LeaseTable::new();
-        // Both devices SMI-idle but leased by pending plans.
-        table.allocate_and_lease(&c, &[], AllocationPolicy::ProcessId, 1, 100, None);
-        let strict =
-            GpuDestinationRule::new(&c, "local_gpu", "local_cpu", Recorder::new(), table.clone())
-                .require_free();
-        assert_eq!(strict.decide(&gpu_tool(), &job(), &config()).unwrap(), "local_cpu");
-        // Releasing the leases makes the devices free again.
-        table.release(1, "ok", None);
-        assert_eq!(strict.decide(&gpu_tool(), &job(), &config()).unwrap(), "local_gpu");
+    /// An app on the shipped job conf mapping through `rule`.
+    fn app_with(rule: DynamicRule) -> galaxy::GalaxyApp {
+        let mut app = galaxy::GalaxyApp::new(config());
+        app.register_rule(RULE_NAME, rule);
+        app
     }
 
     #[test]
     fn unknown_destination_is_error() {
+        // The rule names a destination the conf lacks; mapping rejects it.
         let c = GpuCluster::k80_node();
-        let rule = GpuDestinationRule::new(
-            &c,
+        let placer = placer(&c, &LeaseTable::new());
+        let footprint = FootprintRegistry::new();
+        let rule = dynamic_destination(
+            placer,
             "ghost_gpu",
             "local_cpu",
+            footprint,
+            MemoryHint::Static,
             Recorder::new(),
-            LeaseTable::new(),
         );
         assert!(matches!(
-            rule.decide(&gpu_tool(), &job(), &config()),
-            Err(GalaxyError::UnknownDestination(_))
+            app_with(rule).map_destination(&gpu_tool(), &job()),
+            Err(GalaxyError::UnknownDestination(id)) if id == "ghost_gpu"
         ));
     }
 
@@ -255,74 +214,50 @@ mod tests {
         let c = GpuCluster::k80_node();
         c.attach_process(0, GpuProcess::compute(7, "racon", 60)).unwrap();
         let rec = Recorder::new();
-        let rule =
-            GpuDestinationRule::new(&c, "local_gpu", "local_cpu", rec.clone(), LeaseTable::new());
+        let rule = rule_on(&c, &rec);
+        let mut conf = config();
+        conf.destinations
+            .iter_mut()
+            .find(|d| d.id == "local_gpu")
+            .unwrap()
+            .params
+            .set(GPU_MEMORY_HINT_PARAM, "3000");
 
-        rule.decide(&gpu_tool(), &job(), &config()).unwrap();
-        rule.decide(&cpu_tool(), &job(), &config()).unwrap();
+        rule(&gpu_tool(), &job(), &conf).unwrap();
+        rule(&cpu_tool(), &job(), &conf).unwrap();
+        rule_on(&GpuCluster::cpu_only_node(), &rec)(&gpu_tool(), &job(), &conf).unwrap();
 
         let events = rec.events_named("gyan.rule.decision");
-        assert_eq!(events.len(), 2);
+        assert_eq!(events.len(), 3);
+        let keys = |i: usize| events[i].fields.iter().map(|(k, _)| k.as_str()).collect::<Vec<_>>();
         let gpu = &events[0];
+        assert_eq!(
+            keys(0),
+            ["tool", "job_id", "requires_gpu", "memory_hint_mib", "destination", "reason"]
+        );
         assert_eq!(gpu.field("tool").and_then(|v| v.as_str()), Some("racon_gpu"));
-        assert_eq!(gpu.field("device_count").and_then(|v| v.as_f64()), Some(2.0));
-        assert_eq!(gpu.field("free_gpus").and_then(|v| v.as_str()), Some("1"));
+        assert_eq!(gpu.field("memory_hint_mib").and_then(|v| v.as_f64()), Some(3000.0));
         assert_eq!(gpu.field("destination").and_then(|v| v.as_str()), Some("local_gpu"));
         assert_eq!(
             gpu.field("reason").and_then(|v| v.as_str()),
             Some("gpu_tool_and_gpu_available")
         );
         let cpu = &events[1];
+        assert_eq!(keys(1), ["tool", "job_id", "requires_gpu", "destination", "reason"]);
         assert_eq!(cpu.field("destination").and_then(|v| v.as_str()), Some("local_cpu"));
         assert_eq!(
             cpu.field("reason").and_then(|v| v.as_str()),
             Some("tool_has_no_gpu_requirement")
         );
-    }
-
-    #[test]
-    fn audit_lists_exactly_the_idle_unleased_devices_as_free() {
-        use crate::allocation::AllocationPolicy;
-        let c = GpuCluster::node(gpusim::GpuArch::tesla_v100(), 4);
-        c.attach_process(0, GpuProcess::compute(1, "a", 1)).unwrap();
-        c.attach_process(2, GpuProcess::compute(2, "b", 1)).unwrap();
-        c.attach_process(2, GpuProcess::compute(3, "c", 1)).unwrap();
-        let rec = Recorder::new();
-        let table = LeaseTable::new();
-        let rule =
-            GpuDestinationRule::new(&c, "local_gpu", "local_cpu", rec.clone(), table.clone());
-        let free_gpus = || {
-            rule.decide(&gpu_tool(), &job(), &config()).unwrap();
-            let events = rec.events_named("gyan.rule.decision");
-            let last = events.last().unwrap();
-            assert_eq!(last.field("device_count").and_then(|v| v.as_f64()), Some(4.0));
-            last.field("free_gpus").and_then(|v| v.as_str()).unwrap().to_string()
-        };
-        assert_eq!(free_gpus(), "1,3");
-        // A lease on an SMI-idle device takes it off the list too.
-        table.allocate_and_lease(&c, &[3], AllocationPolicy::ProcessId, 1, 100, None);
-        assert_eq!(free_gpus(), "1");
-    }
-
-    #[test]
-    fn audit_explains_strict_fallback() {
-        let c = GpuCluster::k80_node();
-        c.attach_process(0, GpuProcess::compute(1, "a", 1)).unwrap();
-        c.attach_process(1, GpuProcess::compute(2, "b", 1)).unwrap();
-        let rec = Recorder::new();
-        let rule =
-            GpuDestinationRule::new(&c, "local_gpu", "local_cpu", rec.clone(), LeaseTable::new())
-                .require_free();
-        assert_eq!(rule.decide(&gpu_tool(), &job(), &config()).unwrap(), "local_cpu");
-        let e = &rec.events_named("gyan.rule.decision")[0];
-        assert_eq!(e.field("reason").and_then(|v| v.as_str()), Some("no_free_gpu"));
-        assert_eq!(e.field("free_gpus").and_then(|v| v.as_str()), Some(""));
+        let gpuless = &events[2];
+        assert_eq!(gpuless.field("destination").and_then(|v| v.as_str()), Some("local_cpu"));
+        assert_eq!(gpuless.field("reason").and_then(|v| v.as_str()), Some("no_gpu_host"));
     }
 
     #[test]
     fn boxed_rule_is_usable() {
-        let c = GpuCluster::k80_node();
-        let rule = rule(&c).into_rule();
-        assert_eq!(rule(&gpu_tool(), &job(), &config()).unwrap(), "local_gpu");
+        let app = app_with(rule(&GpuCluster::k80_node()));
+        assert_eq!(app.map_destination(&gpu_tool(), &job()).unwrap().id, "local_gpu");
+        assert_eq!(app.map_destination(&cpu_tool(), &job()).unwrap().id, "local_cpu");
     }
 }

@@ -5,7 +5,7 @@ use crate::container_gpu::{DockerGpuMutator, SingularityGpuMutator};
 use crate::footprint::{FootprintRegistry, MemoryHint};
 use crate::orchestrator::{GyanHook, NodePlacer, Placer};
 use crate::reservations::LeaseTable;
-use crate::rules::{GpuDestinationRule, RULE_NAME};
+use crate::rules::{dynamic_destination, RULE_NAME};
 use galaxy::app::TimeSource;
 use galaxy::queue::AdvanceableClock;
 use galaxy::GalaxyApp;
@@ -81,71 +81,60 @@ impl GyanConfig {
     }
 }
 
-/// Install GYAN into `app`: registers the dynamic destination rule, the
-/// orchestration hook (placing through a fresh [`LeaseTable`]), both
-/// container GPU mutators, and switches the app's time source to the
-/// cluster's virtual clock.
-///
-/// Telemetry is wired end to end: the app's [`obs::Recorder`] is shared
-/// with the rule, the hook, and the lease table (so their decision and
-/// reservation audit events land in the same log as the job spans), and
-/// its clock is driven by the cluster's virtual clock, making every
-/// exported timestamp deterministic. The operations plane dumps the
-/// recorder's recent history (its flight window) on demand.
+/// Install GYAN on the paper's single node into `app`: [`install`] over
+/// a [`NodePlacer`] that places through a fresh [`LeaseTable`], routing
+/// to `config`'s destinations.
 ///
 /// Returns the lease table so callers can inspect reservations, or hand
 /// [`LeaseTable::discard_listener`] to a `QueueEngine` so leases of plans
 /// a discarded wave skips are released too.
 pub fn install_gyan(app: &mut GalaxyApp, cluster: &GpuCluster, config: GyanConfig) -> LeaseTable {
-    install_gyan_with_footprint(app, cluster, config).0
-}
-
-/// [`install_gyan`] also returning the [`FootprintRegistry`] the hook
-/// feeds, for callers that read the learned profiles.
-pub fn install_gyan_with_footprint(
-    app: &mut GalaxyApp,
-    cluster: &GpuCluster,
-    config: GyanConfig,
-) -> (LeaseTable, FootprintRegistry) {
-    let recorder = app.recorder().clone();
-    let reservations = LeaseTable::new();
-    app.register_rule(
-        RULE_NAME,
-        GpuDestinationRule::new(
-            cluster,
-            &config.gpu_destination,
-            &config.cpu_destination,
-            recorder.clone(),
-            reservations.clone(),
-        )
-        .into_rule(),
-    );
-    let footprint = install_hook(
+    let table = LeaseTable::new();
+    let placer = NodePlacer {
+        cluster: cluster.clone(),
+        policy: config.policy,
+        table: table.clone(),
+        recorder: app.recorder().clone(),
+    };
+    install(
         app,
         cluster.clock(),
-        NodePlacer {
-            cluster: cluster.clone(),
-            policy: config.policy,
-            table: reservations.clone(),
-            recorder,
-        },
+        placer,
+        &config.gpu_destination,
+        &config.cpu_destination,
         GPU_DESTINATIONS,
         config.memory_hint,
     );
-    (reservations, footprint)
+    table
 }
 
-/// Everything [`install_gyan`] and `fleet::install_fleet` share — all but
-/// the destination rule: the [`GyanHook`] over `placer`, both container
-/// GPU mutators, and `clock` as the app's time source and the recorder's
-/// clock. Returns the [`FootprintRegistry`] the hook feeds; in
-/// [`MemoryHint::Learned`] mode the hook also answers the queue engine's
-/// footprint-revised resubmission from it, so a failed attempt can retry
-/// with a bigger budget before falling back to CPU.
-pub fn install_hook(
+/// Install GYAN over any [`Placer`] — the single node ([`install_gyan`])
+/// or a fleet (`fleet::install_fleet`) — into `app`: registers the one
+/// dynamic destination rule ([`dynamic_destination`], GPU tools `placer`
+/// can host → `gpu_destination`, every other job → `cpu_destination`)
+/// and the [`GyanHook`] over the same `placer`, which treats
+/// `gpu_destinations` as the destinations where jobs may use GPUs. Adds
+/// both container GPU mutators, and makes `clock` the app's time source
+/// and the recorder's clock.
+///
+/// Telemetry is wired end to end: the rule audits into the app's
+/// [`obs::Recorder`], and the hook into the placer's, so with a placer
+/// built on the app's recorder every decision and reservation record
+/// lands in the same log as the job spans, stamped in deterministic
+/// virtual time. The operations plane dumps the recorder's recent
+/// history (its flight window) on demand.
+///
+/// Returns the [`FootprintRegistry`] the hook feeds and the rule reads;
+/// in [`MemoryHint::Learned`] mode the learned tool-wide p95 replaces the
+/// static hint in the rule's admission check, and the hook also answers
+/// the queue engine's footprint-revised resubmission from it, so a failed
+/// attempt can retry with a bigger budget before falling back to CPU.
+pub fn install(
     app: &mut GalaxyApp,
     clock: &VirtualClock,
-    placer: impl Placer + 'static,
+    placer: impl Placer + Clone + 'static,
+    gpu_destination: &str,
+    cpu_destination: &str,
     gpu_destinations: impl IntoIterator<Item = impl Into<String>>,
     memory_hint: MemoryHint,
 ) -> FootprintRegistry {
@@ -153,6 +142,15 @@ pub fn install_hook(
     app.recorder().set_clock(move || recorder_clock.now());
 
     let footprint = FootprintRegistry::new();
+    let rule = dynamic_destination(
+        placer.clone(),
+        gpu_destination,
+        cpu_destination,
+        footprint.clone(),
+        memory_hint,
+        app.recorder().clone(),
+    );
+    app.register_rule(RULE_NAME, rule);
     app.add_hook(Box::new(GyanHook::new(placer, gpu_destinations, footprint.clone(), memory_hint)));
     app.add_mutator(Box::new(DockerGpuMutator));
     app.add_mutator(Box::new(SingularityGpuMutator));

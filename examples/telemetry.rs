@@ -72,11 +72,15 @@ fn main() {
         export.chrome_trace.len()
     );
     for event in app.recorder().events_named("gyan.rule.decision") {
+        // `memory_hint_mib` is recorded for GPU tools only.
+        let hint = event.field("memory_hint_mib").and_then(|v| v.as_f64());
         println!(
-            "  rule decision: job {} -> {} ({})",
+            "  rule decision: job {} {} -> {} ({}{})",
             event.field("job_id").and_then(|v| v.as_f64()).unwrap_or(-1.0),
+            event.field("tool").and_then(|v| v.as_str()).unwrap_or("?"),
             event.field("destination").and_then(|v| v.as_str()).unwrap_or("?"),
             event.field("reason").and_then(|v| v.as_str()).unwrap_or("?"),
+            hint.map(|mib| format!(", hint {mib} MiB")).unwrap_or_default(),
         );
     }
 }

@@ -101,4 +101,10 @@ else
   cargo run -q --release -p gyan-bench --bin gates
 fi
 
+# A passing gate rewrites its BENCH_<gate>.json (the Context values and
+# the embedded profile change every run): list what this run left
+# modified, so a change not meant to re-baseline can `git checkout` it.
+echo "==> trajectory files left modified (git status, read-only)"
+git status --short -- 'BENCH_*.json'
+
 echo "verify: OK"

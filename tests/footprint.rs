@@ -15,7 +15,7 @@ use gyan::footprint::{
     FootprintRegistry, MemoryHint, GALAXY_INPUT_SIZE_MIB_ENV, GPU_MEMORY_BUDGET_ENV,
     GPU_OBSERVED_PEAK_ENV,
 };
-use gyan::setup::{install_gyan_with_footprint, GyanConfig};
+use gyan::{AllocationPolicy, LeaseTable, NodePlacer};
 use loadgen::{LoadExecutor, FAIL_GPU_ENV};
 
 mod common;
@@ -36,8 +36,21 @@ fn engine(footprint_retries: u32) -> (QueueEngine, FootprintRegistry, Plans) {
     let cluster = GpuCluster::node(GpuArch::tesla_k80(), 2);
     let mut app = GalaxyApp::new(JobConfig::from_xml(GYAN_JOB_CONF).unwrap());
     app.install_tool_xml(GPU_TOOL, &MacroLibrary::new()).unwrap();
-    let config = GyanConfig { memory_hint: MemoryHint::Learned, ..GyanConfig::default() };
-    let (_table, registry) = install_gyan_with_footprint(&mut app, &cluster, config);
+    let placer = NodePlacer {
+        cluster: cluster.clone(),
+        policy: AllocationPolicy::ProcessId,
+        table: LeaseTable::new(),
+        recorder: app.recorder().clone(),
+    };
+    let registry = gyan::setup::install(
+        &mut app,
+        cluster.clock(),
+        placer,
+        "local_gpu",
+        "local_cpu",
+        ["local_gpu"],
+        MemoryHint::Learned,
+    );
     app.set_executor(Box::new(LoadExecutor));
     let config = QueueConfig {
         workers: 1,

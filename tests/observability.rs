@@ -115,13 +115,14 @@ fn pid_allocation_audits_match_case3_placements() {
     assert_eq!(allocs[0].field("granted_requested").and_then(|v| v.as_f64()), Some(1.0));
     assert_eq!(allocs[1].field("granted_requested").and_then(|v| v.as_f64()), Some(0.0));
 
-    // Every rule decision saw a GPU tool on a GPU-bearing node.
+    // Every rule decision saw a GPU tool, at the default hint, on a
+    // GPU-bearing node.
     let rules = app.recorder().events_named("gyan.rule.decision");
     assert_eq!(rules.len(), 4);
     for e in &rules {
         assert_eq!(e.field("destination").and_then(|v| v.as_str()), Some("local_gpu"));
         assert_eq!(e.field("reason").and_then(|v| v.as_str()), Some("gpu_tool_and_gpu_available"));
-        assert_eq!(e.field("device_count").and_then(|v| v.as_f64()), Some(2.0));
+        assert_eq!(e.field("memory_hint_mib").and_then(|v| v.as_f64()), Some(1024.0));
     }
 
     // The hook exported exactly the audited masks into each job env.
@@ -176,10 +177,11 @@ fn cpu_fallback_is_audited_with_its_reason() {
     assert_eq!(app.job(id).unwrap().destination_id.as_deref(), Some("local_cpu"));
 
     let rule = &app.recorder().events_named("gyan.rule.decision")[0];
+    assert_eq!(rule.field("job_id").and_then(|v| v.as_f64()), Some(id as f64));
     assert_eq!(rule.field("requires_gpu").and_then(|v| v.as_f64()), Some(1.0));
-    assert_eq!(rule.field("device_count").and_then(|v| v.as_f64()), Some(0.0));
+    assert_eq!(rule.field("memory_hint_mib").and_then(|v| v.as_f64()), Some(1024.0));
     assert_eq!(rule.field("destination").and_then(|v| v.as_str()), Some("local_cpu"));
-    assert_eq!(rule.field("reason").and_then(|v| v.as_str()), Some("no_gpus_on_node"));
+    assert_eq!(rule.field("reason").and_then(|v| v.as_str()), Some("no_gpu_host"));
 
     // No allocation ran; the hook recorded the job as GPU-disabled.
     assert!(app.recorder().events_named("gyan.allocation.decision").is_empty());

@@ -6,7 +6,6 @@ use gpusim::cuda::parse_visible_devices;
 use gpusim::{smi, GpuArch, GpuCluster, GpuProcess};
 use gyan::allocation::{select_gpus, AllocationPolicy};
 use gyan::gpu_usage::{get_gpu_usage, parse_gpu_usage, try_get_gpu_usage, GpuUsage};
-use gyan::{GpuDestinationRule, LeaseTable};
 use proptest::prelude::*;
 use seqtools::poa::PoaGraph;
 use seqtools::racon::build_windows;
@@ -233,10 +232,9 @@ proptest! {
     /// from the per-device flags `with_device_mut` republishes — equals a
     /// recomputation through `with_device(.., is_available)` after every
     /// step, and after a write whose closure panics once its attach or
-    /// detach has landed. The destination rule reads the same flags: after
-    /// every step, the `free_gpus` its audit records for a GPU tool are
-    /// the devices NVML counts no running process on, minus the one device
-    /// a lease holds.
+    /// detach has landed. Fleet scoring is the flags' production reader;
+    /// `crates/fleet/tests/load_reference.rs` holds the free devices it
+    /// scores to a recomputation under the device locks.
     #[test]
     fn lock_free_availability_equals_the_locked_recomputation(
         arch in 0u8..3,
@@ -244,52 +242,11 @@ proptest! {
         ops in prop::collection::vec((0u8..4, any::<u32>(), 1u64..2000), 0..48),
         unwind_on in any::<u32>(),
     ) {
-        // A table is not tied to a node: leasing on an idle twin grants
-        // exactly the requested device, whatever the history does.
-        let (table, leased) = (LeaseTable::new(), unwind_on % count.max(1));
-        if count > 0 {
-            let twin = GpuCluster::node(GpuArch::tesla_k80(), count);
-            let granted =
-                table.allocate_and_lease(&twin, &[leased], AllocationPolicy::ProcessId, 1, 0, None);
-            prop_assert_eq!(granted.map(|a| a.devices), Some(vec![leased]));
-        }
-        let recorder = obs::Recorder::new();
-        let tool = galaxy::tool::wrapper::parse_tool(
-            r#"<tool id="racon_gpu"><requirements>
-                 <requirement type="compute">gpu</requirement>
-               </requirements><command>racon_gpu</command></tool>"#,
-            &galaxy::tool::macros::MacroLibrary::new(),
-        )
-        .unwrap();
-        let config = galaxy::job::conf::JobConfig::from_xml(galaxy::job::conf::GYAN_JOB_CONF).unwrap();
-        let job = galaxy::Job::new(1, "t", galaxy::ParamDict::new());
         let mut steps = 0;
         let cluster = node_after_each(arch, count, &ops, None, |cluster| {
             steps += 1;
             let locked = available_under_the_locks(cluster);
             assert_eq!(cluster.available_devices(), locked, "step {steps}");
-
-            GpuDestinationRule::new(
-                cluster,
-                "local_gpu",
-                "local_cpu",
-                recorder.clone(),
-                table.clone(),
-            )
-            .decide(&tool, &job, &config)
-                .unwrap();
-            let audit = recorder.events_named("gyan.rule.decision").pop().unwrap();
-            let nvml = Nvml::init(cluster);
-            let free: Vec<String> = (0..count)
-                .filter(|minor| nvml.compute_running_process_count(*minor) == Ok(0))
-                .filter(|minor| *minor != leased)
-                .map(|minor| minor.to_string())
-                .collect();
-            assert_eq!(
-                audit.field("free_gpus").and_then(|v| v.as_str()),
-                Some(free.join(",").as_str()),
-                "step {steps}"
-            );
         });
         prop_assert_eq!(steps, if count == 0 { 0 } else { ops.len() });
         if count > 0 {
@@ -670,34 +627,94 @@ const DIFF_TOOLS: [(&str, &str); 4] = [
     ("gpu_01", " version=\"0,1\""),
 ];
 
+/// A GPU tool whose learned memory hint outgrows a K80 die (11 441 MiB):
+/// the one place where the two topologies route apart.
+const BIG_TOOL: &str = "gpu_big";
+/// The peak `BIG_TOOL`'s training jobs declare, MiB.
+const BIG_PEAK_MIB: &str = "16000";
+/// A tool with no GPU requirement.
+const CPU_TOOL: &str = "cpu_sort";
+
 fn diff_app() -> galaxy::GalaxyApp {
     use galaxy::job::conf::{JobConfig, GYAN_JOB_CONF};
     let mut app = galaxy::GalaxyApp::new(JobConfig::from_xml(GYAN_JOB_CONF).unwrap());
-    for (id, version) in DIFF_TOOLS {
+    let lib = galaxy::tool::macros::MacroLibrary::new();
+    for (id, version) in DIFF_TOOLS.into_iter().chain([(BIG_TOOL, "")]) {
         let xml = format!(
             r#"<tool id="{id}"><requirements>
                  <requirement type="compute"{version}>gpu</requirement>
                </requirements><command>{id}</command></tool>"#
         );
-        app.install_tool_xml(&xml, &galaxy::tool::macros::MacroLibrary::new()).unwrap();
+        app.install_tool_xml(&xml, &lib).unwrap();
     }
+    let cpu = format!(r#"<tool id="{CPU_TOOL}"><command>sort</command></tool>"#);
+    app.install_tool_xml(&cpu, &lib).unwrap();
     app
+}
+
+/// Run `BIG_TOOL` to success `MIN_SAMPLES` times, each declaring
+/// `BIG_PEAK_MIB`, so its learned profile converges above a K80 die.
+fn train_big_tool(app: &mut galaxy::GalaxyApp) {
+    for _ in 0..gyan::footprint::MIN_SAMPLES {
+        let id = app.create_job(BIG_TOOL, &galaxy::ParamDict::new()).unwrap();
+        app.set_job_env(id, gyan::footprint::GPU_OBSERVED_PEAK_ENV, BIG_PEAK_MIB);
+        app.prepare_plan(id, None).unwrap();
+        app.finish_job(id, &galaxy::runners::ExecutionResult::ok(""), true).unwrap();
+    }
+}
+
+/// What the stack decided for one prepared job: its destination, the
+/// rule record's `reason` and `memory_hint_mib`, the reason of the
+/// allocation record its placement wrote (if it wrote one) and its GPU
+/// exports.
+#[derive(Debug, PartialEq)]
+struct Decided {
+    destination: Option<String>,
+    rule_reason: Option<String>,
+    rule_hint_mib: Option<f64>,
+    allocation_reason: Option<String>,
+    gpu_enabled: Option<String>,
+    visible_devices: Option<String>,
+}
+
+/// Prepare job `id` of `app` and read back what was decided for it.
+fn prepare_and_read(app: &mut galaxy::GalaxyApp, id: u64) -> Decided {
+    let field =
+        |e: &obs::EventData, key: &str| e.field(key).and_then(|v| v.as_str()).map(String::from);
+    let allocations = app.recorder().events_named("gyan.allocation.decision").len();
+    app.prepare_plan(id, None).unwrap();
+    let rule = app.recorder().events_named("gyan.rule.decision").pop().unwrap();
+    assert_eq!(rule.field("job_id").and_then(|v| v.as_f64()), Some(id as f64));
+    let allocation = app.recorder().events_named("gyan.allocation.decision");
+    assert!(allocation.len() - allocations <= 1, "job {id}: one allocation record at most");
+    let job = app.job(id).unwrap();
+    Decided {
+        destination: job.destination_id.clone(),
+        rule_reason: field(&rule, "reason"),
+        rule_hint_mib: rule.field("memory_hint_mib").and_then(|v| v.as_f64()),
+        allocation_reason: allocation.get(allocations).and_then(|e| field(e, "reason")),
+        gpu_enabled: job.env_var(gyan::GALAXY_GPU_ENABLED).map(String::from),
+        visible_devices: job.env_var(gyan::CUDA_VISIBLE_DEVICES).map(String::from),
+    }
 }
 
 proptest! {
     /// `install_gyan` on a K80 node and `install_fleet` on a fleet of one
-    /// K80 node run the same hook over two placement seams; with the
-    /// same allocation policy the seams must be indistinguishable. For
-    /// any interleaving of GPU submissions (prepared, holding their
-    /// leases), conclusions and lingering processes, every job gets the
-    /// same `GALAXY_GPU_ENABLED` and `CUDA_VISIBLE_DEVICES` from both,
-    /// and both hold the same number of leases after every step.
+    /// K80 node run the same rule and hook over two placement seams; with
+    /// the same allocation policy the seams must be indistinguishable.
+    /// For any interleaving of GPU submissions (prepared, holding their
+    /// leases), conclusions, lingering processes and one-shot CPU-tool
+    /// and `BIG_TOOL` jobs, every job gets the same destination, rule
+    /// reason, allocation reason, `GALAXY_GPU_ENABLED` and
+    /// `CUDA_VISIBLE_DEVICES` from both, and both hold the same number of
+    /// leases after every step — except `BIG_TOOL`, named below.
     #[test]
     fn one_node_fleet_places_like_single_node_gyan(
-        steps in prop::collection::vec((0u8..4, 0usize..4, 1u64..400, any::<bool>()), 1..24),
+        steps in prop::collection::vec((0u8..5, 0usize..4, 1u64..400, any::<bool>()), 1..24),
         memory_policy in any::<bool>(),
     ) {
         use galaxy::runners::ExecutionResult;
+        use gyan::footprint::MemoryHint;
         use gyan::setup::{install_gyan, GyanConfig};
 
         let policy = if memory_policy {
@@ -705,9 +722,11 @@ proptest! {
         } else {
             AllocationPolicy::ProcessId
         };
+        let memory_hint = MemoryHint::Learned;
         let cluster = GpuCluster::k80_node();
         let mut single = diff_app();
-        let table = install_gyan(&mut single, &cluster, GyanConfig { policy, ..GyanConfig::default() });
+        let config = GyanConfig { policy, memory_hint, ..GyanConfig::default() };
+        let table = install_gyan(&mut single, &cluster, config);
 
         let mut fleeted = diff_app();
         let the_fleet = fleet::Fleet::builder()
@@ -718,9 +737,11 @@ proptest! {
         fleet::install_fleet(
             &mut fleeted,
             &the_fleet,
-            fleet::FleetConfig::default(),
+            fleet::FleetConfig { memory_hint, ..fleet::FleetConfig::default() },
         );
         let shard = &the_fleet.shards()[0].cluster;
+        train_big_tool(&mut single);
+        train_big_tool(&mut fleeted);
 
         let mut open: Vec<u64> = Vec::new();
         let mut pid = 5000;
@@ -732,13 +753,10 @@ proptest! {
                     let tool = DIFF_TOOLS[pick].0;
                     let id = single.create_job(tool, &galaxy::ParamDict::new()).unwrap();
                     prop_assert_eq!(fleeted.create_job(tool, &galaxy::ParamDict::new()).unwrap(), id);
-                    single.prepare_plan(id, None).unwrap();
-                    fleeted.prepare_plan(id, None).unwrap();
-                    let (a, b) = (single.job(id).unwrap(), fleeted.job(id).unwrap());
-                    for var in [gyan::GALAXY_GPU_ENABLED, gyan::CUDA_VISIBLE_DEVICES] {
-                        prop_assert_eq!(a.env_var(var), b.env_var(var), "{} of job {}", var, id);
-                    }
-                    prop_assert_eq!(a.env_var(gyan::GALAXY_GPU_ENABLED), Some("true"));
+                    let a = prepare_and_read(&mut single, id);
+                    prop_assert_eq!(&a, &prepare_and_read(&mut fleeted, id), "job {}", id);
+                    prop_assert_eq!(a.destination.as_deref(), Some("local_gpu"));
+                    prop_assert_eq!(a.gpu_enabled.as_deref(), Some("true"));
                     open.push(id);
                 }
                 2 if !open.is_empty() => {
@@ -749,6 +767,39 @@ proptest! {
                     // way the conclusion releases the job's leases.
                     prop_assert_eq!(single.finish_job(id, &result, true).is_ok(), ok);
                     prop_assert_eq!(fleeted.finish_job(id, &result, true).is_ok(), ok);
+                }
+                // A one-shot job, concluded at once so that it holds no
+                // lease into later steps.
+                4 => {
+                    let tool = if pick % 2 == 0 { CPU_TOOL } else { BIG_TOOL };
+                    let id = single.create_job(tool, &galaxy::ParamDict::new()).unwrap();
+                    prop_assert_eq!(fleeted.create_job(tool, &galaxy::ParamDict::new()).unwrap(), id);
+                    let (a, b) = (prepare_and_read(&mut single, id), prepare_and_read(&mut fleeted, id));
+                    if tool == CPU_TOOL {
+                        prop_assert_eq!(&a, &b, "job {}", id);
+                        prop_assert_eq!(a.destination.as_deref(), Some("local_cpu"));
+                        prop_assert_eq!(a.rule_reason.as_deref(), Some("tool_has_no_gpu_requirement"));
+                        prop_assert_eq!(a.rule_hint_mib, None);
+                    } else {
+                        // The one difference: both read the same learned
+                        // hint, above a K80 die. The single node admits
+                        // every GPU tool while it has a GPU, and its
+                        // policy grants the dies; the fleet's K80 class
+                        // cannot hold the hint, so the job runs on CPU.
+                        let hint = a.rule_hint_mib.unwrap();
+                        prop_assert!(hint > 11_441.0, "hint {}", hint);
+                        prop_assert_eq!(b.rule_hint_mib, Some(hint));
+                        prop_assert_eq!(a.destination.as_deref(), Some("local_gpu"));
+                        prop_assert_eq!(a.rule_reason.as_deref(), Some("gpu_tool_and_gpu_available"));
+                        prop_assert_eq!(a.gpu_enabled.as_deref(), Some("true"));
+                        prop_assert!(a.allocation_reason.is_some());
+                        prop_assert_eq!(b.destination.as_deref(), Some("local_cpu"));
+                        prop_assert_eq!(b.rule_reason.as_deref(), Some("no_gpu_host"));
+                        prop_assert_eq!(b.gpu_enabled.as_deref(), Some("false"));
+                        prop_assert_eq!(b.allocation_reason, None);
+                    }
+                    single.finish_job(id, &ExecutionResult::ok(""), true).unwrap();
+                    fleeted.finish_job(id, &ExecutionResult::ok(""), true).unwrap();
                 }
                 // A process outside any lease appears on a die (the
                 // paper's lingering tools, Figs. 9-11); 24 of them at
