@@ -29,10 +29,14 @@ fn fnv1a(text: &str) -> u64 {
 /// DAGs, three failed jobs), captured at the parent commit 8faed09 —
 /// before records moved behind `Arc`s, names and keys became
 /// `obs::Key`, and the log became an open map plus close-ordered deques.
+/// All three sets were re-captured when both topologies came to route
+/// through one destination rule: only its `gyan.rule.decision` records
+/// changed (no device count, free list or strict flag; a memory hint for
+/// GPU tools; `no_gpus_on_node` renamed `no_gpu_host`).
 const GOLDEN: [(&str, usize, u64); 3] = [
-    ("recorder.to_jsonl", 33_407, 11_767_414_486_632_283_686),
-    ("flight.to_jsonl", 33_486, 3_506_733_524_660_359_508),
-    ("telemetry.merged_chrome_trace", 34_598, 9_628_678_937_678_224_703),
+    ("recorder.to_jsonl", 32_533, 4_555_828_750_513_638_746),
+    ("flight.to_jsonl", 32_612, 5_429_385_306_596_057_404),
+    ("telemetry.merged_chrome_trace", 33_724, 7_225_137_611_453_392_637),
 ];
 
 /// The three pinned exports of `recorder` as `(export, bytes, fnv1a)`,
@@ -64,9 +68,9 @@ fn exports_are_byte_identical_to_the_parent_commit() {
 /// holds 7 `gyan.allocation.decision`, 7 `gyan.reservation.acquire` and 7
 /// `.release` records, so it guards the GPU audit on a small node.
 const GOLDEN_2_DEVICES: [(&str, usize, u64); 3] = [
-    ("recorder.to_jsonl", 33_051, 12_575_911_306_675_975_908),
-    ("flight.to_jsonl", 33_131, 13_469_848_510_506_357_253),
-    ("telemetry.merged_chrome_trace", 34_202, 1_784_961_559_679_998_756),
+    ("recorder.to_jsonl", 32_432, 858_855_876_296_384_786),
+    ("flight.to_jsonl", 32_512, 15_142_696_553_966_619_801),
+    ("telemetry.merged_chrome_trace", 33_583, 466_625_546_112_201_306),
 ];
 
 #[test]
@@ -95,9 +99,9 @@ fn exports_of_a_2_device_scenario_are_byte_identical_to_the_parent_commit() {
 /// minors ≥ 10, id lists of 85 bytes and 32 leases per grant, i.e. every
 /// spill path.
 const GOLDEN_32_DEVICES: [(&str, usize, u64); 3] = [
-    ("recorder.to_jsonl", 414_669, 3_287_839_628_683_856_296),
-    ("flight.to_jsonl", 100_561, 657_269_929_752_658_347),
-    ("telemetry.merged_chrome_trace", 412_667, 12_134_616_110_987_436_906),
+    ("recorder.to_jsonl", 396_708, 18_203_694_819_289_252_770),
+    ("flight.to_jsonl", 95_905, 119_979_019_568_802_901),
+    ("telemetry.merged_chrome_trace", 394_706, 15_310_079_708_633_247_856),
 ];
 
 #[test]
