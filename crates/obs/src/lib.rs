@@ -283,22 +283,25 @@ impl LogState {
         self.recorded
     }
 
-    /// Enforce the retention cap with ~25% slack so eviction is a rare
-    /// batch (amortized O(1) per record) that never looks at a record it
-    /// keeps. Only *ended* spans are evicted, oldest end first — open
-    /// spans must survive so open/close balance checks stay meaningful,
-    /// and a job that queued for long is not the first to go the moment
-    /// it finishes; events evict FIFO.
+    /// Enforce the retention cap: as soon as the spans or the events
+    /// number more than `limit`, evict the oldest. Both deques are kept
+    /// in eviction order, so each eviction is a pop from the front —
+    /// O(1), never looking at a record it keeps — and records are freed
+    /// at the pace they are written, not a quarter of the cap in one
+    /// call (a burst the allocator paid for in the calls after it). Only
+    /// *ended* spans are evicted, oldest end first — open spans must
+    /// survive so open/close balance checks stay meaningful, and a job
+    /// that queued for long is not the first to go the moment it
+    /// finishes; events evict FIFO.
     fn evict(&mut self) {
         let Some(limit) = self.retain else { return };
-        let slack = limit / 4 + 1;
         let spans = self.open.len() + self.closed.len();
-        if spans > limit + slack {
+        if spans > limit {
             let drop_n = (spans - limit).min(self.closed.len());
             self.closed.drain(..drop_n);
             self.dropped_spans += drop_n as u64;
         }
-        if self.events.len() > limit + slack {
+        if self.events.len() > limit {
             let drop_n = self.events.len() - limit;
             self.events.drain(..drop_n);
             self.dropped_events += drop_n as u64;
@@ -473,10 +476,10 @@ impl Recorder {
         }
     }
 
-    /// Cap the span/event log at roughly `limit` records each, evicting
-    /// the oldest-**ended** spans and oldest events once the cap (plus
-    /// ~25% batching slack) is exceeded; open spans are never evicted, so
-    /// open/close-balance checks keep working. `None` (the default)
+    /// Cap the span/event log at `limit` records each, evicting the
+    /// oldest-**ended** spans and oldest events once the cap is
+    /// exceeded; open spans are never evicted, so open/close-balance
+    /// checks keep working. `None` (the default)
     /// retains everything. Long soak runs set this so telemetry stays
     /// O(limit) instead of O(jobs); [`Recorder::dropped_log_records`]
     /// reports how much history eviction cost.
@@ -764,11 +767,10 @@ mod tests {
             rec.event("tick", [("i", i)]);
         }
         let spans = rec.spans();
-        // The cap plus batching slack bounds the log; the open span
-        // survived every eviction pass.
-        assert!(spans.len() <= 8 + 8 / 4 + 1, "spans bounded, got {}", spans.len());
+        // The cap bounds the log; the open span survived every eviction.
+        assert_eq!(spans.len(), 8, "spans bounded");
         assert!(spans.iter().any(|s| s.name == "held-open" && s.end.is_none()));
-        assert!(rec.events().len() <= 8 + 8 / 4 + 1);
+        assert_eq!(rec.events().len(), 8);
         let (dropped_spans, dropped_events) = rec.dropped_log_records();
         assert!(dropped_spans > 0 && dropped_events > 0);
         // An open span is found by id whatever was evicted around it.
@@ -785,19 +787,19 @@ mod tests {
 
     /// Open spans alone over the cap: the eviction quota can never be
     /// met. The old `Vec::retain` pass then re-scanned the whole log on
-    /// every later `open_span`; the batch now costs what it drops.
+    /// every later `open_span`; eviction now costs what it drops.
     #[test]
     fn open_spans_beyond_the_cap_survive_and_eviction_keeps_counting() {
         const CAP: usize = 8;
         let rec = Recorder::new();
         rec.set_log_retention(Some(CAP));
         let held: Vec<Span> = (0..64).map(|_| rec.span("held-open")).collect();
-        // The batch rule, on counts alone: checked at every open, `limit +
-        // limit / 4 + 1` → `limit`, ended spans only.
+        // The rule, on counts alone: checked at every open, anything over
+        // `limit` goes, ended spans only.
         let (mut ended, mut dropped) = (0usize, 0u64);
         for _ in 0..10_000 {
             let open = held.len() + 1;
-            if open + ended > CAP + CAP / 4 + 1 {
+            if open + ended > CAP {
                 let drop_n = (open + ended - CAP).min(ended);
                 ended -= drop_n;
                 dropped += drop_n as u64;
@@ -809,7 +811,7 @@ mod tests {
         assert_eq!(rec.open_spans().len(), held.len(), "open spans are never evicted");
         let spans = rec.spans();
         assert_eq!(spans.len(), held.len() + ended);
-        assert!(ended <= CAP + CAP / 4 + 1, "{ended} ended spans retained");
+        assert!(ended <= CAP, "{ended} ended spans retained");
         drop(held);
         assert!(rec.open_spans().is_empty());
     }
@@ -822,7 +824,7 @@ mod tests {
         }
         assert_eq!(rec.spans().len(), 100);
         rec.set_log_retention(Some(10));
-        assert!(rec.spans().len() <= 10 + 10 / 4 + 1);
+        assert_eq!(rec.spans().len(), 10);
         rec.set_log_retention(None);
         for _ in 0..50 {
             rec.span("more").end();

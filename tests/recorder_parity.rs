@@ -162,26 +162,25 @@ impl Model {
         self.evict();
     }
 
-    /// `limit + limit / 4 + 1` → `limit`; ended spans only, oldest end
-    /// first; events FIFO.
+    /// Anything over `limit` goes; ended spans only, oldest end first;
+    /// events FIFO.
     fn evict(&mut self) {
         let Some(limit) = self.retain else { return };
-        let slack = limit / 4 + 1;
-        if self.spans.len() > limit + slack {
+        if self.spans.len() > limit {
             let drop_n = (self.spans.len() - limit).min(self.ended.len());
             let gone: Vec<u64> = self.ended.drain(..drop_n).map(|(_, id)| id).collect();
             self.spans.retain(|s| !gone.contains(&s.id));
             self.dropped.0 += drop_n as u64;
         }
-        if self.events.len() > limit + slack {
+        if self.events.len() > limit {
             let drop_n = self.events.len() - limit;
             self.events.drain(..drop_n);
             self.dropped.1 += drop_n as u64;
         }
-        // Retained ≤ cap + slack — unless open spans alone exceed it, and
-        // then no ended span is kept beside them.
-        assert!(self.spans.len() <= limit + slack || self.ended.is_empty());
-        assert!(self.events.len() <= limit + slack);
+        // Retained ≤ cap — unless open spans alone exceed it, and then no
+        // ended span is kept beside them.
+        assert!(self.spans.len() <= limit || self.ended.is_empty());
+        assert!(self.events.len() <= limit);
     }
 
     /// The flight window: the last [`CAPACITY`] retained ended spans and
