@@ -1,5 +1,5 @@
-//! Galaxy wiring: [`Fleet`] as the hook's placement seam, and
-//! [`install_fleet`].
+//! Galaxy wiring: [`Fleet`] as the hook's placement seam and as the
+//! lease view the stock SLO rules read, and [`install_fleet`].
 //!
 //! A fleet is wired exactly like a single node — `gyan::GyanHook`
 //! resolves the memory hint, exports the environment and keeps the
@@ -17,6 +17,7 @@ use galaxy::tool::Tool;
 use galaxy::GalaxyApp;
 use gyan::footprint::MemoryHint;
 use gyan::orchestrator::{Placed, Placer};
+use gyan::LeaseView;
 use obs::Recorder;
 
 /// The destination the dynamic rule picks for every job the fleet does
@@ -84,6 +85,15 @@ impl Placer for Fleet {
 
     fn hosts_outside(&self, tool_id: &str, memory_hint_mib: u64, excluded: &[String]) -> bool {
         self.candidates(tool_id, memory_hint_mib, excluded).next().is_some()
+    }
+}
+
+/// The fleet's oversubscription degree is its worst shard's, so
+/// `gyan::default_alert_rules` arms the same five rules over a fleet as
+/// over a single node.
+impl LeaseView for Fleet {
+    fn max_leases_per_device(&self) -> usize {
+        self.shards().iter().map(|s| s.table.max_leases_per_device()).max().unwrap_or(0)
     }
 }
 

@@ -35,8 +35,13 @@
 //! destination rule and the one `gyan::GyanHook`, both over the
 //! [`Fleet`] as placement seam (`gyan::Placer`) — so the hook places
 //! across nodes, exports `CUDA_VISIBLE_DEVICES` *and* `GALAXY_NODE`, and
-//! releases on conclusion. [`ops::fleet_ops_server`] serves node-labeled GPU/job
-//! views and per-node Prometheus metrics.
+//! releases on conclusion. The fleet is also what the stock SLO rules
+//! read (`gyan::default_alert_rules` over `gyan::LeaseView`), so a fleet
+//! arms the same five rules as a single node.
+//!
+//! [`ops::fleet_ops_server`] is the single node's `gyan::ops::ops_server`
+//! over the shards — node-labeled GPU/job views, one `gyan_node_info`
+//! gauge per node — plus the fleet's own `/api/nodes`.
 
 pub mod fleet;
 pub mod install;
@@ -48,7 +53,7 @@ pub mod rules;
 pub use fleet::{Fleet, FleetBuilder, Placement};
 pub use install::{install_fleet, FleetConfig};
 pub use node::{NodeClass, NodeLoad, NodeShard, NodeStatus};
-pub use ops::{fleet_gpus_json, fleet_jobs_json, fleet_nodes_json, fleet_ops_server};
+pub use ops::fleet_ops_server;
 pub use placement::{
     policy_by_name, BinPack, FairShare, LeastLoaded, PlacementPolicy, PlacementRequest,
 };

@@ -177,16 +177,15 @@ impl DestinationRules {
 /// hint under `rule`, the first rule matching its tool
 /// ([`DestinationRules::match_tool`], matched once for all the classes
 /// one request is asked about). `None` — no rule matches — means no
-/// constraint; the hint must always fit one die.
+/// constraint; the node must always admit the hint the way a single node
+/// does ([`gyan::node_admits`]: it has a GPU, and the hint fits one die).
 pub(crate) fn rule_admits(
     rule: Option<&DestinationRule>,
     class: &NodeClass,
     memory_hint_mib: u64,
 ) -> bool {
-    if class.arch.fb_total_mib < memory_hint_mib || class.gpus == 0 {
-        return false;
-    }
-    rule.is_none_or(|r| r.admits_class(class))
+    gyan::node_admits(&class.arch, class.gpus, memory_hint_mib)
+        && rule.is_none_or(|r| r.admits_class(class))
 }
 
 #[cfg(test)]

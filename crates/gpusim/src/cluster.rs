@@ -66,6 +66,9 @@ impl Drop for DeviceWrite<'_> {
 #[derive(Clone)]
 pub struct GpuCluster {
     devices: Arc<Vec<Device>>,
+    /// The devices' architecture, fixed when the node is built (`None`
+    /// on a GPU-less node), so reading it takes no device lock.
+    arch: Option<GpuArch>,
     clock: VirtualClock,
     host: HostSpec,
     driver_version: &'static str,
@@ -88,6 +91,7 @@ impl GpuCluster {
             .collect();
         GpuCluster {
             devices: Arc::new(devices),
+            arch: (count > 0).then_some(arch),
             clock: VirtualClock::new(),
             host: HostSpec::xeon_e5_2670(),
             driver_version: "455.45.01",
@@ -119,9 +123,9 @@ impl GpuCluster {
 
     /// Architecture of the node's devices (`None` on a GPU-less node).
     /// Nodes are homogeneous — heterogeneity lives between fleet shards,
-    /// not within one node — so device 0 speaks for all.
-    pub fn arch(&self) -> Option<GpuArch> {
-        self.devices.first().map(|d| d.state.read().arch.clone())
+    /// not within one node.
+    pub fn arch(&self) -> Option<&GpuArch> {
+        self.arch.as_ref()
     }
 
     /// Number of devices on the node.

@@ -56,9 +56,9 @@ pub use allocation::{select_gpus, AllocationPolicy, AllocationReason};
 pub use footprint::{EstimateSource, FootprintRegistry, MemoryHint, ProfileSnapshot};
 pub use gpu_usage::{get_gpu_usage, parse_gpu_usage, try_get_gpu_usage, GpuUsageError};
 pub use monitor::UsageMonitor;
-pub use ops::{default_alert_rules, galaxy_alert_rules, ops_server};
-pub use orchestrator::{GyanHook, NodePlacer, Placed, Placer};
-pub use reservations::{Lease, LeaseTable, ReservationView};
+pub use ops::{default_alert_rules, ops_server};
+pub use orchestrator::{node_admits, GyanHook, NodePlacer, Placed, Placer};
+pub use reservations::{Lease, LeaseTable, LeaseView, ReservationView};
 pub use setup::{install, install_gyan};
 pub use telemetry::{export_run, merged_chrome_trace, TelemetryExport};
 

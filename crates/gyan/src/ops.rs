@@ -2,31 +2,37 @@
 //! embedded introspection server (`obs::serve`).
 //!
 //! One call to [`ops_server`] produces an [`obs::serve::OpsServer`] whose
-//! routes expose the whole observe→map→dispatch stack:
+//! routes expose the whole observe→map→dispatch stack over a list of
+//! named nodes — a single node is the one-entry list [`DEFAULT_NODE_NAME`],
+//! a fleet its shards in node-id order:
 //!
 //! | endpoint           | content                                          |
 //! |--------------------|--------------------------------------------------|
 //! | `/metrics`         | Prometheus scrape of the recorder's registry     |
 //! | `/healthz`         | liveness + HTTP pool saturation                  |
-//! | `/api/gpus`        | merged SMI device state + active leases          |
-//! | `/api/jobs`        | job lifecycle snapshots from the queue ledger    |
+//! | `/api/gpus`        | every node's merged SMI device state + active leases, each device `"node"`-labeled |
+//! | `/api/jobs`        | job lifecycle snapshots from the queue ledger, joined with their leases on any node |
 //! | `/api/jobs/<id>`   | one job, with the leases it currently holds      |
 //! | `/api/alerts`      | SLO alert-rule states from the [`AlertEngine`]   |
 //! | `/api/flightrec`   | flight-recorder JSONL dump (the log's tail)      |
 //! | `/api/profile`     | hot-path profiler aggregation (`?format=collapsed` for flamegraph text, `?reset=1` to clear) |
 //! | `/api/bench`       | last recorded perf trajectory (`BENCH_scheduler.json`) |
 //!
+//! A fleet adds only `/api/nodes` (`fleet::fleet_ops_server`): class,
+//! cordon status and placement policy exist only there.
+//!
 //! Learned footprint profiles are served on `/metrics` as the
 //! `gyan_footprint_*` gauges each conclusion that teaches one exports
 //! ([`crate::footprint::FootprintRegistry::conclude`]).
 //!
 //! [`default_alert_rules`] builds the stock SLO rule set the paper's
-//! operators would watch: queue-wait p99, GPU allocation-conflict rate,
-//! failure/resubmission burn rates, and lease-table oversubscription.
+//! operators would watch, over a node's lease table or a fleet's:
+//! queue-wait p99, GPU allocation-conflict rate, failure/resubmission
+//! burn rates, and lease-table oversubscription.
 //!
 //! [`AlertEngine`]: obs::slo::AlertEngine
 
-use crate::reservations::{Lease, LeaseTable};
+use crate::reservations::{Lease, LeaseTable, LeaseView};
 use galaxy::queue::{JobSnapshot, JobsLedger};
 use gpusim::GpuCluster;
 use obs::json_escape;
@@ -41,7 +47,7 @@ use std::sync::Arc;
 /// GPU/job views and metrics never collapse into one anonymous list.
 pub const DEFAULT_NODE_NAME: &str = "node-000";
 
-/// Info-style gauge (value always 1) carrying the serving node's label,
+/// Info-style gauge (value always 1) carrying a served node's label,
 /// exported as `gyan_node_info{node="<name>"}` by [`ops_server`].
 pub const NODE_INFO_GAUGE: &str = "gyan_node_info";
 
@@ -70,64 +76,71 @@ fn lease_json(lease: &Lease) -> String {
     )
 }
 
-/// Per-device JSON objects for one node's `/api/gpus` entries, each
-/// carrying the `node` label. Exposed so a fleet-level ops server can
-/// concatenate the shards' device lists into one labeled view.
-pub fn gpu_objects(cluster: &GpuCluster, table: &LeaseTable, node: &str) -> Vec<String> {
-    cluster
-        .snapshot()
-        .iter()
-        .map(|dev| {
-            let processes: Vec<String> = dev
-                .processes()
-                .iter()
-                .map(|p| {
-                    format!(
-                        "{{\"pid\":{},\"name\":\"{}\",\"used_mib\":{}}}",
-                        p.pid,
-                        json_escape(&p.name),
-                        p.used_mib
-                    )
-                })
-                .collect();
-            let leases: Vec<String> =
-                table.leases_on(dev.minor_number).iter().map(lease_json).collect();
-            format!(
-                "{{\"node\":\"{}\",\"minor\":{},\"arch\":\"{}\",\"uuid\":\"{}\",\
-                 \"fb_total_mib\":{},\
-                 \"fb_used_mib\":{},\"fb_free_mib\":{},\"sm_utilization\":{},\
-                 \"mem_utilization\":{},\"pcie_link_gen\":{},\"available\":{},\
-                 \"processes\":[{}],\"leases\":[{}]}}",
-                json_escape(node),
-                dev.minor_number,
-                json_escape(dev.arch.name),
-                json_escape(&dev.uuid),
-                dev.fb_total_mib(),
-                dev.fb_used_mib(),
-                dev.fb_free_mib(),
-                num(dev.sm_utilization),
-                num(dev.mem_utilization),
-                dev.pcie_link_gen,
-                dev.is_available(),
-                processes.join(","),
-                leases.join(","),
-            )
-        })
-        .collect()
+/// One node the operations plane serves.
+struct Node {
+    name: String,
+    cluster: GpuCluster,
+    table: LeaseTable,
 }
 
-/// JSON document for `/api/gpus`: every device's SMI view merged with the
-/// leases the reservation layer holds on it — the two sources whose
-/// divergence is exactly the observe→dispatch race the lease table closes.
-/// Each device carries the serving `node` label.
-pub fn gpus_json(cluster: &GpuCluster, table: &LeaseTable, node: &str) -> String {
-    format!("{{\"gpus\":[{}]}}", gpu_objects(cluster, table, node).join(","))
+/// Per-device JSON objects of one node's `/api/gpus` entries, each
+/// carrying the `node` label.
+fn gpu_objects(node: &Node) -> impl Iterator<Item = String> + '_ {
+    node.cluster.snapshot().into_iter().map(move |dev| {
+        let processes: Vec<String> = dev
+            .processes()
+            .iter()
+            .map(|p| {
+                format!(
+                    "{{\"pid\":{},\"name\":\"{}\",\"used_mib\":{}}}",
+                    p.pid,
+                    json_escape(&p.name),
+                    p.used_mib
+                )
+            })
+            .collect();
+        let leases: Vec<String> =
+            node.table.leases_on(dev.minor_number).iter().map(lease_json).collect();
+        format!(
+            "{{\"node\":\"{}\",\"minor\":{},\"arch\":\"{}\",\"uuid\":\"{}\",\
+             \"fb_total_mib\":{},\
+             \"fb_used_mib\":{},\"fb_free_mib\":{},\"sm_utilization\":{},\
+             \"mem_utilization\":{},\"pcie_link_gen\":{},\"available\":{},\
+             \"processes\":[{}],\"leases\":[{}]}}",
+            json_escape(&node.name),
+            dev.minor_number,
+            json_escape(dev.arch.name),
+            json_escape(&dev.uuid),
+            dev.fb_total_mib(),
+            dev.fb_used_mib(),
+            dev.fb_free_mib(),
+            num(dev.sm_utilization),
+            num(dev.mem_utilization),
+            dev.pcie_link_gen,
+            dev.is_available(),
+            processes.join(","),
+            leases.join(","),
+        )
+    })
+}
+
+/// JSON document for `/api/gpus`: every node's devices in node order,
+/// each device's SMI view merged with the leases the reservation layer
+/// holds on it — the two sources whose divergence is exactly the
+/// observe→dispatch race the lease table closes.
+fn gpus_json(nodes: &[Node]) -> String {
+    let objects: Vec<String> = nodes.iter().flat_map(gpu_objects).collect();
+    format!("{{\"gpus\":[{}]}}", objects.join(","))
+}
+
+/// Every active lease of every node, in node order.
+fn all_leases(nodes: &[Node]) -> Vec<Lease> {
+    nodes.iter().flat_map(|n| n.table.all_leases()).collect()
 }
 
 /// One job's `/api/jobs` JSON object: lifecycle snapshot plus the leases
-/// it currently holds. Public so the fleet ops plane can reuse the exact
-/// schema while joining leases across shards.
-pub fn job_object(snap: &JobSnapshot, leases: &[Lease]) -> String {
+/// it currently holds.
+fn job_object(snap: &JobSnapshot, leases: &[Lease]) -> String {
     let held: Vec<String> =
         leases.iter().filter(|l| l.holder == snap.job_id).map(lease_json).collect();
     format!(
@@ -152,28 +165,38 @@ pub fn job_object(snap: &JobSnapshot, leases: &[Lease]) -> String {
 
 /// JSON document for `/api/jobs`: every job the queue engine has seen, in
 /// id order, each with its lifecycle state, attempt count, destination,
-/// and any leases it still holds.
-pub fn jobs_json(ledger: &JobsLedger, table: &LeaseTable) -> String {
-    let leases = table.all_leases();
+/// and any leases it still holds on any node.
+fn jobs_json(ledger: &JobsLedger, nodes: &[Node]) -> String {
+    let leases = all_leases(nodes);
     let jobs: Vec<String> = ledger.all().iter().map(|s| job_object(s, &leases)).collect();
     format!("{{\"jobs\":[{}]}}", jobs.join(","))
 }
 
 /// JSON document for `/api/jobs/<id>`, or `None` when the ledger has
 /// never seen that job id.
-pub fn job_json(ledger: &JobsLedger, table: &LeaseTable, job_id: u64) -> Option<String> {
-    ledger.get(job_id).map(|snap| job_object(&snap, &table.all_leases()))
+fn job_json(ledger: &JobsLedger, nodes: &[Node], job_id: u64) -> Option<String> {
+    ledger.get(job_id).map(|snap| job_object(&snap, &all_leases(nodes)))
 }
 
-/// The table-free half of the stock SLO rule set: the three rules that
-/// read only Galaxy-level metrics, so every topology (single node or
-/// fleet) arms them from this one definition.
+/// The stock SLO rule set for a GYAN deployment, single node or fleet:
+/// `leases` is the node's [`LeaseTable`] or the fleet. Thresholds are
+/// tuned for the simulated workloads in this repo; operators tune them
+/// per site. In evaluation (and `/api/alerts`) order:
 ///
 /// * `queue-wait-p99` — tail scheduling latency from the queue-wait
 ///   histogram (p99 > 30 virtual seconds, held 5 s before firing);
+/// * `gpu-conflict-rate` — lease-redirected allocations per second over a
+///   10 s window (sustained conflicts mean the wave size outruns the
+///   GPUs);
 /// * `job-failure-burn` / `resubmission-burn` — terminal failures and
-///   retries per second over 30 s.
-pub fn galaxy_alert_rules() -> Vec<AlertRule> {
+///   retries per second over 30 s;
+/// * `lease-oversubscription` — more than one lease on a single device
+///   (shared placements are legal, but a persistent pile-up is the
+///   paper's Case-4 contention signature), firing immediately.
+pub fn default_alert_rules(leases: &impl LeaseView) -> Vec<AlertRule> {
+    let leases = leases.clone();
+    let rate =
+        |name: &str, window_s: f64| AlertExpr::CounterRate { name: name.to_string(), window_s };
     vec![
         AlertRule::new(
             "queue-wait-p99",
@@ -186,64 +209,33 @@ pub fn galaxy_alert_rules() -> Vec<AlertRule> {
         )
         .hold_for(5.0),
         AlertRule::new(
+            "gpu-conflict-rate",
+            rate(crate::reservations::RESERVATION_CONFLICTS_COUNTER, 10.0),
+            Compare::Gt,
+            0.5,
+        )
+        .hold_for(2.0),
+        AlertRule::new(
             "job-failure-burn",
-            AlertExpr::CounterRate {
-                name: galaxy::scheduler::JOBS_FAILED_COUNTER.to_string(),
-                window_s: 30.0,
-            },
+            rate(galaxy::scheduler::JOBS_FAILED_COUNTER, 30.0),
             Compare::Gt,
             0.2,
         )
         .hold_for(5.0),
         AlertRule::new(
             "resubmission-burn",
-            AlertExpr::CounterRate {
-                name: galaxy::queue::QUEUE_RESUBMITTED_COUNTER.to_string(),
-                window_s: 30.0,
-            },
+            rate(galaxy::queue::QUEUE_RESUBMITTED_COUNTER, 30.0),
             Compare::Gt,
             0.5,
         )
         .hold_for(5.0),
-    ]
-}
-
-/// The stock SLO rule set for a GYAN deployment: [`galaxy_alert_rules`]
-/// plus the two rules that read the lease table. Thresholds are tuned
-/// for the simulated workloads in this repo; operators tune them per
-/// site.
-///
-/// * `gpu-conflict-rate` — lease-redirected allocations per second over a
-///   10 s window (sustained conflicts mean the wave size outruns the
-///   cluster);
-/// * `lease-oversubscription` — more than one lease on a single device
-///   (shared placements are legal, but a persistent pile-up is the
-///   paper's Case-4 contention signature), firing immediately.
-pub fn default_alert_rules(table: &LeaseTable) -> Vec<AlertRule> {
-    let t = table.clone();
-    let mut rules = galaxy_alert_rules();
-    // Evaluation (and `/api/alerts`) order is part of the surface:
-    // the conflict rate sits right after the queue-wait rule.
-    rules.insert(
-        1,
         AlertRule::new(
-            "gpu-conflict-rate",
-            AlertExpr::CounterRate {
-                name: crate::reservations::RESERVATION_CONFLICTS_COUNTER.to_string(),
-                window_s: 10.0,
-            },
+            "lease-oversubscription",
+            AlertExpr::Custom(Arc::new(move || Some(leases.max_leases_per_device() as f64))),
             Compare::Gt,
-            0.5,
-        )
-        .hold_for(2.0),
-    );
-    rules.push(AlertRule::new(
-        "lease-oversubscription",
-        AlertExpr::Custom(Arc::new(move || Some(t.max_leases_per_device() as f64))),
-        Compare::Gt,
-        1.0,
-    ));
-    rules
+            1.0,
+        ),
+    ]
 }
 
 /// Handler for `/api/profile`: the global hot-path profiler's current
@@ -283,13 +275,39 @@ pub fn bench_route(path: impl Into<PathBuf>) -> Handler {
     })
 }
 
-/// The routes every operations plane serves, whatever sits under it:
-/// `/metrics`, `/api/alerts`, `/api/flightrec` and `/api/profile`. A
-/// deployment adds its own device and job views on top — [`ops_server`]
-/// for one node, `fleet::fleet_ops_server` for many.
-pub fn ops_base(recorder: &Recorder, alerts: &AlertEngine) -> OpsServer {
-    let alerts = alerts.clone();
-    let flight = recorder.clone();
+/// Build the operations-plane HTTP server over a running GYAN stack whose
+/// GPUs are `nodes`: each a `(name, devices, lease table)` triple, in the
+/// order `/api/gpus` lists them — `[(DEFAULT_NODE_NAME, &cluster, &table)]`
+/// for the paper's single node.
+///
+/// The returned [`OpsServer`] is not yet listening — call
+/// `.start("127.0.0.1:0")` to bind (port 0 picks an ephemeral port; the
+/// handle reports the real one). All state is shared by handle clones, so
+/// the server observes the live system, not a snapshot.
+///
+/// The `/api/gpus` devices carry their node's name, and the metrics
+/// registry gains one `gyan_node_info{node="<name>"}` info gauge per node,
+/// so scrapes stay distinguishable after aggregation.
+pub fn ops_server(
+    recorder: &Recorder,
+    nodes: &[(&str, &GpuCluster, &LeaseTable)],
+    ledger: &JobsLedger,
+    alerts: &AlertEngine,
+) -> OpsServer {
+    let nodes: Arc<[Node]> = nodes
+        .iter()
+        .map(|&(name, cluster, table)| Node {
+            name: name.to_string(),
+            cluster: cluster.clone(),
+            table: table.clone(),
+        })
+        .collect();
+    for node in nodes.iter() {
+        let gauge = format!("{NODE_INFO_GAUGE}{{node=\"{}\"}}", node.name);
+        recorder.metrics().set_gauge(&gauge, 1.0);
+    }
+    let (alerts, flight) = (alerts.clone(), recorder.clone());
+    let (gpus, ledger) = (nodes.clone(), ledger.clone());
     OpsServer::new()
         .serve_metrics(recorder.metrics())
         .route("/api/alerts", Arc::new(move |_req| Response::json(alerts.to_json())))
@@ -300,59 +318,21 @@ pub fn ops_base(recorder: &Recorder, alerts: &AlertEngine) -> OpsServer {
             }),
         )
         .route("/api/profile", profile_route())
-}
-
-/// Handler for `/api/jobs` (the `list` document) and `/api/jobs/<id>`
-/// (`one`'s document; 404 when it knows no such job or the id is not a
-/// number).
-pub fn jobs_route(
-    list: impl Fn() -> String + Send + Sync + 'static,
-    one: impl Fn(u64) -> Option<String> + Send + Sync + 'static,
-) -> Handler {
-    Arc::new(move |req| match req.path.strip_prefix("/api/jobs/") {
-        None => Response::json(list()),
-        Some(rest) => match rest.parse::<u64>() {
-            Ok(id) => match one(id) {
-                Some(body) => Response::json(body),
-                None => Response::not_found(&format!("job {id}")),
-            },
-            Err(_) => Response::not_found("job id"),
-        },
-    })
-}
-
-/// Build the operations-plane HTTP server over a running GYAN stack.
-///
-/// The returned [`OpsServer`] is not yet listening — call
-/// `.start("127.0.0.1:0")` to bind (port 0 picks an ephemeral port; the
-/// handle reports the real one). All state is shared by handle clones, so
-/// the server observes the live system, not a snapshot.
-///
-/// The node is labeled [`DEFAULT_NODE_NAME`]: the `/api/gpus` devices
-/// carry `"node":"node-000"` and the metrics registry gains the
-/// `gyan_node_info{node="node-000"}` info gauge, so this node's scrapes
-/// stay distinguishable from a fleet's after aggregation.
-pub fn ops_server(
-    recorder: &Recorder,
-    cluster: &GpuCluster,
-    table: &LeaseTable,
-    ledger: &JobsLedger,
-    alerts: &AlertEngine,
-) -> OpsServer {
-    recorder
-        .metrics()
-        .set_gauge(&format!("{NODE_INFO_GAUGE}{{node=\"{DEFAULT_NODE_NAME}\"}}"), 1.0);
-    let gpus = (cluster.clone(), table.clone());
-    let jobs = (ledger.clone(), table.clone());
-    let job = jobs.clone();
-    ops_base(recorder, alerts)
-        .route(
-            "/api/gpus",
-            Arc::new(move |_req| Response::json(gpus_json(&gpus.0, &gpus.1, DEFAULT_NODE_NAME))),
-        )
+        .route("/api/gpus", Arc::new(move |_req| Response::json(gpus_json(&gpus))))
         .route(
             "/api/jobs",
-            jobs_route(move || jobs_json(&jobs.0, &jobs.1), move |id| job_json(&job.0, &job.1, id)),
+            // `/api/jobs/<id>` too: 404 when the ledger knows no such job
+            // or the id is not a number.
+            Arc::new(move |req| match req.path.strip_prefix("/api/jobs/") {
+                None => Response::json(jobs_json(&ledger, &nodes)),
+                Some(rest) => match rest.parse::<u64>() {
+                    Ok(id) => match job_json(&ledger, &nodes, id) {
+                        Some(body) => Response::json(body),
+                        None => Response::not_found(&format!("job {id}")),
+                    },
+                    Err(_) => Response::not_found("job id"),
+                },
+            }),
         )
         .route("/api/bench", bench_route("BENCH_scheduler.json"))
 }
@@ -371,13 +351,26 @@ mod tests {
         (recorder, cluster, table, ledger, alerts)
     }
 
+    fn node(name: &str, cluster: &GpuCluster, table: &LeaseTable) -> Node {
+        Node { name: name.to_string(), cluster: cluster.clone(), table: table.clone() }
+    }
+
+    /// A K80 node and an A100 node, the way a fleet names its shards.
+    fn two_nodes() -> [Node; 2] {
+        let a100 = GpuCluster::node(gpusim::GpuArch::a100(), 8);
+        [
+            node("k80-000", &GpuCluster::k80_node(), &LeaseTable::new()),
+            node("a100-001", &a100, &LeaseTable::new()),
+        ]
+    }
+
     #[test]
     fn gpus_json_merges_smi_state_with_leases() {
         let (_recorder, cluster, table, _ledger, _alerts) = stack();
         table.allocate_and_lease(&cluster, &[0], crate::AllocationPolicy::ProcessId, 7, 100, None);
 
-        let doc =
-            obs::json::parse(&gpus_json(&cluster, &table, "k80-007")).expect("gpus json parses");
+        let doc = obs::json::parse(&gpus_json(&[node("k80-007", &cluster, &table)]))
+            .expect("gpus json parses");
         let gpus = doc.get("gpus").and_then(|v| v.as_array()).expect("gpus array");
         assert_eq!(gpus.len(), 2);
         let dev0 = &gpus[0];
@@ -411,7 +404,8 @@ mod tests {
         });
         table.allocate_and_lease(&cluster, &[0], crate::AllocationPolicy::ProcessId, 7, 64, None);
 
-        let doc = obs::json::parse(&jobs_json(&ledger, &table)).expect("jobs json parses");
+        let nodes = [node(DEFAULT_NODE_NAME, &cluster, &table)];
+        let doc = obs::json::parse(&jobs_json(&ledger, &nodes)).expect("jobs json parses");
         let jobs = doc.get("jobs").and_then(|v| v.as_array()).expect("jobs array");
         assert_eq!(jobs.len(), 1);
         assert_eq!(jobs[0].get("state").and_then(|v| v.as_str()), Some("queued"));
@@ -422,16 +416,84 @@ mod tests {
         assert_eq!(leases.len(), 1);
         assert_eq!(leases[0].get("device").and_then(|v| v.as_f64()), Some(0.0));
 
-        assert!(job_json(&ledger, &table, 7).is_some());
-        assert!(job_json(&ledger, &table, 99).is_none());
+        assert!(job_json(&ledger, &nodes, 7).is_some());
+        assert!(job_json(&ledger, &nodes, 99).is_none());
+    }
+
+    #[test]
+    fn gpus_json_concatenates_all_shards_with_node_labels() {
+        let nodes = two_nodes();
+        let k80 = &nodes[0];
+        k80.table.allocate_and_lease(
+            &k80.cluster,
+            &[0],
+            crate::AllocationPolicy::ProcessId,
+            1,
+            256,
+            None,
+        );
+        let doc = obs::json::parse(&gpus_json(&nodes)).expect("parses");
+        let gpus = doc.get("gpus").and_then(|v| v.as_array()).expect("gpus");
+        // 2 K80 dies + 8 A100 dies, in node order.
+        assert_eq!(gpus.len(), 10);
+        let names: Vec<&str> =
+            gpus.iter().filter_map(|g| g.get("node").and_then(|v| v.as_str())).collect();
+        assert_eq!(names[..2], ["k80-000"; 2]);
+        assert_eq!(names[2..], ["a100-001"; 8]);
+        // Job 1's lease shows on a k80-000 device only.
+        let leased: Vec<&str> = gpus
+            .iter()
+            .filter(|g| {
+                g.get("leases").and_then(|v| v.as_array()).map(|l| !l.is_empty()).unwrap_or(false)
+            })
+            .filter_map(|g| g.get("node").and_then(|v| v.as_str()))
+            .collect();
+        assert_eq!(leased, vec!["k80-000"]);
+    }
+
+    #[test]
+    fn jobs_json_joins_leases_across_shards() {
+        let nodes = two_nodes();
+        let a100 = &nodes[1];
+        a100.table.allocate_and_lease(
+            &a100.cluster,
+            &[3],
+            crate::AllocationPolicy::ProcessId,
+            7,
+            256,
+            None,
+        );
+        let ledger = JobsLedger::new();
+        ledger.upsert(JobSnapshot {
+            job_id: 7,
+            user: "ada".to_string(),
+            tool: "racon_gpu".to_string(),
+            state: galaxy::queue::SubmissionState::Queued,
+            attempts: 1,
+            destination: Some("local_gpu".to_string()),
+            node: Some("a100-001".to_string()),
+            priority: 1,
+            submitted_at: 0.0,
+            finished_at: None,
+        });
+        let doc = obs::json::parse(&jobs_json(&ledger, &nodes)).expect("parses");
+        let jobs = doc.get("jobs").and_then(|v| v.as_array()).expect("jobs");
+        assert_eq!(jobs.len(), 1);
+        assert_eq!(jobs[0].get("node").and_then(|v| v.as_str()), Some("a100-001"));
+        let leases = jobs[0].get("leases").and_then(|v| v.as_array()).expect("leases");
+        assert_eq!(leases.len(), 1);
+        assert_eq!(leases[0].get("device").and_then(|v| v.as_f64()), Some(3.0));
+        assert_eq!(
+            job_json(&ledger, &nodes, 7).map(|one| one.contains("\"device\":3")),
+            Some(true)
+        );
     }
 
     #[test]
     fn default_rules_are_pinned_and_contain_the_galaxy_rules_in_order() {
         let (recorder, _cluster, table, _ledger, _alerts) = stack();
         // Name, expression (with window), comparison, threshold and hold
-        // of every stock rule, in evaluation order: composing the set
-        // from `galaxy_alert_rules` must not move any of them.
+        // of every stock rule, in evaluation order.
         let pinned: Vec<String> =
             default_alert_rules(&table).iter().map(|r| format!("{r:?}")).collect();
         assert_eq!(
@@ -444,8 +506,6 @@ mod tests {
                 "AlertRule { name: \"lease-oversubscription\", expr: Custom(..), cmp: Gt, threshold: 1.0, for_s: 0.0 }",
             ]
         );
-        let galaxy: Vec<String> = galaxy_alert_rules().iter().map(|r| format!("{r:?}")).collect();
-        assert_eq!(galaxy, [pinned[0].as_str(), &pinned[2], &pinned[3]]);
 
         let alerts = AlertEngine::new(&recorder);
         for rule in default_alert_rules(&table) {
@@ -474,7 +534,8 @@ mod tests {
             Compare::Gt,
             1.0,
         ));
-        let server = ops_server(&recorder, &cluster, &table, &ledger, &alerts);
+        let server =
+            ops_server(&recorder, &[(DEFAULT_NODE_NAME, &cluster, &table)], &ledger, &alerts);
         let handle = server.start("127.0.0.1:0").expect("bind");
         let addr = handle.addr();
 
@@ -517,9 +578,10 @@ mod tests {
     #[test]
     fn profile_route_serves_scopes_collapsed_text_and_reset() {
         let (recorder, cluster, table, ledger, alerts) = stack();
-        let handle = ops_server(&recorder, &cluster, &table, &ledger, &alerts)
-            .start("127.0.0.1:0")
-            .expect("bind");
+        let handle =
+            ops_server(&recorder, &[(DEFAULT_NODE_NAME, &cluster, &table)], &ledger, &alerts)
+                .start("127.0.0.1:0")
+                .expect("bind");
         let addr = handle.addr();
 
         let profiler = obs::profile::global();

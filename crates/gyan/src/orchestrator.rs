@@ -35,7 +35,7 @@ use galaxy::job::conf::Destination;
 use galaxy::job::Job;
 use galaxy::runners::{JobConclusion, JobHook};
 use galaxy::tool::Tool;
-use gpusim::GpuCluster;
+use gpusim::{GpuArch, GpuCluster};
 use obs::{Recorder, Value};
 
 /// Memory a GPU job is assumed to allocate when its destination declares
@@ -80,6 +80,17 @@ pub fn admission_hint(
 ) -> u64 {
     let learned = if mode == MemoryHint::Learned { footprint.estimate_tool(tool_id) } else { None };
     learned.unwrap_or_else(|| static_memory_hint(destination).0)
+}
+
+/// Whether a node of `devices` dies of `arch` admits a GPU job assumed to
+/// allocate `memory_hint_mib`: it has a GPU, and the hint fits one die.
+/// Every [`Placer::hosts_outside`] asks this of each host it may offer.
+/// Neither allocation policy compares a hint with a die's memory, so a
+/// host granting dies to a job that cannot fit on them only buys an OOM
+/// and a GPU→CPU resubmission; refusing it sends the job to the CPU
+/// destination at once.
+pub fn node_admits(arch: &GpuArch, devices: u32, memory_hint_mib: u64) -> bool {
+    devices > 0 && memory_hint_mib <= arch.fb_total_mib
 }
 
 /// Devices granted to a job, held until [`Placer::release`].
@@ -149,12 +160,15 @@ impl Placer for NodePlacer {
         Some(&self.recorder)
     }
 
-    /// Whether the node has a GPU: busy devices still take jobs (the
-    /// policy shares them, paper Cases 3/4). The node has no name to be in
-    /// `excluded`; its failures carry no `GALAXY_NODE`, so no
-    /// placement-aware retry asks.
-    fn hosts_outside(&self, _tool_id: &str, _memory_hint_mib: u64, _excluded: &[String]) -> bool {
-        self.cluster.device_count() > 0
+    /// Whether the node admits the hint ([`node_admits`]): busy devices
+    /// still take jobs (the policy shares them, paper Cases 3/4). The node
+    /// has no name to be in `excluded`; its failures carry no
+    /// `GALAXY_NODE`, so no placement-aware retry asks.
+    fn hosts_outside(&self, _tool_id: &str, memory_hint_mib: u64, _excluded: &[String]) -> bool {
+        let cluster = &self.cluster;
+        cluster
+            .arch()
+            .is_some_and(|arch| node_admits(arch, cluster.device_count(), memory_hint_mib))
     }
 }
 

@@ -320,13 +320,6 @@ impl LeaseTable {
         self.inner.lock().leases.values().flatten().cloned().collect()
     }
 
-    /// The largest number of simultaneous leases on any one device — the
-    /// oversubscription degree the SLO alert rules watch (1 is healthy;
-    /// above 1 means all-busy shared placements are piling up).
-    pub fn max_leases_per_device(&self) -> usize {
-        self.inner.lock().leases.values().map(Vec::len).max().unwrap_or(0)
-    }
-
     /// Sorted, deduplicated job ids currently holding at least one lease.
     pub fn holders(&self) -> Vec<u64> {
         let inner = self.inner.lock();
@@ -386,6 +379,22 @@ fn release_locked(inner: &mut Inner, holder: u64, why: &str, recorder: Option<&R
         m.set_gauge(RESERVATIONS_ACTIVE_GAUGE, inner.count() as f64);
     }
     released
+}
+
+/// What the stock SLO rules ([`crate::ops::default_alert_rules`]) read
+/// of whatever holds a deployment's leases: one node's [`LeaseTable`], or
+/// a fleet of them.
+pub trait LeaseView: Clone + Send + Sync + 'static {
+    /// The largest number of simultaneous leases on any one device — the
+    /// oversubscription degree the SLO alert rules watch (1 is healthy;
+    /// above 1 means all-busy shared placements are piling up).
+    fn max_leases_per_device(&self) -> usize;
+}
+
+impl LeaseView for LeaseTable {
+    fn max_leases_per_device(&self) -> usize {
+        self.inner.lock().leases.values().map(Vec::len).max().unwrap_or(0)
+    }
 }
 
 #[cfg(test)]

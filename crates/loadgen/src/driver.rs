@@ -13,9 +13,9 @@
 //!
 //! What is the load harness's own lives here: that executor and model,
 //! the per-job environment a submission exports, and the SLO assertion —
-//! the topology's stock rules ([`Gpus::slo_rules`]) are evaluated at
-//! every wave barrier, and a rule named in [`LoadOptions::fail_on`]
-//! firing converts the run into a [`Failure`] that carries the
+//! the stock rules ([`Gpus::slo_rules`], the same on either topology)
+//! are evaluated at every wave barrier, and a rule named in
+//! [`LoadOptions::fail_on`] firing converts the run into a [`Failure`] that carries the
 //! fired-alert list, a flight-recorder dump, and the reproducing seed.
 
 use crate::scenario::LoadScenario;
@@ -138,7 +138,8 @@ pub struct LoadOptions {
 }
 
 /// Rule names every healthy scenario is expected to keep quiet — the
-/// full stock SLO set from [`gyan::ops::default_alert_rules`].
+/// full stock SLO set from [`gyan::ops::default_alert_rules`], which a
+/// single node and a fleet both arm.
 pub const DEFAULT_SLO_RULES: &[&str] = &[
     "queue-wait-p99",
     "gpu-conflict-rate",
@@ -480,9 +481,13 @@ mod tests {
 
     #[test]
     fn fleet_topology_runs_clean() {
-        let report = run_scenario(&small_fleet(), &LoadOptions::default()).expect("fleet run");
+        let options = LoadOptions {
+            fail_on: DEFAULT_SLO_RULES.iter().map(|s| s.to_string()).collect(),
+            ..Default::default()
+        };
+        let report = run_scenario(&small_fleet(), &options).unwrap_or_else(|f| panic!("{f}"));
         assert_eq!(report.ok, report.submitted);
-        assert!(!report.fired.iter().any(|r| r == "fleet-lease-leak"), "{:?}", report.fired);
+        assert!(report.fired.is_empty(), "fired: {:?}", report.fired);
     }
 
     /// The allocation policy reaches a fleet's shards as it reaches a

@@ -45,8 +45,6 @@ pub use scenario::{LoadJob, LoadScenario, MemoryModel, Topology, CPU_TOOL_ID, GP
 
 // The knob grammar is shared with simtest (`SIMTEST_*` ↔ `LOADTEST_*`).
 pub use simtest::{parse_cases, parse_seed};
-// The fleet's SLO rule set is defined beside `Gpus::slo_rules`, its caller.
-pub use simtest::driver::fleet_slo_rules;
 
 /// User population from `LOADTEST_USERS`, else `default`.
 pub fn env_users(default: usize) -> usize {

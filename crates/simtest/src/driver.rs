@@ -22,10 +22,10 @@ use galaxy::{GalaxyApp, GalaxyError};
 use gpusim::{GpuCluster, VirtualClock};
 use gyan::allocation::AllocationPolicy;
 use gyan::footprint::MemoryHint;
-use gyan::ops::{default_alert_rules, galaxy_alert_rules};
+use gyan::ops::default_alert_rules;
 use gyan::setup::{install_gyan, ClusterTime, GyanConfig};
 use gyan::LeaseTable;
-use obs::slo::{AlertEngine, AlertExpr, AlertRule, Compare};
+use obs::slo::{AlertEngine, AlertRule};
 use obs::Recorder;
 use std::sync::Arc;
 
@@ -151,29 +151,14 @@ impl Gpus {
         }
     }
 
-    /// The stock SLO rules of the topology.
+    /// The stock SLO rules: the same five on either topology, over the
+    /// node's lease table or the fleet.
     pub fn slo_rules(&self) -> Vec<AlertRule> {
         match self {
             Gpus::Node { table, .. } => default_alert_rules(table),
-            Gpus::Fleet(fleet) => fleet_slo_rules(fleet),
+            Gpus::Fleet(fleet) => default_alert_rules(fleet),
         }
     }
-}
-
-/// The SLO rules a fleet topology arms: [`galaxy_alert_rules`] (a
-/// fleet has no single lease table for the other two stock rules) plus
-/// `fleet-lease-leak`, the fleet analogue of lease-oversubscription —
-/// at a wave barrier every placement must have been released.
-pub fn fleet_slo_rules(fleet: &Fleet) -> Vec<AlertRule> {
-    let f = fleet.clone();
-    let mut rules = galaxy_alert_rules();
-    rules.push(AlertRule::new(
-        "fleet-lease-leak",
-        AlertExpr::Custom(Arc::new(move || Some(f.total_lease_count() as f64))),
-        Compare::Gt,
-        0.0,
-    ));
-    rules
 }
 
 /// Everything in which two scenario stacks differ.
@@ -375,27 +360,27 @@ mod tests {
     }
 
     #[test]
-    fn fleet_slo_rules_are_the_galaxy_rules_plus_the_lease_leak_probe() {
-        let fleet = Fleet::builder().nodes(NodeClass::k80(), 2).build();
-        let (fleet_rules, galaxy) = (show(fleet_slo_rules(&fleet)), show(galaxy_alert_rules()));
-        assert_eq!(fleet_rules[..galaxy.len()], galaxy[..], "thresholds live once, in gyan::ops");
-        assert_eq!(fleet_rules.len(), galaxy.len() + 1);
-        assert!(fleet_rules[galaxy.len()].contains("fleet-lease-leak"), "{fleet_rules:?}");
-    }
-
-    #[test]
     fn slo_rules_are_the_stock_set_of_each_topology() {
         let install = |hardware| {
             let mut app = GalaxyApp::new(JobConfig::from_xml(GYAN_JOB_CONF).expect("job conf"));
             Gpus::install(hardware, &mut app, AllocationPolicy::ProcessId, MemoryHint::Static)
         };
         let node = install(Hardware::Node(GpuCluster::node(GpuArch::tesla_k80(), 2)));
-        let Gpus::Node { table, .. } = &node else { panic!("a node installs as Gpus::Node") };
-        assert_eq!(show(node.slo_rules()), show(default_alert_rules(table)));
-
         let fleet = install(Hardware::Fleet(Fleet::builder().nodes(NodeClass::k80(), 2)));
-        let Gpus::Fleet(the_fleet) = &fleet else { panic!("a fleet installs as Gpus::Fleet") };
-        assert_eq!(show(fleet.slo_rules()), show(fleet_slo_rules(the_fleet)));
-        assert_ne!(show(fleet.slo_rules()), show(node.slo_rules()));
+        // The list `gyan::ops` pins, armed by both topologies in one order.
+        let stock = show(default_alert_rules(&LeaseTable::new()));
+        assert_eq!(show(node.slo_rules()), stock);
+        assert_eq!(show(fleet.slo_rules()), stock);
+        let names: Vec<String> = node.slo_rules().into_iter().map(|r| r.name).collect();
+        assert_eq!(
+            names,
+            [
+                "queue-wait-p99",
+                "gpu-conflict-rate",
+                "job-failure-burn",
+                "resubmission-burn",
+                "lease-oversubscription"
+            ]
+        );
     }
 }

@@ -19,7 +19,7 @@ use galaxy::tool::macros::MacroLibrary;
 use galaxy::GalaxyApp;
 use gpusim::GpuCluster;
 use gyan::allocation::AllocationPolicy;
-use gyan::ops::{default_alert_rules, ops_server};
+use gyan::ops::{default_alert_rules, ops_server, DEFAULT_NODE_NAME};
 use gyan::setup::{install_gyan, GyanConfig};
 use obs::metrics::parse_prometheus;
 use obs::serve::http_get;
@@ -90,7 +90,8 @@ fn main() {
     }
 
     // --- Serve and scrape -----------------------------------------------
-    let server = ops_server(&recorder, &cluster, &table, &engine.ledger(), &alerts);
+    let server =
+        ops_server(&recorder, &[(DEFAULT_NODE_NAME, &cluster, &table)], &engine.ledger(), &alerts);
     let handle = server.start("127.0.0.1:0").expect("bind ephemeral port");
     let addr = handle.addr();
     say(&format!("ops server listening on http://{addr}"));

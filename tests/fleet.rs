@@ -1,11 +1,11 @@
 //! The fleet layer end to end: deterministic multi-node placement over
 //! heterogeneous architectures, TPV-style destination rules, queue-engine
-//! dispatch with node-labeled ledger snapshots, and the node-labeled
-//! fleet operations plane.
+//! dispatch with node-labeled ledger snapshots. The fleet's operations
+//! plane is tested with the single node's, in `tests/ops_plane.rs`.
 
 use fleet::{
-    fleet_gpus_json, fleet_nodes_json, fleet_ops_server, install_fleet, policy_by_name, BinPack,
-    DestinationRules, FairShare, Fleet, FleetConfig, NodeClass, PlacementRequest,
+    install_fleet, policy_by_name, BinPack, DestinationRules, FairShare, Fleet, FleetConfig,
+    NodeClass, PlacementRequest,
 };
 use galaxy::job::conf::{JobConfig, GYAN_JOB_CONF};
 use galaxy::params::ParamDict;
@@ -15,8 +15,6 @@ use galaxy::GalaxyApp;
 use gpusim::{GpuCluster, GpuProcess};
 use gyan::allocation::AllocationPolicy;
 use gyan::footprint::MemoryHint;
-use obs::serve::http_get;
-use obs::slo::AlertEngine;
 use obs::Recorder;
 use seqtools::ToolExecutor;
 use simtest::driver::{Gpus, Hardware, Repro, Stack, StackSpec};
@@ -332,44 +330,6 @@ fn discarded_wave_releases_its_fleet_placements() {
         .filter_map(|e| e.field("job_id").and_then(|v| v.as_f64()).map(|id| id as u64))
         .collect();
     assert_eq!(discarded, ids, "one `discarded` release per skipped plan, in wave order");
-}
-
-// --- Fleet operations plane --------------------------------------------
-
-#[test]
-fn fleet_ops_plane_labels_gpus_nodes_and_metrics() {
-    let recorder = Recorder::new();
-    let fleet = Fleet::builder()
-        .nodes(NodeClass::k80(), 1)
-        .nodes(NodeClass::a100(), 1)
-        .recorder(recorder.clone())
-        .build();
-    fleet.place(&request(1, "ada", "racon_gpu", 256)).unwrap();
-    fleet.place(&request(2, "ada", "bonito", 20_000)).unwrap();
-
-    let gpus = obs::json::parse(&fleet_gpus_json(&fleet)).unwrap();
-    let devices = gpus.get("gpus").and_then(|v| v.as_array()).unwrap();
-    assert_eq!(devices.len(), 10, "2 K80 dies + 8 A100 dies");
-    assert!(devices.iter().any(|d| d.get("node").and_then(|v| v.as_str()) == Some("k80-000")));
-    assert!(devices.iter().any(|d| d.get("node").and_then(|v| v.as_str()) == Some("a100-001")));
-
-    let nodes = obs::json::parse(&fleet_nodes_json(&fleet)).unwrap();
-    let list = nodes.get("nodes").and_then(|v| v.as_array()).unwrap();
-    assert_eq!(list.len(), 2);
-    assert_eq!(list[1].get("arch").and_then(|v| v.as_str()), Some("A100-SXM4-40GB"));
-
-    let ledger = galaxy::queue::JobsLedger::new();
-    let alerts = AlertEngine::new(&recorder);
-    let handle =
-        fleet_ops_server(&recorder, &fleet, &ledger, &alerts).start("127.0.0.1:0").expect("bind");
-    let (status, body) = http_get(handle.addr(), "/metrics").unwrap();
-    assert_eq!(status, 200);
-    assert!(body.contains("fleet_placements_total{node=\"k80-000\"} 1"), "{body}");
-    assert!(body.contains("fleet_placements_total{node=\"a100-001\"} 1"), "{body}");
-    let (status, body) = http_get(handle.addr(), "/api/nodes").unwrap();
-    assert_eq!(status, 200);
-    assert!(body.contains("\"node\":\"a100-001\""), "{body}");
-    handle.shutdown();
 }
 
 // --- Placement-aware resubmission --------------------------------------

@@ -7,23 +7,27 @@
 //! * a synthetic conflict storm walks the `gpu-conflict-rate` SLO rule
 //!   through pending → firing → resolved;
 //! * the flight-recorder dump captured at firing time replays as a valid
-//!   Chrome trace.
+//!   Chrome trace;
+//! * a single node and a fleet are served by the one `ops_server`, every
+//!   route answering on both.
 
+use fleet::{fleet_ops_server, Fleet, NodeClass, PlacementRequest};
 use galaxy::job::conf::{JobConfig, GYAN_JOB_CONF};
 use galaxy::params::ParamDict;
-use galaxy::queue::{QueueConfig, QueueEngine, SubmissionState};
+use galaxy::queue::{JobSnapshot, JobsLedger, QueueConfig, QueueEngine, SubmissionState};
 use galaxy::runners::NullExecutor;
 use galaxy::tool::macros::MacroLibrary;
 use galaxy::GalaxyApp;
 use gpusim::GpuCluster;
 use gyan::allocation::AllocationPolicy;
-use gyan::ops::{default_alert_rules, ops_server};
+use gyan::ops::{default_alert_rules, ops_server, DEFAULT_NODE_NAME};
 use gyan::reservations::LeaseTable;
 use gyan::setup::{install_gyan, GyanConfig};
 use obs::flight::FlightRecord;
 use obs::metrics::parse_prometheus;
 use obs::serve::http_get;
 use obs::slo::{AlertEngine, AlertState, ALERT_EVENT};
+use obs::Recorder;
 use std::sync::Arc;
 
 const GPU_TOOL: &str = r#"<tool id="ops_racon" name="Racon">
@@ -65,7 +69,8 @@ fn stack() -> Stack {
 
 fn serve(stack: &Stack) -> obs::serve::OpsHandle {
     let recorder = stack.engine.app().recorder().clone();
-    ops_server(&recorder, &stack.cluster, &stack.table, &stack.engine.ledger(), &stack.alerts)
+    let nodes = [(DEFAULT_NODE_NAME, &stack.cluster, &stack.table)];
+    ops_server(&recorder, &nodes, &stack.engine.ledger(), &stack.alerts)
         .start("127.0.0.1:0")
         .expect("bind ephemeral port")
 }
@@ -363,4 +368,149 @@ fn conflict_storm_walks_the_alert_through_its_lifecycle() {
     assert_eq!(state_of("gpu-conflict-rate"), "inactive");
     assert!(s.alerts.firing().is_empty());
     handle.shutdown();
+}
+
+/// One operations plane for both topologies. A single node is served as
+/// the one-entry node list `node-000`; a fleet through
+/// `fleet_ops_server`, which is the same `ops_server` over its shards
+/// plus `/api/nodes`. Every route answers on both, and each node is
+/// labeled on `/metrics` and on every device.
+#[test]
+fn one_ops_server_serves_a_node_and_a_fleet() {
+    // The single node: one GPU job run to completion, then a held lease.
+    let mut s = stack();
+    let gpu = s.engine.submit_async("alice", "ops_racon", &ParamDict::new()).unwrap();
+    s.engine.run_until_idle();
+    let recorder = s.engine.app().recorder().clone();
+    s.table
+        .allocate_and_lease(
+            &s.cluster,
+            &[0],
+            AllocationPolicy::ProcessId,
+            gpu.0,
+            256,
+            Some(&recorder),
+        )
+        .expect("grant");
+
+    // The fleet: a K80 node and an A100 node. Job 1 fits a K80 die and
+    // lands on the lower node id; job 2's 20 000 MiB fit only an A100 die.
+    let recorder = Recorder::new();
+    let the_fleet = Fleet::builder()
+        .nodes(NodeClass::k80(), 1)
+        .nodes(NodeClass::a100(), 1)
+        .recorder(recorder.clone())
+        .build();
+    let ledger = JobsLedger::new();
+    for (job_id, tool_id, memory_hint_mib, node) in
+        [(1, "racon_gpu", 256, "k80-000"), (2, "bonito", 20_000, "a100-001")]
+    {
+        let request = PlacementRequest {
+            job_id,
+            user: "ada",
+            tool_id,
+            requested: &[0],
+            memory_hint_mib,
+            excluded_nodes: &[],
+        };
+        assert_eq!(the_fleet.place(&request).expect("fleet places").node_name, node);
+        ledger.upsert(JobSnapshot {
+            job_id,
+            user: "ada".to_string(),
+            tool: tool_id.to_string(),
+            state: SubmissionState::Queued,
+            attempts: 1,
+            destination: Some("local_gpu".to_string()),
+            node: Some(node.to_string()),
+            priority: 1,
+            submitted_at: 0.0,
+            finished_at: None,
+        });
+    }
+    let alerts = AlertEngine::new(&recorder);
+    for rule in default_alert_rules(&the_fleet) {
+        alerts.add_rule(rule);
+    }
+
+    let served = [
+        (serve(&s), vec![DEFAULT_NODE_NAME], 2, gpu.0),
+        (
+            fleet_ops_server(&recorder, &the_fleet, &ledger, &alerts)
+                .start("127.0.0.1:0")
+                .expect("bind ephemeral port"),
+            vec!["k80-000", "a100-001"],
+            10, // 2 K80 dies + 8 A100 dies
+            2,
+        ),
+    ];
+    let mut bench = Vec::new();
+    for (handle, names, devices, job) in &served {
+        let get = |path: &str| http_get(handle.addr(), path).unwrap();
+
+        let (status, body) = get("/metrics");
+        assert_eq!(status, 200);
+        parse_prometheus(&body).expect("scrape parses with the obs parser");
+        for name in names {
+            assert!(body.contains(&format!("gyan_node_info{{node=\"{name}\"}} 1")), "{body}");
+        }
+        assert_eq!(get("/healthz").0, 200);
+
+        // Every device carries its node's name, in node order.
+        let (status, body) = get("/api/gpus");
+        assert_eq!(status, 200);
+        let doc = obs::json::parse(&body).expect("gpus json parses");
+        let gpus = doc.get("gpus").and_then(|v| v.as_array()).expect("gpus array");
+        assert_eq!(gpus.len(), *devices);
+        let mut labels: Vec<&str> =
+            gpus.iter().filter_map(|g| g.get("node").and_then(|v| v.as_str())).collect();
+        assert_eq!(labels.len(), *devices);
+        labels.dedup();
+        assert_eq!(&labels, names);
+
+        // A job's leases are joined from whichever node holds them.
+        let (status, body) = get("/api/jobs");
+        assert_eq!(status, 200);
+        obs::json::parse(&body).expect("jobs json parses");
+        let (status, body) = get(&format!("/api/jobs/{job}"));
+        assert_eq!(status, 200);
+        let one = obs::json::parse(&body).expect("job json parses");
+        let leases = one.get("leases").and_then(|v| v.as_array()).expect("leases array");
+        assert_eq!(leases.len(), 1, "{body}");
+        assert_eq!(get("/api/jobs/999999").0, 404);
+        assert_eq!(get("/api/jobs/not-a-number").0, 404);
+
+        for path in ["/api/alerts", "/api/profile"] {
+            let (status, body) = get(path);
+            assert_eq!(status, 200, "{path}");
+            obs::json::parse(&body).unwrap_or_else(|e| panic!("{path} is not JSON: {e}"));
+        }
+        let (status, body) = get("/api/flightrec");
+        assert_eq!(status, 200);
+        for line in body.lines() {
+            obs::json::parse(line).expect("flightrec line parses");
+        }
+        bench.push(get("/api/bench"));
+    }
+    // `/api/bench` serves one file, whichever topology asks.
+    assert_eq!(bench[0], bench[1]);
+    assert!(bench[0].0 == 200 || bench[0].1.contains("perf trajectory"), "{:?}", bench[0]);
+
+    // `/api/nodes` is the fleet's own view.
+    let (node, fleet) = (&served[0].0, &served[1].0);
+    assert_eq!(http_get(node.addr(), "/api/nodes").unwrap().0, 404);
+    let (status, body) = http_get(fleet.addr(), "/api/nodes").unwrap();
+    assert_eq!(status, 200);
+    let doc = obs::json::parse(&body).expect("nodes json parses");
+    let list = doc.get("nodes").and_then(|v| v.as_array()).expect("nodes array");
+    assert_eq!(list.len(), 2);
+    assert_eq!(list[1].get("node").and_then(|v| v.as_str()), Some("a100-001"));
+    assert_eq!(list[1].get("arch").and_then(|v| v.as_str()), Some("A100-SXM4-40GB"));
+    // The fleet's per-node placement series ride on the same scrape.
+    let (_, body) = http_get(fleet.addr(), "/metrics").unwrap();
+    assert!(body.contains("fleet_placements_total{node=\"k80-000\"} 1"), "{body}");
+    assert!(body.contains("fleet_placements_total{node=\"a100-001\"} 1"), "{body}");
+
+    for (handle, ..) in served {
+        handle.shutdown();
+    }
 }

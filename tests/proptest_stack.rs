@@ -627,17 +627,17 @@ const DIFF_TOOLS: [(&str, &str); 4] = [
     ("gpu_01", " version=\"0,1\""),
 ];
 
-/// A GPU tool whose learned memory hint outgrows a K80 die (11 441 MiB):
-/// the one place where the two topologies route apart.
+/// A GPU tool whose learned memory hint outgrows a K80 die (11 441 MiB),
+/// so neither topology admits it.
 const BIG_TOOL: &str = "gpu_big";
 /// The peak `BIG_TOOL`'s training jobs declare, MiB.
 const BIG_PEAK_MIB: &str = "16000";
 /// A tool with no GPU requirement.
 const CPU_TOOL: &str = "cpu_sort";
 
-fn diff_app() -> galaxy::GalaxyApp {
-    use galaxy::job::conf::{JobConfig, GYAN_JOB_CONF};
-    let mut app = galaxy::GalaxyApp::new(JobConfig::from_xml(GYAN_JOB_CONF).unwrap());
+fn diff_app(job_conf: &str) -> galaxy::GalaxyApp {
+    let conf = galaxy::job::conf::JobConfig::from_xml(job_conf).unwrap();
+    let mut app = galaxy::GalaxyApp::new(conf);
     let lib = galaxy::tool::macros::MacroLibrary::new();
     for (id, version) in DIFF_TOOLS.into_iter().chain([(BIG_TOOL, "")]) {
         let xml = format!(
@@ -650,6 +650,32 @@ fn diff_app() -> galaxy::GalaxyApp {
     let cpu = format!(r#"<tool id="{CPU_TOOL}"><command>sort</command></tool>"#);
     app.install_tool_xml(&cpu, &lib).unwrap();
     app
+}
+
+/// The differential's two stacks over `job_conf`: single-node GYAN on a
+/// K80 node (the app, the node and its lease table), and a one-node K80
+/// fleet (the app and the fleet), with the same allocation policy and
+/// memory-hint mode.
+fn diff_pair(
+    job_conf: &str,
+    policy: AllocationPolicy,
+    memory_hint: gyan::footprint::MemoryHint,
+) -> (galaxy::GalaxyApp, GpuCluster, gyan::LeaseTable, galaxy::GalaxyApp, fleet::Fleet) {
+    use gyan::setup::{install_gyan, GyanConfig};
+    let cluster = GpuCluster::k80_node();
+    let mut single = diff_app(job_conf);
+    let config = GyanConfig { policy, memory_hint, ..GyanConfig::default() };
+    let table = install_gyan(&mut single, &cluster, config);
+
+    let mut fleeted = diff_app(job_conf);
+    let the_fleet = fleet::Fleet::builder()
+        .nodes(fleet::NodeClass::k80(), 1)
+        .allocation_policy(policy)
+        .recorder(fleeted.recorder().clone())
+        .build();
+    let config = fleet::FleetConfig { memory_hint, ..fleet::FleetConfig::default() };
+    fleet::install_fleet(&mut fleeted, &the_fleet, config);
+    (single, cluster, table, fleeted, the_fleet)
 }
 
 /// Run `BIG_TOOL` to success `MIN_SAMPLES` times, each declaring
@@ -707,7 +733,7 @@ proptest! {
     /// and `BIG_TOOL` jobs, every job gets the same destination, rule
     /// reason, allocation reason, `GALAXY_GPU_ENABLED` and
     /// `CUDA_VISIBLE_DEVICES` from both, and both hold the same number of
-    /// leases after every step — except `BIG_TOOL`, named below.
+    /// leases after every step.
     #[test]
     fn one_node_fleet_places_like_single_node_gyan(
         steps in prop::collection::vec((0u8..5, 0usize..4, 1u64..400, any::<bool>()), 1..24),
@@ -715,30 +741,14 @@ proptest! {
     ) {
         use galaxy::runners::ExecutionResult;
         use gyan::footprint::MemoryHint;
-        use gyan::setup::{install_gyan, GyanConfig};
 
         let policy = if memory_policy {
             AllocationPolicy::MemoryBased
         } else {
             AllocationPolicy::ProcessId
         };
-        let memory_hint = MemoryHint::Learned;
-        let cluster = GpuCluster::k80_node();
-        let mut single = diff_app();
-        let config = GyanConfig { policy, memory_hint, ..GyanConfig::default() };
-        let table = install_gyan(&mut single, &cluster, config);
-
-        let mut fleeted = diff_app();
-        let the_fleet = fleet::Fleet::builder()
-            .nodes(fleet::NodeClass::k80(), 1)
-            .allocation_policy(policy)
-            .recorder(fleeted.recorder().clone())
-            .build();
-        fleet::install_fleet(
-            &mut fleeted,
-            &the_fleet,
-            fleet::FleetConfig { memory_hint, ..fleet::FleetConfig::default() },
-        );
+        let (mut single, cluster, table, mut fleeted, the_fleet) =
+            diff_pair(galaxy::job::conf::GYAN_JOB_CONF, policy, MemoryHint::Learned);
         let shard = &the_fleet.shards()[0].cluster;
         train_big_tool(&mut single);
         train_big_tool(&mut fleeted);
@@ -774,29 +784,20 @@ proptest! {
                     let tool = if pick % 2 == 0 { CPU_TOOL } else { BIG_TOOL };
                     let id = single.create_job(tool, &galaxy::ParamDict::new()).unwrap();
                     prop_assert_eq!(fleeted.create_job(tool, &galaxy::ParamDict::new()).unwrap(), id);
-                    let (a, b) = (prepare_and_read(&mut single, id), prepare_and_read(&mut fleeted, id));
+                    let a = prepare_and_read(&mut single, id);
+                    prop_assert_eq!(&a, &prepare_and_read(&mut fleeted, id), "job {}", id);
+                    prop_assert_eq!(a.destination.as_deref(), Some("local_cpu"));
+                    prop_assert_eq!(a.gpu_enabled.as_deref(), Some("false"));
                     if tool == CPU_TOOL {
-                        prop_assert_eq!(&a, &b, "job {}", id);
-                        prop_assert_eq!(a.destination.as_deref(), Some("local_cpu"));
                         prop_assert_eq!(a.rule_reason.as_deref(), Some("tool_has_no_gpu_requirement"));
                         prop_assert_eq!(a.rule_hint_mib, None);
                     } else {
-                        // The one difference: both read the same learned
-                        // hint, above a K80 die. The single node admits
-                        // every GPU tool while it has a GPU, and its
-                        // policy grants the dies; the fleet's K80 class
-                        // cannot hold the hint, so the job runs on CPU.
+                        // The learned hint outgrows a K80 die: no host
+                        // admits it, so no dies are granted to an OOM.
                         let hint = a.rule_hint_mib.unwrap();
                         prop_assert!(hint > 11_441.0, "hint {}", hint);
-                        prop_assert_eq!(b.rule_hint_mib, Some(hint));
-                        prop_assert_eq!(a.destination.as_deref(), Some("local_gpu"));
-                        prop_assert_eq!(a.rule_reason.as_deref(), Some("gpu_tool_and_gpu_available"));
-                        prop_assert_eq!(a.gpu_enabled.as_deref(), Some("true"));
-                        prop_assert!(a.allocation_reason.is_some());
-                        prop_assert_eq!(b.destination.as_deref(), Some("local_cpu"));
-                        prop_assert_eq!(b.rule_reason.as_deref(), Some("no_gpu_host"));
-                        prop_assert_eq!(b.gpu_enabled.as_deref(), Some("false"));
-                        prop_assert_eq!(b.allocation_reason, None);
+                        prop_assert_eq!(a.rule_reason.as_deref(), Some("no_gpu_host"));
+                        prop_assert_eq!(a.allocation_reason, None);
                     }
                     single.finish_job(id, &ExecutionResult::ok(""), true).unwrap();
                     fleeted.finish_job(id, &ExecutionResult::ok(""), true).unwrap();
@@ -818,6 +819,36 @@ proptest! {
             fleeted.finish_job(id, &galaxy::runners::ExecutionResult::ok(""), true).unwrap();
         }
         prop_assert_eq!((table.lease_count(), the_fleet.total_lease_count()), (0, 0));
+    }
+}
+
+/// The admission boundary is one die on both topologies: a destination
+/// hint of exactly a K80 die (11 441 MiB) is admitted and granted a die,
+/// and one MiB more is refused, by the single node and by a one-node
+/// fleet alike.
+#[test]
+fn a_k80_die_is_the_admission_boundary_on_both_topologies() {
+    for (hint, destination, reason) in
+        [(11_441, "local_gpu", "gpu_tool_and_gpu_available"), (11_442, "local_cpu", "no_gpu_host")]
+    {
+        let conf = galaxy::job::conf::GYAN_JOB_CONF.replace(
+            r#"<destination id="local_gpu" runner="local"/>"#,
+            &format!(
+                r#"<destination id="local_gpu" runner="local">
+                     <param id="gpu_memory_hint_mib">{hint}</param>
+                   </destination>"#
+            ),
+        );
+        let (mut single, _, _, mut fleeted, _) =
+            diff_pair(&conf, AllocationPolicy::ProcessId, gyan::footprint::MemoryHint::Static);
+        let id = single.create_job("gpu_any", &galaxy::ParamDict::new()).unwrap();
+        assert_eq!(fleeted.create_job("gpu_any", &galaxy::ParamDict::new()).unwrap(), id);
+        let a = prepare_and_read(&mut single, id);
+        assert_eq!(a, prepare_and_read(&mut fleeted, id), "hint {hint}");
+        assert_eq!(a.rule_hint_mib, Some(hint as f64));
+        assert_eq!(a.destination.as_deref(), Some(destination), "hint {hint}");
+        assert_eq!(a.rule_reason.as_deref(), Some(reason), "hint {hint}");
+        assert_eq!(a.allocation_reason.is_some(), destination == "local_gpu", "hint {hint}");
     }
 }
 
