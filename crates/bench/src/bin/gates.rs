@@ -96,7 +96,7 @@ fn engine(clock: VirtualClock, workers: u32) -> QueueEngine {
     let mut app = GalaxyApp::new(JobConfig::from_xml(GYAN_JOB_CONF).unwrap());
     app.register_rule(
         "gpu_dynamic_destination",
-        Box::new(|_tool, _job, _conf| Ok("local_cpu".to_string())),
+        Box::new(|_tool, _job, _conf| Ok("local_cpu".into())),
     );
     let lib = MacroLibrary::new();
     for (id, _) in STEP_COSTS {

@@ -314,7 +314,7 @@ mod tests {
                 let name = output.attr("name").expect("test output name");
                 let history = app.history();
                 let Some(dataset) =
-                    history.datasets_for_job(job_id).into_iter().find(|d| d.name == name)
+                    history.datasets_for_job(job_id).into_iter().find(|d| &*d.name == name)
                 else {
                     failures.push(format!("output {name:?} was not produced"));
                     continue;
@@ -427,7 +427,7 @@ mod tests {
                 app.set_executor(Box::new(EchoExecutor));
                 app.register_rule(
                     "gpu_dynamic_destination",
-                    Box::new(|_t, _j, _c| Ok("local_cpu".to_string())),
+                    Box::new(|_t, _j, _c| Ok("local_cpu".into())),
                 );
                 let results = run_tool_tests(&mut app, TOOL_WITH_TESTS);
                 assert_eq!(results.len(), 2);

@@ -29,7 +29,7 @@ use crate::runners::{
 use crate::tool::macros::MacroLibrary;
 use crate::tool::wrapper::parse_tool;
 use crate::tool::Tool;
-use obs::{Recorder, Span};
+use obs::{Recorder, Span, Text};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -44,7 +44,7 @@ pub const JOBS_ERROR_COUNTER: &str = "galaxy_jobs_error_total";
 /// return the id of a concrete destination. This is the signature of the
 /// paper's `gpu_dynamic_destination` function in `dynamic_destination.py`.
 pub type DynamicRule =
-    Box<dyn Fn(&Tool, &Job, &JobConfig) -> Result<String, GalaxyError> + Send + Sync>;
+    Box<dyn Fn(&Tool, &Job, &JobConfig) -> Result<Arc<str>, GalaxyError> + Send + Sync>;
 
 /// Source of (virtual) time for job timestamps.
 pub trait TimeSource: Send + Sync {
@@ -66,7 +66,7 @@ impl TimeSource for ZeroTime {
 pub struct GalaxyApp {
     /// Shared, so preparing an attempt takes a handle to the tool, not a
     /// copy of its inputs, outputs and command template.
-    tools: HashMap<String, Arc<Tool>>,
+    tools: HashMap<Arc<str>, Arc<Tool>>,
     config: JobConfig,
     rules: HashMap<String, DynamicRule>,
     hooks: Vec<Box<dyn JobHook>>,
@@ -108,7 +108,7 @@ impl GalaxyApp {
 
     /// Install a parsed tool into the tool box.
     pub fn install_tool(&mut self, tool: Tool) {
-        self.tools.insert(tool.id.clone(), Arc::new(tool));
+        self.tools.insert(Arc::clone(&tool.id), Arc::new(tool));
     }
 
     /// Parse a wrapper (with macro library) and install it.
@@ -120,7 +120,7 @@ impl GalaxyApp {
         let tool = parse_tool(src, library)?;
         let id = tool.id.clone();
         self.install_tool(tool);
-        Ok(&self.tools[&id])
+        Ok(&self.tools[&*id])
     }
 
     /// Tool by id.
@@ -226,6 +226,7 @@ impl GalaxyApp {
         params.extend(user_params);
         parse_span.field("inputs", tool.inputs.len());
         parse_span.end();
+        let tool_id = Arc::clone(&tool.id);
 
         self.next_job_id += 1;
         let job_id = self.next_job_id;
@@ -251,15 +252,15 @@ impl GalaxyApp {
         let Some(mut job) = self.jobs.remove(&job_id) else {
             return Err(GalaxyError::UnknownJob(job_id));
         };
-        let Some(tool) = self.tools.get(&job.tool_id).cloned() else {
-            let err = GalaxyError::UnknownTool(job.tool_id.clone());
+        let Some(tool) = self.tools.get(&*job.tool_id).cloned() else {
+            let err = GalaxyError::UnknownTool(job.tool_id.to_string());
             self.jobs.insert(job_id, job);
             self.fail_job(job_id, &err);
             return Err(err);
         };
         let job_span = self.open_spans.remove(&job_id).unwrap_or_else(|| {
             let s = self.recorder.span("galaxy.job");
-            s.field("tool", job.tool_id.as_str());
+            s.field("tool", &*job.tool_id);
             s.field("job_id", job_id);
             s
         });
@@ -273,7 +274,7 @@ impl GalaxyApp {
     }
 
     fn prepare_job(
-        &mut self,
+        &self,
         tool: &Tool,
         job: &mut Job,
         job_span: &Span,
@@ -289,13 +290,13 @@ impl GalaxyApp {
                     .destination(id)
                     .ok_or_else(|| GalaxyError::UnknownDestination(id.to_string()))?;
                 map_span.field("override", true);
-                dest.clone()
+                dest
             }
             None => self.map_destination(tool, job)?,
         };
-        map_span.field("destination", destination.id.as_str());
+        map_span.field("destination", &*destination.id);
         map_span.end();
-        job.destination_id = Some(destination.id.clone());
+        job.destination_id = Some(Arc::clone(&destination.id));
         job.transition(JobState::Queued)?;
 
         // GYAN's extension point: hooks adjust env + params before the
@@ -303,7 +304,7 @@ impl GalaxyApp {
         let hooks_span = job_span.child("galaxy.hooks");
         hooks_span.field("hooks", self.hooks.len());
         for hook in &self.hooks {
-            hook.before_dispatch(job, tool, &destination);
+            hook.before_dispatch(job, tool, destination);
         }
         hooks_span.end();
 
@@ -312,13 +313,13 @@ impl GalaxyApp {
         let plan = LocalRunner.build_plan(
             tool,
             job,
-            &destination,
+            destination,
             &self.registry,
             &self.mutators,
             &self.volumes,
             Some(job_span),
         )?;
-        job.command_line = Some(plan.command_line.clone());
+        job.command_line = Some(Arc::clone(&plan.command_line));
         job.transition(JobState::Running)?;
         job.start_time = Some(self.time.now());
         Ok(plan)
@@ -329,7 +330,7 @@ impl GalaxyApp {
     fn execute_plan(&self, job_id: u64, plan: &ExecutionPlan) -> ExecutionResult {
         let dispatch_span = self.job_span_child(job_id, "galaxy.dispatch");
         if let Some(span) = &dispatch_span {
-            span.field("destination", plan.destination_id.as_str());
+            span.field("destination", &*plan.destination_id);
         }
         let result = self.executor.execute(plan);
         if let Some(span) = dispatch_span {
@@ -366,7 +367,7 @@ impl GalaxyApp {
         job.stderr = result.stderr.clone();
         job.exit_code = Some(result.exit_code);
         job.pid = result.pid;
-        let tool_outputs = self.tools.get(&job.tool_id).map_or(&[][..], |t| &t.outputs);
+        let tool_outputs = self.tools.get(&*job.tool_id).map_or(&[][..], |t| &t.outputs);
 
         if result.exit_code == 0 {
             job.transition(JobState::Ok)?;
@@ -442,7 +443,7 @@ impl GalaxyApp {
 
     /// Resolve the destination for a tool's job, following one level of
     /// dynamic-rule indirection.
-    pub fn map_destination(&self, tool: &Tool, job: &Job) -> Result<Destination, GalaxyError> {
+    pub fn map_destination(&self, tool: &Tool, job: &Job) -> Result<&Destination, GalaxyError> {
         let dest_id = self.config.destination_for_tool(&tool.id).ok_or_else(|| {
             GalaxyError::UnknownDestination(format!("no mapping for {}", tool.id))
         })?;
@@ -451,7 +452,7 @@ impl GalaxyApp {
             .destination(dest_id)
             .ok_or_else(|| GalaxyError::UnknownDestination(dest_id.to_string()))?;
         if !dest.is_dynamic() {
-            return Ok(dest.clone());
+            return Ok(dest);
         }
         let rule_name = dest.rule_function().ok_or_else(|| {
             GalaxyError::BadJobConf(format!("dynamic {} has no function", dest.id))
@@ -464,13 +465,13 @@ impl GalaxyApp {
         let chosen = self
             .config
             .destination(&chosen_id)
-            .ok_or_else(|| GalaxyError::UnknownDestination(chosen_id.clone()))?;
+            .ok_or_else(|| GalaxyError::UnknownDestination(chosen_id.to_string()))?;
         if chosen.is_dynamic() {
             return Err(GalaxyError::BadJobConf(format!(
                 "dynamic rule {rule_name} returned another dynamic destination {chosen_id}"
             )));
         }
-        Ok(chosen.clone())
+        Ok(chosen)
     }
 
     /// Job by id.
@@ -488,6 +489,7 @@ impl GalaxyApp {
     /// (e.g. a submitter's declared input size). Returns false for
     /// unknown job ids.
     pub fn set_job_env(&mut self, id: u64, key: &str, value: &str) -> bool {
+        let (key, value) = (Text::concat(&[key]), Text::concat(&[value]));
         self.job_mut(id).map(|job| job.set_env(key, value)).is_some()
     }
 
@@ -533,7 +535,7 @@ mod tests {
         // Route everything to the plain CPU destination for these tests.
         app.register_rule(
             "gpu_dynamic_destination",
-            Box::new(|_tool, _job, _conf| Ok("local_cpu".to_string())),
+            Box::new(|_tool, _job, _conf| Ok("local_cpu".into())),
         );
         app
     }
@@ -579,10 +581,7 @@ mod tests {
     fn rule_returning_dynamic_destination_rejected() {
         let mut app = GalaxyApp::new(JobConfig::from_xml(GYAN_JOB_CONF).unwrap());
         app.install_tool_xml(ECHO_TOOL, &MacroLibrary::new()).unwrap();
-        app.register_rule(
-            "gpu_dynamic_destination",
-            Box::new(|_, _, _| Ok("dynamic_dest".to_string())),
-        );
+        app.register_rule("gpu_dynamic_destination", Box::new(|_, _, _| Ok("dynamic_dest".into())));
         assert!(matches!(app.submit("echo", &ParamDict::new()), Err(GalaxyError::BadJobConf(_))));
     }
 

@@ -4,6 +4,8 @@
 //! step of the paper's Fig. 2 flow). This is a light model: enough for
 //! integration tests to assert that tool outputs propagate end-to-end.
 
+use std::sync::Arc;
+
 /// Dataset lifecycle states (subset).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DatasetState {
@@ -20,10 +22,10 @@ pub enum DatasetState {
 pub struct Dataset {
     /// Dataset id within the history.
     pub id: u64,
-    /// Display name.
-    pub name: String,
+    /// Display name (shared with the tool's output declaration).
+    pub name: Arc<str>,
     /// Datatype extension (`fasta`, `fastq`, ...).
-    pub format: String,
+    pub format: Arc<str>,
     /// Producing job id.
     pub job_id: u64,
     /// State.
@@ -48,8 +50,8 @@ impl History {
     /// Declare an output dataset for a job, in `Queued` state.
     pub fn declare(
         &mut self,
-        name: impl Into<String>,
-        format: impl Into<String>,
+        name: impl Into<Arc<str>>,
+        format: impl Into<Arc<str>>,
         job_id: u64,
     ) -> u64 {
         let id = self.datasets.len() as u64 + 1;
@@ -159,7 +161,7 @@ mod tests {
         assert!(!h.complete(0, "") && !h.fail(h.len() as u64 + 1));
         for n in [0usize, 4_999, 9_999] {
             let ds = h.dataset(ids[n]).expect("declared");
-            assert_eq!((ds.id, ds.job_id, ds.name.as_str()), (ids[n], n as u64, &*format!("d{n}")));
+            assert_eq!((ds.id, ds.job_id, &*ds.name), (ids[n], n as u64, &*format!("d{n}")));
         }
         assert!(h.complete(ids[9_999], "x"));
         assert_eq!(h.dataset(ids[9_999]).unwrap().state, DatasetState::Ok);

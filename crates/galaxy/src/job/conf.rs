@@ -9,6 +9,7 @@
 use crate::error::GalaxyError;
 use crate::params::ParamDict;
 use std::collections::HashMap;
+use std::sync::Arc;
 use xmlparse::parse;
 
 /// A `<plugin>` runner declaration.
@@ -27,8 +28,9 @@ pub struct Plugin {
 /// A `<destination>` — a place jobs can be sent.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Destination {
-    /// Destination id (`local_gpu`, `docker_dest`, ...).
-    pub id: String,
+    /// Destination id (`local_gpu`, `docker_dest`, ...), shared with every
+    /// job and plan mapped here.
+    pub id: Arc<str>,
     /// Runner plugin id, or `dynamic` for rule-based destinations.
     pub runner: String,
     /// `<param id="...">value</param>` entries.
@@ -105,7 +107,7 @@ impl JobConfig {
                     params.set(key, param_el.text());
                 }
                 config.destinations.push(Destination {
-                    id: require_attr(d, "id", "destination")?,
+                    id: require_attr(d, "id", "destination")?.into(),
                     runner: require_attr(d, "runner", "destination")?,
                     params,
                 });
@@ -125,7 +127,7 @@ impl JobConfig {
     }
 
     fn validate(&self) -> Result<(), GalaxyError> {
-        let dest_ids: Vec<&str> = self.destinations.iter().map(|d| d.id.as_str()).collect();
+        let dest_ids: Vec<&str> = self.destinations.iter().map(|d| &*d.id).collect();
         if let Some(default) = &self.default_destination {
             if !dest_ids.contains(&default.as_str()) {
                 return Err(GalaxyError::BadJobConf(format!(
@@ -155,7 +157,7 @@ impl JobConfig {
 
     /// Look up a destination by id.
     pub fn destination(&self, id: &str) -> Option<&Destination> {
-        self.destinations.iter().find(|d| d.id == id)
+        self.destinations.iter().find(|d| &*d.id == id)
     }
 
     /// The destination id configured for a tool: the static `<tools>`

@@ -4,6 +4,16 @@ pub mod conf;
 
 use crate::error::GalaxyError;
 use crate::params::ParamDict;
+use obs::Text;
+use std::sync::{Arc, OnceLock};
+
+/// An environment exported to a tool process, as `(key, value)` pairs in
+/// the order they were set. A job and every plan built from it share one
+/// list: building a plan takes a handle, and a later write to the job
+/// copies the list only while a plan still holds it. Keys and values are
+/// [`Text`]s, so a literal key (`CUDA_VISIBLE_DEVICES`) is kept by
+/// reference and a short value (`0,1`) in place.
+pub type Env = Arc<Vec<(Text, Text)>>;
 
 /// Galaxy job states (the subset relevant to dispatch).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -60,22 +70,24 @@ impl JobState {
 pub struct Job {
     /// Unique job id.
     pub id: u64,
-    /// The tool being run.
-    pub tool_id: String,
+    /// The tool being run (shared with the installed tool's id).
+    pub tool_id: Arc<str>,
     /// User-provided + backend-injected parameters.
     pub params: ParamDict,
     state: JobState,
-    /// Destination chosen by mapping (static or dynamic).
-    pub destination_id: Option<String>,
-    /// Final assembled shell command.
-    pub command_line: Option<String>,
+    /// Destination chosen by mapping (static or dynamic), shared with
+    /// the configured destination's id.
+    pub destination_id: Option<Arc<str>>,
+    /// Final assembled shell command, shared with the attempt's plan.
+    pub command_line: Option<Arc<str>>,
     /// Environment exported to the tool process (`GALAXY_GPU_ENABLED`,
-    /// `CUDA_VISIBLE_DEVICES`, ...).
-    pub env: Vec<(String, String)>,
+    /// `CUDA_VISIBLE_DEVICES`, ...); written through [`Job::set_env`] and
+    /// [`Job::remove_env`].
+    pub env: Env,
     /// The submitting user, written by the queue engine before each
     /// attempt (a fleet's fair-share policy reads it); empty on
     /// [`crate::GalaxyApp::submit`], which has no user.
-    pub user: String,
+    pub user: Arc<str>,
     /// Fleet nodes this attempt must not land on: every node an earlier
     /// attempt failed on (placement-aware resubmission). Written by the
     /// queue engine before each attempt.
@@ -103,7 +115,7 @@ pub struct Job {
 
 impl Job {
     /// Create a new job in state `New`.
-    pub fn new(id: u64, tool_id: impl Into<String>, params: ParamDict) -> Self {
+    pub fn new(id: u64, tool_id: impl Into<Arc<str>>, params: ParamDict) -> Self {
         Job {
             id,
             tool_id: tool_id.into(),
@@ -111,8 +123,8 @@ impl Job {
             state: JobState::New,
             destination_id: None,
             command_line: None,
-            env: Vec::new(),
-            user: String::new(),
+            env: Env::default(),
+            user: no_user(),
             excluded_nodes: Vec::new(),
             gpu_budget_override_mib: None,
             submit_time: None,
@@ -140,33 +152,48 @@ impl Job {
         }
     }
 
-    /// Set an environment variable for the tool process (replaces any
-    /// existing value for the key).
-    pub fn set_env(&mut self, key: impl Into<String>, value: impl Into<String>) {
+    /// Set an environment variable for the tool process: any existing
+    /// value for the key is dropped and the pair goes last. Copies the
+    /// list first only while a plan still shares it.
+    pub fn set_env(&mut self, key: impl Into<Text>, value: impl Into<Text>) {
         let key = key.into();
-        self.env.retain(|(k, _)| *k != key);
-        self.env.push((key, value.into()));
+        let env = Arc::make_mut(&mut self.env);
+        env.retain(|(k, _)| *k != key);
+        env.push((key, value.into()));
     }
 
     /// Remove an exported environment variable, returning whether a value
-    /// was present. Hooks use this on resubmitted attempts: a CPU retry
+    /// was present; an absent key leaves the list (and any plan sharing
+    /// it) untouched. Hooks use this on resubmitted attempts: a CPU retry
     /// must not inherit the failed GPU attempt's `CUDA_VISIBLE_DEVICES`
     /// or `GALAXY_NODE` exports.
     pub fn remove_env(&mut self, key: &str) -> bool {
-        let before = self.env.len();
-        self.env.retain(|(k, _)| k != key);
-        self.env.len() != before
+        let Some(at) = self.env.iter().position(|(k, _)| k == key) else { return false };
+        Arc::make_mut(&mut self.env).remove(at);
+        true
     }
 
     /// Look up an exported environment variable.
     pub fn env_var(&self, key: &str) -> Option<&str> {
-        self.env.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
+        env_var(&self.env, key)
     }
 
     /// Wall (virtual) runtime, if the job has finished.
     pub fn runtime(&self) -> Option<f64> {
         Some(self.end_time? - self.start_time?)
     }
+}
+
+/// The user of a job no queue submitted: one shared empty name, so a new
+/// job allocates none.
+fn no_user() -> Arc<str> {
+    static NO_USER: OnceLock<Arc<str>> = OnceLock::new();
+    NO_USER.get_or_init(|| Arc::from("")).clone()
+}
+
+/// `key`'s value in an exported environment.
+pub(crate) fn env_var<'a>(env: &'a [(Text, Text)], key: &str) -> Option<&'a str> {
+    env.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
 }
 
 #[cfg(test)]

@@ -24,6 +24,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// One queued entry (its priority and sequence number live in the bucket
 /// key, which orders the bucket).
@@ -39,6 +40,9 @@ type BucketKey = (Reverse<u8>, u64);
 /// What the queue keeps per user, from their first push on.
 #[derive(Debug)]
 struct UserState<T> {
+    /// The user's name, allocated once at their first push and shared
+    /// by the ready set, every pop and every job record of theirs.
+    name: Arc<str>,
     /// Accumulated usage: entries dispatched so far.
     usage: u64,
     /// Queued entries, best first.
@@ -57,7 +61,7 @@ pub struct Rejection {
 #[derive(Debug, Clone)]
 pub struct Popped<T> {
     /// The owning user.
-    pub user: String,
+    pub user: Arc<str>,
     /// The dequeued item.
     pub item: T,
     /// Priority the entry was queued with.
@@ -73,11 +77,11 @@ pub struct Popped<T> {
 pub struct FairShareQueue<T> {
     capacity: usize,
     per_user_limit: Option<usize>,
-    users: HashMap<String, UserState<T>>,
+    users: HashMap<Arc<str>, UserState<T>>,
     /// Users with at least one queued entry, ordered by
     /// `(accumulated usage, name)` — the first element is exactly the
     /// user the old full scan's `min_by_key` would have chosen.
-    ready: BTreeSet<(u64, String)>,
+    ready: BTreeSet<(u64, Arc<str>)>,
     seq: u64,
     len: usize,
 }
@@ -152,28 +156,41 @@ impl<T> FairShareQueue<T> {
     /// Push bypassing admission control. Used for *internal* continuations
     /// (DAG steps becoming ready, resubmitted attempts): the work was
     /// already admitted at the submission boundary, so refusing it now
-    /// would strand an accepted workflow.
-    pub fn push_unchecked(&mut self, user: &str, priority: u8, enqueued_at: f64, item: T) {
+    /// would strand an accepted workflow. Returns the queue's shared copy
+    /// of the user's name.
+    pub fn push_unchecked(
+        &mut self,
+        user: &str,
+        priority: u8,
+        enqueued_at: f64,
+        item: T,
+    ) -> Arc<str> {
         self.seq += 1;
         let entry = ((Reverse(priority), self.seq), Entry { item, enqueued_at });
-        // Looked up by `&str`: the name is copied only where a key is
-        // inserted — a user's first push ever, and their filing as ready.
-        let newly_ready_at = match self.users.get_mut(user) {
+        // Looked up by `&str`: the name is copied only at a user's first
+        // push ever; the ready set shares it.
+        let (name, newly_ready_at) = match self.users.get_mut(user) {
             Some(state) => {
                 let was_empty = state.bucket.is_empty();
                 state.bucket.insert(entry.0, entry.1);
-                was_empty.then_some(state.usage)
+                (Arc::clone(&state.name), was_empty.then_some(state.usage))
             }
             None => {
-                let state = UserState { usage: 0, bucket: BTreeMap::from([entry]) };
-                self.users.insert(user.to_string(), state);
-                Some(0)
+                let name: Arc<str> = user.into();
+                let state = UserState {
+                    name: Arc::clone(&name),
+                    usage: 0,
+                    bucket: BTreeMap::from([entry]),
+                };
+                self.users.insert(Arc::clone(&name), state);
+                (name, Some(0))
             }
         };
         if let Some(usage) = newly_ready_at {
-            self.ready.insert((usage, user.to_string()));
+            self.ready.insert((usage, Arc::clone(&name)));
         }
         self.len += 1;
+        name
     }
 
     /// Fair-share pop: the least-used user's best entry, charging one unit
@@ -193,7 +210,7 @@ impl<T> FairShareQueue<T> {
         if !state.bucket.is_empty() {
             // Re-file the user under the charged usage so the next pop
             // sees the updated fair-share position.
-            self.ready.insert((usage, user.clone()));
+            self.ready.insert((usage, Arc::clone(&user)));
         }
         Some(Popped { user, item: entry.item, priority, enqueued_at: entry.enqueued_at, usage })
     }
@@ -206,7 +223,7 @@ mod tests {
     fn drain(q: &mut FairShareQueue<&'static str>) -> Vec<(String, &'static str)> {
         let mut order = Vec::new();
         while let Some(p) = q.pop() {
-            order.push((p.user, p.item));
+            order.push((p.user.to_string(), p.item));
         }
         order
     }

@@ -9,6 +9,7 @@
 //! flight.
 
 use super::SubmissionState;
+use obs::Text;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -18,20 +19,21 @@ use std::sync::Arc;
 pub struct JobSnapshot {
     /// Job id.
     pub job_id: u64,
-    /// Submitting user.
-    pub user: String,
-    /// Tool id the job runs.
-    pub tool: String,
+    /// Submitting user (the fair-share queue's shared copy).
+    pub user: Arc<str>,
+    /// Tool id the job runs (the installed tool's shared id).
+    pub tool: Arc<str>,
     /// Engine lifecycle state.
     pub state: SubmissionState,
     /// Dispatch attempts so far.
     pub attempts: u32,
-    /// Destination of the most recent dispatch, if any.
-    pub destination: Option<String>,
+    /// Destination of the most recent dispatch, if any (the configured
+    /// destination's shared id).
+    pub destination: Option<Arc<str>>,
     /// Fleet node the most recent dispatch placed the job on (from the
     /// job's `GALAXY_NODE` export), if any. Single-node deployments and
     /// CPU fallbacks leave it `None`.
-    pub node: Option<String>,
+    pub node: Option<Text>,
     /// Submission priority.
     pub priority: u8,
     /// Virtual time the submission entered the queue.
@@ -99,8 +101,8 @@ mod tests {
     fn snapshot(job_id: u64) -> JobSnapshot {
         JobSnapshot {
             job_id,
-            user: "alice".to_string(),
-            tool: "racon_gpu".to_string(),
+            user: "alice".into(),
+            tool: "racon_gpu".into(),
             state: SubmissionState::Queued,
             attempts: 0,
             destination: None,

@@ -68,7 +68,7 @@ use crate::params::ParamDict;
 use crate::runners::{ExecutionPlan, ExecutionResult, JobExecutor};
 use crate::scheduler::{DiscardListener, JOBS_FAILED_COUNTER};
 use dag::ValueSource;
-use obs::{Span, Value};
+use obs::{Span, Text, Value};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -233,7 +233,7 @@ const DAG_STEP_PRIORITY: u8 = 0;
 
 struct DagRun {
     dag: DagWorkflow,
-    user: String,
+    user: Arc<str>,
     job_ids: Vec<Option<u64>>,
     states: Vec<StepState>,
     outcomes: Vec<Option<StepOutcome>>,
@@ -245,9 +245,9 @@ struct DagRun {
 #[derive(Default)]
 struct JobCtx {
     /// Destination override for the next attempt (resubmission).
-    next_dest: Option<String>,
+    next_dest: Option<Arc<str>>,
     /// Destination of the first attempt (selects the resubmit policy).
-    first_destination: Option<String>,
+    first_destination: Option<Arc<str>>,
     /// Owning DAG step, when the job materializes a workflow step.
     origin: Option<(usize, usize)>,
     /// Fleet nodes this job's next attempt must avoid (every node a
@@ -271,7 +271,7 @@ struct FailedAttempt<'a> {
     attempts: u32,
     max_attempts: u32,
     /// Fleet node the attempt ran on, when the hook placed it on one.
-    from_node: Option<String>,
+    from_node: Option<Text>,
 }
 
 /// What a retry changes about the next attempt besides its destination;
@@ -313,6 +313,8 @@ pub struct QueueEngine {
     /// One-shot fault flag: skip the next dispatched wave's plans instead
     /// of executing them (see [`QueueEngine::discard_next_wave`]).
     discard_next_wave: bool,
+    /// The last wave's emptied buffer, reused by the next wave.
+    spare_wave: Vec<Dispatched>,
 }
 
 impl QueueEngine {
@@ -331,6 +333,7 @@ impl QueueEngine {
             ledger: JobsLedger::new(),
             workflows: Vec::new(),
             discard_next_wave: false,
+            spare_wave: Vec::new(),
             app,
             executor,
             discard_listener: Mutex::new(None),
@@ -405,12 +408,13 @@ impl QueueEngine {
         self.admit(user, tool_id)?;
         let job_id = self.app.create_job(tool_id, params)?;
         let now = self.app.recorder().now();
-        self.queue.push_unchecked(user, priority, now, WorkItem::Job(job_id));
+        let user = self.queue.push_unchecked(user, priority, now, WorkItem::Job(job_id));
         self.jobs.insert(job_id, JobCtx::default());
+        let tool = Arc::clone(&self.app.job(job_id).expect("a created job exists").tool_id);
         self.ledger.upsert(JobSnapshot {
             job_id,
-            user: user.to_string(),
-            tool: tool_id.to_string(),
+            user: Arc::clone(&user),
+            tool,
             state: SubmissionState::Queued,
             attempts: 0,
             destination: None,
@@ -422,7 +426,7 @@ impl QueueEngine {
         self.app.recorder().event(
             "galaxy.queue.enqueue",
             [
-                ("user", Value::from(user)),
+                ("user", Value::from(&*user)),
                 ("tool", Value::from(tool_id)),
                 ("job_id", Value::from(job_id)),
                 ("priority", Value::from(u64::from(priority))),
@@ -456,7 +460,7 @@ impl QueueEngine {
         let wf = self.workflows.len();
         self.workflows.push(DagRun {
             dag,
-            user: user.to_string(),
+            user: user.into(),
             job_ids: vec![None; n],
             states: vec![StepState::Waiting; n],
             outcomes: vec![None; n],
@@ -502,6 +506,7 @@ impl QueueEngine {
     pub fn pump_wave(&mut self) -> usize {
         let mut wave = self.dispatch_wave();
         if wave.is_empty() {
+            self.spare_wave = wave;
             return 0;
         }
         {
@@ -512,10 +517,11 @@ impl QueueEngine {
         let n = wave.len();
         {
             obs::profile_scope!("queue.wave.complete");
-            for dispatched in wave {
+            for dispatched in wave.drain(..) {
                 self.complete(dispatched);
             }
         }
+        self.spare_wave = wave;
         n
     }
 
@@ -579,7 +585,7 @@ impl QueueEngine {
                 ("workflow", Value::from(workflow)),
                 ("step", Value::from(step)),
                 ("tool", Value::from(tool)),
-                ("user", Value::from(user)),
+                ("user", Value::from(&*user)),
             ],
         );
         self.sync_depth_gauge();
@@ -591,7 +597,7 @@ impl QueueEngine {
     /// pre-wave cluster state.
     fn dispatch_wave(&mut self) -> Vec<Dispatched> {
         obs::profile_scope!("queue.dispatch_wave");
-        let mut wave: Vec<Dispatched> = Vec::new();
+        let mut wave = std::mem::take(&mut self.spare_wave);
         let wave_start = self.app.recorder().now();
         while wave.len() < self.wave_size {
             let Some(popped) = self.queue.pop() else { break };
@@ -599,7 +605,7 @@ impl QueueEngine {
             self.app.recorder().event(
                 "galaxy.queue.fair_share.pick",
                 [
-                    ("user", Value::from(popped.user.as_str())),
+                    ("user", Value::from(&*popped.user)),
                     ("usage", Value::from(popped.usage)),
                     ("priority", Value::from(u64::from(popped.priority))),
                     ("depth", Value::from(self.queue.len())),
@@ -629,28 +635,29 @@ impl QueueEngine {
             };
             match prepared {
                 Ok(plan) => {
-                    let destination = plan.destination_id.clone();
+                    let destination = &plan.destination_id;
                     let ctx = self.jobs.get_mut(&job_id).expect("ctx exists");
                     if ctx.first_destination.is_none() {
-                        ctx.first_destination = Some(destination.clone());
+                        ctx.first_destination = Some(Arc::clone(destination));
                     }
                     // Hooks that place jobs onto fleet nodes export the
                     // chosen node; record it in the ledger (cleared on a
                     // node-less dispatch, e.g. a CPU resubmission).
                     let job = self.app.job(job_id).expect("a prepared job exists");
-                    let node = job.env_var(crate::GALAXY_NODE_ENV).map(str::to_string);
+                    let node =
+                        job.env_var(crate::GALAXY_NODE_ENV).map(|node| Text::concat(&[node]));
                     let attempt = self
                         .ledger
                         .update(job_id, |snap| {
                             snap.attempts += 1;
-                            snap.destination = Some(destination.clone());
+                            snap.destination = Some(Arc::clone(destination));
                             snap.node = node;
                             snap.attempts
                         })
                         .expect("the ledger tracks every queued job");
                     let span = self.app.job_span_child(job_id, "galaxy.dispatch");
                     if let Some(s) = &span {
-                        s.field("destination", destination.as_str());
+                        s.field("destination", &**destination);
                         s.field("attempt", u64::from(attempt));
                     }
                     self.app.recorder().metrics().inc_counter(QUEUE_DISPATCHED_COUNTER, 1);
@@ -658,9 +665,9 @@ impl QueueEngine {
                         "galaxy.queue.dispatch",
                         [
                             ("job_id", Value::from(job_id)),
-                            ("tool", Value::from(plan.tool_id.as_str())),
-                            ("destination", Value::from(destination)),
-                            ("user", Value::from(job.user.as_str())),
+                            ("tool", Value::from(&*plan.tool_id)),
+                            ("destination", Value::from(&**destination)),
+                            ("user", Value::from(&*job.user)),
                             ("attempt", Value::from(u64::from(attempt))),
                             ("wait_seconds", Value::from(wait)),
                         ],
@@ -735,10 +742,11 @@ impl QueueEngine {
         match self.app.create_job(&tool_id, &params) {
             Ok(job_id) => {
                 self.workflows[wf].job_ids[step] = Some(job_id);
+                let tool = Arc::clone(&self.app.job(job_id).expect("a created job exists").tool_id);
                 self.ledger.upsert(JobSnapshot {
                     job_id,
                     user,
-                    tool: tool_id,
+                    tool,
                     state: SubmissionState::Queued,
                     attempts: 0,
                     destination: None,
@@ -885,8 +893,8 @@ impl QueueEngine {
         let fallback = if budget_left {
             policy
                 .fallback_for(ladder_position)
-                .filter(|d| self.app.config().destination(d).is_some())
-                .map(str::to_string)
+                .and_then(|d| self.app.config().destination(d))
+                .map(|d| Arc::clone(&d.id))
         } else {
             None
         };
@@ -909,7 +917,7 @@ impl QueueEngine {
     /// releases hook-held resources such as GPU leases, and always
     /// precedes the requeue — so the retry's placement never races the
     /// failed attempt's leases.
-    fn requeue(&mut self, failed: &FailedAttempt<'_>, dest: String, retry: Retry) {
+    fn requeue(&mut self, failed: &FailedAttempt<'_>, dest: Arc<str>, retry: Retry) {
         let job_id = failed.job_id;
         let _ = self.app.finish_job(job_id, failed.result, false);
         let ctx = self.jobs.get_mut(&job_id).expect("ctx exists");
@@ -935,9 +943,10 @@ impl QueueEngine {
             reason_counter,
             format!("{QUEUE_RESUBMITTED_COUNTER}{{reason=\"{reason}\"}}")
         );
-        let from = ctx.first_destination.clone().unwrap_or_default();
+        let from = Value::from(ctx.first_destination.as_deref().unwrap_or(""));
         let excluded = ctx.excluded_nodes.join(",");
-        ctx.next_dest = Some(dest.clone());
+        let to = Value::from(&*dest);
+        ctx.next_dest = Some(dest);
 
         let recorder = self.app.recorder();
         recorder.metrics().inc_counter(QUEUE_RESUBMITTED_COUNTER, 1);
@@ -948,8 +957,8 @@ impl QueueEngine {
                 ("job_id", Value::from(job_id)),
                 ("failed_attempt", Value::from(u64::from(failed.attempts))),
                 ("max_attempts", Value::from(u64::from(failed.max_attempts))),
-                ("from_destination", Value::from(from)),
-                ("to_destination", Value::from(dest)),
+                ("from_destination", from),
+                ("to_destination", to),
                 ("from_node", Value::from(failed.from_node.as_deref().unwrap_or(""))),
                 ("excluded_nodes", Value::from(excluded)),
                 ("exit_code", Value::from(i64::from(failed.result.exit_code))),
@@ -975,7 +984,7 @@ impl QueueEngine {
         &self,
         job_id: u64,
         from_node: Option<&str>,
-    ) -> Option<(String, Vec<String>)> {
+    ) -> Option<(Arc<str>, Vec<String>)> {
         let node = from_node?;
         let ctx = self.jobs.get(&job_id)?;
         let destination = ctx.first_destination.clone()?;
@@ -993,7 +1002,7 @@ impl QueueEngine {
     /// revised GPU memory budget: needs a first destination and a hook
     /// recommending one ([`crate::runners::JobHook::revised_gpu_budget`]).
     /// Returns the retry destination plus the revised budget (MiB).
-    fn footprint_retry_target(&self, job_id: u64) -> Option<(String, u64)> {
+    fn footprint_retry_target(&self, job_id: u64) -> Option<(Arc<str>, u64)> {
         let destination = self.jobs.get(&job_id)?.first_destination.clone()?;
         let job = self.app.job(job_id)?;
         let budget_mib = self.app.hooks().iter().find_map(|h| h.revised_gpu_budget(job))?;

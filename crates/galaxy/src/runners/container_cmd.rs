@@ -6,6 +6,8 @@
 //! [`crate::runners::CommandMutator`]s registered on the app, exactly as
 //! GYAN patches the launch script rather than each tool.
 
+use obs::Text;
+
 /// A volume mount request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VolumeBind {
@@ -57,7 +59,7 @@ impl VolumeBind {
 pub fn docker_command(
     image: &str,
     tool_command: &str,
-    env: &[(String, String)],
+    env: &[(Text, Text)],
     volumes: &[VolumeBind],
     workdir: &str,
 ) -> Vec<String> {
@@ -88,7 +90,7 @@ pub fn docker_command(
 pub fn singularity_command(
     image: &str,
     tool_command: &str,
-    env: &[(String, String)],
+    env: &[(Text, Text)],
     volumes: &[VolumeBind],
     workdir: &str,
 ) -> Vec<String> {
@@ -116,7 +118,7 @@ pub fn singularity_command(
 mod tests {
     use super::*;
 
-    fn env() -> Vec<(String, String)> {
+    fn env() -> Vec<(Text, Text)> {
         vec![("GALAXY_GPU_ENABLED".into(), "true".into())]
     }
 

@@ -134,10 +134,10 @@ mod tests {
     fn plan_for(job_id: u64) -> ExecutionPlan {
         ExecutionPlan {
             job_id,
-            tool_id: "racon".to_string(),
-            destination_id: "local_gpu".to_string(),
-            command_line: "racon -t 4".to_string(),
-            env: Vec::new(),
+            tool_id: "racon".into(),
+            destination_id: "local_gpu".into(),
+            command_line: "racon -t 4".into(),
+            env: Default::default(),
             container: None,
             command_parts: Vec::new(),
         }

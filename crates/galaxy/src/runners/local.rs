@@ -14,6 +14,7 @@ use crate::runners::container_cmd::{docker_command, singularity_command, VolumeB
 use crate::runners::{CommandMutator, ContainerEngine, ContainerInvocation, ExecutionPlan};
 use crate::tool::{ContainerType, Tool};
 use obs::Span;
+use std::sync::Arc;
 
 /// Stateless command assembler for local (and local-containerized)
 /// execution.
@@ -21,11 +22,10 @@ use obs::Span;
 pub struct LocalRunner;
 
 impl LocalRunner {
-    /// Render the tool command for a job (template × param dict).
+    /// Render the tool command for a job (template × param dict), its
+    /// line structure collapsed into one shell command.
     pub fn render_command(&self, tool: &Tool, job: &Job) -> Result<String, GalaxyError> {
-        let rendered = tool.command.render(&job.params)?;
-        // Collapse the template's line structure into one shell command.
-        let cmd: String = rendered.split_whitespace().collect::<Vec<_>>().join(" ");
+        let cmd = collapse_whitespace(&tool.command.render(&job.params)?);
         if cmd.is_empty() {
             return Err(GalaxyError::Template(format!("tool {} rendered empty command", tool.id)));
         }
@@ -51,12 +51,13 @@ impl LocalRunner {
         parent: Option<&Span>,
     ) -> Result<ExecutionPlan, GalaxyError> {
         let render_span = parent.map(|p| p.child("galaxy.template_render"));
-        let command_line = self.render_command(tool, job)?;
+        let command_line: Arc<str> = self.render_command(tool, job)?.into();
         if let Some(s) = render_span {
-            s.field("command", command_line.as_str());
+            s.field("command", &*command_line);
             s.end();
         }
-        let workdir = format!("/galaxy/jobs/{}", job.id);
+        // Only a container launch names a working directory.
+        let workdir = || format!("/galaxy/jobs/{}", job.id);
 
         let assembly_span = parent.map(|p| p.child("galaxy.container_assembly"));
         let container = if destination.docker_enabled() {
@@ -73,7 +74,7 @@ impl LocalRunner {
             let first_start = !registry.is_cached(&image);
             let pull_s = registry.pull(&image)?;
             let overhead_s = pull_s + registry.start_overhead(&image, first_start)?;
-            let mut parts = docker_command(&image, &command_line, &job.env, volumes, &workdir);
+            let mut parts = docker_command(&image, &command_line, &job.env, volumes, &workdir());
             for m in mutators {
                 m.mutate(&mut parts, job, destination);
             }
@@ -98,7 +99,8 @@ impl LocalRunner {
             let first_start = !registry.is_cached(&image);
             let pull_s = registry.pull(&image)?;
             let overhead_s = pull_s + registry.start_overhead(&image, first_start)?;
-            let mut parts = singularity_command(&image, &command_line, &job.env, volumes, &workdir);
+            let mut parts =
+                singularity_command(&image, &command_line, &job.env, volumes, &workdir());
             for m in mutators {
                 m.mutate(&mut parts, job, destination);
             }
@@ -116,7 +118,7 @@ impl LocalRunner {
             Some(c) => c.command_parts.clone(),
             None => {
                 let mut parts =
-                    vec!["/bin/bash".to_string(), "-c".to_string(), command_line.clone()];
+                    vec!["/bin/bash".to_string(), "-c".to_string(), command_line.to_string()];
                 for m in mutators {
                     m.mutate(&mut parts, job, destination);
                 }
@@ -139,14 +141,27 @@ impl LocalRunner {
 
         Ok(ExecutionPlan {
             job_id: job.id,
-            tool_id: tool.id.clone(),
+            tool_id: job.tool_id.clone(),
             destination_id: destination.id.clone(),
             command_line,
-            env: job.env.clone(),
+            env: Arc::clone(&job.env),
             container,
             command_parts,
         })
     }
+}
+
+/// `text`'s words joined by single spaces, built in one pass into one
+/// allocation of `text`'s length.
+fn collapse_whitespace(text: &str) -> String {
+    let mut collapsed = String::with_capacity(text.len());
+    for word in text.split_whitespace() {
+        if !collapsed.is_empty() {
+            collapsed.push(' ');
+        }
+        collapsed.push_str(word);
+    }
+    collapsed
 }
 
 #[cfg(test)]
@@ -156,6 +171,7 @@ mod tests {
     use crate::params::ParamDict;
     use crate::tool::macros::MacroLibrary;
     use crate::tool::wrapper::parse_tool;
+    use proptest::prelude::*;
 
     fn tool_with_container() -> Tool {
         parse_tool(
@@ -332,5 +348,93 @@ mod tests {
         params.set("x", "0");
         let j = Job::new(1, "t", params);
         assert!(LocalRunner.render_command(&tool, &j).is_err());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn the_one_pass_collapse_joins_the_words_with_single_spaces(
+            // Words, runs of spaces, tabs, newlines, and Unicode white
+            // space (no-break space, NEL, em space, line separator,
+            // ideographic space) next to non-space multi-byte text.
+            text in "[ab é\t\n\r\u{a0}\u{85}\u{2003}\u{2028}\u{3000}]{0,40}",
+        ) {
+            let reference = text.split_whitespace().collect::<Vec<_>>().join(" ");
+            prop_assert_eq!(collapse_whitespace(&text), reference);
+        }
+    }
+
+    #[test]
+    fn a_render_of_only_white_space_is_a_template_error() {
+        let tool = parse_tool(r#"<tool id="t"><command>$x</command></tool>"#, &MacroLibrary::new())
+            .unwrap();
+        for blank in ["", " ", "\t\n  \r\n", "\u{a0}\u{3000}\u{2028} "] {
+            let j = Job::new(1, "t", [("x", blank)].into_iter().collect());
+            let rendered = LocalRunner.render_command(&tool, &j);
+            assert!(matches!(rendered, Err(GalaxyError::Template(_))), "{blank:?}: {rendered:?}");
+        }
+    }
+
+    /// A retry's hook rewrites the job's exports after the failed
+    /// attempt's plan was built: the plan keeps the environment it was
+    /// built with.
+    #[test]
+    fn a_plan_keeps_its_env_when_the_job_is_written_later() {
+        let mut j = job();
+        j.set_env("CUDA_VISIBLE_DEVICES", "0,1");
+        j.set_env("GALAXY_NODE", "k80-000");
+        let plan = LocalRunner
+            .build_plan(
+                &tool_with_container(),
+                &j,
+                &dest("local_gpu", &[]),
+                &registry(),
+                &[],
+                &[],
+                None,
+            )
+            .unwrap();
+        assert!(Arc::ptr_eq(&plan.env, &j.env), "building a plan shares the job's env");
+        let built: Vec<(String, String)> =
+            plan.env.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
+
+        j.set_env("GALAXY_GPU_ENABLED", "false");
+        assert!(j.remove_env("CUDA_VISIBLE_DEVICES"));
+        assert!(j.remove_env("GALAXY_NODE"));
+        let after: Vec<(String, String)> =
+            plan.env.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
+        assert_eq!(after, built);
+        assert_eq!(plan.env_var("GALAXY_GPU_ENABLED"), Some("true"));
+        assert_eq!(plan.env_var("CUDA_VISIBLE_DEVICES"), Some("0,1"));
+        assert_eq!(j.env_var("GALAXY_GPU_ENABLED"), Some("false"));
+        assert_eq!(j.env_var("CUDA_VISIBLE_DEVICES"), None);
+        assert_eq!(j.env.len(), 1);
+    }
+
+    /// Scrubbing an export the job does not have copies nothing: a plan
+    /// sharing the list still shares it.
+    #[test]
+    fn removing_an_absent_export_keeps_the_list_shared() {
+        let mut j = job();
+        let plan = LocalRunner
+            .build_plan(
+                &tool_with_container(),
+                &j,
+                &dest("local_cpu", &[]),
+                &registry(),
+                &[],
+                &[],
+                None,
+            )
+            .unwrap();
+        assert!(!j.remove_env("CUDA_VISIBLE_DEVICES"));
+        assert!(Arc::ptr_eq(&plan.env, &j.env));
+        // A write copies it, once: the copy is the job's alone.
+        j.set_env("GALAXY_GPU_ENABLED", "false");
+        assert!(!Arc::ptr_eq(&plan.env, &j.env));
+        let before = Arc::as_ptr(&j.env);
+        j.set_env("GALAXY_GPU_ENABLED", "true");
+        assert_eq!(Arc::as_ptr(&j.env), before, "an unshared list is written in place");
     }
 }

@@ -18,8 +18,9 @@ pub mod faults;
 pub mod local;
 
 use crate::job::conf::Destination;
-use crate::job::Job;
+use crate::job::{Env, Job};
 use crate::tool::Tool;
+use std::sync::Arc;
 
 /// Container engine of a wrapped launch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,13 +51,13 @@ pub struct ExecutionPlan {
     /// Job id.
     pub job_id: u64,
     /// Tool id.
-    pub tool_id: String,
+    pub tool_id: Arc<str>,
     /// Destination the job was mapped to.
-    pub destination_id: String,
+    pub destination_id: Arc<str>,
     /// The rendered tool command (before any container wrapping).
-    pub command_line: String,
-    /// Environment exported to the process.
-    pub env: Vec<(String, String)>,
+    pub command_line: Arc<str>,
+    /// Environment exported to the process: the job's own list, shared.
+    pub env: Env,
     /// Present when the destination runs containers.
     pub container: Option<ContainerInvocation>,
     /// The final argv, container-wrapped when applicable.
@@ -66,7 +67,7 @@ pub struct ExecutionPlan {
 impl ExecutionPlan {
     /// Environment variable lookup.
     pub fn env_var(&self, key: &str) -> Option<&str> {
-        self.env.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
+        crate::job::env_var(&self.env, key)
     }
 }
 
@@ -226,7 +227,7 @@ mod tests {
             tool_id: "t".into(),
             destination_id: "local".into(),
             command_line: "echo hi".into(),
-            env: vec![("GALAXY_GPU_ENABLED".into(), "true".into())],
+            env: Arc::new(vec![("GALAXY_GPU_ENABLED".into(), "true".into())]),
             container: None,
             command_parts: vec!["/bin/bash".into(), "-c".into(), "echo hi".into()],
         };
@@ -239,8 +240,8 @@ mod tests {
             job_id: 1,
             tool_id: "t".into(),
             destination_id: "d".into(),
-            command_line: String::new(),
-            env: vec![],
+            command_line: "".into(),
+            env: Env::default(),
             container: None,
             command_parts: vec![],
         };

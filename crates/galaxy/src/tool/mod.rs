@@ -11,6 +11,7 @@ pub mod macros;
 pub mod wrapper;
 
 use crate::template::Template;
+use std::sync::Arc;
 
 /// The `type=` attribute of a `<requirement>` element.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,20 +94,21 @@ pub struct ParamDecl {
     pub label: Option<String>,
 }
 
-/// A declared `<data>` output.
+/// A declared `<data>` output. Its name and format are shared with the
+/// dataset each job of the tool declares.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OutputDecl {
     /// Output name (template variable).
-    pub name: String,
+    pub name: Arc<str>,
     /// Datatype extension (`fasta`, `fastq`, `txt`, ...).
-    pub format: String,
+    pub format: Arc<str>,
 }
 
 /// A fully parsed tool.
 #[derive(Debug, Clone)]
 pub struct Tool {
-    /// Unique tool id (`racon_gpu`).
-    pub id: String,
+    /// Unique tool id (`racon_gpu`), shared with every job of the tool.
+    pub id: Arc<str>,
     /// Display name.
     pub name: String,
     /// Tool version string.

@@ -68,7 +68,7 @@ pub fn parse_tool(src: &str, library: &MacroLibrary) -> Result<Tool, GalaxyError
     };
 
     Ok(Tool {
-        id,
+        id: id.into(),
         name,
         version,
         description,
@@ -125,8 +125,8 @@ fn parse_output(el: &Element) -> Result<OutputDecl, GalaxyError> {
     let name = el
         .attr("name")
         .ok_or_else(|| GalaxyError::BadWrapper("<data> output without name".into()))?
-        .to_string();
-    Ok(OutputDecl { name, format: el.attr("format").unwrap_or("data").to_string() })
+        .into();
+    Ok(OutputDecl { name, format: el.attr("format").unwrap_or("data").into() })
 }
 
 #[cfg(test)]
@@ -176,7 +176,7 @@ racon -t $threads $reads $overlaps $target > $consensus
     #[test]
     fn parses_paper_racon_wrapper() {
         let tool = parse_tool(RACON_WRAPPER, &library()).unwrap();
-        assert_eq!(tool.id, "racon_gpu");
+        assert_eq!(&*tool.id, "racon_gpu");
         assert_eq!(tool.version, "1.4.3"); // token-substituted
         assert!(tool.requires_gpu());
         assert!(tool.requested_gpu_ids().is_empty()); // unpinned
@@ -187,7 +187,7 @@ racon -t $threads $reads $overlaps $target > $consensus
         );
         assert_eq!(tool.inputs.len(), 5);
         assert_eq!(tool.inputs[3].default.as_deref(), Some("4"));
-        assert_eq!(tool.outputs[0].format, "fasta");
+        assert_eq!(&*tool.outputs[0].format, "fasta");
         assert!(tool.command_source.contains("__galaxy_gpu_enabled__"));
     }
 

@@ -86,8 +86,9 @@ impl AllocationReason {
 /// The outcome of an allocation decision.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Allocation {
-    /// Value for `CUDA_VISIBLE_DEVICES` (comma-separated minor IDs).
-    pub cuda_visible_devices: String,
+    /// Value for `CUDA_VISIBLE_DEVICES` (comma-separated minor IDs),
+    /// held in place while it fits an `obs::Text`.
+    pub cuda_visible_devices: Text,
     /// The parsed device list, in export order.
     pub devices: Vec<u32>,
     /// True when the requested device was free and granted as-is.
@@ -289,8 +290,7 @@ pub(crate) fn decide(
 
 fn make_allocation(devices: Vec<u32>, reason: AllocationReason) -> Allocation {
     Allocation {
-        cuda_visible_devices: join_numbers(devices.iter().map(|&id| u64::from(id)), ",")
-            .into_string(),
+        cuda_visible_devices: join_numbers(devices.iter().map(|&id| u64::from(id)), ",").finish(),
         devices,
         granted_requested: reason == AllocationReason::RequestedFree,
         reason,
@@ -396,17 +396,10 @@ impl TextWriter {
             TextWriter::Heap(text) => Text::from(text),
         }
     }
-
-    fn into_string(self) -> String {
-        match self {
-            TextWriter::Inline(..) => self.as_str().to_string(),
-            TextWriter::Heap(text) => text,
-        }
-    }
 }
 
 /// `n` in decimal, written into the tail of `digits`.
-fn decimal(mut n: u64, digits: &mut [u8; 20]) -> &str {
+pub(crate) fn decimal(mut n: u64, digits: &mut [u8; 20]) -> &str {
     let mut at = digits.len();
     loop {
         at -= 1;

@@ -392,12 +392,12 @@ mod tests {
         let (_recorder, cluster, table, ledger, _alerts) = stack();
         ledger.upsert(JobSnapshot {
             job_id: 7,
-            user: "ada".to_string(),
-            tool: "racon_gpu".to_string(),
+            user: "ada".into(),
+            tool: "racon_gpu".into(),
             state: galaxy::queue::SubmissionState::Queued,
             attempts: 1,
-            destination: Some("local_gpu".to_string()),
-            node: Some("k80-000".to_string()),
+            destination: Some("local_gpu".into()),
+            node: Some("k80-000".into()),
             priority: 1,
             submitted_at: 0.5,
             finished_at: None,
@@ -466,12 +466,12 @@ mod tests {
         let ledger = JobsLedger::new();
         ledger.upsert(JobSnapshot {
             job_id: 7,
-            user: "ada".to_string(),
-            tool: "racon_gpu".to_string(),
+            user: "ada".into(),
+            tool: "racon_gpu".into(),
             state: galaxy::queue::SubmissionState::Queued,
             attempts: 1,
-            destination: Some("local_gpu".to_string()),
-            node: Some("a100-001".to_string()),
+            destination: Some("local_gpu".into()),
+            node: Some("a100-001".into()),
             priority: 1,
             submitted_at: 0.0,
             finished_at: None,

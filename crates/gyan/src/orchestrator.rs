@@ -24,7 +24,7 @@
 //! [`galaxy::runners::JobHook::after_conclude`] releases them. The other
 //! implementation is `fleet::Fleet`, which picks a node first.
 
-use crate::allocation::AllocationPolicy;
+use crate::allocation::{decimal, AllocationPolicy};
 use crate::footprint::{
     env_mib, input_mib, EstimateSource, FootprintRegistry, MemoryHint, GPU_MEMORY_BUDGET_ENV,
     GPU_OBSERVED_PEAK_ENV,
@@ -36,7 +36,7 @@ use galaxy::job::Job;
 use galaxy::runners::{JobConclusion, JobHook};
 use galaxy::tool::Tool;
 use gpusim::{GpuArch, GpuCluster};
-use obs::{Recorder, Value};
+use obs::{Recorder, Text, Value};
 
 /// Memory a GPU job is assumed to allocate when its destination declares
 /// no `gpu_memory_hint_mib` (MiB). Used by the reservation layer's
@@ -97,7 +97,7 @@ pub fn node_admits(arch: &GpuArch, devices: u32, memory_hint_mib: u64) -> bool {
 #[derive(Debug, Clone)]
 pub struct Placed {
     /// The `CUDA_VISIBLE_DEVICES` mask to export.
-    pub cuda_visible_devices: String,
+    pub cuda_visible_devices: Text,
     /// The node the devices are on, exported as `GALAXY_NODE`; `None` on
     /// a single node, where there is nothing to tell apart.
     pub node: Option<String>,
@@ -208,7 +208,7 @@ impl GyanHook {
     }
 
     fn is_gpu_destination(&self, destination: &Destination) -> bool {
-        self.gpu_destinations.iter().any(|d| d == &destination.id)
+        self.gpu_destinations.iter().any(|d| **d == *destination.id)
     }
 
     /// Resolve the memory hint for this attempt, in priority order:
@@ -231,7 +231,7 @@ impl GyanHook {
                 INVALID_HINT_EVENT,
                 [
                     ("job_id", Value::from(job.id)),
-                    ("destination", Value::from(destination.id.as_str())),
+                    ("destination", Value::from(&*destination.id)),
                     ("raw", Value::from(raw)),
                     ("fallback_mib", Value::from(static_hint)),
                 ],
@@ -250,15 +250,13 @@ impl GyanHook {
 
     fn audit(&self, job: &Job, destination: &Destination, mask: Option<&str>) {
         if let Some(rec) = self.placer.recorder() {
-            let mut fields: Vec<(&str, Value)> = vec![
+            let head: [(&str, Value); 3] = [
                 ("job_id", job.id.into()),
-                ("destination", destination.id.as_str().into()),
+                ("destination", Value::from(&*destination.id)),
                 ("gpu_enabled", mask.is_some().into()),
             ];
-            if let Some(mask) = mask {
-                fields.push(("cuda_visible_devices", mask.into()));
-            }
-            rec.event("gyan.hook.export", fields);
+            let mask = mask.map(|mask| ("cuda_visible_devices", Value::from(mask)));
+            rec.event("gyan.hook.export", head.into_iter().chain(mask));
         }
     }
 }
@@ -274,7 +272,8 @@ impl JobHook for GyanHook {
                 if let Some(node) = placed.node {
                     job.set_env(galaxy::GALAXY_NODE_ENV, node);
                 }
-                job.set_env(GPU_MEMORY_BUDGET_ENV, hint_mib.to_string());
+                let mut digits = [0; 20];
+                job.set_env(GPU_MEMORY_BUDGET_ENV, Text::concat(&[decimal(hint_mib, &mut digits)]));
                 job.params.set(GPU_ENABLED_PARAM, "true");
                 self.footprint.note_dispatch(
                     job.id,

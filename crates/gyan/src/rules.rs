@@ -17,6 +17,7 @@ use crate::footprint::{FootprintRegistry, MemoryHint};
 use crate::orchestrator::{admission_hint, Placer};
 use galaxy::app::DynamicRule;
 use obs::{Key, Recorder, Value};
+use std::sync::Arc;
 
 /// Name under which the dynamic rule is registered: the `function` param
 /// of the dynamic destination in the shipped `job_conf.xml`.
@@ -43,8 +44,8 @@ pub fn dynamic_destination(
     memory_hint: MemoryHint,
     recorder: Recorder,
 ) -> DynamicRule {
-    let (gpu_destination, cpu_destination) =
-        (gpu_destination.to_string(), cpu_destination.to_string());
+    let (gpu_destination, cpu_destination): (Arc<str>, Arc<str>) =
+        (gpu_destination.into(), cpu_destination.into());
     Box::new(move |tool, job, config| {
         let requires_gpu = tool.requires_gpu();
         let hint_mib = requires_gpu.then(|| {
@@ -59,18 +60,18 @@ pub fn dynamic_destination(
             Some(_) => (&cpu_destination, "no_gpu_host"),
         };
         let head: [(&str, Value); 3] = [
-            ("tool", tool.id.as_str().into()),
+            ("tool", Value::from(&*tool.id)),
             ("job_id", job.id.into()),
             ("requires_gpu", requires_gpu.into()),
         ];
         let tail: [(&str, Value); 2] = [
-            ("destination", chosen.as_str().into()),
+            ("destination", Value::from(&**chosen)),
             // A literal, longer than an in-place value: by reference.
             ("reason", Key::from(reason).into()),
         ];
         let hint = hint_mib.map(|mib| ("memory_hint_mib", Value::from(mib)));
         recorder.event("gyan.rule.decision", head.into_iter().chain(hint).chain(tail));
-        Ok(chosen.clone())
+        Ok(Arc::clone(chosen))
     })
 }
 
@@ -143,13 +144,13 @@ mod tests {
     #[test]
     fn gpu_tool_on_gpu_node_goes_to_gpu_destination() {
         let c = GpuCluster::k80_node();
-        assert_eq!(rule(&c)(&gpu_tool(), &job(), &config()).unwrap(), "local_gpu");
+        assert_eq!(&*rule(&c)(&gpu_tool(), &job(), &config()).unwrap(), "local_gpu");
     }
 
     #[test]
     fn cpu_tool_always_goes_to_cpu_destination() {
         let c = GpuCluster::k80_node();
-        assert_eq!(rule(&c)(&cpu_tool(), &job(), &config()).unwrap(), "local_cpu");
+        assert_eq!(&*rule(&c)(&cpu_tool(), &job(), &config()).unwrap(), "local_cpu");
     }
 
     #[test]
@@ -157,7 +158,7 @@ mod tests {
         // "if GPUs are unavailable, the runner needs to switch jobs to CPU
         // nodes in a user-agnostic fashion".
         let c = GpuCluster::cpu_only_node();
-        assert_eq!(rule(&c)(&gpu_tool(), &job(), &config()).unwrap(), "local_cpu");
+        assert_eq!(&*rule(&c)(&gpu_tool(), &job(), &config()).unwrap(), "local_cpu");
     }
 
     #[test]
@@ -179,7 +180,7 @@ mod tests {
             MemoryHint::Static,
             Recorder::new(),
         );
-        assert_eq!(rule(&gpu_tool(), &job(), &config()).unwrap(), "local_gpu");
+        assert_eq!(&*rule(&gpu_tool(), &job(), &config()).unwrap(), "local_gpu");
     }
 
     /// An app on the shipped job conf mapping through `rule`.
@@ -218,7 +219,7 @@ mod tests {
         let mut conf = config();
         conf.destinations
             .iter_mut()
-            .find(|d| d.id == "local_gpu")
+            .find(|d| &*d.id == "local_gpu")
             .unwrap()
             .params
             .set(GPU_MEMORY_HINT_PARAM, "3000");
@@ -257,7 +258,7 @@ mod tests {
     #[test]
     fn boxed_rule_is_usable() {
         let app = app_with(rule(&GpuCluster::k80_node()));
-        assert_eq!(app.map_destination(&gpu_tool(), &job()).unwrap().id, "local_gpu");
-        assert_eq!(app.map_destination(&cpu_tool(), &job()).unwrap().id, "local_cpu");
+        assert_eq!(&*app.map_destination(&gpu_tool(), &job()).unwrap().id, "local_gpu");
+        assert_eq!(&*app.map_destination(&cpu_tool(), &job()).unwrap().id, "local_cpu");
     }
 }

@@ -314,8 +314,10 @@ mod tests {
             job_id: 1,
             tool_id: "t".into(),
             destination_id: "d".into(),
-            command_line: cmd.to_string(),
-            env: env.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect(),
+            command_line: cmd.into(),
+            env: std::sync::Arc::new(
+                env.iter().map(|(k, v)| (k.to_string().into(), v.to_string().into())).collect(),
+            ),
             container: None,
             command_parts: vec![],
         }

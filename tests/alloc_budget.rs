@@ -134,10 +134,23 @@ fn per_placement(k80: u32, a100: u32, others: u32) -> f64 {
 /// each audit stream, and a short id list or column is written in place),
 /// 73.3 at 4ffcab2 (the queue engine hands the hook the submitting user
 /// as a typed job field, not an env pair on the job and again in every
-/// plan), 72.3 now (the destination rule asks the placer instead of
-/// scanning for free devices: no free list and no lease snapshot per
-/// job); the ceiling is the measured value plus 10 %.
-const ALLOCS_PER_JOB_CEILING: f64 = 79.5;
+/// plan), 72.3 at 346065d (the destination rule asks the placer instead
+/// of scanning for free devices: no free list and no lease snapshot per
+/// job), 41.0 now (an attempt shares the strings the job already holds:
+/// the plan takes a handle on the job's env instead of a copy, env keys
+/// and values are `obs::Text`s, the tool id, destination id, command
+/// line, user name and output names are shared `Arc<str>`s, a
+/// destination is borrowed, not cloned, `ParamDict` is one ordered list,
+/// a wave reuses the last one's buffer, and the GPU exports are built in
+/// place); the ceiling is the measured value plus 10 %.
+const ALLOCS_PER_JOB_CEILING: f64 = 45.1;
+
+/// Allocations per job of the 2 000-user `LoadScenario::fleet` hour
+/// below (`install_fleet` on two K80 and two A100 nodes): 77.6 at
+/// 346065d (this same scenario run there), 44.9 now, for the reasons
+/// the single-node figure above fell; the ceiling is the measured value
+/// plus 10 %.
+const ALLOCS_PER_FLEET_JOB_CEILING: f64 = 49.4;
 
 /// Allocations per GPU job's grant and audit trail on 32 devices — the
 /// decision, the leases and their release: 425.0 at b774b45 (this same
@@ -155,10 +168,11 @@ const ALLOCS_PER_32_DEVICE_GRANT_CEILING: f64 = 22.0;
 /// doubling; 27.0 at 83e239d on 80 nodes and on 8, none of them per
 /// node; 22.0 at a3b9e33 (the placement's and release's audit records
 /// lost their `Arc`s); 19.0 at 1c837c1 (short id lists and the
-/// decision's columns are written in place); 20.0 now, also with 64
-/// other users' bookings on the fleet (the fleet's books keep a booking's
-/// granted minors and the user's per-node counts, and phase 1 keeps no
-/// candidate list); the ceiling is 10 % over 19.0.
+/// decision's columns are written in place); 20.0 at 346065d, also with
+/// 64 other users' bookings on the fleet (the fleet's books keep a
+/// booking's granted minors and the user's per-node counts, and phase 1
+/// keeps no candidate list); 19.0 now (the granted mask is an `obs::Text`,
+/// held in place); the ceiling is 10 % over 19.0.
 const ALLOCS_PER_PLACEMENT_CEILING: f64 = 20.9;
 
 #[test]
@@ -235,22 +249,32 @@ fn telemetry_records_and_jobs_stay_inside_their_allocation_budget() {
     );
 
     // A 2 000-job day through the real `QueueEngine` over `install_gyan`
-    // on the paper's K80 node (two devices, as `GpuCluster::k80_node()`).
-    let scenario = LoadScenario {
+    // on the paper's K80 node (two devices, as `GpuCluster::k80_node()`),
+    // and a 2 000-user fleet hour over `install_fleet` on two K80 and two
+    // A100 nodes.
+    let per_job = per_arrival(&LoadScenario {
         topology: Topology::SingleNode { gpus: 2 },
         ..LoadScenario::diurnal(1, 2_000)
-    };
+    });
+    let fleet_job = per_arrival(&LoadScenario::fleet(1, 2_000));
+    println!(
+        "allocations: event {event:.2}  span {span:.2}  32-device grant {grant:.1}  \
+         placement {placement:.1} (busy fleet {busy_fleet:.1})  job {per_job:.1}  \
+         fleet job {fleet_job:.1}"
+    );
+    assert!(per_job <= ALLOCS_PER_JOB_CEILING, "{per_job:.1} allocations per job");
+    assert!(fleet_job <= ALLOCS_PER_FLEET_JOB_CEILING, "{fleet_job:.1} allocations per fleet job");
+}
+
+/// Allocations per arrival of `scenario` run through `loadgen`, the
+/// harness's own reading of the log included; every job must succeed.
+fn per_arrival(scenario: &LoadScenario) -> f64 {
     let mut jobs = 0;
     let counted = allocations_during(|| {
         let report =
-            run_scenario(&scenario, &LoadOptions::default()).unwrap_or_else(|f| panic!("{f}"));
+            run_scenario(scenario, &LoadOptions::default()).unwrap_or_else(|f| panic!("{f}"));
         assert_eq!(report.ok, report.submitted);
         jobs = report.arrivals;
     });
-    let per_job = counted as f64 / jobs as f64;
-    println!(
-        "allocations: event {event:.2}  span {span:.2}  32-device grant {grant:.1}  \
-         placement {placement:.1} (busy fleet {busy_fleet:.1})  job {per_job:.1}"
-    );
-    assert!(per_job <= ALLOCS_PER_JOB_CEILING, "{per_job:.1} allocations per job of {jobs}");
+    counted as f64 / jobs as f64
 }

@@ -28,7 +28,7 @@ fn racon_plan(cluster: &GpuCluster, job_id: u64, mask: &str) -> ExecutionPlan {
     .unwrap();
     let mut job = Job::new(job_id, "racon_gpu", ParamDict::new());
     job.set_env("GALAXY_GPU_ENABLED", "true");
-    job.set_env("CUDA_VISIBLE_DEVICES", mask);
+    job.set_env("CUDA_VISIBLE_DEVICES", mask.to_string());
     let dest =
         Destination { id: "local_gpu".into(), runner: "local".into(), params: ParamDict::new() };
     let _ = cluster; // plans carry no cluster; the executor holds it

@@ -135,7 +135,7 @@ fn placement_sequence_digest(policy: &str) -> u64 {
                     continue;
                 };
                 fold(&p.node.to_le_bytes());
-                fold(p.allocation.cuda_visible_devices.as_bytes());
+                fold(p.allocation.cuda_visible_devices.as_str().as_bytes());
                 live.push(job);
                 if (r >> 40) % 3 == 0 {
                     let (minor, pid) = (p.allocation.devices[0], 50_000 + job as u32);
@@ -275,7 +275,7 @@ fn queue_dispatch_stamps_the_node_onto_the_ledger() {
     engine.run_until_idle();
 
     let ledger = engine.ledger();
-    let nodes: Vec<Option<String>> =
+    let nodes: Vec<Option<obs::Text>> =
         handles.iter().map(|id| ledger.get(*id).unwrap().node.clone()).collect();
     for (handle, node) in handles.iter().zip(&nodes) {
         assert_eq!(engine.state(galaxy::queue::JobHandle(*handle)), Some(SubmissionState::Ok));

@@ -416,12 +416,12 @@ fn one_ops_server_serves_a_node_and_a_fleet() {
         assert_eq!(the_fleet.place(&request).expect("fleet places").node_name, node);
         ledger.upsert(JobSnapshot {
             job_id,
-            user: "ada".to_string(),
-            tool: tool_id.to_string(),
+            user: "ada".into(),
+            tool: tool_id.into(),
             state: SubmissionState::Queued,
             attempts: 1,
-            destination: Some("local_gpu".to_string()),
-            node: Some(node.to_string()),
+            destination: Some("local_gpu".into()),
+            node: Some(node.to_string().into()),
             priority: 1,
             submitted_at: 0.0,
             finished_at: None,

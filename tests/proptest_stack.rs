@@ -715,7 +715,7 @@ fn prepare_and_read(app: &mut galaxy::GalaxyApp, id: u64) -> Decided {
     assert!(allocation.len() - allocations <= 1, "job {id}: one allocation record at most");
     let job = app.job(id).unwrap();
     Decided {
-        destination: job.destination_id.clone(),
+        destination: job.destination_id.as_deref().map(str::to_string),
         rule_reason: field(&rule, "reason"),
         rule_hint_mib: rule.field("memory_hint_mib").and_then(|v| v.as_f64()),
         allocation_reason: allocation.get(allocations).and_then(|e| field(e, "reason")),

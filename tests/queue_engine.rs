@@ -31,7 +31,7 @@ fn echo_app() -> GalaxyApp {
     app.install_tool_xml(ECHO_TOOL, &MacroLibrary::new()).unwrap();
     app.register_rule(
         "gpu_dynamic_destination",
-        Box::new(|_tool, _job, _conf| Ok("local_cpu".to_string())),
+        Box::new(|_tool, _job, _conf| Ok("local_cpu".into())),
     );
     app
 }
@@ -347,7 +347,7 @@ fn timed_engine(clock: gpusim::VirtualClock) -> QueueEngine {
     let mut app = GalaxyApp::new(JobConfig::from_xml(GYAN_JOB_CONF).unwrap());
     app.register_rule(
         "gpu_dynamic_destination",
-        Box::new(|_tool, _job, _conf| Ok("local_cpu".to_string())),
+        Box::new(|_tool, _job, _conf| Ok("local_cpu".into())),
     );
     let lib = MacroLibrary::new();
     for (id, _cost) in STEP_COSTS {
@@ -367,7 +367,7 @@ fn timed_engine(clock: gpusim::VirtualClock) -> QueueEngine {
             model: Box::new(|plan: &galaxy::runners::ExecutionPlan| {
                 STEP_COSTS
                     .iter()
-                    .find(|(id, _)| *id == plan.tool_id)
+                    .find(|(id, _)| *id == &*plan.tool_id)
                     .map(|(_, cost)| *cost)
                     .unwrap_or(0.0)
             }),
@@ -472,7 +472,7 @@ fn dag_steps_are_recorded_once_in_the_ledger() {
     let mut attempts = Vec::new();
     for id in report.job_ids.iter().map(|id| id.expect("every step materialized")) {
         let snap = ledger.get(id).unwrap();
-        assert_eq!((snap.user.as_str(), snap.priority), ("bob", 0), "job {id}");
+        assert_eq!((&*snap.user, snap.priority), ("bob", 0), "job {id}");
         let audits = dispatched.iter().filter(|d| **d == id).count();
         assert_eq!(snap.attempts as usize, audits, "job {id}");
         attempts.push(snap.attempts);

@@ -205,7 +205,7 @@ struct FailOnGpu;
 
 impl JobExecutor for FailOnGpu {
     fn execute(&self, plan: &ExecutionPlan) -> ExecutionResult {
-        if plan.destination_id == "local_gpu" {
+        if &*plan.destination_id == "local_gpu" {
             ExecutionResult::fail(42, "CUDA error: out of memory")
         } else {
             ExecutionResult::ok("recovered on cpu")
@@ -355,7 +355,7 @@ proptest! {
         struct FailTwinsOnGpu;
         impl JobExecutor for FailTwinsOnGpu {
             fn execute(&self, plan: &ExecutionPlan) -> ExecutionResult {
-                if plan.destination_id == "local_gpu" && plan.tool_id.starts_with("f_") {
+                if &*plan.destination_id == "local_gpu" && plan.tool_id.starts_with("f_") {
                     ExecutionResult::fail(42, "CUDA error: out of memory")
                 } else {
                     ExecutionResult::ok("")
