@@ -256,11 +256,12 @@ impl FleetBuilder {
     /// Materialize the shards and the fleet handle.
     pub fn build(self) -> Fleet {
         let clock = VirtualClock::new();
+        let registry = self.recorder.as_ref().map(Recorder::metrics);
         let shards: Vec<NodeShard> = self
             .nodes
             .into_iter()
             .enumerate()
-            .map(|(id, class)| NodeShard::new(id as u32, class, &clock))
+            .map(|(id, class)| NodeShard::new(id as u32, class, &clock, registry))
             .collect();
         Fleet {
             books: Arc::new(Mutex::new(Books::new(&shards))),
@@ -437,10 +438,11 @@ impl Fleet {
             books.nodes[node as usize].active_leases
         };
         let (cores, mem_mib) = self.rules.right_size(req.tool_id, &shard.class);
+        if let Some(m) = &shard.metrics {
+            m.placements.inc(1);
+            m.leases.set(leases as f64);
+        }
         if let Some(rec) = &self.recorder {
-            let m = rec.metrics();
-            m.inc_counter(&shard.placements_key, 1);
-            m.set_gauge(&shard.leases_key, leases as f64);
             rec.event(
                 FLEET_DECISION_EVENT,
                 [
@@ -488,8 +490,10 @@ impl Fleet {
     fn release_unbooked(&self, job_id: u64, node: u32, leases: usize, why: &str) -> usize {
         let shard = &self.shards[node as usize];
         let released = shard.table.release(job_id, why, self.recorder.as_ref());
+        if let Some(m) = &shard.metrics {
+            m.leases.set(leases as f64);
+        }
         if let Some(rec) = &self.recorder {
-            rec.metrics().set_gauge(&shard.leases_key, leases as f64);
             rec.event(
                 FLEET_RELEASE_EVENT,
                 [
@@ -565,9 +569,10 @@ impl Fleet {
     }
 
     fn audit_node_status(&self, shard: &NodeShard, action: &str, leases: usize) {
+        if let Some(m) = &shard.metrics {
+            m.cordoned.set(if shard.is_placeable() { 0.0 } else { 1.0 });
+        }
         if let Some(rec) = &self.recorder {
-            let cordoned = if shard.is_placeable() { 0.0 } else { 1.0 };
-            rec.metrics().set_gauge(&shard.cordoned_key, cordoned);
             rec.event(
                 FLEET_NODE_EVENT,
                 [

@@ -12,6 +12,7 @@
 use crate::fleet::{FLEET_CORDONED_GAUGE, FLEET_LEASES_GAUGE, FLEET_PLACEMENTS_COUNTER};
 use gpusim::{GpuArch, GpuCluster, VirtualClock};
 use gyan::reservations::LeaseTable;
+use obs::metrics::{Counter, Gauge, Registry};
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Operational status of one shard. `Ready` accepts placements;
@@ -135,24 +136,40 @@ pub struct NodeShard {
     /// Operational status (shards are `Arc`-shared without a lock of
     /// their own, so the status is a lone atomic).
     status: AtomicU8,
-    /// This node's series of the fleet's three per-node metric families
-    /// (`<family>{node="<name>"}`), built once instead of per placement.
-    pub(crate) placements_key: String,
-    pub(crate) leases_key: String,
-    pub(crate) cordoned_key: String,
+    /// This node's series in the fleet's registry, when it has one.
+    pub(crate) metrics: Option<NodeMetrics>,
+}
+
+/// A node's series of the fleet's three per-node metric families
+/// (`<family>{node="<name>"}`), as handles taken when the shard is built.
+pub(crate) struct NodeMetrics {
+    pub(crate) placements: Counter,
+    pub(crate) leases: Gauge,
+    pub(crate) cordoned: Gauge,
 }
 
 impl NodeShard {
-    /// Build shard `id` of `class` on the fleet's shared clock.
-    pub fn new(id: u32, class: NodeClass, clock: &VirtualClock) -> Self {
+    /// Build shard `id` of `class` on the fleet's shared clock, writing
+    /// its per-node series into `registry` when there is one.
+    pub fn new(
+        id: u32,
+        class: NodeClass,
+        clock: &VirtualClock,
+        registry: Option<&Registry>,
+    ) -> Self {
         let cluster = GpuCluster::node_on_clock(class.arch.clone(), class.gpus, clock);
         let name = format!("{}-{:03}", class.name, id);
-        let key = |family: &str| format!("{family}{{node=\"{name}\"}}");
+        let metrics = registry.map(|registry| {
+            let key = |family: &str| format!("{family}{{node=\"{name}\"}}");
+            NodeMetrics {
+                placements: registry.counter(&key(FLEET_PLACEMENTS_COUNTER)),
+                leases: registry.gauge(&key(FLEET_LEASES_GAUGE)),
+                cordoned: registry.gauge(&key(FLEET_CORDONED_GAUGE)),
+            }
+        });
         NodeShard {
             id,
-            placements_key: key(FLEET_PLACEMENTS_COUNTER),
-            leases_key: key(FLEET_LEASES_GAUGE),
-            cordoned_key: key(FLEET_CORDONED_GAUGE),
+            metrics,
             name,
             class,
             cluster,
@@ -223,7 +240,7 @@ mod tests {
     #[test]
     fn shard_names_embed_class_and_id() {
         let clock = VirtualClock::new();
-        let shard = NodeShard::new(17, NodeClass::a100(), &clock);
+        let shard = NodeShard::new(17, NodeClass::a100(), &clock, None);
         assert_eq!(shard.name, "a100-017");
         assert_eq!(shard.cluster.device_count(), 8);
         assert_eq!(shard.cluster.arch().unwrap().name, "A100-SXM4-40GB");
@@ -260,7 +277,7 @@ mod tests {
     #[test]
     fn status_transitions_gate_placeability() {
         let clock = VirtualClock::new();
-        let shard = NodeShard::new(0, NodeClass::k80(), &clock);
+        let shard = NodeShard::new(0, NodeClass::k80(), &clock, None);
         assert_eq!(shard.status(), NodeStatus::Ready);
         assert!(shard.is_placeable());
         shard.set_status(NodeStatus::Cordoned);
@@ -275,8 +292,8 @@ mod tests {
     #[test]
     fn shards_share_the_fleet_clock() {
         let clock = VirtualClock::new();
-        let a = NodeShard::new(0, NodeClass::k80(), &clock);
-        let b = NodeShard::new(1, NodeClass::v100(), &clock);
+        let a = NodeShard::new(0, NodeClass::k80(), &clock, None);
+        let b = NodeShard::new(1, NodeClass::v100(), &clock, None);
         clock.advance(5.0);
         assert_eq!(a.cluster.clock().now(), 5.0);
         assert_eq!(b.cluster.clock().now(), 5.0);

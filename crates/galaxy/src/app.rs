@@ -26,10 +26,12 @@ use crate::runners::{
     CommandMutator, ExecutionPlan, ExecutionResult, JobConclusion, JobExecutor, JobHook,
     NullExecutor,
 };
+use crate::slots::Slots;
 use crate::tool::macros::MacroLibrary;
 use crate::tool::wrapper::parse_tool;
 use crate::tool::Tool;
-use obs::{Recorder, Span, Text};
+use obs::metrics::Counter;
+use obs::{Key, Recorder, Span, Text, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -67,42 +69,68 @@ pub struct GalaxyApp {
     /// Shared, so preparing an attempt takes a handle to the tool, not a
     /// copy of its inputs, outputs and command template.
     tools: HashMap<Arc<str>, Arc<Tool>>,
+    pipeline: Pipeline,
+    history: History,
+    /// Each job with its open `galaxy.job` span, at the job id's slot.
+    jobs: Slots<JobSlot>,
+    executor: Box<dyn JobExecutor>,
+    recorder: Recorder,
+    counters: JobCounters,
+}
+
+/// One job's record, and its `galaxy.job` span while the job's lifecycle
+/// is open (created or prepared, not yet finished) — kept so the queue
+/// path can trace several dispatch attempts under one job span.
+struct JobSlot {
+    job: Job,
+    span: Option<Span>,
+}
+
+/// The app's lifecycle counters, as handles on its recorder's registry.
+struct JobCounters {
+    submitted: Counter,
+    ok: Counter,
+    error: Counter,
+}
+
+/// What preparing an attempt reads: the app without its tools, job table
+/// and history, so a job can be prepared where it sits in its slot.
+struct Pipeline {
     config: JobConfig,
     rules: HashMap<String, DynamicRule>,
     hooks: Vec<Box<dyn JobHook>>,
     mutators: Vec<Box<dyn CommandMutator>>,
     registry: ImageRegistry,
-    history: History,
-    jobs: HashMap<u64, Job>,
-    next_job_id: u64,
-    executor: Box<dyn JobExecutor>,
     time: Box<dyn TimeSource>,
     volumes: Vec<VolumeBind>,
-    recorder: Recorder,
-    /// `galaxy.job` spans of jobs whose lifecycle is still open (created
-    /// or prepared but not yet finished) — kept so the asynchronous queue
-    /// path can span multiple dispatch attempts under one job span.
-    open_spans: HashMap<u64, Span>,
 }
 
 impl GalaxyApp {
     /// Create an app from a parsed job configuration.
     pub fn new(config: JobConfig) -> Self {
+        let recorder = Recorder::new();
+        let metrics = recorder.metrics();
+        let counters = JobCounters {
+            submitted: metrics.counter(JOBS_SUBMITTED_COUNTER),
+            ok: metrics.counter(JOBS_OK_COUNTER),
+            error: metrics.counter(JOBS_ERROR_COUNTER),
+        };
         GalaxyApp {
             tools: HashMap::new(),
-            config,
-            rules: HashMap::new(),
-            hooks: Vec::new(),
-            mutators: Vec::new(),
-            registry: ImageRegistry::new(),
+            pipeline: Pipeline {
+                config,
+                rules: HashMap::new(),
+                hooks: Vec::new(),
+                mutators: Vec::new(),
+                registry: ImageRegistry::new(),
+                time: Box::new(ZeroTime),
+                volumes: Vec::new(),
+            },
             history: History::new(),
-            jobs: HashMap::new(),
-            next_job_id: 0,
+            jobs: Slots::default(),
             executor: Box::new(NullExecutor),
-            time: Box::new(ZeroTime),
-            volumes: Vec::new(),
-            recorder: Recorder::new(),
-            open_spans: HashMap::new(),
+            recorder,
+            counters,
         }
     }
 
@@ -130,23 +158,23 @@ impl GalaxyApp {
 
     /// Register a dynamic destination rule under `name`.
     pub fn register_rule(&mut self, name: impl Into<String>, rule: DynamicRule) {
-        self.rules.insert(name.into(), rule);
+        self.pipeline.rules.insert(name.into(), rule);
     }
 
     /// Register a pre-dispatch hook.
     pub fn add_hook(&mut self, hook: Box<dyn JobHook>) {
-        self.hooks.push(hook);
+        self.pipeline.hooks.push(hook);
     }
 
     /// Register a command mutator.
     pub fn add_mutator(&mut self, mutator: Box<dyn CommandMutator>) {
-        self.mutators.push(mutator);
+        self.pipeline.mutators.push(mutator);
     }
 
     /// The registered hooks, in registration order — the queue engine
     /// asks them for retry advice.
     pub(crate) fn hooks(&self) -> &[Box<dyn JobHook>] {
-        &self.hooks
+        &self.pipeline.hooks
     }
 
     /// Replace the execution backend.
@@ -156,7 +184,7 @@ impl GalaxyApp {
 
     /// Replace the time source (attach the simulator clock).
     pub fn set_time_source(&mut self, time: Box<dyn TimeSource>) {
-        self.time = time;
+        self.pipeline.time = time;
     }
 
     /// The telemetry recorder for this app.
@@ -166,22 +194,22 @@ impl GalaxyApp {
 
     /// Replace the container image registry.
     pub fn set_registry(&mut self, registry: ImageRegistry) {
-        self.registry = registry;
+        self.pipeline.registry = registry;
     }
 
     /// Shared access to the registry.
     pub fn registry(&self) -> &ImageRegistry {
-        &self.registry
+        &self.pipeline.registry
     }
 
     /// Add a volume bind applied to all container launches.
     pub fn add_volume(&mut self, volume: VolumeBind) {
-        self.volumes.push(volume);
+        self.pipeline.volumes.push(volume);
     }
 
     /// The parsed job configuration.
     pub fn config(&self) -> &JobConfig {
-        &self.config
+        &self.pipeline.config
     }
 
     /// Submit a job for `tool_id` with user-specified `user_params` and run
@@ -204,19 +232,24 @@ impl GalaxyApp {
         tool_id: &str,
         user_params: &ParamDict,
     ) -> Result<u64, GalaxyError> {
-        self.recorder.metrics().inc_counter(JOBS_SUBMITTED_COUNTER, 1);
-        let job_span = self.recorder.span("galaxy.job");
-        job_span.field("tool", tool_id);
-
-        let parse_span = job_span.child("galaxy.tool_parse");
-        let tool = match self.tools.get(tool_id) {
-            Some(t) => t,
-            None => {
-                self.recorder.metrics().inc_counter(JOBS_ERROR_COUNTER, 1);
-                job_span.field("error", "unknown tool");
-                return Err(GalaxyError::UnknownTool(tool_id.to_string()));
-            }
+        self.counters.submitted.inc(1);
+        // The job id is the next slot's, so the span opens with every
+        // field it carries: the tool and either the job id or the error.
+        let job_id = self.jobs.next_id();
+        let Some(tool) = self.tools.get(tool_id) else {
+            self.counters.error.inc(1);
+            let job_span = self.recorder.span_with(
+                "galaxy.job",
+                [("tool", Value::from(tool_id)), ("error", Value::from("unknown tool"))],
+            );
+            job_span.child("galaxy.tool_parse").end();
+            job_span.end();
+            return Err(GalaxyError::UnknownTool(tool_id.to_string()));
         };
+        let job_span = self
+            .recorder
+            .span_with("galaxy.job", [("tool", Value::from(tool_id)), ("job_id", job_id.into())]);
+        let parse_span = job_span.child("galaxy.tool_parse");
         let mut params = ParamDict::new();
         for input in &tool.inputs {
             if let Some(default) = &input.default {
@@ -224,17 +257,11 @@ impl GalaxyApp {
             }
         }
         params.extend(user_params);
-        parse_span.field("inputs", tool.inputs.len());
-        parse_span.end();
-        let tool_id = Arc::clone(&tool.id);
+        parse_span.end_with([("inputs", tool.inputs.len())]);
 
-        self.next_job_id += 1;
-        let job_id = self.next_job_id;
-        job_span.field("job_id", job_id);
-        let mut job = Job::new(job_id, tool_id, params);
-        job.submit_time = Some(self.time.now());
-        self.jobs.insert(job_id, job);
-        self.open_spans.insert(job_id, job_span);
+        let mut job = Job::new(job_id, Arc::clone(&tool.id), params);
+        job.submit_time = Some(self.pipeline.time.now());
+        self.jobs.insert(job_id, JobSlot { job, span: Some(job_span) });
         Ok(job_id)
     }
 
@@ -249,31 +276,193 @@ impl GalaxyApp {
         job_id: u64,
         dest_override: Option<&str>,
     ) -> Result<ExecutionPlan, GalaxyError> {
-        let Some(mut job) = self.jobs.remove(&job_id) else {
+        let Some(JobSlot { job, span }) = self.jobs.get_mut(job_id) else {
             return Err(GalaxyError::UnknownJob(job_id));
         };
-        let Some(tool) = self.tools.get(&*job.tool_id).cloned() else {
+        let Some(tool) = self.tools.get(&*job.tool_id) else {
             let err = GalaxyError::UnknownTool(job.tool_id.to_string());
-            self.jobs.insert(job_id, job);
             self.fail_job(job_id, &err);
             return Err(err);
         };
-        let job_span = self.open_spans.remove(&job_id).unwrap_or_else(|| {
-            let s = self.recorder.span("galaxy.job");
-            s.field("tool", &*job.tool_id);
-            s.field("job_id", job_id);
-            s
+        let job_span = span.get_or_insert_with(|| {
+            self.recorder.span_with(
+                "galaxy.job",
+                [("tool", Value::from(&*job.tool_id)), ("job_id", job_id.into())],
+            )
         });
-        let result = self.prepare_job(&tool, &mut job, &job_span, dest_override);
-        self.jobs.insert(job_id, job);
-        self.open_spans.insert(job_id, job_span);
+        let result = self.pipeline.prepare(tool, job, job_span, dest_override);
         if let Err(e) = &result {
             self.fail_job(job_id, e);
         }
         result
     }
 
-    fn prepare_job(
+    /// Dispatch a prepared plan on the app's executor, tracing the
+    /// `galaxy.dispatch` phase under the job's span.
+    fn execute_plan(&self, job_id: u64, plan: &ExecutionPlan) -> ExecutionResult {
+        let dispatch_span = self.job_span_child(
+            job_id,
+            "galaxy.dispatch",
+            [("destination", Value::from(&*plan.destination_id))],
+        );
+        let result = self.executor.execute(plan);
+        if let Some(span) = dispatch_span {
+            span.end_with([("exit_code", i64::from(result.exit_code))]);
+        }
+        result
+    }
+
+    /// Open a child span, with its first `fields`, under a live job's
+    /// `galaxy.job` span (used by the queue engine to trace dispatch
+    /// phases it drives itself).
+    pub fn job_span_child<K: Into<Key>, V: Into<Value>>(
+        &self,
+        job_id: u64,
+        name: &'static str,
+        fields: impl IntoIterator<Item = (K, V)>,
+    ) -> Option<Span> {
+        Some(self.jobs.get(job_id)?.span.as_ref()?.child_with(name, fields))
+    }
+
+    /// Phase 4 of Fig. 2: record an execution result — timestamps,
+    /// captured streams, the state transition, and history collection.
+    /// With `final_attempt == false` a failure records the attempt but
+    /// leaves the job eligible for resubmission: no failed datasets are
+    /// declared, the error counter is untouched, and the job span stays
+    /// open so the next attempt traces under it.
+    pub fn finish_job(
+        &mut self,
+        job_id: u64,
+        result: &ExecutionResult,
+        final_attempt: bool,
+    ) -> Result<(), GalaxyError> {
+        let now = self.pipeline.time.now();
+        let Some(JobSlot { job, span }) = self.jobs.get_mut(job_id) else {
+            return Err(GalaxyError::UnknownJob(job_id));
+        };
+        job.end_time = Some(now);
+        job.stdout = result.stdout.clone();
+        job.stderr = result.stderr.clone();
+        job.exit_code = Some(result.exit_code);
+        job.pid = result.pid;
+        let tool_outputs = self.tools.get(&*job.tool_id).map_or(&[][..], |t| &t.outputs);
+
+        if result.exit_code == 0 {
+            job.transition(JobState::Ok)?;
+            for (i, output) in tool_outputs.iter().enumerate() {
+                let ds = self.history.declare(output.name.clone(), output.format.clone(), job_id);
+                let content = if i == 0 { result.stdout.clone() } else { String::new() };
+                self.history.complete(ds, content);
+            }
+            self.counters.ok.inc(1);
+            if let Some(span) = span.take() {
+                span.end();
+            }
+            self.conclude(job_id, JobConclusion::Ok);
+            Ok(())
+        } else {
+            job.transition(JobState::Error)?;
+            let err = GalaxyError::ToolFailed(result.stderr.clone());
+            if final_attempt {
+                for output in tool_outputs {
+                    let ds =
+                        self.history.declare(output.name.clone(), output.format.clone(), job_id);
+                    self.history.fail(ds);
+                }
+                self.counters.error.inc(1);
+                if let Some(span) = span.take() {
+                    span.end_with([("error", err.to_string())]);
+                }
+                self.conclude(job_id, JobConclusion::FailedFinal);
+            } else {
+                // Release attempt-scoped hook resources (GYAN's GPU lease)
+                // *before* the resubmitted attempt re-prepares — the
+                // fallback attempt must not inherit the failed one's
+                // device reservation.
+                self.conclude(job_id, JobConclusion::FailedRetryable);
+            }
+            Err(err)
+        }
+    }
+
+    /// Notify every hook that a job's current attempt concluded.
+    fn conclude(&self, job_id: u64, conclusion: JobConclusion) {
+        for hook in &self.pipeline.hooks {
+            hook.after_conclude(job_id, conclusion);
+        }
+    }
+
+    /// Close a job's open `galaxy.job` span with a `discarded` marker,
+    /// notifying no hook. The queue engine uses this for plans skipped by
+    /// a mid-wave discard, whose lease release the engine's discard
+    /// listener owns.
+    pub fn close_job_span_discarded(&mut self, job_id: u64) {
+        if let Some(span) = self.jobs.get_mut(job_id).and_then(|slot| slot.span.take()) {
+            span.end_with([("discarded", true)]);
+        }
+    }
+
+    /// Mark a job failed outside the executor path (mapping/hook/template
+    /// errors): error counter, span annotation, `Error` state, stderr.
+    fn fail_job(&mut self, job_id: u64, e: &GalaxyError) {
+        self.counters.error.inc(1);
+        if let Some(JobSlot { job, span }) = self.jobs.get_mut(job_id) {
+            if let Some(span) = span.take() {
+                span.end_with([("error", e.to_string())]);
+            }
+            let _ = job.transition(JobState::Error);
+            job.stderr = e.to_string();
+        }
+        self.conclude(job_id, JobConclusion::PrepareFailed);
+    }
+
+    /// Resolve the destination for a tool's job, following one level of
+    /// dynamic-rule indirection.
+    pub fn map_destination(&self, tool: &Tool, job: &Job) -> Result<&Destination, GalaxyError> {
+        self.pipeline.map_destination(tool, job)
+    }
+
+    /// Job by id.
+    pub fn job(&self, id: u64) -> Option<&Job> {
+        self.jobs.get(id).map(|slot| &slot.job)
+    }
+
+    /// Mutable job by id — how the queue engine writes an attempt's
+    /// context (user, excluded nodes, revised budget) before dispatch.
+    pub(crate) fn job_mut(&mut self, id: u64) -> Option<&mut Job> {
+        self.jobs.get_mut(id).map(|slot| &mut slot.job)
+    }
+
+    /// Set an environment variable on a job's record before dispatch
+    /// (e.g. a submitter's declared input size). Returns false for
+    /// unknown job ids.
+    pub fn set_job_env(&mut self, id: u64, key: &str, value: &str) -> bool {
+        let (key, value) = (Text::concat(&[key]), Text::concat(&[value]));
+        self.job_mut(id).map(|job| job.set_env(key, value)).is_some()
+    }
+
+    /// All jobs, ordered by id (the order they sit in).
+    pub fn jobs(&self) -> Vec<&Job> {
+        self.jobs.iter().map(|slot| &slot.job).collect()
+    }
+
+    /// The history of produced datasets.
+    pub fn history(&self) -> &History {
+        &self.history
+    }
+
+    /// The recorder's log retention ([`Recorder::set_log_retention`])
+    /// under its old name, from when the app kept a second event log.
+    /// Kept only for the `benchmark/` crate, which calls it, until
+    /// ROADMAP 1(a) drops those calls.
+    pub fn set_event_log_limit(&mut self, limit: Option<usize>) {
+        self.recorder.set_log_retention(limit);
+    }
+}
+
+impl Pipeline {
+    /// Steps 2–3 of Fig. 2 for one attempt, traced under `job_span`.
+    fn prepare(
         &self,
         tool: &Tool,
         job: &mut Job,
@@ -284,25 +473,25 @@ impl GalaxyApp {
         // override, which skips the rule and targets a fallback directly).
         let map_span = job_span.child("galaxy.map_destination");
         let destination = match dest_override {
-            Some(id) => {
-                let dest = self
-                    .config
-                    .destination(id)
-                    .ok_or_else(|| GalaxyError::UnknownDestination(id.to_string()))?;
-                map_span.field("override", true);
-                dest
-            }
+            Some(id) => self
+                .config
+                .destination(id)
+                .ok_or_else(|| GalaxyError::UnknownDestination(id.to_string()))?,
             None => self.map_destination(tool, job)?,
         };
-        map_span.field("destination", &*destination.id);
-        map_span.end();
+        let mapped = Value::from(&*destination.id);
+        match dest_override {
+            Some(_) => {
+                map_span.end_with([("override", Value::from(true)), ("destination", mapped)])
+            }
+            None => map_span.end_with([("destination", mapped)]),
+        }
         job.destination_id = Some(Arc::clone(&destination.id));
         job.transition(JobState::Queued)?;
 
         // GYAN's extension point: hooks adjust env + params before the
         // command is rendered.
-        let hooks_span = job_span.child("galaxy.hooks");
-        hooks_span.field("hooks", self.hooks.len());
+        let hooks_span = job_span.child_with("galaxy.hooks", [("hooks", self.hooks.len())]);
         for hook in &self.hooks {
             hook.before_dispatch(job, tool, destination);
         }
@@ -325,125 +514,8 @@ impl GalaxyApp {
         Ok(plan)
     }
 
-    /// Dispatch a prepared plan on the app's executor, tracing the
-    /// `galaxy.dispatch` phase under the job's span.
-    fn execute_plan(&self, job_id: u64, plan: &ExecutionPlan) -> ExecutionResult {
-        let dispatch_span = self.job_span_child(job_id, "galaxy.dispatch");
-        if let Some(span) = &dispatch_span {
-            span.field("destination", &*plan.destination_id);
-        }
-        let result = self.executor.execute(plan);
-        if let Some(span) = dispatch_span {
-            span.field("exit_code", i64::from(result.exit_code));
-            span.end();
-        }
-        result
-    }
-
-    /// Open a child span under a live job's `galaxy.job` span (used by the
-    /// queue engine to trace dispatch phases it drives itself).
-    pub fn job_span_child(&self, job_id: u64, name: &'static str) -> Option<Span> {
-        self.open_spans.get(&job_id).map(|s| s.child(name))
-    }
-
-    /// Phase 4 of Fig. 2: record an execution result — timestamps,
-    /// captured streams, the state transition, and history collection.
-    /// With `final_attempt == false` a failure records the attempt but
-    /// leaves the job eligible for resubmission: no failed datasets are
-    /// declared, the error counter is untouched, and the job span stays
-    /// open so the next attempt traces under it.
-    pub fn finish_job(
-        &mut self,
-        job_id: u64,
-        result: &ExecutionResult,
-        final_attempt: bool,
-    ) -> Result<(), GalaxyError> {
-        let now = self.time.now();
-        let Some(job) = self.jobs.get_mut(&job_id) else {
-            return Err(GalaxyError::UnknownJob(job_id));
-        };
-        job.end_time = Some(now);
-        job.stdout = result.stdout.clone();
-        job.stderr = result.stderr.clone();
-        job.exit_code = Some(result.exit_code);
-        job.pid = result.pid;
-        let tool_outputs = self.tools.get(&*job.tool_id).map_or(&[][..], |t| &t.outputs);
-
-        if result.exit_code == 0 {
-            job.transition(JobState::Ok)?;
-            for (i, output) in tool_outputs.iter().enumerate() {
-                let ds = self.history.declare(output.name.clone(), output.format.clone(), job_id);
-                let content = if i == 0 { result.stdout.clone() } else { String::new() };
-                self.history.complete(ds, content);
-            }
-            self.recorder.metrics().inc_counter(JOBS_OK_COUNTER, 1);
-            if let Some(span) = self.open_spans.remove(&job_id) {
-                span.end();
-            }
-            self.conclude(job_id, JobConclusion::Ok);
-            Ok(())
-        } else {
-            job.transition(JobState::Error)?;
-            let err = GalaxyError::ToolFailed(result.stderr.clone());
-            if final_attempt {
-                for output in tool_outputs {
-                    let ds =
-                        self.history.declare(output.name.clone(), output.format.clone(), job_id);
-                    self.history.fail(ds);
-                }
-                self.recorder.metrics().inc_counter(JOBS_ERROR_COUNTER, 1);
-                if let Some(span) = self.open_spans.remove(&job_id) {
-                    span.field("error", err.to_string());
-                    span.end();
-                }
-                self.conclude(job_id, JobConclusion::FailedFinal);
-            } else {
-                // Release attempt-scoped hook resources (GYAN's GPU lease)
-                // *before* the resubmitted attempt re-prepares — the
-                // fallback attempt must not inherit the failed one's
-                // device reservation.
-                self.conclude(job_id, JobConclusion::FailedRetryable);
-            }
-            Err(err)
-        }
-    }
-
-    /// Notify every hook that a job's current attempt concluded.
-    fn conclude(&self, job_id: u64, conclusion: JobConclusion) {
-        for hook in &self.hooks {
-            hook.after_conclude(job_id, conclusion);
-        }
-    }
-
-    /// Close a job's open `galaxy.job` span with a `discarded` marker,
-    /// notifying no hook. The queue engine uses this for plans skipped by
-    /// a mid-wave discard, whose lease release the engine's discard
-    /// listener owns.
-    pub fn close_job_span_discarded(&mut self, job_id: u64) {
-        if let Some(span) = self.open_spans.remove(&job_id) {
-            span.field("discarded", true);
-            span.end();
-        }
-    }
-
-    /// Mark a job failed outside the executor path (mapping/hook/template
-    /// errors): error counter, span annotation, `Error` state, stderr.
-    fn fail_job(&mut self, job_id: u64, e: &GalaxyError) {
-        self.recorder.metrics().inc_counter(JOBS_ERROR_COUNTER, 1);
-        if let Some(span) = self.open_spans.remove(&job_id) {
-            span.field("error", e.to_string());
-            span.end();
-        }
-        if let Some(job) = self.jobs.get_mut(&job_id) {
-            let _ = job.transition(JobState::Error);
-            job.stderr = e.to_string();
-        }
-        self.conclude(job_id, JobConclusion::PrepareFailed);
-    }
-
-    /// Resolve the destination for a tool's job, following one level of
-    /// dynamic-rule indirection.
-    pub fn map_destination(&self, tool: &Tool, job: &Job) -> Result<&Destination, GalaxyError> {
+    /// See [`GalaxyApp::map_destination`].
+    fn map_destination(&self, tool: &Tool, job: &Job) -> Result<&Destination, GalaxyError> {
         let dest_id = self.config.destination_for_tool(&tool.id).ok_or_else(|| {
             GalaxyError::UnknownDestination(format!("no mapping for {}", tool.id))
         })?;
@@ -472,45 +544,6 @@ impl GalaxyApp {
             )));
         }
         Ok(chosen)
-    }
-
-    /// Job by id.
-    pub fn job(&self, id: u64) -> Option<&Job> {
-        self.jobs.get(&id)
-    }
-
-    /// Mutable job by id — how the queue engine writes an attempt's
-    /// context (user, excluded nodes, revised budget) before dispatch.
-    pub(crate) fn job_mut(&mut self, id: u64) -> Option<&mut Job> {
-        self.jobs.get_mut(&id)
-    }
-
-    /// Set an environment variable on a job's record before dispatch
-    /// (e.g. a submitter's declared input size). Returns false for
-    /// unknown job ids.
-    pub fn set_job_env(&mut self, id: u64, key: &str, value: &str) -> bool {
-        let (key, value) = (Text::concat(&[key]), Text::concat(&[value]));
-        self.job_mut(id).map(|job| job.set_env(key, value)).is_some()
-    }
-
-    /// All jobs, ordered by id.
-    pub fn jobs(&self) -> Vec<&Job> {
-        let mut v: Vec<&Job> = self.jobs.values().collect();
-        v.sort_by_key(|j| j.id);
-        v
-    }
-
-    /// The history of produced datasets.
-    pub fn history(&self) -> &History {
-        &self.history
-    }
-
-    /// The recorder's log retention ([`Recorder::set_log_retention`])
-    /// under its old name, from when the app kept a second event log.
-    /// Kept only for the `benchmark/` crate, which calls it, until
-    /// ROADMAP 1(a) drops those calls.
-    pub fn set_event_log_limit(&mut self, limit: Option<usize>) {
-        self.recorder.set_log_retention(limit);
     }
 }
 

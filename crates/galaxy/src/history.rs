@@ -4,6 +4,7 @@
 //! step of the paper's Fig. 2 flow). This is a light model: enough for
 //! integration tests to assert that tool outputs propagate end-to-end.
 
+use crate::slots::Slots;
 use std::sync::Arc;
 
 /// Dataset lifecycle states (subset).
@@ -34,11 +35,11 @@ pub struct Dataset {
     pub content: String,
 }
 
-/// A user's history of datasets. Ids are dense and datasets are never
-/// removed, so dataset `id` sits at position `id - 1`.
+/// A user's history of datasets, each at its id's slot (ids are dense
+/// and datasets are never removed).
 #[derive(Debug, Clone, Default)]
 pub struct History {
-    datasets: Vec<Dataset>,
+    datasets: Slots<Dataset>,
 }
 
 impl History {
@@ -54,15 +55,18 @@ impl History {
         format: impl Into<Arc<str>>,
         job_id: u64,
     ) -> u64 {
-        let id = self.datasets.len() as u64 + 1;
-        self.datasets.push(Dataset {
+        let id = self.datasets.next_id();
+        self.datasets.insert(
             id,
-            name: name.into(),
-            format: format.into(),
-            job_id,
-            state: DatasetState::Queued,
-            content: String::new(),
-        });
+            Dataset {
+                id,
+                name: name.into(),
+                format: format.into(),
+                job_id,
+                state: DatasetState::Queued,
+                content: String::new(),
+            },
+        );
         id
     }
 
@@ -90,11 +94,7 @@ impl History {
     }
 
     fn dataset_mut(&mut self, id: u64) -> Option<&mut Dataset> {
-        self.datasets.get_mut(Self::position(id)?)
-    }
-
-    fn position(id: u64) -> Option<usize> {
-        usize::try_from(id.checked_sub(1)?).ok()
+        self.datasets.get_mut(id)
     }
 
     /// All datasets produced by a job.
@@ -109,7 +109,7 @@ impl History {
 
     /// Whether the history is empty.
     pub fn is_empty(&self) -> bool {
-        self.datasets.is_empty()
+        self.datasets.len() == 0
     }
 }
 
@@ -120,7 +120,7 @@ mod tests {
     impl History {
         /// Dataset by id.
         fn dataset(&self, id: u64) -> Option<&Dataset> {
-            self.datasets.get(Self::position(id)?)
+            self.datasets.get(id)
         }
     }
 

@@ -36,6 +36,7 @@ pub mod params;
 pub mod queue;
 pub mod runners;
 pub mod scheduler;
+mod slots;
 pub mod template;
 pub mod tool;
 

@@ -9,9 +9,9 @@
 //! flight.
 
 use super::SubmissionState;
+use crate::slots::Slots;
 use obs::Text;
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One job's lifecycle as the ops plane sees it.
@@ -44,6 +44,11 @@ pub struct JobSnapshot {
 
 /// Thread-safe job table; clone freely, all clones share state.
 ///
+/// Each snapshot sits at its job id's slot (the app's ids are dense), so
+/// a lifecycle write finds it without hashing or search; jobs the engine
+/// never tracked (the app's synchronous `submit`) are holes that
+/// [`JobsLedger::all`] and [`JobsLedger::len`] skip.
+///
 /// Snapshots are stored behind `Arc` so the read paths ([`JobsLedger::get`],
 /// [`JobsLedger::all`]) hand out shared references instead of deep-copying
 /// every `String` field — `GET /api/jobs` scraping a busy engine clones
@@ -52,7 +57,7 @@ pub struct JobSnapshot {
 /// holds it (copy-on-write).
 #[derive(Clone, Default)]
 pub struct JobsLedger {
-    inner: Arc<Mutex<BTreeMap<u64, Arc<JobSnapshot>>>>,
+    inner: Arc<Mutex<Slots<Arc<JobSnapshot>>>>,
 }
 
 impl JobsLedger {
@@ -61,7 +66,13 @@ impl JobsLedger {
         Self::default()
     }
 
-    /// Insert (or replace) a job's snapshot.
+    /// Insert (or replace) a job's snapshot. Job ids are the app's,
+    /// dense from 1: an id past the last one leaves holes for the ids
+    /// between.
+    ///
+    /// # Panics
+    ///
+    /// On job id 0, which the app never hands out.
     pub fn upsert(&self, snapshot: JobSnapshot) {
         self.inner.lock().insert(snapshot.job_id, Arc::new(snapshot));
     }
@@ -69,18 +80,18 @@ impl JobsLedger {
     /// Mutate a job's snapshot in place and return what `f` returns;
     /// `None` (and no call) for unknown ids.
     pub fn update<R>(&self, job_id: u64, f: impl FnOnce(&mut JobSnapshot) -> R) -> Option<R> {
-        self.inner.lock().get_mut(&job_id).map(|snapshot| f(Arc::make_mut(snapshot)))
+        self.inner.lock().get_mut(job_id).map(|snapshot| f(Arc::make_mut(snapshot)))
     }
 
     /// One job's snapshot (shared, not deep-copied).
     pub fn get(&self, job_id: u64) -> Option<Arc<JobSnapshot>> {
-        self.inner.lock().get(&job_id).cloned()
+        self.inner.lock().get(job_id).cloned()
     }
 
     /// Every tracked job, ordered by id. Each element is a shared handle:
     /// the hot read path costs one `Arc` bump per job.
     pub fn all(&self) -> Vec<Arc<JobSnapshot>> {
-        self.inner.lock().values().cloned().collect()
+        self.inner.lock().iter().cloned().collect()
     }
 
     /// Number of tracked jobs.
@@ -90,7 +101,7 @@ impl JobsLedger {
 
     /// Whether the ledger is empty.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
+        self.len() == 0
     }
 }
 

@@ -67,10 +67,11 @@ use crate::error::GalaxyError;
 use crate::params::ParamDict;
 use crate::runners::{ExecutionPlan, ExecutionResult, JobExecutor};
 use crate::scheduler::{DiscardListener, JOBS_FAILED_COUNTER};
+use crate::slots::Slots;
 use dag::ValueSource;
+use obs::metrics::{Counter, Gauge, Histogram};
 use obs::{Span, Text, Value};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Gauge: entries currently waiting in the fair-share queue.
@@ -305,7 +306,10 @@ pub struct QueueEngine {
     default_resubmit: ResubmitPolicy,
     time_charging: Option<WaveTimeCharging>,
     wave_size: usize,
-    jobs: HashMap<u64, JobCtx>,
+    /// Each in-flight job's retry context, at its id's slot. A concluded
+    /// job's context is removed, so the slots span only the ids from the
+    /// oldest job still in flight on.
+    jobs: Slots<JobCtx>,
     /// The one record of each job's lifecycle, shareable with reader
     /// threads (see [`ledger::JobsLedger`]).
     ledger: JobsLedger,
@@ -315,21 +319,40 @@ pub struct QueueEngine {
     discard_next_wave: bool,
     /// The last wave's emptied buffer, reused by the next wave.
     spare_wave: Vec<Dispatched>,
+    metrics: QueueMetrics,
+}
+
+/// The series the engine writes on every job, as handles on the app
+/// recorder's registry.
+struct QueueMetrics {
+    depth: Gauge,
+    wait: Histogram,
+    dispatched: Counter,
+    /// Failed executions (any attempt).
+    failed: Counter,
 }
 
 impl QueueEngine {
     /// Build an engine over `app`, executing plans on `executor` and
     /// reporting the queue's metrics into the app's recorder.
     pub fn new(app: GalaxyApp, executor: Arc<dyn JobExecutor>, config: QueueConfig) -> Self {
+        let registry = app.recorder().metrics();
+        let metrics = QueueMetrics {
+            depth: registry.gauge(QUEUE_DEPTH_GAUGE),
+            wait: registry.histogram(QUEUE_WAIT_HISTOGRAM),
+            dispatched: registry.counter(QUEUE_DISPATCHED_COUNTER),
+            failed: registry.counter(JOBS_FAILED_COUNTER),
+        };
         // Publish the depth gauge at 0 up front so the exposition carries
         // it even before the first job arrives.
-        app.recorder().metrics().set_gauge(QUEUE_DEPTH_GAUGE, 0.0);
+        metrics.depth.set(0.0);
         QueueEngine {
+            metrics,
             queue: FairShareQueue::new(config.capacity, config.per_user_limit),
             default_resubmit: config.resubmit,
             time_charging: config.time_charging,
             wave_size: config.workers.max(1) as usize,
-            jobs: HashMap::new(),
+            jobs: Slots::default(),
             ledger: JobsLedger::new(),
             workflows: Vec::new(),
             discard_next_wave: false,
@@ -566,7 +589,7 @@ impl QueueEngine {
     }
 
     fn sync_depth_gauge(&self) {
-        self.app.recorder().metrics().set_gauge(QUEUE_DEPTH_GAUGE, self.queue.len() as f64);
+        self.metrics.depth.set(self.queue.len() as f64);
     }
 
     fn enqueue_step(&mut self, wf: usize, step: usize) {
@@ -617,12 +640,12 @@ impl QueueEngine {
             };
             let Some(job_id) = job_id else { continue };
             let wait = (wave_start - popped.enqueued_at).max(0.0);
-            self.app.recorder().metrics().observe(QUEUE_WAIT_HISTOGRAM, wait);
+            self.metrics.wait.observe(wait);
 
             // Hand the hooks this attempt's context on the job record: who
             // submitted it (moved, not copied), the nodes earlier attempts
             // died on, and any revised GPU budget.
-            let ctx = self.jobs.get_mut(&job_id).expect("ctx exists");
+            let ctx = self.jobs.get_mut(job_id).expect("ctx exists");
             let dest_override = ctx.next_dest.take();
             if let Some(job) = self.app.job_mut(job_id) {
                 job.user = popped.user;
@@ -636,7 +659,7 @@ impl QueueEngine {
             match prepared {
                 Ok(plan) => {
                     let destination = &plan.destination_id;
-                    let ctx = self.jobs.get_mut(&job_id).expect("ctx exists");
+                    let ctx = self.jobs.get_mut(job_id).expect("ctx exists");
                     if ctx.first_destination.is_none() {
                         ctx.first_destination = Some(Arc::clone(destination));
                     }
@@ -655,12 +678,15 @@ impl QueueEngine {
                             snap.attempts
                         })
                         .expect("the ledger tracks every queued job");
-                    let span = self.app.job_span_child(job_id, "galaxy.dispatch");
-                    if let Some(s) = &span {
-                        s.field("destination", &**destination);
-                        s.field("attempt", u64::from(attempt));
-                    }
-                    self.app.recorder().metrics().inc_counter(QUEUE_DISPATCHED_COUNTER, 1);
+                    let span = self.app.job_span_child(
+                        job_id,
+                        "galaxy.dispatch",
+                        [
+                            ("destination", Value::from(&**destination)),
+                            ("attempt", Value::from(u64::from(attempt))),
+                        ],
+                    );
+                    self.metrics.dispatched.inc(1);
                     self.app.recorder().event(
                         "galaxy.queue.dispatch",
                         [
@@ -681,7 +707,7 @@ impl QueueEngine {
                 Err(_) => {
                     // prepare_plan already marked the job failed.
                     self.set_status(job_id, SubmissionState::Error);
-                    if let Some((wf, step)) = self.jobs.remove(&job_id).and_then(|ctx| ctx.origin) {
+                    if let Some((wf, step)) = self.jobs.remove(job_id).and_then(|ctx| ctx.origin) {
                         self.fail_step(wf, step);
                     }
                 }
@@ -704,11 +730,10 @@ impl QueueEngine {
             }
             return;
         }
-        let metrics = self.app.recorder().metrics();
         for member in wave {
             let result = self.executor.execute(&member.plan);
             if result.exit_code != 0 {
-                metrics.inc_counter(JOBS_FAILED_COUNTER, 1);
+                self.metrics.failed.inc(1);
             }
             member.result = Some(result);
         }
@@ -786,8 +811,7 @@ impl QueueEngine {
         // owns releasing its attempt resources.
         let Some(result) = result else {
             if let Some(s) = span {
-                s.field("discarded", true);
-                s.end();
+                s.end_with([("discarded", true)]);
             }
             self.app.close_job_span_discarded(job_id);
             self.set_status(job_id, SubmissionState::Cancelled);
@@ -795,14 +819,13 @@ impl QueueEngine {
                 "galaxy.queue.discard",
                 [("job_id", Value::from(job_id)), ("reason", Value::from("wave_discarded"))],
             );
-            if let Some((wf, step)) = self.jobs.remove(&job_id).and_then(|ctx| ctx.origin) {
+            if let Some((wf, step)) = self.jobs.remove(job_id).and_then(|ctx| ctx.origin) {
                 self.fail_step(wf, step);
             }
             return;
         };
         if let Some(s) = span {
-            s.field("exit_code", i64::from(result.exit_code));
-            s.end();
+            s.end_with([("exit_code", i64::from(result.exit_code))]);
         }
 
         if result.exit_code == 0 {
@@ -816,7 +839,7 @@ impl QueueEngine {
                 job.gpu_budget_override_mib = None;
             }
             self.set_status(job_id, SubmissionState::Ok);
-            if let Some((wf, step)) = self.jobs.remove(&job_id).and_then(|ctx| ctx.origin) {
+            if let Some((wf, step)) = self.jobs.remove(job_id).and_then(|ctx| ctx.origin) {
                 let end = if self.time_charging.is_some() {
                     wave_start + duration
                 } else {
@@ -849,7 +872,7 @@ impl QueueEngine {
         let policy = self.policy_for(job_id);
         let (attempts, from_node) =
             self.ledger.get(job_id).map_or((1, None), |snap| (snap.attempts, snap.node.clone()));
-        let node_retries_used = self.jobs.get(&job_id).map_or(0, |ctx| ctx.node_retries_used);
+        let node_retries_used = self.jobs.get(job_id).map_or(0, |ctx| ctx.node_retries_used);
         let budget_left = attempts < policy.max_attempts;
 
         let failed = FailedAttempt {
@@ -875,7 +898,7 @@ impl QueueEngine {
         // the failed attempt's budget). Like node retries, these are
         // budgeted separately and do not consume the fallback ladder.
         let footprint_retries_used =
-            self.jobs.get(&job_id).map_or(0, |ctx| ctx.footprint_retries_used);
+            self.jobs.get(job_id).map_or(0, |ctx| ctx.footprint_retries_used);
         let footprint_retry = if budget_left && footprint_retries_used < policy.footprint_retries {
             self.footprint_retry_target(job_id)
         } else {
@@ -903,7 +926,7 @@ impl QueueEngine {
             None => {
                 let _ = self.app.finish_job(job_id, &result, true);
                 self.set_status(job_id, SubmissionState::Error);
-                if let Some((wf, step)) = self.jobs.remove(&job_id).and_then(|ctx| ctx.origin) {
+                if let Some((wf, step)) = self.jobs.remove(job_id).and_then(|ctx| ctx.origin) {
                     self.fail_step(wf, step);
                 }
             }
@@ -920,7 +943,7 @@ impl QueueEngine {
     fn requeue(&mut self, failed: &FailedAttempt<'_>, dest: Arc<str>, retry: Retry) {
         let job_id = failed.job_id;
         let _ = self.app.finish_job(job_id, failed.result, false);
-        let ctx = self.jobs.get_mut(&job_id).expect("ctx exists");
+        let ctx = self.jobs.get_mut(job_id).expect("ctx exists");
         // The reason and its `QUEUE_RESUBMITTED_COUNTER{reason="…"}` key:
         // three constants, spelled out rather than formatted per requeue.
         let (reason, reason_counter) = match retry {
@@ -986,7 +1009,7 @@ impl QueueEngine {
         from_node: Option<&str>,
     ) -> Option<(Arc<str>, Vec<String>)> {
         let node = from_node?;
-        let ctx = self.jobs.get(&job_id)?;
+        let ctx = self.jobs.get(job_id)?;
         let destination = ctx.first_destination.clone()?;
         let tool = self.ledger.get(job_id)?.tool.clone();
         let mut excluded = ctx.excluded_nodes.clone();
@@ -1003,7 +1026,7 @@ impl QueueEngine {
     /// recommending one ([`crate::runners::JobHook::revised_gpu_budget`]).
     /// Returns the retry destination plus the revised budget (MiB).
     fn footprint_retry_target(&self, job_id: u64) -> Option<(Arc<str>, u64)> {
-        let destination = self.jobs.get(&job_id)?.first_destination.clone()?;
+        let destination = self.jobs.get(job_id)?.first_destination.clone()?;
         let job = self.app.job(job_id)?;
         let budget_mib = self.app.hooks().iter().find_map(|h| h.revised_gpu_budget(job))?;
         Some((destination, budget_mib))
@@ -1014,7 +1037,7 @@ impl QueueEngine {
     /// else the engine default.
     fn policy_for(&self, job_id: u64) -> ResubmitPolicy {
         self.jobs
-            .get(&job_id)
+            .get(job_id)
             .and_then(|ctx| ctx.first_destination.as_deref())
             .and_then(|id| self.app.config().destination(id))
             .and_then(ResubmitPolicy::from_destination)

@@ -13,7 +13,7 @@ use crate::job::Job;
 use crate::runners::container_cmd::{docker_command, singularity_command, VolumeBind};
 use crate::runners::{CommandMutator, ContainerEngine, ContainerInvocation, ExecutionPlan};
 use crate::tool::{ContainerType, Tool};
-use obs::Span;
+use obs::{Span, Value};
 use std::sync::Arc;
 
 /// Stateless command assembler for local (and local-containerized)
@@ -53,8 +53,7 @@ impl LocalRunner {
         let render_span = parent.map(|p| p.child("galaxy.template_render"));
         let command_line: Arc<str> = self.render_command(tool, job)?.into();
         if let Some(s) = render_span {
-            s.field("command", &*command_line);
-            s.end();
+            s.end_with([("command", &*command_line)]);
         }
         // Only a container launch names a working directory.
         let workdir = || format!("/galaxy/jobs/{}", job.id);
@@ -127,16 +126,16 @@ impl LocalRunner {
         };
 
         if let Some(s) = assembly_span {
+            let mutators = ("mutators", Value::from(mutators.len()));
             match &container {
-                Some(c) => {
-                    s.field("engine", format!("{:?}", c.engine).to_lowercase());
-                    s.field("image", c.image.as_str());
-                    s.field("overhead_s", c.overhead_s);
-                }
-                None => s.field("engine", "bare"),
+                Some(c) => s.end_with([
+                    ("engine", Value::from(format!("{:?}", c.engine).to_lowercase())),
+                    ("image", Value::from(c.image.as_str())),
+                    ("overhead_s", Value::from(c.overhead_s)),
+                    mutators,
+                ]),
+                None => s.end_with([("engine", Value::from("bare")), mutators]),
             }
-            s.field("mutators", mutators.len());
-            s.end();
         }
 
         Ok(ExecutionPlan {

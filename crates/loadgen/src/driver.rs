@@ -308,12 +308,9 @@ pub fn run_scenario_recorded(
         // Accuracy of the learned estimates, from the footprint audits.
         let learned_errs: Vec<f64> = stack
             .recorder
-            .events()
+            .events_named(FOOTPRINT_ESTIMATE_EVENT)
             .iter()
-            .filter(|e| {
-                e.name == FOOTPRINT_ESTIMATE_EVENT
-                    && e.field("source").and_then(|v| v.as_str()) == Some("learned")
-            })
+            .filter(|e| e.field("source").and_then(|v| v.as_str()) == Some("learned"))
             .filter_map(|e| e.field("err_pct").and_then(|v| v.as_f64()))
             .map(f64::abs)
             .collect();

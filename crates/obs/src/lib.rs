@@ -448,23 +448,42 @@ impl Recorder {
 
     /// Open a root span.
     pub fn span(&self, name: impl Into<Key>) -> Span {
-        self.open_span(name.into(), None)
+        self.open_span(name.into(), None, Vec::new())
     }
 
-    fn open_span(&self, name: Key, parent: Option<u64>) -> Span {
+    /// Open a root span with its first fields: one log-lock round trip,
+    /// where opening it and attaching each field takes one per call. The
+    /// record is the one [`Recorder::span`] and [`Span::field`] calls in
+    /// the same order build.
+    pub fn span_with<K: Into<Key>, V: Into<Value>>(
+        &self,
+        name: impl Into<Key>,
+        fields: impl IntoIterator<Item = (K, V)>,
+    ) -> Span {
+        self.open_span(name.into(), None, opening_fields(fields))
+    }
+
+    fn open_span(&self, name: Key, parent: Option<u64>, fields: Vec<(Key, Value)>) -> Span {
         let mut log = self.log();
         let start = log.now();
         // Allocate the id while holding the log lock so id order is open
         // order — the order every export sorts back into.
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-        log.open.insert(id, SpanData { id, parent, name, start, end: None, fields: Vec::new() });
+        log.open.insert(id, SpanData { id, parent, name, start, end: None, fields });
         log.evict();
         Span { recorder: self.clone(), id, ended: false }
     }
 
-    fn close_span(&self, id: u64) {
+    /// End an open span, appending `fields` to it first; a span already
+    /// ended (or never opened here) is left alone.
+    fn close_span<K: Into<Key>, V: Into<Value>>(
+        &self,
+        id: u64,
+        fields: impl IntoIterator<Item = (K, V)>,
+    ) {
         let mut log = self.log();
         let Some(mut span) = log.open.remove(&id) else { return };
+        span.fields.extend(fields.into_iter().map(|(k, v)| (k.into(), v.into())));
         span.end = Some(log.now());
         let seq = log.next_record();
         log.closed.push_back((seq, span));
@@ -561,6 +580,23 @@ impl Recorder {
     }
 }
 
+/// The field list of a span opened with `fields`, converted before the
+/// log lock is taken. A list that is not empty keeps room for one more
+/// field: the exit code, error or discard marker a span closes with
+/// ([`Span::end_with`]) then lands without growing it.
+fn opening_fields<K: Into<Key>, V: Into<Value>>(
+    fields: impl IntoIterator<Item = (K, V)>,
+) -> Vec<(Key, Value)> {
+    let fields = fields.into_iter();
+    let (opening, _) = fields.size_hint();
+    let mut list = Vec::new();
+    if opening > 0 {
+        list.reserve_exact(opening + 1);
+    }
+    list.extend(fields.map(|(k, v)| (k.into(), v.into())));
+    list
+}
+
 /// Render one span as a JSONL line (newline-terminated).
 pub(crate) fn span_json_line(s: &SpanData) -> String {
     format!(
@@ -610,10 +646,22 @@ impl Span {
 
     /// Open a child span.
     pub fn child(&self, name: impl Into<Key>) -> Span {
-        self.recorder.open_span(name.into(), Some(self.id))
+        self.recorder.open_span(name.into(), Some(self.id), Vec::new())
     }
 
-    /// Attach a key/value field.
+    /// Open a child span with its first fields, in one log-lock round
+    /// trip (see [`Recorder::span_with`]).
+    pub fn child_with<K: Into<Key>, V: Into<Value>>(
+        &self,
+        name: impl Into<Key>,
+        fields: impl IntoIterator<Item = (K, V)>,
+    ) -> Span {
+        self.recorder.open_span(name.into(), Some(self.id), opening_fields(fields))
+    }
+
+    /// Attach a key/value field: one log-lock round trip per call, so
+    /// fields known when the span opens or closes go with that call
+    /// ([`Span::child_with`], [`Span::end_with`]).
     pub fn field(&self, key: impl Into<Key>, value: impl Into<Value>) {
         self.recorder.add_span_field(self.id, key.into(), value.into());
     }
@@ -628,16 +676,28 @@ impl Span {
     }
 
     /// Close the span now.
-    pub fn end(mut self) {
+    pub fn end(self) {
+        self.end_with(NO_FIELDS);
+    }
+
+    /// Attach `fields`, in order, and close the span: one log-lock round
+    /// trip for what [`Span::field`] per field and [`Span::end`] record.
+    pub fn end_with<K: Into<Key>, V: Into<Value>>(
+        mut self,
+        fields: impl IntoIterator<Item = (K, V)>,
+    ) {
         self.ended = true;
-        self.recorder.close_span(self.id);
+        self.recorder.close_span(self.id, fields);
     }
 }
+
+/// The empty field list, typed.
+const NO_FIELDS: [(Key, Value); 0] = [];
 
 impl Drop for Span {
     fn drop(&mut self) {
         if !self.ended {
-            self.recorder.close_span(self.id);
+            self.recorder.close_span(self.id, NO_FIELDS);
         }
     }
 }

@@ -4,16 +4,25 @@
 //! Metric keys may carry inline Prometheus labels —
 //! `galaxy_jobs_total{state="ok"}` — which the exposition groups under
 //! one `# TYPE` header per base name.
+//!
+//! Each series is a cell the registry keeps by name. A writer that knows
+//! its series when it is built holds a handle on the cell
+//! ([`Registry::counter`], [`Registry::gauge`], [`Registry::histogram`]),
+//! so a counter or gauge write is one relaxed atomic with no lock and no
+//! name lookup; the by-name methods look the same cell up and write it.
+//! A series is exposed from its first write on, however it was reached:
+//! a handle that was never written renders nothing.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Bucket upper bounds of every histogram: roughly log-spaced from 1 ms
 /// to 100 s, suiting queue waits and phase times.
 pub const DEFAULT_BUCKETS: [f64; 10] = [0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 100.0];
 
 #[derive(Debug, Clone, Default)]
-struct Histogram {
+struct Buckets {
     /// `counts[i]` counts the observations `<= DEFAULT_BUCKETS[i]`, i.e.
     /// buckets are stored cumulatively as Prometheus expects.
     counts: [u64; DEFAULT_BUCKETS.len()],
@@ -21,7 +30,7 @@ struct Histogram {
     count: u64,
 }
 
-impl Histogram {
+impl Buckets {
     fn observe(&mut self, v: f64) {
         for (bound, count) in DEFAULT_BUCKETS.iter().zip(&mut self.counts) {
             if v <= *bound {
@@ -33,13 +42,116 @@ impl Histogram {
     }
 }
 
+/// Whether a series was ever written: set once, by its first write.
+#[derive(Default)]
+struct Written(AtomicBool);
+
+impl Written {
+    /// After the write it follows: a reader that sees the flag (Acquire)
+    /// also sees the first write's value.
+    fn mark(&self) {
+        if !self.0.load(Ordering::Relaxed) {
+            self.0.store(true, Ordering::Release);
+        }
+    }
+
+    fn get(&self) -> bool {
+        self.0.load(Ordering::Acquire)
+    }
+}
+
+#[derive(Default)]
+struct CounterCell {
+    value: AtomicU64,
+    written: Written,
+}
+
+impl CounterCell {
+    fn inc(&self, by: u64) {
+        self.value.fetch_add(by, Ordering::Relaxed);
+        self.written.mark();
+    }
+}
+
+#[derive(Default)]
+struct GaugeCell {
+    /// The value's `f64` bits.
+    bits: AtomicU64,
+    written: Written,
+}
+
+impl GaugeCell {
+    fn set(&self, value: f64) {
+        self.bits.store(value.to_bits(), Ordering::Relaxed);
+        self.written.mark();
+    }
+}
+
+/// A histogram is written exactly when it holds an observation.
+#[derive(Default)]
+struct HistogramCell(Mutex<Buckets>);
+
+impl HistogramCell {
+    fn buckets(&self) -> MutexGuard<'_, Buckets> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The buckets, when the histogram holds an observation.
+    fn written(&self) -> Option<Buckets> {
+        Some(self.buckets().clone()).filter(|b| b.count > 0)
+    }
+}
+
+/// A handle on one counter series of a [`Registry`].
+#[derive(Clone)]
+pub struct Counter(Arc<CounterCell>);
+
+impl Counter {
+    /// Add `by` (a first write, even of 0, exposes the series).
+    pub fn inc(&self, by: u64) {
+        self.0.inc(by);
+    }
+}
+
+/// A handle on one gauge series of a [`Registry`].
+#[derive(Clone)]
+pub struct Gauge(Arc<GaugeCell>);
+
+impl Gauge {
+    /// Set the gauge to an absolute value.
+    pub fn set(&self, value: f64) {
+        self.0.set(value);
+    }
+}
+
+/// A handle on one histogram series of a [`Registry`].
+#[derive(Clone)]
+pub struct Histogram(Arc<HistogramCell>);
+
+impl Histogram {
+    /// Record an observation into the [`DEFAULT_BUCKETS`].
+    pub fn observe(&self, value: f64) {
+        self.0.buckets().observe(value);
+    }
+}
+
 #[derive(Default)]
 struct MetricsState {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
+    counters: BTreeMap<String, Arc<CounterCell>>,
+    gauges: BTreeMap<String, Arc<GaugeCell>>,
+    histograms: BTreeMap<String, Arc<HistogramCell>>,
     /// Optional help text, keyed by base metric name (labels stripped).
     help: BTreeMap<String, String>,
+}
+
+/// The cell of series `name`, created unwritten the first time it is
+/// asked for. `name` is looked up as the `&str` it is and copied into an
+/// owned key only then.
+fn cell<'a, T: Default>(cells: &'a mut BTreeMap<String, Arc<T>>, name: &str) -> &'a Arc<T> {
+    if !cells.contains_key(name) {
+        cells.insert(name.to_string(), Arc::default());
+    }
+    &cells[name]
 }
 
 /// Thread-safe metrics registry; clone freely, all clones share state.
@@ -60,21 +172,30 @@ impl Registry {
         Registry { state: Arc::new(Mutex::new(MetricsState::default())) }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, MetricsState> {
+    fn lock(&self) -> MutexGuard<'_, MetricsState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    // The update methods below look `name` up as the `&str` it is and
-    // copy it into an owned key only the first time a series is seen.
+    /// A handle on counter `name`; it renders from its first write on.
+    pub fn counter(&self, name: &str) -> Counter {
+        Counter(Arc::clone(cell(&mut self.lock().counters, name)))
+    }
+
+    /// A handle on gauge `name`; it renders (and [`Registry::gauge_value`]
+    /// reads `Some`) from its first write on.
+    pub fn gauge(&self, name: &str) -> Gauge {
+        Gauge(Arc::clone(cell(&mut self.lock().gauges, name)))
+    }
+
+    /// A handle on histogram `name`; it renders from its first
+    /// observation on.
+    pub fn histogram(&self, name: &str) -> Histogram {
+        Histogram(Arc::clone(cell(&mut self.lock().histograms, name)))
+    }
 
     /// Add `by` to a monotonically increasing counter.
     pub fn inc_counter(&self, name: &str, by: u64) {
-        let mut state = self.lock();
-        if let Some(value) = state.counters.get_mut(name) {
-            *value += by;
-        } else {
-            state.counters.insert(name.to_string(), by);
-        }
+        cell(&mut self.lock().counters, name).inc(by);
     }
 
     /// Register help text for a metric family. Keyed by base name
@@ -87,42 +208,34 @@ impl Registry {
 
     /// Set a gauge to an absolute value.
     pub fn set_gauge(&self, name: &str, value: f64) {
-        let mut state = self.lock();
-        if let Some(gauge) = state.gauges.get_mut(name) {
-            *gauge = value;
-        } else {
-            state.gauges.insert(name.to_string(), value);
-        }
+        cell(&mut self.lock().gauges, name).set(value);
     }
 
     /// Record an observation into a histogram with [`DEFAULT_BUCKETS`].
     pub fn observe(&self, name: &str, value: f64) {
-        let mut state = self.lock();
-        let hist = match state.histograms.get_mut(name) {
-            Some(hist) => hist,
-            None => state.histograms.entry(name.to_string()).or_default(),
-        };
-        hist.observe(value);
+        cell(&mut self.lock().histograms, name).buckets().observe(value);
     }
 
     /// Current value of a counter (0 when never incremented).
     pub fn counter_value(&self, name: &str) -> u64 {
-        self.lock().counters.get(name).copied().unwrap_or(0)
+        self.lock().counters.get(name).map_or(0, |c| c.value.load(Ordering::Relaxed))
     }
 
     /// Current value of a gauge, if ever set.
     pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        self.lock().gauges.get(name).copied()
+        let state = self.lock();
+        let gauge = state.gauges.get(name).filter(|g| g.written.get())?;
+        Some(f64::from_bits(gauge.bits.load(Ordering::Relaxed)))
     }
 
     /// Number of observations in a histogram (0 when absent).
     pub fn histogram_count(&self, name: &str) -> u64 {
-        self.lock().histograms.get(name).map_or(0, |h| h.count)
+        self.lock().histograms.get(name).map_or(0, |h| h.buckets().count)
     }
 
     /// Sum of observations in a histogram (0 when absent).
     pub fn histogram_sum(&self, name: &str) -> f64 {
-        self.lock().histograms.get(name).map_or(0.0, |h| h.sum)
+        self.lock().histograms.get(name).map_or(0.0, |h| h.buckets().sum)
     }
 
     /// Estimate quantile `q` (clamped to `[0, 1]`) of a histogram via
@@ -131,11 +244,7 @@ impl Registry {
     /// empty histogram. Ranks falling in the implicit `+Inf` bucket are
     /// clamped to the highest finite bound, as `histogram_quantile` does.
     pub fn histogram_quantile(&self, name: &str, q: f64) -> Option<f64> {
-        let state = self.lock();
-        let h = state.histograms.get(name)?;
-        if h.count == 0 {
-            return None;
-        }
+        let h = self.lock().histograms.get(name)?.written()?;
         let rank = q.clamp(0.0, 1.0) * h.count as f64;
         let mut lower = 0.0f64;
         let mut prev = 0u64;
@@ -154,7 +263,8 @@ impl Registry {
     ///
     /// Output is deterministic: metric families sorted by name, one
     /// `# HELP` (when registered via [`Registry::set_help`]) and one
-    /// `# TYPE` header per base name (inline labels stripped).
+    /// `# TYPE` header per base name (inline labels stripped). Series
+    /// never written are left out.
     pub fn render_prometheus(&self) -> String {
         let state = self.lock();
         let help = &state.help;
@@ -170,15 +280,17 @@ impl Registry {
                 last_typed = base.to_string();
             }
         };
-        for (name, value) in &state.counters {
+        for (name, counter) in state.counters.iter().filter(|(_, c)| c.written.get()) {
             type_header(&mut out, name, "counter");
+            let value = counter.value.load(Ordering::Relaxed);
             out.push_str(&format!("{} {value}\n", render_key(name)));
         }
-        for (name, value) in &state.gauges {
+        for (name, gauge) in state.gauges.iter().filter(|(_, g)| g.written.get()) {
             type_header(&mut out, name, "gauge");
-            out.push_str(&format!("{} {}\n", render_key(name), format_value(*value)));
+            let value = f64::from_bits(gauge.bits.load(Ordering::Relaxed));
+            out.push_str(&format!("{} {}\n", render_key(name), format_value(value)));
         }
-        for (name, hist) in &state.histograms {
+        for (name, hist) in state.histograms.iter().filter_map(|(n, h)| Some((n, h.written()?))) {
             type_header(&mut out, name, "histogram");
             let (base, raw_labels) = split_labels(name);
             let labels = render_label_body(&split_label_pairs(&raw_labels));
@@ -598,6 +710,69 @@ mod tests {
         assert!(parse_prometheus("bad-name 1\n").is_err());
         assert!(parse_prometheus("name{unterminated 1\n").is_err());
         assert!(parse_prometheus("# comment only\n").unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_series_written_by_handle_renders_as_one_written_by_name() {
+        let (by_handle, by_name) = (Registry::new(), Registry::new());
+        for reg in [&by_handle, &by_name] {
+            reg.set_help("jobs_total", "Jobs.");
+        }
+        let counter = by_handle.counter("jobs_total{state=\"ok\"}");
+        let gauge = by_handle.gauge("queue_depth");
+        let histogram = by_handle.histogram("wait_seconds{tool=\"racon\"}");
+        counter.inc(2);
+        counter.inc(0);
+        gauge.set(3.5);
+        gauge.set(-1.0);
+        for v in [0.004, 0.2, 50.0, 500.0] {
+            histogram.observe(v);
+        }
+        by_name.inc_counter("jobs_total{state=\"ok\"}", 2);
+        by_name.inc_counter("jobs_total{state=\"ok\"}", 0);
+        by_name.set_gauge("queue_depth", 3.5);
+        by_name.set_gauge("queue_depth", -1.0);
+        for v in [0.004, 0.2, 50.0, 500.0] {
+            by_name.observe("wait_seconds{tool=\"racon\"}", v);
+        }
+        assert_eq!(by_handle.render_prometheus(), by_name.render_prometheus());
+        // Handle and name reach one cell.
+        by_handle.inc_counter("jobs_total{state=\"ok\"}", 1);
+        counter.inc(1);
+        assert_eq!(by_handle.counter_value("jobs_total{state=\"ok\"}"), 4);
+    }
+
+    #[test]
+    fn a_series_is_absent_until_its_first_write() {
+        let reg = Registry::new();
+        let (counter, gauge, histogram) =
+            (reg.counter("c_total"), reg.gauge("g"), reg.histogram("h_seconds"));
+        assert_eq!(reg.render_prometheus(), "", "handles alone render nothing");
+        assert_eq!(
+            (reg.counter_value("c_total"), reg.gauge_value("g"), reg.histogram_count("h_seconds")),
+            (0, None, 0)
+        );
+        assert_eq!(reg.histogram_quantile("h_seconds", 0.5), None);
+        counter.inc(0);
+        assert_eq!(reg.render_prometheus(), "# TYPE c_total counter\nc_total 0\n");
+        gauge.set(0.0);
+        assert_eq!(reg.gauge_value("g"), Some(0.0));
+        assert!(!reg.render_prometheus().contains("h_seconds"));
+        histogram.observe(0.5);
+        assert!(reg.render_prometheus().contains("h_seconds_count 1\n"));
+    }
+
+    #[test]
+    fn two_threads_adding_through_one_counter_handle_lose_nothing() {
+        let reg = Registry::new();
+        let counter = reg.counter("shared_total");
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                let counter = counter.clone();
+                scope.spawn(move || (0..10_000).for_each(|_| counter.inc(1)));
+            }
+        });
+        assert_eq!(reg.counter_value("shared_total"), 20_000);
     }
 
     #[test]

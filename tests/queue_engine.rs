@@ -620,3 +620,36 @@ fn discarded_wave_notifies_the_listener_once_per_member_then_the_next_wave_runs(
     let ran = handles.iter().filter(|h| engine.state(**h) == Some(SubmissionState::Ok)).count();
     assert_eq!(ran, 2);
 }
+
+/// The job table and the ledger find a job at its id's slot: ids outside
+/// the table find nothing, a job the app ran on its own (synchronous
+/// `submit`) is a hole the ledger's readers skip, and the app's job list
+/// is in id order as it sits.
+#[test]
+fn job_table_and_ledger_slots_skip_holes_and_refuse_outside_ids() {
+    let mut engine = QueueEngine::new(echo_app(), echo_executor(), QueueConfig::default());
+    let queued = engine.submit_async("alice", "echo", &ParamDict::new()).unwrap().0;
+    let inline = engine.app_mut().submit("echo", &ParamDict::new()).unwrap();
+    let after = engine.submit_async("bob", "echo", &ParamDict::new()).unwrap().0;
+    assert_eq!((queued, inline, after), (1, 2, 3));
+    engine.run_until_idle();
+
+    let ledger = engine.ledger();
+    assert_eq!(ledger.len(), 2, "the synchronous job is not the engine's");
+    let tracked: Vec<u64> = ledger.all().iter().map(|snap| snap.job_id).collect();
+    assert_eq!(tracked, [queued, after]);
+    assert!(ledger.get(inline).is_none());
+    assert_eq!(engine.submission_states().len(), 2);
+
+    let ids: Vec<u64> = engine.app().jobs().iter().map(|job| job.id).collect();
+    assert_eq!(ids, [1, 2, 3]);
+    assert!(engine.app().jobs().iter().all(|job| job.state() == JobState::Ok));
+    for id in [0, 4, u64::MAX] {
+        assert!(engine.app().job(id).is_none(), "job {id}");
+        assert!(ledger.get(id).is_none(), "ledger {id}");
+        assert_eq!(engine.state(galaxy::JobHandle(id)), None, "state {id}");
+    }
+    // An unknown tool takes no id: the next job is the next slot.
+    assert!(engine.app_mut().submit("ghost", &ParamDict::new()).is_err());
+    assert_eq!(engine.app_mut().submit("echo", &ParamDict::new()).unwrap(), 4);
+}

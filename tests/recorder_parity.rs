@@ -222,6 +222,11 @@ fn value(pick: u32) -> Value {
     }
 }
 
+/// Zero to three fields drawn from `(a, b)`.
+fn fields(a: u32, b: u32) -> Vec<(Key, Value)> {
+    (0..b % 4).map(|i| (key(b.wrapping_add(i)), value(a.wrapping_add(i)))).collect()
+}
+
 /// Every reader of `rec` against the model, field by field.
 fn assert_same(rec: &Recorder, model: &Model, live: &[(Span, u64)], now: f64) {
     let spans = rec.spans();
@@ -251,14 +256,15 @@ fn assert_same(rec: &Recorder, model: &Model, live: &[(Span, u64)], now: f64) {
 
 proptest! {
     /// Random `span / child / field / event / end / set_log_retention`
-    /// sequences: after every operation each reader of the recorder
-    /// agrees with the naive model. The clock ticks on a quarter of the
+    /// sequences, and the one-step `span_with / child_with / end_with`:
+    /// after every operation each reader of the recorder agrees with the
+    /// naive model. The clock ticks on a quarter of the
     /// operations, so spans and events often share a timestamp and only
     /// the record number can order the window; bursts of up to 300
     /// events at one clock reading carry it past [`CAPACITY`].
     #[test]
     fn recorder_matches_the_naive_vec_model(
-        ops in prop::collection::vec((0u8..18, any::<u32>(), any::<u32>()), 0..160),
+        ops in prop::collection::vec((0u8..21, any::<u32>(), any::<u32>()), 0..160),
     ) {
         let tick = Arc::new(AtomicU64::new(0));
         let clock = tick.clone();
@@ -298,9 +304,7 @@ proptest! {
                     }
                 }
                 11..=13 => {
-                    let fields: Vec<(Key, Value)> = (0..b % 4)
-                        .map(|i| (key(b.wrapping_add(i)), value(a.wrapping_add(i))))
-                        .collect();
+                    let fields = fields(a, b);
                     let span = live.get(at).filter(|_| a % 3 == 0);
                     model.event(EventData {
                         name: key(a),
@@ -331,9 +335,121 @@ proptest! {
                     model.evict();
                     rec.set_log_retention(limit);
                 }
+                18 => {
+                    let id = model.open(key(b), None, now);
+                    model.span_mut(id).fields = fields(a, b);
+                    live.push((rec.span_with(key(b), fields(a, b)), id));
+                }
+                19 if !live.is_empty() => {
+                    let id = model.open(key(b), Some(live[at].1), now);
+                    model.span_mut(id).fields = fields(a, b);
+                    let child = live[at].0.child_with(key(b), fields(a, b));
+                    prop_assert_eq!(child.id(), id);
+                    live.push((child, id));
+                }
+                20 if !live.is_empty() => {
+                    let (span, id) = live.swap_remove(at);
+                    model.span_mut(id).fields.extend(fields(a, b));
+                    model.end(id, now);
+                    span.end_with(fields(a, b));
+                }
                 _ => {}
             }
             assert_same(&rec, &model, &live, now);
+        }
+    }
+}
+
+/// Drives two recorders through one trace: `one_step` writes a span's
+/// fields with its open or its close, `by_field` opens, attaches each
+/// field with [`Span::field`] and closes.
+struct Twins {
+    one_step: Recorder,
+    by_field: Recorder,
+    /// Open spans: each recorder's handle.
+    live: Vec<(Span, Span)>,
+}
+
+impl Twins {
+    fn open(&mut self, name: Key, parent: Option<usize>, fields: Vec<(Key, Value)>) {
+        let (one, by) = match parent {
+            None => {
+                (self.one_step.span_with(name.clone(), fields.clone()), self.by_field.span(name))
+            }
+            Some(at) => {
+                let (one, by) = &self.live[at];
+                (one.child_with(name.clone(), fields.clone()), by.child(name))
+            }
+        };
+        for (k, v) in fields {
+            by.field(k, v);
+        }
+        self.live.push((one, by));
+    }
+
+    fn end(&mut self, at: usize, fields: Vec<(Key, Value)>) {
+        let (one, by) = self.live.swap_remove(at);
+        for (k, v) in fields.clone() {
+            by.field(k, v);
+        }
+        by.end();
+        one.end_with(fields);
+    }
+
+    /// Everything a reader can see, record numbers included (the flight
+    /// window is cut and ordered by them).
+    fn exports(rec: &Recorder) -> (String, String, u64, Vec<SpanData>, (u64, u64)) {
+        let flight = rec.flight_snapshot();
+        (
+            rec.to_jsonl(),
+            flight.to_jsonl(),
+            flight.dropped,
+            rec.open_spans(),
+            rec.dropped_log_records(),
+        )
+    }
+}
+
+proptest! {
+    /// A span written in one step is the span written field by field:
+    /// random traces of opens (root or child, with 0 to 3 fields), closes
+    /// (with 0 to 3 fields), plain `field` calls, events and retention
+    /// changes give the same JSONL, flight snapshot, record numbers, open
+    /// spans and eviction counts after every operation.
+    #[test]
+    fn one_step_span_forms_match_field_by_field(
+        ops in prop::collection::vec((0u8..8, any::<u32>(), any::<u32>()), 0..200),
+    ) {
+        let tick = Arc::new(AtomicU64::new(0));
+        let mut twins = Twins { one_step: Recorder::new(), by_field: Recorder::new(), live: Vec::new() };
+        for rec in [&twins.one_step, &twins.by_field] {
+            let clock = tick.clone();
+            rec.set_clock(move || clock.load(Ordering::SeqCst) as f64);
+        }
+        for (op, a, b) in ops {
+            if (a >> 16) % 4 == 0 {
+                tick.fetch_add(1, Ordering::SeqCst);
+            }
+            let at = a as usize % twins.live.len().max(1);
+            match op {
+                0 | 1 => twins.open(key(b), None, fields(a, b)),
+                2 | 3 if !twins.live.is_empty() => twins.open(key(b), Some(at), fields(a, b)),
+                4 | 5 if !twins.live.is_empty() => twins.end(at, fields(a, b)),
+                6 if !twins.live.is_empty() => {
+                    let (one, by) = &twins.live[at];
+                    one.field(key(b), value(a));
+                    by.field(key(b), value(a));
+                }
+                7 => {
+                    let limit = (b % 4 != 0).then_some(a as usize % 12);
+                    for rec in [&twins.one_step, &twins.by_field] {
+                        rec.event(key(a), fields(a, b));
+                        rec.set_log_retention(limit);
+                    }
+                }
+                _ => {}
+            }
+            prop_assert_eq!(Twins::exports(&twins.one_step), Twins::exports(&twins.by_field));
         }
     }
 }
