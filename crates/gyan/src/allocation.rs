@@ -307,7 +307,12 @@ fn policy_name(policy: AllocationPolicy) -> &'static str {
 /// Comma-joined id list — the one rendering of device and PID lists in
 /// exports and audits.
 pub(crate) fn join<'a>(ids: impl IntoIterator<Item = &'a u32, IntoIter: Clone>) -> Text {
-    join_numbers(ids.into_iter().map(|&id| u64::from(id)), ",").finish()
+    join_ids(ids.into_iter().copied())
+}
+
+/// [`join`] over minors held by value.
+pub(crate) fn join_ids(ids: impl Iterator<Item = u32> + Clone) -> Text {
+    join_numbers(ids.map(u64::from), ",").finish()
 }
 
 /// `numbers` in decimal, separated by `sep`.

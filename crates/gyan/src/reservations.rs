@@ -54,13 +54,14 @@
 //! many it leases; the gauge and the counters count device leases.
 
 use crate::allocation::{
-    decide, decide_traced, join, Allocation, AllocationPolicy, AllocationReason,
+    decide, decide_traced, join, join_ids, Allocation, AllocationPolicy, AllocationReason,
 };
 use crate::gpu_usage::try_get_gpu_usage;
 use gpusim::GpuCluster;
+use obs::metrics::{Counter, Gauge, Registry};
 use obs::{Key, Recorder, Value};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Gauge: leases currently held across all devices.
@@ -126,31 +127,140 @@ impl ReservationView {
     }
 }
 
+/// A grant's devices in ascending order: minors below 128 as bits of
+/// `low`, any others sorted in `high` (no simulated node has that many
+/// devices, so `high` stays empty and a grant allocates nothing).
 #[derive(Default)]
-struct Inner {
-    /// Leases per device, in acquisition order. A device's list stays
-    /// here once it empties (the map is bounded by the node's device
-    /// count), so its next grant pushes into the capacity it kept instead
-    /// of allocating a list and a map node; every reader skips empty
-    /// lists.
-    leases: BTreeMap<u32, Vec<Lease>>,
+struct Minors {
+    low: u128,
+    high: Vec<u32>,
 }
 
-impl Inner {
-    fn view(&self) -> ReservationView {
-        let leased_devices = self.leases.values().filter(|leases| !leases.is_empty()).count();
-        let mut leased = Vec::with_capacity(leased_devices);
-        for (minor, leases) in &self.leases {
-            if !leases.is_empty() {
-                leased.push((*minor, leases.iter().map(|l| l.memory_hint_mib).sum()));
+impl Minors {
+    fn of(devices: &[u32]) -> Self {
+        let mut minors = Minors::default();
+        for &minor in devices {
+            if minor < u128::BITS {
+                minors.low |= 1 << minor;
+            } else if let Err(at) = minors.high.binary_search(&minor) {
+                minors.high.insert(at, minor);
             }
         }
+        minors
+    }
+
+    fn len(&self) -> usize {
+        self.low.count_ones() as usize + self.high.len()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = u32> + Clone + '_ {
+        let mut low = self.low;
+        let low = std::iter::from_fn(move || {
+            let minor = (low != 0).then(|| low.trailing_zeros())?;
+            low &= low - 1;
+            Some(minor)
+        });
+        low.chain(self.high.iter().copied())
+    }
+}
+
+/// What one holder leased: every device of one grant, leased with one
+/// acquisition time, hint and kind. `allocate_and_lease` supersedes a
+/// holder's grant before it leases again, so a holder has at most one.
+struct Grant {
+    holder: u64,
+    devices: Minors,
+    acquired_at: f64,
+    memory_hint_mib: u64,
+    exclusive: bool,
+}
+
+impl Grant {
+    fn lease_on(&self, device: u32) -> Lease {
+        Lease {
+            device,
+            holder: self.holder,
+            acquired_at: self.acquired_at,
+            memory_hint_mib: self.memory_hint_mib,
+            exclusive: self.exclusive,
+        }
+    }
+}
+
+/// One device's leases.
+#[derive(Default)]
+struct Device {
+    /// Holders leasing the device, in acquisition order.
+    holders: Vec<u64>,
+    /// The sum of their memory hints (MiB).
+    pending_mib: u64,
+}
+
+/// The acquire/release series of the registry last written, as handles.
+struct LeaseMetrics {
+    registry: Registry,
+    acquired: Counter,
+    released: Counter,
+    active: Gauge,
+}
+
+/// The lease book, keyed by grant. Each list keeps its capacity when it
+/// empties, so a grant and its release allocate nothing once the node's
+/// devices and the in-flight grants have been seen.
+#[derive(Default)]
+struct Book {
+    /// Every grant, sorted by holder.
+    grants: Vec<Grant>,
+    /// Per device, indexed by minor.
+    devices: Vec<Device>,
+    metrics: Option<LeaseMetrics>,
+}
+
+impl Book {
+    fn grant(&self, holder: u64) -> Result<usize, usize> {
+        self.grants.binary_search_by_key(&holder, |grant| grant.holder)
+    }
+
+    /// The leases on device `minor`, in acquisition order.
+    fn leases_on(&self, minor: u32) -> impl Iterator<Item = Lease> + '_ {
+        let holders = self.devices.get(minor as usize).map_or(&[][..], |d| &d.holders);
+        holders.iter().filter_map(move |&holder| {
+            self.grant(holder).ok().map(|at| self.grants[at].lease_on(minor))
+        })
+    }
+
+    fn leased(&self) -> impl Iterator<Item = (u32, &Device)> {
+        (0u32..).zip(&self.devices).filter(|(_, device)| !device.holders.is_empty())
+    }
+
+    fn view(&self) -> ReservationView {
+        let mut leased = Vec::with_capacity(self.leased().count());
+        leased.extend(self.leased().map(|(minor, device)| (minor, device.pending_mib)));
         ReservationView { leased }
     }
 
-    fn count(&self) -> usize {
-        self.leases.values().map(Vec::len).sum()
+    /// Handles on `recorder`'s lease series, resolved once per registry.
+    fn metrics(&mut self, recorder: &Recorder) -> &LeaseMetrics {
+        let registry = recorder.metrics();
+        if !self.metrics.as_ref().is_some_and(|metrics| metrics.registry.same_as(registry)) {
+            self.metrics = None;
+        }
+        self.metrics.get_or_insert_with(|| LeaseMetrics {
+            registry: registry.clone(),
+            acquired: registry.counter(RESERVATIONS_ACQUIRED_COUNTER),
+            released: registry.counter(RESERVATIONS_RELEASED_COUNTER),
+            active: registry.gauge(RESERVATIONS_ACTIVE_GAUGE),
+        })
     }
+}
+
+#[derive(Default)]
+struct Shared {
+    book: Mutex<Book>,
+    /// Device leases held — the holders over all devices — written under
+    /// the book's lock and read without it (`Relaxed`: the count
+    /// publishes nothing but itself).
+    leases: AtomicUsize,
 }
 
 /// The shared lease table. Clones share state; the table is thread-safe
@@ -158,7 +268,7 @@ impl Inner {
 /// readers and concurrent tests reach it from others).
 #[derive(Clone, Default)]
 pub struct LeaseTable {
-    inner: Arc<Mutex<Inner>>,
+    shared: Arc<Shared>,
 }
 
 impl LeaseTable {
@@ -190,16 +300,16 @@ impl LeaseTable {
         recorder: Option<&Recorder>,
     ) -> Option<Allocation> {
         obs::profile_scope!("gyan.allocate");
-        let mut inner = self.inner.lock();
+        let mut book = self.shared.book.lock();
         {
             obs::profile_scope!("alloc.supersede");
-            release_locked(&mut inner, holder, "superseded", recorder);
+            self.release_locked(&mut book, holder, "superseded", recorder);
         }
         let observed = {
             obs::profile_scope!("alloc.observe");
             try_get_gpu_usage(cluster)
         };
-        let view = inner.view();
+        let view = book.view();
         let _place = obs::profile::global().scope("alloc.place");
         let alloc = decide_traced(&observed, requested, policy, Some(&view), recorder)?;
 
@@ -209,7 +319,7 @@ impl LeaseTable {
             let baseline =
                 observed.as_ref().ok().and_then(|usage| decide(usage, requested, policy, None));
             if let Some(baseline) = baseline.filter(|b| b.devices != alloc.devices) {
-                self.audit_conflict(&inner, holder, requested, &baseline, &alloc, recorder);
+                audit_conflict(&book, holder, requested, &baseline, &alloc, recorder);
             }
         }
         drop(_place);
@@ -222,18 +332,33 @@ impl LeaseTable {
                 | AllocationReason::InvalidRequest
         );
         let now = recorder.map_or(0.0, Recorder::now);
-        for &device in &alloc.devices {
-            debug_assert!(
-                !exclusive || inner.leases.get(&device).is_none_or(|l| l.is_empty()),
-                "exclusive grant on an already-leased device"
-            );
-            inner.leases.entry(device).or_default().push(Lease {
-                device,
+        // A grant of no devices is never booked: its release would audit
+        // a grant of nothing.
+        if !alloc.devices.is_empty() {
+            for &minor in &alloc.devices {
+                let minor = minor as usize;
+                if book.devices.len() <= minor {
+                    book.devices.resize_with(minor + 1, Device::default);
+                }
+                let device = &mut book.devices[minor];
+                debug_assert!(
+                    !exclusive || device.holders.is_empty(),
+                    "exclusive grant on an already-leased device"
+                );
+                device.holders.push(holder);
+                device.pending_mib += memory_hint_mib;
+            }
+            let grant = Grant {
                 holder,
+                devices: Minors::of(&alloc.devices),
                 acquired_at: now,
                 memory_hint_mib,
                 exclusive,
-            });
+            };
+            // Superseded above, so the holder has no grant.
+            let at = book.grant(holder).unwrap_or_else(|at| at);
+            book.grants.insert(at, grant);
+            self.shared.leases.fetch_add(alloc.devices.len(), Ordering::Relaxed);
         }
         if let Some(rec) = recorder {
             // One record per grant: its devices are the exported mask, and
@@ -248,50 +373,11 @@ impl LeaseTable {
                     ("reason", Value::from(Key::from(alloc.reason.as_str()))),
                 ],
             );
-            let m = rec.metrics();
-            m.inc_counter(RESERVATIONS_ACQUIRED_COUNTER, alloc.devices.len() as u64);
-            m.set_gauge(RESERVATIONS_ACTIVE_GAUGE, inner.count() as f64);
+            let metrics = book.metrics(rec);
+            metrics.acquired.inc(alloc.devices.len() as u64);
+            metrics.active.set(self.lease_count() as f64);
         }
         Some(alloc)
-    }
-
-    fn audit_conflict(
-        &self,
-        inner: &Inner,
-        holder: u64,
-        requested: &[u32],
-        baseline: &Allocation,
-        actual: &Allocation,
-        recorder: Option<&Recorder>,
-    ) {
-        let Some(rec) = recorder else { return };
-        rec.metrics().inc_counter(RESERVATION_CONFLICTS_COUNTER, 1);
-        // Which holders stood in the way of the lease-blind choice.
-        let blocked_by: Vec<String> = baseline
-            .devices
-            .iter()
-            .filter(|d| !actual.devices.contains(d))
-            .flat_map(|d| {
-                inner
-                    .leases
-                    .get(d)
-                    .into_iter()
-                    .flatten()
-                    .map(|l| format!("{}:job{}", l.device, l.holder))
-            })
-            .collect();
-        rec.event(
-            "gyan.reservation.conflict",
-            [
-                ("job_id", Value::from(holder)),
-                ("requested", Value::from(join(requested))),
-                ("baseline_devices", Value::from(join(&baseline.devices))),
-                ("granted_devices", Value::from(join(&actual.devices))),
-                ("baseline_reason", Value::from(baseline.reason.as_str())),
-                ("granted_reason", Value::from(actual.reason.as_str())),
-                ("blocked_by", Value::from(blocked_by.join(","))),
-            ],
-        );
     }
 
     /// Release every lease `holder` holds, auditing them as one
@@ -300,31 +386,74 @@ impl LeaseTable {
     /// (0 when the holder had none — releasing is idempotent).
     pub fn release(&self, holder: u64, why: &str, recorder: Option<&Recorder>) -> usize {
         obs::profile_scope!("alloc.release");
-        let mut inner = self.inner.lock();
-        release_locked(&mut inner, holder, why, recorder)
+        let mut book = self.shared.book.lock();
+        self.release_locked(&mut book, holder, why, recorder)
     }
 
-    /// Total active leases.
+    fn release_locked(
+        &self,
+        book: &mut Book,
+        holder: u64,
+        why: &str,
+        recorder: Option<&Recorder>,
+    ) -> usize {
+        // Most releases find no grant (every CPU job's, every first
+        // preparation's supersede): one lookup, and no clock is read.
+        let Ok(at) = book.grant(holder) else { return 0 };
+        let grant = book.grants.remove(at);
+        if let Some(rec) = recorder {
+            rec.event(
+                "gyan.reservation.release",
+                [
+                    ("job_id", Value::from(holder)),
+                    ("devices", Value::from(join_ids(grant.devices.iter()))),
+                    ("reason", Value::from(why)),
+                    ("held_seconds", Value::from((rec.now() - grant.acquired_at).max(0.0))),
+                ],
+            );
+        }
+        for minor in grant.devices.iter() {
+            let device = &mut book.devices[minor as usize];
+            if let Some(at) = device.holders.iter().position(|&h| h == holder) {
+                device.holders.remove(at);
+            }
+            device.pending_mib -= grant.memory_hint_mib;
+        }
+        let released = grant.devices.len();
+        self.shared.leases.fetch_sub(released, Ordering::Relaxed);
+        if let Some(rec) = recorder {
+            let metrics = book.metrics(rec);
+            metrics.released.inc(released as u64);
+            metrics.active.set(self.lease_count() as f64);
+        }
+        released
+    }
+
+    /// Total active leases. Reads no lock: the count is published by the
+    /// acquire or release that changed it.
     pub fn lease_count(&self) -> usize {
-        self.inner.lock().count()
+        self.shared.leases.load(Ordering::Relaxed)
     }
 
     /// Active leases on `minor`, in acquisition order.
     pub fn leases_on(&self, minor: u32) -> Vec<Lease> {
-        self.inner.lock().leases.get(&minor).cloned().unwrap_or_default()
+        self.shared.book.lock().leases_on(minor).collect()
     }
 
     /// Every active lease across all devices, ordered by device minor
     /// then acquisition — one consistent snapshot for invariant checkers.
     pub fn all_leases(&self) -> Vec<Lease> {
-        self.inner.lock().leases.values().flatten().cloned().collect()
+        let book = self.shared.book.lock();
+        let mut leases = Vec::with_capacity(self.lease_count());
+        for (minor, _) in book.leased() {
+            leases.extend(book.leases_on(minor));
+        }
+        leases
     }
 
     /// Sorted, deduplicated job ids currently holding at least one lease.
     pub fn holders(&self) -> Vec<u64> {
-        let inner = self.inner.lock();
-        let set: BTreeSet<u64> = inner.leases.values().flatten().map(|l| l.holder).collect();
-        set.into_iter().collect()
+        self.shared.book.lock().grants.iter().map(|grant| grant.holder).collect()
     }
 
     /// A `QueueEngine` discard listener releasing the leases of plans a
@@ -338,47 +467,35 @@ impl LeaseTable {
     }
 }
 
-fn release_locked(inner: &mut Inner, holder: u64, why: &str, recorder: Option<&Recorder>) -> usize {
-    // The audit first, one record for the holder's devices in ascending
-    // order; then the leases go. Most releases find nothing held (every
-    // CPU job's, every first preparation's supersede) and read no clock.
-    let mut held = inner.leases.values().flatten().filter(|lease| lease.holder == holder);
-    let Some(first) = held.next() else { return 0 };
-    // `allocate_and_lease` supersedes before it leases, so a holder's
-    // leases are one grant's: one acquisition time, hint and kind.
-    debug_assert!(
-        held.all(|lease| (lease.acquired_at, lease.memory_hint_mib, lease.exclusive)
-            == (first.acquired_at, first.memory_hint_mib, first.exclusive)),
-        "job {holder} holds leases of more than one grant"
+fn audit_conflict(
+    book: &Book,
+    holder: u64,
+    requested: &[u32],
+    baseline: &Allocation,
+    actual: &Allocation,
+    recorder: Option<&Recorder>,
+) {
+    let Some(rec) = recorder else { return };
+    rec.metrics().inc_counter(RESERVATION_CONFLICTS_COUNTER, 1);
+    // Which holders stood in the way of the lease-blind choice.
+    let blocked_by: Vec<String> = baseline
+        .devices
+        .iter()
+        .filter(|d| !actual.devices.contains(d))
+        .flat_map(|&d| book.leases_on(d).map(|l| format!("{}:job{}", l.device, l.holder)))
+        .collect();
+    rec.event(
+        "gyan.reservation.conflict",
+        [
+            ("job_id", Value::from(holder)),
+            ("requested", Value::from(join(requested))),
+            ("baseline_devices", Value::from(join(&baseline.devices))),
+            ("granted_devices", Value::from(join(&actual.devices))),
+            ("baseline_reason", Value::from(baseline.reason.as_str())),
+            ("granted_reason", Value::from(actual.reason.as_str())),
+            ("blocked_by", Value::from(blocked_by.join(","))),
+        ],
     );
-    if let Some(rec) = recorder {
-        let devices = inner
-            .leases
-            .iter()
-            .filter(|(_, leases)| leases.iter().any(|lease| lease.holder == holder))
-            .map(|(minor, _)| minor);
-        rec.event(
-            "gyan.reservation.release",
-            [
-                ("job_id", Value::from(holder)),
-                ("devices", Value::from(join(devices))),
-                ("reason", Value::from(why)),
-                ("held_seconds", Value::from((rec.now() - first.acquired_at).max(0.0))),
-            ],
-        );
-    }
-    let mut released = 0usize;
-    for leases in inner.leases.values_mut() {
-        let held = leases.len();
-        leases.retain(|lease| lease.holder != holder);
-        released += held - leases.len();
-    }
-    if let Some(rec) = recorder {
-        let m = rec.metrics();
-        m.inc_counter(RESERVATIONS_RELEASED_COUNTER, released as u64);
-        m.set_gauge(RESERVATIONS_ACTIVE_GAUGE, inner.count() as f64);
-    }
-    released
 }
 
 /// What the stock SLO rules ([`crate::ops::default_alert_rules`]) read
@@ -393,7 +510,8 @@ pub trait LeaseView: Clone + Send + Sync + 'static {
 
 impl LeaseView for LeaseTable {
     fn max_leases_per_device(&self) -> usize {
-        self.inner.lock().leases.values().map(Vec::len).max().unwrap_or(0)
+        let book = self.shared.book.lock();
+        book.devices.iter().map(|device| device.holders.len()).max().unwrap_or(0)
     }
 }
 
@@ -402,7 +520,7 @@ impl LeaseTable {
     /// Snapshot the current lease state, as a decision under the lock
     /// sees it.
     pub(crate) fn view(&self) -> ReservationView {
-        self.inner.lock().view()
+        self.shared.book.lock().view()
     }
 }
 
@@ -582,5 +700,240 @@ mod tests {
         let t = LeaseTable::new();
         assert!(t.allocate_and_lease(&c, &[], AllocationPolicy::ProcessId, 1, 0, None).is_none());
         assert_eq!(t.lease_count(), 0);
+    }
+
+    #[test]
+    fn a_grant_releases_its_devices_in_ascending_order_past_minor_127() {
+        let c = GpuCluster::node(gpusim::GpuArch::tesla_k80(), 130);
+        let (t, rec) = (LeaseTable::new(), Recorder::new());
+        let policy = AllocationPolicy::ProcessId;
+        let a = t.allocate_and_lease(&c, &[129, 3, 128], policy, 1, 64, Some(&rec)).unwrap();
+        assert_eq!(a.cuda_visible_devices.as_str(), "129,3,128");
+        assert_eq!(a.reason, AllocationReason::RequestedFree);
+        assert_eq!(t.leases_on(128)[0].holder, 1);
+        assert_eq!(t.view().pending().collect::<Vec<_>>(), vec![(3, 64), (128, 64), (129, 64)]);
+        assert_eq!(t.release(1, "ok", Some(&rec)), 3);
+        let release = &rec.events_named("gyan.reservation.release")[0];
+        assert_eq!(release.field("devices"), Some(&Value::from("3,128,129")));
+        assert!(t.view().is_empty());
+    }
+}
+
+/// [`LeaseTable`] against a naive model that keeps the table's former
+/// layout — every device's leases in one `BTreeMap`, every reader walking
+/// it — and its former acquire and release, metrics written by name.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use gpusim::{GpuArch, GpuProcess};
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
+    use std::sync::atomic::AtomicU64;
+
+    #[derive(Default)]
+    struct Naive {
+        leases: BTreeMap<u32, Vec<Lease>>,
+    }
+
+    impl Naive {
+        fn view(&self) -> ReservationView {
+            let leased = self
+                .leases
+                .iter()
+                .filter(|(_, leases)| !leases.is_empty())
+                .map(|(&minor, leases)| (minor, leases.iter().map(|l| l.memory_hint_mib).sum()))
+                .collect();
+            ReservationView::from_rows(leased)
+        }
+
+        fn allocate_and_lease(
+            &mut self,
+            cluster: &GpuCluster,
+            requested: &[u32],
+            policy: AllocationPolicy,
+            holder: u64,
+            memory_hint_mib: u64,
+            rec: &Recorder,
+        ) -> Option<Allocation> {
+            self.release(holder, "superseded", rec);
+            let observed = try_get_gpu_usage(cluster);
+            let view = self.view();
+            let alloc = decide_traced(&observed, requested, policy, Some(&view), Some(rec))?;
+            let baseline = observed.as_ref().ok().and_then(|u| decide(u, requested, policy, None));
+            if let Some(baseline) =
+                baseline.filter(|b| !view.is_empty() && b.devices != alloc.devices)
+            {
+                rec.metrics().inc_counter(RESERVATION_CONFLICTS_COUNTER, 1);
+                let mut blocked_by = Vec::new();
+                for d in baseline.devices.iter().filter(|d| !alloc.devices.contains(d)) {
+                    for l in self.leases.get(d).into_iter().flatten() {
+                        blocked_by.push(format!("{}:job{}", l.device, l.holder));
+                    }
+                }
+                rec.event(
+                    "gyan.reservation.conflict",
+                    [
+                        ("job_id", Value::from(holder)),
+                        ("requested", Value::from(join(requested))),
+                        ("baseline_devices", Value::from(join(&baseline.devices))),
+                        ("granted_devices", Value::from(join(&alloc.devices))),
+                        ("baseline_reason", Value::from(baseline.reason.as_str())),
+                        ("granted_reason", Value::from(alloc.reason.as_str())),
+                        ("blocked_by", Value::from(blocked_by.join(","))),
+                    ],
+                );
+            }
+            let exclusive = matches!(
+                alloc.reason,
+                AllocationReason::RequestedFree
+                    | AllocationReason::FreeFallback
+                    | AllocationReason::InvalidRequest
+            );
+            let acquired_at = rec.now();
+            for &device in &alloc.devices {
+                let lease = Lease { device, holder, acquired_at, memory_hint_mib, exclusive };
+                self.leases.entry(device).or_default().push(lease);
+            }
+            rec.event(
+                "gyan.reservation.acquire",
+                [
+                    ("job_id", Value::from(holder)),
+                    ("devices", Value::from(alloc.cuda_visible_devices.as_str())),
+                    ("exclusive", Value::from(exclusive)),
+                    ("memory_hint_mib", Value::from(memory_hint_mib)),
+                    ("reason", Value::from(Key::from(alloc.reason.as_str()))),
+                ],
+            );
+            rec.metrics().inc_counter(RESERVATIONS_ACQUIRED_COUNTER, alloc.devices.len() as u64);
+            rec.metrics().set_gauge(RESERVATIONS_ACTIVE_GAUGE, self.all_leases().len() as f64);
+            Some(alloc)
+        }
+
+        fn release(&mut self, holder: u64, why: &str, rec: &Recorder) -> usize {
+            let held: Vec<Lease> =
+                self.all_leases().into_iter().filter(|l| l.holder == holder).collect();
+            let Some(first) = held.first() else { return 0 };
+            let devices: BTreeSet<u32> = held.iter().map(|l| l.device).collect();
+            rec.event(
+                "gyan.reservation.release",
+                [
+                    ("job_id", Value::from(holder)),
+                    ("devices", Value::from(join(&devices))),
+                    ("reason", Value::from(why)),
+                    ("held_seconds", Value::from((rec.now() - first.acquired_at).max(0.0))),
+                ],
+            );
+            for leases in self.leases.values_mut() {
+                leases.retain(|l| l.holder != holder);
+            }
+            rec.metrics().inc_counter(RESERVATIONS_RELEASED_COUNTER, held.len() as u64);
+            rec.metrics().set_gauge(RESERVATIONS_ACTIVE_GAUGE, self.all_leases().len() as f64);
+            held.len()
+        }
+
+        fn all_leases(&self) -> Vec<Lease> {
+            self.leases.values().flatten().cloned().collect()
+        }
+
+        fn leases_on(&self, minor: u32) -> Vec<Lease> {
+            self.leases.get(&minor).cloned().unwrap_or_default()
+        }
+
+        fn holders(&self) -> Vec<u64> {
+            let set: BTreeSet<u64> = self.leases.values().flatten().map(|l| l.holder).collect();
+            set.into_iter().collect()
+        }
+
+        fn max_leases_per_device(&self) -> usize {
+            self.leases.values().map(Vec::len).max().unwrap_or(0)
+        }
+    }
+
+    fn recorder(tick: &Arc<AtomicU64>) -> Recorder {
+        let rec = Recorder::new();
+        let tick = Arc::clone(tick);
+        rec.set_clock(move || tick.load(Ordering::SeqCst) as f64 / 4.0);
+        rec
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random acquire (both policies; requested minors valid,
+        /// duplicated or past the node; a holder that already holds a
+        /// grant supersedes it), release, discard, SMI busy-state and
+        /// SMI-failure steps on nodes of 0 to 6 devices: after every step
+        /// the table and the model return the same values, read the same
+        /// leases on every minor, and their recorders hold the same log
+        /// and the same exposition.
+        #[test]
+        fn the_lease_book_matches_the_naive_map(
+            devices in 0u32..7,
+            ops in prop::collection::vec(
+                (0u8..10, 1u64..7, prop::collection::vec(0u32..9, 0..4), any::<u32>()),
+                1..40,
+            ),
+        ) {
+            let node = GpuCluster::node(GpuArch::tesla_k80(), devices);
+            let tick = Arc::new(AtomicU64::new(0));
+            let (rec, naive_rec) = (recorder(&tick), recorder(&tick));
+            let (table, mut naive) = (LeaseTable::new(), Naive::default());
+            let discard = table.discard_listener(Some(rec.clone()));
+            let mut pids = Vec::new();
+            for (op, holder, requested, r) in ops {
+                tick.fetch_add(u64::from(r % 3), Ordering::SeqCst);
+                let minor = r % devices.max(1);
+                match op {
+                    0..=3 => {
+                        let policy = if r % 2 == 0 {
+                            AllocationPolicy::ProcessId
+                        } else {
+                            AllocationPolicy::MemoryBased
+                        };
+                        let hint = u64::from(r % 4096);
+                        let got = table
+                            .allocate_and_lease(&node, &requested, policy, holder, hint, Some(&rec));
+                        let want = naive
+                            .allocate_and_lease(&node, &requested, policy, holder, hint, &naive_rec);
+                        prop_assert_eq!(got, want);
+                    }
+                    4 | 5 => {
+                        let why = if op == 4 { "ok" } else { "failed_retryable" };
+                        let got = table.release(holder, why, Some(&rec));
+                        prop_assert_eq!(got, naive.release(holder, why, &naive_rec));
+                    }
+                    6 => {
+                        discard(holder);
+                        naive.release(holder, "discarded", &naive_rec);
+                    }
+                    7 if devices > 0 => {
+                        let pid = 40_000 + r % 1000;
+                        let process = GpuProcess::compute(pid, "busy", u64::from(r % 3000));
+                        if node.attach_process(minor, process).is_ok() {
+                            pids.push((minor, pid));
+                        }
+                    }
+                    8 if !pids.is_empty() => {
+                        let (minor, pid) = pids.swap_remove(r as usize % pids.len());
+                        node.detach_process(minor, pid).unwrap();
+                    }
+                    9 => node.inject_smi_query_failures(2),
+                    _ => {}
+                }
+                prop_assert_eq!(table.all_leases(), naive.all_leases());
+                for minor in 0..devices + 2 {
+                    prop_assert_eq!(table.leases_on(minor), naive.leases_on(minor));
+                }
+                prop_assert_eq!(table.lease_count(), naive.all_leases().len());
+                prop_assert_eq!(table.holders(), naive.holders());
+                prop_assert_eq!(table.max_leases_per_device(), naive.max_leases_per_device());
+                prop_assert_eq!(table.view(), naive.view());
+                prop_assert_eq!(rec.to_jsonl(), naive_rec.to_jsonl());
+                prop_assert_eq!(
+                    rec.metrics().render_prometheus(),
+                    naive_rec.metrics().render_prometheus()
+                );
+            }
+        }
     }
 }

@@ -40,6 +40,26 @@ impl Buckets {
         self.sum += v;
         self.count += 1;
     }
+
+    /// [`Registry::histogram_quantile`]'s estimate over these buckets;
+    /// `None` when empty.
+    fn quantile(&self, q: f64) -> Option<f64> {
+        if self.count == 0 {
+            return None;
+        }
+        let rank = q.clamp(0.0, 1.0) * self.count as f64;
+        let mut lower = 0.0f64;
+        let mut prev = 0u64;
+        for (bound, cum) in DEFAULT_BUCKETS.iter().zip(&self.counts) {
+            if *cum as f64 >= rank && *cum > prev {
+                let fraction = (rank - prev as f64) / (*cum - prev) as f64;
+                return Some(lower + (bound - lower) * fraction);
+            }
+            lower = *bound;
+            prev = *cum;
+        }
+        DEFAULT_BUCKETS.last().copied()
+    }
 }
 
 /// Whether a series was ever written: set once, by its first write.
@@ -71,6 +91,10 @@ impl CounterCell {
         self.value.fetch_add(by, Ordering::Relaxed);
         self.written.mark();
     }
+
+    fn get(&self) -> u64 {
+        self.value.load(Ordering::Relaxed)
+    }
 }
 
 #[derive(Default)]
@@ -84,6 +108,10 @@ impl GaugeCell {
     fn set(&self, value: f64) {
         self.bits.store(value.to_bits(), Ordering::Relaxed);
         self.written.mark();
+    }
+
+    fn get(&self) -> Option<f64> {
+        self.written.get().then(|| f64::from_bits(self.bits.load(Ordering::Relaxed)))
     }
 }
 
@@ -111,6 +139,12 @@ impl Counter {
     pub fn inc(&self, by: u64) {
         self.0.inc(by);
     }
+
+    /// The current value (0 until the first write), as
+    /// [`Registry::counter_value`] reads it.
+    pub fn get(&self) -> u64 {
+        self.0.get()
+    }
 }
 
 /// A handle on one gauge series of a [`Registry`].
@@ -122,6 +156,12 @@ impl Gauge {
     pub fn set(&self, value: f64) {
         self.0.set(value);
     }
+
+    /// The current value, `None` until the first write, as
+    /// [`Registry::gauge_value`] reads it.
+    pub fn get(&self) -> Option<f64> {
+        self.0.get()
+    }
 }
 
 /// A handle on one histogram series of a [`Registry`].
@@ -132,6 +172,12 @@ impl Histogram {
     /// Record an observation into the [`DEFAULT_BUCKETS`].
     pub fn observe(&self, value: f64) {
         self.0.buckets().observe(value);
+    }
+
+    /// Quantile `q` of the observations, as
+    /// [`Registry::histogram_quantile`] estimates it.
+    pub fn quantile(&self, q: f64) -> Option<f64> {
+        self.0.buckets().quantile(q)
     }
 }
 
@@ -176,6 +222,11 @@ impl Registry {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// Whether `self` and `other` are clones of one registry.
+    pub fn same_as(&self, other: &Registry) -> bool {
+        Arc::ptr_eq(&self.state, &other.state)
+    }
+
     /// A handle on counter `name`; it renders from its first write on.
     pub fn counter(&self, name: &str) -> Counter {
         Counter(Arc::clone(cell(&mut self.lock().counters, name)))
@@ -218,14 +269,12 @@ impl Registry {
 
     /// Current value of a counter (0 when never incremented).
     pub fn counter_value(&self, name: &str) -> u64 {
-        self.lock().counters.get(name).map_or(0, |c| c.value.load(Ordering::Relaxed))
+        self.lock().counters.get(name).map_or(0, |c| c.get())
     }
 
     /// Current value of a gauge, if ever set.
     pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        let state = self.lock();
-        let gauge = state.gauges.get(name).filter(|g| g.written.get())?;
-        Some(f64::from_bits(gauge.bits.load(Ordering::Relaxed)))
+        self.lock().gauges.get(name)?.get()
     }
 
     /// Number of observations in a histogram (0 when absent).
@@ -244,19 +293,7 @@ impl Registry {
     /// empty histogram. Ranks falling in the implicit `+Inf` bucket are
     /// clamped to the highest finite bound, as `histogram_quantile` does.
     pub fn histogram_quantile(&self, name: &str, q: f64) -> Option<f64> {
-        let h = self.lock().histograms.get(name)?.written()?;
-        let rank = q.clamp(0.0, 1.0) * h.count as f64;
-        let mut lower = 0.0f64;
-        let mut prev = 0u64;
-        for (bound, cum) in DEFAULT_BUCKETS.iter().zip(&h.counts) {
-            if *cum as f64 >= rank && *cum > prev {
-                let fraction = (rank - prev as f64) / (*cum - prev) as f64;
-                return Some(lower + (bound - lower) * fraction);
-            }
-            lower = *bound;
-            prev = *cum;
-        }
-        DEFAULT_BUCKETS.last().copied()
+        self.lock().histograms.get(name)?.buckets().quantile(q)
     }
 
     /// Render the whole registry in Prometheus text exposition format.

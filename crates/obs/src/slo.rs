@@ -13,6 +13,7 @@
 //! virtual clock there is no background time to poll on, so the harness
 //! (wave barrier, ops loop, example driver) decides the cadence.
 
+use crate::metrics::{Counter, Gauge, Histogram};
 use crate::{json_escape, Recorder, Value};
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -159,8 +160,18 @@ pub struct AlertStatus {
     pub fired: u64,
 }
 
+/// What a rule reads, resolved from its [`AlertExpr`] once, when the rule
+/// is added: a registry series is read through its handle.
+enum Probe {
+    Gauge(Gauge),
+    CounterRate(Counter, f64),
+    HistogramQuantile(Histogram, f64),
+    Custom(Arc<dyn Fn() -> Option<f64> + Send + Sync>),
+}
+
 struct RuleState {
     rule: AlertRule,
+    probe: Probe,
     state: AlertState,
     since: f64,
     pending_since: f64,
@@ -174,20 +185,39 @@ struct RuleState {
 #[derive(Clone)]
 pub struct AlertEngine {
     recorder: Recorder,
+    firing: Gauge,
     rules: Arc<Mutex<Vec<RuleState>>>,
 }
 
 impl AlertEngine {
     /// An engine reading metrics and clock from `recorder`.
     pub fn new(recorder: &Recorder) -> Self {
-        AlertEngine { recorder: recorder.clone(), rules: Arc::new(Mutex::new(Vec::new())) }
+        AlertEngine {
+            recorder: recorder.clone(),
+            firing: recorder.metrics().gauge(ALERTS_FIRING_GAUGE),
+            rules: Arc::new(Mutex::new(Vec::new())),
+        }
     }
 
-    /// Register a rule (evaluated in registration order).
+    /// Register a rule (evaluated in registration order). A series the
+    /// rule reads is resolved to its handle here; one never written stays
+    /// out of the exposition.
     pub fn add_rule(&self, rule: AlertRule) {
         let since = self.recorder.now();
+        let metrics = self.recorder.metrics();
+        let probe = match &rule.expr {
+            AlertExpr::Gauge(name) => Probe::Gauge(metrics.gauge(name)),
+            AlertExpr::CounterRate { name, window_s } => {
+                Probe::CounterRate(metrics.counter(name), *window_s)
+            }
+            AlertExpr::HistogramQuantile { name, q } => {
+                Probe::HistogramQuantile(metrics.histogram(name), *q)
+            }
+            AlertExpr::Custom(f) => Probe::Custom(Arc::clone(f)),
+        };
         self.lock().push(RuleState {
             rule,
+            probe,
             state: AlertState::Inactive,
             since,
             pending_since: since,
@@ -212,14 +242,12 @@ impl AlertEngine {
         {
             let mut rules = self.lock();
             for rs in rules.iter_mut() {
-                let value = match &rs.rule.expr {
-                    AlertExpr::Gauge(name) => metrics.gauge_value(name),
-                    AlertExpr::HistogramQuantile { name, q } => {
-                        metrics.histogram_quantile(name, *q)
-                    }
-                    AlertExpr::Custom(f) => f(),
-                    AlertExpr::CounterRate { name, window_s } => {
-                        let current = metrics.counter_value(name);
+                let value = match &rs.probe {
+                    Probe::Gauge(gauge) => gauge.get(),
+                    Probe::HistogramQuantile(histogram, q) => histogram.quantile(*q),
+                    Probe::Custom(f) => f(),
+                    Probe::CounterRate(counter, window_s) => {
+                        let current = counter.get();
                         rs.samples.push((now, current));
                         rs.samples.retain(|(t, _)| now - *t <= *window_s);
                         rs.samples
@@ -283,7 +311,7 @@ impl AlertEngine {
         }
         // Locks released: the recorder's metrics/log locks are
         // only taken with the engine lock dropped.
-        metrics.set_gauge(ALERTS_FIRING_GAUGE, firing as f64);
+        self.firing.set(firing as f64);
         for tr in &transitions {
             metrics.inc_counter(
                 &format!(
@@ -467,6 +495,153 @@ mod tests {
         assert!(engine.firing().is_empty());
         let status = engine.statuses().remove(0);
         assert_eq!(status.value, Some(0.0));
+    }
+
+    /// The engine's evaluation with every series looked up by name, as it
+    /// read them before rules held handles.
+    struct ByName {
+        rules: Vec<ByNameRule>,
+    }
+
+    struct ByNameRule {
+        rule: AlertRule,
+        state: AlertState,
+        pending_since: f64,
+        samples: Vec<(f64, u64)>,
+    }
+
+    impl ByName {
+        /// `(rule, value, transition kind)` of every rule, in order.
+        fn evaluate(&mut self, rec: &Recorder) -> Vec<(String, Option<f64>, Option<&'static str>)> {
+            let (now, metrics) = (rec.now(), rec.metrics());
+            let mut out = Vec::new();
+            for ByNameRule { rule, state, pending_since, samples } in &mut self.rules {
+                let value = match &rule.expr {
+                    AlertExpr::Gauge(name) => metrics.gauge_value(name),
+                    AlertExpr::HistogramQuantile { name, q } => {
+                        metrics.histogram_quantile(name, *q)
+                    }
+                    AlertExpr::Custom(f) => f(),
+                    AlertExpr::CounterRate { name, window_s } => {
+                        let current = metrics.counter_value(name);
+                        samples.push((now, current));
+                        samples.retain(|(t, _)| now - *t <= *window_s);
+                        let (t0, v0) = samples[0];
+                        (now - t0 > 0.0).then(|| current.saturating_sub(v0) as f64 / (now - t0))
+                    }
+                };
+                let breached = value.is_some_and(|v| match rule.cmp {
+                    Compare::Gt => v > rule.threshold,
+                    Compare::Lt => v < rule.threshold,
+                });
+                let held = now - *pending_since >= rule.for_s;
+                let next = match (*state, breached) {
+                    (_, false) => AlertState::Inactive,
+                    (AlertState::Inactive, true) if rule.for_s > 0.0 => AlertState::Pending,
+                    (AlertState::Pending, true) if !held => AlertState::Pending,
+                    _ => AlertState::Firing,
+                };
+                let kind = (next != *state).then_some(match (*state, next) {
+                    (_, AlertState::Pending) => "pending",
+                    (_, AlertState::Firing) => "firing",
+                    (AlertState::Firing, _) => "resolved",
+                    _ => "cancelled",
+                });
+                if kind == Some("pending") {
+                    *pending_since = now;
+                }
+                *state = next;
+                out.push((rule.name.clone(), value, kind));
+            }
+            out
+        }
+    }
+
+    #[test]
+    fn rules_read_through_handles_as_by_name() {
+        let (rec, clock) = stepped();
+        let m = rec.metrics();
+        // Written before any rule exists, by name and by handle.
+        m.inc_counter("written_total", 1);
+        let early = m.histogram("h_seconds");
+        let rate = |name: &str| AlertExpr::CounterRate { name: name.into(), window_s: 3.0 };
+        let rules = vec![
+            AlertRule::new("never", rate("never_total"), Compare::Gt, 0.0),
+            AlertRule::new("late", rate("late_total"), Compare::Gt, 0.5).hold_for(2.0),
+            AlertRule::new("written", rate("written_total"), Compare::Gt, 1.0),
+            AlertRule::new("gauge", AlertExpr::Gauge("depth".into()), Compare::Gt, 1.0)
+                .hold_for(1.0),
+            AlertRule::new(
+                "p90",
+                AlertExpr::HistogramQuantile { name: "h_seconds".into(), q: 0.9 },
+                Compare::Gt,
+                0.5,
+            ),
+            AlertRule::new("unset", AlertExpr::Gauge("unset".into()), Compare::Lt, 1.0),
+        ];
+        let before = m.render_prometheus();
+        let engine = AlertEngine::new(&rec);
+        rules.iter().for_each(|rule| engine.add_rule(rule.clone()));
+        assert_eq!(m.render_prometheus(), before, "adding rules rendered a series");
+        let mut by_name = ByName {
+            rules: rules
+                .into_iter()
+                .map(|rule| ByNameRule {
+                    rule,
+                    state: AlertState::Inactive,
+                    pending_since: 0.0,
+                    samples: Vec::new(),
+                })
+                .collect(),
+        };
+        let (late, depth) = (m.counter("late_total"), m.gauge("depth"));
+        for t in 0..12u64 {
+            clock.store(t, Ordering::SeqCst);
+            match t {
+                2 => depth.set(3.0),
+                3 => m.inc_counter("late_total", 4),
+                4 => early.observe(2.0),
+                5 => late.inc(6),
+                6 => m.set_gauge("depth", 0.0),
+                7 => m.observe("h_seconds", 0.001),
+                8 => (0..20).for_each(|_| early.observe(0.001)),
+                _ => m.inc_counter("written_total", t),
+            }
+            let transitions = engine.evaluate();
+            let want = by_name.evaluate(&rec);
+            let values: Vec<_> = engine.statuses().iter().map(|s| s.value).collect();
+            assert_eq!(values, want.iter().map(|(_, v, _)| *v).collect::<Vec<_>>(), "t={t}");
+            let got: Vec<_> =
+                transitions.iter().map(|tr| (tr.rule.clone(), tr.value, Some(tr.kind))).collect();
+            let want: Vec<_> = want.into_iter().filter(|(_, _, kind)| kind.is_some()).collect();
+            assert_eq!(got, want, "t={t}");
+        }
+        assert_eq!(m.counter_value("never_total"), 0);
+        assert!(!m.render_prometheus().contains("never_total"));
+        assert!(!m.render_prometheus().contains("unset"));
+        // The script walks every rule that can breach through pending,
+        // firing and resolved.
+        let kinds: Vec<_> = rec
+            .events_named(ALERT_EVENT)
+            .iter()
+            .filter_map(|e| {
+                Some(format!("{}:{}", e.field("rule")?.as_str()?, e.field("kind")?.as_str()?))
+            })
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                "gauge:pending",
+                "late:pending",
+                "gauge:firing",
+                "p90:firing",
+                "late:firing",
+                "gauge:resolved",
+                "late:resolved",
+                "p90:resolved",
+                "written:firing"
+            ]
+        );
     }
 
     #[test]

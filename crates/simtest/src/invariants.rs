@@ -36,12 +36,13 @@ impl Violation {
 
 /// Between waves the engine's barrier guarantees every attempt concluded,
 /// and every conclusion releases its leases — so any lease still active
-/// here has leaked.
+/// here has leaked. The count is read first; the leases are listed only
+/// for a violation.
 pub fn no_leaked_leases(table: &LeaseTable, wave: usize) -> Result<(), Violation> {
-    let leases = table.all_leases();
-    if leases.is_empty() {
+    if table.lease_count() == 0 {
         return Ok(());
     }
+    let leases = table.all_leases();
     let holders: Vec<String> =
         leases.iter().map(|l| format!("job {} on gpu {}", l.holder, l.device)).collect();
     Err(Violation::new(

@@ -12,10 +12,14 @@
 # pairs the change. Printed: every pair's end-to-end metrics, then per
 # metric the two medians, the base's interquartile range, the change's
 # wins (by the metric's `better`) and whether the median moved by more
-# than the base's IQR. Needs bash, git, cargo and awk.
+# than the base's IQR; last, whether every Virtual metric (unit `x`,
+# `vs` or `%`: read off virtual time, so exact for a seed) printed the
+# same digits on both sides of every pair — `virtual: identical in N
+# pairs`, or one `virtual: differs` line per pair and metric. Needs bash,
+# git, cargo and awk.
 set -euo pipefail
 
-if (( $# < 2 || $# > 3 )); then sed -n '2,15p' "$0"; exit 2; fi
+if (( $# < 2 || $# > 3 )); then sed -n '2,19p' "$0"; exit 2; fi
 base_rev=$1 workload=$2 pairs=${3:-10}
 root=$(cd "$(dirname "$0")/.." && pwd)
 cd "$root"
@@ -24,10 +28,10 @@ grep -q "\"name\": \"$workload\"" BENCHMARK.json || { echo "ab.sh: no workload $
 
 # BENCHMARK.json: the command (one JSON string array on one line), the run
 # length, and the end-to-end metrics (the entries with a bound) with their
-# better direction.
+# better direction and unit.
 read -r -a command < <(sed -n 's/.*"command": *\[\(.*\)\].*/\1/p' BENCHMARK.json | tr -d '",')
 seconds=$(awk -F'[:,]' '/"run_seconds"/ {gsub(/ /, "", $2); print $2}' BENCHMARK.json)
-metrics=$(awk -F'"' '/"bound"/ {print $4, $12}' BENCHMARK.json)
+metrics=$(awk -F'"' '/"bound"/ {print $4, $12, $8}' BENCHMARK.json)
 
 # Each tree builds into its own benchmark/target.
 unset CARGO_TARGET_DIR
@@ -74,7 +78,7 @@ AB_METRICS=$metrics awk -v workload="$workload" '
     for (i = 0; i < n; i++) dst[i] = src[i]
     for (i = 1; i < n; i++) for (j = i; j > 0 && dst[j - 1] > dst[j]; j--) { t = dst[j]; dst[j] = dst[j - 1]; dst[j - 1] = t }
   }
-  BEGIN { n = split(ENVIRON["AB_METRICS"], m, "\n"); for (i = 1; i <= n; i++) { split(m[i], f, " "); better[f[1]] = f[2]; order[i] = f[1] } }
+  BEGIN { n = split(ENVIRON["AB_METRICS"], m, "\n"); for (i = 1; i <= n; i++) { split(m[i], f, " "); better[f[1]] = f[2]; unit[f[1]] = f[3]; order[i] = f[1] } }
   { v[$3, $2, $1] = $4; pairs = ($1 > pairs ? $1 : pairs) }
   END {
     printf "%s: %d pairs (base | change)\n", workload, pairs
@@ -96,4 +100,15 @@ AB_METRICS=$metrics awk -v workload="$workload" '
       beyond = (mc - mb > iqr || mb - mc > iqr) ? "yes" : "no"
       printf "%-18s %14.6g %14.6g %+7.1f%% %12.4g %3d/%-2d %s\n", name, mb, mc, delta, iqr, wins, pairs, beyond
     }
+    # Virtual metrics compare as printed text: the same digits are the same double.
+    differs = 0
+    for (p = 1; p <= pairs; p++) for (i = 1; i <= n; i++) {
+      name = order[i]
+      if (unit[name] != "x" && unit[name] != "vs" && unit[name] != "%") continue
+      if ((v[name, "base", p] "") != (v[name, "change", p] "")) {
+        printf "virtual: differs in pair %d: %s base %s change %s\n", p, name, v[name, "base", p], v[name, "change", p]
+        differs++
+      }
+    }
+    if (!differs) printf "\nvirtual: identical in %d pairs\n", pairs
   }' "$samples"

@@ -159,9 +159,10 @@ const ALLOCS_PER_FLEET_JOB_CEILING: f64 = 42.0;
 /// decision, the leases and their release: 425.0 at b774b45 (this same
 /// probe run there), 143.0 at 83e239d, of which 128 were the 64 per-device
 /// lease records (an `Arc` and a field list each), 78.0 at a3b9e33, of
-/// which 64 were those records' field lists, 20.0 now, where the grant
-/// writes one decision, one acquire and one release record; the ceiling
-/// is the measured value plus 10 %.
+/// which 64 were those records' field lists, 20.0 at 235ac37, where the
+/// grant writes one decision, one acquire and one release record, and
+/// 20.0 now that the table books a grant once (its devices are bits of
+/// the grant, not a list); the ceiling is the measured value plus 10 %.
 const ALLOCS_PER_32_DEVICE_GRANT_CEILING: f64 = 22.0;
 
 /// Allocations per placement + release on the benchmark's `day_fleet`
@@ -233,6 +234,12 @@ fn telemetry_records_and_jobs_stay_inside_their_allocation_budget() {
         grant <= ALLOCS_PER_32_DEVICE_GRANT_CEILING,
         "{grant:.1} allocations per 32-device grant"
     );
+    // A release by a job that holds nothing — every CPU job's conclusion —
+    // on that table while another job holds all 32 devices: one lookup,
+    // no record, no allocation.
+    table.allocate_and_lease(&node, &[], AllocationPolicy::ProcessId, u64::MAX, 512, None);
+    let idle_release = per_record(|rec, job| assert_eq!(table.release(job, "ok", Some(rec)), 0));
+    assert_eq!(idle_release, 0.0, "{idle_release:.2} allocations per release of nothing");
 
     // One placement and its release on the benchmark's 80-node fleet, and
     // on a tenth of it: scoring a node allocates nothing, so the two may
@@ -262,7 +269,7 @@ fn telemetry_records_and_jobs_stay_inside_their_allocation_budget() {
     let fleet_job = per_arrival(&LoadScenario::fleet(1, 2_000));
     println!(
         "allocations: event {event:.2}  span {span:.2}  32-device grant {grant:.1}  \
-         placement {placement:.1} (busy fleet {busy_fleet:.1})  job {per_job:.1}  \
+         idle release {idle_release:.1}  placement {placement:.1} (busy fleet {busy_fleet:.1})  job {per_job:.1}  \
          fleet job {fleet_job:.1}"
     );
     assert!(per_job <= ALLOCS_PER_JOB_CEILING, "{per_job:.1} allocations per job");
